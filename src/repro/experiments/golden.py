@@ -17,7 +17,12 @@ The repository pins these behavioural recordings:
     shows up here;
 ``reconfig``
     metrics plus the migrate/swap event sequence of a pinned
-    live-reconfiguration run (``tests/golden_reconfig.json``).
+    live-reconfiguration run (``tests/golden_reconfig.json``);
+``scale``
+    full result rows, per-worker bid counts and -- on one observed cell
+    -- trace, flow and decision digests of ``bidding`` at 100 and 400
+    workers (``tests/golden_scale.json``): the determinism contract at
+    the fleet sizes the benchmark measures, not only the 5-worker cell.
 
 Both used to carry their own regen script with its own ``--check``
 mode; this module is the single implementation behind them and behind
@@ -34,6 +39,8 @@ review the fixture diff like any other code change.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,6 +313,121 @@ def explain_reconfig_drift(committed: dict, current: dict) -> list[str]:
     return lines
 
 
+# -- scale fixture ----------------------------------------------------------
+
+SCALE_SEED = 11
+SCALE_JOBS = 300
+#: Size of the shared repository (MB): the benchmark's ``bid-fleet``
+#: stream pins it so seeds give comparable streams.
+SCALE_HOT_REPO_MB = 762.0
+#: cell name -> (workers, every observer on?).
+SCALE_CELLS = {
+    "bidding-100": (100, False),
+    "bidding-400": (400, False),
+    "bidding-100-observed": (100, True),
+}
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
+    ).hexdigest()
+
+
+def scale_runtime(n_workers: int, observed: bool) -> WorkflowRuntime:
+    """The benchmark's ``bid-fleet`` shape: near-equal workers (eleven
+    network classes), ``80%_large`` at 0.2 s inter-arrival with the
+    shared repository's size pinned."""
+    from repro.workload.generators import job_config_by_name
+    from repro.workload.job import JobArrival
+
+    profile = WorkerProfile(
+        f"fleet-{n_workers}",
+        tuple(
+            WorkerSpec(
+                f"w{i:04d}",
+                network_mbps=10 * (1 + 0.05 * ((i % 11) - 5) / 5),
+                rw_mbps=60,
+            )
+            for i in range(n_workers)
+        ),
+    )
+    config = dataclasses.replace(
+        job_config_by_name("80%_large"), n_jobs=SCALE_JOBS, mean_interarrival_s=0.2
+    )
+    _corpus, stream = config.build(seed=SCALE_SEED)
+    shared = f"{config.name}-shared"
+    stream = JobStream(
+        arrivals=[
+            JobArrival(
+                arrival.at,
+                dataclasses.replace(arrival.job, size_mb=SCALE_HOT_REPO_MB)
+                if arrival.job.repo_id == shared
+                else arrival.job,
+            )
+            for arrival in stream
+        ],
+        name=stream.name,
+    )
+    return WorkflowRuntime(
+        profile=profile,
+        stream=stream,
+        scheduler=make_scheduler("bidding"),
+        config=EngineConfig(
+            seed=SCALE_SEED, trace=observed, check=observed, obs=observed
+        ),
+    )
+
+
+def record_scale() -> dict:
+    """Result rows and bid counts of the fleet-sized ``bidding`` cells."""
+    golden = {}
+    for name, (n_workers, observed) in SCALE_CELLS.items():
+        runtime = scale_runtime(n_workers, observed)
+        row = dataclasses.asdict(runtime.run())
+        workers = runtime.metrics.workers
+        bids = {worker: block.bids_submitted for worker, block in workers.items()}
+        cell = {
+            key: value
+            for key, value in row.items()
+            if not isinstance(value, (dict, list, tuple))
+        }
+        cell["failed_jobs"] = list(row["failed_jobs"])
+        cell["bids_submitted"] = sum(bids.values())
+        cell["per_worker_sha256"] = _digest(
+            [row["per_worker_mb"], row["per_worker_jobs"], bids]
+        )
+        cell["assignments_sha256"] = _digest(runtime.master.assignments)
+        if observed:
+            trace = runtime.metrics.trace
+            cell["trace_events"] = len(trace)
+            cell["trace_sha256"] = _digest(
+                [
+                    (event.time, event.kind, event.job_id, event.worker, event.detail)
+                    for event in trace
+                ]
+            )
+            cell["flows_sha256"] = _digest(
+                [dataclasses.astuple(flow) for flow in runtime.obs.flows]
+            )
+            cell["decisions_sha256"] = _digest(runtime.obs.ledger.to_dicts())
+            cell["monitor_checks"] = runtime.monitor.checks
+        golden[name] = cell
+    return golden
+
+
+def explain_scale_drift(committed: dict, current: dict) -> list[str]:
+    lines = []
+    for cell in sorted(set(committed) | set(current)):
+        was, now = committed.get(cell, {}), current.get(cell, {})
+        for key in sorted(set(was) | set(now)):
+            if was.get(key) != now.get(key):
+                lines.append(
+                    f"  {cell}.{key}: committed {was.get(key)!r} vs current {now.get(key)!r}"
+                )
+    return lines
+
+
 # -- the registry and the shared record/check machinery ---------------------
 
 
@@ -348,6 +470,13 @@ FIXTURES: dict[str, GoldenFixture] = {
         indent=2,
         record=record_reconfig,
         explain_drift=explain_reconfig_drift,
+    ),
+    "scale": GoldenFixture(
+        name="scale",
+        filename="golden_scale.json",
+        indent=2,
+        record=record_scale,
+        explain_drift=explain_scale_drift,
     ),
 }
 

@@ -71,3 +71,19 @@ def test_fixed_seed_metrics_are_bit_identical(scheduler):
         # Exact equality on floats is deliberate: the determinism
         # contract is bit-level, not approximate.
         assert _observed(result) == exp, f"{scheduler} iteration {result.iteration}"
+
+
+# -- the same contract at the fleet sizes the benchmark measures -------------
+
+SCALE_PATH = Path(__file__).parent / "golden_scale.json"
+
+
+def test_scale_cells_are_bit_identical():
+    """``bidding`` at 100 and 400 workers (and one 100-worker cell with
+    ``obs`` + ``check`` + ``trace`` on): full result rows, per-worker bid
+    counts, and the observed cell's trace / flow / decision digests."""
+    from repro.experiments.golden import explain_scale_drift, record_scale
+
+    committed = json.loads(SCALE_PATH.read_text(encoding="utf-8"))
+    current = record_scale()
+    assert current == committed, "\n".join(explain_scale_drift(committed, current))
