@@ -319,10 +319,16 @@ class InvariantMonitor:
 
         # Broker state.
         self._publish_seq = 0
-        #: id(message) -> (seq, publish_time, sender); kept for the run
+        #: id(message) -> publish seq / time / sender; kept for the run
         #: (messages stay referenced by mailboxes/held buffers while
-        #: undelivered).
-        self._published: dict[int, tuple[int, float, Optional[str]]] = {}
+        #: undelivered).  Three flat dicts rather than one of tuples: a
+        #: delivered message's id is reused by a later one at the
+        #: allocator's whim, and an overwritten tuple would move the
+        #: garbage collector's allocation count -- and with it the moment
+        #: cyclic garbage is finalised -- from run to run.
+        self._published: dict[int, int] = {}
+        self._published_at: dict[int, float] = {}
+        self._published_by: dict[int, Optional[str]] = {}
         self._channel_last_seq: dict[tuple, int] = {}
 
         # Contest state machine.
@@ -479,12 +485,15 @@ class InvariantMonitor:
     def on_publish(self, topic: str, message, sender: Optional[str], now: float) -> None:
         self.checks += 1
         self._publish_seq += 1
-        self._published[id(message)] = (self._publish_seq, now, sender)
+        key = id(message)
+        self._published[key] = self._publish_seq
+        self._published_at[key] = now
+        self._published_by[key] = sender
 
     def on_deliver(self, topic: str, receiver: str, message, now: float) -> None:
         self.checks += 1
-        record = self._published.get(id(message))
-        if record is None:
+        seq = self._published.get(id(message))
+        if seq is None:
             self._note(now, "deliver", f"?? -> {receiver} on {topic}")
             self._violate(
                 "delivery-requires-publish",
@@ -492,7 +501,8 @@ class InvariantMonitor:
                 f"{topic!r} without a recorded publish",
             )
             return
-        seq, published_at, sender = record
+        published_at = self._published_at[id(message)]
+        sender = self._published_by[id(message)]
         self._note(now, "deliver", f"#{seq} -> {receiver} on {topic}")
         if now < published_at:
             self._violate(

@@ -69,13 +69,15 @@ class CostEstimator:
         """``totalCostOfUnfinishedJobs()`` -- Listing 2 line 2."""
         return self.worker.committed_cost()
 
+    def holds(self, repo_id: str) -> bool:
+        """Whether ``repo_id`` would be local by the time a job runs."""
+        if self.count_pending_downloads:
+            return self.worker.will_hold(repo_id)
+        return self.worker.cache.peek(repo_id)
+
     def is_local(self, job: Job) -> bool:
         """Whether the job's data would be local by the time it runs."""
-        if job.repo_id is None:
-            return True
-        if self.count_pending_downloads:
-            return job.repo_id in self.worker.pending_repos()
-        return self.worker.cache.peek(job.repo_id)
+        return job.repo_id is None or self.holds(job.repo_id)
 
     def transfer_time(self, job: Job) -> float:
         """``estimateDataTransferTime`` -- Listing 2 line 4.

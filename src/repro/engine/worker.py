@@ -197,6 +197,16 @@ class WorkerNode:
                 repos.add(job.repo_id)
         return repos
 
+    def will_hold(self, repo_id: str) -> bool:
+        """``repo_id in pending_repos()`` without building the set."""
+        if self.cache.peek(repo_id):
+            return True
+        if self.current_job is not None and self.current_job.repo_id == repo_id:
+            return True
+        return any(
+            isinstance(job, Job) and job.repo_id == repo_id for job in self.queue.items
+        )
+
     # -- job intake ----------------------------------------------------------
 
     def enqueue(self, job: Job, estimated_cost: float = 0.0) -> None:
@@ -280,6 +290,7 @@ class WorkerNode:
                 self.fleet.report(
                     self.fleet_slot, self._outstanding_jobs, len(self.queue)
                 )
+            self.policy.on_state_changed((job.repo_id,))
             started = self.sim.now
             self.metrics.job_started(started, job, self.name)
             if self.monitor is not None:
@@ -334,6 +345,7 @@ class WorkerNode:
                 self.metrics.record_cache_miss(self.sim.now, self.name, job)
                 yield from self.machine.download(job.size_mb)
                 self.cache.insert(job.repo_id, job.size_mb)
+                self.policy.on_state_changed((job.repo_id,))
                 self.metrics.record_download(self.sim.now, self.name, job, job.size_mb)
                 if self.monitor is not None:
                     self.monitor.on_cache_fetch(self.name, job.repo_id, self.sim.now)
@@ -376,6 +388,7 @@ class WorkerNode:
                 done.succeed()
                 return
             self.cache.insert(target.repo_id, target.size_mb)
+            self.policy.on_state_changed((target.repo_id,))
             self.metrics.record_download(
                 self.sim.now, self.name, target, target.size_mb
             )
@@ -460,6 +473,9 @@ class WorkerNode:
                 self.fleet.report(
                     self.fleet_slot, self._outstanding_jobs, len(self.queue)
                 )
+            self.policy.on_state_changed(
+                [job.repo_id for job in taken], by_main_loop=True
+            )
             if self.is_idle:
                 self._wake_idle_waiters()
         return taken
@@ -492,6 +508,7 @@ class WorkerNode:
         are reported to the master; only *new* work is refused by the
         policies.  Idempotent."""
         self.draining = True
+        self.policy.on_drain()
 
     # -- failure injection (extension) ---------------------------------------
 

@@ -11,14 +11,19 @@ commits and gated in CI:
 * ``broker_fanout``     -- pub/sub message deliveries (deliveries/s),
 * ``fleet_scan``        -- struct-of-arrays scheduler selection scans
   over a 1k-worker fleet mirror (scans/s; see :mod:`repro.fleet`),
+* ``contest_open_200`` / ``contest_open_400`` -- columnar bidding
+  contests opened per second with 200 / 400 invited workers (every
+  bid and its timetable computed from the cost planes),
+* ``bidding_fleet``     -- the paper's scheduler end to end at fleet
+  scale: 200 workers x 300 jobs, untraced (jobs/s; gated),
 * ``full_cell``         -- one end-to-end :func:`run_cell` (wall seconds).
 
 Each benchmark reports the *best* of ``repeats`` runs (minimum wall
 time), the standard way to suppress scheduler and allocator noise in
 microbenchmarks.  ``--quick`` shrinks the workloads ~5x for CI;
-``--check BASELINE.json`` fails the run when kernel timeout throughput
-regresses more than ``--tolerance`` (default 10%) against a committed
-baseline.  Throughputs are only comparable between runs on the same
+``--check BASELINE.json`` fails the run when a gated throughput
+(:data:`GATE_METRICS`) regresses more than ``--tolerance`` (default 10%)
+against a committed baseline.  Throughputs are only comparable between runs on the same
 hardware; the gate therefore compares quick-mode runs on the same CI
 runner class.
 """
@@ -41,7 +46,7 @@ GATE_METRIC = "kernel_timeouts"
 #: Every metric the CI regression gate watches (rates, higher better).
 #: Metrics absent from an older committed baseline are skipped, so the
 #: gate tightens automatically once the baseline is regenerated.
-GATE_METRICS = ("kernel_timeouts", "fleet_scan")
+GATE_METRICS = ("kernel_timeouts", "fleet_scan", "bidding_fleet")
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,17 @@ class BenchResult:
 
 
 def _time_best(fn: Callable[[], int], repeats: int) -> tuple[float, int]:
-    """Best wall time of ``fn`` over ``repeats`` runs; fn returns op count."""
+    """Best wall time of ``fn`` over ``repeats`` runs; fn returns its op
+    count, or ``(op count, seconds)`` when it times its own measured
+    region (set-up excluded)."""
     best = float("inf")
     ops = 0
     for _ in range(repeats):
         start = time.perf_counter()
         ops = fn()
         elapsed = time.perf_counter() - start
+        if isinstance(ops, tuple):
+            ops, elapsed = ops
         if elapsed < best:
             best = elapsed
     return best, ops
@@ -217,6 +226,36 @@ def _bench_fleet_scan(workers: int, rounds: int) -> int:
     return rounds
 
 
+def _bench_contest_open(workers: int, contests: int) -> tuple[int, float]:
+    """Open ``contests`` bidding contests against ``workers`` idle
+    bidders: the per-job cost of the columnar contest itself."""
+    from repro.experiments.golden import scale_runtime
+    from repro.workload.job import Job
+    from repro.workload.msr import TASK_ANALYZER
+
+    runtime = scale_runtime(workers, observed=False)
+    runtime.master.start()
+    for worker in runtime.workers.values():
+        worker.start()
+    runtime.sim.run(until=0.1)  # registrations land; the first job has not
+    policy = runtime.master.policy
+    jobs = [
+        Job(f"open-{index}", TASK_ANALYZER, repo_id=f"r{index % 7}", size_mb=100.0)
+        for index in range(contests)
+    ]
+    start = time.perf_counter()
+    for job in jobs:
+        policy._open(job, None)
+    return contests, time.perf_counter() - start
+
+
+def _bench_bidding_fleet() -> int:
+    """``bidding`` on the benchmark's fleet shape, 200 workers x 300 jobs."""
+    from repro.experiments.golden import scale_runtime
+
+    return scale_runtime(200, observed=False).run().jobs_completed
+
+
 def _bench_full_cell() -> int:
     """One end-to-end experiment cell (the macro benchmark)."""
     from repro.experiments.runner import CellSpec, run_cell
@@ -262,6 +301,19 @@ def run_benchmarks(quick: bool = False, repeats: int = 3) -> list[BenchResult]:
             "scans/s",
             lambda: _bench_fleet_scan(1_000, 10_000 // scale),
         ),
+        (
+            "contest_open_200",
+            "contests/s",
+            lambda: _bench_contest_open(200, 2_000 // scale),
+        ),
+        (
+            "contest_open_400",
+            "contests/s",
+            lambda: _bench_contest_open(400, 2_000 // scale),
+        ),
+        # Not shrunk by --quick: 300 jobs is already the smallest run in
+        # which the contests, not building 200 workers, set the rate.
+        ("bidding_fleet", "jobs/s", _bench_bidding_fleet),
         ("full_cell", "s", _bench_full_cell),
     ]
     results = []

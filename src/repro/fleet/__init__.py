@@ -7,6 +7,7 @@ consumer must follow.  ``REPRO_FLEET_SOA=0`` disables the fast path.
 
 from repro.fleet.soa import (
     SOA_ENV,
+    BidPlanes,
     BitMatrix,
     FleetState,
     HolderMatrix,
@@ -28,6 +29,7 @@ __all__ = [
     "argmax_value_rank",
     "BitMatrix",
     "FleetState",
+    "BidPlanes",
     "LoadTable",
     "HolderMatrix",
     "JobAgeTable",

@@ -394,6 +394,112 @@ class FleetState:
         return (self.alive[slots] & (self.outstanding[slots] > 0)).astype(np.int64)
 
 
+# -- per-bidder cost planes for columnar bidding contests ------------------
+
+
+class BidPlanes:
+    """What every bidder would bid with, one row per bidder.
+
+    The Bidding Scheduler's contest computes all bids of a job in one
+    pass over these planes (:meth:`estimate`, :meth:`schedule`) instead
+    of running one process per worker.  One append-only row per bidder
+    *incarnation* -- a restarted or hot-swapped-in worker registers a
+    fresh row, so nothing of a dead incarnation is inherited -- in
+    announce-subscription order.  Like :class:`FleetState` the planes
+    are mirrors: each row is written by the worker's own scalar code
+    (its ``CostEstimator``) at the worker's mutation seams, always as an
+    absolute value and never as a ``+=`` delta, so a cell holds exactly
+    the float the per-object code would have computed at that instant.
+
+    ``announce_delay`` / ``compute_s``
+        broker leg to the bidder and the time its bid takes to compute.
+    ``busy_until``
+        when the bidder's serial bid thread frees up (announcements
+        queue behind the bid being computed).
+    ``draining``
+        the bidder abstains (scale-down drain).
+    ``committed`` / ``network`` / ``rw`` / ``cpu`` / ``link_latency`` / ``factor``
+        the inputs of Listing 2: ``totalCostOfUnfinishedJobs()``, the
+        speed model's current outputs, the spec constants, and the
+        adaptive correction (1.0 without a corrector).
+    ``local``
+        (bidders x repos) "the data will be local by the time the job
+        runs" bits, the estimator's ``holds`` predicate.
+    ``bids``
+        bid arrivals not yet flushed into the metrics collector.
+    """
+
+    _PLANES = (
+        "announce_delay",
+        "compute_s",
+        "busy_until",
+        "committed",
+        "network",
+        "rw",
+        "cpu",
+        "link_latency",
+        "factor",
+    )
+
+    def __init__(self) -> None:
+        #: row -> the worker-side policy that writes it.
+        self.bidders: list = []
+        for name in self._PLANES:
+            setattr(self, name, np.zeros(0, dtype=np.float64))
+        self.draining = np.zeros(0, dtype=bool)
+        self.bids = np.zeros(0, dtype=np.int64)
+        self.local = BitMatrix()
+        #: Whether any bidder learns a correction (``factor`` != 1).
+        self.corrected = False
+
+    def __len__(self) -> int:
+        return len(self.bidders)
+
+    def add(self, bidder) -> int:
+        """Append a row for ``bidder`` (zeroed; the bidder fills it)."""
+        row = len(self.bidders)
+        self.bidders.append(bidder)
+        for name in self._PLANES + ("draining", "bids"):
+            setattr(self, name, _grow(getattr(self, name), row + 1))
+        self.factor[row] = 1.0
+        return row
+
+    def estimate(self, rows, job: "Job") -> tuple:
+        """Listing 2 for every bidder in ``rows`` (a slice or an index
+        array) at once: ``(workload, transfer, processing, own, cost)``,
+        element-wise and in ``CostEstimator``'s exact operation order."""
+        size = job.size_mb
+        workload = np.array(self.committed[rows])
+        processing = size / self.rw[rows]
+        if job.base_compute_s:  # (0 / cpu + x is exactly x)
+            processing = job.base_compute_s / self.cpu[rows] + processing
+        transfer = self.link_latency[rows] + size / self.network[rows]
+        if job.repo_id is None:
+            transfer = np.zeros_like(transfer)
+        else:
+            held = self.local.column_mask(job.repo_id, len(self.bidders))
+            if held is not None:
+                transfer = np.where(held[rows], 0.0, transfer)
+        own = transfer + processing
+        if self.corrected:
+            own = own * self.factor[rows]
+        return workload, transfer, processing, own, workload + own
+
+    def schedule(self, rows, now: float, heard: np.ndarray, reply_delay: float) -> tuple:
+        """When each bidder in ``rows`` hears an announcement published
+        ``now``, takes it off its mailbox, finishes computing the bid,
+        and when that bid reaches the master -- plus who bids at all:
+        ``(heard_at, dequeue, evaluate, arrive, bidding)``.  Bidders in
+        ``heard`` that are not draining go busy until their evaluation
+        time."""
+        heard_at = now + self.announce_delay[rows]
+        dequeue = np.maximum(heard_at, self.busy_until[rows])
+        evaluate = dequeue + self.compute_s[rows]
+        bidding = heard & ~self.draining[rows]
+        self.busy_until[rows] = np.where(bidding, evaluate, self.busy_until[rows])
+        return heard_at, dequeue, evaluate, evaluate + reply_delay, bidding
+
+
 # -- dynamic load/count tables for the planner policies --------------------
 
 
@@ -745,6 +851,7 @@ __all__ = [
     "argmax_value_rank",
     "BitMatrix",
     "FleetState",
+    "BidPlanes",
     "LoadTable",
     "HolderMatrix",
     "JobAgeTable",

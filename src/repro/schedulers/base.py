@@ -199,6 +199,19 @@ class WorkerPolicy:
         feed estimate-vs-actual learning).  ``elapsed_s`` is the wall time
         the job occupied the worker (download + processing)."""
 
+    def on_state_changed(self, repos=(), by_main_loop: bool = False) -> None:
+        """What the node could tell a scheduler about itself -- queue,
+        running job, cache, measured speeds -- just changed outside any
+        other hook: the executor picked up a job or finished a download,
+        or (``by_main_loop``: while handling a message, ahead of anything
+        else the node does at this instant) jobs were checkpointed away.
+        ``repos`` are the repositories whose local availability may have
+        changed."""
+
+    def on_drain(self) -> None:
+        """The host started draining (scale-down): it finishes what it
+        holds but must stop competing for new work."""
+
 
 @dataclass
 class SchedulerPolicy:

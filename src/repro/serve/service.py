@@ -326,17 +326,9 @@ class ServiceRuntime:
             probes.register(
                 "offers.in_flight", lambda: len(policy.in_flight), unit="offers"
             )
-        if hasattr(policy, "contests"):
-            # The policy keeps closed contests in the map (late-bid
-            # diagnostics), so count status, not membership.
+        if hasattr(policy, "open_contests"):
             probes.register(
-                "contests.open",
-                lambda: sum(
-                    1
-                    for contest in policy.contests.values()
-                    if contest.status.value == "open"
-                ),
-                unit="contests",
+                "contests.open", lambda: policy.open_contests, unit="contests"
             )
         if self._origin is not None:
             origin = self._origin

@@ -195,3 +195,269 @@ class TestSpeedLearning:
             len(worker.machine._network_samples) > 1
             for worker in runtime.workers.values()
         )
+
+
+# -- semantics the columnar contest must keep ---------------------------------
+#
+# Each is pinned on both paths: traced runs step the contest planes one
+# message at a time, untraced ones read them in bulk.
+
+BOTH_PATHS = pytest.mark.parametrize("trace", [True, False], ids=["stepped", "columnar"])
+
+
+def spy_on_contests(runtime):
+    """Every contest the run opens, in order (they leave the policy's
+    map once their job is done)."""
+    opened = []
+    policy = runtime.master.policy
+    real_open = policy._open
+
+    def _open(job, turn):
+        contest = real_open(job, turn)
+        opened.append(contest)
+        return contest
+
+    policy._open = _open
+    return opened
+
+
+def bids_submitted(runtime):
+    return {name: block.bids_submitted for name, block in runtime.metrics.workers.items()}
+
+
+class TestSerialBidder:
+    """The bid thread is a serial server: ``bid_compute_s / cpu_factor``
+    per bid, announcements queueing behind the bid being computed."""
+
+    @BOTH_PATHS
+    def test_slow_bidder_is_permanently_one_contest_late(self, trace):
+        from repro.cluster.profiles import profile_by_name
+
+        stream = arrivals(*[(f"j{i}", f"r{i % 2}", 20.0, 0.0) for i in range(6)])
+        runtime = WorkflowRuntime(
+            profile=profile_by_name("fast-slow"),
+            stream=stream,
+            scheduler=make_bidding_policy(),
+            config=quiet_config(trace=trace),
+        )
+        contests = spy_on_contests(runtime)
+        runtime.run()
+        assert len(contests) == 6
+        for contest, following in zip(contests, contests[1:]):
+            # w2 (cpu 0.25) needs 1.0 s per bid, the whole window: its bid
+            # lands after the close, while the next contest is running.
+            row = contest.row_of("w2")
+            assert contest.opened_at + 1.0 < contest.arrive[row]
+            assert following.opened_at < contest.arrive[row]
+            assert [bid.worker for bid in contest.late_bids] == ["w2"]
+            assert contest.winner() != "w2"
+            # ... and it only starts on the next announcement when this
+            # bid is out: back-to-back contests push it further behind.
+            assert following.dequeue[row] == contest.evaluate[row]
+        # Late bids still count as submitted.
+        assert bids_submitted(runtime) == {f"w{i}": 6 for i in range(1, 6)}
+
+    @BOTH_PATHS
+    def test_fallback_winner_commits_a_fresh_estimate(self, trace):
+        # Both bidders need 1.0 s against a 0.5 s window: zero bids, an
+        # arbitrary pick, and the pick has not evaluated its bid yet when
+        # the assignment arrives -- it must price the job on the spot.
+        profile = make_profile(
+            make_spec("a", cpu_factor=0.25), make_spec("b", cpu_factor=0.25)
+        )
+        runtime = WorkflowRuntime(
+            profile=profile,
+            stream=arrivals(("j0", "r0", 100.0, 0.0)),
+            scheduler=make_bidding_policy(window_s=0.5),
+            config=quiet_config(trace=trace),
+        )
+        contests = spy_on_contests(runtime)
+        committed = {}
+        for node in runtime.workers.values():
+            real = node.enqueue
+            node.enqueue = lambda job, cost, node=node, real=real: (
+                committed.update({node.name: cost}),
+                real(job, cost),
+            )
+        runtime.run()
+        (contest,) = contests
+        assert runtime.metrics.contests_fallback == 1
+        (winner,) = committed
+        # 10 s download + 2 s scan at the conftest speeds, no queue.
+        assert committed[winner] == pytest.approx(12.0)
+        # The bids landed long after the close and were still counted.
+        assert sorted(bid.worker for bid in contest.late_bids) == ["a", "b"]
+        assert bids_submitted(runtime) == {"a": 1, "b": 1}
+
+
+class TestBidderLeavesMidContest:
+    """A bid is committed to when the bid thread takes the announcement
+    off its mailbox; what happens to the node while the bid is being
+    computed only matters if the node dies."""
+
+    def run_with(self, trace, at, action):
+        profile = make_profile(make_spec("w1"), make_spec("w2"))
+        runtime = WorkflowRuntime(
+            profile=profile,
+            stream=arrivals(("j0", "r0", 10.0, 0.0), ("j1", "r1", 10.0, 5.0)),
+            scheduler=make_bidding_policy(bid_compute_s=0.25),
+            config=quiet_config(trace=trace, fault_tolerance=True),
+        )
+        contests = spy_on_contests(runtime)
+        runtime.sim.call_at(at, action, runtime)
+        runtime.run()
+        return runtime, contests
+
+    # The announcement reaches a worker by 0.003 s; its bid is evaluated
+    # 0.25 s later.
+
+    @BOTH_PATHS
+    def test_drain_while_computing_still_bids(self, trace):
+        runtime, contests = self.run_with(
+            trace, 0.1, lambda rt: rt.workers["w2"].begin_drain()
+        )
+        assert contests[0].counted[contests[0].row_of("w2")]
+        # ... but it abstains from then on.
+        assert bids_submitted(runtime) == {"w1": 2, "w2": 1}
+
+    @BOTH_PATHS
+    def test_drain_before_the_announcement_abstains(self, trace):
+        runtime, contests = self.run_with(
+            trace, 0.0005, lambda rt: rt.workers["w2"].begin_drain()
+        )
+        assert not contests[0].counted[contests[0].row_of("w2")]
+        assert bids_submitted(runtime).get("w2", 0) == 0
+
+    @BOTH_PATHS
+    def test_kill_while_computing_stays_silent(self, trace):
+        runtime, contests = self.run_with(trace, 0.1, lambda rt: rt.workers["w2"].kill())
+        assert not contests[0].counted[contests[0].row_of("w2")]
+        assert contests[0].winner() == "w1"
+        assert bids_submitted(runtime).get("w2", 0) == 0
+
+    @BOTH_PATHS
+    def test_hot_swap_while_computing_sends_the_bid(self, trace):
+        def swap(runtime):
+            runtime.workers["w2"].swap_policy(runtime.scheduler.make_worker())
+
+        runtime, contests = self.run_with(trace, 0.1, swap)
+        assert contests[0].counted[contests[0].row_of("w2")]
+        # The successor was not subscribed when j0 was announced; it is
+        # a bidder like any other for j1.
+        assert bids_submitted(runtime) == {"w1": 2, "w2": 2}
+
+
+class TestBidsSeeStateAtEvaluationTime:
+    @BOTH_PATHS
+    @pytest.mark.parametrize("bid_compute_s, sees_queue", [(0.2, True), (2.0, False)])
+    def test_job_finishing_before_evaluation_leaves_the_bid(
+        self, trace, bid_compute_s, sees_queue
+    ):
+        # j0 (10 MB: 1.0 s download + 0.2 s scan) runs from ~0.2 to
+        # ~1.4 s.  j1 is announced at 0.5 s; w1 evaluates its bid at
+        # 0.5 + bid_compute_s -- while j0 is still committed (0.7 s), or
+        # after it has finished (2.5 s).
+        runtime = WorkflowRuntime(
+            profile=make_profile(make_spec("w1")),
+            stream=arrivals(("j0", "r0", 10.0, 0.0), ("j1", "r1", 10.0, 0.5)),
+            scheduler=make_bidding_policy(bid_compute_s=bid_compute_s, window_s=5.0),
+            config=quiet_config(trace=trace),
+        )
+        contests = spy_on_contests(runtime)
+        runtime.run()
+        first, second = contests
+        committed_j0 = float(first.own[0])
+        assert committed_j0 == pytest.approx(1.2)
+        expected = committed_j0 if sees_queue else 0.0
+        # Exactly j0's committed cost, or exactly nothing.
+        assert second.workload[0] == expected
+        assert second.cost[0] == expected + second.own[0]
+
+
+class TestFleetChangesMidContest:
+    @BOTH_PATHS
+    def test_restarted_worker_does_not_inherit_the_dead_bid(self, trace):
+        from repro.engine.runtime import restart_worker
+
+        profile = make_profile(make_spec("w1"), make_spec("w2"))
+        runtime = WorkflowRuntime(
+            profile=profile,
+            stream=arrivals(("j0", "r0", 10.0, 0.0), ("j1", "r1", 10.0, 5.0)),
+            scheduler=make_bidding_policy(bid_compute_s=0.25),
+            config=quiet_config(trace=trace, fault_tolerance=True),
+        )
+        contests = spy_on_contests(runtime)
+        runtime.sim.call_at(0.1, lambda: runtime.workers["w2"].kill())
+        # Back up (and subscribed again) before the dead incarnation's
+        # bid would have been evaluated.
+        runtime.sim.call_at(0.15, restart_worker, runtime, "w2")
+        runtime.run()
+        first, second = contests
+        assert not first.counted[first.row_of("w2")]
+        assert first.late_bids == []
+        assert second.counted[second.row_of("w2")]
+        assert bids_submitted(runtime) == {"w1": 2, "w2": 1}
+
+    @BOTH_PATHS
+    def test_worker_joining_mid_contest_is_not_invited(self, trace):
+        from repro.engine.runtime import build_worker_node
+
+        profile = make_profile(make_spec("w1"), make_spec("w2"))
+        runtime = WorkflowRuntime(
+            profile=profile,
+            stream=arrivals(("j0", "r0", 10.0, 0.0), ("j1", "r1", 10.0, 5.0)),
+            scheduler=make_bidding_policy(bid_compute_s=0.25),
+            config=quiet_config(trace=trace),
+        )
+        contests = spy_on_contests(runtime)
+
+        def join():
+            spec = make_spec("w3")
+            runtime.topology.add_node("w3", 0.001)
+            node = build_worker_node(
+                runtime.sim,
+                runtime.topology,
+                spec,
+                runtime.scheduler,
+                runtime.metrics,
+                runtime.pipeline,
+                runtime.config,
+                noise_rng=runtime._streams.get("noise", "w3"),
+                monitor=runtime.monitor,
+            )
+            runtime.workers["w3"] = node
+            if runtime.fleet is not None:
+                runtime.fleet.attach_node(node)
+            runtime.master.add_worker("w3")
+            node.start()
+
+        runtime.sim.call_at(0.1, join)
+        runtime.run()
+        first, second = contests
+        assert first.names == ["w1", "w2"] and first.expected == {"w1", "w2"}
+        assert second.names == ["w1", "w2", "w3"]
+        assert bids_submitted(runtime) == {"w1": 2, "w2": 2, "w3": 1}
+
+
+class TestBidsInFlightAtTheEnd:
+    @BOTH_PATHS
+    def test_unlanded_bids_are_not_counted(self, trace, monkeypatch):
+        """The run ends while the slow bidder's last bid is still in
+        flight: the columnar count stops where the reference's does."""
+        from reference_bidding import make_reference_bidding_policy
+        from repro.cluster.profiles import profile_by_name
+
+        def bids(factory):
+            runtime = WorkflowRuntime(
+                profile=profile_by_name("fast-slow"),
+                stream=arrivals(*[(f"j{i}", None, 0.0, 0.3 * i) for i in range(4)]),
+                scheduler=factory(window_s=0.5),
+                config=quiet_config(trace=trace),
+            )
+            runtime.run()
+            return bids_submitted(runtime), runtime.metrics.makespan
+
+        ours, makespan = bids(make_bidding_policy)
+        assert (ours, makespan) == bids(make_reference_bidding_policy)
+        # Data-free jobs finish at once, well before w2's 1.0 s bids land.
+        assert ours["w2"] < ours["w1"] == 4
