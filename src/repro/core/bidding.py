@@ -24,29 +24,33 @@ Configurable knobs (all ablatable, defaults = the paper):
 * ``count_pending_downloads`` -- see
   :class:`~repro.core.estimator.CostEstimator`.
 
-Contests are columnar
----------------------
-The protocol *modelled* is per worker and per message -- broadcast,
-per-node latency, a serial bid thread on every worker, one bid message
-each, the window, dead-bidder exclusion.  It is *executed* in one pass:
-when a contest opens, the master-side policy computes from
-:class:`~repro.fleet.BidPlanes`, for every listening bidder at once,
-when the announcement reaches it, when its bid is evaluated, when that
-bid reaches the master and what it says.  Each worker's scalar code
-writes its own row whenever its state changes and re-prices its bids
-not yet evaluated, so a bid always reflects the state at its own
-evaluation instant.  When nothing can witness individual messages one
-timer per contest fires at the instant it can close and everything else
-is read off the planes; when something can (trace, monitors, obs, a
-lossy or partitioned broker) the same planes are *stepped* through
-every announce arrival and evaluation, each bid crossing the broker as
-a real :class:`~repro.engine.messages.Bid`.  ARCHITECTURE.md section 12
-has the full account.
+Contests are computed when nobody is looking
+--------------------------------------------
+The protocol is per worker and per message: broadcast, per-node
+latency, a serial bid thread on every worker, one bid message each, the
+window, dead-bidder exclusion.  A contest is *run* that way -- the
+announcement goes through the broker, every bidder's thread takes it
+off its mailbox, prices it and sends a
+:class:`~repro.engine.messages.Bid` -- whenever the individual messages
+can be told apart: something records or checks them (trace, invariant
+monitors, the ``obs`` recorder), the broker can lose them, or bids take
+no time to compute, so that a bid and whatever else reaches its node at
+the same instant are ordered by the simulator's event queue alone.
+
+Otherwise nothing depends on the messages but their outcome, and the
+master-side policy *computes* it: when the contest opens, one pass over
+:class:`~repro.fleet.BidPlanes` yields, for every listening bidder at
+once, when its bid thread takes the announcement up, when the bid is
+priced, when it reaches the master and what it says.  Each worker's
+scalar code writes its own row whenever its state changes and re-prices
+its bids not yet evaluated, so a bid always reflects the state at its
+own evaluation instant; one timer fires at the instant the contest can
+close.  ARCHITECTURE.md section 12 has the full account.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,10 +118,12 @@ class BiddingMasterPolicy(MasterPolicy):
         self.fast_closes = 0
         self._pending: Optional[Store] = None
         #: job_id -> its latest Contest (Listing 1's ``Bids``/``bidsMap``),
-        #: kept while a bid can still land or the job can still be
-        #: (re)assigned: late bids are absorbed as ``late_bids`` and a
-        #: migrated job still finds what its new owner promised.
+        #: kept while the job can still be (re)assigned or a bid for it
+        #: can still land.
         self.contests: dict[str, Contest] = {}
+        #: Jobs whose contest ran over the broker and was forgotten when
+        #: they finished: a straggler's bid for one is still a (late) bid.
+        self._finished: set[str] = set()
         #: Contests currently open (the ``contests.open`` probe).
         self.open_contests = 0
         #: job_ids already granted one fallback re-contest (recovery mode).
@@ -130,45 +136,29 @@ class BiddingMasterPolicy(MasterPolicy):
         #: the quiescent test must see through the window where a job is
         #: in a runner's hand but no contest is open yet.
         self._busy_runners = 0
-        #: What every bidder would bid with (see the module docstring).
+        #: What every bidder would bid with (see the module docstring),
+        #: and the announce subscriptions the row cache was built for.
         self.planes = BidPlanes()
-        #: The announce subscriptions the row cache below was built for.
         self._subs: list = []
         self._rows = slice(0, 0)
         self._lookup: Optional[np.ndarray] = None
         self._names: list[str] = []
         self._name_set: frozenset = frozenset()
         self._everyone = np.ones(0, dtype=bool)
-        #: Contests with a bid still to be evaluated / whose bid arrivals
-        #: are not yet in the counters / whose job is done but whose last
-        #: bid is not.
-        self._evaluating: list[Contest] = []
-        self._unflushed: list[Contest] = []
-        self._lingering: list[Contest] = []
-        #: Bidder rows that never had a bid land (no metrics block yet).
+        #: Computed contests with a bid or an ``Assignment`` on its way.
+        self._live: list[Contest] = []
+        #: Plane rows of bidders that have no metrics block yet.
         self._fresh: set[int] = set()
-        self._counting = False
-        #: Stepped contests with entries left, their one timer, and the
-        #: (instant, wake count at that instant) of its last wake.
-        self._stepped: list[Contest] = []
-        self._stepper = None
-        self._hop = (-np.inf, 0)
+        #: Some bidder prices its bids in no time (``bid_compute_s=0``).
+        self._instant = False
         self._retired = False
-        #: (instant, contests closed at that instant): orders the
-        #: ``Assignment`` and announcement publishes of one instant.
-        self._closes = (-np.inf, 0)
-        self._ticks = itertools.count()
 
     def start(self) -> None:
         master = self.master
         self._pending = Store(master.sim)
         for index in range(self.max_concurrent_contests):
             master.sim.process(self._contest_runner(), name=f"contest-runner-{index}")
-        broker = master.topology.broker
-        self._reply_delay = broker.base_latency + master.inbox.latency
-        broker.on_conditions_change = self._step_from_now
-        master.metrics.before_new_worker = self._count_landed
-        master.metrics.before_run_finished = self.flush
+        self._reply_delay = master.topology.broker.base_latency + master.inbox.latency
 
     # -- MasterPolicy hooks -----------------------------------------------
 
@@ -182,7 +172,7 @@ class BiddingMasterPolicy(MasterPolicy):
         if not isinstance(message, Bid):
             return False
         contest = self.contests.get(message.job_id)
-        if contest is None:
+        if contest is None and message.job_id not in self._finished:
             # Not a job we announced.  After a bidding -> bidding hot-swap
             # this is the predecessor's residue, which the master drops;
             # anywhere else the master reports it as unhandled.
@@ -190,6 +180,10 @@ class BiddingMasterPolicy(MasterPolicy):
         self.master.metrics.bid_received(
             self.master.sim.now, message.job_id, message.worker, message.cost_s
         )
+        if contest is None:
+            return True
+        while contest.attempt != message.attempt and contest.previous is not None:
+            contest = contest.previous  # a straggler from the job's earlier contest
         counted = contest.add_bid(message)
         if (
             counted
@@ -208,19 +202,30 @@ class BiddingMasterPolicy(MasterPolicy):
         bid that will never come."""
         for contest in list(self.contests.values()):
             if contest.status is ContestStatus.OPEN and worker in contest.expected:
-                if contest.stepping:
-                    contest.exclude(worker)
-                else:
+                if contest.computed:
                     self._collect(contest)  # who has bid so far
-                    contest.exclude(worker)
+                contest.exclude(worker)
+                if contest.computed:
                     self._arm(contest)
 
     def on_job_completed(self, job: Job, worker: str) -> None:
         """The job can no longer be reassigned: its contest record goes
         as soon as no bid for it can still land."""
         contest = self.contests.get(job.job_id)
-        if contest is not None:
-            self._lingering.append(contest)
+        if contest is None:
+            return
+        if contest.live:
+            contest.job_done = True  # _settle does the rest
+            return
+        if contest.status is ContestStatus.OPEN:
+            return
+        del self.contests[job.job_id]
+        self._rebids.discard(job.job_id)
+        if not contest.computed:
+            self._finished.add(job.job_id)
+
+    def on_run_finished(self) -> None:
+        self.flush()
 
     def decision_context(self, job: Job, worker: str) -> tuple:
         """Ledger: the closed contest's bids are the candidate scores."""
@@ -298,7 +303,6 @@ class BiddingMasterPolicy(MasterPolicy):
     def _contest_runner(self):
         """Take pending jobs one at a time and run their contests."""
         master = self.master
-        turn = None
         while True:
             job = yield self._pending.get()
             if self._quiescing:
@@ -313,15 +317,17 @@ class BiddingMasterPolicy(MasterPolicy):
                 self._pending.put(job)
                 self._busy_runners -= 1
                 continue
-            contest = self._open(job, turn)
+            contest = self._open(job)
             window = master.sim.timeout(self.window_s)
             yield AnyOf(master.sim, [window, contest.all_bids, contest.fast_close])
-            if not contest.stepping:
-                self._collect(contest)
+            if contest.computed:
+                # A bid landing at the very instant the window expires is
+                # late: the window's timer was armed before it was sent.
+                expired = not (contest.all_bids.triggered or contest.fast_close.triggered)
+                self._collect(contest, before_now=expired)
                 if contest.timer is not None:
                     contest.timer.cancel()
             outcome = contest.close()
-            contest.closed_tick, turn = self._take_turn(contest)
             self.open_contests -= 1
             winner = contest.winner()
             if (
@@ -349,125 +355,70 @@ class BiddingMasterPolicy(MasterPolicy):
                 master.sim.now, job, winner, contest.duration, outcome
             )
             master.assign(job, winner)
-            # The record must outlive the Assignment's flight: the winner
-            # looks up what it promised when the message lands.
-            topology = master.topology
-            contest.quiet_after = max(
-                contest.quiet_after,
-                master.sim.now + topology.broker.base_latency + topology.latency_of(winner),
-            )
+            if contest.computed:
+                # The record must outlive the Assignment's flight: the
+                # winner looks up what it promised when the message lands.
+                topology = master.topology
+                contest.quiet_after = max(
+                    contest.quiet_after,
+                    master.sim.now + topology.broker.base_latency + topology.latency_of(winner),
+                )
             self._busy_runners -= 1
             self._settle()
 
-    def _take_turn(self, contest: Contest) -> tuple:
-        """``(closing tick, tick of the contest this runner opens next)``:
-        orders the ``Assignment`` this closing publishes against the
-        announcements of the same instant, the way the per-worker
-        protocol's wake-ups would.  Contests completed by bids the master
-        handles one after another resume their runners a scheduling hop
-        apart (each closes, assigns and reopens before the next closes);
-        window expiries resume them in one hop (all close before any
-        opens).  Stepped contests are woken exactly like that and only
-        count; columnar ones, woken by their own timers, say which of the
-        two it would have been.
-        """
-        now = self.master.sim.now
-        rank = self._closes[1] if self._closes[0] == now else 0
-        self._closes = (now, rank + 1)
-        if contest.stepping:
-            return (now, next(self._ticks), 0), None
-        if contest.all_bids.triggered or contest.fast_close.triggered:
-            return (now, rank, 0), (now, rank, 1)
-        return (now, 0, rank), (now, 1, rank)
-
-    # -- opening a contest: every bid and its timetable in one pass -----------
-
-    def _open(self, job: Job, turn: tuple) -> Contest:
+    def _open(self, job: Job) -> Contest:
+        """Open ``job``'s contest: announce it over the broker if the
+        individual messages matter (see the module docstring), else
+        compute every bid and its timetable in one pass."""
         master = self.master
-        sim = master.sim
-        broker = master.topology.broker
-        subs = broker.subscribers(TOPIC_ANNOUNCE)
-        if subs != self._subs:
-            self._enlist(subs)
-        planes, rows = self.planes, self._rows
-        contest = Contest(sim, job, list(master.active_workers), names=self._names)
-        contest.invited = self._everyone
-        if contest.expected != self._name_set:
-            contest.invited = np.fromiter(
-                (name in contest.expected for name in self._names),
-                dtype=bool,
-                count=len(self._names),
-            )
-        contest.rows, contest.lookup = rows, self._lookup
-        #: The job's previous contest (a re-contest after a zero-bid
-        #: window or a re-dispatch): promises made there still stand for
-        #: bidders this one does not reach.
-        contest.previous = self.contests.get(job.job_id)
-        if turn is None or turn[0] != sim.now:
-            turn = (sim.now, next(self._ticks), 0)
-        contest.opened_tick = turn
-        self.contests[job.job_id] = contest
-        self.open_contests += 1
-        master.metrics.contest_opened(sim.now, job)
-        (
-            contest.workload,
-            contest.transfer,
-            contest.processing,
-            contest.own,
-            contest.cost,
-        ) = planes.estimate(rows, job)
-        metrics = master.metrics
-        contest.stepping = (
-            metrics.trace.enabled
+        metrics, broker = master.metrics, master.topology.broker
+        computed = not (
+            self._instant
+            or metrics.trace.enabled
             or metrics.monitor is not None
             or broker.monitor is not None
             or broker.obs is not None
-            or broker.degraded
+            or not broker.reliable
         )
-        contest.heard = self._everyone
-        if contest.stepping:
-            contest.subs = self._subs
-            contest.message = JobAnnouncement(job=job)
-            broker.notify_publish(TOPIC_ANNOUNCE, contest.message, master.name)
-            if broker.degraded:
-                contest.heard = np.fromiter(
-                    (broker.admits(sub, master.name) for sub in subs),
-                    dtype=bool,
-                    count=len(subs),
-                )
-        (
-            contest.heard_at,
-            contest.dequeue,
-            contest.evaluate,
-            contest.arrive,
-            contest.valid,
-        ) = planes.schedule(rows, sim.now, contest.heard, self._reply_delay)
-        # (Upper bounds: they only say when the contest can be forgotten.)
-        contest.last_evaluate = float(contest.evaluate.max(initial=-np.inf))
-        contest.quiet_after = contest.last_evaluate + self._reply_delay
-        contest.timer = None
-        contest.counted_upto = -np.inf
-        self._evaluating.append(contest)
-        if contest.stepping:
-            self._step_after(contest, -np.inf)
+        if computed:
+            subs = broker.subscribers(TOPIC_ANNOUNCE)
+            if subs != self._subs:
+                computed = self._enlist(subs)
+        invited = list(master.active_workers)
+        contest = Contest(master.sim, job, invited, names=self._names if computed else None)
+        # The job's previous contest (a re-contest after a zero-bid
+        # window or a re-dispatch): promises made there still stand for
+        # bidders this one does not reach.
+        contest.previous = self.contests.get(job.job_id)
+        if contest.previous is not None:
+            contest.attempt = contest.previous.attempt + 1
+        self.contests[job.job_id] = contest
+        self.open_contests += 1
+        metrics.contest_opened(master.sim.now, job)
+        if computed:
+            self._compute(contest)
         else:
-            self._unflushed.append(contest)
-            self._arm(contest)
+            master.broadcast(JobAnnouncement(job=job, attempt=contest.attempt))
         return contest
 
-    def _enlist(self, subs: list) -> None:
+    # -- computed contests: one timer, the rest read off the planes -----------
+
+    def _enlist(self, subs: list) -> bool:
         """Rebuild the row cache for a changed set of announce
-        subscribers, giving first-time bidders their plane row."""
-        planes = self.planes
-        rows = []
-        for sub in subs:
-            bidder = sub.owner
+        subscribers, giving first-time bidders their plane row.
+        ``False`` if their bids take no time (nothing is enlisted then:
+        such contests always run over the broker)."""
+        bidders = [sub.owner for sub in subs]
+        if any(bidder.bid_compute_s <= 0 for bidder in bidders):
+            self._instant = True
+            return False
+        planes, known = self.planes, self.master.metrics.workers
+        for bidder in bidders:
             if bidder.row < 0:
-                row = planes.add(bidder)
-                bidder.enlist(self, row)
-                if bidder.worker.name not in self.master.metrics.workers:
-                    self._fresh.add(row)
-            rows.append(bidder.row)
+                bidder.enlist(self, planes.add(bidder))
+                if bidder.worker.name not in known:
+                    self._fresh.add(bidder.row)
+        rows = [bidder.row for bidder in bidders]
         self._subs = subs
         self._names = [sub.name for sub in subs]
         self._name_set = frozenset(self._names)
@@ -478,6 +429,7 @@ class BiddingMasterPolicy(MasterPolicy):
             self._rows = np.array(rows, dtype=np.intp)
             self._lookup = np.full(len(planes), -1, dtype=np.intp)
             self._lookup[self._rows] = np.arange(len(rows))
+        return True
 
     @staticmethod
     def _row(contest: Contest, bidder_row: int) -> int:
@@ -486,7 +438,46 @@ class BiddingMasterPolicy(MasterPolicy):
             return bidder_row if bidder_row < contest.rows.stop else -1
         return int(contest.lookup[bidder_row]) if bidder_row < len(contest.lookup) else -1
 
-    # -- unwitnessed: one timer per contest, the rest read off the planes -----
+    def _compute(self, contest: Contest) -> None:
+        """Every enlisted bidder's bid for ``contest.job`` and when it is
+        taken up, priced and delivered, from the planes as they stand."""
+        sim = self.master.sim
+        planes, rows = self.planes, self._rows
+        contest.invited = self._everyone
+        if contest.expected != self._name_set:
+            contest.invited = np.fromiter(
+                (name in contest.expected for name in self._names),
+                dtype=bool,
+                count=len(self._names),
+            )
+        contest.rows, contest.lookup = rows, self._lookup
+        (
+            contest.workload,
+            contest.transfer,
+            contest.processing,
+            contest.own,
+            contest.cost,
+        ) = planes.estimate(rows, contest.job)
+        contest.dequeue, contest.evaluate, contest.arrive, contest.valid = planes.schedule(
+            rows, sim.now, self._reply_delay
+        )
+        # (An upper bound: it only says when the contest can be forgotten.)
+        contest.quiet_after = float(contest.arrive.max(initial=-np.inf))
+        contest.timer = None
+        for bidder_row in sorted(self._fresh):
+            # Per-worker sums run in metrics-block creation order, and a
+            # bidder's block is created by its first bid: that one bid
+            # gets a wake-up of its own.
+            row = self._row(contest, bidder_row)
+            if row >= 0 and contest.valid[row]:
+                sim.call_at(float(contest.arrive[row]), self._first_bid, contest, row, bidder_row)
+        self._live.append(contest)
+        self._arm(contest)
+
+    def _first_bid(self, contest: Contest, row: int, bidder_row: int) -> None:
+        if contest.valid[row] and not self._retired:
+            self._fresh.discard(bidder_row)
+            self.master.metrics.worker(contest.names[row])
 
     def _arm(self, contest: Contest) -> None:
         """(Re)arm the contest's timer for the instant it can close early:
@@ -512,12 +503,13 @@ class BiddingMasterPolicy(MasterPolicy):
         elif contest.timer is not None:
             contest.timer.cancel()
 
-    def _collect(self, contest: Contest) -> None:
-        """Count the bids that have landed by now (timer callback, and
-        the last thing before the contest closes)."""
-        if self._fresh:
-            self._count_landed()
-        contest.collect(contest.valid & (contest.arrive <= self.master.sim.now))
+    def _collect(self, contest: Contest, before_now: bool = False) -> None:
+        """Count the bids that have landed by (or strictly ``before_now``)
+        this instant: timer callback, and the last thing before the
+        contest closes."""
+        now = self.master.sim.now
+        landed = contest.arrive < now if before_now else contest.arrive <= now
+        contest.collect(contest.valid & landed)
         if (
             self.fast_local_close
             and contest.status is ContestStatus.OPEN
@@ -531,57 +523,26 @@ class BiddingMasterPolicy(MasterPolicy):
                 first = idle[np.argmin(contest.arrive[idle])]
                 contest.fast_close.succeed(contest.names[first])
 
-    def _count_landed(self) -> None:
-        """Add the bids landed since the last count to the arrival
-        counters; contests with nothing more to land drop out.
-
-        Bidders whose first bid has landed get their metrics block here,
-        in landing order: the collector's per-worker sums run in block
-        creation order, and it calls this before creating a block for
-        anyone else, so that order is exactly the per-message one.
-        """
-        if self._counting or self._retired:
-            return
-        self._counting = True
+    def _settle(self, everything: bool = False) -> None:
+        """Forget the computed contests that are over (``everything``:
+        all of them, as far as they got): their bids go into the arrival
+        counters, and a finished job's contest leaves the map."""
         now = self.master.sim.now
-        keep, firsts = [], []
-        for order, contest in enumerate(self._unflushed):
-            landed = contest.valid & (contest.arrive <= now)
-            self.planes.bids[contest.rows] += landed & (contest.arrive > contest.counted_upto)
-            contest.counted_upto = now
-            for bidder_row in self._fresh:
-                row = self._row(contest, bidder_row)
-                if row >= 0 and landed[row]:
-                    firsts.append((contest.arrive[row], order, bidder_row))
-            if contest.status is ContestStatus.CLOSED:
-                contest.collect(landed)
-            if contest.status is ContestStatus.OPEN or contest.quiet_after > now:
+        keep = []
+        for contest in self._live:
+            closed = contest.status is ContestStatus.CLOSED
+            if not everything and (not closed or contest.quiet_after > now):
                 keep.append(contest)
-        self._unflushed = keep
-        for _when, _order, bidder_row in sorted(firsts):
-            if bidder_row in self._fresh:
-                self._fresh.discard(bidder_row)
-                self.master.metrics.worker(self.planes.bidders[bidder_row].worker.name)
-        self._counting = False
-
-    def _settle(self) -> None:
-        """Forget what is over: evaluated contests stop being re-priced,
-        fully landed ones go into the bid counters, and a finished job's
-        contest leaves the map."""
-        now = self.master.sim.now
-        if self._evaluating and self._evaluating[0].last_evaluate < now:
-            self._evaluating = [c for c in self._evaluating if c.last_evaluate >= now]
-        if self._unflushed and self._unflushed[0].quiet_after <= now:
-            self._count_landed()
-        if self._lingering:
-            keep = []
-            for contest in self._lingering:
-                if contest.status is ContestStatus.OPEN or contest.quiet_after > now:
-                    keep.append(contest)
-                elif self.contests.get(contest.job.job_id) is contest:
-                    del self.contests[contest.job.job_id]
-                    self._rebids.discard(contest.job.job_id)
-            self._lingering = keep
+                continue
+            landed = contest.valid & (contest.arrive <= now)
+            self.planes.bids[contest.rows] += landed
+            if closed:
+                contest.collect(landed)  # the stragglers, as late bids
+            contest.live = False
+            if contest.job_done and self.contests.get(contest.job.job_id) is contest:
+                del self.contests[contest.job.job_id]
+                self._rebids.discard(contest.job.job_id)
+        self._live = keep
 
     def flush(self) -> None:
         """Bring ``WorkerMetrics.bids_submitted`` up to date with every
@@ -589,165 +550,38 @@ class BiddingMasterPolicy(MasterPolicy):
         policy)."""
         if self._retired:
             return
-        self._count_landed()
+        self._settle(everything=True)
         bids = self.planes.bids
         for row in np.flatnonzero(bids):
             name = self.planes.bidders[row].worker.name
-            self.master.metrics.bids_landed(name, int(bids[row]))
+            self.master.metrics.worker(name).bids_submitted += int(bids[row])
         bids[:] = 0
 
-    # -- witnessed: the same planes, stepped one entry at a time ---------------
+    # -- what enlisted bidders report (see BiddingWorkerPolicy) ----------------
 
-    def _step_from_now(self) -> None:
-        """The broker is about to degrade (partition, loss window): from
-        here on bids must cross it one by one.  Settle what has landed
-        and step the rest."""
-        if self._retired:
-            return
-        sim = self.master.sim
-        self._count_landed()
-        for contest in self._unflushed:
-            arrived = contest.valid & (contest.arrive <= sim.now)
-            if contest.status is ContestStatus.OPEN:
-                self._collect(contest)
-            if contest.timer is not None:
-                contest.timer.cancel()
-            in_flight = contest.valid & (contest.evaluate <= sim.now) & ~arrived
-            for row in np.flatnonzero(in_flight):
-                sim.call_at(float(contest.arrive[row]), self._land, contest.bid_of(row))
-            contest.stepping = True
-            contest.message = None
-            self._step_after(contest, sim.now)
-        self._unflushed = []
-
-    def _land(self, bid: Bid) -> None:
-        if self.master.policy is self:
-            self.on_message(bid)
-
-    def _step_after(self, contest: Contest, after: float) -> None:
-        """Queue the contest's announce arrivals (phase 0) and bid
-        evaluations (phase 1) later than ``after`` for the stepper, as
-        ``(time, phase, row)`` in time order."""
-        heard_at, evaluate = contest.heard_at.tolist(), contest.evaluate.tolist()
-        # An arrival nobody observes only matters as the hop before a bid
-        # evaluated at the same instant.
-        broker = self.master.topology.broker
-        observed = contest.message is not None and (
-            broker.monitor is not None or broker.obs is not None
-        )
-        steps = [
-            (when, 0, row)
-            for row, (when, heard) in enumerate(zip(heard_at, contest.heard.tolist()))
-            if heard and when > after and (observed or when == evaluate[row])
-        ]
-        steps += [
-            (when, 1, row)
-            for row, (when, valid) in enumerate(zip(evaluate, contest.valid.tolist()))
-            if valid and when > after
-        ]
-        steps.sort()
-        contest.steps = steps
-        contest.stepped_upto = 0
-        if contest.steps:
-            self._stepped.append(contest)
-            self._rearm(min(c.steps[c.stepped_upto][0] for c in self._stepped))
-
-    def _rearm(self, when: float) -> None:
-        stepper = self._stepper
-        if not (stepper is not None and stepper.active and stepper.when <= when):
-            self._stepper = self.master.sim.call_at(when, self._step, handle=stepper)
-
-    def _step(self) -> None:
-        """Timer callback: deliver the announcements that reach a bidder
-        now and publish the bids evaluated now, contests in opening order.
-
-        A bid thread takes one scheduling hop per step -- it evaluates a
-        hop after an announcement reaches its idle mailbox, or a hop
-        after its previous bid -- and whatever else reaches the node at
-        the same instant (the previous job's ``Assignment``) is handled
-        in between: a bid due in the same hop as its bidder's last step
-        waits for the next wake at this instant.
-        """
-        now = self.master.sim.now
-        broker = self.master.topology.broker
-        hop = self._hop = (now, self._hop[1] + 1 if self._hop[0] == now else 1)
-        bidders = self.planes.bidders
-        following = np.inf
-        for contest in self._stepped:
-            steps, upto = contest.steps, contest.stepped_upto
-            while upto < len(steps):
-                when, phase, row = steps[upto]
-                if when > now:
-                    following = min(following, when)
-                    break
-                bidder = bidders[row if contest.lookup is None else contest.rows[row]]
-                if phase == 0:
-                    if contest.message is not None:
-                        broker.notify_deliver(contest.subs[row], contest.message)
-                elif contest.valid[row]:
-                    if bidder.stepped >= hop:
-                        following = now
-                        break
-                    bidder.worker.send_to_master(contest.bid_of(row))
-                bidder.stepped = hop
-                upto += 1
-            contest.stepped_upto = upto
-        self._stepped = [c for c in self._stepped if c.stepped_upto < len(c.steps)]
-        if self._stepped:
-            self._rearm(following)
-
-    # -- what bidders report (see BiddingWorkerPolicy) -------------------------
-
-    def reprice(
-        self,
-        bidder: "BiddingWorkerPolicy",
-        by_main_loop: bool = False,
-        assigned: Optional[str] = None,
-    ) -> None:
+    def reprice(self, bidder: "BiddingWorkerPolicy") -> None:
         """``bidder``'s state just changed: re-price its bids not yet
         evaluated from the new state, with its scalar estimator.
 
-        Bids due later always are.  Bids due at this very instant are
-        evaluated one scheduling hop apart, in contest order, while the
-        node's main loop handles this instant's messages one hop apart
-        too; who goes first in a hop is who was published first, the
-        ``assigned`` job's ``Assignment`` or the first of those
-        announcements.  So the main loop's ``k``-th change this instant
-        (``by_main_loop``) precedes all but the first ``k - 1``
-        (``Assignment`` first) or ``k`` (announcement first) of those
-        bids, and any other change (the executor picking up the job just
-        enqueued) comes right after the main loop's last.
+        A bid due at this very instant keeps its price.  Its wake-up was
+        scheduled when the bid thread took the announcement up, a bid's
+        computing time ago, so it runs ahead of everything scheduled at
+        this instant itself -- which the handling of a message that just
+        arrived, and whatever that sets off, always is.
         """
         now = self.master.sim.now
-        seen, lead = bidder.ahead[1:] if bidder.ahead[0] == now else (0, None)
-        due_now = 0
-        for contest in self._evaluating:
-            if contest.last_evaluate < now:
-                continue
+        for contest in self._live:
             row = self._row(contest, bidder.row)
-            if row < 0 or not contest.valid[row] or contest.evaluate[row] < now:
+            if row < 0 or not contest.valid[row] or contest.evaluate[row] <= now:
                 continue
-            if contest.evaluate[row] == now:
-                if lead is None:
-                    closed = self.contests.get(assigned)
-                    lead = int(
-                        closed is not None
-                        and closed.status is ContestStatus.CLOSED
-                        and closed.closed_tick > contest.opened_tick
-                    )
-                due_now += 1
-                if not (by_main_loop or seen) or due_now <= seen + lead:
-                    continue
             estimate, own = bidder.price(contest.job)
             contest.workload[row] = estimate.workload_s
             contest.transfer[row] = estimate.transfer_s
             contest.processing[row] = estimate.processing_s
             contest.own[row] = own
             contest.cost[row] = estimate.workload_s + own
-            if self.fast_local_close and not contest.stepping:
+            if self.fast_local_close:
                 self._arm(contest)
-        if by_main_loop:
-            bidder.ahead = (now, seen + 1, lead)
 
     def silence(self, bidder: "BiddingWorkerPolicy", plane: str) -> None:
         """``bidder`` stops bidding: its bids whose ``plane`` time
@@ -755,12 +589,11 @@ class BiddingMasterPolicy(MasterPolicy):
         draining or is hot-swapped out and only abandons its mailbox)
         has not come will never be sent."""
         now = self.master.sim.now
-        for contest in self._evaluating:
+        for contest in self._live:
             row = self._row(contest, bidder.row)
             if row >= 0 and contest.valid[row] and getattr(contest, plane)[row] > now:
                 contest.valid[row] = False
-                if not contest.stepping:
-                    self._arm(contest)
+                self._arm(contest)
 
     def promise(self, bidder: "BiddingWorkerPolicy", job_id: str, since: float):
         """The own-cost ``bidder`` last bid for ``job_id`` after
@@ -768,9 +601,10 @@ class BiddingMasterPolicy(MasterPolicy):
         now = self.master.sim.now
         contest = self.contests.get(job_id)
         while contest is not None:
-            row = self._row(contest, bidder.row)
-            if row >= 0 and contest.valid[row] and since < contest.evaluate[row] <= now:
-                return float(contest.own[row])
+            if contest.computed:
+                row = self._row(contest, bidder.row)
+                if row >= 0 and contest.valid[row] and since < contest.evaluate[row] <= now:
+                    return float(contest.own[row])
             contest = contest.previous
         return None
 
@@ -778,13 +612,17 @@ class BiddingMasterPolicy(MasterPolicy):
 class BiddingWorkerPolicy(WorkerPolicy):
     """Listing 2: estimate-and-bid on the worker.
 
-    The worker does not run a bid loop of its own: it subscribes to the
-    announce topic, and the master-side policy -- which finds it through
-    that subscription -- computes its bids from its row of
-    :class:`~repro.fleet.BidPlanes`.  This class is the row's writer:
-    every change to what the node would bid (queue, running job, cache,
-    measured speeds, learned correction) rewrites the row from the
-    node's own state and re-prices the bids not yet evaluated.
+    The worker subscribes to the announce topic.  When the master-side
+    policy announces over the broker, announcements land in
+    :meth:`deliver` and the bid thread -- :meth:`_take`, :meth:`_bid`,
+    one scheduling hop or one computing time apart -- answers them one
+    by one.  When it computes the contests itself it finds this policy
+    through the subscription, gives it a row of
+    :class:`~repro.fleet.BidPlanes` (:meth:`enlist`) and reads the bids
+    from there; every change to what the node would bid (queue, running
+    job, cache, measured speeds, learned correction) then rewrites the
+    row from the node's own state and re-prices the bids not yet
+    evaluated.
     """
 
     def __init__(
@@ -809,22 +647,23 @@ class BiddingWorkerPolicy(WorkerPolicy):
         #: extension; see :class:`repro.core.adaptive.BidCorrector`).
         self.corrector = corrector
         self.estimator: Optional[CostEstimator] = None
-        #: The master-side policy computing this worker's bids, and the
-        #: plane row it reads them from (set when it first sees us).
+        self._subscription = None
+        #: The bid thread: announcements not yet taken up, and whether it
+        #: is parked on an empty mailbox / has exited for good.
+        self._mailbox: deque = deque()
+        self._parked = True
+        self._exited = False
+        #: job_id -> own cost we last bid over the broker.
+        self._promised: dict[str, float] = {}
+        #: The master-side policy computing our bids, if it does, and the
+        #: plane row it reads them from.
         self.contests: Optional[BiddingMasterPolicy] = None
         self.row = -1
-        self._subscription = None
         #: The scalars last written to our row (a change that leaves them
         #: and the locality bits alone re-prices nothing).
         self._state: tuple = ()
-        #: Stepped contests: the (instant, hop) of our bid thread's last step.
-        self.stepped = (-np.inf, 0)
-        #: (instant of the node's main loop's last change, how many it
-        #: made at that instant, whether a bid went first); see
-        #: :meth:`BiddingMasterPolicy.reprice`.
-        self.ahead = (-np.inf, 0, None)
         #: job_id -> when we last took up (or finished) the job: a bid
-        #: made before that is no longer a standing promise.
+        #: computed for us before that is no longer a standing promise.
         self._settled: dict[str, float] = {}
         #: job_id -> committed cost of jobs we won (kept until completion
         #: so the learning loop can compare promise vs. actual).
@@ -842,24 +681,92 @@ class BiddingWorkerPolicy(WorkerPolicy):
         worker = self.worker
         self._subscription = worker.topology.subscribe(TOPIC_ANNOUNCE, worker.name)
         self._subscription.owner = self
-        worker.cache.observer = _CacheTap(self, worker.cache.observer)
+
+    def price(self, job: Job) -> tuple:
+        """``(estimate, own cost)``: one bid."""
+        estimate = self.estimator.estimate(job)
+        own_cost = estimate.own_cost_s
+        if self.corrector is not None:
+            own_cost = self.corrector.correct(own_cost)
+        return estimate, own_cost
+
+    # -- the bid thread (announcements over the broker) ---------------------------
+
+    def deliver(self, message: JobAnnouncement) -> None:
+        """An announcement reached our mailbox (broker callback)."""
+        if self._exited:
+            return
+        self._mailbox.append(message)
+        if self._parked:
+            self._parked = False
+            sim = self.worker.sim
+            sim.call_at(sim.now, self._take)
+
+    def _take(self) -> None:
+        """The bid thread takes the next announcement off the mailbox."""
+        worker = self.worker
+        announcement = self._mailbox.popleft()
+        if worker.policy is not self or not worker.alive:
+            self._exited = True
+        elif worker.draining:
+            # Scale-down: a draining worker abstains.  The contest's
+            # invited set no longer includes it (the master retires the
+            # name before the drain flag is set), so the silence cannot
+            # stall the window-close condition.
+            self._next()
+        elif self.bid_compute_s > 0:
+            worker.sim.call_later(
+                self.bid_compute_s / worker.spec.cpu_factor, self._bid, announcement
+            )
+        else:
+            self._bid(announcement)
+
+    def _bid(self, announcement: JobAnnouncement) -> None:
+        worker, job = self.worker, announcement.job
+        if self.bid_compute_s > 0 and not worker.alive:
+            self._exited = True
+            return
+        estimate, own_cost = self.price(job)
+        self._promised[job.job_id] = own_cost
+        worker.send_to_master(
+            Bid(
+                job_id=job.job_id,
+                worker=worker.name,
+                cost_s=estimate.workload_s + own_cost,
+                breakdown=(estimate.workload_s, estimate.transfer_s, estimate.processing_s),
+                attempt=announcement.attempt,
+            )
+        )
+        self._next()
+
+    def _next(self) -> None:
+        if self._mailbox:
+            sim = self.worker.sim
+            sim.call_at(sim.now, self._take)
+        else:
+            self._parked = True
+
+    # -- our plane row (contests computed by the master-side policy) --------------
 
     def enlist(self, contests: BiddingMasterPolicy, row: int) -> None:
-        """The master-side policy gave us plane row ``row``: fill it."""
+        """The master-side policy gave us plane row ``row``: fill it, and
+        keep it current from now on."""
         self.contests, self.row = contests, row
-        planes, spec = contests.planes, self.worker.spec
-        broker = self.worker.topology.broker
-        planes.announce_delay[row] = broker.base_latency + self._subscription.latency
-        if self.bid_compute_s > 0:
-            planes.compute_s[row] = self.bid_compute_s / spec.cpu_factor
+        worker = self.worker
+        planes, spec = contests.planes, worker.spec
+        planes.announce_delay[row] = (
+            worker.topology.broker.base_latency + self._subscription.latency
+        )
+        planes.compute_s[row] = self.bid_compute_s / spec.cpu_factor
         planes.cpu[row] = spec.cpu_factor
         planes.link_latency[row] = spec.link_latency
-        planes.draining[row] = self.worker.draining
+        planes.draining[row] = worker.draining
         planes.corrected = planes.corrected or self.corrector is not None
+        worker.cache.observer = _CacheTap(self, worker.cache.observer)
         held = (
-            self.worker.pending_repos()
+            worker.pending_repos()
             if self.count_pending_downloads
-            else self.worker.cache.contents()
+            else worker.cache.contents()
         )
         self._write_row(held)
 
@@ -886,22 +793,10 @@ class BiddingWorkerPolicy(WorkerPolicy):
                     changed = True
         return changed
 
-    def on_state_changed(
-        self, repos=(), by_main_loop: bool = False, assigned: Optional[str] = None
-    ) -> None:
-        """Rewrite our row and re-price what is not yet evaluated
-        (``assigned``: the change is that job's ``Assignment``; see
-        :meth:`BiddingMasterPolicy.reprice`)."""
-        if self.contests is not None and (self._write_row(repos) or by_main_loop):
-            self.contests.reprice(self, by_main_loop, assigned)
-
-    def price(self, job: Job) -> tuple:
-        """``(estimate, own cost)``: one bid, the scalar way."""
-        estimate = self.estimator.estimate(job)
-        own_cost = estimate.own_cost_s
-        if self.corrector is not None:
-            own_cost = self.corrector.correct(own_cost)
-        return estimate, own_cost
+    def on_state_changed(self, repos=()) -> None:
+        """Rewrite our row and re-price what is not yet evaluated."""
+        if self.contests is not None and self._write_row(repos):
+            self.contests.reprice(self)
 
     # -- WorkerPolicy hooks ------------------------------------------------------
 
@@ -915,16 +810,12 @@ class BiddingWorkerPolicy(WorkerPolicy):
         worker = self.worker
         if self._subscription is not None:
             worker.topology.broker.unsubscribe(self._subscription)
-            worker.cache.observer = worker.cache.observer.inner
             self._subscription = None
-        if self.contests is not None:
-            self.contests.silence(self, "dequeue" if worker.alive else "evaluate")
+            if self.contests is not None:
+                worker.cache.observer = worker.cache.observer.inner
+                self.contests.silence(self, "dequeue" if worker.alive else "evaluate")
 
     def on_drain(self) -> None:
-        """Scale-down: a draining worker abstains.  The contest's invited
-        set no longer includes it (the master retires the name before
-        the drain flag is set), so the silence cannot stall the
-        window-close condition."""
         if self.contests is not None:
             self.contests.planes.draining[self.row] = True
             self.contests.silence(self, "dequeue")
@@ -934,24 +825,27 @@ class BiddingWorkerPolicy(WorkerPolicy):
         if not isinstance(message, Assignment):
             return False
         job = message.job
-        promised = None
+        promised = self._promised.pop(job.job_id, None)
         if self.contests is not None:
-            promised = self.contests.promise(
-                self, job.job_id, self._settled.get(job.job_id, -np.inf)
-            )
+            if promised is None:
+                promised = self.contests.promise(
+                    self, job.job_id, self._settled.get(job.job_id, -np.inf)
+                )
+            self._settled[job.job_id] = self.worker.sim.now
         if promised is None:
             # Fallback assignment without a prior bid (e.g. we were late);
             # commit a fresh estimate instead.
             promised = self.estimator.estimate(job).own_cost_s
-        self._settled[job.job_id] = self.worker.sim.now
         self._won[job.job_id] = promised
         self.worker.enqueue(job, promised)
-        self.on_state_changed((job.repo_id,), by_main_loop=True, assigned=job.job_id)
+        self.on_state_changed((job.repo_id,))
         return True
 
     def on_job_finished(self, job: Job, elapsed_s: float = 0.0) -> None:
         """Release the commitment and feed the learning loop, if any."""
-        self._settled[job.job_id] = self.worker.sim.now
+        self._promised.pop(job.job_id, None)
+        if self.contests is not None:
+            self._settled[job.job_id] = self.worker.sim.now
         promised = self._won.pop(job.job_id, None)
         if self.corrector is not None and promised is not None:
             self.corrector.observe(promised, elapsed_s)
@@ -982,9 +876,8 @@ class _CacheTap:
         if self.inner is not None:
             self.inner.on_clear()
         bidder = self.bidder
-        if bidder.contests is not None:
-            bidder.contests.planes.local.clear_row(bidder.row)
-            bidder.on_state_changed(bidder.worker.pending_repos())
+        bidder.contests.planes.local.clear_row(bidder.row)
+        bidder.on_state_changed(bidder.worker.pending_repos())
 
 
 def make_bidding_policy(

@@ -15,12 +15,12 @@ the policy can race it against the window timeout.
 The record is *columnar*: one row per worker that hears the
 announcement, the bids as float planes (``cost`` and its Listing-2
 breakdown) under a ``counted`` mask.  A bid can be written one at a
-time (:meth:`add_bid`, what an observed run does with every
-:class:`~repro.engine.messages.Bid` that crosses the broker) or for all
-rows at once from their scheduled arrival times (:meth:`collect`, what
-:class:`~repro.core.bidding.BiddingMasterPolicy` does when nobody can
-witness individual messages); :meth:`winner` is one masked argmin over
-the cost plane either way.
+time (:meth:`add_bid`, for every :class:`~repro.engine.messages.Bid`
+that crosses the broker) or for all rows at once from their scheduled
+arrival times (:meth:`collect`, what
+:class:`~repro.core.bidding.BiddingMasterPolicy` does when it computes
+the bids itself); :meth:`winner` is one masked argmin over the cost
+plane either way.
 """
 
 from __future__ import annotations
@@ -53,16 +53,14 @@ class Contest:
     differ when a draining worker is still subscribed or an invited one
     already died.
 
-    A contest opened by :class:`~repro.core.bidding.BiddingMasterPolicy`
-    also carries, filled in by the policy, the bid planes and the
-    contest's timetable (one entry per row): ``own`` (the bid minus the
-    committed workload -- what a win commits), ``heard_at`` / ``dequeue``
-    / ``evaluate`` / ``arrive`` (when the announcement reaches the
-    bidder, when its bid thread takes it up, when the bid is priced,
-    when it reaches the master), ``valid`` (the bidder still bids),
-    ``rows`` / ``lookup`` (cost-plane rows <-> contest rows),
-    ``stepping`` (bids cross the broker one by one instead of being
-    read off ``arrive``) and ``previous`` (the job's earlier contest).
+    A contest whose bids :class:`~repro.core.bidding.BiddingMasterPolicy`
+    computes itself (``names`` given) also carries, filled in by the
+    policy, the bid planes and the timetable, one entry per row:
+    ``own`` (the bid minus the committed workload -- what a win
+    commits), ``dequeue`` / ``evaluate`` / ``arrive`` (when the bid
+    thread takes the announcement up, when the bid is priced, when it
+    reaches the master), ``valid`` (the bidder still bids), ``rows`` /
+    ``lookup`` (cost-plane rows <-> contest rows).
     """
 
     def __init__(
@@ -91,6 +89,16 @@ class Contest:
             self.processing = np.zeros(rows)
             #: Rows whose worker is (still) invited.
             self.invited = np.ones(rows, dtype=bool)
+        #: Whether the policy computes the bids itself (see above), and
+        #: then whether a bid or the winner's ``Assignment`` is still on
+        #: its way (the policy keeps the record until then); whether the
+        #: job has finished meanwhile; the job's earlier contest, if any.
+        self.computed = names is not None
+        self.live = self.computed
+        self.job_done = False
+        self.previous: Optional[Contest] = None
+        #: How many contests the job had before this one.
+        self.attempt = 0
         #: Rows whose bid counted.
         self.counted = np.zeros(rows, dtype=bool)
         self.n_bids = 0
@@ -132,6 +140,7 @@ class Contest:
             job_id=self.job.job_id,
             worker=self.names[row],
             cost_s=float(self.cost[row]),
+            attempt=self.attempt,
             breakdown=(
                 float(self.workload[row]),
                 float(self.transfer[row]),

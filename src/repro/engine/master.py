@@ -590,5 +590,6 @@ class Master:
 
     def _check_done(self) -> None:
         if self.intake_done and self.outstanding == 0 and not self.done.triggered:
+            self.policy.on_run_finished()
             self.metrics.run_finished(self.sim.now)
             self.done.succeed(self.sim.now)

@@ -90,9 +90,16 @@ class JobAccept:
 
 @dataclass(frozen=True)
 class JobAnnouncement:
-    """Master -> all workers: a bidding contest is open for this job."""
+    """Master -> all workers: a bidding contest is open for this job.
+
+    ``attempt`` counts the job's earlier contests (a zero-bid window or
+    a re-dispatch after a crash runs it again); bids echo it, so one
+    that straggles in for an earlier contest is not taken for an answer
+    to the current one.
+    """
 
     job: Job
+    attempt: int = 0
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,8 @@ class Bid:
     worker: str
     cost_s: float
     breakdown: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    #: The ``attempt`` of the announcement this answers.
+    attempt: int = 0
 
     def __post_init__(self) -> None:
         if self.cost_s < 0:

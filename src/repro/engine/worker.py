@@ -473,9 +473,7 @@ class WorkerNode:
                 self.fleet.report(
                     self.fleet_slot, self._outstanding_jobs, len(self.queue)
                 )
-            self.policy.on_state_changed(
-                [job.repo_id for job in taken], by_main_loop=True
-            )
+            self.policy.on_state_changed([job.repo_id for job in taken])
             if self.is_idle:
                 self._wake_idle_waiters()
         return taken

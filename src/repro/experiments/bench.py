@@ -237,7 +237,7 @@ def _bench_contest_open(workers: int, contests: int) -> tuple[int, float]:
     runtime.master.start()
     for worker in runtime.workers.values():
         worker.start()
-    runtime.sim.run(until=0.1)  # registrations land; the first job has not
+    runtime.sim.run(until=3.0)  # every bidder has bid once
     policy = runtime.master.policy
     jobs = [
         Job(f"open-{index}", TASK_ANALYZER, repo_id=f"r{index % 7}", size_mb=100.0)
@@ -245,7 +245,7 @@ def _bench_contest_open(workers: int, contests: int) -> tuple[int, float]:
     ]
     start = time.perf_counter()
     for job in jobs:
-        policy._open(job, None)
+        policy._open(job)
     return contests, time.perf_counter() - start
 
 

@@ -97,6 +97,8 @@ class FaultInjector:
         self.workers = workers
         self.master = master
         self.broker = broker
+        if plan.partitions or plan.message_loss:
+            broker.will_degrade = True
         self.metrics = metrics
         self.restart = restart
         self.loss_rng = loss_rng

@@ -485,19 +485,17 @@ class BidPlanes:
             own = own * self.factor[rows]
         return workload, transfer, processing, own, workload + own
 
-    def schedule(self, rows, now: float, heard: np.ndarray, reply_delay: float) -> tuple:
-        """When each bidder in ``rows`` hears an announcement published
-        ``now``, takes it off its mailbox, finishes computing the bid,
-        and when that bid reaches the master -- plus who bids at all:
-        ``(heard_at, dequeue, evaluate, arrive, bidding)``.  Bidders in
-        ``heard`` that are not draining go busy until their evaluation
-        time."""
-        heard_at = now + self.announce_delay[rows]
-        dequeue = np.maximum(heard_at, self.busy_until[rows])
+    def schedule(self, rows, now: float, reply_delay: float) -> tuple:
+        """When each bidder in ``rows`` takes an announcement published
+        ``now`` off its mailbox, finishes computing the bid, and when
+        that bid reaches the master -- plus who bids at all:
+        ``(dequeue, evaluate, arrive, bidding)``.  Bidders that are not
+        draining go busy until their evaluation time."""
+        dequeue = np.maximum(now + self.announce_delay[rows], self.busy_until[rows])
         evaluate = dequeue + self.compute_s[rows]
-        bidding = heard & ~self.draining[rows]
+        bidding = ~self.draining[rows]
         self.busy_until[rows] = np.where(bidding, evaluate, self.busy_until[rows])
-        return heard_at, dequeue, evaluate, evaluate + reply_delay, bidding
+        return dequeue, evaluate, evaluate + reply_delay, bidding
 
 
 # -- dynamic load/count tables for the planner policies --------------------

@@ -75,25 +75,13 @@ class MetricsCollector:
     #: Optional live invariant checker (see :mod:`repro.check`): contest
     #: events funnel through the collector, so it forwards them here.
     monitor: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Called before a counter block is created for a new worker name.
-    #: Per-worker sums run in block-creation order, so a reporter that
-    #: batches its events (columnar bidding contests count bid arrivals
-    #: from a mask) creates the blocks it is behind on here first.
-    before_new_worker: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Called when the run finishes, before the finish is recorded: the
-    #: same reporter flushes what it has counted but not yet reported.
-    before_run_finished: Optional[object] = field(default=None, repr=False, compare=False)
 
     def worker(self, name: str) -> WorkerMetrics:
         """Get-or-create the counter block for ``name``."""
         block = self.workers.get(name)
         if block is None:
-            if self.before_new_worker is not None:
-                self.before_new_worker()
-            block = self.workers.get(name)
-            if block is None:
-                block = WorkerMetrics(name=name)
-                self.workers[name] = block
+            block = WorkerMetrics(name=name)
+            self.workers[name] = block
         return block
 
     # -- run boundaries ----------------------------------------------------
@@ -104,8 +92,6 @@ class MetricsCollector:
 
     def run_finished(self, now: float) -> None:
         """Mark workflow completion (all jobs done)."""
-        if self.before_run_finished is not None:
-            self.before_run_finished()
         self.finished_at = now
 
     @property
@@ -257,11 +243,6 @@ class MetricsCollector:
         if self.monitor is not None:
             self.monitor.on_bid(job_id, worker, now)
         self.trace.record(now, "bid", job_id, worker, cost)
-
-    def bids_landed(self, worker: str, count: int) -> None:
-        """``count`` bids of ``worker`` reached the master unobserved (no
-        trace, no monitor): columnar contests count arrivals in bulk."""
-        self.worker(worker).bids_submitted += count
 
     def contest_closed(
         self, now: float, job: Job, winner: Optional[str], duration: float, outcome: str

@@ -29,7 +29,7 @@ The robustness extension adds two degradation models on top:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.sim.resources import Store
 
@@ -53,8 +53,9 @@ class Subscription:
         #: Number of messages delivered into this mailbox.
         self.delivered = 0
         #: Whoever consumes this mailbox, if it wants to be found through
-        #: :meth:`Broker.subscribers` (the Bidding Scheduler's master-side
-        #: policy finds its bidders this way).
+        #: :meth:`Broker.subscribers` and handed each message as it
+        #: arrives (``owner.deliver(message)``) instead of parking a
+        #: process on :attr:`queue`.
         self.owner: Any = None
 
     def get(self):
@@ -100,12 +101,11 @@ class Broker:
             raise ValueError("drop_probability > 0 requires an rng")
         self.sim = sim
         self.base_latency = float(base_latency)
-        #: Called just *before* the drop model or the partition set
-        #: changes, so a consumer that computes deliveries ahead of time
-        #: (columnar bidding contests) can settle what already happened
-        #: under the old conditions.
-        self.on_conditions_change: Optional[Callable[[], None]] = None
-        self._drop_probability = float(drop_probability)
+        self.drop_probability = float(drop_probability)
+        #: Set before the run by whoever will degrade this broker while it
+        #: runs (the fault injector, for a plan with partitions or loss
+        #: windows); see :attr:`reliable`.
+        self.will_degrade = False
         self.rng = rng
         self._topics: dict[str, list[Subscription]] = {}
         #: Total messages published (all topics).
@@ -127,24 +127,11 @@ class Broker:
         self.obs = None
 
     @property
-    def drop_probability(self) -> float:
-        """Probability that a non-reliable delivery is lost."""
-        return self._drop_probability
-
-    @drop_probability.setter
-    def drop_probability(self, value: float) -> None:
-        self._conditions_changing()
-        self._drop_probability = float(value)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any delivery can currently be lost or held (a
-        partition is up or the drop model is on)."""
-        return bool(self._partitions) or self._drop_probability > 0
-
-    def _conditions_changing(self) -> None:
-        if self.on_conditions_change is not None:
-            self.on_conditions_change()
+    def reliable(self) -> bool:
+        """No delivery can be lost or held, now or later in this run --
+        what a publisher needs to know before it works out a whole
+        exchange ahead of time instead of sending each message."""
+        return not (self.will_degrade or self._partitions or self.drop_probability > 0)
 
     def subscribe(self, topic: str, name: str, latency: float = 0.0) -> Subscription:
         """Register a subscriber mailbox on ``topic``.
@@ -181,7 +168,6 @@ class Broker:
         """
         if not group:
             raise ValueError("partition group must not be empty")
-        self._conditions_changing()
         pid = self._next_partition_id
         self._next_partition_id += 1
         self._partitions[pid] = frozenset(group)
@@ -189,7 +175,6 @@ class Broker:
 
     def remove_partition(self, pid: int) -> None:
         """Heal a partition and flush any reliable messages it held."""
-        self._conditions_changing()
         self._partitions.pop(pid)
         held, self._held = self._held, []
         for subscription, message, sender in held:
@@ -225,11 +210,15 @@ class Broker:
         distinct delay instead of one per subscriber), and zero-latency
         deliveries skip the timer entirely.
         """
-        self.notify_publish(topic, message, sender)
+        self.published += 1
+        if self.monitor is not None:
+            self.monitor.on_publish(topic, message, sender, self.sim.now)
+        if self.obs is not None:
+            self.obs.on_publish(topic, message, self.sim.now)
         subscriptions = self._topics.get(topic, ())
         if not subscriptions:
             return 0
-        if self._partitions or (not reliable and self._drop_probability > 0):
+        if self._partitions or (not reliable and self.drop_probability > 0):
             # Degraded-broker path: per-delivery filtering required.
             delivered = 0
             for subscription in subscriptions:
@@ -267,17 +256,6 @@ class Broker:
                 self.sim.call_later(delay, self._deliver_batch, group, message)
         return delivered
 
-    def notify_publish(self, topic: str, message: Any, sender: Optional[str]) -> None:
-        """Count a publish and tell the observers -- all of
-        :meth:`publish` but the deliveries, for a publisher that
-        schedules those itself (see :meth:`admits`,
-        :meth:`notify_deliver`)."""
-        self.published += 1
-        if self.monitor is not None:
-            self.monitor.on_publish(topic, message, sender, self.sim.now)
-        if self.obs is not None:
-            self.obs.on_publish(topic, message, self.sim.now)
-
     def send(
         self,
         subscription: Subscription,
@@ -299,25 +277,20 @@ class Broker:
         reliable: bool = False,
         sender: Optional[str] = None,
     ) -> None:
-        if reliable:
-            if self._partitioned(sender, subscription.name):
+        if self._partitioned(sender, subscription.name):
+            if reliable:
                 self._held.append((subscription, message, sender))
-                return
-        elif not self.admits(subscription, sender):
+            else:
+                self.partition_dropped += 1
+            return
+        if (
+            not reliable
+            and self.drop_probability > 0
+            and self.rng.random() < self.drop_probability
+        ):
+            self.dropped += 1
             return
         self._dispatch(subscription, message)
-
-    def admits(self, subscription: Subscription, sender: Optional[str]) -> bool:
-        """Whether a *non-reliable* message from ``sender`` gets through
-        to ``subscription`` under the current conditions; a loss is
-        counted (and, for the drop model, drawn) here."""
-        if self._partitioned(sender, subscription.name):
-            self.partition_dropped += 1
-            return False
-        if self._drop_probability > 0 and self.rng.random() < self._drop_probability:
-            self.dropped += 1
-            return False
-        return True
 
     def _dispatch(self, subscription: Subscription, message: Any) -> None:
         """Schedule (or, at zero latency, perform) one delivery."""
@@ -328,12 +301,6 @@ class Broker:
             self.sim.call_later(delay, self._deliver_now, subscription, message)
 
     def _deliver_now(self, subscription: Subscription, message: Any) -> None:
-        self.notify_deliver(subscription, message)
-        subscription.queue.put(message)
-
-    def notify_deliver(self, subscription: Subscription, message: Any) -> None:
-        """Count a delivery and tell the observers -- all of a delivery
-        but the mailbox put."""
         if self.monitor is not None:
             self.monitor.on_deliver(
                 subscription.topic, subscription.name, message, self.sim.now
@@ -342,6 +309,10 @@ class Broker:
             self.obs.on_deliver(
                 subscription.topic, subscription.name, message, self.sim.now
             )
+        if subscription.owner is None:
+            subscription.queue.put(message)
+        else:
+            subscription.owner.deliver(message)
         subscription.delivered += 1
 
     def _deliver_batch(self, group: list[Subscription], message: Any) -> None:
@@ -356,5 +327,8 @@ class Broker:
                 obs.on_deliver(
                     subscription.topic, subscription.name, message, self.sim.now
                 )
-            subscription.queue.put(message)
+            if subscription.owner is None:
+                subscription.queue.put(message)
+            else:
+                subscription.owner.deliver(message)
             subscription.delivered += 1

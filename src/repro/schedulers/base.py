@@ -107,6 +107,10 @@ class MasterPolicy:
     def on_job_completed(self, job: Job, worker: str) -> None:
         """Observe a completion (e.g. to track worker cache contents)."""
 
+    def on_run_finished(self) -> None:
+        """The last job just completed or failed: report whatever is
+        still held back from the metrics collector.  Default: nothing."""
+
     def on_worker_joined(self, worker: str) -> None:
         """A worker was added to the fleet mid-run (service-layer
         scale-up).  Default: nothing -- decentralised policies discover
@@ -199,14 +203,12 @@ class WorkerPolicy:
         feed estimate-vs-actual learning).  ``elapsed_s`` is the wall time
         the job occupied the worker (download + processing)."""
 
-    def on_state_changed(self, repos=(), by_main_loop: bool = False) -> None:
+    def on_state_changed(self, repos=()) -> None:
         """What the node could tell a scheduler about itself -- queue,
         running job, cache, measured speeds -- just changed outside any
         other hook: the executor picked up a job or finished a download,
-        or (``by_main_loop``: while handling a message, ahead of anything
-        else the node does at this instant) jobs were checkpointed away.
-        ``repos`` are the repositories whose local availability may have
-        changed."""
+        or jobs were checkpointed away.  ``repos`` are the repositories
+        whose local availability may have changed."""
 
     def on_drain(self) -> None:
         """The host started draining (scale-down): it finishes what it

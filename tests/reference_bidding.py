@@ -1,12 +1,18 @@
 """Reference oracle: the per-worker bidding protocol, kept in tests only.
 
-This is the Bidding Scheduler exactly as it ran before contests went
-columnar: one ``_bid_loop`` process per worker parked on an announce
-mailbox, one :class:`~repro.engine.messages.Bid` message per (job,
-worker) through the broker, bids collected in a per-contest dict.  It is
-slow and obviously faithful to Listings 1-2, which is its whole job:
+This is the Bidding Scheduler as it ran before contests went columnar:
+one ``_bid_loop`` process per worker parked on an announce mailbox, one
+:class:`~repro.engine.messages.Bid` message per (job, worker) through
+the broker, bids collected in a per-contest dict.  It is slow and
+obviously faithful to Listings 1-2, which is its whole job:
 ``test_contest_differential.py`` registers it as a scheduler and demands
-the columnar implementation in :mod:`repro.core` reproduce it exactly.
+the implementation in :mod:`repro.core` reproduce it exactly.
+
+Two protocol fixes made since are mirrored here, because they change
+what a run does: a bid for a job this policy never announced is left to
+the master (hot-swap residue), and a bid carries the ``attempt`` of the
+announcement it answers, so a straggler from a job's earlier contest is
+a late bid of *that* contest, not an answer to the rerun.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ class ReferenceContest:
         self.fast_close = Event(sim)
         self.late_bids: list[Bid] = []
         self.excluded: set[str] = set()
+        #: The job's earlier contest and how many it had before this one.
+        self.previous: Optional[ReferenceContest] = None
+        self.attempt = 0
 
     def add_bid(self, bid: Bid) -> bool:
         if not self.open or bid.worker in self.excluded:
@@ -112,6 +121,8 @@ class ReferenceMasterPolicy(MasterPolicy):
         self.master.metrics.bid_received(
             self.master.sim.now, message.job_id, message.worker, message.cost_s
         )
+        while contest.attempt != message.attempt and contest.previous is not None:
+            contest = contest.previous  # a straggler from the job's earlier contest
         counted = contest.add_bid(message)
         if (
             counted
@@ -159,10 +170,13 @@ class ReferenceMasterPolicy(MasterPolicy):
                 self._busy_runners -= 1
                 continue
             contest = ReferenceContest(master.sim, job, list(master.active_workers))
+            contest.previous = self.contests.get(job.job_id)
+            if contest.previous is not None:
+                contest.attempt = contest.previous.attempt + 1
             self.contests[job.job_id] = contest
             self.open_contests += 1
             master.metrics.contest_opened(master.sim.now, job)
-            master.broadcast(JobAnnouncement(job=job))
+            master.broadcast(JobAnnouncement(job=job, attempt=contest.attempt))
             window = master.sim.timeout(self.window_s)
             yield AnyOf(master.sim, [window, contest.all_bids, contest.fast_close])
             outcome = contest.close()
@@ -238,6 +252,7 @@ class ReferenceWorkerPolicy(WorkerPolicy):
                     worker=worker.name,
                     cost_s=estimate.workload_s + own_cost,
                     breakdown=(estimate.workload_s, estimate.transfer_s, estimate.processing_s),
+                    attempt=message.attempt,
                 )
             )
 

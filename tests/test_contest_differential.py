@@ -7,12 +7,16 @@ worker per job).  Every scenario here runs twice -- once on
 (so a hot-swap *to* bidding swaps in the same implementation) -- and the
 two runs must agree exactly: the full ``RunResult`` row, every worker's
 ``bids_submitted``, and with ``trace=True`` the whole trace record
-sequence.  Untraced runs take the unwitnessed path (one timer per
-contest), traced ones the stepped path, so both are held to the oracle.
+sequence.  Untraced contests are computed from the cost planes (one
+timer each), traced ones run over the broker message by message, so
+both ways are held to the oracle.
 
 Scenarios are the fuzzer's (``repro fuzz``: crashes with restarts,
 partitions, loss windows; with ``reconfig`` also migrations and swaps
-to and from bidding), re-fleeted to 5 / 25 / 100 / 400 workers.
+to and from bidding), re-fleeted to 5 / 25 / 100 / 400 workers; the
+service layer under bursts, autoscaling, rebalance migrations and
+crashes; and a zero-latency fleet whose bid times fall on the window's
+own grid, where every tie is exact.
 """
 
 from __future__ import annotations
@@ -26,13 +30,22 @@ import pytest
 
 from reference_bidding import make_reference_bidding_policy
 from repro.check.fuzzer import Scenario, generate_scenario
-from repro.cluster.profiles import WorkerProfile
+from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.cluster.worker_spec import WorkerSpec
 from repro.core.bidding import make_bidding_policy
 from repro.core.learning import SPEED_MODELS
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.faults import CrashRenewal, FaultPlan
+from repro.net.topology import TopologyConfig
 from repro.schedulers import registry
 from repro.schedulers.registry import make_scheduler
+from repro.serve import (
+    AdmissionConfig,
+    AutoscalerConfig,
+    ServiceConfig,
+    ServiceRuntime,
+    make_arrivals,
+)
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER
 
@@ -156,7 +169,7 @@ FLEETS = {
 }
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["unwitnessed", "traced"])
+@pytest.mark.parametrize("trace", [False, True], ids=["computed", "traced"])
 @pytest.mark.parametrize("reconfig", [False, True], ids=["faults", "reconfig"])
 @pytest.mark.parametrize("n_workers", sorted(FLEETS))
 def test_columnar_contests_match_the_reference(n_workers, reconfig, trace, monkeypatch):
@@ -173,3 +186,123 @@ def test_every_knob_value_is_exercised():
             for name, value in knobs_for(seed).items():
                 seen[name].add(value)
     assert seen == {name: set(values) for name, values in KNOBS.items()}
+
+
+# -- the service layer: joins, retires, rebalance migrations, crashes ----------
+
+
+def serve(
+    factory, seed, trace, crashes, knobs, monkeypatch, duration_s=600.0, max_workers=24, mtbf_s=600, mttr_s=60
+):
+    monkeypatch.setitem(
+        registry.SCHEDULERS, "bidding", functools.partial(factory, **knobs)
+    )
+    runtime = ServiceRuntime(
+        profile=profile_by_name("all-equal"),
+        scheduler=make_scheduler("bidding"),
+        arrivals=make_arrivals("burst", rate=1.5),
+        admission_config=AdmissionConfig(),
+        autoscaler_config=AutoscalerConfig(
+            min_workers=3, max_workers=max_workers, rebalance=True
+        ),
+        service_config=ServiceConfig(duration_s=duration_s),
+        config=EngineConfig(seed=seed, trace=trace, check=trace),
+        faults=(
+            FaultPlan(renewals=(CrashRenewal(mtbf_s=mtbf_s, mttr_s=mttr_s),))
+            if crashes
+            else None
+        ),
+    )
+    report = runtime.run().to_dict()
+    bids = {name: block.bids_submitted for name, block in runtime.metrics.workers.items()}
+    return report, bids
+
+
+@pytest.mark.parametrize("crashes", [False, True], ids=["steady", "crashes"])
+@pytest.mark.parametrize("bid_compute_s", [0.0, 0.25])
+def test_service_runs_match_the_reference_traced_or_not(bid_compute_s, crashes, monkeypatch):
+    """Autoscaler joins and rebalance migrations put ``MigrateAck``s,
+    checkpoints and contest closes on the same instants; with
+    ``bid_compute_s=0`` the bids land there too."""
+    knobs = {"bid_compute_s": bid_compute_s}
+    for seed in (40, 43, 44):
+        label = f"seed {seed}, {knobs}"
+        reference = serve(make_reference_bidding_policy, seed, False, crashes, knobs, monkeypatch)
+        for trace in (False, True):
+            ours = serve(make_bidding_policy, seed, trace, crashes, knobs, monkeypatch)
+            assert ours == reference, f"trace={trace} differs ({label})"
+
+
+def test_reruns_with_overloaded_bidders_match_the_reference(monkeypatch):
+    """0.5 s bids and three contests at a time: windows pass without a
+    bid, recovery reruns the contest, and the first contest's bids land
+    inside the rerun's window (they are its late bids, not answers)."""
+    knobs = {"bid_compute_s": 0.5, "max_concurrent_contests": 3}
+    shape = {"duration_s": 300.0, "max_workers": 16, "mtbf_s": 300, "mttr_s": 40}
+    for seed in (1001, 1037):
+        reference = serve(
+            make_reference_bidding_policy, seed, False, True, knobs, monkeypatch, **shape
+        )
+        for trace in (False, True):
+            ours = serve(make_bidding_policy, seed, trace, True, knobs, monkeypatch, **shape)
+            assert ours == reference, f"trace={trace} differs (seed {seed})"
+
+
+# -- exact ties: zero latency, bid times on the window's grid ------------------
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {},
+        {"max_concurrent_contests": 3},
+        {"fast_local_close": True},
+        {"bid_compute_s": 0.0},
+        {"bid_compute_s": 0.0, "max_concurrent_contests": 3},
+    ],
+    ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()) or "default",
+)
+def test_bids_landing_on_the_window_expiry_are_late(knobs, monkeypatch):
+    """No latency anywhere and CPU factors 1 / 0.5 / 0.25: bids are
+    priced 0.25, 0.5 and exactly 1.0 s (the window) after the
+    announcement, back-to-back contests open the instant the last one
+    closes, and ``Assignment``s land while bids are being priced."""
+    specs = tuple(
+        WorkerSpec(name=name, network_mbps=10.0, rw_mbps=50.0, cpu_factor=cpu, link_latency=0.0)
+        for name, cpu in (("a", 1.0), ("b", 0.25), ("c", 0.5))
+    )
+    arrivals = [
+        JobArrival(
+            at=0.3 * i,
+            job=Job(
+                job_id=f"j{i}",
+                task=TASK_ANALYZER,
+                repo_id=f"r{i % 2}",
+                size_mb=20.0,
+                base_compute_s=0.0,
+            ),
+        )
+        for i in range(8)
+    ]
+
+    def go(factory, trace):
+        runtime = WorkflowRuntime(
+            profile=WorkerProfile(name="grid", specs=specs),
+            stream=JobStream(arrivals=list(arrivals), name="grid"),
+            scheduler=factory(**knobs),
+            config=EngineConfig(
+                seed=0,
+                noise_kind="none",
+                noise_params={},
+                trace=trace,
+                topology=TopologyConfig(
+                    min_latency=0.0, max_latency=0.0, broker_processing=0.0
+                ),
+            ),
+        )
+        row = dataclasses.asdict(runtime.run())
+        return row, {n: b.bids_submitted for n, b in runtime.metrics.workers.items()}
+
+    reference = go(make_reference_bidding_policy, False)
+    assert go(make_bidding_policy, False) == reference
+    assert go(make_bidding_policy, True) == reference

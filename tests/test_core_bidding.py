@@ -199,10 +199,10 @@ class TestSpeedLearning:
 
 # -- semantics the columnar contest must keep ---------------------------------
 #
-# Each is pinned on both paths: traced runs step the contest planes one
-# message at a time, untraced ones read them in bulk.
+# Each is pinned on both paths: a traced contest runs over the broker,
+# message by message; an untraced one is computed from the cost planes.
 
-BOTH_PATHS = pytest.mark.parametrize("trace", [True, False], ids=["stepped", "columnar"])
+BOTH_PATHS = pytest.mark.parametrize("trace", [True, False], ids=["messages", "computed"])
 
 
 def spy_on_contests(runtime):
@@ -212,8 +212,8 @@ def spy_on_contests(runtime):
     policy = runtime.master.policy
     real_open = policy._open
 
-    def _open(job, turn):
-        contest = real_open(job, turn)
+    def _open(job):
+        contest = real_open(job)
         opened.append(contest)
         return contest
 
@@ -221,8 +221,62 @@ def spy_on_contests(runtime):
     return opened
 
 
+def landing_time(runtime, contest, worker):
+    """When ``worker``'s bid for ``contest`` reached the master."""
+    if contest.computed:
+        return float(contest.arrive[contest.row_of(worker)])
+    (record,) = [
+        event
+        for event in runtime.metrics.trace
+        if event.kind == "bid"
+        and event.job_id == contest.job.job_id
+        and event.worker == worker
+    ]
+    return record.time
+
+
 def bids_submitted(runtime):
     return {name: block.bids_submitted for name, block in runtime.metrics.workers.items()}
+
+
+class TestHowContestsRun:
+    """Computed from the cost planes unless the messages can be told
+    apart (ARCHITECTURE.md section 12 has the list)."""
+
+    def contests_of(self, policy_kwargs=None, faults=None, **config):
+        runtime = WorkflowRuntime(
+            profile=make_profile(make_spec("w1"), make_spec("w2")),
+            stream=arrivals(("j0", "r0", 10.0, 0.0), ("j1", "r1", 10.0, 5.0)),
+            scheduler=make_bidding_policy(**(policy_kwargs or {})),
+            config=quiet_config(**{"trace": False, **config}),
+            faults=faults,
+        )
+        contests = spy_on_contests(runtime)
+        runtime.run()
+        assert len(contests) == 2
+        return [contest.computed for contest in contests]
+
+    def test_unobserved_runs_compute_their_contests(self):
+        assert self.contests_of() == [True, True]
+
+    @pytest.mark.parametrize(
+        "config", [{"trace": True}, {"check": True}, {"obs": True}, {"message_loss": 0.01}]
+    )
+    def test_observers_and_a_lossy_broker_get_real_messages(self, config):
+        assert self.contests_of(**config) == [False, False]
+
+    def test_instant_bids_get_real_messages(self):
+        assert self.contests_of({"bid_compute_s": 0.0}) == [False, False]
+
+    def test_a_fault_plan_that_will_cut_the_broker_does_from_the_start(self):
+        from repro.faults import FaultPlan, MessageLoss, WorkerCrash
+
+        # The loss window only starts after the last contest ...
+        window = FaultPlan(message_loss=(MessageLoss(start_s=50.0, end_s=60.0, probability=0.5),))
+        assert self.contests_of(faults=window) == [False, False]
+        # ... while crashes alone leave the broker reliable.
+        crash = FaultPlan(crashes=(WorkerCrash(worker="w2", at_s=50.0),))
+        assert self.contests_of(faults=crash) == [True, True]
 
 
 class TestSerialBidder:
@@ -243,17 +297,21 @@ class TestSerialBidder:
         contests = spy_on_contests(runtime)
         runtime.run()
         assert len(contests) == 6
+        assert all(contest.computed is not trace for contest in contests)
         for contest, following in zip(contests, contests[1:]):
             # w2 (cpu 0.25) needs 1.0 s per bid, the whole window: its bid
             # lands after the close, while the next contest is running.
-            row = contest.row_of("w2")
-            assert contest.opened_at + 1.0 < contest.arrive[row]
-            assert following.opened_at < contest.arrive[row]
+            landed = landing_time(runtime, contest, "w2")
+            assert contest.opened_at + 1.0 < landed
+            assert following.opened_at < landed
             assert [bid.worker for bid in contest.late_bids] == ["w2"]
             assert contest.winner() != "w2"
             # ... and it only starts on the next announcement when this
             # bid is out: back-to-back contests push it further behind.
-            assert following.dequeue[row] == contest.evaluate[row]
+            assert landing_time(runtime, following, "w2") == pytest.approx(landed + 1.0)
+            if contest.computed:
+                row = contest.row_of("w2")
+                assert following.dequeue[row] == contest.evaluate[row]
         # Late bids still count as submitted.
         assert bids_submitted(runtime) == {f"w{i}": 6 for i in range(1, 6)}
 
@@ -288,6 +346,33 @@ class TestSerialBidder:
         # The bids landed long after the close and were still counted.
         assert sorted(bid.worker for bid in contest.late_bids) == ["a", "b"]
         assert bids_submitted(runtime) == {"a": 1, "b": 1}
+
+
+    @BOTH_PATHS
+    def test_a_straggler_does_not_answer_the_rerun(self, trace):
+        # Both bidders need 1.0 s against a 0.6 s window.  With recovery
+        # on, the zero-bid contest is run again at 0.6 s -- and at ~1.0 s,
+        # inside the rerun's window, the bids for the *first* contest
+        # land.  They are late bids of the first contest, not answers to
+        # the second (which they would close at once with stale prices).
+        profile = make_profile(
+            make_spec("a", cpu_factor=0.25), make_spec("b", cpu_factor=0.25)
+        )
+        runtime = WorkflowRuntime(
+            profile=profile,
+            stream=arrivals(("j0", "r0", 100.0, 0.0)),
+            scheduler=make_bidding_policy(window_s=0.6),
+            config=quiet_config(trace=trace, fault_tolerance=True),
+        )
+        contests = spy_on_contests(runtime)
+        runtime.run()
+        first, rerun = contests
+        assert rerun.previous is first and rerun.opened_at == pytest.approx(0.6)
+        assert sorted(bid.worker for bid in first.late_bids) == ["a", "b"]
+        assert rerun.n_bids == 0
+        assert runtime.metrics.contests_fallback == 2
+        assert runtime.metrics.contest_seconds == pytest.approx(1.2)  # two full windows
+        assert bids_submitted(runtime) == {"a": 2, "b": 2}
 
 
 class TestBidderLeavesMidContest:
@@ -366,12 +451,13 @@ class TestBidsSeeStateAtEvaluationTime:
         contests = spy_on_contests(runtime)
         runtime.run()
         first, second = contests
-        committed_j0 = float(first.own[0])
+        assert first.workload[0] == 0.0
+        committed_j0 = float(first.cost[0])
         assert committed_j0 == pytest.approx(1.2)
         expected = committed_j0 if sees_queue else 0.0
         # Exactly j0's committed cost, or exactly nothing.
         assert second.workload[0] == expected
-        assert second.cost[0] == expected + second.own[0]
+        assert second.cost[0] == expected + (second.transfer[0] + second.processing[0])
 
 
 class TestFleetChangesMidContest:

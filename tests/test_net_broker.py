@@ -107,6 +107,38 @@ class TestBroker:
         assert sub.delivered == 2
         assert broker.published == 2
 
+    def test_owner_is_handed_each_delivery_at_its_arrival_time(self, sim):
+        class Owner:
+            def __init__(self):
+                self.got = []
+
+            def deliver(self, message):
+                self.got.append((sim.now, message))
+
+        broker = Broker(sim, base_latency=0.1)
+        owned = [broker.subscribe("t", f"w{i}", latency=0.2) for i in range(2)]
+        plain = broker.subscribe("t", "w2", latency=0.2)  # same delay: one batch
+        far = broker.subscribe("t", "w3", latency=0.5)
+        for sub in (*owned, far):
+            sub.owner = Owner()
+        broker.publish("t", "hello")
+        sim.run()
+        assert [sub.owner.got for sub in owned] == [[(pytest.approx(0.3), "hello")]] * 2
+        assert far.owner.got == [(pytest.approx(0.6), "hello")]
+        assert all(len(sub.queue) == 0 and sub.delivered == 1 for sub in (*owned, far))
+        assert len(plain.queue) == 1
+
+    def test_reliable_means_nothing_can_be_lost_now_or_later(self, sim):
+        assert Broker(sim).reliable
+        assert not Broker(sim, drop_probability=0.1, rng=np.random.default_rng(0)).reliable
+        broker = Broker(sim)
+        pid = broker.add_partition(frozenset({"w1"}))
+        assert not broker.reliable
+        broker.remove_partition(pid)
+        assert broker.reliable
+        broker.will_degrade = True  # a fault plan will cut it mid-run
+        assert not broker.reliable
+
     def test_negative_latency_rejected(self, sim):
         broker = Broker(sim)
         with pytest.raises(ValueError):
