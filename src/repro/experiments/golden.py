@@ -20,9 +20,11 @@ The repository pins these behavioural recordings:
     live-reconfiguration run (``tests/golden_reconfig.json``);
 ``scale``
     full result rows, per-worker bid counts and -- on one observed cell
-    -- trace, flow and decision digests of ``bidding`` at 100 and 400
-    workers (``tests/golden_scale.json``): the determinism contract at
-    the fleet sizes the benchmark measures, not only the 5-worker cell.
+    each for ``bidding`` and ``baseline`` -- trace, flow and decision
+    digests of ``bidding``, the three pull schedulers and ``spark`` at
+    100 and 400 workers (``tests/golden_scale.json``): the determinism
+    contract at the fleet sizes the benchmark measures, not only the
+    5-worker cell.
 
 Both used to carry their own regen script with its own ``--check``
 mode; this module is the single implementation behind them and behind
@@ -320,12 +322,14 @@ SCALE_JOBS = 300
 #: Size of the shared repository (MB): the benchmark's ``bid-fleet``
 #: stream pins it so seeds give comparable streams.
 SCALE_HOT_REPO_MB = 762.0
-#: cell name -> (workers, every observer on?).
+#: cell name -> (scheduler, workers, every observer on?).
 SCALE_CELLS = {
-    "bidding-100": (100, False),
-    "bidding-400": (400, False),
-    "bidding-100-observed": (100, True),
+    f"{scheduler}-{n_workers}": (scheduler, n_workers, False)
+    for scheduler in ("bidding", "baseline", "matchmaking", "delay", "spark")
+    for n_workers in (100, 400)
 }
+SCALE_CELLS["bidding-100-observed"] = ("bidding", 100, True)
+SCALE_CELLS["baseline-100-observed"] = ("baseline", 100, True)
 
 
 def _digest(payload) -> str:
@@ -334,7 +338,9 @@ def _digest(payload) -> str:
     ).hexdigest()
 
 
-def scale_runtime(n_workers: int, observed: bool) -> WorkflowRuntime:
+def scale_runtime(
+    n_workers: int, observed: bool, scheduler: str = "bidding"
+) -> WorkflowRuntime:
     """The benchmark's ``bid-fleet`` shape: near-equal workers (eleven
     network classes), ``80%_large`` at 0.2 s inter-arrival with the
     shared repository's size pinned."""
@@ -372,7 +378,7 @@ def scale_runtime(n_workers: int, observed: bool) -> WorkflowRuntime:
     return WorkflowRuntime(
         profile=profile,
         stream=stream,
-        scheduler=make_scheduler("bidding"),
+        scheduler=make_scheduler(scheduler),
         config=EngineConfig(
             seed=SCALE_SEED, trace=observed, check=observed, obs=observed
         ),
@@ -380,10 +386,10 @@ def scale_runtime(n_workers: int, observed: bool) -> WorkflowRuntime:
 
 
 def record_scale() -> dict:
-    """Result rows and bid counts of the fleet-sized ``bidding`` cells."""
+    """Result rows and bid counts of the fleet-sized cells."""
     golden = {}
-    for name, (n_workers, observed) in SCALE_CELLS.items():
-        runtime = scale_runtime(n_workers, observed)
+    for name, (scheduler, n_workers, observed) in SCALE_CELLS.items():
+        runtime = scale_runtime(n_workers, observed, scheduler)
         row = dataclasses.asdict(runtime.run())
         workers = runtime.metrics.workers
         bids = {worker: block.bids_submitted for worker, block in workers.items()}

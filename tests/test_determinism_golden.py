@@ -79,9 +79,11 @@ SCALE_PATH = Path(__file__).parent / "golden_scale.json"
 
 
 def test_scale_cells_are_bit_identical():
-    """``bidding`` at 100 and 400 workers (and one 100-worker cell with
-    ``obs`` + ``check`` + ``trace`` on): full result rows, per-worker bid
-    counts, and the observed cell's trace / flow / decision digests."""
+    """``bidding``, ``baseline``, ``matchmaking``, ``delay`` and ``spark``
+    at 100 and 400 workers (and one 100-worker ``bidding`` and one
+    ``baseline`` cell with ``obs`` + ``check`` + ``trace`` on): full
+    result rows, per-worker bid counts, and the observed cells' trace /
+    flow / decision digests."""
     from repro.experiments.golden import explain_scale_drift, record_scale
 
     committed = json.loads(SCALE_PATH.read_text(encoding="utf-8"))
