@@ -50,7 +50,6 @@ close.  ARCHITECTURE.md section 12 has the full account.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,6 +65,7 @@ from repro.engine.messages import (
     JobAnnouncement,
 )
 from repro.fleet import BidPlanes
+from repro.net.broker import Mailbox
 from repro.schedulers.base import MasterPolicy, SchedulerPolicy, WorkerPolicy
 from repro.sim.events import AnyOf
 from repro.sim.resources import Store
@@ -648,11 +648,8 @@ class BiddingWorkerPolicy(WorkerPolicy):
         self.corrector = corrector
         self.estimator: Optional[CostEstimator] = None
         self._subscription = None
-        #: The bid thread: announcements not yet taken up, and whether it
-        #: is parked on an empty mailbox / has exited for good.
-        self._mailbox: deque = deque()
-        self._parked = True
-        self._exited = False
+        #: The bid thread's mailbox: announcements not yet taken up.
+        self._mailbox: Optional[Mailbox] = None
         #: job_id -> own cost we last bid over the broker.
         self._promised: dict[str, float] = {}
         #: The master-side policy computing our bids, if it does, and the
@@ -681,6 +678,7 @@ class BiddingWorkerPolicy(WorkerPolicy):
         worker = self.worker
         self._subscription = worker.topology.subscribe(TOPIC_ANNOUNCE, worker.name)
         self._subscription.owner = self
+        self._mailbox = Mailbox(worker.sim, self._take, parked=True)
 
     def price(self, job: Job) -> tuple:
         """``(estimate, own cost)``: one bid."""
@@ -694,37 +692,31 @@ class BiddingWorkerPolicy(WorkerPolicy):
 
     def deliver(self, message: JobAnnouncement) -> None:
         """An announcement reached our mailbox (broker callback)."""
-        if self._exited:
-            return
-        self._mailbox.append(message)
-        if self._parked:
-            self._parked = False
-            sim = self.worker.sim
-            sim.call_at(sim.now, self._take)
+        self._mailbox.deliver(message)
 
-    def _take(self) -> None:
-        """The bid thread takes the next announcement off the mailbox."""
+    def _take(self, announcement: JobAnnouncement) -> bool:
+        """The bid thread takes the next announcement off the mailbox;
+        true while it is busy with it (or has exited for good)."""
         worker = self.worker
-        announcement = self._mailbox.popleft()
         if worker.policy is not self or not worker.alive:
-            self._exited = True
-        elif worker.draining:
+            return True
+        if worker.draining:
             # Scale-down: a draining worker abstains.  The contest's
             # invited set no longer includes it (the master retires the
             # name before the drain flag is set), so the silence cannot
             # stall the window-close condition.
-            self._next()
-        elif self.bid_compute_s > 0:
+            return False
+        if self.bid_compute_s > 0:
             worker.sim.call_later(
                 self.bid_compute_s / worker.spec.cpu_factor, self._bid, announcement
             )
         else:
             self._bid(announcement)
+        return True
 
     def _bid(self, announcement: JobAnnouncement) -> None:
         worker, job = self.worker, announcement.job
         if self.bid_compute_s > 0 and not worker.alive:
-            self._exited = True
             return
         estimate, own_cost = self.price(job)
         self._promised[job.job_id] = own_cost
@@ -737,14 +729,7 @@ class BiddingWorkerPolicy(WorkerPolicy):
                 attempt=announcement.attempt,
             )
         )
-        self._next()
-
-    def _next(self) -> None:
-        if self._mailbox:
-            sim = self.worker.sim
-            sim.call_at(sim.now, self._take)
-        else:
-            self._parked = True
+        self._mailbox.next()
 
     # -- our plane row (contests computed by the master-side policy) --------------
 

@@ -40,6 +40,7 @@ from repro.engine.messages import (
 )
 from repro.faults.plan import RecoveryConfig
 from repro.metrics.collector import MetricsCollector
+from repro.net.broker import Mailbox
 from repro.net.topology import Topology
 from repro.sim.events import Event
 from repro.workload.job import Job, JobStream
@@ -114,6 +115,7 @@ class Master:
 
         self.name = "master"
         self.inbox = topology.subscribe(TOPIC_MASTER, self.name)
+        self.inbox.owner = Mailbox(sim, self._handle)
         self.worker_names = list(worker_names)
         self.active_workers: list[str] = list(worker_names)
         self.outstanding = 0
@@ -175,7 +177,7 @@ class Master:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the policy and spawn the master's processes."""
+        """Bind the policy, start intake and open the inbox."""
         self.policy.bind(self)
         self.metrics.run_started(self.sim.now)
         if self.policy.requires_upfront and self.stream is not None:
@@ -183,7 +185,7 @@ class Master:
         self.policy.start()
         if self.stream is not None:
             self.sim.process(self._intake(), name="master-intake")
-        self.sim.process(self._main_loop(), name="master-main")
+        self.inbox.owner.start()
         if self.recovery is not None and self.recovery.redispatch_timeout_s is not None:
             # Direct-callback timer: the monitor re-arms itself each tick
             # instead of living as a perpetual generator process.
@@ -385,36 +387,35 @@ class Master:
 
     # -- message handling ------------------------------------------------------
 
-    def _main_loop(self):
-        while True:
-            message = yield self.inbox.get()
-            if isinstance(message, Hello):
-                if message.worker not in self.worker_names:
-                    raise RuntimeError(f"Hello from unknown worker {message.worker!r}")
-            elif isinstance(message, JobCompleted):
-                self._on_completed(message)
-            elif isinstance(message, WorkerFailure):
-                self._on_worker_failure(message)
-            elif isinstance(message, MigrateAck):
-                self._on_migrate_ack(message)
-            elif self.policy.on_message(message):
-                pass
-            elif self._stale_ok and isinstance(message, self._stale_ok):
-                # Hot-swap residue: control traffic addressed to the
-                # previous policy.  Dropping is safe -- quiesce drained
-                # every job-carrying exchange before the swap.
-                self.metrics.trace.record(
-                    self.sim.now,
-                    "swap_stale_drop",
-                    "-",
-                    getattr(message, "worker", None),
-                    type(message).__name__,
-                )
-            else:
-                raise RuntimeError(
-                    f"master: unhandled message {message!r} under policy "
-                    f"{type(self.policy).__name__}"
-                )
+    def _handle(self, message: object) -> None:
+        """One inbox message (the mailbox calls this, one per turn)."""
+        if isinstance(message, Hello):
+            if message.worker not in self.worker_names:
+                raise RuntimeError(f"Hello from unknown worker {message.worker!r}")
+        elif isinstance(message, JobCompleted):
+            self._on_completed(message)
+        elif isinstance(message, WorkerFailure):
+            self._on_worker_failure(message)
+        elif isinstance(message, MigrateAck):
+            self._on_migrate_ack(message)
+        elif self.policy.on_message(message):
+            pass
+        elif self._stale_ok and isinstance(message, self._stale_ok):
+            # Hot-swap residue: control traffic addressed to the
+            # previous policy.  Dropping is safe -- quiesce drained
+            # every job-carrying exchange before the swap.
+            self.metrics.trace.record(
+                self.sim.now,
+                "swap_stale_drop",
+                "-",
+                getattr(message, "worker", None),
+                type(message).__name__,
+            )
+        else:
+            raise RuntimeError(
+                f"master: unhandled message {message!r} under policy "
+                f"{type(self.policy).__name__}"
+            )
 
     def _on_migrate_ack(self, message: MigrateAck) -> None:
         """Route checkpointed jobs to the migration controller."""

@@ -36,6 +36,7 @@ from repro.engine.messages import (
     worker_topic,
 )
 from repro.metrics.collector import MetricsCollector
+from repro.net.broker import Mailbox
 from repro.net.topology import Topology
 from repro.sim.events import Event
 from repro.sim.process import Interrupt
@@ -87,6 +88,7 @@ class WorkerNode:
         self.spec = machine.spec
 
         self.inbox = topology.subscribe(worker_topic(self.name), self.name)
+        self.inbox.owner = Mailbox(sim, self._handle)
         self.queue: Store = Store(sim)
         #: job_id -> estimated cost of every assigned-but-unfinished job.
         self.unfinished: dict[str, float] = {}
@@ -103,7 +105,6 @@ class WorkerNode:
         #: policies consult this flag before bidding or pulling.
         self.draining = False
         self._idle_waiters: list[Event] = []
-        self._main_proc = None
         self._exec_proc = None
         #: Prefetch extension: download queued jobs' repositories while
         #: the CPU processes earlier jobs (off = the paper's strictly
@@ -138,10 +139,11 @@ class WorkerNode:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Register with the master and spawn the node's processes."""
+        """Register with the master, open the inbox and spawn the
+        executor."""
         self.policy.bind(self)
         self.send_to_master(Hello(worker=self.name))
-        self._main_proc = self.sim.process(self._main_loop(), name=f"{self.name}-main")
+        self.inbox.owner.start()
         self._exec_proc = self.sim.process(self._executor(), name=f"{self.name}-exec")
         if self.prefetch:
             self._prefetch_proc = self.sim.process(
@@ -225,52 +227,48 @@ class WorkerNode:
 
     # -- processes ----------------------------------------------------------
 
-    def _main_loop(self):
-        """Dispatch inbox messages: policy first, then engine defaults."""
-        while True:
-            message = yield self.inbox.get()
-            if not self.alive:
-                # Dead-letter channel: a job-carrying message that reaches
-                # a dead node bounces back to the master as an orphan
-                # report, so fault-tolerant policies can reallocate work
-                # that was in flight when the node died.
-                job = getattr(message, "job", None)
-                if isinstance(job, Job):
-                    self.send_to_master(
-                        WorkerFailure(worker=self.name, orphaned=(job,))
-                    )
-                continue
-            if self.obs is not None and isinstance(message, Assignment) and message.ctx is not None:
-                # Capture the span context before the policy sees the
-                # message: bidding-style policies consume Assignments
-                # themselves, and the echo on JobCompleted must survive
-                # either dispatch path.
-                self._assign_ctxs[message.job.job_id] = message.ctx
-            if isinstance(message, MigrateRequest):
-                # Engine-level: checkpoint jobs for the migration
-                # controller before the policy sees anything.
-                self._on_migrate_request(message)
-                continue
-            if self.policy.on_message(message):
-                continue
-            if isinstance(message, Assignment):
-                self.enqueue(message.job, self._default_estimate(message.job))
-            elif self._stale_ok and isinstance(message, self._stale_ok):
-                # Hot-swap residue: control traffic addressed to the
-                # previous policy.  Dropping is safe -- quiesce drained
-                # every job-carrying exchange before the swap.
-                self.metrics.trace.record(
-                    self.sim.now,
-                    "swap_stale_drop",
-                    "-",
-                    self.name,
-                    type(message).__name__,
-                )
-            else:
-                raise RuntimeError(
-                    f"worker {self.name}: unhandled message {message!r} "
-                    f"under policy {type(self.policy).__name__}"
-                )
+    def _handle(self, message: object) -> None:
+        """One inbox message (the mailbox calls this, one per turn):
+        policy first, then engine defaults."""
+        if not self.alive:
+            # Dead-letter channel: a job-carrying message that reaches
+            # a dead node bounces back to the master as an orphan
+            # report, so fault-tolerant policies can reallocate work
+            # that was in flight when the node died.
+            job = getattr(message, "job", None)
+            if isinstance(job, Job):
+                self.send_to_master(WorkerFailure(worker=self.name, orphaned=(job,)))
+            return
+        if self.obs is not None and isinstance(message, Assignment) and message.ctx is not None:
+            # Capture the span context before the policy sees the
+            # message: bidding-style policies consume Assignments
+            # themselves, and the echo on JobCompleted must survive
+            # either dispatch path.
+            self._assign_ctxs[message.job.job_id] = message.ctx
+        if isinstance(message, MigrateRequest):
+            # Engine-level: checkpoint jobs for the migration
+            # controller before the policy sees anything.
+            self._on_migrate_request(message)
+        elif self.policy.on_message(message):
+            pass
+        elif isinstance(message, Assignment):
+            self.enqueue(message.job, self._default_estimate(message.job))
+        elif self._stale_ok and isinstance(message, self._stale_ok):
+            # Hot-swap residue: control traffic addressed to the
+            # previous policy.  Dropping is safe -- quiesce drained
+            # every job-carrying exchange before the swap.
+            self.metrics.trace.record(
+                self.sim.now,
+                "swap_stale_drop",
+                "-",
+                self.name,
+                type(message).__name__,
+            )
+        else:
+            raise RuntimeError(
+                f"worker {self.name}: unhandled message {message!r} "
+                f"under policy {type(self.policy).__name__}"
+            )
 
     def _default_estimate(self, job: Job) -> float:
         """Committed-cost estimate used when the policy did not supply one."""

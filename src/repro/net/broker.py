@@ -29,19 +29,80 @@ The robustness extension adds two degradation models on top:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.sim.kernel import TimerHandle
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-class Subscription:
-    """A subscriber's mailbox on one topic.
+class Mailbox:
+    """The owner of a subscription that handles one message per turn.
 
-    Messages arrive in the :attr:`queue` store; consume them with
-    ``msg = yield subscription.queue.get()``.
+    The broker hands each delivery to :meth:`deliver`; ``handler`` is
+    called with the oldest waiting message on the consumer's next turn,
+    and the turn after it is taken as soon as the handler returns --
+    unless it returns true, which means it is still busy with the
+    message and calls :meth:`next` itself when done.
+
+    A turn is a heap entry, pushed exactly where a process parked on
+    ``Subscription.get()`` would have had its wake-up pushed: at
+    delivery when the consumer is parked on an empty mailbox, at the end
+    of the previous turn when a message is already waiting, and -- for a
+    consumer that :meth:`start` s rather than being born parked -- an
+    URGENT entry at start, where a fresh process takes its first turn.
+    Same-instant order is therefore the event queue's own.
+    """
+
+    __slots__ = ("sim", "handler", "messages", "parked", "_turn")
+
+    def __init__(
+        self, sim: "Simulator", handler: Callable[[Any], Any], parked: bool = False
+    ) -> None:
+        self.sim = sim
+        self.handler = handler
+        self.messages: deque = deque()
+        #: Waiting on an empty mailbox (a delivery wakes the consumer).
+        #: False before :meth:`start`: messages only collect.
+        self.parked = parked
+        self._turn = TimerHandle()
+
+    def start(self) -> None:
+        """The consumer starts: its first turn comes before anything
+        else scheduled for this instant."""
+        self.sim.call_soon(self.next)
+
+    def deliver(self, message: Any) -> None:
+        self.messages.append(message)
+        if self.parked:
+            self.parked = False
+            sim = self.sim
+            sim.call_at(sim.now, self._take, handle=self._turn)
+
+    def _take(self) -> None:
+        if not self.handler(self.messages.popleft()):
+            self.next()
+
+    def next(self) -> None:
+        """The consumer is ready for its next message."""
+        if self.messages:
+            sim = self.sim
+            sim.call_at(sim.now, self._take, handle=self._turn)
+        else:
+            self.parked = True
+
+
+class Subscription:
+    """A subscriber's place on one topic.
+
+    With an :attr:`owner` (every node of the engine: a
+    :class:`Mailbox`), the broker hands it each message as it arrives.
+    Without one (test tools, reference implementations), messages
+    collect in the :attr:`queue` store; consume them with
+    ``msg = yield subscription.get()``.
     """
 
     def __init__(self, broker: "Broker", topic: str, name: str, latency: float) -> None:
@@ -52,10 +113,9 @@ class Subscription:
         self.queue: Store = Store(broker.sim)
         #: Number of messages delivered into this mailbox.
         self.delivered = 0
-        #: Whoever consumes this mailbox, if it wants to be found through
-        #: :meth:`Broker.subscribers` and handed each message as it
-        #: arrives (``owner.deliver(message)``) instead of parking a
-        #: process on :attr:`queue`.
+        #: Whoever consumes this subscription: handed each message as it
+        #: arrives (``owner.deliver(message)``), nothing goes through
+        #: :attr:`queue`.
         self.owner: Any = None
 
     def get(self):

@@ -16,46 +16,33 @@ The master's locality knowledge comes from observed completions, as in
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from repro.engine.messages import JobAccept, JobOffer, NoWork, PullRequest
+from repro.engine.messages import NoWork, PullRequest
 from repro.fleet import HoldingsIndex, LocalityQueue
-from repro.schedulers.base import MasterPolicy, SchedulerPolicy, WorkerPolicy
-from repro.sim.events import AnyOf
-from repro.sim.resources import Store
+from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.pull import PullMasterPolicy, PullWorkerPolicy
 from repro.workload.job import Job
 
 DEFAULT_MAX_SKIPS = 3
 DEFAULT_HEARTBEAT_S = 1.0
 
 
-class DelayMasterPolicy(MasterPolicy):
+class DelayMasterPolicy(PullMasterPolicy):
     """Skip-counted locality waiting."""
 
     name = "delay"
-    stale_inbound = (PullRequest,)
 
     def __init__(self, max_skips: int = DEFAULT_MAX_SKIPS) -> None:
         super().__init__()
         if max_skips < 0:
             raise ValueError("max_skips must be non-negative")
         self.max_skips = max_skips
-        self._quiescing = False
-        self.job_queue = deque()
         self.skips: dict[str, int] = {}
         self.holdings: dict[str, set[str]] = {}
         #: Struct-of-arrays mirror of ``holdings`` (None when the fast
         #: path is off); drives the vectorised queue locality mask.
         self._hx: Optional[HoldingsIndex] = None
-        self.parked: deque[str] = deque()
-        #: Mirror of ``parked`` membership for the O(1) dedup test.
-        self._parked_set: set[str] = set()
-        #: job_id -> (worker, job) for offers awaiting their JobAccept.
-        #: An offered job lives in neither the queue nor the master's
-        #: assignment table, so a crash of the offeree would otherwise
-        #: lose it (requeued in :meth:`on_worker_failed`).
-        self.in_flight: dict[str, tuple[str, Job]] = {}
 
     def on_fleet_attached(self) -> None:
         """Runtime wired the fleet mirror: swap in the vectorised queue
@@ -70,7 +57,7 @@ class DelayMasterPolicy(MasterPolicy):
     def on_job(self, job: Job) -> None:
         self.job_queue.append(job)
         self.skips.setdefault(job.job_id, 0)
-        self._service_parked()
+        self._serve()
 
     def on_job_completed(self, job: Job, worker: str) -> None:
         if job.repo_id is not None and worker is not None:
@@ -82,48 +69,25 @@ class DelayMasterPolicy(MasterPolicy):
         if isinstance(message, PullRequest):
             if self._quiescing:
                 # Swallow: the puller is about to be hot-swapped too and
-                # its successor loop will re-pull.
+                # its successor will re-pull.
                 return True
-            if not self._try_offer(message.worker):
-                if self.job_queue:
-                    self.master.send_to_worker(message.worker, NoWork(message.worker))
-                else:
-                    # One parked entry per worker: a retried pull (the
-                    # loss-timeout path) must not claim two offers.
-                    if message.worker not in self._parked_set:
-                        self.parked.append(message.worker)
-                        self._parked_set.add(message.worker)
+            if self.job_queue:
+                self._answer(message.worker)
+            else:
+                self._park(message.worker)
             return True
-        if isinstance(message, JobAccept):
-            self.in_flight.pop(message.job.job_id, None)
-            self.master.metrics.offer_accepted(
-                self.master.sim.now, message.job, message.worker
-            )
-            self.master.note_external_assignment(message.job, message.worker)
-            return True
-        return False
+        return super().on_message(message)
 
     def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
-        """Forget the dead worker's parked pull and its holdings, and
-        reclaim its unacked offers.  A late JobAccept cannot race the
-        requeue: worker->master delivery is FIFO per pair, so an accept
-        sent before the crash was processed before this WorkerFailure."""
-        self.parked = deque(name for name in self.parked if name != worker)
-        self._parked_set.discard(worker)
+        """Also forget the dead worker's holdings."""
         self.holdings.pop(worker, None)
         if self._hx is not None:
             self._hx.drop_worker(worker)
-        lost = [
-            job_id
-            for job_id, (offeree, _) in self.in_flight.items()
-            if offeree == worker
-        ]
-        for job_id in reversed(lost):
-            _, job = self.in_flight.pop(job_id)
-            self.job_queue.appendleft(job)
-            self.skips.setdefault(job.job_id, 0)
-        if lost:
-            self._service_parked()
+        super().on_worker_failed(worker, orphaned)
+
+    def _return(self, job: Job) -> None:
+        super()._return(job)
+        self.skips.setdefault(job.job_id, 0)
 
     def _local_for(self, worker: str, job: Job) -> bool:
         return job.repo_id is None or job.repo_id in self.holdings.get(worker, ())
@@ -148,164 +112,42 @@ class DelayMasterPolicy(MasterPolicy):
             f"skipped past max_skips={self.max_skips}; launched non-locally",
         )
 
-    def _try_offer(self, worker: str) -> bool:
-        if self._hx is not None:
-            return self._try_offer_vectorized(worker)
-        for index, job in enumerate(self.job_queue):
-            if self._local_for(worker, job):
-                del self.job_queue[index]
-                self.skips.pop(job.job_id, None)
-                self._offer(worker, job)
-                return True
-            self.skips[job.job_id] = self.skips.get(job.job_id, 0) + 1
-            if self.skips[job.job_id] > self.max_skips:
-                # Waited long enough: launch non-locally.
-                del self.job_queue[index]
-                self.skips.pop(job.job_id, None)
-                self._offer(worker, job)
-                return True
-        return False
+    def _answer(self, worker: str) -> None:
+        """Walk the queue in order: offer the first job local to
+        ``worker`` or out of skips; none such means ``NoWork``.
 
-    def _try_offer_vectorized(self, worker: str) -> bool:
-        """The scan above against one precomputed locality mask.
-
-        The walk (and its skip accounting) stays sequential -- the skip
+        The walk (and its skip accounting) is sequential -- the skip
         counters mutate as the scan advances, which no batched form can
-        reproduce -- but the per-job holdings-set probe becomes a single
-        boolean gather over the queue's repo-column plane.
+        reproduce -- but with the fleet mirror on, the per-job
+        holdings-set probe is a single boolean gather over the queue's
+        repo-column plane.
         """
-        mask = self.job_queue.local_mask(worker)
-        for index in range(len(self.job_queue)):
-            job = self.job_queue[index]
-            if mask[index]:
-                self.job_queue.delete(index)
-                self.skips.pop(job.job_id, None)
-                self._offer(worker, job)
-                return True
-            self.skips[job.job_id] = self.skips.get(job.job_id, 0) + 1
-            if self.skips[job.job_id] > self.max_skips:
+        queue, skips = self.job_queue, self.skips
+        mask = queue.local_mask(worker) if self._hx is not None else None
+        for index in range(len(queue)):
+            job = queue[index]
+            local = mask[index] if mask is not None else self._local_for(worker, job)
+            if not local:
+                skips[job.job_id] = skips.get(job.job_id, 0) + 1
+                if skips[job.job_id] <= self.max_skips:
+                    continue
                 # Waited long enough: launch non-locally.
-                self.job_queue.delete(index)
-                self.skips.pop(job.job_id, None)
-                self._offer(worker, job)
-                return True
-        return False
-
-    def _offer(self, worker: str, job: Job) -> None:
-        self.in_flight[job.job_id] = (worker, job)
-        self.master.metrics.offer_made(self.master.sim.now, job, worker)
-        self.master.send_to_worker(worker, JobOffer(job=job))
-
-    # -- hot-swap seam ------------------------------------------------------
-
-    def begin_quiesce(self) -> None:
-        """Stop offering; ``in_flight`` drains as open offers are acked."""
-        self._quiescing = True
-
-    def quiescent(self) -> bool:
-        return not self.in_flight
-
-    def end_quiesce(self) -> None:
-        """Quiesce timed out: resume servicing parked pulls."""
-        self._quiescing = False
-        self._service_parked()
+            if mask is not None:
+                queue.delete(index)
+            else:
+                del queue[index]
+            skips.pop(job.job_id, None)
+            self._offer(worker, job)
+            return
+        self.master.send_to_worker(worker, NoWork(worker))
 
     def export_state(self) -> list[Job]:
-        jobs = []
-        while self.job_queue:  # popleft works for deque and LocalityQueue
-            jobs.append(self.job_queue.popleft())
         self.skips.clear()
-        return jobs
-
-    def _service_parked(self) -> None:
-        if self._quiescing:
-            return
-        still_parked: deque[str] = deque()
-        while self.parked:
-            worker = self.parked.popleft()
-            if not self._try_offer(worker):
-                if self.job_queue:
-                    self.master.send_to_worker(worker, NoWork(worker))
-                else:
-                    still_parked.append(worker)
-        self.parked = still_parked
-        self._parked_set = set(still_parked)
+        return super().export_state()
 
 
-class DelayWorkerPolicy(WorkerPolicy):
-    """Pull loop; always accepts (the *master* does the delaying).
-
-    ``response_timeout_s`` bounds the wait for the master's answer --
-    ``PullRequest``/``NoWork`` are droppable control messages under the
-    message-loss extension, and an unbounded wait deadlocks the worker
-    when either side of the exchange is lost (a shrunk fuzzer reproducer
-    for that stall lives in the check tests).  ``None`` -- the paper's
-    loss-free default -- waits indefinitely.
-    """
-
-    stale_inbound = (NoWork,)
-
-    def __init__(
-        self,
-        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        response_timeout_s: Optional[float] = None,
-    ) -> None:
-        super().__init__()
-        if heartbeat_s <= 0:
-            raise ValueError("heartbeat_s must be positive")
-        if response_timeout_s is not None and response_timeout_s <= 0:
-            raise ValueError("response_timeout_s must be positive")
-        self.heartbeat_s = heartbeat_s
-        self.response_timeout_s = response_timeout_s
-        self._responses: Optional[Store] = None
-
-    def start(self) -> None:
-        self._responses = Store(self.worker.sim)
-        self.worker.sim.process(self._pull_loop(), name=f"{self.worker.name}-puller")
-
-    def on_message(self, message: object) -> bool:
-        if isinstance(message, (JobOffer, NoWork)):
-            self._responses.put(message)
-            return True
-        return False
-
-    def _await_response(self):
-        """Wait for the master's answer, bounded by the loss timeout."""
-        get_event = self._responses.get()
-        if self.response_timeout_s is None:
-            response = yield get_event
-            return response
-        deadline = self.worker.sim.timeout(self.response_timeout_s)
-        outcome = yield AnyOf(self.worker.sim, [get_event, deadline])
-        if get_event in outcome:
-            return outcome[get_event]
-        # Timed out: withdraw the pending get so a late answer cannot be
-        # silently swallowed by an event nothing waits on anymore.
-        get_event.cancel()
-        return None
-
-    def _pull_loop(self):
-        worker = self.worker
-        while True:
-            if not worker.is_idle:
-                yield worker.wait_idle()
-            if not worker.alive or worker.draining:
-                return
-            if worker.policy is not self:
-                # Hot-swapped out: the successor runs its own loop.
-                return
-            worker.send_to_master(PullRequest(worker=worker.name))
-            response = yield from self._await_response()
-            if response is None:
-                # Pull or answer lost in transit: re-pull.
-                continue
-            if isinstance(response, NoWork):
-                yield worker.sim.timeout(self.heartbeat_s)
-                continue
-            job = response.job
-            worker.send_to_master(JobAccept(job=job, worker=worker.name))
-            worker.enqueue(job, worker._default_estimate(job))
-            yield worker.wait_idle()
+class DelayWorkerPolicy(PullWorkerPolicy):
+    """Pulls; always accepts (the *master* does the delaying)."""
 
 
 def make_delay_policy(

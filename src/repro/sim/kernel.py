@@ -45,6 +45,7 @@ from repro.sim.events import (
     _KEY_SHIFT,
     _NORMAL_KEY,
     NORMAL,
+    URGENT,
     Event,
     Timeout,
     _PooledTimeout,
@@ -222,6 +223,23 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay!r}")
         return self.call_at(self._now + delay, callback, *args, handle=handle)
+
+    def call_soon(self, callback: Callable[..., None], *args: Any) -> TimerHandle:
+        """Arm a timer for this instant at URGENT priority: it fires
+        before every NORMAL entry of the instant, in arming order among
+        URGENT ones -- where the first turn of a freshly started
+        :class:`~repro.sim.process.Process` stands, for consumers that
+        are callbacks rather than processes."""
+        handle = TimerHandle()
+        handle.when = self._now
+        handle._callback = callback
+        handle._args = args
+        handle._armed = True
+        heappush(
+            self._heap,
+            (self._now, (URGENT << _KEY_SHIFT) | next(self._seq), handle._gen, handle),
+        )
+        return handle
 
     # -- scheduling --------------------------------------------------------
 
