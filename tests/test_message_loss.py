@@ -174,3 +174,91 @@ class TestBaselineUnderLoss:
         ).run()
         assert plain.makespan_s == with_timeout.makespan_s
         assert plain.cache_misses == with_timeout.cache_misses
+
+
+class TestPullLossTimeout:
+    """The worker's bounded wait for the master's answer, case by case:
+    one worker on a zero-latency broker, the test playing the master."""
+
+    TIMEOUT, HEARTBEAT = 2.0, 0.5
+
+    @pytest.fixture(params=["baseline", "matchmaking", "delay"])
+    def rig(self, request):
+        from conftest import make_worker
+        from repro.engine.messages import TOPIC_MASTER, worker_topic
+
+        sim = Simulator()
+        policy = make_scheduler(
+            request.param, response_timeout_s=self.TIMEOUT, heartbeat_s=self.HEARTBEAT
+        ).make_worker()
+        worker = make_worker(sim, policy=policy)
+        to_master = worker.topology.broker.subscribe(TOPIC_MASTER, "master")
+        heard = []
+
+        def listen():
+            while True:
+                message = yield to_master.get()
+                if not isinstance(message, Hello):
+                    heard.append((sim.now, type(message).__name__))
+
+        sim.process(listen())
+        worker.start()
+
+        def answer(message):
+            worker.topology.broker.publish(worker_topic(worker.name), message)
+
+        return sim, worker, heard, answer
+
+    @staticmethod
+    def offer(compute=10.0):
+        return JobOffer(job=Job(job_id="j", task=TASK_ANALYZER, base_compute_s=compute))
+
+    def test_no_answer_means_a_pull_per_timeout(self, rig):
+        sim, _worker, heard, _answer = rig
+        sim.run(until=5.0)
+        assert heard == [(0.0, "PullRequest"), (2.0, "PullRequest"), (4.0, "PullRequest")]
+
+    def test_answer_in_time_disarms_the_deadline(self, rig):
+        sim, worker, heard, answer = rig
+        sim.call_at(1.0, answer, NoWork(worker.name))
+        sim.run(until=3.0)
+        # Heartbeat after the NoWork, then a fresh pull with a fresh
+        # deadline (3.5): the first pull's deadline (2.0) is dead.
+        assert heard == [(0.0, "PullRequest"), (1.5, "PullRequest")]
+
+    def test_answer_just_ahead_of_the_deadline_at_the_same_instant(self, rig):
+        sim, worker, heard, answer = rig
+        # Armed before the run, so ahead of the deadline in the queue:
+        # the offer is in the worker's inbox when the deadline fires and
+        # reaches the policy before the timed-out turn is taken.  It must
+        # be taken, not swallowed (the process-based loop this replaces
+        # lost exactly this offer, and with it the job).
+        sim.call_at(self.TIMEOUT, answer, self.offer())
+        sim.run(until=5.0)
+        assert heard == [(0.0, "PullRequest"), (2.0, "JobAccept")]
+        assert not worker.is_idle
+
+    def test_answer_just_behind_the_deadline_at_the_same_instant(self, rig):
+        sim, worker, heard, answer = rig
+        # Armed mid-run, so behind the deadline in the queue: the worker
+        # has given up and pulled again by the time it sees the offer,
+        # which then answers that second pull.
+        sim.call_at(1.0, sim.call_at, self.TIMEOUT, answer, self.offer())
+        sim.run(until=5.0)
+        assert heard == [(0.0, "PullRequest"), (2.0, "PullRequest"), (2.0, "JobAccept")]
+        assert not worker.is_idle
+
+    def test_late_answer_serves_the_next_pull(self, rig):
+        sim, worker, heard, answer = rig
+        sim.call_at(2.5, answer, NoWork(worker.name))  # to the pull of t=0
+        sim.call_at(3.2, answer, self.offer(compute=10.0))  # to the pull of t=2
+        sim.run(until=12.0)
+        assert heard == [
+            (0.0, "PullRequest"),
+            (2.0, "PullRequest"),  # first pull timed out
+            (3.0, "PullRequest"),  # late NoWork + one heartbeat
+            (3.2, "JobAccept"),  # late offer answers the third pull
+        ]
+        # ... and neither stale deadline (4.0, 5.0) disturbed the job.
+        sim.run(until=14.0)
+        assert heard[4:] == [(13.2, "JobCompleted"), (13.2, "PullRequest")]

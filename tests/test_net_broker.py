@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net.broker import Broker
+from repro.net.broker import Broker, Mailbox
 from repro.net.topology import Topology, TopologyConfig
 from repro.sim import Simulator
 
@@ -145,6 +145,116 @@ class TestBroker:
             broker.subscribe("t", "w", latency=-0.1)
         with pytest.raises(ValueError):
             Broker(sim, base_latency=-1.0)
+
+
+class TestMailboxOrdering:
+    """An owner-delivered consumer (:class:`Mailbox`) takes its turns
+    exactly where a process parked on ``Subscription.get()`` is resumed:
+    the same script, driven through both, must log the same handling
+    order and instants -- including against same-instant timers."""
+
+    @staticmethod
+    def as_process(sim, broker, sub, log):
+        def loop():
+            while True:
+                message = yield sub.get()
+                log.append((sim.now, "handle", message))
+                if message == "a":
+                    # A message arriving mid-handler, and a timer armed
+                    # by the handler for this very instant.
+                    broker.publish("t", "c")
+                    sim.call_at(sim.now, log.append, (sim.now, "armed by handler"))
+                if message == "d":
+                    # Busy for a while: "e" arrives meanwhile.
+                    yield sim.timeout(0.25)
+                    log.append((sim.now, "done", message))
+
+        sim.process(loop())
+
+    @staticmethod
+    def as_mailbox(sim, broker, sub, log):
+        def handler(message):
+            log.append((sim.now, "handle", message))
+            if message == "a":
+                broker.publish("t", "c")
+                sim.call_at(sim.now, log.append, (sim.now, "armed by handler"))
+            if message == "d":
+                sim.call_later(0.25, done, message)
+                return True
+
+        def done(message):
+            log.append((sim.now, "done", message))
+            sub.owner.next()
+
+        sub.owner = Mailbox(sim, handler)
+        sub.owner.start()
+
+    def script(self, consumer):
+        sim = Simulator()
+        broker = Broker(sim)
+        sub = broker.subscribe("t", "consumer")  # zero latency: delivered in publish
+        log = []
+
+        def note(label):
+            log.append((sim.now, label))
+
+        def burst():
+            # Two deliveries at one instant, interleaved with timers of
+            # that same instant armed before, between and after them.
+            note("burst")
+            sim.call_at(sim.now, note, "timer before a")
+            broker.publish("t", "a")
+            sim.call_at(sim.now, note, "timer between a and b")
+            broker.publish("t", "b")
+            sim.call_at(sim.now, note, "timer after b")
+
+        sim.call_at(0.0, note, "timer armed before the consumer")
+        consumer(sim, broker, sub, log)
+        broker.publish("t", "early")  # before the consumer's first turn
+        sim.call_at(0.0, note, "timer armed after the consumer")
+        sim.call_at(1.0, burst)
+        sim.call_at(2.0, broker.publish, "t", "d")
+        sim.call_at(2.1, broker.publish, "t", "e")
+        sim.call_at(2.25, note, "timer at the instant d is done")
+        sim.run()
+        return log
+
+    def test_same_handling_order_and_instants_as_a_parked_process(self):
+        as_process = self.script(self.as_process)
+        assert self.script(self.as_mailbox) == as_process
+        # And that order is the one the comments above describe.
+        assert as_process == [
+            # "early" is found on the consumer's first turn (URGENT, so
+            # armed after both timers' entries were): handled after both.
+            (0.0, "timer armed before the consumer"),
+            (0.0, "timer armed after the consumer"),
+            (0.0, "handle", "early"),
+            (1.0, "burst"),
+            (1.0, "timer before a"),
+            (1.0, "handle", "a"),
+            (1.0, "timer between a and b"),
+            (1.0, "timer after b"),
+            (1.0, "armed by handler"),
+            (1.0, "handle", "b"),
+            (1.0, "handle", "c"),
+            (2.0, "handle", "d"),
+            (2.25, "timer at the instant d is done"),
+            (2.25, "done", "d"),
+            (2.25, "handle", "e"),
+        ]
+
+    def test_messages_before_start_wait_for_it(self):
+        sim = Simulator()
+        broker = Broker(sim)
+        sub = broker.subscribe("t", "consumer")
+        got = []
+        sub.owner = Mailbox(sim, lambda message: got.append((sim.now, message)))
+        broker.publish("t", "x")
+        sim.run(until=1.0)
+        assert got == [] and len(sub.queue) == 0 and sub.delivered == 1
+        sub.owner.start()
+        sim.run()
+        assert got == [(1.0, "x")]
 
 
 class TestTopology:

@@ -175,6 +175,47 @@ class TestElasticity:
         assert report.scale_downs == 3
 
 
+    @pytest.mark.parametrize("scheduler", ["baseline", "matchmaking", "delay"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_pull_schedulers_give_a_retired_worker_no_new_job(
+        self, scheduler, seed, monkeypatch
+    ):
+        """A draining worker finishes what it holds and gets nothing new.
+        ``delay`` and ``matchmaking`` used to keep a retired worker's
+        parked pull and let it accept an offer that arrived mid-drain
+        (17 and 12 such assignments over these five seeds)."""
+        from repro import run_service
+        from repro.engine.master import Master
+
+        retired_at: dict[str, float] = {}
+        late: list[tuple] = []
+        retire_worker, note_assignment = Master.retire_worker, Master._note_assignment
+
+        def retire(master, name):
+            retire_worker(master, name)
+            retired_at[name] = master.sim.now
+
+        def note(master, job, worker):
+            if worker in retired_at and worker not in master.active_workers:
+                late.append((master.sim.now, job.job_id, worker, retired_at[worker]))
+            note_assignment(master, job, worker)
+
+        monkeypatch.setattr(Master, "retire_worker", retire)
+        monkeypatch.setattr(Master, "_note_assignment", note)
+        report = run_service(
+            scheduler=scheduler,
+            arrival="burst",
+            rate=1.5,
+            seed=seed,
+            duration_s=1500,
+            min_workers=3,
+            max_workers=24,
+        )
+        assert retired_at, "the scenario must scale down at least once"
+        assert late == []
+        assert report.completed == report.admitted
+
+
 class StubService:
     """Minimal stand-in exposing exactly what the autoscaler reads."""
 
