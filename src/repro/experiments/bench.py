@@ -16,6 +16,9 @@ commits and gated in CI:
   bid and its timetable computed from the cost planes),
 * ``bidding_fleet``     -- the paper's scheduler end to end at fleet
   scale: 200 workers x 300 jobs, untraced (jobs/s; gated),
+* ``pull_fleet``        -- the paper's comparator end to end: ``baseline``
+  at 100 workers x 300 jobs, untraced -- some twenty pull / offer /
+  reject messages per job, so this is the message path (jobs/s; gated),
 * ``full_cell``         -- one end-to-end :func:`run_cell` (wall seconds).
 
 Each benchmark reports the *best* of ``repeats`` runs (minimum wall
@@ -46,7 +49,7 @@ GATE_METRIC = "kernel_timeouts"
 #: Every metric the CI regression gate watches (rates, higher better).
 #: Metrics absent from an older committed baseline are skipped, so the
 #: gate tightens automatically once the baseline is regenerated.
-GATE_METRICS = ("kernel_timeouts", "fleet_scan", "bidding_fleet")
+GATE_METRICS = ("kernel_timeouts", "fleet_scan", "bidding_fleet", "pull_fleet")
 
 
 @dataclass(frozen=True)
@@ -256,6 +259,13 @@ def _bench_bidding_fleet() -> int:
     return scale_runtime(200, observed=False).run().jobs_completed
 
 
+def _bench_pull_fleet() -> int:
+    """``baseline`` on the benchmark's fleet shape, 100 workers x 300 jobs."""
+    from repro.experiments.golden import scale_runtime
+
+    return scale_runtime(100, observed=False, scheduler="baseline").run().jobs_completed
+
+
 def _bench_full_cell() -> int:
     """One end-to-end experiment cell (the macro benchmark)."""
     from repro.experiments.runner import CellSpec, run_cell
@@ -314,6 +324,7 @@ def run_benchmarks(quick: bool = False, repeats: int = 3) -> list[BenchResult]:
         # Not shrunk by --quick: 300 jobs is already the smallest run in
         # which the contests, not building 200 workers, set the rate.
         ("bidding_fleet", "jobs/s", _bench_bidding_fleet),
+        ("pull_fleet", "jobs/s", _bench_pull_fleet),
         ("full_cell", "s", _bench_full_cell),
     ]
     results = []
