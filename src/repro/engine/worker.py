@@ -225,7 +225,7 @@ class WorkerNode:
         if self._prefetch_signal is not None and not self._prefetch_signal.triggered:
             self._prefetch_signal.succeed()
 
-    # -- processes ----------------------------------------------------------
+    # -- inbox and processes --------------------------------------------------
 
     def _handle(self, message: object) -> None:
         """One inbox message (the mailbox calls this, one per turn):

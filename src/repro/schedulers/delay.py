@@ -19,16 +19,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.messages import NoWork, PullRequest
-from repro.fleet import HoldingsIndex, LocalityQueue
 from repro.schedulers.base import SchedulerPolicy
-from repro.schedulers.pull import PullMasterPolicy, PullWorkerPolicy
+from repro.schedulers.pull import HoldingsPullMasterPolicy, PullWorkerPolicy
 from repro.workload.job import Job
 
 DEFAULT_MAX_SKIPS = 3
 DEFAULT_HEARTBEAT_S = 1.0
 
 
-class DelayMasterPolicy(PullMasterPolicy):
+class DelayMasterPolicy(HoldingsPullMasterPolicy):
     """Skip-counted locality waiting."""
 
     name = "delay"
@@ -39,31 +38,11 @@ class DelayMasterPolicy(PullMasterPolicy):
             raise ValueError("max_skips must be non-negative")
         self.max_skips = max_skips
         self.skips: dict[str, int] = {}
-        self.holdings: dict[str, set[str]] = {}
-        #: Struct-of-arrays mirror of ``holdings`` (None when the fast
-        #: path is off); drives the vectorised queue locality mask.
-        self._hx: Optional[HoldingsIndex] = None
-
-    def on_fleet_attached(self) -> None:
-        """Runtime wired the fleet mirror: swap in the vectorised queue
-        (before any job arrives); the holdings dict stays authoritative,
-        the index mirrors it."""
-        self._hx = HoldingsIndex()
-        queue = LocalityQueue(self._hx)
-        for job in self.job_queue:
-            queue.append(job)
-        self.job_queue = queue
 
     def on_job(self, job: Job) -> None:
         self.job_queue.append(job)
         self.skips.setdefault(job.job_id, 0)
         self._serve()
-
-    def on_job_completed(self, job: Job, worker: str) -> None:
-        if job.repo_id is not None and worker is not None:
-            self.holdings.setdefault(worker, set()).add(job.repo_id)
-            if self._hx is not None:
-                self._hx.add(worker, job.repo_id)
 
     def on_message(self, message: object) -> bool:
         if isinstance(message, PullRequest):
@@ -78,19 +57,9 @@ class DelayMasterPolicy(PullMasterPolicy):
             return True
         return super().on_message(message)
 
-    def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
-        """Also forget the dead worker's holdings."""
-        self.holdings.pop(worker, None)
-        if self._hx is not None:
-            self._hx.drop_worker(worker)
-        super().on_worker_failed(worker, orphaned)
-
     def _return(self, job: Job) -> None:
         super()._return(job)
         self.skips.setdefault(job.job_id, 0)
-
-    def _local_for(self, worker: str, job: Job) -> bool:
-        return job.repo_id is None or job.repo_id in self.holdings.get(worker, ())
 
     def decision_context(self, job: Job, worker: str) -> tuple:
         """Ledger: a non-local bind can only mean the skip budget ran out."""

@@ -24,48 +24,26 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.messages import NoWork, PullRequest
-from repro.fleet import HoldingsIndex, LocalityQueue
 from repro.schedulers.base import SchedulerPolicy
-from repro.schedulers.pull import PullMasterPolicy, PullWorkerPolicy
+from repro.schedulers.pull import HoldingsPullMasterPolicy, PullWorkerPolicy
 from repro.workload.job import Job
 
 DEFAULT_HEARTBEAT_S = 1.0
 
 
-class MatchmakingMasterPolicy(PullMasterPolicy):
+class MatchmakingMasterPolicy(HoldingsPullMasterPolicy):
     """Locality-filtered offers on first attempt, forced on the second."""
 
     name = "matchmaking"
 
     def __init__(self) -> None:
         super().__init__()
-        #: worker -> repos known to be cached there (built from completions).
-        self.holdings: dict[str, set[str]] = {}
-        #: Struct-of-arrays mirror of ``holdings`` (None when the fast
-        #: path is off); drives the vectorised first-local queue scan.
-        self._hx: Optional[HoldingsIndex] = None
         #: worker -> attempt counter of its latest pull.
         self._attempts: dict[str, int] = {}
-
-    def on_fleet_attached(self) -> None:
-        """Runtime wired the fleet mirror: swap in the vectorised queue
-        (before any job arrives); the holdings dict stays authoritative,
-        the index mirrors it."""
-        self._hx = HoldingsIndex()
-        queue = LocalityQueue(self._hx)
-        for job in self.job_queue:
-            queue.append(job)
-        self.job_queue = queue
 
     def on_job(self, job: Job) -> None:
         self.job_queue.append(job)
         self._serve()
-
-    def on_job_completed(self, job: Job, worker: str) -> None:
-        if job.repo_id is not None and worker is not None:
-            self.holdings.setdefault(worker, set()).add(job.repo_id)
-            if self._hx is not None:
-                self._hx.add(worker, job.repo_id)
 
     def on_message(self, message: object) -> bool:
         if isinstance(message, PullRequest):
@@ -84,18 +62,6 @@ class MatchmakingMasterPolicy(PullMasterPolicy):
                 self._park(worker)
             return True
         return super().on_message(message)
-
-    def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
-        """Also forget the dead worker's holdings: the node's disk is
-        gone; a restarted instance re-announces holdings through future
-        completions."""
-        self.holdings.pop(worker, None)
-        if self._hx is not None:
-            self._hx.drop_worker(worker)
-        super().on_worker_failed(worker, orphaned)
-
-    def _local_for(self, worker: str, job: Job) -> bool:
-        return job.repo_id is None or job.repo_id in self.holdings.get(worker, ())
 
     def decision_context(self, job: Job, worker: str) -> tuple:
         """Ledger: locality per the holdings view distinguishes a

@@ -11,7 +11,8 @@ machine (cycle -> await -> respond) with a per-policy :meth:`accepts`
 rule.  :class:`PullMasterPolicy` holds the master-side bookkeeping that
 does not depend on the match rule: the parked pulls, the offers in
 flight (accepted, bounced, or reclaimed when the offeree dies), the
-retire rule and the quiesce seam.
+retire rule and the quiesce seam; :class:`HoldingsPullMasterPolicy`
+adds the holdings view ``matchmaking`` and ``delay`` match against.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import deque
 from typing import Optional
 
 from repro.engine.messages import JobAccept, JobOffer, JobReject, NoWork, PullRequest
+from repro.fleet import HoldingsIndex, LocalityQueue
 from repro.schedulers.base import MasterPolicy, WorkerPolicy
 from repro.sim.kernel import TimerHandle
 from repro.workload.job import Job
@@ -165,6 +167,48 @@ class PullMasterPolicy(MasterPolicy):
         return jobs
 
 
+class HoldingsPullMasterPolicy(PullMasterPolicy):
+    """A pull master that matches on locality: it learns which worker
+    holds which repository from completions (standing in for the
+    JobTracker's block map) and keeps its queue scannable by it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: worker -> repos known to be cached there (built from completions).
+        self.holdings: dict[str, set[str]] = {}
+        #: Struct-of-arrays mirror of ``holdings`` (None when the fast
+        #: path is off); drives the vectorised queue locality scans.
+        self._hx: Optional[HoldingsIndex] = None
+
+    def on_fleet_attached(self) -> None:
+        """Runtime wired the fleet mirror: swap in the vectorised queue
+        (before any job arrives); the holdings dict stays authoritative,
+        the index mirrors it."""
+        self._hx = HoldingsIndex()
+        queue = LocalityQueue(self._hx)
+        for job in self.job_queue:
+            queue.append(job)
+        self.job_queue = queue
+
+    def on_job_completed(self, job: Job, worker: str) -> None:
+        if job.repo_id is not None and worker is not None:
+            self.holdings.setdefault(worker, set()).add(job.repo_id)
+            if self._hx is not None:
+                self._hx.add(worker, job.repo_id)
+
+    def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
+        """Also forget the dead worker's holdings: the node's disk is
+        gone; a restarted instance re-announces holdings through future
+        completions."""
+        self.holdings.pop(worker, None)
+        if self._hx is not None:
+            self._hx.drop_worker(worker)
+        super().on_worker_failed(worker, orphaned)
+
+    def _local_for(self, worker: str, job: Job) -> bool:
+        return job.repo_id is None or job.repo_id in self.holdings.get(worker, ())
+
+
 class PullWorkerPolicy(WorkerPolicy):
     """The worker side of every pull scheduler, as callbacks.
 
@@ -239,19 +283,19 @@ class PullWorkerPolicy(WorkerPolicy):
             # Dead, scaling down, or hot-swapped out (the successor runs
             # its own machine): pull no more.
             return
-        attempt = self.attempt if self.counts_attempts else 1
-        worker.send_to_master(PullRequest(worker=worker.name, attempt=attempt))
-        sim = worker.sim
+        worker.send_to_master(PullRequest(worker=worker.name, attempt=self.attempt))
         if self._answers:
             self._wake()
-        else:
-            self._awaiting = True
+            return
+        self._awaiting = True
         if self.response_timeout_s is not None:
-            sim.call_later(self.response_timeout_s, self._timed_out, handle=self._deadline)
+            worker.sim.call_later(
+                self.response_timeout_s, self._timed_out, handle=self._deadline
+            )
 
     def _wake(self) -> None:
         """An answer is there for the pull: respond next turn (the turn
-        after, when a deadline is raced)."""
+        after, when a deadline was armed beside it)."""
         self._awaiting = False
         sim = self.worker.sim
         if self.response_timeout_s is None:
@@ -260,10 +304,9 @@ class PullWorkerPolicy(WorkerPolicy):
             sim.call_at(sim.now, sim.call_at, sim.now, self._respond)
 
     def _timed_out(self) -> None:
-        if self._awaiting:
-            self._awaiting = False
-            sim = self.worker.sim
-            sim.call_at(sim.now, self._respond)
+        self._awaiting = False
+        sim = self.worker.sim
+        sim.call_at(sim.now, self._respond)
 
     def _respond(self) -> None:
         worker = self.worker
