@@ -1,22 +1,25 @@
-"""Benchmark: the struct-of-arrays fleet fast path must actually be fast.
+"""Benchmark: the struct-of-arrays fleet planes must actually be fast.
 
-Three gates for :mod:`repro.fleet` (the PR's acceptance criteria):
+Three gates for :mod:`repro.fleet`:
 
 * **scan microbench** -- one (load, name)-rank argmin over a 1k-worker
-  mirror must beat the pure-Python ``min(dict, key=...)`` scan it
+  table must beat the pure-Python ``min(dict, key=...)`` scan it
   replaces by >= 5x (min-of-N timing), while picking the exact same
   winners round for round;
 * **planning speedup** -- BAR and Spark upfront planning over a
-  1k-worker fleet must run >= 3x faster with the fast path on, and the
-  resulting plans/load tables must be *identical* (same dicts, same
-  float bits) -- speed is worthless if it changes a single placement;
-* **full cell** -- a 1k-worker end-to-end cell with the fast path on
-  completes and reports its wall time (informational; macro timings are
-  too machine-sensitive to gate).
+  1k-worker fleet must run >= 3x faster than the scalar planners they
+  replaced (``tests/reference_planners.py``), and the resulting
+  plans/load tables must be *identical* (same placements, same float
+  bits) -- speed is worthless if it changes a single placement;
+* **full cell** -- a 1k-worker end-to-end cell completes and reports its
+  wall time (informational; macro timings are too machine-sensitive to
+  gate).
 """
 
 import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import once
@@ -31,6 +34,12 @@ from repro.schedulers.spark import SparkMasterPolicy
 from repro.workload.generators import job_config_by_name
 from repro.workload.job import Job
 
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_planners import (  # noqa: E402
+    ReferenceBARMasterPolicy,
+    ReferenceSparkMasterPolicy,
+)
+
 FLEET = 1_000
 SCAN_ROUNDS = 2_000
 PLAN_JOBS = 3_000
@@ -43,12 +52,11 @@ PLAN_SPEEDUP_FLOOR = 3.0
 
 class _FakeMaster:
     """Just enough master surface for upfront planning: the fleet name
-    list, the per-run RNG (Spark's executor shuffle) and the ``fleet``
-    attribute whose presence switches the fast path on."""
+    lists and the per-run RNG (Spark's executor shuffle)."""
 
-    def __init__(self, workers, soa, seed=7):
+    def __init__(self, workers, seed=7):
         self.worker_names = list(workers)
-        self.fleet = object() if soa else None
+        self.active_workers = list(workers)
         self.rng = np.random.default_rng(seed)
 
 
@@ -120,7 +128,7 @@ def _soa_scan():
 def fleet_scan_speedup():
     (load, python_picks), python_s = _best_of(_python_scan, 3)
     (table, soa_picks), soa_s = _best_of(_soa_scan, 3)
-    assert soa_picks == python_picks, "the mirror must pick identical winners"
+    assert soa_picks == python_picks, "the table must pick identical winners"
     assert {name: table.get(name) for name in load} == load
     return python_s, soa_s
 
@@ -148,10 +156,10 @@ def test_bench_fleet_scan(benchmark):
 # -- upfront planning ------------------------------------------------------
 
 
-def _plan_bar(soa):
+def _plan_bar(policy_cls):
     workers = _worker_names()
-    policy = BARMasterPolicy(max_adjustments=100)
-    policy.bind(_FakeMaster(workers, soa=soa))
+    policy = policy_cls(max_adjustments=100)
+    policy.bind(_FakeMaster(workers))
     policy.cache_view = _cache_view(workers)
     policy.speed_view = {
         name: (10.0 + (i % 7), 60.0 + (i % 11), 1.0 + 0.01 * (i % 5), 0.2)
@@ -161,26 +169,30 @@ def _plan_bar(soa):
     return policy
 
 
-def _plan_spark(soa):
+def _plan_spark(policy_cls):
     workers = _worker_names()
-    policy = SparkMasterPolicy()
-    policy.bind(_FakeMaster(workers, soa=soa))
+    policy = policy_cls()
+    policy.bind(_FakeMaster(workers))
     policy.cache_view = _cache_view(workers)
     policy.on_upfront_jobs(_plan_jobs())
     return policy
 
 
 def planning_speedup():
-    bar_off, bar_off_s = _best_of(lambda: _plan_bar(soa=False), 2)
-    bar_on, bar_on_s = _best_of(lambda: _plan_bar(soa=True), 2)
-    spark_off, spark_off_s = _best_of(lambda: _plan_spark(soa=False), 2)
-    spark_on, spark_on_s = _best_of(lambda: _plan_spark(soa=True), 2)
+    bar_off, bar_off_s = _best_of(lambda: _plan_bar(ReferenceBARMasterPolicy), 2)
+    bar_on, bar_on_s = _best_of(lambda: _plan_bar(BARMasterPolicy), 2)
+    spark_off, spark_off_s = _best_of(
+        lambda: _plan_spark(ReferenceSparkMasterPolicy), 2
+    )
+    spark_on, spark_on_s = _best_of(lambda: _plan_spark(SparkMasterPolicy), 2)
     # Identity first: same placements, same float bits, same counts.
     assert bar_on._plan == bar_off._plan
-    assert bar_on._load == bar_off._load
+    load, counts = bar_on._load, spark_on._counts
+    assert {n: float(load.get(n)) for n in load.names} == bar_off._load
     assert bar_on.adjustments == bar_off.adjustments
     assert spark_on._plan == spark_off._plan
-    assert spark_on._planned_counts == spark_off._planned_counts
+    assert counts.names == spark_off._order
+    assert {n: int(counts.get(n)) for n in counts.names} == spark_off._planned_counts
     return {
         "bar": (bar_off_s, bar_on_s),
         "spark": (spark_off_s, spark_on_s),
@@ -231,11 +243,11 @@ def full_cell_1k():
     )
     start = time.perf_counter()
     result = runtime.run()
-    return result, time.perf_counter() - start, runtime.fleet
+    return result, time.perf_counter() - start
 
 
 def test_bench_full_cell_1k(benchmark):
-    result, wall_s, fleet = once(benchmark, full_cell_1k)
+    result, wall_s = once(benchmark, full_cell_1k)
     print()
     print(
         json.dumps(
@@ -249,5 +261,4 @@ def test_bench_full_cell_1k(benchmark):
             sort_keys=True,
         )
     )
-    assert fleet is not None, "fast path should be on by default"
     assert result.jobs_completed > 0

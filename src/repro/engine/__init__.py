@@ -14,9 +14,10 @@ messaging instance.
 * :mod:`repro.engine.messages` -- the wire protocol,
 * :mod:`repro.engine.worker`   -- the worker runtime,
 * :mod:`repro.engine.master`   -- the master runtime,
-* :mod:`repro.engine.runtime`  -- assembly + single-run driver,
-* :mod:`repro.engine.threaded` -- a real-time threaded runtime for the
-  runnable examples (same API, wall-clock execution).
+* :mod:`repro.engine.runtime`  -- assembly + single-run driver.
+
+Real (wall-clock, multi-process) execution of the same decisions lives
+in :mod:`repro.exec`.
 """
 
 from repro.engine.master import Master

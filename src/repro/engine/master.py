@@ -39,6 +39,7 @@ from repro.engine.messages import (
     worker_topic,
 )
 from repro.faults.plan import RecoveryConfig
+from repro.fleet import FleetState, JobAgeTable
 from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
 from repro.net.topology import Topology
@@ -56,8 +57,9 @@ class Master:
 
     Parameters
     ----------
-    sim, topology, metrics:
-        Shared run infrastructure.
+    sim, topology, metrics, fleet:
+        Shared run infrastructure; the membership methods below keep
+        the fleet's active plane equal to :attr:`active_workers`.
     pipeline:
         The workflow graph used to expand completions into child jobs.
     policy:
@@ -95,6 +97,7 @@ class Master:
         worker_names: list[str],
         stream: Optional[JobStream],
         metrics: MetricsCollector,
+        fleet: FleetState,
         rng: Optional[np.random.Generator] = None,
         fault_tolerance: bool = False,
         recovery: Optional[RecoveryConfig] = None,
@@ -106,6 +109,7 @@ class Master:
         self.pipeline = pipeline
         self.policy = policy
         self.metrics = metrics
+        self.fleet = fleet
         self.stream = stream
         self.rng = rng if rng is not None else np.random.default_rng(0)
         if recovery is None and fault_tolerance:
@@ -118,6 +122,8 @@ class Master:
         self.inbox.owner = Mailbox(sim, self._handle)
         self.worker_names = list(worker_names)
         self.active_workers: list[str] = list(worker_names)
+        for name in worker_names:
+            fleet.on_join(name)
         self.outstanding = 0
         self.intake_done = False
         #: Fires when the workflow has fully completed.
@@ -144,16 +150,9 @@ class Master:
         self.failed_jobs: dict[str, str] = {}
         self._completed_ids: set[str] = set()
         self._redispatch_counts: dict[str, int] = {}
-        #: job_id -> (job, worker, assigned_at) for in-flight assignments;
-        #: feeds orphan recovery and the straggler monitor.
-        self._assigned_at: dict[str, tuple[Job, str, float]] = {}
-        #: Optional struct-of-arrays fleet mirror (see :mod:`repro.fleet`);
-        #: attached by the runtime when the fast path is enabled.  The
-        #: membership methods below keep its active plane in sync, and
-        #: :attr:`_age` mirrors ``_assigned_at`` for the vectorised
-        #: straggler scan.
-        self.fleet = None
-        self._age = None
+        #: In-flight assignments (job, worker, assigned-at); feeds orphan
+        #: recovery and the straggler monitor.
+        self._assigned_at = JobAgeTable()
         #: Re-armed straggler-scan timer (set in :meth:`start` when the
         #: recovery policy enables a re-dispatch timeout).
         self._straggler_timer = None
@@ -211,9 +210,7 @@ class Master:
         if worker not in self.worker_names:
             raise ValueError(f"assignment to unknown worker {worker!r}")
         self.assignments[job.job_id] = worker
-        self._assigned_at[job.job_id] = (job, worker, self.sim.now)
-        if self._age is not None:
-            self._age.add(job.job_id, job, worker, self.sim.now)
+        self._assigned_at.add(job.job_id, job, worker, self.sim.now)
         self.metrics.job_assigned(self.sim.now, job, worker)
         if self.monitor is not None:
             self.monitor.on_assigned(job.job_id, worker, self.sim.now)
@@ -223,33 +220,6 @@ class Master:
             self.obs.ledger.note(self, job, worker, self.sim.now)
         for listener in self.assignment_listeners:
             listener(job, worker, self.sim.now)
-
-    def _drop_assignment(self, job_id: str) -> None:
-        self._assigned_at.pop(job_id, None)
-        if self._age is not None:
-            self._age.remove(job_id)
-
-    def attach_fleet(self, fleet) -> None:
-        """Install the struct-of-arrays mirror (runtime wiring).
-
-        Seeds the active plane from the current membership and arms the
-        :class:`~repro.fleet.JobAgeTable` mirror of ``_assigned_at``.
-        """
-        from repro.fleet import JobAgeTable
-
-        self.fleet = fleet
-        self._age = JobAgeTable()
-        for job_id, (job, worker, at) in self._assigned_at.items():
-            self._age.add(job_id, job, worker, at)
-        for name in self.worker_names:
-            fleet.ensure_worker(name)
-        for name in self.active_workers:
-            fleet.on_join(name)
-        # Policies bind before the runtime wires the fleet, so give them
-        # a post-attach hook to swap in their own mirrors.
-        hook = getattr(self.policy, "on_fleet_attached", None)
-        if hook is not None:
-            hook()
 
     def send_to_worker(self, worker: str, message: object) -> None:
         """Point-to-point message to one worker (persistent delivery for
@@ -283,8 +253,7 @@ class Master:
             raise ValueError(f"worker {name!r} already registered")
         self.worker_names.append(name)
         self.active_workers.append(name)
-        if self.fleet is not None:
-            self.fleet.on_join(name)
+        self.fleet.on_join(name)
         self.metrics.worker_joined(self.sim.now, name)
         self.policy.on_worker_joined(name)
 
@@ -299,8 +268,7 @@ class Master:
         if name not in self.active_workers:
             raise ValueError(f"worker {name!r} is not active")
         self.active_workers.remove(name)
-        if self.fleet is not None:
-            self.fleet.on_retire(name)
+        self.fleet.on_retire(name)
         self.metrics.worker_retired(self.sim.now, name)
         self.policy.on_worker_retired(name)
 
@@ -315,8 +283,7 @@ class Master:
         if name in self.active_workers:
             raise ValueError(f"worker {name!r} is already active")
         self.active_workers.append(name)
-        if self.fleet is not None:
-            self.fleet.on_join(name)
+        self.fleet.on_join(name)
         self.metrics.worker_restarted(self.sim.now, name)
         self.policy.on_worker_joined(name)
 
@@ -334,10 +301,6 @@ class Master:
         self.policy = policy
         self._stale_ok = tuple(stale_ok)
         policy.bind(self)
-        if self.fleet is not None:
-            hook = getattr(policy, "on_fleet_attached", None)
-            if hook is not None:
-                hook()
         policy.start()
 
     def arbitrary_worker(self) -> str:
@@ -450,7 +413,7 @@ class Master:
             self.metrics.duplicate_suppressed(self.sim.now, job, message.worker)
             return
         self._completed_ids.add(job.job_id)
-        self._drop_assignment(job.job_id)
+        self._assigned_at.remove(job.job_id)
         if self.obs is not None:
             self.obs.completion_ctx(job.job_id, message.ctx)
         children = self.pipeline.on_completion(job)
@@ -480,8 +443,7 @@ class Master:
     def _on_worker_failure(self, message: WorkerFailure) -> None:
         if message.worker in self.active_workers:
             self.active_workers.remove(message.worker)
-            if self.fleet is not None:
-                self.fleet.on_fail(message.worker)
+            self.fleet.on_fail(message.worker)
         orphans = [
             job
             for job in message.orphaned
@@ -513,7 +475,7 @@ class Master:
 
     def _recover_orphan(self, job: Job, worker: Optional[str]) -> None:
         """Re-dispatch an orphan through the policy, within the budget."""
-        self._drop_assignment(job.job_id)
+        self._assigned_at.remove(job.job_id)
         if job.job_id in self._completed_ids or job.job_id in self.failed_jobs:
             return
         attempts = self._redispatch_counts.get(job.job_id, 0)
@@ -553,7 +515,7 @@ class Master:
         if job.job_id in self.failed_jobs or job.job_id in self._completed_ids:
             return
         self.failed_jobs[job.job_id] = reason
-        self._drop_assignment(job.job_id)
+        self._assigned_at.remove(job.job_id)
         self.metrics.job_failed(self.sim.now, job, reason)
         if self.monitor is not None:
             self.monitor.on_failed(job.job_id, self.sim.now)
@@ -572,17 +534,7 @@ class Master:
         """
         timeout = self.recovery.redispatch_timeout_s
         now = self.sim.now
-        if self._age is not None:
-            # Vectorised scan over the age-table mirror -- same float
-            # comparison, same insertion order as the dict walk below.
-            overdue = self._age.overdue(now, timeout)
-        else:
-            overdue = [
-                (job, worker)
-                for job, worker, at in list(self._assigned_at.values())
-                if now - at >= timeout
-            ]
-        for job, worker in overdue:
+        for job, worker in self._assigned_at.overdue(now, timeout):
             self.metrics.job_orphaned(now, job, worker)
             if self.monitor is not None:
                 self.monitor.on_orphaned(job.job_id, now)

@@ -33,7 +33,7 @@ from repro.engine.master import Master
 from repro.engine.worker import WorkerNode
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.fleet import FleetState, soa_enabled
+from repro.fleet import FleetState
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import RunResult
 from repro.net.bandwidth import FairSharePipe
@@ -140,6 +140,7 @@ def build_worker_node(
     metrics: MetricsCollector,
     pipeline: Pipeline,
     config: EngineConfig,
+    fleet: FleetState,
     noise_rng,
     origin=None,
     initial_cache: Optional[dict[str, float]] = None,
@@ -174,6 +175,7 @@ def build_worker_node(
         cache=cache,
         policy=scheduler.make_worker(),
         metrics=metrics,
+        fleet=fleet,
         pipeline=pipeline,
         prefetch=config.prefetch,
     )
@@ -211,9 +213,11 @@ def restart_worker(host, name: str) -> WorkerNode:
     dead node's mailbox (so its dead-letter bounce stops shadowing the
     replacement), wires a fresh node -- warm cache if the fault plan
     keeps it -- re-admits the name via :meth:`Master.revive_worker`, and
-    starts the node.  The noise RNG substream is memoized per worker
-    name, so the replacement continues the same stream and the run stays
-    seed-deterministic.
+    starts the node.  The fresh node takes the dead one's fleet slot,
+    resetting its count/liveness planes and re-syncing the cache row
+    (warm or cold per the fault plan).  The noise RNG substream is
+    memoized per worker name, so the replacement continues the same
+    stream and the run stays seed-deterministic.
     """
     old = host.workers[name]
     host.topology.broker.unsubscribe(old.inbox)
@@ -227,6 +231,7 @@ def restart_worker(host, name: str) -> WorkerNode:
         host.metrics,
         host.pipeline,
         host.config,
+        host.fleet,
         noise_rng=host._streams.get("noise", name),
         origin=host._origin,
         initial_cache=old.cache.contents() if keep_cache else None,
@@ -234,12 +239,6 @@ def restart_worker(host, name: str) -> WorkerNode:
         obs=getattr(host, "obs", None),
     )
     host.workers[name] = node
-    fleet = getattr(host, "fleet", None)
-    if fleet is not None:
-        # Re-attach the fresh node under the same slot: resets the
-        # counts/liveness planes and re-syncs the cache row (warm or
-        # cold per the fault plan).
-        fleet.attach_node(node)
     host.master.revive_worker(name)
     node.start()
     policy = host._master_policy
@@ -350,6 +349,8 @@ class WorkflowRuntime:
             origin.obs_label = "origin"
         self._origin = origin
 
+        #: The fleet planes every decision reads (see :mod:`repro.fleet`).
+        self.fleet = FleetState()
         self.workers: dict[str, WorkerNode] = {}
         for spec in profile.specs:
             self.workers[spec.name] = build_worker_node(
@@ -360,6 +361,7 @@ class WorkflowRuntime:
                 self.metrics,
                 self.pipeline,
                 self.config,
+                self.fleet,
                 noise_rng=streams.get("noise", spec.name),
                 origin=origin,
                 initial_cache=(initial_caches or {}).get(spec.name),
@@ -377,19 +379,11 @@ class WorkflowRuntime:
             worker_names=[spec.name for spec in profile.specs],
             stream=stream,
             metrics=self.metrics,
+            fleet=self.fleet,
             rng=streams.get("master"),
             fault_tolerance=self.config.fault_tolerance,
             recovery=faults.recovery if faults is not None else None,
         )
-        #: Struct-of-arrays fleet mirror (see :mod:`repro.fleet`), or
-        #: ``None`` when ``REPRO_FLEET_SOA=0`` pins the per-object path.
-        #: Policies reach it through ``master.fleet`` to decide whether
-        #: their vectorised scans are on.
-        self.fleet: Optional[FleetState] = FleetState() if soa_enabled() else None
-        if self.fleet is not None:
-            self.master.attach_fleet(self.fleet)
-            for node in self.workers.values():
-                self.fleet.attach_node(node)
         if self.monitor is not None:
             self.master.monitor = self.monitor
             self.monitor.recovery_enabled = self.master.recovery is not None
@@ -422,35 +416,17 @@ class WorkflowRuntime:
     def _register_probes(self) -> None:
         """Register the standard workflow gauges on the obs recorder.
 
-        Lambdas resolve workers by *name* through ``self.workers``, so
-        restart-swapped nodes are picked up automatically (mirrors the
-        fault injector's read-at-action-time contract).
+        Worker gauges read the fleet planes by slot; a restarted node
+        reports into its predecessor's slot, so they stay current.
         """
         probes = self.obs.probes
         master = self.master
         fleet = self.fleet
         probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
         probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        if fleet is not None:
-            # One vectorised count over the mirror planes instead of a
-            # per-worker Python walk each sample.
-            probes.register("fleet.busy", fleet.busy_count, unit="workers")
-            probes.register("links.busy", fleet.link_busy_count, unit="links")
-        else:
-            probes.register(
-                "fleet.busy",
-                lambda: sum(
-                    1 for w in self.workers.values() if w.alive and not w.is_idle
-                ),
-                unit="workers",
-            )
-            probes.register(
-                "links.busy",
-                lambda: sum(
-                    1 for w in self.workers.values() if w.alive and w.machine.link.busy
-                ),
-                unit="links",
-            )
+        # One vectorised count over the planes per sample.
+        probes.register("fleet.busy", fleet.busy_count, unit="workers")
+        probes.register("links.busy", fleet.link_busy_count, unit="links")
         policy = self._master_policy
         if hasattr(policy, "in_flight"):
             probes.register(
@@ -465,35 +441,20 @@ class WorkflowRuntime:
             probes.register(
                 "origin.active", lambda: origin.active_count, unit="transfers"
             )
-        if fleet is not None:
-            # Vector probe groups: the whole fleet's queue depths and
-            # busy flags in one array gather per sample instead of a
-            # per-worker lambda walk (restart-swapped nodes report into
-            # the same slot, so the gather stays current).
-            names = list(self.workers)
-            slots = np.array([fleet.slot_of(name) for name in names], dtype=np.intp)
-            probes.register_vector(
-                [f"worker.{name}.queue" for name in names],
-                lambda: fleet.queued_values(slots),
-                unit="jobs",
-            )
-            probes.register_vector(
-                [f"worker.{name}.busy" for name in names],
-                lambda: fleet.busy_values(slots),
-            )
-        else:
-            for name in self.workers:
-                probes.register(
-                    f"worker.{name}.queue",
-                    lambda name=name: self.workers[name].queued_count,
-                    unit="jobs",
-                )
-                probes.register(
-                    f"worker.{name}.busy",
-                    lambda name=name: int(
-                        self.workers[name].alive and not self.workers[name].is_idle
-                    ),
-                )
+        # Vector probe groups: the whole fleet's queue depths and busy
+        # flags in one array gather per sample (restart-swapped nodes
+        # report into the same slot, so the gather stays current).
+        names = list(self.workers)
+        slots = np.array([fleet.slot_of(name) for name in names], dtype=np.intp)
+        probes.register_vector(
+            [f"worker.{name}.queue" for name in names],
+            lambda: fleet.queued_values(slots),
+            unit="jobs",
+        )
+        probes.register_vector(
+            [f"worker.{name}.busy" for name in names],
+            lambda: fleet.busy_values(slots),
+        )
 
     # -- execution ----------------------------------------------------------
 

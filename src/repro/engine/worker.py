@@ -35,6 +35,7 @@ from repro.engine.messages import (
     is_reliable,
     worker_topic,
 )
+from repro.fleet import FleetState
 from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
 from repro.net.topology import Topology
@@ -54,8 +55,10 @@ class WorkerNode:
 
     Parameters
     ----------
-    sim, topology, metrics:
-        Shared run infrastructure.
+    sim, topology, metrics, fleet:
+        Shared run infrastructure.  The node reports its counts to the
+        fleet planes *absolutely* at every seam, so they can never drift
+        from its own counters.
     machine:
         The simulated hardware (owns the spec).
     cache:
@@ -74,6 +77,7 @@ class WorkerNode:
         cache: WorkerCache,
         policy: "WorkerPolicy",
         metrics: MetricsCollector,
+        fleet: FleetState,
         pipeline: Optional[Pipeline] = None,
         prefetch: bool = False,
     ) -> None:
@@ -122,12 +126,6 @@ class WorkerNode:
         #: Optional observability recorder (see :mod:`repro.obs`);
         #: attached by the runtime when ``EngineConfig.obs`` is set.
         self.obs = None
-        #: Optional struct-of-arrays fleet mirror (see :mod:`repro.fleet`);
-        #: wired by the runtime via :meth:`FleetState.attach_node`.  The
-        #: node reports *absolute* counts at every seam so the mirror can
-        #: never drift from its own counters.
-        self.fleet = None
-        self.fleet_slot = -1
         #: job_id -> span context from the Assignment, echoed on completion.
         self._assign_ctxs: dict[str, object] = {}
         #: Message types tolerated (dropped with a trace record) when the
@@ -135,6 +133,8 @@ class WorkerNode:
         #: in-flight control traffic after a hot-swap.  Empty outside
         #: swaps, so the unhandled-message error stays strict.
         self._stale_ok: tuple[type, ...] = ()
+        self.fleet = fleet
+        self.fleet_slot = fleet.attach_node(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -220,8 +220,7 @@ class WorkerNode:
         self.unfinished[job.job_id] = estimated_cost
         self._outstanding_jobs += 1
         self.queue.put(job)
-        if self.fleet is not None:
-            self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
+        self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
         if self._prefetch_signal is not None and not self._prefetch_signal.triggered:
             self._prefetch_signal.succeed()
 
@@ -284,10 +283,7 @@ class WorkerNode:
         while True:
             job = yield self.queue.get()
             self.current_job = job
-            if self.fleet is not None:
-                self.fleet.report(
-                    self.fleet_slot, self._outstanding_jobs, len(self.queue)
-                )
+            self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
             self.policy.on_state_changed((job.repo_id,))
             started = self.sim.now
             self.metrics.job_started(started, job, self.name)
@@ -308,10 +304,7 @@ class WorkerNode:
             self.current_job = None
             self._outstanding_jobs -= 1
             self.unfinished.pop(job.job_id, None)
-            if self.fleet is not None:
-                self.fleet.report(
-                    self.fleet_slot, self._outstanding_jobs, len(self.queue)
-                )
+            self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
             self.policy.on_job_finished(job, elapsed)
             ctx = None
             if self.obs is not None:
@@ -467,10 +460,7 @@ class WorkerNode:
             if self.monitor is not None:
                 self.monitor.on_migration_checkpoint(job.job_id, self.name, now)
         if taken:
-            if self.fleet is not None:
-                self.fleet.report(
-                    self.fleet_slot, self._outstanding_jobs, len(self.queue)
-                )
+            self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
             self.policy.on_state_changed([job.repo_id for job in taken])
             if self.is_idle:
                 self._wake_idle_waiters()
@@ -525,9 +515,8 @@ class WorkerNode:
         self.queue.items.clear()
         self.unfinished.clear()
         self._outstanding_jobs = 0
-        if self.fleet is not None:
-            self.fleet.report(self.fleet_slot, 0, 0)
-            self.fleet.set_alive(self.fleet_slot, False)
+        self.fleet.report(self.fleet_slot, 0, 0)
+        self.fleet.set_alive(self.fleet_slot, False)
         if self._exec_proc is not None and self._exec_proc.is_alive:
             if self.current_job is not None:
                 self._exec_proc.interrupt("worker-killed")

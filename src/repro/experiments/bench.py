@@ -10,7 +10,7 @@ commits and gated in CI:
 * ``pipe_churn``        -- fair-share pipe transfer starts+finishes (ops/s),
 * ``broker_fanout``     -- pub/sub message deliveries (deliveries/s),
 * ``fleet_scan``        -- struct-of-arrays scheduler selection scans
-  over a 1k-worker fleet mirror (scans/s; see :mod:`repro.fleet`),
+  over a 1k-worker load table (scans/s; see :mod:`repro.fleet`),
 * ``contest_open_200`` / ``contest_open_400`` -- columnar bidding
   contests opened per second with 200 / 400 invited workers (every
   bid and its timetable computed from the cost planes),
@@ -41,10 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 SCHEMA_VERSION = 1
-
-#: The primary metric the CI regression gate watches (kept for
-#: backwards compatibility with older baselines/reports).
-GATE_METRIC = "kernel_timeouts"
 
 #: Every metric the CI regression gate watches (rates, higher better).
 #: Metrics absent from an older committed baseline are skipped, so the
@@ -210,10 +206,10 @@ def _bench_broker_fanout(publishes: int, subscribers: int) -> int:
 def _bench_fleet_scan(workers: int, rounds: int) -> int:
     """Struct-of-arrays scheduler selection scans over a big fleet.
 
-    One round = one (load, name)-rank argmin over the fleet mirror --
+    One round = one (load, name)-rank argmin over a load table --
     alternating full-domain and holder-masked, the two shapes every
-    centralized scheduler pick takes with the fast path on -- plus the
-    winner's accumulator update.
+    centralized scheduler pick takes -- plus the winner's accumulator
+    update.
     """
     import numpy as np
 

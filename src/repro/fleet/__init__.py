@@ -1,12 +1,12 @@
-"""Struct-of-arrays fleet-state mirrors (the scheduling fast path).
+"""Struct-of-arrays fleet state: the one view schedulers decide over.
 
-See :mod:`repro.fleet.soa` for the design; ARCHITECTURE.md §12 for the
-layout, mutation seams, and the tie-break/bit-identity rules every
-consumer must follow.  ``REPRO_FLEET_SOA=0`` disables the fast path.
+See :mod:`repro.fleet.soa` for the design (the planes are the state;
+the workers' own counters and caches feed them at the seams);
+ARCHITECTURE.md §12 for the layout, mutation seams, and the
+tie-break/bit-identity rules every consumer must follow.
 """
 
 from repro.fleet.soa import (
-    SOA_ENV,
     BidPlanes,
     BitMatrix,
     FleetState,
@@ -18,12 +18,9 @@ from repro.fleet.soa import (
     argmax_value_rank,
     argmin_value_rank,
     name_ranks,
-    soa_enabled,
 )
 
 __all__ = [
-    "SOA_ENV",
-    "soa_enabled",
     "name_ranks",
     "argmin_value_rank",
     "argmax_value_rank",

@@ -1,29 +1,33 @@
-"""Vectorized fleet state: a numpy struct-of-arrays fast path.
+"""Vectorized fleet state: numpy struct-of-arrays planes.
 
-Every allocation decision in the engine used to walk per-object Python
-state: schedulers scanned ``dict``/``set`` views worker-by-worker, the
-master's straggler tick iterated all outstanding assignments, and the
-observability probes re-walked the fleet each sample.  That per-worker
-Python cost is what caps a cell at a few thousand workers (ROADMAP
-item 2).  This module mirrors the hot state into flat numpy arrays --
-struct-of-arrays, one plane per field -- so the scans become single
+Every allocation decision in the engine reads one view of the fleet --
+who is idle, who holds which repository, who is loaded how.  Walking
+per-object Python state for it (schedulers scanning ``dict``/``set``
+views worker-by-worker, the master's straggler tick iterating all
+outstanding assignments, the observability probes re-walking the fleet
+each sample) is what caps a cell at a few thousand workers (ROADMAP
+item 2).  This module keeps that view in flat numpy arrays --
+struct-of-arrays, one plane per field -- so the scans are single
 vectorised C operations.
 
 Design rules (the bit-identity discipline of PR 3 applies throughout):
 
-* **Per-object state stays authoritative.**  The arrays are *mirrors*,
-  maintained incrementally off the existing mutation seams (worker
-  join/retire/fail, cache insert/evict, job enqueue/start/finish);
-  they are never rebuilt per event.  ``REPRO_FLEET_SOA=0`` disables the
-  mirrors entirely and every consumer falls back to its original
-  Python scan -- both paths must produce bit-identical metrics.
+* **The planes are the state.**  Every runtime builds a
+  :class:`FleetState`; master and workers take it at construction.
+  What a scheduler or the master asks of the fleet (assignment ages,
+  holdings, planner loads and counts, the pull queue's locality) lives
+  in exactly one structure here, and the workers' own counters and
+  caches feed the shared planes at the seams (worker join/retire/fail,
+  cache insert/evict, job enqueue/start/finish), always as absolute
+  values; nothing is rebuilt per event.
 * **float64 == Python float.**  numpy float64 arithmetic is IEEE-754
-  double, the same as Python's ``float``; mirroring ``load[w] += cost``
-  as ``values[i] += cost`` yields the identical bit pattern, so argmin
-  over the array selects the same worker as ``min`` over the dict.
-  What is *not* allowed is reassociating operations (e.g. settling one
-  subtraction as two): only element-wise ports of the original op
-  sequence preserve bit-identity.
+  double, the same as Python's ``float``; ``values[i] += cost`` yields
+  the bit pattern ``load[w] += cost`` over a dict would, so argmin over
+  the array selects the same worker as ``min`` over such a dict (the
+  scalar planners kept as ``tests/reference_planners.py`` are the
+  oracle).  What is *not* allowed is reassociating operations (e.g.
+  settling one subtraction as two): only element-wise ports of the
+  original op sequence preserve bit-identity.
 * **Tie-breaks are explicit.**  ``min(..., key=lambda w: (value, w))``
   breaks ties by *name*; ``min(enumerate(...))`` breaks by *position*.
   The helpers here implement both exactly: name ties resolve through a
@@ -33,27 +37,12 @@ Design rules (the bit-identity discipline of PR 3 applies throughout):
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.job import Job
-
-#: Environment switch for the fast path.  Default on; ``0``/``false``/
-#: ``off``/``no`` fall back to the per-object Python scans everywhere.
-SOA_ENV = "REPRO_FLEET_SOA"
-
-
-def soa_enabled() -> bool:
-    """Whether the struct-of-arrays fast path is enabled (default yes)."""
-    return os.environ.get(SOA_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
 
 
 # -- tie-break helpers -----------------------------------------------------
@@ -207,7 +196,7 @@ class BitMatrix:
         return {repo for repo, column in self.repo_cols.items() if bits[column]}
 
 
-# -- the shared fleet mirror -----------------------------------------------
+# -- the shared fleet planes -----------------------------------------------
 
 
 class _CacheObserver:
@@ -230,7 +219,7 @@ class _CacheObserver:
 
 
 class FleetState:
-    """The struct-of-arrays mirror of fleet-wide hot state.
+    """The struct-of-arrays planes of fleet-wide hot state.
 
     One slot per worker *name*, append-only (a restarted worker reuses
     its slot); planes are flat arrays indexed by slot:
@@ -242,7 +231,7 @@ class FleetState:
         retire/failure, restored on revive).
     ``outstanding`` / ``queued``
         the worker's accepted-unfinished count and FIFO depth, reported
-        absolutely at every enqueue/start/finish seam so the mirror can
+        absolutely at every enqueue/start/finish seam so the planes can
         never drift from the node's own counters.
     ``link_busy``
         whether any transfer holds or waits on the worker's link.
@@ -303,7 +292,9 @@ class FleetState:
     # -- node seams -------------------------------------------------------
 
     def attach_node(self, node) -> int:
-        """Wire a (possibly restarted) worker node into the mirror.
+        """Wire a (possibly restarted) worker node into the planes
+        (:class:`~repro.engine.worker.WorkerNode` calls this as it is
+        built) and return its slot.
 
         Resets the slot's node-side planes from the node's actual state
         -- counts, liveness, cache contents (warm restarts preload
@@ -311,8 +302,6 @@ class FleetState:
         and link observers so subsequent mutations stream in.
         """
         slot = self.ensure_worker(node.name)
-        node.fleet = self
-        node.fleet_slot = slot
         self.alive[slot] = node.alive
         self.outstanding[slot] = node._outstanding_jobs
         self.queued[slot] = len(node.queue)
@@ -367,7 +356,7 @@ class FleetState:
 
         Returns ``(name, queued, outstanding, holds_repo, link_busy)``
         per name; ``holds_repo`` is against the *live* cache plane
-        (``True`` for repo-less jobs), and names the mirror has never
+        (``True`` for repo-less jobs), and names the planes have never
         seen yield all-``None`` facts.  Pure gathers -- no plane is
         touched, so ledger-on runs stay bit-identical to ledger-off.
         """
@@ -405,11 +394,12 @@ class BidPlanes:
     of running one process per worker.  One append-only row per bidder
     *incarnation* -- a restarted or hot-swapped-in worker registers a
     fresh row, so nothing of a dead incarnation is inherited -- in
-    announce-subscription order.  Like :class:`FleetState` the planes
-    are mirrors: each row is written by the worker's own scalar code
-    (its ``CostEstimator``) at the worker's mutation seams, always as an
-    absolute value and never as a ``+=`` delta, so a cell holds exactly
-    the float the per-object code would have computed at that instant.
+    announce-subscription order.  Like :class:`FleetState`'s, the planes
+    are fed at the seams: each row is written by the worker's own scalar
+    code (its ``CostEstimator``) at the worker's mutation seams, always
+    as an absolute value and never as a ``+=`` delta, so a cell holds
+    exactly the float the per-object code would have computed at that
+    instant.
 
     ``announce_delay`` / ``compute_s``
         broker leg to the bidder and the time its bid takes to compute.
@@ -502,14 +492,15 @@ class BidPlanes:
 
 
 class LoadTable:
-    """A mirror of a ``{worker: value}`` table with vectorised argmin.
+    """An ordered ``{worker: value}`` table with vectorised argmin.
 
-    Backs the planner policies' per-worker accumulators (BAR's float
-    load estimates, Spark's integer planned counts).  The policy's dict
-    stays authoritative; every dict mutation is mirrored here through
-    the same scalar operation, so the float64 cells hold bit-identical
-    values and ``argmin_name``/``argmax_name`` select exactly the worker
-    the original ``min``/``max`` over the dict selected.
+    The planner policies' per-worker accumulators (BAR's float load
+    estimates, Spark's integer planned counts).  Names keep their
+    insertion order through removals, as a dict's keys do; every cell
+    sees the scalar operation a dict entry would, so the float64 cells
+    hold the bit-identical values and ``argmin_name``/``argmax_name``/
+    ``argmin_first`` select exactly the worker ``min``/``max`` over such
+    a dict selects.
     """
 
     def __init__(self, dtype=np.float64) -> None:
@@ -526,7 +517,7 @@ class LoadTable:
         return name in self.index
 
     def reset(self, table: dict[str, float]) -> None:
-        """Rebuild the mirror from an authoritative dict (plan start)."""
+        """Replace the contents with ``table``'s, in its order."""
         self.names = list(table)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.values = np.fromiter(
@@ -535,7 +526,7 @@ class LoadTable:
         self._ranks_stale = True
 
     def ensure(self, name: str, value) -> None:
-        """Add ``name`` (no-op if present, mirroring ``dict.setdefault``)."""
+        """Append ``name`` (no-op if present, as ``dict.setdefault``)."""
         if name in self.index:
             return
         self.index[name] = len(self.names)
@@ -546,21 +537,21 @@ class LoadTable:
         self._ranks_stale = True
 
     def pop(self, name: str) -> None:
-        """Remove ``name`` (swap-remove; rank tie-breaks are recomputed)."""
+        """Remove ``name``; later names move up one position (removals
+        are fleet churn, so the O(n) shift is off the hot path)."""
         i = self.index.pop(name, None)
         if i is None:
             return
         last = len(self.names) - 1
-        if i != last:
-            self.names[i] = self.names[last]
-            self.values[i] = self.values[last]
-            self.index[self.names[i]] = i
-        self.names.pop()
+        self.values[i:last] = self.values[i + 1 : last + 1]
+        del self.names[i]
+        for moved in self.names[i:]:
+            self.index[moved] -= 1
         self._ranks_stale = True
 
     def add(self, name: str, delta) -> None:
         # In-place += on a float64 cell is the identical IEEE-754
-        # operation the dict's Python-float += performs.
+        # operation a Python-float += performs.
         self.values[self.index[name]] += delta
 
     def set(self, name: str, value) -> None:
@@ -580,6 +571,11 @@ class LoadTable:
 
     def max_value(self):
         return self._live().max()
+
+    def argmin_first(self) -> str:
+        """``min(enumerate(names), key=lambda p: (table[p[1]], p[0]))`` --
+        ties go to the earliest position."""
+        return self.names[int(np.argmin(self._live()))]
 
     def argmin_name(self, mask: Optional[np.ndarray] = None) -> Optional[str]:
         """``min(table, key=lambda n: (table[n], n))`` -- or None when the
@@ -651,14 +647,14 @@ class HolderMatrix:
 
 
 class JobAgeTable:
-    """Append-only (job, worker, assigned-at) table for the straggler scan.
+    """The master's in-flight assignments: job -> (worker, assigned-at).
 
-    Mirrors the master's ``_assigned_at`` dict with the same ordering
-    semantics -- new ids append, updates of a live id stay in place,
-    removals free the slot -- so the vectorised overdue scan yields
-    (job, worker) pairs in exactly the dict's iteration order (the
-    order recovery timers are armed in, which the determinism contract
-    pins).  Dead slots are compacted once they outnumber live ones.
+    Feeds orphan recovery and the straggler scan.  Ordered like a dict
+    keyed by job id -- new ids append, updates of a live id stay in
+    place, removals free the slot -- so the vectorised overdue scan
+    yields (job, worker) pairs in first-assignment order (the order
+    recovery timers are armed in, which the determinism contract pins).
+    Dead slots are compacted once they outnumber live ones.
     """
 
     def __init__(self) -> None:
@@ -675,7 +671,7 @@ class JobAgeTable:
     def add(self, job_id: str, job, worker: str, at: float) -> None:
         slot = self._slot.get(job_id)
         if slot is not None:
-            # Update-in-place keeps the dict's key-position semantics.
+            # Update-in-place: a re-assigned job keeps its position.
             self._jobs[slot] = job
             self._workers[slot] = worker
             self._at[slot] = at
@@ -726,13 +722,13 @@ class JobAgeTable:
 
 
 class HoldingsIndex:
-    """Vectorised mirror of a policy's ``{worker: {repo}}`` holdings view.
+    """A pull master's ``{worker: {repo}}`` holdings view, as a bit matrix.
 
     The completions-derived block map of the matchmaking/delay masters:
     insert-only per worker (a worker's row is wiped only when the node
     dies).  This is intentionally a *separate* plane from the live cache
     matrix -- the policies' knowledge lags reality (no evictions, no
-    prefetches), and the mirror must reproduce their view, not fix it.
+    prefetches), and this is their view, not a corrected one.
     """
 
     def __init__(self) -> None:
@@ -753,6 +749,10 @@ class HoldingsIndex:
         row = self.rows.get(worker)
         if row is not None:
             self.matrix.clear_row(row)
+
+    def holds(self, worker: str, repo_id: str) -> bool:
+        row = self.rows.get(worker)
+        return row is not None and self.matrix.test(row, repo_id)
 
     def col(self, repo_id: str) -> int:
         return self.matrix.col(repo_id, create=True)
@@ -776,14 +776,13 @@ class HoldingsIndex:
 class LocalityQueue:
     """A FIFO of jobs with a parallel repo-column array.
 
-    Drop-in for the ``deque`` the matchmaking/delay masters keep: same
-    append/appendleft/popleft/delete-at-index operations, plus a
-    vectorised first-local scan against a :class:`HoldingsIndex` (one
-    boolean gather instead of a per-job ``set`` probe).  With no index
-    (SoA off) the callers keep their original Python scans.
+    The job queue of the matchmaking/delay masters: a ``deque``'s
+    append/appendleft/popleft plus delete-at-index, and a vectorised
+    first-local scan against a :class:`HoldingsIndex` (one boolean
+    gather instead of a per-job ``set`` probe).
     """
 
-    def __init__(self, index: Optional[HoldingsIndex] = None) -> None:
+    def __init__(self, index: HoldingsIndex) -> None:
         self.index = index
         self._jobs: list = []
         self._cols = np.zeros(0, dtype=np.int64)
@@ -801,7 +800,7 @@ class LocalityQueue:
         return self._jobs[i]
 
     def _col_of(self, job) -> int:
-        if self.index is None or job.repo_id is None:
+        if job.repo_id is None:
             return -1
         return self.index.col(job.repo_id)
 
@@ -827,23 +826,19 @@ class LocalityQueue:
         self._cols[i:n] = self._cols[i + 1 : n + 1]
         return job
 
-    def local_mask(self, worker: str) -> Optional[np.ndarray]:
-        """Per-queued-job locality for ``worker`` (None when no index)."""
-        if self.index is None:
-            return None
+    def local_mask(self, worker: str) -> np.ndarray:
+        """Per-queued-job locality for ``worker``."""
         return self.index.local_mask(worker, self._cols[: len(self._jobs)])
 
     def first_local(self, worker: str) -> int:
         """Index of the first job local to ``worker``, or -1."""
         mask = self.local_mask(worker)
-        if mask is None or not mask.any():
+        if not mask.any():
             return -1
         return int(mask.argmax())
 
 
 __all__ = [
-    "SOA_ENV",
-    "soa_enabled",
     "name_ranks",
     "argmin_value_rank",
     "argmax_value_rank",

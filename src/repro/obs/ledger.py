@@ -13,7 +13,7 @@ one schema.
 Discipline (same contract as the rest of :mod:`repro.obs`):
 
 * **Observation-only.**  Building a record reads policy state and the
-  fleet mirror; it never mutates either and draws no randomness, so
+  fleet planes; it never mutates either and draws no randomness, so
   metrics with the ledger on are bit-identical to the ledger off.
 * **Zero-cost when off.**  The only hook site is one ``is not None``
   guard inside ``_note_assignment``; with obs off (or
@@ -39,7 +39,7 @@ class CandidateScore:
     Every field except ``worker`` is optional: policies report what they
     actually looked at (a bidding contest knows costs, a pull accept
     knows only who pulled), and the generic fallback fills queue/
-    locality/link facts from the fleet mirror when one is attached.
+    locality/link facts from the fleet planes.
     Lower ``score`` is better by convention (costs, not fitness).
     """
 
@@ -138,10 +138,10 @@ class DecisionRecord:
 
 
 def fleet_candidates(fleet, names: list, repo_id: Optional[str]) -> tuple:
-    """Generic candidate snapshot off the struct-of-arrays fleet mirror.
+    """Generic candidate snapshot off the struct-of-arrays fleet planes.
 
     Read-only gathers from the live planes: queue depth, locality of the
-    job's repo, link occupancy.  Workers the mirror has never seen yield
+    job's repo, link occupancy.  Workers the planes have never seen yield
     name-only entries.
     """
     rows = fleet.candidate_snapshot(names, repo_id)

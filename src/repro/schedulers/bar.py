@@ -66,11 +66,8 @@ class BARMasterPolicy(MasterPolicy):
         #: (injected by the runtime).
         self.speed_view: dict[str, tuple[float, float, float, float]] = {}
         self._plan: dict[str, str] = {}
-        self._load: dict[str, float] = {}
-        #: Struct-of-arrays mirror of ``_load`` (None when the fast path
-        #: is off); the dict stays authoritative, every mutation is
-        #: mirrored through the identical scalar operation.
-        self._soa: Optional[LoadTable] = None
+        #: worker -> estimated committed load (seconds).
+        self._load = LoadTable()
         #: Phase-2 moves actually performed (diagnostics/tests).
         self.adjustments = 0
         #: Whether the assignment in flight came from the upfront plan
@@ -92,83 +89,24 @@ class BARMasterPolicy(MasterPolicy):
     def _is_local(self, job: Job, worker: str) -> bool:
         return job.repo_id is None or job.repo_id in self.cache_view.get(worker, ())
 
-    def _soa_on(self) -> bool:
-        return getattr(getattr(self, "master", None), "fleet", None) is not None
-
-    def _earliest(self) -> str:
-        if self._soa is not None:
-            return self._soa.argmin_name()
-        return min(self._load, key=lambda name: (self._load[name], name))
-
     # -- planning ----------------------------------------------------------------
 
     def on_upfront_jobs(self, jobs: list[Job]) -> None:
+        """Plan the whole known job set, both phases, over the load plane.
+
+        The load cells see one scalar ``+=``/``-=`` per placement or
+        move, phase-1 picks use the (load, name) rank argmin, phase 2
+        prices all candidates of one move with element-wise vector ops
+        in ``_cost``'s operation order, and the accept scan stays a
+        sequential Python loop so the first-improvement-within-epsilon
+        semantics hold (``tests/reference_planners.py`` is the scalar
+        statement of the same rules, and the oracle).
+        """
         workers = list(self.master.worker_names)
         self._ensure_views(workers)
-        if self._soa_on() and workers:
-            self._plan_vectorized(jobs, workers)
-            return
-        self._soa = None
-        self._load = {name: 0.0 for name in workers}
-        placements: dict[str, str] = {}
-
-        # Phase 1: entirely-local assignment where possible.
-        for job in jobs:
-            holders = [name for name in workers if self._is_local(job, name)]
-            if holders:
-                worker = min(holders, key=lambda name: (self._load[name], name))
-            else:
-                worker = self._earliest()
-            placements[job.job_id] = worker
-            self._load[worker] += self._cost(job, worker, self._is_local(job, worker))
-
-        # Phase 2: trade locality for balance while the makespan improves.
-        jobs_by_id = {job.job_id: job for job in jobs}
-        moves = 0
-        budget = self.max_adjustments if self.max_adjustments is not None else len(jobs) * 4
-        while moves < budget:
-            slowest = max(self._load, key=lambda name: (self._load[name], name))
-            fastest = self._earliest()
-            if slowest == fastest:
-                break
-            candidates = [
-                job_id for job_id, worker in placements.items() if worker == slowest
-            ]
-            best_move = None
-            best_makespan = self._load[slowest]
-            for job_id in candidates:
-                job = jobs_by_id[job_id]
-                out_cost = self._cost(job, slowest, self._is_local(job, slowest))
-                in_cost = self._cost(job, fastest, self._is_local(job, fastest))
-                new_slowest = self._load[slowest] - out_cost
-                new_fastest = self._load[fastest] + in_cost
-                new_makespan = max(new_slowest, new_fastest)
-                if new_makespan < best_makespan - 1e-12:
-                    best_makespan = new_makespan
-                    best_move = (job_id, out_cost, in_cost)
-            if best_move is None:
-                break
-            job_id, out_cost, in_cost = best_move
-            placements[job_id] = fastest
-            self._load[slowest] -= out_cost
-            self._load[fastest] += in_cost
-            moves += 1
-        self.adjustments = moves
-        self._plan = placements
-
-    def _plan_vectorized(self, jobs: list[Job], workers: list[str]) -> None:
-        """The struct-of-arrays port of the scalar planner above.
-
-        Bit-identical by construction: the load cells see the same
-        scalar ``+=``/``-=`` sequence, phase-1 picks use the (load,
-        name) rank argmin, phase-2 prices all candidates of one move
-        with element-wise vector ops in the scalar path's operation
-        order, and the accept scan stays a sequential Python loop so
-        the first-improvement-within-epsilon semantics survive.
-        """
-        count = len(workers)
+        self._load.reset(dict.fromkeys(workers, 0.0))
+        loads = self._load.values
         ranks = name_ranks(workers)
-        loads = np.zeros(count, dtype=np.float64)
         speeds = np.array([self.speed_view[name] for name in workers])
         network, rw, cpu, latency = speeds.T
         matrix = HolderMatrix(workers, self.cache_view)
@@ -201,8 +139,8 @@ class BARMasterPolicy(MasterPolicy):
             fast = argmin_value_rank(loads, ranks)
             if slow == fast:
                 break
-            # np.nonzero yields candidates in ascending job order --
-            # the insertion order of the scalar path's placements dict.
+            # np.nonzero yields candidates in ascending job order, the
+            # order the placements were made in.
             candidates = np.nonzero(placed == slow)[0]
             best_at = -1
             best_makespan = loads[slow]
@@ -231,9 +169,6 @@ class BARMasterPolicy(MasterPolicy):
             moves += 1
         self.adjustments = moves
         self._plan = placements
-        self._load = {workers[i]: float(loads[i]) for i in range(count)}
-        self._soa = LoadTable()
-        self._soa.reset(self._load)
 
     def _ensure_views(self, workers: list[str]) -> None:
         missing = [name for name in workers if name not in self.speed_view]
@@ -248,9 +183,7 @@ class BARMasterPolicy(MasterPolicy):
         """Remove the dead worker from the load table and strip its plan
         entries; orphans re-dispatched by the master then fall through
         to the earliest-completion rule over the survivors."""
-        self._load.pop(worker, None)
-        if self._soa is not None:
-            self._soa.pop(worker)
+        self._load.pop(worker)
         for job_id, name in list(self._plan.items()):
             if name == worker:
                 del self._plan[job_id]
@@ -259,13 +192,13 @@ class BARMasterPolicy(MasterPolicy):
         """Admit a restarted worker at the current maximum load estimate
         (BAR planned the run without it; only re-dispatched and late
         jobs should flow its way)."""
-        if self._load and worker not in self._load:
-            if self._soa is not None:
-                ceiling = float(self._soa.max_value())
-                self._load[worker] = ceiling
-                self._soa.ensure(worker, ceiling)
-            else:
-                self._load[worker] = max(self._load.values())
+        if self._load:
+            self._load.ensure(worker, self._load.max_value())
+
+    def on_worker_retired(self, worker: str) -> None:
+        """Scale-down: a draining worker finishes what it was sent (and
+        what the plan still holds for it) but prices no new job."""
+        self._load.pop(worker)
 
     # -- arrival-time dispatch -------------------------------------------------------
 
@@ -274,16 +207,11 @@ class BARMasterPolicy(MasterPolicy):
         self._last_planned = worker is not None
         if worker is None:
             if not self._load:
-                self._load = {name: 0.0 for name in self.master.active_workers}
-                self._ensure_views(list(self._load))
-                if self._soa_on():
-                    self._soa = LoadTable()
-                    self._soa.reset(self._load)
-            worker = self._earliest()
-            cost = self._cost(job, worker, self._is_local(job, worker))
-            self._load[worker] += cost
-            if self._soa is not None:
-                self._soa.add(worker, cost)
+                workers = list(self.master.active_workers)
+                self._ensure_views(workers)
+                self._load.reset(dict.fromkeys(workers, 0.0))
+            worker = self._load.argmin_name()
+            self._load.add(worker, self._cost(job, worker, self._is_local(job, worker)))
         self.master.assign(job, worker)
 
     def decision_context(self, job: Job, worker: str) -> tuple:
@@ -292,24 +220,22 @@ class BARMasterPolicy(MasterPolicy):
         estimated completion time ``load + cost``."""
         from repro.obs.ledger import CandidateScore
 
-        names = [name for name in self._load if name in self.speed_view]
         scored = []
-        for name in names:
+        for name in self._load.names:
+            if name not in self.speed_view:
+                continue
             local = self._is_local(job, name)
-            estimate = self._load[name] + self._cost(job, name, local)
-            scored.append((estimate, name, local))
+            load = float(self._load.get(name))
+            scored.append((load + self._cost(job, name, local), name, local, load))
         scored.sort()
         candidates = tuple(
             CandidateScore(
-                worker=name,
-                score=estimate,
-                local=local,
-                detail=f"load={self._load[name]:.3f}s",
+                worker=name, score=estimate, local=local, detail=f"load={load:.3f}s"
             )
-            for estimate, name, local in scored
+            for estimate, name, local, load in scored
         )
         runner_up = next(
-            (name for _, name, _ in scored if name != worker), None
+            (name for _, name, _, _ in scored if name != worker), None
         )
         kind = "planned" if self._last_planned else "cost-min"
         chosen_local = self._is_local(job, worker)

@@ -58,12 +58,6 @@ class MasterPolicy:
     def start(self) -> None:
         """Spawn any long-running policy processes; default none."""
 
-    def on_fleet_attached(self) -> None:
-        """The runtime wired the struct-of-arrays fleet mirror onto the
-        master (``master.fleet``; see :mod:`repro.fleet`).  Called after
-        :meth:`bind`, before the run starts.  Policies that keep their
-        own vectorised mirrors swap them in here; default: nothing."""
-
     def on_upfront_jobs(self, jobs: list[Job]) -> None:
         """Receive the full job list before the run (only if
         ``requires_upfront``); default ignores it."""
@@ -83,17 +77,13 @@ class MasterPolicy:
         Implementations MUST be observation-only: read policy and fleet
         state, mutate nothing, draw no randomness -- the ledger's
         bit-identity contract depends on it.  The default reports the
-        active fleet with locality/queue facts from the struct-of-arrays
-        mirror when one is attached, and no scores.
+        active fleet with locality/queue facts from the fleet planes,
+        and no scores.
         """
         from repro.obs.ledger import fleet_candidates
 
         master = self.master
-        candidates = ()
-        if master is not None and master.fleet is not None:
-            candidates = fleet_candidates(
-                master.fleet, master.active_workers, job.repo_id
-            )
+        candidates = fleet_candidates(master.fleet, master.active_workers, job.repo_id)
         return ("assign", candidates, None, "")
 
     def on_message(self, message: object) -> bool:

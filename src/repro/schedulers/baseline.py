@@ -93,7 +93,7 @@ class BaselineMasterPolicy(PullMasterPolicy):
 
         offers = self.offer_counts.get(job.job_id, 0)
         local = None
-        if self.master.fleet is not None and job.repo_id is not None:
+        if job.repo_id is not None:
             rows = self.master.fleet.candidate_snapshot([worker], job.repo_id)
             local = rows[0][3]
         candidates = (CandidateScore(worker=worker, local=local),)

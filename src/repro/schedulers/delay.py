@@ -87,24 +87,19 @@ class DelayMasterPolicy(HoldingsPullMasterPolicy):
 
         The walk (and its skip accounting) is sequential -- the skip
         counters mutate as the scan advances, which no batched form can
-        reproduce -- but with the fleet mirror on, the per-job
-        holdings-set probe is a single boolean gather over the queue's
-        repo-column plane.
+        reproduce -- but the locality of every queued job is a single
+        boolean gather over the queue's repo-column plane.
         """
         queue, skips = self.job_queue, self.skips
-        mask = queue.local_mask(worker) if self._hx is not None else None
+        mask = queue.local_mask(worker)
         for index in range(len(queue)):
             job = queue[index]
-            local = mask[index] if mask is not None else self._local_for(worker, job)
-            if not local:
+            if not mask[index]:
                 skips[job.job_id] = skips.get(job.job_id, 0) + 1
                 if skips[job.job_id] <= self.max_skips:
                     continue
                 # Waited long enough: launch non-locally.
-            if mask is not None:
-                queue.delete(index)
-            else:
-                del queue[index]
+            queue.delete(index)
             skips.pop(job.job_id, None)
             self._offer(worker, job)
             return

@@ -90,20 +90,12 @@ class MatchmakingMasterPolicy(HoldingsPullMasterPolicy):
         if self._attempts.get(worker, 1) > 1:
             self._offer(worker, self.job_queue.popleft())
             return
-        if self._hx is not None:
-            # Vectorised first-local scan: one boolean gather over the
-            # queue's repo-column plane instead of a per-job
-            # holdings-set probe.
-            index = self.job_queue.first_local(worker)
-            if index >= 0:
-                self._offer(worker, self.job_queue.delete(index))
-                return
-        else:
-            for index, job in enumerate(self.job_queue):
-                if self._local_for(worker, job):
-                    del self.job_queue[index]
-                    self._offer(worker, job)
-                    return
+        # First-local scan: one boolean gather over the queue's
+        # repo-column plane.
+        index = self.job_queue.first_local(worker)
+        if index >= 0:
+            self._offer(worker, self.job_queue.delete(index))
+            return
         self.master.send_to_worker(worker, NoWork(worker))
 
 

@@ -30,9 +30,9 @@ from repro.workload.job import Job
 class PullMasterPolicy(MasterPolicy):
     """Parked pulls, offers in flight, retire and quiesce.
 
-    A subclass owns ``job_queue`` and the match rule: it handles
-    ``PullRequest`` itself (parking through :meth:`_park`), implements
-    :meth:`_answer` and calls :meth:`_serve` whenever jobs arrive.
+    A subclass owns the match rule: it handles ``PullRequest`` itself
+    (parking through :meth:`_park`), implements :meth:`_answer` and
+    calls :meth:`_serve` whenever jobs arrive.
     """
 
     stale_inbound = (PullRequest,)
@@ -162,7 +162,7 @@ class PullMasterPolicy(MasterPolicy):
 
     def export_state(self) -> list[Job]:
         jobs = []
-        while self.job_queue:  # popleft works for deque and LocalityQueue
+        while self.job_queue:
             jobs.append(self.job_queue.popleft())
         return jobs
 
@@ -174,39 +174,24 @@ class HoldingsPullMasterPolicy(PullMasterPolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        #: worker -> repos known to be cached there (built from completions).
-        self.holdings: dict[str, set[str]] = {}
-        #: Struct-of-arrays mirror of ``holdings`` (None when the fast
-        #: path is off); drives the vectorised queue locality scans.
-        self._hx: Optional[HoldingsIndex] = None
-
-    def on_fleet_attached(self) -> None:
-        """Runtime wired the fleet mirror: swap in the vectorised queue
-        (before any job arrives); the holdings dict stays authoritative,
-        the index mirrors it."""
-        self._hx = HoldingsIndex()
-        queue = LocalityQueue(self._hx)
-        for job in self.job_queue:
-            queue.append(job)
-        self.job_queue = queue
+        #: worker -> repos known to be cached there (built from
+        #: completions), and the queue whose locality scans read it.
+        self.holdings = HoldingsIndex()
+        self.job_queue = LocalityQueue(self.holdings)
 
     def on_job_completed(self, job: Job, worker: str) -> None:
         if job.repo_id is not None and worker is not None:
-            self.holdings.setdefault(worker, set()).add(job.repo_id)
-            if self._hx is not None:
-                self._hx.add(worker, job.repo_id)
+            self.holdings.add(worker, job.repo_id)
 
     def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
         """Also forget the dead worker's holdings: the node's disk is
         gone; a restarted instance re-announces holdings through future
         completions."""
-        self.holdings.pop(worker, None)
-        if self._hx is not None:
-            self._hx.drop_worker(worker)
+        self.holdings.drop_worker(worker)
         super().on_worker_failed(worker, orphaned)
 
     def _local_for(self, worker: str, job: Job) -> bool:
-        return job.repo_id is None or job.repo_id in self.holdings.get(worker, ())
+        return job.repo_id is None or self.holdings.holds(worker, job.repo_id)
 
 
 class PullWorkerPolicy(WorkerPolicy):

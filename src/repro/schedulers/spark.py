@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.fleet import HolderMatrix, argmin_value_rank, name_ranks
+from repro.fleet import HolderMatrix, LoadTable, argmin_value_rank, name_ranks
 from repro.schedulers.base import (
     MasterPolicy,
     PassiveWorkerPolicy,
@@ -62,19 +62,16 @@ class SparkMasterPolicy(MasterPolicy):
         #: (Spark never learns about clones made during the run).
         self.cache_view: dict[str, set[str]] = {}
         self._plan: dict[str, str] = {}
-        self._planned_counts: dict[str, int] = {}
-        self._order: Optional[list[str]] = None
-        #: Struct-of-arrays mirror of ``_planned_counts`` aligned with
-        #: ``_order`` (None when the fast path is off or after fleet
-        #: churn; rebuilt lazily from the authoritative dict).
-        self._counts: Optional[np.ndarray] = None
+        #: executor -> jobs planned onto it, in the driver's registration
+        #: order (``None`` until the first job or plan fixes that order).
+        self._counts: Optional[LoadTable] = None
         #: Whether the assignment in flight came from the upfront plan
         #: (vs the dynamic balanced fallback) -- read by the decision
         #: ledger, which fires inside ``master.assign``.
         self._last_planned = False
 
-    def _executor_order(self) -> list[str]:
-        """The driver's executor list, shuffled per run.
+    def _executors(self) -> LoadTable:
+        """The driver's executor table, in an order shuffled per run.
 
         Real executors register with the driver in a timing-dependent
         order, so re-running the same application does not reproduce the
@@ -83,53 +80,30 @@ class SparkMasterPolicy(MasterPolicy):
         assignment -- something Spark (which cannot see the on-disk clone
         caches) never gets.
         """
-        if self._order is None:
-            order = list(self.master.worker_names)
+        if self._counts is None:
+            order = list(self.master.active_workers)
             self.master.rng.shuffle(order)
-            self._order = order
-        return self._order
+            self._counts = LoadTable(dtype=np.int64)
+            self._counts.reset(dict.fromkeys(order, 0))
+        return self._counts
 
     # -- planning ------------------------------------------------------------
 
     def on_upfront_jobs(self, jobs: list[Job]) -> None:
-        """Compute the full assignment before the run starts."""
-        workers = self._executor_order()
-        self._planned_counts = {worker: 0 for worker in workers}
-        fair_share = len(jobs) / len(workers)
-        cap = fair_share + self.locality_wait_slots
-        if self._soa_on():
-            self._plan_vectorized(jobs, workers, cap)
-            return
-        for job in jobs:
-            worker = None
-            if self.use_locality and job.repo_id is not None:
-                holders = [
-                    name
-                    for name in workers
-                    if job.repo_id in self.cache_view.get(name, ())
-                ]
-                # NODE_LOCAL if a holder has plan room; else degrade to ANY.
-                holders = [h for h in holders if self._planned_counts[h] < cap]
-                if holders:
-                    worker = min(holders, key=lambda h: (self._planned_counts[h], h))
-            if worker is None:
-                worker = self._least_loaded(workers)
-            self._plan[job.job_id] = worker
-            self._planned_counts[worker] += 1
-
-    def _soa_on(self) -> bool:
-        return getattr(getattr(self, "master", None), "fleet", None) is not None
-
-    def _plan_vectorized(self, jobs: list[Job], workers: list[str], cap: float) -> None:
-        """Struct-of-arrays port of the planning loop above.
+        """Compute the full assignment before the run starts.
 
         Counts live in an int64 plane aligned with the executor order;
         the holder pick is a (count, name) rank argmin over the masked
-        holder set, the ANY fallback np.argmin's first-occurrence
-        (= registration-order) tie-break -- both exactly the scalar
-        rules, so the resulting plan is identical.
+        holder set (``NODE_LOCAL`` if a holder has plan room), the
+        ``ANY`` fallback ``np.argmin``'s first-occurrence (=
+        registration-order) tie-break: balanced by *count* only -- all
+        workers are equal to Spark -- and deterministic per run yet
+        varying across runs (``tests/reference_planners.py`` is the
+        scalar statement of the same rules, and the oracle).
         """
-        counts = np.zeros(len(workers), dtype=np.int64)
+        table = self._executors()
+        workers, counts = table.names, table.values
+        cap = len(jobs) / len(workers) + self.locality_wait_slots
         ranks = name_ranks(workers)
         matrix = HolderMatrix(workers, self.cache_view) if self.use_locality else None
         for job in jobs:
@@ -141,19 +115,6 @@ class SparkMasterPolicy(MasterPolicy):
                 slot = int(np.argmin(counts))
             self._plan[job.job_id] = workers[slot]
             counts[slot] += 1
-        for index, worker in enumerate(workers):
-            self._planned_counts[worker] = int(counts[index])
-        self._counts = counts
-
-    def _least_loaded(self, workers: list[str]) -> str:
-        """Balanced by *count* only -- all workers are equal to Spark.
-
-        Ties break by the run's executor registration order, keeping the
-        whole plan deterministic per run yet varying across runs.
-        """
-        return min(
-            enumerate(workers), key=lambda pair: (self._planned_counts[pair[1]], pair[0])
-        )[1]
 
     # -- fleet churn -----------------------------------------------------------
 
@@ -161,10 +122,8 @@ class SparkMasterPolicy(MasterPolicy):
         """Drop the dead executor from the registration order and strip
         plan entries targeting it, so re-dispatched and future jobs land
         on live executors."""
-        if self._order is not None and worker in self._order:
-            self._order.remove(worker)
-        self._planned_counts.pop(worker, None)
-        self._counts = None
+        if self._counts is not None:
+            self._counts.pop(worker)
         for job_id, name in list(self._plan.items()):
             if name == worker:
                 del self._plan[job_id]
@@ -176,13 +135,16 @@ class SparkMasterPolicy(MasterPolicy):
         not rebalance the existing plan onto a late joiner, so only
         re-dispatched/late jobs flow to it.
         """
-        if self._order is not None and worker not in self._order:
-            self._order.append(worker)
-        if worker not in self._planned_counts:
-            self._planned_counts[worker] = max(
-                self._planned_counts.values(), default=0
-            )
-        self._counts = None
+        table = self._counts
+        if table is not None:
+            table.ensure(worker, table.max_value() if table else 0)
+
+    def on_worker_retired(self, worker: str) -> None:
+        """Scale-down: the draining executor leaves the registration
+        order, so no dynamic job is balanced onto it; what the plan
+        still holds for it is its to finish."""
+        if self._counts is not None:
+            self._counts.pop(worker)
 
     # -- arrival-time dispatch --------------------------------------------------
 
@@ -191,34 +153,25 @@ class SparkMasterPolicy(MasterPolicy):
         self._last_planned = worker is not None
         if worker is None:
             # A dynamically spawned job: balanced, locality-blind.
-            workers = self._executor_order()
-            if len(self._planned_counts) < len(workers):
-                # Executors that registered before any planning happened
-                # (serve-mode scale-up) must enter the count table too,
-                # or the balanced scan below KeyErrors / skews onto the
-                # few workers that did get seeded.
-                for name in workers:
-                    self._planned_counts.setdefault(name, 0)
-                self._counts = None
-            if self._soa_on():
-                counts = self._counts_mirror(workers)
-                slot = int(np.argmin(counts))
-                worker = workers[slot]
-                counts[slot] += 1
-            else:
-                worker = self._least_loaded(workers)
-            self._planned_counts[worker] += 1
+            table = self._executors()
+            worker = table.argmin_first()
+            table.add(worker, 1)
         self.master.assign(job, worker)
 
     def decision_context(self, job: Job, worker: str) -> tuple:
         """Ledger: planned (NODE_LOCAL or degraded-to-ANY) vs dynamic."""
         from repro.obs.ledger import CandidateScore
 
-        workers = self._order or list(self.master.worker_names)
+        table = self._counts
+        if table:
+            planned = {name: int(table.get(name)) for name in table.names}
+        else:
+            planned = dict.fromkeys(self.master.worker_names, 0)
+        workers = list(planned)
         candidates = tuple(
             CandidateScore(
                 worker=name,
-                score=float(self._planned_counts.get(name, 0)),
+                score=float(planned[name]),
                 local=(
                     job.repo_id is not None
                     and job.repo_id in self.cache_view.get(name, ())
@@ -227,7 +180,7 @@ class SparkMasterPolicy(MasterPolicy):
             for name in workers
         )
         others = [
-            (self._planned_counts.get(name, 0), index, name)
+            (planned[name], index, name)
             for index, name in enumerate(workers)
             if name != worker
         ]
@@ -256,17 +209,6 @@ class SparkMasterPolicy(MasterPolicy):
             runner_up,
             "dynamically spawned job: least-loaded executor, locality-blind",
         )
-
-    def _counts_mirror(self, workers: list[str]) -> np.ndarray:
-        """The int64 count plane aligned with ``workers`` (= the
-        executor order), rebuilt from the dict after fleet churn."""
-        if self._counts is None or self._counts.shape[0] != len(workers):
-            self._counts = np.fromiter(
-                (self._planned_counts[name] for name in workers),
-                dtype=np.int64,
-                count=len(workers),
-            )
-        return self._counts
 
 
 def make_spark_policy(

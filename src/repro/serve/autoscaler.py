@@ -116,13 +116,9 @@ class Autoscaler:
         active = service.master.active_workers
         if not active:
             return 0.0
-        fleet = getattr(service, "fleet", None)
-        if fleet is not None:
-            # One vectorised count over the active/outstanding planes --
-            # the active plane mirrors ``master.active_workers`` exactly.
-            return fleet.active_busy_count() / len(active)
-        busy = sum(1 for name in active if not service.workers[name].is_idle)
-        return busy / len(active)
+        # One vectorised count over the active/outstanding planes -- the
+        # active plane equals ``master.active_workers`` exactly.
+        return service.fleet.active_busy_count() / len(active)
 
     # -- the loop ----------------------------------------------------------
 

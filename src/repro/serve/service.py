@@ -43,7 +43,7 @@ from repro.engine.runtime import (
 )
 from repro.engine.worker import WorkerNode
 from repro.faults.injector import FaultInjector
-from repro.fleet import FleetState, soa_enabled
+from repro.fleet import FleetState
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.net.bandwidth import FairSharePipe
@@ -162,6 +162,8 @@ class ServiceRuntime:
             self._origin.obs = self.obs
             self._origin.obs_label = "origin"
 
+        #: The fleet planes every decision reads (see :mod:`repro.fleet`).
+        self.fleet = FleetState()
         self.workers: dict[str, WorkerNode] = {}
         for spec in profile.specs:
             self.workers[spec.name] = build_worker_node(
@@ -172,6 +174,7 @@ class ServiceRuntime:
                 self.metrics,
                 self.pipeline,
                 self.config,
+                self.fleet,
                 noise_rng=streams.get("noise", spec.name),
                 origin=self._origin,
                 monitor=self.monitor,
@@ -187,6 +190,7 @@ class ServiceRuntime:
             worker_names=[spec.name for spec in profile.specs],
             stream=None,  # external intake: the dispatcher submits
             metrics=self.metrics,
+            fleet=self.fleet,
             rng=streams.get("master"),
             fault_tolerance=self.config.fault_tolerance,
             recovery=faults.recovery if faults is not None else None,
@@ -197,14 +201,6 @@ class ServiceRuntime:
             self.monitor.contest_window_s = getattr(
                 self._master_policy, "window_s", None
             )
-        #: Struct-of-arrays fleet mirror (see :mod:`repro.fleet`), or
-        #: ``None`` when ``REPRO_FLEET_SOA=0``; same wiring as the
-        #: workflow runtime, plus per-scale-up attaches.
-        self.fleet: Optional[FleetState] = FleetState() if soa_enabled() else None
-        if self.fleet is not None:
-            self.master.attach_fleet(self.fleet)
-            for node in self.workers.values():
-                self.fleet.attach_node(node)
         if hasattr(self._master_policy, "cache_view"):
             self._master_policy.cache_view = {
                 name: set(worker.cache.contents())
@@ -291,26 +287,13 @@ class ServiceRuntime:
         return self.report()
 
     def _register_probes(self) -> None:
-        """Register the service-level gauges on top of the engine ones.
-
-        Worker gauges resolve by name through ``self.workers``, so
-        restart- and scale-swapped nodes are always the live objects.
-        """
+        """Register the service-level gauges on top of the engine ones."""
         probes = self.obs.probes
         master = self.master
         probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
         probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        if self.fleet is not None:
-            # One vectorised count over the alive/outstanding planes.
-            probes.register("fleet.busy", self.fleet.busy_count, unit="workers")
-        else:
-            probes.register(
-                "fleet.busy",
-                lambda: sum(
-                    1 for w in self.workers.values() if w.alive and not w.is_idle
-                ),
-                unit="workers",
-            )
+        # One vectorised count over the alive/outstanding planes.
+        probes.register("fleet.busy", self.fleet.busy_count, unit="workers")
         probes.register("service.inflight", lambda: self.inflight, unit="jobs")
         probes.register(
             "admission.depth", lambda: self.admission.depth, unit="jobs"
@@ -464,14 +447,13 @@ class ServiceRuntime:
             self.metrics,
             self.pipeline,
             self.config,
+            self.fleet,
             noise_rng=self._streams.get("noise", name),
             origin=self._origin,
             monitor=self.monitor,
             obs=self.obs,
         )
         self.workers[name] = node
-        if self.fleet is not None:
-            self.fleet.attach_node(node)
         node.start()
         if hasattr(self._master_policy, "cache_view"):
             self._master_policy.cache_view[name] = set()

@@ -10,6 +10,7 @@ from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
 from repro.data.cache import WorkerCache
 from repro.engine.worker import WorkerNode
+from repro.fleet import FleetState
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import Topology, TopologyConfig
 from repro.schedulers.base import WorkerPolicy
@@ -51,6 +52,7 @@ def make_worker(
         cache=WorkerCache(capacity_mb=cache_capacity),
         policy=policy or WorkerPolicy(),
         metrics=metrics or MetricsCollector(),
+        fleet=FleetState(),
     )
     return worker
 

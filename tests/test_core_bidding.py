@@ -508,12 +508,11 @@ class TestFleetChangesMidContest:
                 runtime.metrics,
                 runtime.pipeline,
                 runtime.config,
+                runtime.fleet,
                 noise_rng=runtime._streams.get("noise", "w3"),
                 monitor=runtime.monitor,
             )
             runtime.workers["w3"] = node
-            if runtime.fleet is not None:
-                runtime.fleet.attach_node(node)
             runtime.master.add_worker("w3")
             node.start()
 

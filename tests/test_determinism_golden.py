@@ -11,7 +11,7 @@ network model or the broker shows up as a failure here.
 If a *deliberate* behavioural change invalidates the goldens, re-record
 with::
 
-    PYTHONPATH=src python tests/regen_golden_determinism.py
+    PYTHONPATH=src python -m repro golden determinism
 
 (and justify the diff in the commit message -- bit-level drift is the
 exact thing this fixture exists to catch).

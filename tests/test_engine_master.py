@@ -87,6 +87,7 @@ class TestTermination:
                 worker_names=[],
                 stream=JobStream(),
                 metrics=None,
+                fleet=None,
             )
 
 

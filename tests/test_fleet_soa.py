@@ -181,6 +181,20 @@ class TestLoadTable:
         assert table.argmax_name() == max(ref, key=lambda n: (ref[n], n)) == "w1"
         assert "w2" not in table and "w4" in table
 
+    def test_pop_keeps_insertion_order(self):
+        # Position ties (Spark's registration order) survive removals.
+        table = LoadTable(dtype=np.int64)
+        table.reset(dict.fromkeys(["w3", "w1", "w4", "w2"], 0))
+        assert table.argmin_first() == "w3"
+        table.pop("w3")
+        table.pop("ghost")
+        assert table.names == ["w1", "w4", "w2"]
+        assert [table.index[name] for name in table.names] == [0, 1, 2]
+        table.add("w1", 2)
+        assert table.argmin_first() == "w4"
+        table.ensure("w5", table.max_value())
+        assert table.names[-1] == "w5" and table.get("w5") == 2
+
     def test_integer_dtype_counts(self):
         table = LoadTable(dtype=np.int64)
         table.reset({"w1": 0, "w2": 0})
@@ -242,8 +256,9 @@ class TestLocalityQueue:
         hx.add("w1", "r1")
         assert queue.first_local("w1") == 0
 
-    def test_without_index_mask_is_none(self):
-        queue = LocalityQueue()
-        queue.append(_job("a", "r1"))
-        assert queue.local_mask("w1") is None
-        assert queue.first_local("w1") == -1
+    def test_holds_reads_the_same_bits(self):
+        hx, _ = self._queue()
+        assert hx.holds("w1", "r1") and not hx.holds("w1", "r2")
+        assert not hx.holds("stranger", "r1") and not hx.holds("w1", "ghost")
+        hx.drop_worker("w1")
+        assert not hx.holds("w1", "r1")

@@ -4,7 +4,8 @@ import csv
 import json
 from pathlib import Path
 
-from regen_golden_perfetto import golden_runtime, record
+from repro.experiments.golden import golden_runtime
+from repro.experiments.golden import record_perfetto as record
 from repro.obs import (
     build_spans,
     perfetto_trace,
@@ -22,7 +23,7 @@ class TestGoldenPerfetto:
     def test_fixture_matches_current_code(self):
         """The committed fixture pins the exporter byte-for-byte (as JSON
         values).  Deliberate changes re-record via
-        ``python tests/regen_golden_perfetto.py``."""
+        ``python -m repro golden perfetto``."""
         committed = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert committed == record()
 

@@ -127,27 +127,34 @@ class TestSpark:
     def _dynamic_after_early_join(soa):
         """Drive the serve-mode ordering that used to KeyError: a worker
         registers via ``on_worker_joined`` *before* any planning, then
-        dynamic jobs arrive with no upfront plan at all."""
+        dynamic jobs arrive with no upfront plan at all.  ``soa`` picks
+        the policy; otherwise its scalar reference runs."""
         import numpy as np
+        from reference_planners import ReferenceSparkMasterPolicy
 
-        policy = SparkMasterPolicy(use_locality=False)
+        policy = (SparkMasterPolicy if soa else ReferenceSparkMasterPolicy)(
+            use_locality=False
+        )
         master = SimpleNamespace(
             worker_names=["w1", "w2", "w3"],
+            active_workers=["w1", "w2", "w3"],
             rng=np.random.default_rng(0),
-            fleet=object() if soa else None,
             assignments={},
         )
         master.assign = lambda job, worker: master.assignments.__setitem__(
             job.job_id, worker
         )
         policy.bind(master)
-        # Scale-up registers w4 before the policy ever saw a job: only
-        # w4 enters the count table ({"w4": 0}), which is non-empty but
-        # does not cover the fleet.
+        # Scale-up registers w4 before the policy ever saw a job: the
+        # executor table must still cover the whole fleet afterwards.
+        master.worker_names.append("w4")
+        master.active_workers.append("w4")
         policy.on_worker_joined("w4")
-        master.worker_names = ["w1", "w2", "w3", "w4"]
         for i in range(8):
             policy.on_job(Job(job_id=f"d{i}", task=TASK_ANALYZER))
+        if soa:
+            table = policy._counts
+            return master.assignments, {n: int(table.get(n)) for n in table.names}
         return master.assignments, dict(policy._planned_counts)
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "soa"])
