@@ -19,12 +19,14 @@ The repository pins these behavioural recordings:
     metrics plus the migrate/swap event sequence of a pinned
     live-reconfiguration run (``tests/golden_reconfig.json``);
 ``scale``
-    full result rows, per-worker bid counts and -- on one observed cell
-    each for ``bidding`` and ``baseline`` -- trace, flow and decision
-    digests of ``bidding``, the three pull schedulers and ``spark`` at
-    100 and 400 workers (``tests/golden_scale.json``): the determinism
-    contract at the fleet sizes the benchmark measures, not only the
-    5-worker cell.
+    full result rows, per-worker bid and offer counts and -- on one
+    observed cell each for ``bidding`` and ``baseline`` -- trace, flow
+    and decision digests of ``bidding``, the three pull schedulers and
+    ``spark`` at 100 and 400 workers, plus ``baseline`` with
+    ``requeue="back"`` and ``baseline`` at 25 workers through a crash
+    with restart and a pre-warm migration
+    (``tests/golden_scale.json``): the determinism contract at the
+    fleet sizes the benchmark measures, not only the 5-worker cell.
 
 Both used to carry their own regen script with its own ``--check``
 mode; this module is the single implementation behind them and behind
@@ -322,14 +324,17 @@ SCALE_JOBS = 300
 #: Size of the shared repository (MB): the benchmark's ``bid-fleet``
 #: stream pins it so seeds give comparable streams.
 SCALE_HOT_REPO_MB = 762.0
-#: cell name -> (scheduler, workers, every observer on?).
-SCALE_CELLS = {
+#: cell name -> (scheduler, workers, every observer on?[, what else
+#: :func:`scale_runtime` is told]).
+SCALE_CELLS: dict[str, tuple] = {
     f"{scheduler}-{n_workers}": (scheduler, n_workers, False)
     for scheduler in ("bidding", "baseline", "matchmaking", "delay", "spark")
     for n_workers in (100, 400)
 }
 SCALE_CELLS["bidding-100-observed"] = ("bidding", 100, True)
 SCALE_CELLS["baseline-100-observed"] = ("baseline", 100, True)
+SCALE_CELLS["baseline-back-100"] = ("baseline", 100, False, {"requeue": "back"})
+SCALE_CELLS["baseline-churn-25"] = ("baseline", 25, False, {"churn": True})
 
 
 def _digest(payload) -> str:
@@ -339,13 +344,20 @@ def _digest(payload) -> str:
 
 
 def scale_runtime(
-    n_workers: int, observed: bool, scheduler: str = "bidding"
+    n_workers: int, observed: bool, scheduler: str = "bidding", churn: bool = False, **kwargs
 ) -> WorkflowRuntime:
     """The benchmark's ``bid-fleet`` shape: near-equal workers (eleven
     network classes), ``80%_large`` at 0.2 s inter-arrival with the
-    shared repository's size pinned."""
+    shared repository's size pinned; ``kwargs`` go to the scheduler.
+    ``churn``: a worker dies at 6 s, mid-cascade, and is back 10 s
+    later; at 16 s three jobs migrate onto pre-warmed caches."""
+    from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
+    from repro.reconfig import JobMigration, ReconfigPlan
     from repro.workload.generators import job_config_by_name
     from repro.workload.job import JobArrival
+
+    crash = WorkerCrash(at_s=6.0, restart_after_s=10.0)
+    migration = JobMigration(at_s=16.0, max_jobs=3, include_running=True)
 
     profile = WorkerProfile(
         f"fleet-{n_workers}",
@@ -378,18 +390,20 @@ def scale_runtime(
     return WorkflowRuntime(
         profile=profile,
         stream=stream,
-        scheduler=make_scheduler(scheduler),
+        scheduler=make_scheduler(scheduler, **kwargs),
         config=EngineConfig(
             seed=SCALE_SEED, trace=observed, check=observed, obs=observed
         ),
+        faults=FaultPlan(crashes=(crash,), recovery=RecoveryConfig()) if churn else None,
+        reconfig=ReconfigPlan(migrations=(migration,)) if churn else None,
     )
 
 
 def record_scale() -> dict:
-    """Result rows and bid counts of the fleet-sized cells."""
+    """Result rows and bid (pull cells: offer) counts of the fleet-sized cells."""
     golden = {}
-    for name, (scheduler, n_workers, observed) in SCALE_CELLS.items():
-        runtime = scale_runtime(n_workers, observed, scheduler)
+    for name, (scheduler, n_workers, observed, *extra) in SCALE_CELLS.items():
+        runtime = scale_runtime(n_workers, observed, scheduler, **(extra[0] if extra else {}))
         row = dataclasses.asdict(runtime.run())
         workers = runtime.metrics.workers
         bids = {worker: block.bids_submitted for worker, block in workers.items()}
@@ -400,9 +414,11 @@ def record_scale() -> dict:
         }
         cell["failed_jobs"] = list(row["failed_jobs"])
         cell["bids_submitted"] = sum(bids.values())
-        cell["per_worker_sha256"] = _digest(
-            [row["per_worker_mb"], row["per_worker_jobs"], bids]
-        )
+        per_worker = [row["per_worker_mb"], row["per_worker_jobs"], bids]
+        if runtime.metrics.offers_made:  # a pull cell: who declined, who accepted
+            offers = ((w, b.offers_rejected, b.offers_accepted) for w, b in workers.items())
+            per_worker.append({worker: counts for worker, *counts in offers})
+        cell["per_worker_sha256"] = _digest(per_worker)
         cell["assignments_sha256"] = _digest(runtime.master.assignments)
         if observed:
             trace = runtime.metrics.trace
