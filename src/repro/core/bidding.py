@@ -372,14 +372,7 @@ class BiddingMasterPolicy(MasterPolicy):
         compute every bid and its timetable in one pass."""
         master = self.master
         metrics, broker = master.metrics, master.topology.broker
-        computed = not (
-            self._instant
-            or metrics.trace.enabled
-            or metrics.monitor is not None
-            or broker.monitor is not None
-            or broker.obs is not None
-            or not broker.reliable
-        )
+        computed = not (self._instant or self.messages_witnessed())
         if computed:
             subs = broker.subscribers(TOPIC_ANNOUNCE)
             if subs != self._subs:

@@ -207,7 +207,7 @@ class Master:
         self._note_assignment(job, worker)
 
     def _note_assignment(self, job: Job, worker: str) -> None:
-        if worker not in self.worker_names:
+        if worker not in self.fleet.slots:
             raise ValueError(f"assignment to unknown worker {worker!r}")
         self.assignments[job.job_id] = worker
         self._assigned_at.add(job.job_id, job, worker, self.sim.now)
@@ -353,7 +353,7 @@ class Master:
     def _handle(self, message: object) -> None:
         """One inbox message (the mailbox calls this, one per turn)."""
         if isinstance(message, Hello):
-            if message.worker not in self.worker_names:
+            if message.worker not in self.fleet.slots:
                 raise RuntimeError(f"Hello from unknown worker {message.worker!r}")
         elif isinstance(message, JobCompleted):
             self._on_completed(message)
@@ -461,6 +461,16 @@ class Master:
                     job, message.worker, "worker failed; fault tolerance disabled"
                 )
             return
+        # A job on nobody's books whose last holder was not this worker
+        # was only *offered* to it: the dead node bounced the ``JobOffer``
+        # and the pull policy took the job back with the failure report;
+        # recovering it here as well would run it twice.
+        orphans = [
+            job
+            for job in orphans
+            if job.job_id in self._assigned_at
+            or self.assignments.get(job.job_id) == message.worker
+        ]
         for job in orphans:
             self.metrics.job_orphaned(self.sim.now, job, message.worker)
             if self.monitor is not None:

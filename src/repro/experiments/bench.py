@@ -17,8 +17,9 @@ commits and gated in CI:
 * ``bidding_fleet``     -- the paper's scheduler end to end at fleet
   scale: 200 workers x 300 jobs, untraced (jobs/s; gated),
 * ``pull_fleet``        -- the paper's comparator end to end: ``baseline``
-  at 100 workers x 300 jobs, untraced -- some twenty pull / offer /
-  reject messages per job, so this is the message path (jobs/s; gated),
+  at 100 workers x 300 jobs, untraced -- 4.5 declines per job, settled
+  at the master, then one real offer / accept / completion each, so
+  this is the decline cascade plus the message path (jobs/s; gated),
 * ``full_cell``         -- one end-to-end :func:`run_cell` (wall seconds).
 
 Each benchmark reports the *best* of ``repeats`` runs (minimum wall

@@ -416,8 +416,9 @@ def record_scale() -> dict:
         cell["bids_submitted"] = sum(bids.values())
         per_worker = [row["per_worker_mb"], row["per_worker_jobs"], bids]
         if runtime.metrics.offers_made:  # a pull cell: who declined, who accepted
-            offers = ((w, b.offers_rejected, b.offers_accepted) for w, b in workers.items())
-            per_worker.append({worker: counts for worker, *counts in offers})
+            per_worker.append(
+                {w: (b.offers_rejected, b.offers_accepted) for w, b in workers.items()}
+            )
         cell["per_worker_sha256"] = _digest(per_worker)
         cell["assignments_sha256"] = _digest(runtime.master.assignments)
         if observed:

@@ -243,6 +243,9 @@ class FleetState:
     def __init__(self) -> None:
         self.names: list[str] = []
         self.slots: dict[str, int] = {}
+        #: The node attached to each slot (``None`` before the first
+        #: attach): a restarted worker replaces its dead incarnation.
+        self.nodes: list = []
         self.alive = np.zeros(0, dtype=bool)
         self.active = np.zeros(0, dtype=bool)
         self.outstanding = np.zeros(0, dtype=np.int64)
@@ -261,6 +264,7 @@ class FleetState:
         if slot is None:
             slot = len(self.names)
             self.names.append(name)
+            self.nodes.append(None)
             self.slots[name] = slot
             needed = slot + 1
             self.alive = _grow(self.alive, needed)
@@ -302,6 +306,7 @@ class FleetState:
         and link observers so subsequent mutations stream in.
         """
         slot = self.ensure_worker(node.name)
+        self.nodes[slot] = node
         self.alive[slot] = node.alive
         self.outstanding[slot] = node._outstanding_jobs
         self.queued[slot] = len(node.queue)
@@ -667,6 +672,9 @@ class JobAgeTable:
 
     def __len__(self) -> int:
         return len(self._slot)
+
+    def __contains__(self, job_id: str) -> bool:
+        return job_id in self._slot
 
     def add(self, job_id: str, job, worker: str, at: float) -> None:
         slot = self._slot.get(job_id)

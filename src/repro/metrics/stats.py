@@ -10,7 +10,8 @@ module provides:
 * :func:`bootstrap_ratio_ci` -- CI for a ratio of means (the "bidding
   is 1.4x faster" statements),
 * :func:`rank_sum_pvalue` -- Wilcoxon rank-sum (Mann-Whitney U) via
-  scipy, for "is the difference more than seed noise?",
+  scipy (the ``stats`` extra, imported on first use: nothing else in
+  the package needs it), for "is the difference more than seed noise?",
 * :func:`compare` -- the one-call summary the harness prints.
 """
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -90,7 +90,9 @@ def rank_sum_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided Mann-Whitney U p-value (distribution-free)."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty sample")
-    result = scipy_stats.mannwhitneyu(a, b, alternative="two-sided")
+    from scipy.stats import mannwhitneyu
+
+    result = mannwhitneyu(a, b, alternative="two-sided")
     return float(result.pvalue)
 
 

@@ -330,6 +330,13 @@ class Broker:
             self.obs.on_publish(subscription.topic, message, self.sim.now)
         self._deliver(subscription, message, reliable=reliable, sender=sender)
 
+    def resume(self, subscription: Subscription, message: Any, when: float) -> None:
+        """Let ``message`` land in ``subscription`` at ``when``: part of an
+        exchange worked out ahead of time (see :attr:`reliable`) that
+        has to happen after all."""
+        self.published += 1
+        self.sim.call_at(when, self._deliver_now, subscription, message)
+
     def _deliver(
         self,
         subscription: Subscription,

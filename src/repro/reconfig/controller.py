@@ -198,6 +198,7 @@ class ReconfigController:
             # carries it), so no download trace events and no
             # data-load accounting -- mirroring warm-start preloads.
             node.cache.insert(job.repo_id, job.size_mb)
+            node.policy.on_state_changed((job.repo_id,))
             if self.monitor is not None:
                 self.monitor.on_cache_preload(target, [job.repo_id])
             metrics.trace.record(now, "migrate_prewarm", job.job_id, target, job.repo_id)

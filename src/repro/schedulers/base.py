@@ -66,6 +66,21 @@ class MasterPolicy:
         """A new job needs allocation (source arrival or pipeline child)."""
         raise NotImplementedError
 
+    def messages_witnessed(self) -> bool:
+        """Whether anything can tell this policy's individual messages
+        apart: trace, an invariant monitor or ``obs`` recorder on the
+        collector or the broker, or a broker that may lose or hold one.
+        Only if not may an exchange be worked out instead of sent
+        (computed contests, settled declines; ARCHITECTURE.md section 12)."""
+        metrics, broker = self.master.metrics, self.master.topology.broker
+        return (
+            metrics.trace.enabled
+            or metrics.monitor is not None
+            or broker.monitor is not None
+            or broker.obs is not None
+            or not broker.reliable
+        )
+
     def decision_context(self, job: Job, worker: str) -> tuple:
         """Explain the allocation of ``job`` to ``worker`` just decided.
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.messages import PullRequest
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.pull import PullMasterPolicy, PullWorkerPolicy
 from repro.workload.job import Job
@@ -54,6 +53,7 @@ class BaselineMasterPolicy(PullMasterPolicy):
     """FIFO job queue + long-polled pulls + requeue on rejection."""
 
     name = "baseline"
+    workers_decline = True
 
     def __init__(self, requeue: str = "front") -> None:
         super().__init__()
@@ -67,12 +67,9 @@ class BaselineMasterPolicy(PullMasterPolicy):
         self.job_queue.append(job)
         self._serve()
 
-    def on_message(self, message: object) -> bool:
-        if isinstance(message, PullRequest):
-            self._park(message.worker)
-            self._serve()
-            return True
-        return super().on_message(message)
+    def _pulled(self, worker: str, attempt: int) -> None:
+        self._park(worker)
+        self._serve()
 
     def _rejected(self, job: Job) -> None:
         if self.requeue == "front":
@@ -115,18 +112,25 @@ class BaselineWorkerPolicy(PullWorkerPolicy):
         #: Job ids this worker has declined (the second-attempt memory).
         self.declined: set[str] = set()
 
-    def accepts(self, job: Job) -> bool:
+    def will_decline(self, job: Job) -> bool:
         """The acceptance criterion (application-specific in Crossflow;
-        data locality for the MSR workload, per Section 4).  A declined
-        job is remembered, and accepted when it comes back."""
-        if (
-            not job.is_data_bound
-            or self.worker.cache.peek(job.repo_id)
-            or job.job_id in self.declined
-        ):
-            return True
+        data locality for the MSR workload, per Section 4): decline a
+        job whose data is not here -- once."""
+        return (
+            job.is_data_bound
+            and not self.worker.cache.peek(job.repo_id)
+            and job.job_id not in self.declined
+        )
+
+    def decline(self, job: Job) -> None:
         self.declined.add(job.job_id)
-        return False
+
+    def accepts(self, job: Job) -> bool:
+        """A declined job is remembered, and accepted when it comes back."""
+        if self.will_decline(job):
+            self.decline(job)
+            return False
+        return True
 
 
 def make_baseline_policy(

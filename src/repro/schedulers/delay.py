@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.messages import NoWork, PullRequest
+from repro.engine.messages import NoWork
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.pull import HoldingsPullMasterPolicy, PullWorkerPolicy
 from repro.workload.job import Job
@@ -44,18 +44,15 @@ class DelayMasterPolicy(HoldingsPullMasterPolicy):
         self.skips.setdefault(job.job_id, 0)
         self._serve()
 
-    def on_message(self, message: object) -> bool:
-        if isinstance(message, PullRequest):
-            if self._quiescing:
-                # Swallow: the puller is about to be hot-swapped too and
-                # its successor will re-pull.
-                return True
-            if self.job_queue:
-                self._answer(message.worker)
-            else:
-                self._park(message.worker)
-            return True
-        return super().on_message(message)
+    def _pulled(self, worker: str, attempt: int) -> None:
+        if self._quiescing:
+            # Swallow: the puller is about to be hot-swapped too and
+            # its successor will re-pull.
+            return
+        if self.job_queue:
+            self._answer(worker)
+        else:
+            self._park(worker)
 
     def _return(self, job: Job) -> None:
         super()._return(job)

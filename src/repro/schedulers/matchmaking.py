@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.messages import NoWork, PullRequest
+from repro.engine.messages import NoWork
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.pull import HoldingsPullMasterPolicy, PullWorkerPolicy
 from repro.workload.job import Job
@@ -45,23 +45,19 @@ class MatchmakingMasterPolicy(HoldingsPullMasterPolicy):
         self.job_queue.append(job)
         self._serve()
 
-    def on_message(self, message: object) -> bool:
-        if isinstance(message, PullRequest):
-            if self._quiescing:
-                # Swallow: the puller is about to be hot-swapped too and
-                # its successor will re-pull.
-                return True
-            worker = message.worker
-            self._attempts[worker] = message.attempt
-            if self.job_queue:
-                self._answer(worker)
-            else:
-                # A retried pull (the loss-timeout path) replaces the
-                # stale one instead of queueing a duplicate offer claim.
-                self._unpark(worker)
-                self._park(worker)
-            return True
-        return super().on_message(message)
+    def _pulled(self, worker: str, attempt: int) -> None:
+        if self._quiescing:
+            # Swallow: the puller is about to be hot-swapped too and
+            # its successor will re-pull.
+            return
+        self._attempts[worker] = attempt
+        if self.job_queue:
+            self._answer(worker)
+        else:
+            # A retried pull (the loss-timeout path) replaces the
+            # stale one instead of queueing a duplicate offer claim.
+            self._unpark(worker)
+            self._park(worker)
 
     def decision_context(self, job: Job, worker: str) -> tuple:
         """Ledger: locality per the holdings view distinguishes a

@@ -13,6 +13,14 @@ does not depend on the match rule: the parked pulls, the offers in
 flight (accepted, bounced, or reclaimed when the offeree dies), the
 retire rule and the quiesce seam; :class:`HoldingsPullMasterPolicy`
 adds the holdings view ``matchmaking`` and ``delay`` match against.
+
+An offer that is certain to be declined is three messages with a known
+outcome (``JobOffer`` out; ``JobReject`` and the next ``PullRequest``
+back).  When nothing can tell them apart the master *settles* it: one
+timer for the instant the ``JobReject`` would have reached it, both
+turns taken there; until the offer would have landed, anything that
+could change the answer puts the real offer back on its way
+(ARCHITECTURE.md section 12, *Settled declines*).
 """
 
 from __future__ import annotations
@@ -30,12 +38,16 @@ from repro.workload.job import Job
 class PullMasterPolicy(MasterPolicy):
     """Parked pulls, offers in flight, retire and quiesce.
 
-    A subclass owns the match rule: it handles ``PullRequest`` itself
-    (parking through :meth:`_park`), implements :meth:`_answer` and
-    calls :meth:`_serve` whenever jobs arrive.
+    A subclass owns the match rule: it says what a pull does
+    (:meth:`_pulled`, parking through :meth:`_park`), implements
+    :meth:`_answer` and calls :meth:`_serve` whenever jobs arrive.
     """
 
     stale_inbound = (PullRequest,)
+
+    #: Whether this scheduler's workers ever decline an offer; if not,
+    #: the master never looks for a decline to settle.
+    workers_decline = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -54,6 +66,11 @@ class PullMasterPolicy(MasterPolicy):
         self.in_flight: dict[str, tuple[str, Job]] = {}
 
     # -- what a subclass supplies ---------------------------------------------
+
+    def _pulled(self, worker: str, attempt: int) -> None:
+        """``worker`` pulls (its ``attempt``-th try since it last ran a
+        job): answer it now or park it."""
+        raise NotImplementedError
 
     def _answer(self, worker: str) -> None:
         """Answer ``worker``'s pull from a non-empty queue: an offer
@@ -92,26 +109,65 @@ class PullMasterPolicy(MasterPolicy):
     def _offer(self, worker: str, job: Job, prior_offers: int = 0) -> None:
         self.in_flight[job.job_id] = (worker, job)
         self.master.metrics.offer_made(self.master.sim.now, job, worker)
-        self.master.send_to_worker(worker, JobOffer(job=job, prior_offers=prior_offers))
+        if not (self.workers_decline and self._settle(worker, job, prior_offers)):
+            self.master.send_to_worker(worker, JobOffer(job=job, prior_offers=prior_offers))
+
+    def _settle(self, worker: str, job: Job, prior_offers: int) -> bool:
+        """Carry out an offer that is certain to be declined, and whose
+        messages nothing can witness, without them; ``False`` if the
+        offer has to be sent."""
+        master = self.master
+        fleet, broker = master.fleet, master.topology.broker
+        node = fleet.nodes[fleet.slots[worker]]
+        policy = node.policy
+        # A leg that takes no time is delivered inside ``publish``: there
+        # is no heap entry whose place a timer could take.
+        out_leg = broker.base_latency + node.inbox.latency
+        back_leg = broker.base_latency + master.inbox.latency
+        if (
+            self.messages_witnessed()
+            or out_leg <= 0
+            or back_leg <= 0
+            or not policy.certain_to_decline(job)
+        ):
+            return False
+        # The sums the broker's two ``call_later`` would have made.
+        landing = master.sim.now + out_leg
+        timer = master.sim.call_at(
+            landing + back_leg, self._settled, worker, job, policy.attempt, policy
+        )
+        policy.settled = (landing, timer, job, prior_offers)
+        return True
+
+    def _settled(self, worker: str, job: Job, attempt: int, policy) -> None:
+        """The instant a settled decline's ``JobReject`` would have been
+        handled: its turn, then the ``PullRequest``'s right behind it."""
+        policy.decline(job)
+        self._declined(job, worker)
+        self._pulled(worker, attempt)
 
     def on_message(self, message: object) -> bool:
-        if isinstance(message, JobAccept):
+        if isinstance(message, PullRequest):
+            self._pulled(message.worker, message.attempt)
+        elif isinstance(message, JobAccept):
             self.in_flight.pop(message.job.job_id, None)
             self.master.metrics.offer_accepted(
                 self.master.sim.now, message.job, message.worker
             )
             self.master.note_external_assignment(message.job, message.worker)
-            return True
-        if isinstance(message, JobReject):
-            # "returned to the master so another worker can consider it".
-            self.in_flight.pop(message.job.job_id, None)
-            self.master.metrics.offer_rejected(
-                self.master.sim.now, message.job, message.worker
-            )
-            self._rejected(message.job)
-            self._serve()
-            return True
-        return False
+        elif isinstance(message, JobReject):
+            self._declined(message.job, message.worker)
+        else:
+            return False
+        return True
+
+    def _declined(self, job: Job, worker: str) -> None:
+        """``worker`` declined ``job``: "returned to the master so
+        another worker can consider it"."""
+        self.in_flight.pop(job.job_id, None)
+        self.master.metrics.offer_rejected(self.master.sim.now, job, worker)
+        self._rejected(job)
+        self._serve()
 
     def _rejected(self, job: Job) -> None:
         """Where a declined job re-enters the queue."""
@@ -239,6 +295,10 @@ class PullWorkerPolicy(WorkerPolicy):
         self._answers: deque = deque()
         self._awaiting = False
         self._deadline = TimerHandle()
+        #: The decline the master last settled for us: ``(landing
+        #: instant, its timer, job, prior offers)``; ours to undo until
+        #: the offer would have landed, stale from then on.
+        self.settled: Optional[tuple] = None
 
     def start(self) -> None:
         self.worker.sim.call_soon(self._cycle)
@@ -248,7 +308,54 @@ class PullWorkerPolicy(WorkerPolicy):
         *master* did the matching, take it."""
         return True
 
+    def will_decline(self, job: Job) -> bool:
+        """Whether :meth:`accepts` would refuse ``job``, judged (and
+        nothing remembered) from the job, the node's cache and what
+        :meth:`decline` remembered: state an idle node only changes
+        through a seam that un-settles."""
+        return False
+
+    def decline(self, job: Job) -> None:
+        """Remember having declined ``job``; default: nothing to remember."""
+
+    def certain_to_decline(self, job: Job) -> bool:
+        """Whether an offer of ``job`` sent now can only be declined: the
+        node waits, idle, for exactly this answer (no loss deadline)."""
+        worker = self.worker
+        return (
+            self._awaiting  # (so no answer is queued either)
+            and self.response_timeout_s is None
+            and worker.alive
+            and not worker.draining
+            and worker.is_idle
+            and self.will_decline(job)
+        )
+
+    def _unsettle(self) -> None:
+        """Something reached or changed the node.  If a settled offer
+        has not landed yet its outcome is open again: call the master's
+        timer off and let the real ``JobOffer`` land when it would have
+        (a dead node bounces it, a draining one returns it)."""
+        settled, self.settled = self.settled, None
+        worker = self.worker
+        if settled is not None and worker.sim.now < settled[0]:
+            landing, timer, job, prior_offers = settled
+            timer.cancel()
+            worker.topology.broker.resume(
+                worker.inbox, JobOffer(job=job, prior_offers=prior_offers), landing
+            )
+
+    # The seams an idle node's answer can change through (the fourth is
+    # any message reaching it, in on_message).
+    on_killed = on_drain = _unsettle
+
+    def on_state_changed(self, repos=()) -> None:
+        if self.settled is not None:
+            self._unsettle()
+
     def on_message(self, message: object) -> bool:
+        if self.settled is not None:
+            self._unsettle()
         if not isinstance(message, (JobOffer, NoWork)):
             return False
         self._answers.append(message)

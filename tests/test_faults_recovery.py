@@ -165,3 +165,57 @@ class TestAtMostOnceGuard:
         runtime.sim.run(until=runtime.sim.now + 20_000.0)
         assert runtime.metrics.duplicates_suppressed == 1
         assert runtime.metrics.jobs_completed == 1
+
+
+
+class TestOfferInFlightToADyingWorker:
+    """The offeree dies with the ``JobOffer`` still on the wire.  The
+    pull policy reclaims the unacked offer when the failure is reported
+    *and* the dead node bounces the offer as an orphan report; only one
+    of the two may put the job back, or it is downloaded and run twice."""
+
+    @staticmethod
+    def build(scheduler, trace, faults=None):
+        return WorkflowRuntime(
+            profile=make_profile(*(make_spec(f"w{i}") for i in range(1, 6))),
+            stream=stream_of(n=6),
+            scheduler=make_scheduler(scheduler),
+            config=EngineConfig(
+                seed=3,
+                noise_kind="none",
+                noise_params={},
+                topology=TopologyConfig(min_latency=0.010, max_latency=0.050),
+                trace=trace,
+            ),
+            faults=faults,
+        )
+
+    def crash_under_the_first_offer(self, scheduler, **crash):
+        """The first offer of a clean run, and a crash of its offeree
+        half a millisecond after it went out (legs take 10 ms and up)."""
+        clean = self.build(scheduler, trace=True)
+        clean.run()
+        offer = clean.metrics.trace.of_kind("offered")[0]
+        return offer, WorkerCrash(at_s=offer.time + 0.0005, worker=offer.worker, **crash)
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["over-the-broker", "unobserved"])
+    @pytest.mark.parametrize("scheduler", ["baseline", "matchmaking", "delay"])
+    def test_the_job_is_recovered_once(self, scheduler, trace):
+        _offer, crash = self.crash_under_the_first_offer(scheduler, restart_after_s=5.0)
+        plan = FaultPlan(crashes=(crash,), recovery=RecoveryConfig())
+        result = self.build(scheduler, trace, plan).run()
+        assert result.crashes == 1
+        assert result.jobs_completed == 6 and result.failed_jobs == ()
+        # The victim held nothing: the offer never became its job.
+        assert result.redispatches == 0
+        assert result.duplicates_suppressed == 0
+        assert result.cache_misses == 6  # six repositories, one download each
+
+    def test_without_recovery_the_bounce_still_fails_the_job(self):
+        offer, crash = self.crash_under_the_first_offer("baseline")
+        plan = FaultPlan(crashes=(crash,), recovery=None)
+        for trace in (True, False):
+            runtime = self.build("baseline", trace, plan)
+            with pytest.raises(WorkflowStalled):
+                runtime.run()
+            assert list(runtime.master.failed_jobs) == [offer.job_id]
