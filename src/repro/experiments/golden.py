@@ -334,7 +334,47 @@ SCALE_CELLS: dict[str, tuple] = {
 SCALE_CELLS["bidding-100-observed"] = ("bidding", 100, True)
 SCALE_CELLS["baseline-100-observed"] = ("baseline", 100, True)
 SCALE_CELLS["baseline-back-100"] = ("baseline", 100, False, {"requeue": "back"})
-SCALE_CELLS["baseline-churn-25"] = ("baseline", 25, False, {"churn": True})
+SCALE_CELLS["baseline-churn-25"] = ("baseline", 25, False, {"churn": "cascade"})
+# The work path (executor, link, prefetcher): the other push schedulers,
+# a prefetching fleet, an origin that 100 downloads contend for, and
+# kills / checkpoints that land inside a download.
+for _scheduler in ("bar", "random", "round-robin"):
+    SCALE_CELLS[f"{_scheduler}-100"] = (_scheduler, 100, False)
+SCALE_CELLS["spark-prefetch-100"] = ("spark", 100, False, {"engine": {"prefetch": True}})
+SCALE_CELLS["bidding-origin-100"] = (
+    "bidding", 100, False, {"engine": {"shared_origin_mbps": 120.0}}
+)
+SCALE_CELLS["spark-churn-100-observed"] = ("spark", 100, True, {"churn": "mid-download"})
+
+#: churn name -> (crashes, migrations) as keyword dicts.
+#: ``cascade``: a worker dies at 6 s, mid-cascade, and is back 10 s
+#: later; at 16 s three jobs migrate onto pre-warmed caches.
+#: ``mid-download`` (timed against the ``spark`` cell at 100 workers):
+#: w0051 dies 0.10 s into the 0.2 s latency of its first download and
+#: w0063 27.5 s into the flow of its second; w0093's running job is
+#: checkpointed 10 s into a 99 s flow (its next job misses at 20.8 s and
+#: waits for the link behind the abandoned transfer) and w0032's 0.10 s
+#: into a latency.  Both dead workers come back on their old noise
+#: stream and are then handed a job, so a noise factor the abandoned
+#: transfer did not draw would show.
+SCALE_CHURN: dict[str, tuple] = {
+    "cascade": (
+        ({"at_s": 6.0, "restart_after_s": 10.0},),
+        ({"at_s": 16.0, "max_jobs": 3, "include_running": True},),
+    ),
+    "mid-download": (
+        (
+            {"at_s": 1.25, "worker": "w0051", "restart_after_s": 10.0},
+            {"at_s": 50.0, "worker": "w0063", "restart_after_s": 10.0},
+        ),
+        (
+            {"at_s": 10.0, "source": "w0093", "include_running": True},
+            {"at_s": 21.15, "source": "w0032", "include_running": True},
+            {"at_s": 30.0, "target": "w0051"},
+            {"at_s": 70.0, "target": "w0063"},
+        ),
+    ),
+}
 
 
 def _digest(payload) -> str:
@@ -344,20 +384,24 @@ def _digest(payload) -> str:
 
 
 def scale_runtime(
-    n_workers: int, observed: bool, scheduler: str = "bidding", churn: bool = False, **kwargs
+    n_workers: int,
+    observed: bool,
+    scheduler: str = "bidding",
+    churn: str | None = None,
+    engine: dict | None = None,
+    **kwargs,
 ) -> WorkflowRuntime:
     """The benchmark's ``bid-fleet`` shape: near-equal workers (eleven
     network classes), ``80%_large`` at 0.2 s inter-arrival with the
-    shared repository's size pinned; ``kwargs`` go to the scheduler.
-    ``churn``: a worker dies at 6 s, mid-cascade, and is back 10 s
-    later; at 16 s three jobs migrate onto pre-warmed caches."""
+    shared repository's size pinned; ``kwargs`` go to the scheduler,
+    ``engine`` overrides :class:`EngineConfig` fields and ``churn``
+    names a :data:`SCALE_CHURN` plan of crashes and migrations."""
     from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
     from repro.reconfig import JobMigration, ReconfigPlan
     from repro.workload.generators import job_config_by_name
     from repro.workload.job import JobArrival
 
-    crash = WorkerCrash(at_s=6.0, restart_after_s=10.0)
-    migration = JobMigration(at_s=16.0, max_jobs=3, include_running=True)
+    crashes, migrations = SCALE_CHURN[churn] if churn else ((), ())
 
     profile = WorkerProfile(
         f"fleet-{n_workers}",
@@ -392,10 +436,19 @@ def scale_runtime(
         stream=stream,
         scheduler=make_scheduler(scheduler, **kwargs),
         config=EngineConfig(
-            seed=SCALE_SEED, trace=observed, check=observed, obs=observed
+            seed=SCALE_SEED, trace=observed, check=observed, obs=observed, **(engine or {})
         ),
-        faults=FaultPlan(crashes=(crash,), recovery=RecoveryConfig()) if churn else None,
-        reconfig=ReconfigPlan(migrations=(migration,)) if churn else None,
+        faults=FaultPlan(
+            crashes=tuple(WorkerCrash(**crash) for crash in crashes),
+            recovery=RecoveryConfig(),
+        )
+        if crashes
+        else None,
+        reconfig=ReconfigPlan(
+            migrations=tuple(JobMigration(**migration) for migration in migrations)
+        )
+        if migrations
+        else None,
     )
 
 
