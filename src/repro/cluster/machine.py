@@ -16,14 +16,15 @@ expose those historic averages.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.cluster.worker_spec import WorkerSpec
 from repro.net.bandwidth import FairSharePipe
-from repro.net.link import Link
+from repro.net.link import Link, Transfer
 from repro.net.noise import NoiseModel, NoNoise
+from repro.sim.kernel import TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -104,37 +105,53 @@ class Machine:
 
     # -- execution ---------------------------------------------------------
 
-    def download(self, size_mb: float, priority: int = 0) -> Generator:
-        """Process: clone ``size_mb`` through the worker's link.
+    def download(self, size_mb: float, priority: int, done: Callable) -> Transfer:
+        """Clone ``size_mb`` through the worker's link, then call
+        ``done(elapsed_s)``.
 
         ``priority`` forwards to the link (0 = foreground job download,
-        1 = background prefetch).  Returns elapsed seconds and records a
-        network speed sample.
+        1 = background prefetch).  Busy time and the network speed
+        sample are recorded on ``done``'s turn; abandon the returned
+        transfer and neither is.
         """
-        start = self.sim.now
-        elapsed = yield self.sim.process(self.link.transfer(size_mb, priority=priority))
-        self.busy_seconds += self.sim.now - start
-        if elapsed > 0 and size_mb > 0:
-            self.record_network_sample(size_mb / elapsed)
-        return elapsed
 
-    def process(self, size_mb: float, base_compute_s: float = 0.0) -> Generator:
-        """Process: scan ``size_mb`` of local data plus fixed compute.
+        def finished(elapsed: float) -> None:
+            self.busy_seconds += elapsed
+            if elapsed > 0 and size_mb > 0:
+                self.record_network_sample(size_mb / elapsed)
+            done(elapsed)
+
+        return self.link.start(size_mb, priority, finished)
+
+    def process(
+        self,
+        size_mb: float,
+        base_compute_s: float,
+        done: Callable,
+        handle: Optional[TimerHandle] = None,
+    ) -> TimerHandle:
+        """Scan ``size_mb`` of local data plus fixed compute, then call
+        ``done(duration_s)``; the timer (``handle`` re-armed, if given)
+        is returned, and cancelling it abandons the work.
 
         Realised scan speed is the nominal ``rw_mbps`` times a noise
-        factor; fixed compute scales with the CPU factor.  Returns
-        elapsed seconds and records a read/write speed sample.
+        factor; fixed compute scales with the CPU factor.  Busy time
+        and the read/write speed sample are recorded when it ends.
         """
         if size_mb < 0:
             raise ValueError("size_mb must be non-negative")
         if base_compute_s < 0:
             raise ValueError("base_compute_s must be non-negative")
-        start = self.sim.now
-        factor = self.rw_noise.factor(self.rng, self.sim.now)
+        sim = self.sim
+        start = sim.now
+        factor = self.rw_noise.factor(self.rng, start)
         realised_rw = self.spec.rw_mbps * max(factor, 1e-9)
         duration = base_compute_s / self.spec.cpu_factor + size_mb / realised_rw
-        yield self.sim.sleep(duration)
-        self.busy_seconds += self.sim.now - start
-        if size_mb > 0 and duration > 0:
-            self.record_rw_sample(size_mb / duration)
-        return duration
+
+        def finished() -> None:
+            self.busy_seconds += sim.now - start
+            if size_mb > 0 and duration > 0:
+                self.record_rw_sample(size_mb / duration)
+            done(duration)
+
+        return sim.call_later(duration, finished, handle=handle)

@@ -44,6 +44,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
 from repro.net.topology import Topology
 from repro.sim.events import Event
+from repro.sim.kernel import TimerHandle
 from repro.workload.job import Job, JobStream
 from repro.workload.pipeline import Pipeline
 
@@ -153,6 +154,10 @@ class Master:
         #: In-flight assignments (job, worker, assigned-at); feeds orphan
         #: recovery and the straggler monitor.
         self._assigned_at = JobAgeTable()
+        #: The source stream's iterator and the one timer that sleeps
+        #: from arrival to arrival (stream-driven runs only).
+        self._arrivals = iter(()) if stream is None else iter(stream)
+        self._intake_timer = TimerHandle()
         #: Re-armed straggler-scan timer (set in :meth:`start` when the
         #: recovery policy enables a re-dispatch timeout).
         self._straggler_timer = None
@@ -183,7 +188,7 @@ class Master:
             self.policy.on_upfront_jobs(self.stream.jobs)
         self.policy.start()
         if self.stream is not None:
-            self.sim.process(self._intake(), name="master-intake")
+            self.sim.call_soon(self._intake)
         self.inbox.owner.start()
         if self.recovery is not None and self.recovery.redispatch_timeout_s is not None:
             # Direct-callback timer: the monitor re-arms itself each tick
@@ -328,12 +333,16 @@ class Master:
         else:
             self.policy.on_job(job)
 
-    def _intake(self):
-        """Feed the source stream into the workflow at its arrival times."""
-        for arrival in self.stream:
+    def _intake(self, due: Optional[Job] = None) -> None:
+        """Feed the source stream into the workflow at its arrival
+        times: submit what is due, then sleep until the next arrival."""
+        if due is not None:
+            self.submit(due)
+        for arrival in self._arrivals:
             delay = arrival.at - self.sim.now
             if delay > 0:
-                yield self.sim.sleep(delay)
+                self.sim.call_later(delay, self._intake, arrival.job, handle=self._intake_timer)
+                return
             self.submit(arrival.job)
         self.finish_intake()
 

@@ -20,6 +20,7 @@ as ``totalCostOfUnfinishedJobs()`` (Listing 2 line 2).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.machine import Machine
@@ -38,10 +39,10 @@ from repro.engine.messages import (
 from repro.fleet import FleetState
 from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
+from repro.net.link import Transfer
 from repro.net.topology import Topology
 from repro.sim.events import Event
-from repro.sim.process import Interrupt
-from repro.sim.resources import Store
+from repro.sim.kernel import TimerHandle
 from repro.workload.job import Job
 from repro.workload.pipeline import Pipeline
 
@@ -93,15 +94,16 @@ class WorkerNode:
 
         self.inbox = topology.subscribe(worker_topic(self.name), self.name)
         self.inbox.owner = Mailbox(sim, self._handle)
-        self.queue: Store = Store(sim)
+        #: Accepted jobs whose turn has not come, oldest first.
+        self.queue: deque[Job] = deque()
         #: job_id -> estimated cost of every assigned-but-unfinished job.
         self.unfinished: dict[str, float] = {}
         #: The job currently executing (None when between jobs).
         self.current_job: Optional[Job] = None
         #: Jobs accepted but not yet completed.  This -- not the queue
-        #: length -- defines idleness: a job handed to the executor's
-        #: pending ``get`` leaves the queue before execution starts, and
-        #: the worker must not look idle in that window.
+        #: length -- defines idleness: the next job leaves the queue one
+        #: turn before it starts, and the worker must not look idle in
+        #: that window.
         self._outstanding_jobs = 0
         self.alive = True
         #: Scale-down drain (service layer): a draining worker finishes
@@ -109,15 +111,29 @@ class WorkerNode:
         #: policies consult this flag before bidding or pulling.
         self.draining = False
         self._idle_waiters: list[Event] = []
-        self._exec_proc = None
+        #: The executor (see *The work path* in ARCHITECTURE section 3):
+        #: the one timer its turns are armed on, whether it waits for an
+        #: enqueue, the job whose turn is armed but has not come, when
+        #: the running job started, and what the running job waits for
+        #: that is not on ``_turn`` -- its download, the prefetch of its
+        #: clone, its task's ``sim_work`` process.
+        self._turn = TimerHandle()
+        self._parked = False
+        self._handoff: Optional[Job] = None
+        self._started_at = 0.0
+        self._download: Optional[Transfer] = None
+        self._awaits_prefetch = False
+        self._sim_work: Optional[Event] = None
         #: Prefetch extension: download queued jobs' repositories while
         #: the CPU processes earlier jobs (off = the paper's strictly
-        #: serial download-then-process execution).
+        #: serial download-then-process execution).  A second machine of
+        #: the same kind: its own timer, whether it waits for an enqueue,
+        #: the job whose clone it is fetching, and that transfer.
         self.prefetch = prefetch
-        self._prefetch_proc = None
-        self._prefetch_signal: Optional[Event] = None
-        #: repo_id -> completion event of an in-flight prefetch.
-        self._prefetch_inflight: dict[str, Event] = {}
+        self._prefetch_turn = TimerHandle()
+        self._prefetch_parked = False
+        self._prefetching: Optional[Job] = None
+        self._prefetch_download: Optional[Transfer] = None
         #: job_ids whose miss was already accounted by the prefetcher.
         self._prefetch_credit: set[str] = set()
         #: Optional live invariant checker (see :mod:`repro.check`);
@@ -139,16 +155,14 @@ class WorkerNode:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Register with the master, open the inbox and spawn the
+        """Register with the master, open the inbox and start the
         executor."""
         self.policy.bind(self)
         self.send_to_master(Hello(worker=self.name))
         self.inbox.owner.start()
-        self._exec_proc = self.sim.process(self._executor(), name=f"{self.name}-exec")
+        self.sim.call_soon(self._next)
         if self.prefetch:
-            self._prefetch_proc = self.sim.process(
-                self._prefetcher(), name=f"{self.name}-prefetch"
-            )
+            self.sim.call_soon(self._prefetch_defer)
         self.policy.start()
 
     # -- messaging helpers ----------------------------------------------------
@@ -194,8 +208,8 @@ class WorkerNode:
         repos = set(self.cache.contents())
         if self.current_job is not None and self.current_job.repo_id is not None:
             repos.add(self.current_job.repo_id)
-        for job in self.queue.items:
-            if isinstance(job, Job) and job.repo_id is not None:
+        for job in self.queue:
+            if job.repo_id is not None:
                 repos.add(job.repo_id)
         return repos
 
@@ -205,9 +219,7 @@ class WorkerNode:
             return True
         if self.current_job is not None and self.current_job.repo_id == repo_id:
             return True
-        return any(
-            isinstance(job, Job) and job.repo_id == repo_id for job in self.queue.items
-        )
+        return any(job.repo_id == repo_id for job in self.queue)
 
     # -- job intake ----------------------------------------------------------
 
@@ -219,10 +231,16 @@ class WorkerNode:
             self.monitor.on_enqueued(job.job_id, self.name, self.sim.now)
         self.unfinished[job.job_id] = estimated_cost
         self._outstanding_jobs += 1
-        self.queue.put(job)
+        if self._parked:
+            self._parked = False
+            self._hand_off(job)
+        else:
+            self.queue.append(job)
         self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
-        if self._prefetch_signal is not None and not self._prefetch_signal.triggered:
-            self._prefetch_signal.succeed()
+        if self._prefetch_parked:
+            self._prefetch_parked = False
+            sim = self.sim
+            sim.call_at(sim.now, self._prefetch_defer, handle=self._prefetch_turn)
 
     # -- inbox and processes --------------------------------------------------
 
@@ -278,116 +296,154 @@ class WorkerNode:
         )
         return transfer + self.spec.nominal_processing_time(job.size_mb, job.base_compute_s)
 
-    def _executor(self):
-        """The FIFO execution loop (one job at a time)."""
-        while True:
-            job = yield self.queue.get()
-            self.current_job = job
-            self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
-            self.policy.on_state_changed((job.repo_id,))
-            started = self.sim.now
-            self.metrics.job_started(started, job, self.name)
-            if self.monitor is not None:
-                self.monitor.on_job_started(job.job_id, self.name, started)
-            try:
-                yield from self._execute(job)
-            except Interrupt as interrupt:
-                if interrupt.cause == "migrate-checkpoint":
-                    # The running job was checkpointed out from under us;
-                    # :meth:`checkpoint_jobs` already settled every
-                    # counter synchronously before this throw fired, so
-                    # just move on to the next queued job.
-                    continue
-                # Killed mid-job; kill() already reported the orphans.
-                return
-            elapsed = self.sim.now - started
-            self.current_job = None
-            self._outstanding_jobs -= 1
-            self.unfinished.pop(job.job_id, None)
-            self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
-            self.policy.on_job_finished(job, elapsed)
-            ctx = None
-            if self.obs is not None:
-                ctx = self._assign_ctxs.pop(job.job_id, None)
-            self.send_to_master(
-                JobCompleted(job=job, worker=self.name, elapsed_s=elapsed, ctx=ctx)
-            )
-            if self.is_idle:
-                self._wake_idle_waiters()
+    # -- the executor: park -> begin -> (hit | miss -> link) -> compute -> finish
 
-    def _execute(self, job: Job):
-        """Run one job: ensure data locality, then process."""
-        if job.repo_id is not None:
-            inflight = self._prefetch_inflight.get(job.repo_id)
-            if inflight is not None and not inflight.processed:
-                # The prefetcher is mid-download of exactly this clone:
-                # wait for it rather than starting a duplicate transfer.
-                yield inflight
-            if job.job_id in self._prefetch_credit:
-                # The prefetcher already accounted this job's miss and
-                # download; just refresh the clone's recency.
-                self._prefetch_credit.discard(job.job_id)
-                self.cache.lookup(job.repo_id)
-            elif self.cache.lookup(job.repo_id):
-                self.metrics.record_cache_hit(self.sim.now, self.name, job)
-                if self.monitor is not None:
-                    self.monitor.on_cache_hit(self.name, job.repo_id, self.sim.now)
-            else:
-                self.metrics.record_cache_miss(self.sim.now, self.name, job)
-                yield from self.machine.download(job.size_mb)
-                self.cache.insert(job.repo_id, job.size_mb)
-                self.policy.on_state_changed((job.repo_id,))
-                self.metrics.record_download(self.sim.now, self.name, job, job.size_mb)
-                if self.monitor is not None:
-                    self.monitor.on_cache_fetch(self.name, job.repo_id, self.sim.now)
+    def _next(self) -> None:
+        """Ready for a job: the oldest queued one gets its turn, or the
+        executor parks until :meth:`enqueue` hands it one."""
+        if self.queue:
+            self._hand_off(self.queue.popleft())
+        else:
+            self._parked = True
+
+    def _hand_off(self, job: Job) -> None:
+        self._handoff = job
+        sim = self.sim
+        sim.call_at(sim.now, self._begin, handle=self._turn)
+
+    def _begin(self) -> None:
+        """The job's turn has come: it is the running job from here on."""
+        job, self._handoff = self._handoff, None
+        self.current_job = job
+        self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
+        self.policy.on_state_changed((job.repo_id,))
+        self._started_at = started = self.sim.now
+        self.metrics.job_started(started, job, self.name)
+        if self.monitor is not None:
+            self.monitor.on_job_started(job.job_id, self.name, started)
+        if job.repo_id is None:
+            self._compute()
+        elif self._prefetching is not None and self._prefetching.repo_id == job.repo_id:
+            # The prefetcher is mid-download of exactly this clone:
+            # wait for it rather than starting a duplicate transfer.
+            self._awaits_prefetch = True
+        else:
+            self._localise()
+
+    def _localise(self) -> None:
+        """Ensure data locality: the clone is here, or is downloaded."""
+        job = self.current_job
+        if job.job_id in self._prefetch_credit:
+            # The prefetcher already accounted this job's miss and
+            # download; just refresh the clone's recency.
+            self._prefetch_credit.discard(job.job_id)
+            self.cache.lookup(job.repo_id)
+        elif self.cache.lookup(job.repo_id):
+            self.metrics.record_cache_hit(self.sim.now, self.name, job)
+            if self.monitor is not None:
+                self.monitor.on_cache_hit(self.name, job.repo_id, self.sim.now)
+        else:
+            self.metrics.record_cache_miss(self.sim.now, self.name, job)
+            self._download = self.machine.download(job.size_mb, 0, self._downloaded)
+            return
+        self._compute()
+
+    def _downloaded(self, _elapsed: float) -> None:
+        self._download = None
+        self._store_clone(self.current_job)
+        self._compute()
+
+    def _store_clone(self, job: Job) -> None:
+        self.cache.insert(job.repo_id, job.size_mb)
+        self.policy.on_state_changed((job.repo_id,))
+        self.metrics.record_download(self.sim.now, self.name, job, job.size_mb)
+        if self.monitor is not None:
+            self.monitor.on_cache_fetch(self.name, job.repo_id, self.sim.now)
+
+    def _compute(self) -> None:
+        """Process the job: its task's simulated-work hook first (the
+        one thing the executor still starts as a process), then the scan."""
+        job = self.current_job
         task = self.pipeline.task_of(job) if self.pipeline is not None else None
         if task is not None and task.sim_work is not None:
-            yield self.sim.process(task.sim_work(job, self.machine, self.sim))
-        yield from self.machine.process(job.size_mb, job.base_compute_s)
+            self._sim_work = self.sim.process(task.sim_work(job, self.machine, self.sim))
+            self._sim_work.callbacks.append(self._scan)
+        else:
+            self._scan()
 
-    def _prefetcher(self):
-        """Download queued jobs' clones ahead of execution (extension).
+    def _scan(self, sim_work: Optional[Event] = None) -> None:
+        if sim_work is not None:
+            if sim_work is not self._sim_work or not sim_work.ok:
+                # The job it worked for is gone (killed or checkpointed),
+                # or the hook raised: the simulator surfaces that.
+                return
+            self._sim_work = None
+        job = self.current_job
+        self.machine.process(job.size_mb, job.base_compute_s, self._finish, self._turn)
 
-        Uses the link's idle time while the executor is CPU-bound; the
-        link itself is serialised, so a prefetch never contends with the
-        executor's own download -- whichever starts first runs, and the
-        other waits its turn.
-        """
-        while True:
-            # Background yields to foreground: a zero-delay step lets any
-            # same-instant executor activity (which schedules at URGENT
-            # priority) register its link request first, so the priority
-            # ordering on the link mutex can actually take effect.
-            try:
-                yield self.sim.sleep(0.0)
-            except Interrupt:
-                return
-            target = self._next_prefetch_target()
-            if target is None:
-                self._prefetch_signal = Event(self.sim)
-                try:
-                    yield self._prefetch_signal
-                except Interrupt:
-                    return
-                continue
-            done = Event(self.sim)
-            self._prefetch_inflight[target.repo_id] = done
-            self.metrics.record_cache_miss(self.sim.now, self.name, target)
-            try:
-                yield from self.machine.download(target.size_mb, priority=1)
-            except Interrupt:
-                done.succeed()
-                return
-            self.cache.insert(target.repo_id, target.size_mb)
-            self.policy.on_state_changed((target.repo_id,))
-            self.metrics.record_download(
-                self.sim.now, self.name, target, target.size_mb
-            )
-            if self.monitor is not None:
-                self.monitor.on_cache_fetch(self.name, target.repo_id, self.sim.now)
-            self._prefetch_credit.add(target.job_id)
-            del self._prefetch_inflight[target.repo_id]
-            done.succeed()
+    def _finish(self, _duration: float) -> None:
+        job = self.current_job
+        elapsed = self.sim.now - self._started_at
+        self.current_job = None
+        self._outstanding_jobs -= 1
+        self.unfinished.pop(job.job_id, None)
+        self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
+        self.policy.on_job_finished(job, elapsed)
+        ctx = None
+        if self.obs is not None:
+            ctx = self._assign_ctxs.pop(job.job_id, None)
+        self.send_to_master(
+            JobCompleted(job=job, worker=self.name, elapsed_s=elapsed, ctx=ctx)
+        )
+        if self.is_idle:
+            self._wake_idle_waiters()
+        self._next()
+
+    def _abandon_job(self) -> None:
+        """Stop working on whatever the executor holds (the node died,
+        or the running job was checkpointed away).  A download is left
+        to the link, a ``sim_work`` process to itself: both run on with
+        nobody waiting for them."""
+        self._turn.cancel()
+        self._awaits_prefetch = False
+        self._sim_work = None
+        if self._download is not None:
+            self._download.abandon()
+            self._download = None
+
+    # -- the prefetcher: defer -> scan -> (park | miss -> link) -> defer
+
+    def _prefetch_defer(self) -> None:
+        """Background yields to foreground: a zero-delay step lets any
+        same-instant executor activity register its link request first,
+        so the priority ordering on the link can actually take effect."""
+        sim = self.sim
+        sim.call_at(sim.now, self._prefetch_scan, handle=self._prefetch_turn)
+
+    def _prefetch_scan(self) -> None:
+        """Download a queued job's clone ahead of its execution
+        (extension), using the link's idle time while the executor is
+        CPU-bound; the link itself is serialised, so a prefetch never
+        contends with the executor's own download -- whichever starts
+        first runs, and the other waits its turn."""
+        target = self._next_prefetch_target()
+        if target is None:
+            self._prefetch_parked = True
+            return
+        self._prefetching = target
+        self.metrics.record_cache_miss(self.sim.now, self.name, target)
+        self._prefetch_download = self.machine.download(target.size_mb, 1, self._prefetched)
+
+    def _prefetched(self, _elapsed: float) -> None:
+        target = self._prefetching
+        self._store_clone(target)
+        self._prefetch_credit.add(target.job_id)
+        self._prefetching = self._prefetch_download = None
+        if self._awaits_prefetch:
+            self._awaits_prefetch = False
+            sim = self.sim
+            sim.call_at(sim.now, self._localise, handle=self._turn)
+        self._prefetch_defer()
 
     def _next_prefetch_target(self) -> Optional[Job]:
         """The first queued job needing a clone that is neither cached
@@ -395,18 +451,16 @@ class WorkerNode:
         executing_repo = (
             self.current_job.repo_id if self.current_job is not None else None
         )
-        for item in self.queue.items:
-            if not isinstance(item, Job) or item.repo_id is None:
+        for job in self.queue:
+            if job.repo_id is None:
                 continue
-            if item.repo_id in self._prefetch_inflight:
-                continue
-            if item.repo_id == executing_repo:
+            if job.repo_id == executing_repo:
                 # The executor is (or will shortly be) fetching this very
                 # clone; duplicating it would waste the link.
                 continue
-            if self.cache.peek(item.repo_id):
+            if self.cache.peek(job.repo_id):
                 continue
-            return item
+            return job
         return None
 
     # -- live reconfiguration (repro.reconfig) --------------------------------
@@ -430,26 +484,17 @@ class WorkerNode:
         it reruns from scratch on the target -- execution is
         deterministic given the job, so no output is lost.  All local
         bookkeeping (committed cost, outstanding count, prefetch credit,
-        span contexts) is settled synchronously here, before the
-        executor's interrupt fires, so the node never transits an
-        inconsistent state.
+        span contexts) is settled synchronously here, and the executor
+        turns to its next job before anything else of this instant runs.
         """
         taken: list[Job] = []
-        while (
-            len(taken) < max_jobs
-            and self.queue.items
-            and isinstance(self.queue.items[-1], Job)
-        ):
-            # Safe to pop items directly: a blocked executor ``get``
-            # implies the item list is empty (Store semantics), so a
-            # non-empty list means nobody is waiting on it.
-            taken.append(self.queue.items.pop())
+        while len(taken) < max_jobs and self.queue:
+            taken.append(self.queue.pop())
         if include_running and len(taken) < max_jobs and self.current_job is not None:
-            job = self.current_job
+            taken.append(self.current_job)
             self.current_job = None
-            taken.append(job)
-            if self._exec_proc is not None and self._exec_proc.is_alive:
-                self._exec_proc.interrupt("migrate-checkpoint")
+            self._abandon_job()
+            self.sim.call_soon(self._next)
         now = self.sim.now
         for job in taken:
             self.unfinished.pop(job.job_id, None)
@@ -511,16 +556,20 @@ class WorkerNode:
         orphaned: list[Job] = []
         if self.current_job is not None:
             orphaned.append(self.current_job)
-        orphaned.extend(job for job in self.queue.items if isinstance(job, Job))
-        self.queue.items.clear()
+        if self._handoff is not None:
+            # Its turn is armed but has not come: in neither the queue
+            # nor ``current_job``, and as lost as they are.
+            orphaned.append(self._handoff)
+            self._handoff = None
+        orphaned.extend(self.queue)
+        self.queue.clear()
         self.unfinished.clear()
         self._outstanding_jobs = 0
         self.fleet.report(self.fleet_slot, 0, 0)
         self.fleet.set_alive(self.fleet_slot, False)
-        if self._exec_proc is not None and self._exec_proc.is_alive:
-            if self.current_job is not None:
-                self._exec_proc.interrupt("worker-killed")
-        if self._prefetch_proc is not None and self._prefetch_proc.is_alive:
-            self._prefetch_proc.interrupt("worker-killed")
+        self._abandon_job()
+        self._prefetch_turn.cancel()
+        if self._prefetch_download is not None:
+            self._prefetch_download.abandon()
         self.policy.on_killed()
         self.send_to_master(WorkerFailure(worker=self.name, orphaned=tuple(orphaned)))

@@ -338,8 +338,9 @@ SCALE_CELLS["baseline-churn-25"] = ("baseline", 25, False, {"churn": "cascade"})
 # The work path (executor, link, prefetcher): the other push schedulers,
 # a prefetching fleet, an origin that 100 downloads contend for, and
 # kills / checkpoints that land inside a download.
-for _scheduler in ("bar", "random", "round-robin"):
-    SCALE_CELLS[f"{_scheduler}-100"] = (_scheduler, 100, False)
+SCALE_CELLS.update(
+    {f"{scheduler}-100": (scheduler, 100, False) for scheduler in ("bar", "random", "round-robin")}
+)
 SCALE_CELLS["spark-prefetch-100"] = ("spark", 100, False, {"engine": {"prefetch": True}})
 SCALE_CELLS["bidding-origin-100"] = (
     "bidding", 100, False, {"engine": {"shared_origin_mbps": 120.0}}

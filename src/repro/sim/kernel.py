@@ -219,10 +219,22 @@ class Simulator:
         *args: Any,
         handle: Optional[TimerHandle] = None,
     ) -> TimerHandle:
-        """Arm a timer ``delay`` seconds from now (see :meth:`call_at`)."""
+        """Arm a timer ``delay`` seconds from now (see :meth:`call_at`,
+        whose body is repeated here: one call per timer, not two)."""
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay!r}")
-        return self.call_at(self._now + delay, callback, *args, handle=handle)
+        if handle is None:
+            handle = TimerHandle()
+        elif handle._armed:
+            handle._gen += 1  # lazy-delete the superseded heap entry
+        handle.when = when = self._now + delay
+        handle._callback = callback
+        handle._args = args
+        handle._armed = True
+        heappush(
+            self._heap, (when, _NORMAL_KEY | next(self._seq), handle._gen, handle)
+        )
+        return handle
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> TimerHandle:
         """Arm a timer for this instant at URGENT priority: it fires

@@ -108,30 +108,23 @@ class TestMachine:
 
     def test_download_duration(self, sim):
         machine = self.make_machine(sim)
-
-        def proc(sim, machine):
-            elapsed = yield from machine.download(100.0)
-            return elapsed
-
-        assert sim.run(sim.process(proc(sim, machine))) == pytest.approx(10.0)
+        elapsed = []
+        machine.download(100.0, 0, elapsed.append)
+        sim.run()
+        assert elapsed == [pytest.approx(10.0)]
 
     def test_process_duration(self, sim):
         machine = self.make_machine(sim)
-
-        def proc(sim, machine):
-            elapsed = yield from machine.process(100.0, base_compute_s=1.0)
-            return elapsed
-
-        assert sim.run(sim.process(proc(sim, machine))) == pytest.approx(3.0)
+        elapsed = []
+        machine.process(100.0, 1.0, elapsed.append)
+        sim.run()
+        assert elapsed == [pytest.approx(3.0)]
+        assert sim.now == pytest.approx(3.0)
 
     def test_speed_samples_recorded(self, sim):
         machine = self.make_machine(sim)
-
-        def proc(sim, machine):
-            yield from machine.download(100.0)
-            yield from machine.process(100.0)
-
-        sim.run(sim.process(proc(sim, machine)))
+        machine.download(100.0, 0, lambda _elapsed: machine.process(100.0, 0.0, lambda _d: None))
+        sim.run()
         assert machine.measured_network_mbps == pytest.approx(10.0)
         assert machine.measured_rw_mbps == pytest.approx(50.0)
 
@@ -143,24 +136,31 @@ class TestMachine:
     def test_noise_shifts_measured_average(self, sim):
         machine = self.make_machine(sim, rw_noise=UniformNoise(0.5))
 
-        def proc(sim, machine):
-            for _ in range(50):
-                yield from machine.process(10.0)
+        def scan(_duration=None):
+            if len(machine._rw_samples) <= 50:
+                machine.process(10.0, 0.0, scan)
 
-        sim.run(sim.process(proc(sim, machine)))
+        scan()
+        sim.run()
         # Historic average converges near nominal but individual samples vary.
         samples = machine._rw_samples[1:]
         assert np.std(samples) > 0.0
 
     def test_busy_seconds_accumulate(self, sim):
         machine = self.make_machine(sim)
-
-        def proc(sim, machine):
-            yield from machine.download(50.0)
-            yield from machine.process(50.0)
-
-        sim.run(sim.process(proc(sim, machine)))
+        machine.download(50.0, 0, lambda _elapsed: machine.process(50.0, 0.0, lambda _d: None))
+        sim.run()
         assert machine.busy_seconds == pytest.approx(5.0 + 1.0)
+
+    def test_abandoned_work_is_not_accounted(self, sim):
+        machine = self.make_machine(sim)
+        machine.download(50.0, 0, lambda _elapsed: None).abandon()
+        machine.process(50.0, 0.0, lambda _d: None).cancel()
+        sim.run()
+        assert machine.busy_seconds == 0.0
+        assert len(machine._network_samples) == len(machine._rw_samples) == 1
+        # The bytes still moved (the link owns the transfer).
+        assert machine.link.total_mb == 50.0
 
     def test_invalid_sample_rejected(self, sim):
         machine = self.make_machine(sim)
@@ -172,6 +172,6 @@ class TestMachine:
     def test_process_validates_args(self, sim):
         machine = self.make_machine(sim)
         with pytest.raises(ValueError):
-            list(machine.process(-1.0))
+            machine.process(-1.0, 0.0, None)
         with pytest.raises(ValueError):
-            list(machine.process(1.0, base_compute_s=-1.0))
+            machine.process(1.0, -1.0, None)

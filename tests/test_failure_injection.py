@@ -105,3 +105,54 @@ class TestFaultToleranceExtension:
             if int(job_id[1:]) >= 4  # arrive at t >= 4 > kill time + slack
         }
         assert "w1" not in late_assignments.values()
+
+
+class TestKillInTheHandOffWindow:
+    """A job handed to a waiting executor -- or picked as the previous
+    one ends -- is for one same-instant turn in neither the queue nor
+    ``current_job``.  A worker killed right then must report it orphaned
+    and must not run it dead."""
+
+    @staticmethod
+    def started_on(runtime, worker):
+        return [e.job_id for e in runtime.metrics.trace.of_kind("started") if e.worker == worker]
+
+    def test_kill_in_the_callback_that_enqueued_on_an_idle_worker(self):
+        runtime = build_runtime(scheduler="round-robin", fault_tolerance=True, max_sim_time=2000.0)
+        victim = runtime.workers["w1"]  # round-robin: j0 goes to w1, idle then
+        enqueue = victim.enqueue
+
+        def enqueue_then_die(job, estimated_cost=0.0):
+            enqueue(job, estimated_cost)
+            victim.kill()
+
+        victim.enqueue = enqueue_then_die
+        result = runtime.run()
+        orphaned = [e.job_id for e in runtime.metrics.trace.of_kind("orphaned")]
+        assert orphaned == ["j0"]
+        assert self.started_on(runtime, "w1") == []
+        assert victim._outstanding_jobs == 0
+        assert victim.machine.link.transfer_count == 0
+        assert result.jobs_completed == 8
+        assert result.per_worker_jobs.get("w1", 0) == 0
+
+    def test_kill_on_the_instant_the_previous_job_ended(self):
+        runtime = build_runtime(scheduler="round-robin", fault_tolerance=True, max_sim_time=2000.0)
+        victim = runtime.workers["w1"]  # gets j0, j3, j6; j3 waits while j0 runs
+        sim = runtime.sim
+        finished = victim.policy.on_job_finished
+
+        def die_before_the_next_turn(job, elapsed_s):
+            finished(job, elapsed_s)
+            # Armed before the next job's turn is, so it runs first --
+            # and after the executor has picked that job.
+            sim.call_at(sim.now, victim.kill)
+
+        victim.policy.on_job_finished = die_before_the_next_turn
+        result = runtime.run()
+        orphaned = {e.job_id for e in runtime.metrics.trace.of_kind("orphaned")}
+        assert "j3" in orphaned
+        assert self.started_on(runtime, "w1") == ["j0"]
+        assert victim._outstanding_jobs == 0
+        assert result.jobs_completed == 8
+        assert result.per_worker_jobs["w1"] == 1

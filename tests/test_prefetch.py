@@ -80,8 +80,11 @@ class TestPrefetcherUnit:
         sim.timeout(1.0).add_callback(lambda _e: worker.kill())
         sim.run()
         assert not worker.alive
-        assert worker._prefetch_proc is not None
-        assert not worker._prefetch_proc.is_alive
+        assert not worker._prefetch_turn.active
+        # Both transfers (j1's own, and r2's prefetch waiting behind it)
+        # ran on with nobody waiting for them; nothing reached the cache.
+        assert worker.machine.link.transfer_count == 2
+        assert not worker.cache.contents()
 
 
 class TestPrefetchEndToEnd:
