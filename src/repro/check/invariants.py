@@ -295,8 +295,8 @@ class InvariantMonitor:
         #: job's full lifecycle to the violation's event slice.
         self.trace = None
         self._disabled = frozenset(self.config.disable)
-        #: Rolling (time, kind, info) window -- the violation context.
-        self.events: deque = deque(maxlen=self.config.recent_events)
+        #: Rolling (time, kind, template, args) window: :attr:`events`.
+        self._recent: deque = deque(maxlen=self.config.recent_events)
         #: Count of checks performed (diagnostics / tests).
         self.checks = 0
 
@@ -339,8 +339,19 @@ class InvariantMonitor:
 
     # -- plumbing ------------------------------------------------------
 
-    def _note(self, time: float, kind: str, info: str) -> None:
-        self.events.append((time, kind, info))
+    def _note(self, time: float, kind: str, template: str, *args) -> None:
+        # ``args`` (ids, counts, times: nothing mutable) fill ``template``
+        # only if somebody reads the window.
+        self._recent.append((time, kind, template, args))
+
+    @property
+    def events(self) -> deque:
+        """Rolling (time, kind, info) window -- the violation context."""
+        worded = (
+            (time, kind, template.format(*args) if args else template)
+            for time, kind, template, args in self._recent
+        )
+        return deque(worded, maxlen=self._recent.maxlen)
 
     def _violate(self, name: str, detail: str, job_id: Optional[str] = None) -> None:
         if name in self._disabled:
@@ -363,7 +374,7 @@ class InvariantMonitor:
 
     def on_assigned(self, job_id: str, worker: str, now: float) -> None:
         self.checks += 1
-        self._note(now, "assigned", f"{job_id} -> {worker}")
+        self._note(now, "assigned", "{} -> {}", job_id, worker)
         count = self._assign_counts.get(job_id, 0) + 1
         self._assign_counts[job_id] = count
         permits = (
@@ -397,7 +408,7 @@ class InvariantMonitor:
 
     def on_completed(self, job_id: str, worker: Optional[str], now: float) -> None:
         self.checks += 1
-        self._note(now, "completed", f"{job_id} @ {worker}")
+        self._note(now, "completed", "{} @ {}", job_id, worker)
         if job_id not in self._submitted:
             self._violate(
                 "completion-implies-submission",
@@ -420,7 +431,7 @@ class InvariantMonitor:
         held completion flushed after the master gave up on the job).
         """
         self.checks += 1
-        self._note(now, "duplicate", f"{job_id} @ {worker}")
+        self._note(now, "duplicate", "{} @ {}", job_id, worker)
         if job_id not in self._orphaned and job_id not in self._failed:
             self._violate(
                 "at-most-once-completion",
@@ -445,12 +456,12 @@ class InvariantMonitor:
 
     def on_enqueued(self, job_id: str, worker: str, now: float) -> None:
         self.checks += 1
-        self._note(now, "enqueued", f"{job_id} @ {worker}")
+        self._note(now, "enqueued", "{} @ {}", job_id, worker)
         self._enqueued.setdefault(worker, []).append(job_id)
 
     def on_job_started(self, job_id: str, worker: str, now: float) -> None:
         self.checks += 1
-        self._note(now, "started", f"{job_id} @ {worker}")
+        self._note(now, "started", "{} @ {}", job_id, worker)
         pending = self._enqueued.get(worker)
         if not pending or job_id not in pending:
             self._violate(
@@ -467,12 +478,12 @@ class InvariantMonitor:
 
     def on_cache_fetch(self, worker: str, repo_id: str, now: float) -> None:
         self.checks += 1
-        self._note(now, "fetch", f"{repo_id} @ {worker}")
+        self._note(now, "fetch", "{} @ {}", repo_id, worker)
         self._fetched.setdefault(worker, set()).add(repo_id)
 
     def on_cache_hit(self, worker: str, repo_id: str, now: float) -> None:
         self.checks += 1
-        self._note(now, "cache_hit", f"{repo_id} @ {worker}")
+        self._note(now, "cache_hit", "{} @ {}", repo_id, worker)
         if repo_id not in self._fetched.get(worker, ()):
             self._violate(
                 "cache-hit-requires-fetch",
@@ -494,7 +505,7 @@ class InvariantMonitor:
         self.checks += 1
         seq = self._published.get(id(message))
         if seq is None:
-            self._note(now, "deliver", f"?? -> {receiver} on {topic}")
+            self._note(now, "deliver", "?? -> {} on {}", receiver, topic)
             self._violate(
                 "delivery-requires-publish",
                 f"message {message!r} delivered to {receiver!r} on topic "
@@ -503,7 +514,7 @@ class InvariantMonitor:
             return
         published_at = self._published_at[id(message)]
         sender = self._published_by[id(message)]
-        self._note(now, "deliver", f"#{seq} -> {receiver} on {topic}")
+        self._note(now, "deliver", "#{} -> {} on {}", seq, receiver, topic)
         if now < published_at:
             self._violate(
                 "no-early-delivery",
@@ -526,7 +537,7 @@ class InvariantMonitor:
         self, capacity_mbps: float, size_mb: float, elapsed_s: float, now: float
     ) -> None:
         self.checks += 1
-        self._note(now, "transfer", f"{size_mb:g} MB in {elapsed_s:g}s")
+        self._note(now, "transfer", "{:g} MB in {:g}s", size_mb, elapsed_s)
         delivered_bound = capacity_mbps * elapsed_s + _PIPE_TOLERANCE_MB
         if size_mb > delivered_bound:
             self._violate(
@@ -557,7 +568,7 @@ class InvariantMonitor:
 
     def on_bid(self, job_id: str, worker: str, now: float) -> None:
         self.checks += 1
-        self._note(now, "bid", f"{job_id} by {worker}")
+        self._note(now, "bid", "{} by {}", job_id, worker)
         opened = self._announce_times.get(job_id)
         if opened is None:
             self._violate(
@@ -571,7 +582,7 @@ class InvariantMonitor:
         self, job_id: str, winner: Optional[str], duration: float, outcome: str, now: float
     ) -> None:
         self.checks += 1
-        self._note(now, "contest_closed", f"{job_id} -> {winner} ({outcome})")
+        self._note(now, "contest_closed", "{} -> {} ({})", job_id, winner, outcome)
         if job_id not in self._announce_times:
             self._violate(
                 "bid-after-announce",
@@ -603,7 +614,7 @@ class InvariantMonitor:
     def on_migration_checkpoint(self, job_id: str, source: str, now: float) -> None:
         """A job was checkpointed off ``source`` and awaits its rebind."""
         self.checks += 1
-        self._note(now, "migrate_checkpoint", f"{job_id} off {source}")
+        self._note(now, "migrate_checkpoint", "{} off {}", job_id, source)
         self._migrating[job_id] = source
         # The job left the source's local queue; it must be re-enqueued
         # at the target before it may start again.
@@ -616,7 +627,7 @@ class InvariantMonitor:
     ) -> None:
         """A checkpointed job is about to be bound to its target."""
         self.checks += 1
-        self._note(now, "migrate_rebind", f"{job_id} {source} -> {target}")
+        self._note(now, "migrate_rebind", "{} {} -> {}", job_id, source, target)
         if job_id not in self._migrating:
             self._violate(
                 "migration-conservation",
@@ -632,7 +643,7 @@ class InvariantMonitor:
     def on_migration_settled(self, now: float) -> None:
         """A migration action finished issuing rebinds; nothing may dangle."""
         self.checks += 1
-        self._note(now, "migrate_settled", f"{len(self._migrating)} dangling")
+        self._note(now, "migrate_settled", "{} dangling", len(self._migrating))
         if self._migrating:
             job_id, source = next(iter(sorted(self._migrating.items())))
             self._violate(
@@ -647,14 +658,14 @@ class InvariantMonitor:
         """The outgoing policy exported its owned-job set."""
         self.checks += 1
         self._swap_exported = frozenset(job_ids)
-        self._note(now, "swap_export", f"{len(self._swap_exported)} jobs from {old_policy}")
+        self._note(now, "swap_export", "{} jobs from {}", len(self._swap_exported), old_policy)
 
     def on_swap_import(self, job_ids, new_policy: str, now: float) -> None:
         """The successor policy acknowledged the jobs it now owns."""
         self.checks += 1
         imported = frozenset(job_ids)
         exported = getattr(self, "_swap_exported", frozenset())
-        self._note(now, "swap_import", f"{len(imported)} jobs into {new_policy}")
+        self._note(now, "swap_import", "{} jobs into {}", len(imported), new_policy)
         missing = exported - imported
         if missing:
             self._violate(
@@ -669,7 +680,9 @@ class InvariantMonitor:
 
     def on_service_close(self, admitted: int, completed: int, failed: int, now: float) -> None:
         self.checks += 1
-        self._note(now, "service_close", f"admitted={admitted} completed={completed} failed={failed}")
+        self._note(
+            now, "service_close", "admitted={} completed={} failed={}", admitted, completed, failed
+        )
         if admitted != completed + failed:
             self._violate(
                 "service-conservation",

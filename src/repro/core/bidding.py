@@ -227,11 +227,22 @@ class BiddingMasterPolicy(MasterPolicy):
     def on_run_finished(self) -> None:
         self.flush()
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
+    def decision_snapshot(self, job: Job, worker: str) -> object:
+        """The job's contest, by reference: once closed nothing writes its
+        planes again (late bids go to ``late_bids``; ARCHITECTURE.md
+        section 12).  An open one -- a migration rebinding the job while
+        its re-contest collects bids -- is explained on the spot."""
+        contest = self.contests.get(job.job_id)
+        if contest is not None and contest.status is ContestStatus.OPEN:
+            return self.decision_context(job, worker, contest)
+        return contest
+
+    def decision_context(self, job: Job, worker: str, contest: object) -> tuple:
         """Ledger: the closed contest's bids are the candidate scores."""
         from repro.obs.ledger import CandidateScore
 
-        contest = self.contests.get(job.job_id)
+        if isinstance(contest, tuple):
+            return contest
         if contest is None:
             return ("fallback", (), None, "no usable bids; arbitrary pick")
         ranked, row = contest.ranked(), contest.row_of(worker)

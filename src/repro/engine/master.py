@@ -220,9 +220,12 @@ class Master:
         if self.monitor is not None:
             self.monitor.on_assigned(job.job_id, worker, self.sim.now)
         if self.obs is not None and self.obs.ledger is not None:
-            # Observation-only: the ledger reads policy/fleet state and
+            # Observation-only: the snapshot reads policy/fleet state and
             # draws no randomness, so it cannot perturb the run.
-            self.obs.ledger.note(self, job, worker, self.sim.now)
+            policy = self.policy
+            self.obs.ledger.note(
+                self.sim.now, job, worker, policy, policy.decision_snapshot(job, worker)
+            )
         for listener in self.assignment_listeners:
             listener(job, worker, self.sim.now)
 

@@ -424,9 +424,6 @@ class WorkflowRuntime:
         fleet = self.fleet
         probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
         probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        # One vectorised count over the planes per sample.
-        probes.register("fleet.busy", fleet.busy_count, unit="workers")
-        probes.register("links.busy", fleet.link_busy_count, unit="links")
         policy = self._master_policy
         if hasattr(policy, "in_flight"):
             probes.register(
@@ -441,19 +438,18 @@ class WorkflowRuntime:
             probes.register(
                 "origin.active", lambda: origin.active_count, unit="transfers"
             )
-        # Vector probe groups: the whole fleet's queue depths and busy
-        # flags in one array gather per sample (restart-swapped nodes
-        # report into the same slot, so the gather stays current).
+        # One vector group for every gauge read off the fleet planes: the
+        # two counts and the whole fleet's queue depths and busy flags in
+        # one gather per sample (restart-swapped nodes report into the
+        # same slot, so the gather stays current).
         names = list(self.workers)
         slots = np.array([fleet.slot_of(name) for name in names], dtype=np.intp)
         probes.register_vector(
-            [f"worker.{name}.queue" for name in names],
-            lambda: fleet.queued_values(slots),
-            unit="jobs",
-        )
-        probes.register_vector(
-            [f"worker.{name}.busy" for name in names],
-            lambda: fleet.busy_values(slots),
+            ["fleet.busy", "links.busy"]
+            + [f"worker.{name}.queue" for name in names]
+            + [f"worker.{name}.busy" for name in names],
+            lambda: fleet.probe_row(slots),
+            unit=["workers", "links"] + ["jobs"] * len(names) + [""] * len(names),
         )
 
     # -- execution ----------------------------------------------------------

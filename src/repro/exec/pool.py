@@ -474,48 +474,34 @@ class ExecBackend:
         self.metrics.job_assigned(now, job.to_job(), worker)
         self.assigned_log.append((job.job_id, worker, redispatch))
         if self.ledger is not None:
-            self._ledger_note(job, worker, now, redispatch)
+            # The sim master's hook, the backend standing in for the
+            # policy: a row of the live worker states (locality from the
+            # coordinator cache mirror, queue depth = outstanding).
+            repo = job.repo_id
+            states = [
+                (s.name, repo is None or bool(s.cache.peek(repo)), s.outstanding, s.alive)
+                for s in self.workers.values()
+            ]
+            self.ledger.note(now, job, worker, self, (states, redispatch))
         state.ready.append(job)
         self._pump(state)
 
-    def _ledger_note(
-        self, job: PlanJob, worker: str, now: float, redispatch: bool
-    ) -> None:
-        """Wall-clock :class:`~repro.obs.ledger.DecisionRecord` parity
-        with the sim master's seam: candidates are the live worker
-        states (queue depth = outstanding, locality from the coordinator
-        cache mirror)."""
-        from repro.obs.ledger import CandidateScore, DecisionRecord
+    #: The ``policy`` of this backend's ledger records.
+    name = "exec"
 
+    def decision_context(self, job: PlanJob, worker: str, snapshot: tuple) -> tuple:
+        """Ledger: ``(kind, candidates, runner_up, reason)`` of one bind."""
+        from repro.obs.ledger import CandidateScore
+
+        states, redispatch = snapshot
         candidates = tuple(
-            CandidateScore(
-                worker=state.name,
-                local=(
-                    job.repo_id is None or bool(state.cache.peek(job.repo_id))
-                ),
-                queue_depth=state.outstanding,
-                detail=None if state.alive else "dead",
-            )
-            for state in self.workers.values()
+            CandidateScore(name, local=local, queue_depth=depth, detail=None if alive else "dead")
+            for name, local, depth, alive in states
         )
-        self.ledger.append(
-            DecisionRecord(
-                seq=len(self.ledger.records),
-                time=now,
-                job_id=job.job_id,
-                repo_id=job.repo_id,
-                worker=worker,
-                policy="exec",
-                kind="redispatch" if redispatch else "replay",
-                candidates=candidates,
-                runner_up=None,
-                reason=(
-                    "re-dispatched after worker loss (locality-aware rebind)"
-                    if redispatch
-                    else "replayed the captured plan decision"
-                ),
-            )
-        )
+        if redispatch:
+            reason = "re-dispatched after worker loss (locality-aware rebind)"
+            return ("redispatch", candidates, None, reason)
+        return ("replay", candidates, None, "replayed the captured plan decision")
 
     def _pump(self, state: _WorkerState) -> None:
         """Move ready -> processing -> wire, respecting the in-flight cap.

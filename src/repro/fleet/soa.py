@@ -345,14 +345,19 @@ class FleetState:
         n = len(self.names)
         return int(np.count_nonzero(self.active[:n] & (self.outstanding[:n] > 0)))
 
-    def link_busy_count(self) -> int:
-        """Workers alive with an occupied link (``links.busy``)."""
-        n = len(self.names)
-        return int(np.count_nonzero(self.alive[:n] & self.link_busy[:n]))
-
-    def queued_values(self, slots: np.ndarray) -> np.ndarray:
-        """Queue depths of ``slots`` -- one gather for the probe group."""
-        return self.queued[slots]
+    def probe_row(self, slots: np.ndarray) -> list:
+        """Every plane gauge of one probe tick as one list: ``fleet.busy``,
+        ``links.busy``, then the queue depth and the busy flag of each
+        of ``slots``.  One ``alive & (outstanding > 0)`` mask serves the
+        count and the flags (capacity past the last worker is never
+        alive, so the planes are read unsliced)."""
+        busy = self.alive & (self.outstanding > 0)
+        return [
+            np.count_nonzero(busy),
+            np.count_nonzero(self.alive & self.link_busy),
+            *self.queued[slots].tolist(),
+            *busy[slots].tolist(),
+        ]
 
     def candidate_snapshot(
         self, names: list, repo_id: Optional[str] = None
@@ -382,10 +387,6 @@ class FleetState:
                 )
             )
         return rows
-
-    def busy_values(self, slots: np.ndarray) -> np.ndarray:
-        """0/1 busy flags of ``slots`` -- one gather for the probe group."""
-        return (self.alive[slots] & (self.outstanding[slots] > 0)).astype(np.int64)
 
 
 # -- per-bidder cost planes for columnar bidding contests ------------------

@@ -37,7 +37,7 @@ the placeholder job id ``"-"``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 #: The closed set of valid event kinds (typos fail fast in tests).
 EVENT_KINDS = frozenset(
@@ -87,19 +87,27 @@ EVENT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped lifecycle event."""
-
+class _EventFields(NamedTuple):
     time: float
     kind: str
     job_id: str
     worker: Optional[str] = None
     detail: Any = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown trace event kind {self.kind!r}")
+
+class TraceEvent(_EventFields):
+    """One timestamped lifecycle event (immutable; ``kind`` is checked)."""
+
+    __slots__ = ()
+
+    def __new__(cls, time, kind, job_id, worker=None, detail=None):
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown trace event kind {kind!r}")
+        return _new_event(cls, (time, kind, job_id, worker, detail))
+
+
+#: One C call, no ``__init__``: how ``record`` builds what it checked itself.
+_new_event = tuple.__new__
 
 
 @dataclass
@@ -134,7 +142,9 @@ class Trace:
         """Append one event (no-op when disabled)."""
         if not self.enabled:
             return
-        self.events.append(TraceEvent(time, kind, job_id, worker, detail))
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown trace event kind {kind!r}")
+        self.events.append(_new_event(TraceEvent, (time, kind, job_id, worker, detail)))
 
     def _index(self) -> dict[str, list[TraceEvent]]:
         """Return the per-job index, catching up on newly recorded events."""

@@ -63,12 +63,7 @@ from repro.obs.export import (
     write_timeseries_csv,
     write_timeseries_json,
 )
-from repro.obs.ledger import (
-    CandidateScore,
-    DecisionLedger,
-    DecisionRecord,
-    fleet_candidates,
-)
+from repro.obs.ledger import CandidateScore, DecisionLedger, DecisionRecord
 from repro.obs.probes import Probe, ProbeRegistry, busy_fraction
 from repro.obs.recorder import FlowRecord, ObsConfig, ObsRecorder, as_obs_config
 from repro.obs.spans import (
@@ -111,7 +106,6 @@ __all__ = [
     "diff_runs",
     "explain_document",
     "explain_job",
-    "fleet_candidates",
     "job_breakdown",
     "load_explain",
     "perfetto_trace",

@@ -3,18 +3,22 @@
 Every scheduler already funnels its allocation through the master's
 ``_note_assignment`` seam (push policies via ``master.assign``, pull
 policies via ``note_external_assignment``).  When observability is on,
-that seam asks the active policy for a *decision context* -- the
-candidates it considered, their scores, the runner-up and a one-line
-reason -- and appends a :class:`DecisionRecord` here.  The real
-execution backend (:mod:`repro.exec`) appends wall-clock records through
-the same ledger type at its own bind seam, so sim and real runs share
-one schema.
+that seam asks the active policy for a *decision snapshot* -- only what
+later state could change -- and :meth:`DecisionLedger.note` appends it
+as a row; the :class:`DecisionRecord` (candidates, scores, runner-up,
+one-line reason, from ``policy.decision_context``) is built when the
+ledger is read: hooks write rows, readers build records
+(ARCHITECTURE.md section 12).  The real execution backend
+(:mod:`repro.exec`) notes wall-clock decisions through the same hook at
+its own bind seam, so sim and real runs share one schema.
 
 Discipline (same contract as the rest of :mod:`repro.obs`):
 
-* **Observation-only.**  Building a record reads policy state and the
+* **Observation-only.**  Taking a snapshot reads policy state and the
   fleet planes; it never mutates either and draws no randomness, so
   metrics with the ledger on are bit-identical to the ledger off.
+* **Lazy == eager.**  A record built at the end of the run equals one
+  built the instant after the decision (``tests/test_obs_ledger.py``).
 * **Zero-cost when off.**  The only hook site is one ``is not None``
   guard inside ``_note_assignment``; with obs off (or
   ``ObsConfig(ledger=False)``) the instruction stream is unchanged.
@@ -25,11 +29,7 @@ Discipline (same contract as the rest of :mod:`repro.obs`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.master import Master
-    from repro.workload.job import Job
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -137,69 +137,64 @@ class DecisionRecord:
         )
 
 
-def fleet_candidates(fleet, names: list, repo_id: Optional[str]) -> tuple:
-    """Generic candidate snapshot off the struct-of-arrays fleet planes.
-
-    Read-only gathers from the live planes: queue depth, locality of the
-    job's repo, link occupancy.  Workers the planes have never seen yield
-    name-only entries.
-    """
-    rows = fleet.candidate_snapshot(names, repo_id)
-    return tuple(
-        CandidateScore(
-            worker=name,
-            local=holds,
-            queue_depth=queued,
-            link_busy=busy,
-        )
-        for name, queued, _outstanding, holds, busy in rows
-    )
-
-
 class DecisionLedger:
     """Append-only log of :class:`DecisionRecord` for one run."""
 
     def __init__(self) -> None:
-        self.records: list[DecisionRecord] = []
-        self._by_job: dict[str, list[DecisionRecord]] = {}
+        self._records: list[DecisionRecord] = []
+        #: ``(seq, now, job, worker, policy, snapshot)`` rows not built yet.
+        self._pending: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records) + len(self._pending)
 
     def __iter__(self):
         return iter(self.records)
 
-    def append(self, record: DecisionRecord) -> None:
-        self.records.append(record)
-        self._by_job.setdefault(record.job_id, []).append(record)
-
-    def note(self, master: "Master", job: "Job", worker: str, now: float) -> None:
-        """Build and append the record for one master-seam assignment."""
-        kind, candidates, runner_up, reason = master.policy.decision_context(
-            job, worker
-        )
-        self.append(
-            DecisionRecord(
-                seq=len(self.records),
-                time=now,
-                job_id=job.job_id,
-                repo_id=job.repo_id,
-                worker=worker,
-                policy=master.policy.name,
-                kind=kind,
-                candidates=tuple(candidates),
-                runner_up=runner_up,
-                reason=reason,
+    @property
+    def records(self) -> list[DecisionRecord]:
+        """Every decision so far, in sequence order (builds pending rows)."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+        for seq, now, job, worker, policy, snapshot in pending:
+            kind, candidates, runner_up, reason = policy.decision_context(
+                job, worker, snapshot
             )
-        )
+            self._records.append(
+                DecisionRecord(
+                    seq=seq,
+                    time=now,
+                    job_id=job.job_id,
+                    repo_id=job.repo_id,
+                    worker=worker,
+                    policy=policy.name,
+                    kind=kind,
+                    candidates=tuple(candidates),
+                    runner_up=runner_up,
+                    reason=reason,
+                )
+            )
+        return self._records
+
+    def append(self, record: DecisionRecord) -> None:
+        """Add a finished record, behind any pending rows."""
+        self.records.append(record)
+
+    def note(self, now: float, job, worker: str, policy, snapshot: object) -> None:
+        """Hook: ``policy`` (anything with a ``name`` and a
+        ``decision_context(job, worker, snapshot)``) just bound ``job``
+        to ``worker``; ``snapshot`` holds whatever explaining that will
+        need and later state could change."""
+        self._pending.append((len(self), now, job, worker, policy, snapshot))
 
     def for_job(self, job_id: str) -> list[DecisionRecord]:
         """Every decision made about one job, in sequence order."""
-        return list(self._by_job.get(job_id, ()))
+        return [record for record in self.records if record.job_id == job_id]
 
     def final_for_job(self, job_id: str) -> Optional[DecisionRecord]:
         """The decision that stuck (last re-dispatch wins)."""
-        records = self._by_job.get(job_id)
+        records = self.for_job(job_id)
         return records[-1] if records else None
 
     def to_dicts(self) -> list[dict]:
@@ -217,5 +212,4 @@ __all__ = [
     "CandidateScore",
     "DecisionLedger",
     "DecisionRecord",
-    "fleet_candidates",
 ]

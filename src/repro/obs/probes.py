@@ -1,12 +1,19 @@
 """Periodic time-series probes over live simulation state.
 
 A :class:`ProbeRegistry` samples a set of named gauges on a fixed
-sim-time cadence, retaining the last ``retention`` samples of each in a
-ring buffer.  Probes are plain callables reading live state (queue
-depths, busy flags, pipe occupancy) -- they never mutate anything, so
-sampling cannot perturb the simulation beyond adding timer events,
-and the whole registry only exists when observability is enabled
+sim-time cadence, retaining the last ``retention`` ticks in one ring.
+Probes are plain callables reading live state (queue depths, busy
+flags, pipe occupancy) -- they never mutate anything, so sampling cannot
+perturb the simulation beyond adding timer events, and the whole
+registry only exists when observability is enabled
 (zero-cost-when-off contract; see :mod:`repro.obs.recorder`).
+
+Hooks write rows, readers build records (ARCHITECTURE.md section 12): a
+tick appends one ``(now, row, columns)`` -- ``row`` the numbers as the
+gauges returned them, scalar gauges first, then each vector group's
+list; ``columns`` each sampled :class:`Probe`'s position in it, one dict
+shared by every tick until the set of probes changes.  The per-probe
+``(time, float)`` series are views computed when an exporter asks.
 
 The sampling timer uses the kernel's re-armed direct-callback pattern
 (same shape as the autoscaler tick): one :class:`TimerHandle` re-armed
@@ -17,21 +24,32 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
-@dataclass
+@dataclass(eq=False)
 class Probe:
-    """One named gauge plus its bounded sample history."""
+    """One named gauge; its bounded history is a view over the ring."""
 
     name: str
     unit: str
-    fn: Callable[[], float]
-    samples: deque = field(default_factory=deque)
+    fn: Optional[Callable[[], float]]
+    ring: deque = field(repr=False)
     #: True when the probe is fed by a vector group's shared gather
-    #: (see :meth:`ProbeRegistry.register_vector`); its ``fn`` is then a
-    #: positional fallback only used if the group is torn down.
+    #: (see :meth:`ProbeRegistry.register_vector`) and ``fn`` is unused.
     grouped: bool = False
+
+    @property
+    def samples(self) -> list[tuple[float, float]]:
+        """``(time, value)`` of every retained tick that sampled this probe."""
+        out = []
+        layout = column = None
+        for now, row, columns in self.ring:
+            if columns is not layout:
+                layout, column = columns, columns.get(self)
+            if column is not None:
+                out.append((now, float(row[column])))
+        return out
 
     def values(self) -> list[float]:
         return [value for _, value in self.samples]
@@ -55,51 +73,66 @@ class ProbeRegistry:
         #: Vector groups: (member probes, gather fn) pairs sampled with
         #: one call producing all member values (see :meth:`register_vector`).
         self._groups: list[tuple[list[Probe], Callable[[], object]]] = []
+        #: One ``(now, row, columns)`` per retained tick, and the layout
+        #: of the next one (see :meth:`_relayout`).
+        self._ring: deque = deque(maxlen=retention)
+        self._scalars: list[Callable[[], float]] = []
+        self._columns: dict[Probe, int] = {}
         self._timer = None
         self._stopped = False
 
     def register(self, name: str, fn: Callable[[], float], unit: str = "") -> Probe:
         """Add a gauge; re-registering a name replaces its callable but
         keeps the history (worker restarts re-register their probes)."""
-        existing = self.probes.get(name)
-        if existing is not None:
-            existing.fn = fn
-            return existing
-        probe = Probe(name, unit, fn, deque(maxlen=self.retention))
-        self.probes[name] = probe
+        probe = self.probes.get(name)
+        if probe is None:
+            probe = self.probes[name] = Probe(name, unit, fn, self._ring)
+        else:
+            probe.fn = fn
+        self._relayout()
         return probe
 
     def register_vector(
-        self, names: list[str], fn: Callable[[], object], unit: str = ""
+        self,
+        names: list[str],
+        fn: Callable[[], object],
+        unit: Union[str, Sequence[str]] = "",
     ) -> list[Probe]:
         """Add a *group* of gauges fed by one shared gather.
 
-        ``fn`` returns a sequence of values, one per name in order; each
-        sample tick calls it once and fans the result out to the member
-        probes.  The members live in :attr:`probes` like any other probe
-        (exporters see them unchanged) but are skipped by the scalar
-        sampling loop.  This is the struct-of-arrays fast path for
-        per-worker gauges: one vectorised array read replaces a
-        per-worker Python walk.
+        ``fn`` returns one number per name, in order (``unit``: one
+        string for all, or one per name); each sample tick calls it once
+        and its list goes into the row as it is.  The members live in
+        :attr:`probes` like any other probe (exporters see them
+        unchanged) but are skipped by the scalar sampling loop; one that
+        an older group fed is fed by this one from now on.  This is the
+        struct-of-arrays fast path for fleet gauges: one vectorised
+        array read replaces a per-worker Python walk.
         """
+        units = [unit] * len(names) if isinstance(unit, str) else list(unit)
         members: list[Probe] = []
         for i, name in enumerate(names):
             probe = self.probes.get(name)
             if probe is None:
-                probe = Probe(
-                    name,
-                    unit,
-                    lambda fn=fn, i=i: float(fn()[i]),
-                    deque(maxlen=self.retention),
-                )
-                self.probes[name] = probe
+                probe = self.probes[name] = Probe(name, units[i], None, self._ring)
             probe.grouped = True
             members.append(probe)
         self._groups.append((members, fn))
+        self._relayout()
         return members
 
     def unregister(self, name: str) -> None:
         self.probes.pop(name, None)
+        self._relayout()
+
+    def _relayout(self) -> None:
+        """The layout of the rows from now on: scalar gauges in
+        registration order, then each group's members."""
+        scalars = [probe for probe in self.probes.values() if not probe.grouped]
+        self._scalars = [probe.fn for probe in scalars]
+        order = scalars + [probe for members, _ in self._groups for probe in members]
+        # (A probe in two groups keeps the later position.)
+        self._columns = {probe: column for column, probe in enumerate(order)}
 
     def start(self) -> None:
         """Arm the sampling timer (idempotent)."""
@@ -116,13 +149,13 @@ class ProbeRegistry:
         self._stopped = True
 
     def _sample(self, now: float) -> None:
-        for probe in self.probes.values():
-            if not probe.grouped:
-                probe.samples.append((now, float(probe.fn())))
+        row = [fn() for fn in self._scalars]
         for members, fn in self._groups:
             values = fn()
-            for probe, value in zip(members, values):
-                probe.samples.append((now, float(value)))
+            if len(values) != len(members):
+                raise ValueError(f"{len(values)} values for {len(members)} names")
+            row.extend(values)
+        self._ring.append((now, row, self._columns))
 
     def _tick(self) -> None:
         if self._stopped:
@@ -138,7 +171,7 @@ class ProbeRegistry:
         return sorted(self.probes)
 
     def series(self, name: str) -> list[tuple[float, float]]:
-        return list(self.probes[name].samples)
+        return self.probes[name].samples
 
     def __iter__(self) -> Iterable[Probe]:
         return iter(self.probes.values())

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from repro.obs.ledger import DecisionLedger
@@ -93,10 +94,15 @@ class ObsRecorder:
         self.assignment_ctxs: dict[str, SpanContext] = {}
         #: job_id -> context echoed back on JobCompleted (round-trip proof).
         self.completed_ctxs: dict[str, SpanContext] = {}
-        #: Completed publish->deliver pairs (bounded ring).
-        self.flows: deque = deque(maxlen=config.retention)
-        #: (topic, message type, key) -> publish time, for pairing.
+        #: Completed publish->deliver pairs as tuples in
+        #: :class:`FlowRecord` field order (bounded ring; see ``flows``).
+        self._flow_rows: deque = deque(maxlen=config.retention)
+        #: (topic, message type, key) -> publish time, for pairing; the
+        #: oldest goes past ``retention`` (a publish lost or never
+        #: subscribed to would otherwise stay for the life of the run).
         self._inflight: dict[tuple[str, str, str], float] = {}
+        #: message type -> (its name, getter of the key attribute it has).
+        self._flow_types: dict[type, tuple] = {}
         #: Pipe occupancy step series: (time, active_count) per pipe label.
         self.pipe_steps: dict[str, deque] = {}
         #: Per-allocation decision records (None when the knob is off --
@@ -125,6 +131,11 @@ class ObsRecorder:
         )
 
     # -- broker flows --------------------------------------------------
+    @property
+    def flows(self) -> list[FlowRecord]:
+        """The retained publish -> deliver pairs, oldest first."""
+        return [FlowRecord(*row) for row in self._flow_rows]
+
     @staticmethod
     def _flow_key(message) -> str:
         job_id = getattr(message, "job_id", None)
@@ -135,26 +146,40 @@ class ObsRecorder:
             job_id = getattr(message, "worker", None) or ""
         return str(job_id)
 
+    def _pair_key(self, topic: str, message) -> tuple[str, str, str]:
+        """``(topic, type name, _flow_key(message))``; which attribute of
+        that chain a type has is found once per type, and anything but a
+        string there takes the whole chain."""
+        cls = type(message)
+        known = self._flow_types.get(cls)
+        if known is None:
+            attr = next((a for a in ("job_id", "job", "worker") if hasattr(message, a)), "worker")
+            getter = attrgetter("job.job_id" if attr == "job" else attr)
+            known = self._flow_types[cls] = (cls.__name__, getter)
+        try:
+            key = known[1](message)
+        except AttributeError:
+            key = None
+        return topic, known[0], key if type(key) is str else self._flow_key(message)
+
     def on_publish(self, topic: str, message, now: float) -> None:
         if not self.config.flows:
             return
-        key = (topic, type(message).__name__, self._flow_key(message))
+        inflight = self._inflight
         # Last-writer-wins is fine: redeliveries of the same logical
         # message re-key to the newest publish, which is the pair a
         # latency track should show.
-        self._inflight[key] = now
+        inflight[self._pair_key(topic, message)] = now
+        if len(inflight) > self.config.retention:
+            del inflight[next(iter(inflight))]
 
     def on_deliver(self, topic: str, receiver: str, message, now: float) -> None:
         if not self.config.flows:
             return
-        name = type(message).__name__
-        key = (topic, name, self._flow_key(message))
+        key = self._pair_key(topic, message)
         published_at = self._inflight.pop(key, None)
-        if published_at is None:
-            return
-        self.flows.append(
-            FlowRecord(topic, name, key[2], published_at, now, receiver)
-        )
+        if published_at is not None:
+            self._flow_rows.append((*key, published_at, now, receiver))
 
     # -- pipe occupancy ------------------------------------------------
     def on_pipe_sample(self, label: str, active: int, now: float) -> None:

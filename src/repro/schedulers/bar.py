@@ -214,12 +214,11 @@ class BARMasterPolicy(MasterPolicy):
             self._load.add(worker, self._cost(job, worker, self._is_local(job, worker)))
         self.master.assign(job, worker)
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
-        """Ledger: re-price the job on every known worker (read-only --
-        the same ``_cost`` formula the planner used) and rank by the
-        estimated completion time ``load + cost``."""
-        from repro.obs.ledger import CandidateScore
-
+    def decision_snapshot(self, job: Job, worker: str) -> tuple:
+        """Re-price the job on every known worker (read-only -- the same
+        ``_cost`` formula the planner used) and rank by the estimated
+        completion time ``load + cost``: loads, block view and speed
+        view all move on, so the ranking is taken now."""
         scored = []
         for name in self._load.names:
             if name not in self.speed_view:
@@ -228,6 +227,13 @@ class BARMasterPolicy(MasterPolicy):
             load = float(self._load.get(name))
             scored.append((load + self._cost(job, name, local), name, local, load))
         scored.sort()
+        return scored, self._is_local(job, worker), self._last_planned
+
+    def decision_context(self, job: Job, worker: str, snapshot: tuple) -> tuple:
+        """Ledger: the ranking by estimated completion time."""
+        from repro.obs.ledger import CandidateScore
+
+        scored, chosen_local, planned = snapshot
         candidates = tuple(
             CandidateScore(
                 worker=name, score=estimate, local=local, detail=f"load={load:.3f}s"
@@ -237,12 +243,9 @@ class BARMasterPolicy(MasterPolicy):
         runner_up = next(
             (name for _, name, _, _ in scored if name != worker), None
         )
-        kind = "planned" if self._last_planned else "cost-min"
-        chosen_local = self._is_local(job, worker)
+        kind = "planned" if planned else "cost-min"
         reason = (
-            "locality-first plan"
-            if self._last_planned
-            else "earliest estimated completion at arrival"
+            "locality-first plan" if planned else "earliest estimated completion at arrival"
         )
         if chosen_local and job.repo_id:
             reason += f"; repo {job.repo_id} already on {worker}"

@@ -81,24 +81,32 @@ class MasterPolicy:
             or not broker.reliable
         )
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
-        """Explain the allocation of ``job`` to ``worker`` just decided.
+    def decision_snapshot(self, job: Job, worker: str) -> object:
+        """What explaining the allocation of ``job`` to ``worker``, just
+        decided, will need that later state could change: primitives, or
+        references to what is never written again.
 
         Called from the master's assignment seam *only when the decision
-        ledger is on* (see :mod:`repro.obs.ledger`); returns
-        ``(kind, candidates, runner_up, reason)`` where ``candidates``
-        is an iterable of :class:`~repro.obs.ledger.CandidateScore`.
-
-        Implementations MUST be observation-only: read policy and fleet
-        state, mutate nothing, draw no randomness -- the ledger's
-        bit-identity contract depends on it.  The default reports the
-        active fleet with locality/queue facts from the fleet planes,
-        and no scores.
+        ledger is on* (see :mod:`repro.obs.ledger`).  Implementations
+        MUST be observation-only: read policy and fleet state, mutate
+        nothing, draw no randomness -- the ledger's bit-identity contract
+        depends on it.  The default takes the active fleet's locality/
+        queue facts off the fleet planes.
         """
-        from repro.obs.ledger import fleet_candidates
-
         master = self.master
-        candidates = fleet_candidates(master.fleet, master.active_workers, job.repo_id)
+        return master.fleet.candidate_snapshot(master.active_workers, job.repo_id)
+
+    def decision_context(self, job: Job, worker: str, snapshot: object) -> tuple:
+        """``(kind, candidates, runner_up, reason)`` of that decision,
+        ``candidates`` an iterable of :class:`~repro.obs.ledger.CandidateScore`.
+        Called when the ledger is read -- maybe after this policy was
+        swapped out -- so it reads ``snapshot`` and constants only."""
+        from repro.obs.ledger import CandidateScore
+
+        candidates = tuple(
+            CandidateScore(worker=name, local=holds, queue_depth=queued, link_busy=busy)
+            for name, queued, _outstanding, holds, busy in snapshot
+        )
         return ("assign", candidates, None, "")
 
     def on_message(self, message: object) -> bool:

@@ -83,16 +83,19 @@ class BaselineMasterPolicy(PullMasterPolicy):
         self.offer_counts[job.job_id] = prior + 1
         self._offer(worker, job, prior_offers=prior)
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
+    def decision_snapshot(self, job: Job, worker: str) -> tuple:
+        """The offers so far, and whether the acceptor holds the repo now."""
+        local = None
+        if job.repo_id is not None:
+            local = self.master.fleet.candidate_snapshot([worker], job.repo_id)[0][3]
+        return self.offer_counts.get(job.job_id, 0), local
+
+    def decision_context(self, job: Job, worker: str, snapshot: tuple) -> tuple:
         """Ledger: the decision was the *worker's* (pull + accept); the
         master only reports how many offers it took to land."""
         from repro.obs.ledger import CandidateScore
 
-        offers = self.offer_counts.get(job.job_id, 0)
-        local = None
-        if job.repo_id is not None:
-            rows = self.master.fleet.candidate_snapshot([worker], job.repo_id)
-            local = rows[0][3]
+        offers, local = snapshot
         candidates = (CandidateScore(worker=worker, local=local),)
         reason = f"pulled and accepted after {offers} offer(s)"
         if local:

@@ -58,11 +58,13 @@ class DelayMasterPolicy(HoldingsPullMasterPolicy):
         super()._return(job)
         self.skips.setdefault(job.job_id, 0)
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
+    def decision_snapshot(self, job: Job, worker: str) -> bool:
+        return self._local_for(worker, job)
+
+    def decision_context(self, job: Job, worker: str, local: bool) -> tuple:
         """Ledger: a non-local bind can only mean the skip budget ran out."""
         from repro.obs.ledger import CandidateScore
 
-        local = self._local_for(worker, job)
         candidates = (CandidateScore(worker=worker, local=local),)
         if local:
             reason = (

@@ -59,12 +59,14 @@ class MatchmakingMasterPolicy(HoldingsPullMasterPolicy):
             self._unpark(worker)
             self._park(worker)
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
+    def decision_snapshot(self, job: Job, worker: str) -> bool:
+        return self._local_for(worker, job)
+
+    def decision_context(self, job: Job, worker: str, local: bool) -> tuple:
         """Ledger: locality per the holdings view distinguishes a
         first-attempt local match from a second-attempt forced bind."""
         from repro.obs.ledger import CandidateScore
 
-        local = self._local_for(worker, job)
         candidates = (CandidateScore(worker=worker, local=local),)
         if local:
             reason = (

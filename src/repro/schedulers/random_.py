@@ -26,7 +26,10 @@ class RandomMasterPolicy(MasterPolicy):
     def on_job(self, job: Job) -> None:
         self.master.assign(job, self.master.arbitrary_worker())
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
+    def decision_snapshot(self, job: Job, worker: str) -> int:
+        return len(self.master.active_workers)
+
+    def decision_context(self, job: Job, worker: str, snapshot: int) -> tuple:
         """Ledger: nothing was weighed; the pick was uniform."""
         from repro.obs.ledger import CandidateScore
 
@@ -34,7 +37,7 @@ class RandomMasterPolicy(MasterPolicy):
             "random",
             (CandidateScore(worker=worker),),
             None,
-            f"uniform pick over {len(self.master.active_workers)} active workers",
+            f"uniform pick over {snapshot} active workers",
         )
 
 
@@ -68,7 +71,10 @@ class RoundRobinMasterPolicy(MasterPolicy):
         assert self._cycle is not None, "policy not started"
         self.master.assign(job, next(self._cycle))
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
+    def decision_snapshot(self, job: Job, worker: str) -> int:
+        return len(self.master.active_workers)
+
+    def decision_context(self, job: Job, worker: str, snapshot: int) -> tuple:
         """Ledger: the cycle position decided, not a comparison."""
         from repro.obs.ledger import CandidateScore
 
@@ -76,7 +82,7 @@ class RoundRobinMasterPolicy(MasterPolicy):
             "round-robin",
             (CandidateScore(worker=worker),),
             None,
-            f"next in rotation over {len(self.master.active_workers)} active workers",
+            f"next in rotation over {snapshot} active workers",
         )
 
 

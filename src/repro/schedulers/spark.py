@@ -158,37 +158,38 @@ class SparkMasterPolicy(MasterPolicy):
             table.add(worker, 1)
         self.master.assign(job, worker)
 
-    def decision_context(self, job: Job, worker: str) -> tuple:
+    def _holds(self, job: Job, worker: str) -> bool:
+        return job.repo_id is not None and job.repo_id in self.cache_view.get(worker, ())
+
+    def decision_snapshot(self, job: Job, worker: str) -> tuple:
+        """The executor order with its planned counts, who holds the
+        job's repo in the driver's block view (restarts rewrite it), and
+        whether the upfront plan decided."""
+        table = self._counts
+        if table:
+            workers, counts = list(table.names), table.values[: len(table)].tolist()
+        else:
+            workers = list(self.master.worker_names)
+            counts = [0] * len(workers)
+        holders = [self._holds(job, name) for name in workers]
+        return workers, counts, holders, self._holds(job, worker), self._last_planned
+
+    def decision_context(self, job: Job, worker: str, snapshot: tuple) -> tuple:
         """Ledger: planned (NODE_LOCAL or degraded-to-ANY) vs dynamic."""
         from repro.obs.ledger import CandidateScore
 
-        table = self._counts
-        if table:
-            planned = {name: int(table.get(name)) for name in table.names}
-        else:
-            planned = dict.fromkeys(self.master.worker_names, 0)
-        workers = list(planned)
+        workers, counts, holders, chosen_local, planned = snapshot
         candidates = tuple(
-            CandidateScore(
-                worker=name,
-                score=float(planned[name]),
-                local=(
-                    job.repo_id is not None
-                    and job.repo_id in self.cache_view.get(name, ())
-                ),
-            )
-            for name in workers
+            CandidateScore(worker=name, score=float(count), local=local)
+            for name, count, local in zip(workers, counts, holders)
         )
         others = [
-            (planned[name], index, name)
-            for index, name in enumerate(workers)
+            (count, index, name)
+            for index, (name, count) in enumerate(zip(workers, counts))
             if name != worker
         ]
         runner_up = min(others)[2] if others else None
-        chosen_local = job.repo_id is not None and job.repo_id in self.cache_view.get(
-            worker, ()
-        )
-        if self._last_planned:
+        if planned:
             if chosen_local:
                 return (
                     "planned-local",

@@ -57,7 +57,7 @@ class P2Quantile:
             h[4] = x
             cell = 3
         else:
-            cell = next(i for i in range(4) if h[i] <= x < h[i + 1])
+            cell = (x >= h[1]) + (x >= h[2]) + (x >= h[3])
         for i in range(cell + 1, 5):
             self._positions[i] += 1.0
         for i in range(5):

@@ -33,6 +33,13 @@ def tenant_of(job: Job) -> str:
     return "default"
 
 
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """What ``Generator.choice(p=weights / weights.sum())`` searches."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass
 class SyntheticJobSource:
     """Mints service jobs on demand from a Zipf-popular repository pool.
@@ -75,7 +82,12 @@ class SyntheticJobSource:
         if any(weight <= 0 for weight in self.tenants.values()):
             raise ValueError("tenant weights must be positive")
         self._sizes: Optional[list[float]] = None
-        self._weights: Optional[np.ndarray] = None
+        #: Repo popularity and tenant shares as CDFs, built once (the
+        #: tenants' again whenever a caller replaced or edited the dict).
+        self._repo_cdf: Optional[np.ndarray] = None
+        self._tenant_cdf: Optional[np.ndarray] = None
+        self._tenant_names: list[str] = []
+        self._tenants_seen: dict[str, float] = {}
         self._minted = 0
 
     # -- lazy pool ---------------------------------------------------------
@@ -86,7 +98,7 @@ class SyntheticJobSource:
         weights = np.array(
             [1.0 / (rank + 1) ** self.alpha for rank in range(self.n_repos)]
         )
-        self._weights = weights / weights.sum()
+        self._repo_cdf = _cdf(weights)
 
     @property
     def minted(self) -> int:
@@ -99,12 +111,16 @@ class SyntheticJobSource:
             self._materialise(rng)
         index = self._minted
         self._minted += 1
-        repo_rank = int(rng.choice(self.n_repos, p=self._weights))
+        if self.tenants != self._tenants_seen:
+            self._tenants_seen = dict(self.tenants)
+            self._tenant_names = sorted(self.tenants)
+            self._tenant_cdf = _cdf(np.array([self.tenants[t] for t in self._tenant_names]))
+        # One uniform per draw, looked up in the CDF: the same stream
+        # and the same index as ``rng.choice(n, p=weights)``.
+        repo_rank = int(self._repo_cdf.searchsorted(rng.random(), side="right"))
         repo_id = f"{self.name}-repo-{repo_rank:04d}"
-        tenant_names = sorted(self.tenants)
-        tenant_weights = np.array([self.tenants[t] for t in tenant_names])
-        tenant = tenant_names[
-            int(rng.choice(len(tenant_names), p=tenant_weights / tenant_weights.sum()))
+        tenant = self._tenant_names[
+            int(self._tenant_cdf.searchsorted(rng.random(), side="right"))
         ]
         job = Job(
             job_id=f"{self.name}-{index:06d}",

@@ -244,6 +244,76 @@ class TestPlantedBugs:
             runtime.run()
 
 
+class TestRecentEvents:
+    def test_worded_on_read_exactly_as_the_hooks_used_to_write_them(self):
+        # The hooks keep (time, kind, template, args); the wording below
+        # was recorded from the commit that formatted inside every hook.
+        # Ids with braces in them must survive ``str.format``.
+        m = InvariantMonitor(CheckConfig(recent_events=64), recovery_enabled=True)
+        message = object()
+        m.on_submitted("j{1}", 0.0)
+        m.on_contest_opened("j{1}", 0.25)
+        m.on_bid("j{1}", "w1", 0.5)
+        m.on_contest_closed("j{1}", "w1", 0.5, "full", 0.75)
+        m.on_contest_closed("j{1}", None, 0.5, "fallback", 0.8)
+        m.on_assigned("j{1}", "w1", 1.0)
+        m.on_publish("t", message, "m", 1.0)
+        m.on_deliver("t", "w1", message, 1.125)
+        m.on_enqueued("j{1}", "w1", 1.25)
+        m.on_job_started("j{1}", "w1", 1.5)
+        m.on_cache_fetch("w1", "r0", 2.0)
+        m.on_cache_hit("w1", "r0", 2.5)
+        m.on_transfer_complete(10.0, 12.5, 1.25, 3.0)
+        m.on_transfer_complete(1e9, 1e-7, 1e-16, 3.0)
+        m.on_orphaned("j{1}", 3.5)
+        m.on_redispatched("j{1}", 3.5)
+        m.on_migration_checkpoint("j2", "w1", 4.0)
+        m.on_migration_rebind("j2", None, "w2", 4.5)
+        m.on_migration_settled(4.75)
+        m.on_swap_export(["a", "b"], "bidding", 5.0)
+        m.on_swap_import(["a", "b"], "baseline", 5.0)
+        m.on_completed("j{1}", None, 6.0)
+        m.on_duplicate_completion("j{1}", "w2", 6.5)
+        m.on_failed("j{1}", 7.0)
+        m.on_service_close(3, 2, 1, 8.0)
+        m.on_fault("crash", "w1 {down}", 9.0)
+        assert list(m.events) == [
+            (0.0, "submitted", "j{1}"),
+            (0.25, "announced", "j{1}"),
+            (0.5, "bid", "j{1} by w1"),
+            (0.75, "contest_closed", "j{1} -> w1 (full)"),
+            (0.8, "contest_closed", "j{1} -> None (fallback)"),
+            (1.0, "assigned", "j{1} -> w1"),
+            (1.125, "deliver", "#1 -> w1 on t"),
+            (1.25, "enqueued", "j{1} @ w1"),
+            (1.5, "started", "j{1} @ w1"),
+            (2.0, "fetch", "r0 @ w1"),
+            (2.5, "cache_hit", "r0 @ w1"),
+            (3.0, "transfer", "12.5 MB in 1.25s"),
+            (3.0, "transfer", "1e-07 MB in 1e-16s"),
+            (3.5, "orphaned", "j{1}"),
+            (3.5, "redispatched", "j{1}"),
+            (4.0, "migrate_checkpoint", "j2 off w1"),
+            (4.5, "migrate_rebind", "j2 None -> w2"),
+            (4.75, "migrate_settled", "0 dangling"),
+            (5.0, "swap_export", "2 jobs from bidding"),
+            (5.0, "swap_import", "2 jobs into baseline"),
+            (6.0, "completed", "j{1} @ None"),
+            (6.5, "duplicate", "j{1} @ w2"),
+            (7.0, "failed", "j{1}"),
+            (8.0, "service_close", "admitted=3 completed=2 failed=1"),
+            (9.0, "fault:crash", "w1 {down}"),
+        ]
+        m.on_assigned("j{1}", "w2", 10.0)  # the re-dispatch permit
+        with pytest.raises(InvariantViolation) as caught:
+            m.on_assigned("j{1}", "w3", 10.0)
+        assert caught.value.events[-2:] == (
+            (10.0, "assigned", "j{1} -> w2"),
+            (10.0, "assigned", "j{1} -> w3"),
+        )
+        assert "    t=10.000000 assigned: j{1} -> w2" in str(caught.value)
+
+
 class TestUnitViolations:
     def test_delivery_requires_publish(self):
         monitor = InvariantMonitor()

@@ -130,12 +130,13 @@ def test_fleet_state_mirror_matches_reference(ops):
     assert fleet.active_busy_count() == ref.active_busy_count()
     if ref.alive:
         slots = np.array([fleet.slot_of(n) for n in ref.alive], dtype=np.intp)
-        assert list(fleet.queued_values(slots)) == [
-            ref.queued[n] for n in ref.alive
-        ]
-        assert list(fleet.busy_values(slots)) == [
-            int(ref.alive[n] and ref.outstanding[n] > 0) for n in ref.alive
-        ]
+        # One probe tick's gather: busy count, busy links (no link is
+        # ever occupied here), queue depths, busy flags.
+        assert fleet.probe_row(slots) == (
+            [ref.busy_count(), 0]
+            + [ref.queued[n] for n in ref.alive]
+            + [int(ref.alive[n] and ref.outstanding[n] > 0) for n in ref.alive]
+        )
 
 
 cache_op_st = st.one_of(

@@ -3,10 +3,18 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+from repro.cluster.profiles import profile_by_name
+from repro.engine.messages import Assignment, Bid, PullRequest
+from repro.engine.runtime import EngineConfig
 from repro.experiments.golden import golden_runtime
 from repro.experiments.golden import record_perfetto as record
+from repro.faults import FaultPlan, MessageLoss
 from repro.obs import (
+    FlowRecord,
+    ObsConfig,
+    ObsRecorder,
     build_spans,
     perfetto_trace,
     render_timeline,
@@ -15,6 +23,12 @@ from repro.obs import (
     write_timeseries_csv,
     write_timeseries_json,
 )
+
+from repro.schedulers.registry import make_scheduler
+from repro.serve import ServiceConfig, ServiceRuntime, make_arrivals
+from repro.sim import Simulator
+from repro.workload.job import Job
+from repro.workload.msr import TASK_ANALYZER
 
 GOLDEN = Path(__file__).parent / "golden_perfetto.json"
 
@@ -112,6 +126,69 @@ class TestWriters:
         for flow in flows:
             assert flow.delivered_at >= flow.published_at
             assert flow.topic and flow.message
+
+
+class TestFlowPairing:
+    """``ObsConfig`` says "all bounded": so is the pairing table."""
+
+    def test_undelivered_publishes_are_evicted_at_retention(self):
+        # Half of all bids are lost for ten simulated minutes.  Each lost
+        # publish used to keep its key for the life of the run (62 of
+        # them here); past ``retention`` the oldest now goes.
+        runtime = ServiceRuntime(
+            profile=profile_by_name("all-equal"),
+            scheduler=make_scheduler("bidding"),
+            arrivals=make_arrivals("poisson", rate=1.0),
+            service_config=ServiceConfig(duration_s=600.0),
+            config=EngineConfig(seed=3, obs=ObsConfig(retention=16)),
+            faults=FaultPlan(
+                message_loss=(MessageLoss(start_s=0.0, end_s=600.0, probability=0.5),)
+            ),
+        )
+        peak = 0
+        publish = runtime.obs.on_publish
+
+        def on_publish(topic, message, now):
+            nonlocal peak
+            publish(topic, message, now)
+            peak = max(peak, len(runtime.obs._inflight))
+
+        runtime.obs.on_publish = on_publish
+        report = runtime.run()
+        assert report.completed == report.admitted > 200
+        assert peak == 16
+        flows = runtime.obs.flows
+        assert len(flows) == 16 and all(isinstance(flow, FlowRecord) for flow in flows)
+
+    def test_keys_by_message_type(self):
+        # job_id, else job.job_id, else worker -- and the whole chain for
+        # a message whose first attribute holds None.
+        recorder = ObsRecorder(Simulator(), ObsConfig())
+        job = Job(job_id="j1", task=TASK_ANALYZER, repo_id="r", size_mb=1.0)
+        messages = [
+            (Bid(job_id="j1", worker="w1", cost_s=1.0), "j1"),
+            (Assignment(job=job), "j1"),
+            (PullRequest(worker="w2"), "w2"),
+            (SimpleNamespace(job_id=None, job=job, worker="w3"), "j1"),
+            (SimpleNamespace(job_id=None, job=None, worker="w3"), "w3"),
+            (SimpleNamespace(job_id=7), "7"),
+            ("plain string", ""),
+        ]
+        for now, (message, _) in enumerate(messages):
+            recorder.on_publish("t", message, float(now))
+        for message, _ in messages:
+            recorder.on_deliver("t", "rx", message, 10.0)
+        # (The two namespaces keyed "j1"/"w3" share a type name; the
+        # second j1 publish re-keyed the first, as redeliveries do.)
+        assert [(flow.message, flow.key) for flow in recorder.flows] == [
+            ("Bid", "j1"),
+            ("Assignment", "j1"),
+            ("PullRequest", "w2"),
+            ("SimpleNamespace", "j1"),
+            ("SimpleNamespace", "w3"),
+            ("SimpleNamespace", "7"),
+            ("str", ""),
+        ]
 
 
 class TestTimeline:

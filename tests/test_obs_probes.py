@@ -1,8 +1,12 @@
 """ProbeRegistry cadence/retention and the zero-cost-when-off contract."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_profile, make_spec
+from reference_probes import ProbeRegistry as ReferenceProbeRegistry
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.obs import ObsConfig, ProbeRegistry, as_obs_config, busy_fraction
 from repro.schedulers.registry import make_scheduler
@@ -169,3 +173,129 @@ class TestZeroCostOff:
         assert observed.cache_misses == plain.cache_misses
         assert observed.cache_hits == plain.cache_hits
         assert observed.data_load_mb == plain.data_load_mb
+
+
+# -- the ring against the per-probe deques it replaced -------------------------
+
+SOURCES = ("a", "b", "c", "d")
+SCALAR_NAMES = ("s0", "s1", "s2")
+UNITS = ("", "jobs", "workers")
+
+op_st = st.one_of(
+    st.tuples(st.just("register"), st.sampled_from(SCALAR_NAMES), st.sampled_from(SOURCES),
+              st.sampled_from(UNITS)),
+    st.tuples(st.just("register_vector"), st.lists(st.sampled_from(SOURCES), min_size=1, max_size=3),
+              st.sampled_from(UNITS), st.booleans(), st.booleans()),
+    st.tuples(st.just("unregister"), st.sampled_from(SCALAR_NAMES + ("v0.0", "v1.0", "v1.1"))),
+    st.tuples(st.just("set"), st.sampled_from(SOURCES),
+              st.one_of(st.integers(-3, 9), st.booleans(), st.floats(-5.0, 5.0))),
+    st.tuples(st.just("advance"), st.sampled_from((0.5, 1.0, 2.5, 4.0))),
+    st.tuples(st.just("sample_once")),
+    st.tuples(st.just("start")),
+    st.tuples(st.just("stop")),
+)
+
+
+class _Rig:
+    """One registry on its own simulator, its gauges reading ``state``."""
+
+    def __init__(self, registry_cls, retention, state):
+        self.sim = Simulator()
+        self.registry = registry_cls(self.sim, interval_s=1.0, retention=retention)
+        self.state = state
+
+    def apply(self, op, vectors):
+        kind, registry, state = op[0], self.registry, self.state
+        if kind == "register":
+            registry.register(op[1], lambda key=op[2]: state[key], unit=op[3])
+        elif kind == "register_vector":
+            names, keys, as_array = vectors[-1], op[1], op[4]
+            if as_array:
+                fn = lambda: np.array([state[key] for key in keys])  # noqa: E731
+            else:
+                fn = lambda: [state[key] for key in keys]  # noqa: E731
+            registry.register_vector(names, fn, unit=op[2])
+        elif kind == "unregister":
+            registry.unregister(op[1])
+        elif kind == "advance":
+            self.sim.run(until=self.sim.now + op[1])
+        elif kind == "sample_once":
+            registry.sample_once()
+        elif kind == "start":
+            registry.start()
+        elif kind == "stop":
+            registry.stop()
+
+    def view(self):
+        registry = self.registry
+        return {
+            name: (
+                registry.series(name),
+                registry.probes[name].values(),
+                registry.probes[name].times(),
+                list(registry.probes[name].samples),
+                registry.probes[name].unit,
+                registry.probes[name].grouped,
+            )
+            for name in registry.names()
+        }
+
+
+@settings(max_examples=150, deadline=None)
+@given(retention=st.sampled_from((1, 3, 8)), script=st.lists(op_st, min_size=1, max_size=40))
+def test_ring_matches_the_reference_deques(retention, script):
+    """Scalar and vector registration, a gauge re-registered after a
+    "restart", a scalar taken over by a vector, unregister, columns
+    added mid-run, wrap-around, ``sample_once``, ``stop`` then
+    ``start``: the same names, series, values, times and units."""
+    state = dict.fromkeys(SOURCES, 0)
+    ring, reference = (
+        _Rig(cls, retention, state) for cls in (ProbeRegistry, ReferenceProbeRegistry)
+    )
+    vectors, grouped = [], set()
+    for op in script:
+        if op[0] == "set":
+            state[op[1]] = op[2]
+            continue
+        if op[0] == "register_vector":
+            # Fresh names, or -- ``op[3]`` -- the scalar names not fed by
+            # a group yet (see ``reference_probes``: a vector name is
+            # never registered twice).
+            names = [f"v{len(vectors)}.{i}" for i in range(len(op[1]))]
+            if op[3]:
+                free = [name for name in SCALAR_NAMES if name not in grouped]
+                names = free[: len(names)] + names[len(free):]
+            vectors.append(names)
+            grouped.update(names)
+        elif op[0] == "unregister":
+            grouped.discard(op[1])
+        ring.apply(op, vectors)
+        reference.apply(op, vectors)
+        assert ring.registry.names() == reference.registry.names()
+        assert len(ring.registry) == len(reference.registry)
+    view = ring.view()
+    assert view == reference.view()
+    for series, values, *_ in view.values():
+        assert all(type(value) is float for value in values)
+        assert len(series) <= retention
+
+
+def test_vector_units_per_name_and_length_check():
+    sim = Simulator()
+    registry = ProbeRegistry(sim)
+    registry.register_vector(["x", "y"], lambda: [1, 2], unit=["jobs", ""])
+    assert [registry.probes[name].unit for name in ("x", "y")] == ["jobs", ""]
+    registry.register_vector(["z"], lambda: [1, 2])
+    with pytest.raises(ValueError, match="2 values for 1 names"):
+        registry.sample_once()
+
+
+def test_a_vector_registered_again_replaces_the_older_group():
+    # The deques took two samples per tick from then on.
+    sim = Simulator()
+    registry = ProbeRegistry(sim)
+    registry.register_vector(["x"], lambda: [1])
+    registry.sample_once()
+    registry.register_vector(["x"], lambda: [2])
+    registry.sample_once()
+    assert registry.probes["x"].values() == [1.0, 2.0]

@@ -1,6 +1,8 @@
 """SLO-tracking tests: the P-squared sketch, latency stats, the tracker
 and the frozen report."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.serve.slo import LatencyStats, P2Quantile, ServiceReport, SLOTracker
 from repro.workload.job import Job
 from repro.workload.msr import TASK_ANALYZER
+from repro.workload.source import SyntheticJobSource
 
 
 def make_job(index: int) -> Job:
@@ -42,6 +45,18 @@ class TestP2Quantile:
         for x in data:
             sketch.observe(float(x))
         assert sketch.value() == pytest.approx(np.percentile(data, pct), rel=0.05)
+
+    def test_pinned_after_5000_observations(self):
+        # Recorded from the commit before the cell search in ``observe``
+        # was unrolled: the estimates must not move by one bit.
+        rng = np.random.default_rng(5)
+        samples = rng.lognormal(1.0, 0.9, 5000).tolist()
+        pinned = {0.5: 2.852432833928115, 0.95: 12.652120610115853, 0.99: 21.98242691195253}
+        for q, expected in pinned.items():
+            sketch = P2Quantile(q)
+            for x in samples:
+                sketch.observe(x)
+            assert sketch.value() == expected
 
     def test_count(self):
         sketch = P2Quantile(0.9)
@@ -111,6 +126,58 @@ class TestSLOTracker:
     def test_validates_deadline(self):
         with pytest.raises(ValueError):
             SLOTracker(MetricsCollector(), deadline_s=0.0)
+
+
+def _minted_digest(source: SyntheticJobSource, seed: int, edits=()) -> tuple[str, float]:
+    """sha256 over the first 5000 minted jobs, and the generator's next
+    draw (the stream must have been consumed exactly as before)."""
+    rng = np.random.default_rng(seed)
+    edits = dict(edits)
+    digest = hashlib.sha256()
+    for index in range(5000):
+        if index in edits:
+            edits[index](source)
+        job, tenant = source.next_job(rng)
+        digest.update(
+            repr(
+                (job.job_id, job.repo_id, job.size_mb, job.base_compute_s, job.payload, tenant)
+            ).encode()
+        )
+    return digest.hexdigest(), rng.random()
+
+
+class TestSyntheticJobSourcePinned:
+    """``next_job`` draws from cached CDFs instead of two
+    ``Generator.choice(p=...)`` calls; the values below were recorded
+    from the commit before that change."""
+
+    def test_single_tenant(self):
+        assert _minted_digest(SyntheticJobSource(), 7) == (
+            "38c4a45e9d1762c0164a8fe7f479ea9cfd4aef49757cd8face42fba8b6e05913",
+            0.3083660045934401,
+        )
+
+    def test_weighted_tenants(self):
+        source = SyntheticJobSource(
+            tenants={"gold": 3.0, "silver": 2.0, "bronze": 1.0}, n_repos=200, alpha=1.1
+        )
+        assert _minted_digest(source, 11) == (
+            "c9a37240c73fff39424e5b63d5bcae023be80e26c9ebd4b388b573dc3a41608c",
+            0.007236652366212626,
+        )
+
+    def test_tenants_replaced_and_edited_mid_stream(self):
+        def replace(source):
+            source.tenants = {"a": 1.0, "b": 4.0, "c": 2.0}
+
+        def edit(source):
+            source.tenants["a"] = 9.0
+
+        source = SyntheticJobSource(tenants={"a": 1.0, "b": 1.0})
+        assert _minted_digest(source, 3, {2500: replace, 3500: edit}) == (
+            "e0a038038ba40561bb761f6256ab71ca0b356534eee86a89c715858a8943219d",
+            0.19123300570687096,
+        )
 
 
 def make_report(**overrides) -> ServiceReport:
