@@ -42,7 +42,7 @@ class ObsConfig:
 
     #: Sim-time seconds between probe samples.
     probe_interval_s: float = 1.0
-    #: Ring-buffer length per probe series and per flow/pipe log.
+    #: Ring-buffer length: probe ticks, flows, pipe steps, unpaired publishes.
     retention: int = 4096
     #: Record broker publish->deliver flow pairs (off for huge runs).
     flows: bool = True
