@@ -88,11 +88,7 @@ def _dispatch(backend: "ExecBackend", message: dict[str, Any]) -> dict[str, Any]
         if target is None:
             raise ValueError("no live workers to dispatch to")
     backend._jobs[job.job_id] = job
-    backend.admitted += 1
-    now = backend._now()
-    if backend.monitor is not None:
-        backend.monitor.on_submitted(job.job_id, now)
-    backend.metrics.job_submitted(now, job.to_job())
+    backend._admit(job, backend._now())
     backend._bind(job, target, redispatch=False)
     return {"type": protocol.OK, "job_id": job.job_id, "worker": target}
 
@@ -114,7 +110,7 @@ def _drain(backend: "ExecBackend", message: dict[str, Any]) -> dict[str, Any]:
             continue
         if backend.monitor is not None:
             backend.monitor.on_redispatched(job.job_id, now)
-        backend.metrics.job_redispatched(now, job.to_job())
+        backend.metrics.job_redispatched(now, backend._real_jobs[job.job_id])
         backend.redispatches += 1
         backend._bind(job, target, redispatch=True)
         moved.append([job.job_id, target])
@@ -134,7 +130,7 @@ def _rebind(backend: "ExecBackend", message: dict[str, Any]) -> dict[str, Any]:
                 now = backend._now()
                 if backend.monitor is not None:
                     backend.monitor.on_redispatched(job_id, now)
-                backend.metrics.job_redispatched(now, job.to_job())
+                backend.metrics.job_redispatched(now, backend._real_jobs[job_id])
                 backend.redispatches += 1
                 backend._bind(job, target_state.name, redispatch=True)
                 return {

@@ -52,6 +52,7 @@ from repro.exec import protocol
 from repro.exec.plan import ExecPlan, PlanJob, PlanWorker
 from repro.exec.worker import worker_main
 from repro.metrics.collector import MetricsCollector
+from repro.workload.job import Job
 
 
 class ExecError(RuntimeError):
@@ -246,6 +247,7 @@ class ExecBackend:
         self.port: Optional[int] = None
 
         self._jobs = plan.job_index
+        self._real_jobs: dict[str, Job] = {}  # job_id -> Job, see _admit
         self._terminal: set[str] = set()
         self._redispatch_counts: dict[str, int] = {}
         self._handoff: list[float] = []
@@ -345,7 +347,7 @@ class ExecBackend:
         await asyncio.sleep(min(0.2, self.config.heartbeat_s))
         for state in self.workers.values():
             proc = state.proc
-            if proc is None:
+            if proc is None or proc.pid is None:  # never started: nothing to join
                 continue
             if proc.is_alive():
                 proc.terminate()
@@ -443,13 +445,14 @@ class ExecBackend:
     # -- intake and binding ------------------------------------------------
 
     def _submit_and_bind(self) -> None:
+        """Admit the plan and bind every decision in one synchronous step:
+        each worker's first ``inflight_per_worker`` jobs go out as they are
+        bound, their ``done`` waits for the step's end (``handoff_max``), and
+        the digested ``assigned`` order keeps it whole (EXPERIMENTS.md)."""
         now = self._now()
         self.metrics.run_started(now)
         for plan_job in self.plan.jobs:
-            self.admitted += 1
-            self.metrics.job_submitted(now, plan_job.to_job())
-            if self.monitor is not None:
-                self.monitor.on_submitted(plan_job.job_id, now)
+            self._admit(plan_job, now)
         if self.monitor is not None:
             for state in self.workers.values():
                 repos = [repo for repo, _size in state.plan.preload]
@@ -466,12 +469,20 @@ class ExecBackend:
             self._bind(self._jobs[decision.job_id], decision.worker, redispatch=False)
         self._maybe_finish()
 
+    def _admit(self, job: PlanJob, now: float) -> None:
+        """Count one job in; the ``Job`` the observers see is built here, once."""
+        self.admitted += 1
+        self._real_jobs[job.job_id] = real_job = job.to_job()
+        self.metrics.job_submitted(now, real_job)
+        if self.monitor is not None:
+            self.monitor.on_submitted(job.job_id, now)
+
     def _bind(self, job: PlanJob, worker: str, redispatch: bool) -> None:
         state = self.workers[worker]
         now = self._now()
         if self.monitor is not None:
             self.monitor.on_assigned(job.job_id, worker, now)
-        self.metrics.job_assigned(now, job.to_job(), worker)
+        self.metrics.job_assigned(now, self._real_jobs[job.job_id], worker)
         self.assigned_log.append((job.job_id, worker, redispatch))
         if self.ledger is not None:
             # The sim master's hook, the backend standing in for the
@@ -546,11 +557,10 @@ class ExecBackend:
         if job_id in self._terminal:
             # At-most-once: a re-dispatched job's original owner finished
             # anyway (e.g. eviction raced an in-flight completion).
-            job = self._jobs[job_id]
             self.duplicates += 1
             if self.monitor is not None:
                 self.monitor.on_duplicate_completion(job_id, state.name, now)
-            self.metrics.duplicate_suppressed(now, job.to_job(), state.name)
+            self.metrics.duplicate_suppressed(now, self._real_jobs[job_id], state.name)
             return
         entry = state.processing.pop(job_id, None)
         if entry is None:
@@ -560,7 +570,7 @@ class ExecBackend:
         job, dispatched_at = entry
         exec_s = float(message.get("exec_s", 0.0))
         started = max(dispatched_at, now - exec_s)
-        real_job = job.to_job()
+        real_job = self._real_jobs[job_id]
         cache_hit = message.get("cache_hit")
         if cache_hit is True:
             if self.monitor is not None:
@@ -635,7 +645,7 @@ class ExecBackend:
                 continue
             if self.monitor is not None:
                 self.monitor.on_orphaned(job.job_id, now)
-            self.metrics.job_orphaned(now, job.to_job(), state.name)
+            self.metrics.job_orphaned(now, self._real_jobs[job.job_id], state.name)
             self._redispatch(job, lost_from=state.name)
         self._maybe_finish()
 
@@ -655,7 +665,7 @@ class ExecBackend:
         self.redispatches += 1
         if self.monitor is not None:
             self.monitor.on_redispatched(job.job_id, now)
-        self.metrics.job_redispatched(now, job.to_job())
+        self.metrics.job_redispatched(now, self._real_jobs[job.job_id])
         self._bind(job, target, redispatch=True)
 
     def rebind_target(self, job: PlanJob, exclude: tuple[str, ...] = ()) -> Optional[str]:
@@ -681,7 +691,7 @@ class ExecBackend:
         self.failed += 1
         if self.monitor is not None:
             self.monitor.on_failed(job.job_id, now)
-        self.metrics.job_failed(now, job.to_job(), reason)
+        self.metrics.job_failed(now, self._real_jobs[job.job_id], reason)
         self._maybe_finish()
 
     def _maybe_finish(self) -> None:

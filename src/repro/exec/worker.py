@@ -22,6 +22,13 @@ Because the coordinator dispatches each worker's jobs in plan order and
 the executor is FIFO, the per-worker cache hit/miss *sequence* here must
 equal the sim's -- one of the differential harness's strongest checks.
 
+A process that sleeps modelled durations needs a selector finer than the
+shortest scaled one: ``epoll``, asyncio's default on Linux, rounds every
+timeout up to a whole millisecond, so the worker runs on
+:func:`run_worker_loop`, whose ``select`` keeps microseconds (a worker
+holds one socket).  The coordinator keeps the default loop: it wakes on
+socket reads, never on a modelled duration, and may hold many sockets.
+
 ``stall_after`` (a test/chaos hook) makes the process fall silent --
 no heartbeats, no progress -- after N completions, exercising the
 coordinator's miss-based eviction exactly the way a livelocked or
@@ -31,7 +38,8 @@ wedged worker would.
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+import selectors
+from typing import Any, Coroutine
 
 from repro.data.cache import WorkerCache
 from repro.exec import protocol
@@ -133,16 +141,27 @@ async def _run_worker(host: str, port: int, spec: dict[str, Any], cfg: dict[str,
         asyncio.ensure_future(read_loop()),
         asyncio.ensure_future(executor()),
     ]
-    await stopping.wait()
-    for task in tasks:
-        task.cancel()
-    await asyncio.gather(*tasks, return_exceptions=True)
-    writer.close()
+    try:
+        await stopping.wait()
+    finally:  # also when this worker is itself cancelled
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        writer.close()
+
+
+def run_worker_loop(main: Coroutine[Any, Any, Any]) -> Any:
+    """Run ``main`` on a new loop with microsecond timeouts (module docstring)."""
+    loop = asyncio.SelectorEventLoop(selectors.SelectSelector())
+    try:
+        return loop.run_until_complete(main)
+    finally:
+        loop.close()
 
 
 def worker_main(host: str, port: int, spec: dict[str, Any], cfg: dict[str, Any]) -> None:
     """Process entry point (must stay importable for ``spawn``)."""
     try:
-        asyncio.run(_run_worker(host, port, spec, cfg))
+        run_worker_loop(_run_worker(host, port, spec, cfg))
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         pass

@@ -6,6 +6,7 @@ near-instant ones, so races between "b finishes its burst" and "a is
 still grinding" resolve the same way on any machine.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -144,6 +145,25 @@ class TestFaults:
         assert report.duplicates_suppressed == 0
         assert report.redispatches == 2
         assert report.per_worker_completed["a"] == ()
+
+    def test_a_failed_spawn_reaches_the_caller(self, monkeypatch):
+        # a's process starts, b's start() raises: teardown must reap a and
+        # skip b, so the caller sees the spawn error, not a join() assert.
+        started = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def start(proc):
+            if started:
+                raise OSError("spawn refused")
+            started.append(proc)
+            real_start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        backend = ExecBackend(hand_plan(), config())
+        with pytest.raises(OSError, match="spawn refused"):
+            backend.run()
+        assert not started[0].is_alive()
+        assert backend.workers["b"].proc.pid is None
 
     def test_kill_targeting_unknown_worker_is_rejected_up_front(self):
         with pytest.raises(ExecError, match="unknown worker 'ghost'"):

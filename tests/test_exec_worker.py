@@ -2,19 +2,22 @@
 
 ``_run_worker`` normally runs in a spawned child, invisible to
 coverage; here we run it as a task against a local asyncio server
-acting as the coordinator, so every branch of the worker -- cache
+acting as the coordinator, on the loop the worker process runs on
+(``run_worker_loop``), so every branch of the worker -- cache
 hit/miss, data-free jobs, preload, shutdown, the stall hook -- is
 exercised in this process.
 """
 
 import asyncio
 import hashlib
+import statistics
+import time
 
 import pytest
 
 from repro.exec import protocol
 from repro.exec.handlers import payload_for
-from repro.exec.worker import _run_worker, fetch_seconds, process_seconds
+from repro.exec.worker import _run_worker, fetch_seconds, process_seconds, run_worker_loop
 
 
 def spec(**overrides):
@@ -45,6 +48,21 @@ class TestCostModel:
     def test_process_is_io_pass_plus_scaled_compute(self):
         s = spec(rw_mbps=100.0, cpu_factor=2.0)
         assert process_seconds(s, 50.0, 1.0) == pytest.approx(0.5 + 0.5)
+
+
+class TestEventLoop:
+    def test_sub_millisecond_sleeps_keep_their_length(self):
+        # A scaled job is tens of microseconds of sleep; epoll rounds every
+        # wait up to a whole millisecond, the worker's loop must not.
+        async def sleeps():
+            took = []
+            for _ in range(50):
+                started = time.perf_counter()
+                await asyncio.sleep(2e-4)
+                took.append(time.perf_counter() - started)
+            return statistics.median(took)
+
+        assert run_worker_loop(sleeps()) < 7e-4
 
 
 class Coordinator:
@@ -125,7 +143,7 @@ def drive(scenario):
                 worker.cancel()
                 await asyncio.gather(worker, return_exceptions=True)
 
-    asyncio.run(main())
+    run_worker_loop(main())
 
 
 def scenario(spec_dict=None, cfg_dict=None):
