@@ -1,151 +1,119 @@
-"""Benchmark A1-A5: the design-choice ablations of DESIGN.md Section 5."""
+"""Benchmark A1-A10: the design-choice ablations of DESIGN.md Section 5."""
 
 from conftest import once
-from repro.experiments.ablations import (
-    _render_pairs,
-    _render_rows,
-    ablate_adaptive_bids,
-    ablate_bid_compute,
-    ablate_bid_window,
-    ablate_cache_capacity,
-    ablate_contest_concurrency,
-    ablate_fast_local_close,
-    ablate_noise,
-    ablate_popularity_skew,
-    ablate_prefetch,
-    ablate_schedulers,
-    ablate_shared_origin,
-)
+from repro.experiments import ablations
+from repro.experiments.grid import render, run_grids, speedup
+
+TITLES = {build: title for title, build in ablations.ABLATIONS}
+
+
+def ablate(benchmark, build):
+    """Run one ablation, print it, and return its sweep."""
+    [sweep] = once(benchmark, lambda: run_grids([build()]))
+    print()
+    print(render([ablations.table(TITLES[build], sweep)]))
+    return sweep
+
+
+def makespans(sweep):
+    """A one-policy ablation's mean makespan per setting."""
+    return {
+        setting: results.mean("makespan_s")
+        for setting, row in sweep.items()
+        for results in row.values()
+    }
 
 
 def test_bench_a1_bid_window(benchmark):
-    rows = once(benchmark, ablate_bid_window)
-    print()
-    print(_render_rows("A1a: bidding window sweep", rows))
-    by_setting = {row.setting: row for row in rows}
+    by_setting = makespans(ablate(benchmark, ablations.ablate_bid_window))
     # A too-short window (0.1 s < the slow worker's bid latency) degrades
     # to fallback-random assignment: far worse than the paper's 1 s.
-    assert by_setting["window=0.1s"].mean_makespan_s > 2 * by_setting["window=1.0s"].mean_makespan_s
+    assert by_setting["window=0.1s"] > 2 * by_setting["window=1.0s"]
     # Widening beyond 1 s changes little: contests close early on bids.
-    assert by_setting["window=5.0s"].mean_makespan_s < 1.3 * by_setting["window=1.0s"].mean_makespan_s
+    assert by_setting["window=5.0s"] < 1.3 * by_setting["window=1.0s"]
 
 
 def test_bench_a1_bid_compute(benchmark):
-    rows = once(benchmark, ablate_bid_compute)
-    print()
-    print(_render_rows("A1b: bid computation cost sweep", rows))
-    by_setting = {row.setting: row for row in rows}
+    by_setting = makespans(ablate(benchmark, ablations.ablate_bid_compute))
     # Bids costing a full second blow through the 1 s window -> fallback.
-    assert (
-        by_setting["bid_compute=1.0s"].mean_makespan_s
-        > 1.5 * by_setting["bid_compute=0.0s"].mean_makespan_s
-    )
+    assert by_setting["bid_compute=1.0s"] > 1.5 * by_setting["bid_compute=0.0s"]
 
 
 def test_bench_a2_noise(benchmark):
-    pairs = once(benchmark, ablate_noise)
-    print()
-    print(_render_pairs("A2: noise sweep", pairs))
+    sweep = ablate(benchmark, ablations.ablate_noise)
     # Bidding's advantage persists at the paper-calibration sigma=0.25.
-    for label, bidding, baseline in pairs:
-        if label in ("sigma=0.0", "sigma=0.1", "sigma=0.25"):
-            assert bidding.mean_makespan_s < baseline.mean_makespan_s, label
+    for label in ("sigma=0.0", "sigma=0.1", "sigma=0.25"):
+        assert speedup(sweep[label]) > 1.0, label
 
 
 def test_bench_a3_scheduler_shootout(benchmark):
-    rows = once(benchmark, ablate_schedulers)
-    print()
-    print(_render_rows("A3: scheduler shoot-out", rows))
-    by_name = {row.setting: row for row in rows}
+    by_name = makespans(ablate(benchmark, ablations.ablate_schedulers))
     # Bidding is the fastest policy on the repetitive heterogeneous cell.
-    assert by_name["bidding"].mean_makespan_s == min(
-        row.mean_makespan_s for row in rows
-    )
+    assert by_name["bidding"] == min(by_name.values())
     # Any locality-aware pull policy beats random.
-    assert by_name["baseline"].mean_makespan_s < by_name["random"].mean_makespan_s
-    assert by_name["matchmaking"].mean_makespan_s < by_name["random"].mean_makespan_s
+    assert by_name["baseline"] < by_name["random"]
+    assert by_name["matchmaking"] < by_name["random"]
 
 
 def test_bench_a4_cache_capacity(benchmark):
-    pairs = once(benchmark, ablate_cache_capacity)
-    print()
-    print(_render_pairs("A4: cache capacity sweep", pairs))
-    unbounded = pairs[0]
-    smallest = pairs[-1]
+    sweep = ablate(benchmark, ablations.ablate_cache_capacity)
+    unbounded, *_rest, smallest = sweep.values()
+
+    def advantage(row):
+        return row["baseline"].mean("data_load_mb") - row["bidding"].mean("data_load_mb")
+
     # Bidding's data-load advantage erodes as eviction defeats locality.
-    advantage_unbounded = unbounded[2].mean_data_mb - unbounded[1].mean_data_mb
-    advantage_smallest = smallest[2].mean_data_mb - smallest[1].mean_data_mb
-    assert advantage_unbounded > advantage_smallest
+    assert advantage(unbounded) > advantage(smallest)
 
 
 def test_bench_a6_fast_local_close(benchmark):
-    rows = once(benchmark, ablate_fast_local_close)
-    print()
-    print(_render_rows("A6: fast local close (one-slow, sparse 80%_large)", rows))
-    off, on = rows
+    sweep = ablate(benchmark, ablations.ablate_fast_local_close)
+    off, on = (row["bidding"] for row in sweep.values())
     # The future-work claim: bidding overhead for highly local jobs
     # drops substantially, with no loss of locality.
-    assert on.mean_contest_s < 0.8 * off.mean_contest_s
-    assert on.mean_data_mb <= 1.1 * off.mean_data_mb
+    assert on.mean("contest_seconds") < 0.8 * off.mean("contest_seconds")
+    assert on.mean("data_load_mb") <= 1.1 * off.mean("data_load_mb")
 
 
 def test_bench_a7_adaptive_bids(benchmark):
-    rows = once(benchmark, ablate_adaptive_bids)
-    print()
-    print(_render_rows("A7: adaptive bids under OU speed drift", rows))
-    off, on = rows
+    off, on = makespans(ablate(benchmark, ablations.ablate_adaptive_bids)).values()
     # Bias-corrected bids must not hurt, and typically help, under
     # sustained drift between nominal and realised speeds.
-    assert on.mean_makespan_s <= 1.05 * off.mean_makespan_s
+    assert on <= 1.05 * off
 
 
 def test_bench_a8_popularity_skew(benchmark):
-    pairs = once(benchmark, ablate_popularity_skew)
-    print()
-    print(_render_pairs("A8: popularity-skew sweep (all-equal, zipf)", pairs))
+    sweep = ablate(benchmark, ablations.ablate_popularity_skew)
+    rows = list(sweep.values())
     # More skew -> more reuse -> less data moved, for both schedulers.
-    bidding_data = [b.mean_data_mb for _label, b, _bl in pairs]
-    baseline_data = [bl.mean_data_mb for _label, _b, bl in pairs]
-    assert bidding_data[-1] < bidding_data[0]
-    assert baseline_data[-1] < baseline_data[0]
+    for name in ("bidding", "baseline"):
+        assert rows[-1][name].mean("data_load_mb") < rows[0][name].mean("data_load_mb")
     # Bidding stays ahead on data movement at every skew level.
-    for _label, bidding, baseline in pairs:
-        assert bidding.mean_data_mb < baseline.mean_data_mb
+    for row in rows:
+        assert row["bidding"].mean("data_load_mb") < row["baseline"].mean("data_load_mb")
 
 
 def test_bench_a9_prefetch(benchmark):
-    pairs = once(benchmark, ablate_prefetch)
-    print()
-    print(_render_pairs("A9: download prefetching (all-equal, all_diff_large)", pairs))
-    (_off_label, bidding_off, baseline_off), (_on_label, bidding_on, baseline_on) = pairs
+    off, on = ablate(benchmark, ablations.ablate_prefetch).values()
     # Prefetch helps the queue-building scheduler...
-    assert bidding_on.mean_makespan_s < bidding_off.mean_makespan_s
+    assert on["bidding"].mean("makespan_s") < off["bidding"].mean("makespan_s")
     # ...and cannot help the one-job-at-a-time pull baseline.
-    assert baseline_on.mean_makespan_s == baseline_off.mean_makespan_s
+    assert on["baseline"].mean("makespan_s") == off["baseline"].mean("makespan_s")
     # It moves no extra data (same misses, earlier downloads).
-    assert bidding_on.mean_data_mb <= 1.05 * bidding_off.mean_data_mb
+    assert on["bidding"].mean("data_load_mb") <= 1.05 * off["bidding"].mean("data_load_mb")
 
 
 def test_bench_a10_shared_origin(benchmark):
-    pairs = once(benchmark, ablate_shared_origin)
-    print()
-    print(_render_pairs("A10: shared-origin contention (all-equal, 80%_large)", pairs))
-    free = pairs[0]
-    tight = pairs[-1]
+    free, *_rest, tight = ablate(benchmark, ablations.ablate_shared_origin).values()
     # Everything slows under a tight origin...
-    assert tight[1].mean_makespan_s > free[1].mean_makespan_s
+    assert tight["bidding"].mean("makespan_s") > free["bidding"].mean("makespan_s")
     # ...but the locality scheduler's relative advantage grows: redundant
     # clones now also throttle everyone else's downloads.
-    gap_free = free[2].mean_makespan_s / free[1].mean_makespan_s
-    gap_tight = tight[2].mean_makespan_s / tight[1].mean_makespan_s
-    assert gap_tight > gap_free
+    assert speedup(tight) > speedup(free)
 
 
 def test_bench_a5_contest_concurrency(benchmark):
-    rows = once(benchmark, ablate_contest_concurrency)
-    print()
-    print(_render_rows("A5: contest concurrency", rows))
-    times = [row.mean_makespan_s for row in rows]
+    times = list(makespans(ablate(benchmark, ablations.ablate_contest_concurrency)).values())
     # Overlapping contests must not corrupt the protocol; results stay
     # within a tight band of the serialized default.
     assert max(times) <= 1.2 * min(times)

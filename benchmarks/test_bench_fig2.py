@@ -12,26 +12,27 @@ EXPERIMENTS.md).
 """
 
 from conftest import once
-from repro.experiments.fig2_spark import render, run_fig2
+from repro.experiments.fig2_spark import grid, spark_slowdown, tables
+from repro.experiments.grid import render, run_grids
 
 BENCH_SEEDS = (11,)
 
 
 def test_bench_fig2_spark_vs_crossflow(benchmark):
-    result = once(benchmark, lambda: run_fig2(seeds=BENCH_SEEDS))
+    [sweep] = once(benchmark, lambda: run_grids([grid(seeds=BENCH_SEEDS)]))
     print()
-    print(render(result))
+    print(render(tables(sweep)))
+    slowdowns = {label[:2]: spark_slowdown(row) for label, row in sweep.items()}
 
     # Spark never beats Crossflow in the paper's chart.
-    for group in result.groups:
-        assert group.spark_slowdown >= 0.95, group.label
+    for group, slowdown in slowdowns.items():
+        assert slowdown >= 0.95, group
 
     # G1 (fast-slow, large): a multiple-x gap from the straggler effect.
-    assert result.group("G1").spark_slowdown >= 3.0
+    assert slowdowns["G1"] >= 3.0
 
     # G4 (varying speeds, repetitive): locality + heterogeneity compound.
-    assert result.group("G4").spark_slowdown >= 2.0
+    assert slowdowns["G4"] >= 2.0
 
     # G1 is the worst group for Spark, as in the paper.
-    slowdowns = {g.label: g.spark_slowdown for g in result.groups}
-    assert max(slowdowns, key=slowdowns.get).startswith("G1")
+    assert max(slowdowns, key=slowdowns.get) == "G1"

@@ -12,34 +12,31 @@ and the aggregate reductions land in the right ballpark.
 """
 
 from conftest import once
-from repro.experiments.fig3_aggregates import render, run_fig3
+from repro.experiments.fig3_aggregates import grid, overall_reduction, tables
+from repro.experiments.grid import reduction, render, run_grids
 
 #: One seed keeps the bench under ~10 s; the CLI runs the full 3 seeds.
 BENCH_SEEDS = (11,)
 
 
 def test_bench_fig3_aggregates(benchmark):
-    result = once(benchmark, lambda: run_fig3(seeds=BENCH_SEEDS))
+    [sweep] = once(benchmark, lambda: run_grids([grid(seeds=BENCH_SEEDS)]))
     print()
-    print(render(result))
+    print(render(tables(sweep)))
 
-    # Figure 3a: bidding faster on every workload.
-    for row in result.rows:
-        assert row.bidding_time_s < row.baseline_time_s, row.workload
-
-    # Figure 3b/3c: locality metrics improve on every workload.
-    for row in result.rows:
-        assert row.bidding_misses < row.baseline_misses, row.workload
-        assert row.bidding_data_mb < row.baseline_data_mb, row.workload
+    # Figures 3a-3c: bidding faster, fewer misses, less data on every workload.
+    for workload, row in sweep.items():
+        for metric in ("makespan_s", "cache_misses", "data_load_mb"):
+            assert reduction(row, metric) > 0, (workload, metric)
 
     # Section 6.3.2 claim 1: ~24.5 % speedup (accept a generous band --
     # our substrate is a simulator, not the authors' AWS testbed).
-    assert 15.0 <= result.overall_speedup_pct <= 60.0
+    assert 15.0 <= overall_reduction(sweep, "makespan_s") <= 60.0
 
     # Claim 2: ~49 % fewer misses, ~45.3 % less data.
-    assert 20.0 <= result.overall_miss_reduction_pct <= 65.0
-    assert 30.0 <= result.overall_data_reduction_pct <= 65.0
+    assert 20.0 <= overall_reduction(sweep, "cache_misses") <= 65.0
+    assert 30.0 <= overall_reduction(sweep, "data_load_mb") <= 65.0
 
     # The repetitive 80%_large callout: misses roughly halve.
-    row = result.row("80%_large")
-    assert row.baseline_misses / row.bidding_misses > 1.25
+    row = sweep["80%_large"]
+    assert row["baseline"].mean("cache_misses") / row["bidding"].mean("cache_misses") > 1.25

@@ -12,32 +12,34 @@ Paper reference points:
 """
 
 from conftest import once
-from repro.experiments.fig4_breakdown import render, run_fig4
+from repro.experiments.fig4_breakdown import best_vs_centralized, cold_speedup, grid, tables
+from repro.experiments.grid import render, run_grids, speedup
 
 BENCH_SEEDS = (11,)
 
 
 def test_bench_fig4_breakdown(benchmark):
-    result = once(benchmark, lambda: run_fig4(seeds=BENCH_SEEDS))
+    [sweep] = once(benchmark, lambda: run_grids([grid(seeds=BENCH_SEEDS)]))
     print()
-    print(render(result))
+    print(render(tables(sweep)))
 
     # Bidding wins every cell on the 3-iteration average.
-    for cell in result.cells:
-        assert cell.speedup > 1.0, (cell.workload, cell.profile)
+    for cell, row in sweep.items():
+        assert speedup(row) > 1.0, cell
 
     # The one-slow column is bidding's strongest territory (per workload,
     # one-slow beats the one-fast column's speedup more often than not).
     wins = 0
-    workloads = {cell.workload for cell in result.cells}
+    workloads = {workload for workload, _profile in sweep}
     for workload in workloads:
-        if result.cell(workload, "one-slow").speedup >= result.cell(workload, "one-fast").speedup:
+        if speedup(sweep[workload, "one-slow"]) >= speedup(sweep[workload, "one-fast"]):
             wins += 1
     assert wins >= len(workloads) / 2
 
     # Cold first iteration: at least one cell is comparable-or-slower
     # (<= 1.05x), reproducing the contest-overhead caveat.
-    assert any(cell.cold_speedup <= 1.05 for cell in result.cells)
+    assert any(cold_speedup(row) <= 1.05 for row in sweep.values())
 
     # Abstract claim: "up to 3.57x" vs the centralized locality approach.
-    assert result.best_vs_centralized >= 3.0
+    best, _cell = best_vs_centralized(sweep)
+    assert best >= 3.0

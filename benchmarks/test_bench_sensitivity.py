@@ -3,46 +3,46 @@ future work -- how the Bidding-vs-Baseline comparison moves with scale.
 """
 
 from conftest import once
+from repro.experiments.grid import render, run_grids, speedup
 from repro.experiments.sensitivity import (
-    render,
     sweep_arrival_rate,
     sweep_heterogeneity,
     sweep_job_count,
     sweep_worker_count,
+    table,
 )
 
 
-def test_bench_s1_worker_count(benchmark):
-    points = once(benchmark, sweep_worker_count)
+def speedups(benchmark, title, build):
+    """Run one sweep, print it, and return its speedups in setting order."""
+    [sweep] = once(benchmark, lambda: run_grids([build()]))
     print()
-    print(render("S1: worker-count sweep (all_diff_large)", points))
+    print(render([table(title, sweep)]))
+    return [speedup(row) for row in sweep.values()]
+
+
+def test_bench_s1_worker_count(benchmark):
+    points = speedups(benchmark, "S1: worker-count sweep (all_diff_large)", sweep_worker_count)
     # Bidding's advantage survives a 5x fleet scale-up.
-    assert all(point.speedup > 1.3 for point in points)
+    assert all(point > 1.3 for point in points)
 
 
 def test_bench_s2_job_count(benchmark):
-    points = once(benchmark, sweep_job_count)
-    print()
-    print(render("S2: job-count sweep (80%_large)", points))
+    points = speedups(benchmark, "S2: job-count sweep (80%_large)", sweep_job_count)
     # Advantage is stable across a 20x workflow scale-up.
-    speedups = [point.speedup for point in points]
-    assert min(speedups) > 1.2
-    assert max(speedups) / min(speedups) < 1.5
+    assert min(points) > 1.2
+    assert max(points) / min(points) < 1.5
 
 
 def test_bench_s3_heterogeneity(benchmark):
-    points = once(benchmark, sweep_heterogeneity)
-    print()
-    print(render("S3: heterogeneity sweep (all_diff_large)", points))
+    points = speedups(benchmark, "S3: heterogeneity sweep (all_diff_large)", sweep_heterogeneity)
     # The more unequal the fleet, the more speed-aware bidding pays.
-    assert points[-1].speedup > points[0].speedup
+    assert points[-1] > points[0]
 
 
 def test_bench_s4_arrival_rate(benchmark):
-    points = once(benchmark, sweep_arrival_rate)
-    print()
-    print(render("S4: arrival-rate sweep (80%_large)", points))
+    points = speedups(benchmark, "S4: arrival-rate sweep (80%_large)", sweep_arrival_rate)
     # Contention is where scheduling matters: the burst end of the sweep
     # shows a clear win, the sparse end approaches parity.
-    assert points[0].speedup > points[-1].speedup
-    assert points[0].speedup > 1.2
+    assert points[0] > points[-1]
+    assert points[0] > 1.2

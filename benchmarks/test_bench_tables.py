@@ -12,37 +12,33 @@ the simulated pipeline saturates queues harder).
 """
 
 from conftest import once
-from repro.experiments.tables_msr import render, run_tables
-from repro.metrics.report import percent_change
+from repro.experiments.grid import reduction, render
+from repro.experiments.tables_msr import run_tables, tables
 
 BENCH_SEEDS = (101, 202, 303)
 
 
 def test_bench_tables_msr(benchmark):
-    tables = once(benchmark, lambda: run_tables(seeds=BENCH_SEEDS))
+    sweep = once(benchmark, lambda: run_tables(seeds=BENCH_SEEDS))
     print()
-    print(render(tables))
+    print(render(tables(sweep)))
 
-    for run in range(tables.runs):
-        bidding_time, baseline_time = tables.time_row(run)
-        bidding_mb, baseline_mb = tables.data_row(run)
-        bidding_miss, baseline_miss = tables.miss_row(run)
-
+    for run, row in sweep.items():
         # Table 1: bidding faster every run, in a 5-40 % band
         # (paper: 10.3-25.5 %).
-        time_reduction = percent_change(baseline_time, bidding_time)
-        assert 5.0 <= time_reduction <= 40.0, f"run {run}: {time_reduction:.1f}%"
+        time_reduction = reduction(row, "makespan_s")
+        assert 5.0 <= time_reduction <= 40.0, f"{run}: {time_reduction:.1f}%"
 
         # Table 2: bidding moves substantially less data (paper ~62 %).
-        data_reduction = percent_change(baseline_mb, bidding_mb)
-        assert data_reduction >= 25.0, f"run {run}: {data_reduction:.1f}%"
+        data_reduction = reduction(row, "data_load_mb")
+        assert data_reduction >= 25.0, f"{run}: {data_reduction:.1f}%"
 
         # Table 3: a large cache-miss gap (paper ~halving).
-        assert baseline_miss / bidding_miss >= 1.3, f"run {run}"
+        misses = {name: row[name].mean("cache_misses") for name in row}
+        assert misses["baseline"] / misses["bidding"] >= 1.3, run
 
     # Cross-table consistency: per-run data ratio tracks miss ratio in
     # direction (more misses -> more data) for the baseline.
-    baseline_misses = [tables.miss_row(r)[1] for r in range(tables.runs)]
-    baseline_data = [tables.data_row(r)[1] for r in range(tables.runs)]
-    order_by_miss = sorted(range(tables.runs), key=lambda r: baseline_misses[r])
-    assert baseline_data[order_by_miss[0]] <= baseline_data[order_by_miss[-1]] * 1.1
+    baseline = [row["baseline"] for row in sweep.values()]
+    by_misses = sorted(baseline, key=lambda results: results.mean("cache_misses"))
+    assert by_misses[0].mean("data_load_mb") <= by_misses[-1].mean("data_load_mb") * 1.1

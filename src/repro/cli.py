@@ -6,7 +6,8 @@ Subcommands map one-to-one onto the experiment modules::
     repro fig3                 # Figures 3a/3b/3c + Section 6.3.2 claims
     repro fig4                 # Figure 4 grid + the 3.57x abstract claim
     repro tables               # Tables 1-3 (full MSR pipeline)
-    repro ablations            # A1-A5 design-choice sweeps
+    repro ablations            # A1-A10 design-choice sweeps
+    repro sensitivity          # S1-S4 scale/parameter sweeps
     repro all                  # everything above, in order
     repro run --scheduler bidding --workload 80%_large --profile one-slow
                                # a single cell, printed per iteration
@@ -40,28 +41,40 @@ Subcommands map one-to-one onto the experiment modules::
 ``run`` and ``bench`` accept ``--profile-hot [N]`` to wrap the run in
 cProfile and print the top N functions by cumulative time.
 
-``--parallel N`` fans independent simulation cells across N processes
-where the experiment supports it.
+``--parallel N`` fans the independent simulation cells of a figure,
+ablation or sweep grid across N processes (every grid command, ``all``
+and ``report``; ``tables`` and ``faults`` run no grid worth splitting).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Optional, Sequence
 
-from repro.experiments import (
-    ablations,
-    fig2_spark,
-    fig3_aggregates,
-    fig4_breakdown,
-    sensitivity,
-    tables_msr,
-)
 from repro.experiments.configs import JOB_CONFIG_NAMES, PROFILE_NAMES
 from repro.experiments.runner import CellSpec, run_cell_observed
 from repro.metrics.report import format_table
 from repro.schedulers.registry import SCHEDULERS
+
+#: The experiment commands: name -> (module under repro.experiments, help).
+#: A module is imported only when its command runs.  ``all`` runs every
+#: one but ``faults``, each under a banner made of its help's lead.
+EXPERIMENTS = {
+    "fig2": ("fig2_spark", "Figure 2: Spark vs Crossflow Baseline"),
+    "fig3": ("fig3_aggregates", "Figure 3: per-workload aggregates + Section 6.3.2 claims"),
+    "fig4": ("fig4_breakdown", "Figure 4: per-profile breakdown + abstract's 3.57x claim"),
+    "tables": ("tables_msr", "Tables 1-3: full MSR pipeline runs"),
+    "ablations": ("ablations", "Ablations: A1-A10 design-choice sweeps"),
+    "sensitivity": (
+        "sensitivity",
+        "Sensitivity: S1-S4 scale/parameter sweeps (future-work scale-up)",
+    ),
+    "faults": ("faults_sweep", "degradation sweep: scheduler makespan under rising crash rates"),
+}
+#: The experiment commands that run no grid, so take no ``--parallel``.
+_UNSPLIT = ("tables", "faults")
 
 
 def _parse_faults(arg: Optional[str]):
@@ -170,6 +183,40 @@ def _add_profile_flag(cmd: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cell_flags(
+    cmd: argparse.ArgumentParser,
+    workload: str,
+    profile: str,
+    seed: int = 11,
+    scheduler: bool = True,
+) -> None:
+    """The flags naming one experiment cell, with this command's defaults."""
+    if scheduler:
+        cmd.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="bidding")
+    cmd.add_argument(
+        "--workload",
+        choices=sorted(set(JOB_CONFIG_NAMES) | {"all_small_strict", "zipf"}),
+        default=workload,
+    )
+    cmd.add_argument("--profile", choices=sorted(PROFILE_NAMES), default=profile)
+    cmd.add_argument("--seed", type=int, default=seed)
+
+
+def _run_cell_flags(args: argparse.Namespace, **fields):
+    """Run the cell :func:`_add_cell_flags` (plus ``--iterations`` and
+    ``--faults``) named; returns its results and last runtime."""
+    spec = CellSpec(
+        scheduler=args.scheduler,
+        workload=args.workload,
+        profile=args.profile,
+        seed=args.seed,
+        iterations=args.iterations,
+        faults=_parse_faults(args.faults),
+        **fields,
+    )
+    return run_cell_observed(spec)
+
+
 def _maybe_profiled(args: argparse.Namespace, fn):
     """Run ``fn`` -- under cProfile with a cumulative-time report when
     ``--profile-hot`` was given -- and return its result."""
@@ -199,19 +246,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("fig2", "Figure 2: Spark vs Crossflow Baseline"),
-        ("fig3", "Figure 3: per-workload aggregates + Section 6.3.2 claims"),
-        ("fig4", "Figure 4: per-profile breakdown + abstract's 3.57x claim"),
-        ("tables", "Tables 1-3: full MSR pipeline runs"),
-        ("ablations", "A1-A7 design-choice sweeps"),
-        ("sensitivity", "S1-S4 scale/parameter sweeps (future-work scale-up)"),
-        ("all", "run every experiment in order"),
-    ]:
+    commands = {name: help_text for name, (_module, help_text) in EXPERIMENTS.items()}
+    commands["all"] = "run every experiment but faults, in order"
+    for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument(
-            "--parallel", type=int, default=None, help="processes for independent cells"
-        )
+        if name not in _UNSPLIT:
+            cmd.add_argument(
+                "--parallel", type=int, default=None, help="processes for independent cells"
+            )
+        if name == "faults":
+            _add_cell_flags(cmd, "80%_large", "all-equal", scheduler=False)
 
     report = sub.add_parser("report", help="write a self-contained HTML report")
     report.add_argument("--out", default="report.html", help="output path")
@@ -224,14 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replay a fuzzer scenario JSON instead of an experiment cell",
     )
-    run.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="bidding")
-    run.add_argument(
-        "--workload",
-        choices=sorted(set(JOB_CONFIG_NAMES) | {"all_small_strict", "zipf"}),
-        default="80%_large",
-    )
-    run.add_argument("--profile", choices=sorted(PROFILE_NAMES), default="all-equal")
-    run.add_argument("--seed", type=int, default=11)
+    _add_cell_flags(run, "80%_large", "all-equal")
     run.add_argument("--iterations", type=int, default=3)
     run.add_argument("--cold", action="store_true", help="do not persist caches across iterations")
     run.add_argument("--save-json", metavar="PATH", help="persist per-iteration results as JSON")
@@ -268,14 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Perfetto trace_event JSON output path (omit for console views)",
     )
-    trace_cmd.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="bidding")
-    trace_cmd.add_argument(
-        "--workload",
-        choices=sorted(set(JOB_CONFIG_NAMES) | {"all_small_strict", "zipf"}),
-        default="80%_small",
-    )
-    trace_cmd.add_argument("--profile", choices=sorted(PROFILE_NAMES), default="all-equal")
-    trace_cmd.add_argument("--seed", type=int, default=11)
+    _add_cell_flags(trace_cmd, "80%_small", "all-equal")
     trace_cmd.add_argument(
         "--iterations",
         type=int,
@@ -311,18 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="critical-path attribution + decision ledger for one traced cell, "
         "or --diff two saved explain documents",
     )
-    explain_cmd.add_argument(
-        "--scheduler", choices=sorted(SCHEDULERS), default="bidding"
-    )
-    explain_cmd.add_argument(
-        "--workload",
-        choices=sorted(set(JOB_CONFIG_NAMES) | {"all_small_strict", "zipf"}),
-        default="80%_small",
-    )
-    explain_cmd.add_argument(
-        "--profile", choices=sorted(PROFILE_NAMES), default="fast-slow"
-    )
-    explain_cmd.add_argument("--seed", type=int, default=7)
+    _add_cell_flags(explain_cmd, "80%_small", "fast-slow", seed=7)
     explain_cmd.add_argument(
         "--iterations",
         type=int,
@@ -416,17 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="allowed fractional throughput regression for --check (default 0.10)",
     )
     _add_profile_flag(bench)
-
-    faults = sub.add_parser(
-        "faults", help="degradation sweep: scheduler makespan under rising crash rates"
-    )
-    faults.add_argument("--seed", type=int, default=11)
-    faults.add_argument(
-        "--workload",
-        choices=sorted(set(JOB_CONFIG_NAMES) | {"all_small_strict", "zipf"}),
-        default="80%_large",
-    )
-    faults.add_argument("--profile", choices=sorted(PROFILE_NAMES), default="all-equal")
 
     serve = sub.add_parser(
         "serve", help="open-loop service run: arrivals, admission, SLO summary"
@@ -641,19 +649,13 @@ def _run_single(args: argparse.Namespace) -> None:
         overrides += (("check", True),)
     if args.trace_out:
         overrides += (("trace", True), ("obs", True))
-    spec = CellSpec(
-        scheduler=args.scheduler,
-        workload=args.workload,
-        profile=args.profile,
-        seed=args.seed,
-        iterations=args.iterations,
+    results, runtime = _run_cell_flags(
+        args,
         keep_cache=not args.cold,
-        faults=_parse_faults(args.faults),
         reconfig=_parse_reconfig(args),
         allow_partial=args.allow_partial,
         engine_overrides=overrides,
     )
-    results, runtime = run_cell_observed(spec)
     if args.trace_out:
         _export_trace(args.trace_out, runtime)
     if args.save_json:
@@ -705,19 +707,10 @@ def _run_trace(args: argparse.Namespace) -> None:
         span_coverage,
     )
 
-    spec = CellSpec(
-        scheduler=args.scheduler,
-        workload=args.workload,
-        profile=args.profile,
-        seed=args.seed,
-        iterations=args.iterations,
-        faults=_parse_faults(args.faults),
-        engine_overrides=(
-            ("trace", True),
-            ("obs", ObsConfig(probe_interval_s=args.interval)),
-        ),
+    results, runtime = _run_cell_flags(
+        args,
+        engine_overrides=(("trace", True), ("obs", ObsConfig(probe_interval_s=args.interval))),
     )
-    results, runtime = run_cell_observed(spec)
     result = results[-1]
     trace = runtime.metrics.trace
     spans = build_spans(trace)
@@ -781,16 +774,9 @@ def _run_explain(args: argparse.Namespace) -> int:
         print(render_diff(diff))
         return 0
 
-    spec = CellSpec(
-        scheduler=args.scheduler,
-        workload=args.workload,
-        profile=args.profile,
-        seed=args.seed,
-        iterations=args.iterations,
-        faults=_parse_faults(args.faults),
-        engine_overrides=(("trace", True), ("obs", ObsConfig())),
+    results, runtime = _run_cell_flags(
+        args, engine_overrides=(("trace", True), ("obs", ObsConfig()))
     )
-    results, runtime = run_cell_observed(spec)
     result = results[-1]
     trace = runtime.metrics.trace
     ledger = runtime.obs.ledger
@@ -1050,37 +1036,29 @@ def _run_golden(args: argparse.Namespace) -> int:
     return run_golden(args.fixtures, do_check=args.check, directory=directory)
 
 
+def _run_experiment(name: str, **options) -> None:
+    """Import one experiment command's module and run its ``main``."""
+    module, _help = EXPERIMENTS[name]
+    importlib.import_module(f"repro.experiments.{module}").main(**options)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "fig2":
-        fig2_spark.main(parallel=args.parallel)
-    elif args.command == "fig3":
-        fig3_aggregates.main(parallel=args.parallel)
-    elif args.command == "fig4":
-        fig4_breakdown.main(parallel=args.parallel)
-    elif args.command == "tables":
-        tables_msr.main()
-    elif args.command == "ablations":
-        ablations.main()
-    elif args.command == "sensitivity":
-        sensitivity.main()
+    if args.command in EXPERIMENTS:
+        options = {key: value for key, value in vars(args).items() if key != "command"}
+        _run_experiment(args.command, **options)
+    elif args.command == "all":
+        for name, (_module, help_text) in EXPERIMENTS.items():
+            if name == "faults":
+                continue
+            print(f"\n{'=' * 72}\n{help_text.split(':')[0].upper()}\n{'=' * 72}")
+            _run_experiment(name, **({} if name in _UNSPLIT else {"parallel": args.parallel}))
     elif args.command == "report":
         from repro.experiments.html_report import generate
 
         path = generate(args.out, parallel=args.parallel)
         print(f"report written to {path}")
-    elif args.command == "all":
-        for title, runner in [
-            ("FIGURE 2", lambda: fig2_spark.main(parallel=args.parallel)),
-            ("FIGURE 3", lambda: fig3_aggregates.main(parallel=args.parallel)),
-            ("FIGURE 4", lambda: fig4_breakdown.main(parallel=args.parallel)),
-            ("TABLES 1-3", tables_msr.main),
-            ("ABLATIONS", ablations.main),
-            ("SENSITIVITY", sensitivity.main),
-        ]:
-            print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
-            runner()
     elif args.command == "run":
         if args.scenario is not None:
             return _replay_scenario(args.scenario)
@@ -1110,10 +1088,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_exec(args)
     elif args.command == "golden":
         return _run_golden(args)
-    elif args.command == "faults":
-        from repro.experiments import faults_sweep
-
-        faults_sweep.main(seed=args.seed, workload=args.workload, profile=args.profile)
     return 0
 
 

@@ -37,196 +37,103 @@ A10 -- **shared-origin contention** (extension): cap the data origin's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.cluster.profiles import profile_by_name
-from repro.engine.runtime import WorkflowRuntime
-from repro.experiments.configs import default_engine_config
-from repro.experiments.runner import CellSpec, run_cell
-from repro.metrics.report import format_table
-from repro.schedulers.registry import make_scheduler
-from repro.workload.generators import job_config_by_name
-
-DEFAULT_SEED = 11
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    """One swept setting's mean metrics (over iterations)."""
-
-    setting: str
-    mean_makespan_s: float
-    mean_misses: float
-    mean_data_mb: float
-    mean_contest_s: float
-
-
-def _mean_rows(setting: str, results) -> AblationRow:
-    n = len(results)
-    return AblationRow(
-        setting=setting,
-        mean_makespan_s=sum(r.makespan_s for r in results) / n,
-        mean_misses=sum(r.cache_misses for r in results) / n,
-        mean_data_mb=sum(r.data_load_mb for r in results) / n,
-        mean_contest_s=sum(r.contest_seconds for r in results) / n,
-    )
+from repro.cluster.profiles import WorkerProfile, profile_by_name
+from repro.experiments.configs import DEFAULT_SEED, noise_overrides
+from repro.experiments.grid import Grid, Sweep, Table, pair, render, run_grids, single
+from repro.experiments.runner import CellSpec
 
 
 def ablate_bid_window(
-    windows: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 5.0),
-    workload: str = "all_diff_small",
-    profile: str = "one-slow",
-    seed: int = DEFAULT_SEED,
-) -> list[AblationRow]:
+    windows: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 5.0), seed: int = DEFAULT_SEED
+) -> Grid:
     """A1a: contest window sweep on a small-resource workload.
 
     ``one-slow`` is the interesting profile: its slow worker takes ~1 s
     to compute a bid, so windows below that close by timeout and
     windows above it wait for the straggler bid.
     """
-    rows = []
-    for window in windows:
-        spec = CellSpec(
-            scheduler="bidding", workload=workload, profile=profile, seed=seed
-        ).with_scheduler_kwargs(window_s=window)
-        rows.append(_mean_rows(f"window={window}s", run_cell(spec)))
-    return rows
+    cell = CellSpec("bidding", "all_diff_small", "one-slow", seed)
+    return [single(f"window={w}s", cell.with_scheduler_kwargs(window_s=w)) for w in windows]
 
 
 def ablate_bid_compute(
-    costs: Sequence[float] = (0.0, 0.1, 0.25, 0.5, 1.0),
-    workload: str = "all_diff_small",
-    profile: str = "all-equal",
-    seed: int = DEFAULT_SEED,
-) -> list[AblationRow]:
+    costs: Sequence[float] = (0.0, 0.1, 0.25, 0.5, 1.0), seed: int = DEFAULT_SEED
+) -> Grid:
     """A1b: worker-side bid computation cost sweep."""
-    rows = []
-    for cost in costs:
-        spec = CellSpec(
-            scheduler="bidding", workload=workload, profile=profile, seed=seed
-        ).with_scheduler_kwargs(bid_compute_s=cost)
-        rows.append(_mean_rows(f"bid_compute={cost}s", run_cell(spec)))
-    return rows
+    cell = CellSpec("bidding", "all_diff_small", "all-equal", seed)
+    return [
+        single(f"bid_compute={cost}s", cell.with_scheduler_kwargs(bid_compute_s=cost))
+        for cost in costs
+    ]
 
 
 def ablate_noise(
-    sigmas: Sequence[float] = (0.0, 0.1, 0.25, 0.5, 1.0),
-    workload: str = "all_diff_equal",
-    profile: str = "fast-slow",
-    seed: int = DEFAULT_SEED,
-) -> list[tuple[str, AblationRow, AblationRow]]:
-    """A2: noise sweep; returns (sigma, bidding row, baseline row) tuples.
+    sigmas: Sequence[float] = (0.0, 0.1, 0.25, 0.5, 1.0), seed: int = DEFAULT_SEED
+) -> Grid:
+    """A2: noise sweep, bidding against baseline.
 
     The comparison matters more than either absolute number: bidding's
     advantage should persist at moderate sigma and shrink as estimates
     stop ranking workers correctly.
     """
-    out = []
-    for sigma in sigmas:
-        rows = []
-        for scheduler in ("bidding", "baseline"):
-            engine = replace(
-                default_engine_config(seed),
-                noise_kind="lognormal" if sigma > 0 else "none",
-                noise_params={"sigma": sigma} if sigma > 0 else {},
-            )
-            spec = CellSpec(
-                scheduler=scheduler,
-                workload=workload,
-                profile=profile,
-                seed=seed,
-                engine=engine,
-            )
-            rows.append(_mean_rows(f"sigma={sigma}", run_cell(spec)))
-        out.append((f"sigma={sigma}", rows[0], rows[1]))
-    return out
+    cell = CellSpec("bidding", "all_diff_equal", "fast-slow", seed)
+    return [
+        pair(f"sigma={sigma}", replace(cell, engine_overrides=noise_overrides(sigma)))
+        for sigma in sigmas
+    ]
 
 
-def ablate_schedulers(
-    workload: str = "80%_large",
-    profile: str = "fast-slow",
-    seed: int = DEFAULT_SEED,
-) -> list[AblationRow]:
+#: A3's policies, in print order.
+SHOOTOUT = ("bidding", "baseline", "matchmaking", "delay", "bar", "spark", "random", "round-robin")
+
+
+def ablate_schedulers(seed: int = DEFAULT_SEED) -> Grid:
     """A3: every policy on one cell, plus the Baseline requeue variant."""
-    rows = []
-    for scheduler in (
-        "bidding",
-        "baseline",
-        "matchmaking",
-        "delay",
-        "bar",
-        "spark",
-        "random",
-        "round-robin",
-    ):
-        spec = CellSpec(scheduler=scheduler, workload=workload, profile=profile, seed=seed)
-        rows.append(_mean_rows(scheduler, run_cell(spec)))
-    back = CellSpec(
-        scheduler="baseline", workload=workload, profile=profile, seed=seed
-    ).with_scheduler_kwargs(requeue="back")
-    rows.append(_mean_rows("baseline(requeue=back)", run_cell(back)))
-    return rows
+    cell = CellSpec("bidding", "80%_large", "fast-slow", seed)
+    return [single(name, replace(cell, scheduler=name)) for name in SHOOTOUT] + [
+        single(
+            "baseline(requeue=back)",
+            replace(cell, scheduler="baseline").with_scheduler_kwargs(requeue="back"),
+        )
+    ]
+
+
+def _capped(profile: str, capacity_mb: float) -> WorkerProfile:
+    base = profile_by_name(profile)
+    return replace(
+        base, specs=tuple(replace(spec, cache_capacity_mb=capacity_mb) for spec in base.specs)
+    )
 
 
 def ablate_cache_capacity(
     capacities_mb: Sequence[float] = (float("inf"), 4096.0, 2048.0, 1024.0),
-    workload: str = "80%_large",
-    profile: str = "all-equal",
     seed: int = DEFAULT_SEED,
-) -> list[tuple[str, AblationRow, AblationRow]]:
+) -> Grid:
     """A4: bounded clone stores; locality erodes as eviction bites."""
-    out = []
-    job_config = job_config_by_name(workload)
-    _corpus, stream = job_config.build(seed=seed)
-    for capacity in capacities_mb:
-        rows = []
-        for scheduler_name in ("bidding", "baseline"):
-            profile_obj = profile_by_name(profile)
-            specs = tuple(
-                replace(spec, cache_capacity_mb=capacity) for spec in profile_obj.specs
-            )
-            profile_obj = replace(profile_obj, specs=specs)
-            caches = None
-            results = []
-            for iteration in range(3):
-                runtime = WorkflowRuntime(
-                    profile=profile_obj,
-                    stream=stream,
-                    scheduler=make_scheduler(scheduler_name),
-                    config=default_engine_config(seed),
-                    initial_caches=caches,
-                    iteration=iteration,
-                )
-                results.append(runtime.run())
-                caches = runtime.cache_snapshot()
-            label = "unbounded" if capacity == float("inf") else f"{capacity:.0f}MB"
-            rows.append(_mean_rows(label, results))
-        out.append((rows[0].setting, rows[0], rows[1]))
-    return out
+    return [
+        pair(
+            "unbounded" if capacity == float("inf") else f"{capacity:.0f}MB",
+            CellSpec("bidding", "80%_large", _capped("all-equal", capacity), seed),
+        )
+        for capacity in capacities_mb
+    ]
 
 
 def ablate_contest_concurrency(
-    levels: Sequence[int] = (1, 2, 4, 8),
-    workload: str = "all_diff_large",
-    profile: str = "all-equal",
-    seed: int = DEFAULT_SEED,
-) -> list[AblationRow]:
+    levels: Sequence[int] = (1, 2, 4, 8), seed: int = DEFAULT_SEED
+) -> Grid:
     """A5: overlapping contests -- latency vs estimate staleness."""
-    rows = []
-    for level in levels:
-        spec = CellSpec(
-            scheduler="bidding", workload=workload, profile=profile, seed=seed
-        ).with_scheduler_kwargs(max_concurrent_contests=level)
-        rows.append(_mean_rows(f"concurrency={level}", run_cell(spec)))
-    return rows
+    cell = CellSpec("bidding", "all_diff_large", "all-equal", seed)
+    return [
+        single(f"concurrency={level}", cell.with_scheduler_kwargs(max_concurrent_contests=level))
+        for level in levels
+    ]
 
 
-def ablate_fast_local_close(
-    workload: str = "80%_large",
-    profile: str = "one-slow",
-    seed: int = DEFAULT_SEED,
-) -> list[AblationRow]:
+def ablate_fast_local_close(seed: int = DEFAULT_SEED) -> Grid:
     """A6: contest short-circuiting on a repetitive workload.
 
     ``one-slow`` is where the overhead lives: the slow worker computes
@@ -237,192 +144,129 @@ def ablate_fast_local_close(
     job" case the future-work note targets -- saturated queues have no
     idle holders to fast-close on.
     """
-    rows = []
-    for enabled in (False, True):
-        spec = CellSpec(
-            scheduler="bidding",
-            workload=workload,
-            profile=profile,
-            seed=seed,
-            workload_overrides=(("mean_interarrival_s", 8.0),),
-        ).with_scheduler_kwargs(fast_local_close=enabled)
-        label = "fast-close on" if enabled else "fast-close off"
-        rows.append(_mean_rows(label, run_cell(spec)))
-    return rows
+    sparse = (("mean_interarrival_s", 8.0),)
+    cell = CellSpec("bidding", "80%_large", "one-slow", seed, workload_overrides=sparse)
+    return [
+        single(
+            f"fast-close {'on' if on else 'off'}", cell.with_scheduler_kwargs(fast_local_close=on)
+        )
+        for on in (False, True)
+    ]
 
 
-def ablate_adaptive_bids(
-    drift: float = 0.5,
-    workload: str = "all_diff_equal",
-    profile: str = "all-equal",
-    seed: int = DEFAULT_SEED,
-) -> list[AblationRow]:
+def ablate_adaptive_bids(seed: int = DEFAULT_SEED) -> Grid:
     """A7: estimate-vs-actual learning under sustained speed drift.
 
-    ``drift`` is the OU-noise log-std: large values mean workers'
-    realised speeds wander far from nominal for long stretches, which
-    is exactly when bias-corrected bids should help.
+    The OU-noise log-std of 0.5 makes workers' realised speeds wander far
+    from nominal for long stretches, which is exactly when bias-corrected
+    bids should help.
     """
-    rows = []
-    engine = replace(
-        default_engine_config(seed),
-        noise_kind="ou",
-        noise_params={"sigma": drift, "tau": 300.0},
-    )
-    for adaptive in (False, True):
-        spec = CellSpec(
-            scheduler="bidding",
-            workload=workload,
-            profile=profile,
-            seed=seed,
-            engine=engine,
-        ).with_scheduler_kwargs(adaptive=adaptive)
-        label = "adaptive on" if adaptive else "adaptive off"
-        rows.append(_mean_rows(label, run_cell(spec)))
-    return rows
+    ou = (("noise_kind", "ou"), ("noise_params", {"sigma": 0.5, "tau": 300.0}))
+    cell = CellSpec("bidding", "all_diff_equal", "all-equal", seed, engine_overrides=ou)
+    return [
+        single(f"adaptive {'on' if on else 'off'}", cell.with_scheduler_kwargs(adaptive=on))
+        for on in (False, True)
+    ]
 
 
 def ablate_popularity_skew(
-    alphas: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
-    profile: str = "all-equal",
-    seed: int = DEFAULT_SEED,
-) -> list[tuple[str, AblationRow, AblationRow]]:
-    """A8: Zipf-exponent sweep; returns (alpha, bidding, baseline) rows."""
-    from repro.cluster.profiles import profile_by_name
-    from repro.engine.runtime import WorkflowRuntime
-    from repro.schedulers.registry import make_scheduler
-    from repro.workload.generators import zipf_workload
+    alphas: Sequence[float] = (0.0, 0.5, 1.0, 2.0), seed: int = DEFAULT_SEED
+) -> Grid:
+    """A8: Zipf-exponent sweep, bidding against baseline.
 
-    out = []
-    for alpha in alphas:
-        _corpus, stream = zipf_workload(alpha=alpha).build(seed=seed)
-        rows = []
-        for scheduler_name in ("bidding", "baseline"):
-            caches = None
-            results = []
-            for iteration in range(3):
-                runtime = WorkflowRuntime(
-                    profile=profile_by_name(profile),
-                    stream=stream,
-                    scheduler=make_scheduler(scheduler_name),
-                    config=default_engine_config(seed),
-                    initial_caches=caches,
-                    iteration=iteration,
-                )
-                results.append(runtime.run())
-                caches = runtime.cache_snapshot()
-            rows.append(_mean_rows(f"alpha={alpha:g}", results))
-        out.append((f"alpha={alpha:g}", rows[0], rows[1]))
-    return out
+    The name is overridden along with the exponent, as
+    :func:`~repro.workload.generators.zipf_workload` sets it: the name
+    prefixes every repository id.
+    """
+    return [
+        pair(
+            f"alpha={alpha:g}",
+            CellSpec(
+                "bidding",
+                "zipf",
+                "all-equal",
+                seed,
+                workload_overrides=(("alpha", alpha), ("name", f"zipf-{alpha:g}")),
+            ),
+        )
+        for alpha in alphas
+    ]
 
 
-def ablate_prefetch(
-    workload: str = "all_diff_large",
-    profile: str = "all-equal",
-    seed: int = DEFAULT_SEED,
-) -> list[tuple[str, AblationRow, AblationRow]]:
-    """A9: prefetch on/off; returns (setting, bidding, baseline) rows."""
-    out = []
-    for prefetch in (False, True):
-        engine = replace(default_engine_config(seed), prefetch=prefetch)
-        rows = []
-        for scheduler in ("bidding", "baseline"):
-            spec = CellSpec(
-                scheduler=scheduler,
-                workload=workload,
-                profile=profile,
-                seed=seed,
-                engine=engine,
-            )
-            label = "prefetch on" if prefetch else "prefetch off"
-            rows.append(_mean_rows(label, run_cell(spec)))
-        out.append((rows[0].setting, rows[0], rows[1]))
-    return out
+def ablate_prefetch(seed: int = DEFAULT_SEED) -> Grid:
+    """A9: prefetch off/on, bidding against baseline."""
+    cell = CellSpec("bidding", "all_diff_large", "all-equal", seed)
+    return [
+        pair(
+            f"prefetch {'on' if on else 'off'}",
+            replace(cell, engine_overrides=(("prefetch", on),)),
+        )
+        for on in (False, True)
+    ]
 
 
 def ablate_shared_origin(
     capacities: Sequence[Optional[float]] = (None, 40.0, 20.0, 10.0),
-    workload: str = "80%_large",
-    profile: str = "all-equal",
     seed: int = DEFAULT_SEED,
-) -> list[tuple[str, AblationRow, AblationRow]]:
-    """A10: origin-egress sweep; returns (setting, bidding, baseline)."""
-    out = []
-    for capacity in capacities:
-        engine = replace(default_engine_config(seed), shared_origin_mbps=capacity)
-        rows = []
-        for scheduler in ("bidding", "baseline"):
-            spec = CellSpec(
-                scheduler=scheduler,
-                workload=workload,
-                profile=profile,
-                seed=seed,
-                engine=engine,
-            )
-            label = "uncapped" if capacity is None else f"origin={capacity:g}MB/s"
-            rows.append(_mean_rows(label, run_cell(spec)))
-        out.append((rows[0].setting, rows[0], rows[1]))
-    return out
+) -> Grid:
+    """A10: origin-egress sweep, bidding against baseline."""
+    cell = CellSpec("bidding", "80%_large", "all-equal", seed)
+    return [
+        pair(
+            "uncapped" if capacity is None else f"origin={capacity:g}MB/s",
+            replace(cell, engine_overrides=(("shared_origin_mbps", capacity),)),
+        )
+        for capacity in capacities
+    ]
 
 
-def _render_rows(title: str, rows: Sequence[AblationRow]) -> str:
-    return format_table(
-        ["setting", "makespan [s]", "misses", "data [MB]", "contest [s]"],
-        [
+#: Every ablation, with the title it prints under.
+ABLATIONS = (
+    ("A1a: bidding window sweep (one-slow, all_diff_small)", ablate_bid_window),
+    ("A1b: bid computation cost sweep (all-equal, all_diff_small)", ablate_bid_compute),
+    ("A2: noise sweep (fast-slow, all_diff_equal)", ablate_noise),
+    ("A3: scheduler shoot-out (fast-slow, 80%_large)", ablate_schedulers),
+    ("A4: cache capacity sweep (all-equal, 80%_large)", ablate_cache_capacity),
+    ("A5: contest concurrency (all-equal, all_diff_large)", ablate_contest_concurrency),
+    ("A6: fast local close (one-slow, 80%_large)", ablate_fast_local_close),
+    ("A7: adaptive bids under speed drift (all-equal, all_diff_equal)", ablate_adaptive_bids),
+    ("A8: popularity-skew sweep (all-equal, zipf)", ablate_popularity_skew),
+    ("A9: download prefetching (all-equal, all_diff_large)", ablate_prefetch),
+    ("A10: shared-origin contention (all-equal, 80%_large)", ablate_shared_origin),
+)
+
+
+def table(title: str, sweep: Sweep) -> Table:
+    """A one-policy ablation shows its four means per setting; a
+    bidding/baseline one compares makespans and data loads."""
+    if all(len(row) == 1 for row in sweep.values()):
+        metrics = ("makespan_s", "cache_misses", "data_load_mb", "contest_seconds")
+        return Table(
+            title,
+            ["setting", "makespan [s]", "misses", "data [MB]", "contest [s]"],
             [
-                r.setting,
-                f"{r.mean_makespan_s:.1f}",
-                f"{r.mean_misses:.1f}",
-                f"{r.mean_data_mb:.1f}",
-                f"{r.mean_contest_s:.1f}",
-            ]
-            for r in rows
-        ],
-        title=title,
-    )
-
-
-def _render_pairs(title: str, pairs) -> str:
-    return format_table(
+                [setting] + [f"{results.mean(metric):.1f}" for metric in metrics]
+                for setting, row in sweep.items()
+                for results in row.values()
+            ],
+        )
+    return Table(
+        title,
         ["setting", "bidding [s]", "baseline [s]", "bidding data", "baseline data"],
         [
             [
-                label,
-                f"{b.mean_makespan_s:.1f}",
-                f"{bl.mean_makespan_s:.1f}",
-                f"{b.mean_data_mb:.0f}",
-                f"{bl.mean_data_mb:.0f}",
+                setting,
+                f"{row['bidding'].mean('makespan_s'):.1f}",
+                f"{row['baseline'].mean('makespan_s'):.1f}",
+                f"{row['bidding'].mean('data_load_mb'):.0f}",
+                f"{row['baseline'].mean('data_load_mb'):.0f}",
             ]
-            for label, b, bl in pairs
+            for setting, row in sweep.items()
         ],
-        title=title,
     )
 
 
-def main() -> None:
+def main(parallel: Optional[int] = None) -> None:
     """Run and print every ablation (the CLI entry point)."""
-    print(_render_rows("A1a: bidding window sweep (one-slow, all_diff_small)", ablate_bid_window()))
-    print()
-    print(_render_rows("A1b: bid computation cost sweep (all-equal, all_diff_small)", ablate_bid_compute()))
-    print()
-    print(_render_pairs("A2: noise sweep (fast-slow, all_diff_equal)", ablate_noise()))
-    print()
-    print(_render_rows("A3: scheduler shoot-out (fast-slow, 80%_large)", ablate_schedulers()))
-    print()
-    print(_render_pairs("A4: cache capacity sweep (all-equal, 80%_large)", ablate_cache_capacity()))
-    print()
-    print(_render_rows("A5: contest concurrency (all-equal, all_diff_large)", ablate_contest_concurrency()))
-    print()
-    print(_render_rows("A6: fast local close (one-slow, 80%_large)", ablate_fast_local_close()))
-    print()
-    print(_render_rows("A7: adaptive bids under speed drift (all-equal, all_diff_equal)", ablate_adaptive_bids()))
-    print()
-    print(_render_pairs("A8: popularity-skew sweep (all-equal, zipf)", ablate_popularity_skew()))
-    print()
-    print(_render_pairs("A9: download prefetching (all-equal, all_diff_large)", ablate_prefetch()))
-    print()
-    print(_render_pairs("A10: shared-origin contention (all-equal, 80%_large)", ablate_shared_origin()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    sweeps = run_grids([build() for _title, build in ABLATIONS], parallel)
+    print(render([table(title, sweep) for (title, _), sweep in zip(ABLATIONS, sweeps)]))

@@ -21,12 +21,11 @@ numbers match"), which would just overfit the simulator to the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.engine.runtime import EngineConfig
-from repro.experiments.configs import TOPOLOGY
-from repro.experiments.fig3_aggregates import Fig3Result, run_fig3
-from repro.metrics.report import format_table
+from repro.experiments import fig3_aggregates
+from repro.experiments.configs import noise_overrides
+from repro.experiments.grid import Sweep, Table, render, run_grids
 
 #: The Section 6.3.2 targets.
 PAPER_SPEEDUP_PCT = 24.5
@@ -66,13 +65,13 @@ class CalibrationScore:
         ) / 3.0
 
 
-def score_result(calibration: Calibration, result: Fig3Result) -> CalibrationScore:
-    """Fold a Figure-3 result into a score row."""
+def score_result(calibration: Calibration, sweep: Sweep) -> CalibrationScore:
+    """Fold a Figure-3 sweep into a score row."""
     return CalibrationScore(
         calibration=calibration,
-        speedup_pct=result.overall_speedup_pct,
-        miss_reduction_pct=result.overall_miss_reduction_pct,
-        data_reduction_pct=result.overall_data_reduction_pct,
+        speedup_pct=fig3_aggregates.overall_reduction(sweep, "makespan_s"),
+        miss_reduction_pct=fig3_aggregates.overall_reduction(sweep, "cache_misses"),
+        data_reduction_pct=fig3_aggregates.overall_reduction(sweep, "data_load_mb"),
     )
 
 
@@ -81,45 +80,19 @@ def evaluate(
     seeds: Sequence[int] = (11,),
     profiles: Sequence[str] = ("all-equal", "fast-slow"),
 ) -> CalibrationScore:
-    """Run a reduced Figure-3 matrix under one calibration and score it."""
-    import repro.experiments.fig3_aggregates as fig3_module
-    from repro.experiments.runner import ResultSet, expand_matrix, run_matrix
+    """Run Figure 3's grid, reduced, under one calibration and score it."""
 
-    engine = EngineConfig(
-        seed=0,  # replaced per cell below
-        noise_kind="lognormal" if calibration.noise_sigma > 0 else "none",
-        noise_params={"sigma": calibration.noise_sigma}
-        if calibration.noise_sigma > 0
-        else {},
-        topology=TOPOLOGY,
-        trace=False,
-    )
-    workloads = (
-        "all_diff_equal", "all_diff_large", "all_diff_small", "80%_large", "80%_small",
-    )
-    cells = expand_matrix(
-        schedulers=["baseline", "bidding"],
-        workloads=list(workloads),
-        profiles=list(profiles),
-        seeds=list(seeds),
-        scheduler_kwargs={"bidding": {"window_s": calibration.bid_window_s}},
-    )
-    cells = [replace(cell, engine=replace(engine, seed=cell.seed)) for cell in cells]
-    results = ResultSet(run_matrix(cells))
-    rows = []
-    for workload in workloads:
-        rows.append(
-            fig3_module.WorkloadRow(
-                workload=workload,
-                baseline_time_s=results.mean_makespan(scheduler="baseline", workload=workload),
-                bidding_time_s=results.mean_makespan(scheduler="bidding", workload=workload),
-                baseline_misses=results.mean_misses(scheduler="baseline", workload=workload),
-                bidding_misses=results.mean_misses(scheduler="bidding", workload=workload),
-                baseline_data_mb=results.mean_data_mb(scheduler="baseline", workload=workload),
-                bidding_data_mb=results.mean_data_mb(scheduler="bidding", workload=workload),
-            )
-        )
-    return score_result(calibration, Fig3Result(rows=tuple(rows)))
+    def calibrated(cell):
+        cell = replace(cell, engine_overrides=noise_overrides(calibration.noise_sigma))
+        if cell.scheduler != "bidding":
+            return cell
+        return cell.with_scheduler_kwargs(window_s=calibration.bid_window_s)
+
+    grid = [
+        (workload, {name: [calibrated(cell) for cell in cells] for name, cells in row.items()})
+        for workload, row in fig3_aggregates.grid(seeds=seeds, profiles=profiles)
+    ]
+    return score_result(calibration, run_grids([grid])[0])
 
 
 #: The default audit grid: noise around the chosen 0.25, window around
@@ -144,9 +117,12 @@ def run_grid(
     return scores
 
 
-def render(scores: Sequence[CalibrationScore]) -> str:
+def table(scores: Sequence[CalibrationScore]) -> Table:
     """The audit table (gap columns are measured − paper)."""
-    return format_table(
+    return Table(
+        "Calibration audit vs Section 6.3.2 "
+        f"(paper: +{PAPER_SPEEDUP_PCT}%, +{PAPER_MISS_REDUCTION_PCT}%, "
+        f"+{PAPER_DATA_REDUCTION_PCT}%)",
         ["calibration", "speedup", "miss red.", "data red.", "mean |gap| [pp]"],
         [
             [
@@ -158,17 +134,12 @@ def render(scores: Sequence[CalibrationScore]) -> str:
             ]
             for row in scores
         ],
-        title=(
-            "Calibration audit vs Section 6.3.2 "
-            f"(paper: +{PAPER_SPEEDUP_PCT}%, +{PAPER_MISS_REDUCTION_PCT}%, "
-            f"+{PAPER_DATA_REDUCTION_PCT}%)"
-        ),
     )
 
 
 def main() -> None:
     """Run and print the default audit grid."""
-    print(render(run_grid()))
+    print(render([table(run_grid())]))
 
 
 if __name__ == "__main__":  # pragma: no cover

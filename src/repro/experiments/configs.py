@@ -33,6 +33,9 @@ ITERATIONS = 3
 #: cell keep harness runtime low while averaging out arrival/noise draws).
 EVALUATION_SEEDS: tuple[int, ...] = (11, 23, 37)
 
+#: The one seed of the single-seed sweeps (ablations, sensitivity, faults).
+DEFAULT_SEED = 11
+
 #: Noise scheme calibration: the paper says only that speeds "were
 #: subjected to a noise scheme ... to simulate realistic variations in
 #: network conditions".  A log-normal factor with sigma=0.25 gives
@@ -55,3 +58,11 @@ def default_engine_config(seed: int) -> EngineConfig:
         topology=TOPOLOGY,
         trace=False,  # aggregate counters only; experiments are bulk runs
     )
+
+
+def noise_overrides(sigma: float) -> tuple[tuple[str, object], ...]:
+    """``CellSpec.engine_overrides`` for log-normal noise of ``sigma``
+    (no noise at all when ``sigma`` is 0)."""
+    if sigma > 0:
+        return (("noise_kind", "lognormal"), ("noise_params", {"sigma": sigma}))
+    return (("noise_kind", "none"), ("noise_params", {}))

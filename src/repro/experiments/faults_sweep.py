@@ -23,16 +23,16 @@ Run via ``repro faults`` or :func:`main`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.experiments.runner import CellSpec, run_cell
+from repro.experiments.configs import DEFAULT_SEED
+from repro.experiments.grid import Grid, Sweep, Table, render, run_grids, single
+from repro.experiments.runner import CellSpec
 from repro.faults.plan import CrashRenewal, FaultPlan, RecoveryConfig
-from repro.metrics.report import RunResult, format_table
 
-DEFAULT_SEED = 11
-DEFAULT_SCHEDULERS = ("bidding", "baseline", "spark")
+SCHEDULERS = ("bidding", "baseline", "spark")
 #: MTBF settings (simulated seconds); ``None`` is the fault-free control.
-DEFAULT_MTBFS: tuple[Optional[float], ...] = (None, 600.0, 300.0, 150.0)
+MTBFS: tuple[Optional[float], ...] = (None, 600.0, 300.0, 150.0)
 MTTR_S = 30.0
 
 
@@ -46,18 +46,14 @@ def plan_for(mtbf_s: Optional[float]) -> Optional[FaultPlan]:
     )
 
 
-def sweep(
-    seed: int = DEFAULT_SEED,
-    schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    mtbfs: Sequence[Optional[float]] = DEFAULT_MTBFS,
-    workload: str = "80%_large",
-    profile: str = "all-equal",
-) -> list[tuple[str, Optional[float], RunResult]]:
-    """One iteration per (scheduler, MTBF) cell, identical seed per row."""
-    rows = []
-    for scheduler in schedulers:
-        for mtbf in mtbfs:
-            spec = CellSpec(
+def grid(
+    seed: int = DEFAULT_SEED, workload: str = "80%_large", profile: str = "all-equal"
+) -> Grid:
+    """One iteration per (scheduler, MTBF) row, identical seed per row."""
+    return [
+        single(
+            (scheduler, mtbf),
+            CellSpec(
                 scheduler=scheduler,
                 workload=workload,
                 profile=profile,
@@ -65,52 +61,48 @@ def sweep(
                 iterations=1,
                 faults=plan_for(mtbf),
                 allow_partial=True,
-            )
-            rows.append((scheduler, mtbf, run_cell(spec)[0]))
-    return rows
+            ),
+        )
+        for scheduler in SCHEDULERS
+        for mtbf in MTBFS
+    ]
+
+
+def table(title: str, sweep: Sweep) -> Table:
+    """Makespan, slowdown against the healthy row, and the recovery counts."""
+    runs = {label: row[label[0]].results[0] for label, row in sweep.items()}
+    healthy = {
+        scheduler: run.makespan_s for (scheduler, mtbf), run in runs.items() if mtbf is None
+    }
+    return Table(
+        title,
+        ["scheduler", "MTBF [s]", "makespan [s]", "slowdown", "crashes",
+         "redispatches", "failed", "completed"],
+        [
+            [
+                scheduler,
+                "inf" if mtbf is None else f"{mtbf:.0f}",
+                f"{run.makespan_s:.1f}",
+                f"{run.makespan_s / healthy[scheduler]:.2f}x",
+                str(run.crashes),
+                str(run.redispatches),
+                str(len(run.failed_jobs)),
+                str(run.jobs_completed),
+            ]
+            for (scheduler, mtbf), run in runs.items()
+        ],
+    )
 
 
 def main(
     seed: int = DEFAULT_SEED,
     workload: str = "80%_large",
     profile: str = "all-equal",
-) -> list[tuple[str, Optional[float], RunResult]]:
-    """Print the degradation table and return the raw rows."""
-    rows = sweep(seed=seed, workload=workload, profile=profile)
-    healthy = {
-        scheduler: result.makespan_s
-        for scheduler, mtbf, result in rows
-        if mtbf is None
-    }
-    print(
-        format_table(
-            [
-                "scheduler",
-                "MTBF [s]",
-                "makespan [s]",
-                "slowdown",
-                "crashes",
-                "redispatches",
-                "failed",
-                "completed",
-            ],
-            [
-                [
-                    scheduler,
-                    "inf" if mtbf is None else f"{mtbf:.0f}",
-                    f"{result.makespan_s:.1f}",
-                    f"{result.makespan_s / healthy[scheduler]:.2f}x",
-                    str(result.crashes),
-                    str(result.redispatches),
-                    str(len(result.failed_jobs)),
-                    str(result.jobs_completed),
-                ]
-                for scheduler, mtbf, result in rows
-            ],
-            title=(
-                f"degradation sweep on {workload} / {profile} "
-                f"(seed {seed}, MTTR {MTTR_S:.0f}s, recovery budget 5)"
-            ),
-        )
+) -> None:
+    """Run and print the degradation table (the CLI entry point)."""
+    [sweep] = run_grids([grid(seed=seed, workload=workload, profile=profile)])
+    title = (
+        f"degradation sweep on {workload} / {profile} "
+        f"(seed {seed}, MTTR {MTTR_S:.0f}s, recovery budget 5)"
     )
-    return rows
+    print(render([table(title, sweep)]))

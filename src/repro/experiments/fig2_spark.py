@@ -29,12 +29,11 @@ variant is exercised in the ablations instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.configs import EVALUATION_SEEDS, ITERATIONS
-from repro.experiments.runner import ResultSet, expand_matrix, run_matrix
-from repro.metrics.report import format_table, speedup
+from repro.experiments.grid import Bars, Grid, Sweep, Table, render, run_grids, speedup
+from repro.experiments.runner import ResultSet, expand_matrix
 
 #: The four column groups: (label, profile, workload).
 COLUMN_GROUPS: tuple[tuple[str, str, str], ...] = (
@@ -48,119 +47,62 @@ COLUMN_GROUPS: tuple[tuple[str, str, str], ...] = (
 PAPER_RATIOS = {"G1 fast-slow / large": 7.94, "G2 all-equal / small": 2.3}
 
 
-@dataclass(frozen=True)
-class Fig2Group:
-    """One column group's mean execution times."""
+def grid(seeds: Sequence[int] = EVALUATION_SEEDS, iterations: int = ITERATIONS) -> Grid:
+    """One row per column group: Crossflow's Baseline and Spark."""
 
-    label: str
-    profile: str
-    workload: str
-    crossflow_time_s: float
-    spark_time_s: float
-
-    @property
-    def spark_slowdown(self) -> float:
-        """How many times longer Spark takes (paper: 7.94x in G1)."""
-        return speedup(baseline_s=self.spark_time_s, candidate_s=self.crossflow_time_s)
-
-
-@dataclass(frozen=True)
-class Fig2Result:
-    """All four Figure 2 column groups."""
-
-    groups: tuple[Fig2Group, ...]
-
-    def group(self, label_prefix: str) -> Fig2Group:
-        """Look up a group by label prefix (e.g. ``"G1"``)."""
-        for group in self.groups:
-            if group.label.startswith(label_prefix):
-                return group
-        raise KeyError(f"no column group starting with {label_prefix!r}")
-
-
-def run_fig2(
-    seeds: Sequence[int] = EVALUATION_SEEDS,
-    iterations: int = ITERATIONS,
-    parallel: Optional[int] = None,
-) -> Fig2Result:
-    """Run the four column groups for both schedulers."""
-    groups = []
-    cells = []
-    for _label, profile, workload in COLUMN_GROUPS:
-        cells.extend(
-            expand_matrix(
-                schedulers=["baseline", "spark"],
-                workloads=[workload],
-                profiles=[profile],
-                seeds=list(seeds),
-                iterations=iterations,
-                scheduler_kwargs={"spark": {"use_locality": False}},
-                # The MSR pipeline hands Spark a whole stage of analysis
-                # jobs at once; a burst submission reproduces that and
-                # keeps the comparison scheduler-bound rather than
-                # arrival-bound.
-                workload_overrides={"mean_interarrival_s": 0.0},
-            )
+    def cells(scheduler: str, profile: str, workload: str):
+        return expand_matrix(
+            [scheduler],
+            [workload],
+            [profile],
+            list(seeds),
+            iterations,
+            scheduler_kwargs={"spark": {"use_locality": False}},
+            # The MSR pipeline hands Spark a whole stage of analysis
+            # jobs at once; a burst submission reproduces that and
+            # keeps the comparison scheduler-bound rather than
+            # arrival-bound.
+            workload_overrides={"mean_interarrival_s": 0.0},
         )
-    results = ResultSet(run_matrix(cells, parallel=parallel))
-    for label, profile, workload in COLUMN_GROUPS:
-        groups.append(
-            Fig2Group(
-                label=label,
-                profile=profile,
-                workload=workload,
-                crossflow_time_s=results.mean_makespan(
-                    scheduler="baseline", workload=workload, profile=profile
-                ),
-                spark_time_s=results.mean_makespan(
-                    scheduler="spark", workload=workload, profile=profile
-                ),
-            )
-        )
-    return Fig2Result(groups=tuple(groups))
+
+    return [
+        (label, {"crossflow": cells("baseline", *cell), "spark": cells("spark", *cell)})
+        for label, *cell in COLUMN_GROUPS
+    ]
 
 
-def render(result: Fig2Result) -> str:
-    """Figure 2 as a text table + bars with the paper's stated ratios."""
-    from repro.metrics.ascii_chart import grouped_bar_chart
+def spark_slowdown(row: dict[str, ResultSet]) -> float:
+    """How many times longer Spark takes (paper: 7.94x in G1)."""
+    return speedup(row, over="spark", of="crossflow")
 
-    rows = []
-    for group in result.groups:
-        paper = PAPER_RATIOS.get(group.label)
+
+def tables(sweep: Sweep) -> list[Table]:
+    """Figure 2 with the paper's stated ratios, and as bars."""
+    rows, groups = [], []
+    for label, row in sweep.items():
+        crossflow = row["crossflow"].mean("makespan_s")
+        spark = row["spark"].mean("makespan_s")
+        paper = PAPER_RATIOS.get(label)
         rows.append(
             [
-                group.label,
-                f"{group.crossflow_time_s:.1f}",
-                f"{group.spark_time_s:.1f}",
-                f"{group.spark_slowdown:.2f}x",
+                label,
+                f"{crossflow:.1f}",
+                f"{spark:.1f}",
+                f"{spark_slowdown(row):.2f}x",
                 f"{paper:.2f}x" if paper else "-",
             ]
         )
-    table = format_table(
-        ["column group", "crossflow [s]", "spark [s]", "spark slower by", "paper"],
-        rows,
-        title="Figure 2: execution times of MSR in Spark compared to Crossflow Baseline",
-    )
-    chart = grouped_bar_chart(
-        [
-            (
-                group.label,
-                [("crossflow", group.crossflow_time_s), ("spark", group.spark_time_s)],
-            )
-            for group in result.groups
-        ],
-        title="Figure 2 as bars",
-        unit="s",
-    )
-    return table + "\n\n" + chart
+        groups.append((label, [("crossflow", crossflow), ("spark", spark)]))
+    return [
+        Table(
+            "Figure 2: execution times of MSR in Spark compared to Crossflow Baseline",
+            ["column group", "crossflow [s]", "spark [s]", "spark slower by", "paper"],
+            rows,
+            bars=Bars("Figure 2 as bars", "s", groups),
+        )
+    ]
 
 
-def main(parallel: Optional[int] = None) -> Fig2Result:
+def main(parallel: Optional[int] = None) -> None:
     """Run and print Figure 2 (the CLI entry point)."""
-    result = run_fig2(parallel=parallel)
-    print(render(result))
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    print(render(tables(run_grids([grid()], parallel)[0])))

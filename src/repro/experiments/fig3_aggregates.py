@@ -18,7 +18,6 @@ all seeds, mirroring the paper's "accumulated results per workload".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.configs import (
@@ -27,162 +26,85 @@ from repro.experiments.configs import (
     JOB_CONFIG_NAMES,
     PROFILE_NAMES,
 )
-from repro.experiments.runner import ResultSet, expand_matrix, run_matrix
-from repro.metrics.ascii_chart import grouped_bar_chart
-from repro.metrics.report import format_table, percent_change
+from repro.experiments.grid import (
+    Bars,
+    Grid,
+    Sweep,
+    Table,
+    compared,
+    reduction,
+    render,
+    run_grids,
+)
+from repro.experiments.runner import expand_matrix
 
 SCHEDULERS = ("baseline", "bidding")
 
 
-@dataclass(frozen=True)
-class WorkloadRow:
-    """One column group of Figure 3 (one workload, both algorithms)."""
-
-    workload: str
-    baseline_time_s: float
-    bidding_time_s: float
-    baseline_misses: float
-    bidding_misses: float
-    baseline_data_mb: float
-    bidding_data_mb: float
-
-    @property
-    def speedup_pct(self) -> float:
-        """Relative execution-time reduction of Bidding vs Baseline."""
-        return percent_change(self.baseline_time_s, self.bidding_time_s)
-
-    @property
-    def miss_reduction_pct(self) -> float:
-        return percent_change(self.baseline_misses, self.bidding_misses)
-
-    @property
-    def data_reduction_pct(self) -> float:
-        return percent_change(self.baseline_data_mb, self.bidding_data_mb)
-
-
-@dataclass(frozen=True)
-class Fig3Result:
-    """All Figure 3 rows plus the Section 6.3.2 aggregates."""
-
-    rows: tuple[WorkloadRow, ...]
-
-    def row(self, workload: str) -> WorkloadRow:
-        """Look up one workload's row."""
-        for row in self.rows:
-            if row.workload == workload:
-                return row
-        raise KeyError(f"no row for workload {workload!r}")
-
-    @property
-    def overall_speedup_pct(self) -> float:
-        """Mean execution-time reduction across workloads (claim 1)."""
-        return sum(row.speedup_pct for row in self.rows) / len(self.rows)
-
-    @property
-    def overall_miss_reduction_pct(self) -> float:
-        """Mean cache-miss reduction across workloads (claim 2a)."""
-        return sum(row.miss_reduction_pct for row in self.rows) / len(self.rows)
-
-    @property
-    def overall_data_reduction_pct(self) -> float:
-        """Mean data-load reduction across workloads (claim 2b)."""
-        return sum(row.data_reduction_pct for row in self.rows) / len(self.rows)
-
-
-def run_fig3(
+def grid(
     seeds: Sequence[int] = EVALUATION_SEEDS,
     profiles: Sequence[str] = PROFILE_NAMES,
     workloads: Sequence[str] = JOB_CONFIG_NAMES,
     iterations: int = ITERATIONS,
-    parallel: Optional[int] = None,
-) -> Fig3Result:
-    """Run the full Figure 3 matrix and aggregate per workload."""
-    cells = expand_matrix(
-        schedulers=SCHEDULERS,
-        workloads=list(workloads),
-        profiles=list(profiles),
-        seeds=list(seeds),
-        iterations=iterations,
-    )
-    results = ResultSet(run_matrix(cells, parallel=parallel))
-    rows = []
-    for workload in workloads:
-        rows.append(
-            WorkloadRow(
-                workload=workload,
-                baseline_time_s=results.mean_makespan(scheduler="baseline", workload=workload),
-                bidding_time_s=results.mean_makespan(scheduler="bidding", workload=workload),
-                baseline_misses=results.mean_misses(scheduler="baseline", workload=workload),
-                bidding_misses=results.mean_misses(scheduler="bidding", workload=workload),
-                baseline_data_mb=results.mean_data_mb(scheduler="baseline", workload=workload),
-                bidding_data_mb=results.mean_data_mb(scheduler="bidding", workload=workload),
-            )
-        )
-    return Fig3Result(rows=tuple(rows))
-
-
-def render(result: Fig3Result) -> str:
-    """Figure 3 as three text tables plus the Section 6.3.2 claims."""
-    sections = []
-    sections.append(
-        format_table(
-            ["workload", "baseline [s]", "bidding [s]", "speedup [%]"],
-            [
-                [r.workload, f"{r.baseline_time_s:.1f}", f"{r.bidding_time_s:.1f}", f"{r.speedup_pct:+.1f}"]
-                for r in result.rows
-            ],
-            title="Figure 3a: average total execution time per workload",
-        )
-    )
-    sections.append(
-        format_table(
-            ["workload", "baseline", "bidding", "reduction [%]"],
-            [
-                [r.workload, f"{r.baseline_misses:.2f}", f"{r.bidding_misses:.2f}", f"{r.miss_reduction_pct:+.1f}"]
-                for r in result.rows
-            ],
-            title="Figure 3b: average cache-miss count per workload",
-        )
-    )
-    sections.append(
-        format_table(
-            ["workload", "baseline [MB]", "bidding [MB]", "reduction [%]"],
-            [
-                [r.workload, f"{r.baseline_data_mb:.2f}", f"{r.bidding_data_mb:.2f}", f"{r.data_reduction_pct:+.1f}"]
-                for r in result.rows
-            ],
-            title="Figure 3c: average data load per workload",
-        )
-    )
-    sections.append(
-        grouped_bar_chart(
-            [
-                (
-                    row.workload,
-                    [("baseline", row.baseline_time_s), ("bidding", row.bidding_time_s)],
+) -> Grid:
+    """One row per workload: each algorithm over every profile and seed."""
+    return [
+        (
+            workload,
+            {
+                scheduler: expand_matrix(
+                    [scheduler], [workload], list(profiles), list(seeds), iterations
                 )
-                for row in result.rows
-            ],
-            title="Figure 3a as bars (average execution time)",
-            unit="s",
+                for scheduler in SCHEDULERS
+            },
         )
+        for workload in workloads
+    ]
+
+
+def overall_reduction(sweep: Sweep, metric: str) -> float:
+    """Mean per-workload reduction: the Section 6.3.2 aggregates."""
+    return sum(reduction(row, metric) for row in sweep.values()) / len(sweep)
+
+
+def tables(sweep: Sweep) -> list[Table]:
+    """Figures 3a-3c, 3a as bars, and the Section 6.3.2 claims."""
+    bars = Bars(
+        "Figure 3a as bars (average execution time)",
+        "s",
+        [
+            (workload, [(name, row[name].mean("makespan_s")) for name in SCHEDULERS])
+            for workload, row in sweep.items()
+        ],
     )
-    sections.append(
+    note = (
         "Section 6.3.2 aggregates (paper: ~24.5% speedup, ~49% fewer misses, "
         "~45.3% less data):\n"
-        f"  measured speedup        : {result.overall_speedup_pct:+.1f}%\n"
-        f"  measured miss reduction : {result.overall_miss_reduction_pct:+.1f}%\n"
-        f"  measured data reduction : {result.overall_data_reduction_pct:+.1f}%"
+        f"  measured speedup        : {overall_reduction(sweep, 'makespan_s'):+.1f}%\n"
+        f"  measured miss reduction : {overall_reduction(sweep, 'cache_misses'):+.1f}%\n"
+        f"  measured data reduction : {overall_reduction(sweep, 'data_load_mb'):+.1f}%"
     )
-    return "\n\n".join(sections)
+    return [
+        compared(
+            "Figure 3a: average total execution time per workload",
+            ["workload", "baseline [s]", "bidding [s]", "speedup [%]"],
+            sweep, "makespan_s", "{:.1f}",
+        ),
+        compared(
+            "Figure 3b: average cache-miss count per workload",
+            ["workload", "baseline", "bidding", "reduction [%]"],
+            sweep, "cache_misses", "{:.2f}",
+        ),
+        compared(
+            "Figure 3c: average data load per workload",
+            ["workload", "baseline [MB]", "bidding [MB]", "reduction [%]"],
+            sweep, "data_load_mb", "{:.2f}",
+            bars=bars,
+            note=note,
+        ),
+    ]
 
 
-def main(parallel: Optional[int] = None) -> Fig3Result:
+def main(parallel: Optional[int] = None) -> None:
     """Run and print Figure 3 (the CLI entry point)."""
-    result = run_fig3(parallel=parallel)
-    print(render(result))
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    print(render(tables(run_grids([grid()], parallel)[0])))

@@ -23,7 +23,6 @@ comparator (our Spark-style policy with locality on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.configs import (
@@ -32,153 +31,87 @@ from repro.experiments.configs import (
     JOB_CONFIG_NAMES,
     PROFILE_NAMES,
 )
-from repro.experiments.runner import ResultSet, expand_matrix, run_matrix
-from repro.metrics.report import format_table
+from repro.experiments.grid import Grid, Sweep, Table, render, run_grids, speedup
+from repro.experiments.runner import ResultSet, expand_matrix
 
 
-@dataclass(frozen=True)
-class Fig4Cell:
-    """One (workload, profile) cell of the Figure 4 grid."""
-
-    workload: str
-    profile: str
-    baseline_time_s: float
-    bidding_time_s: float
-    baseline_cold_s: float
-    bidding_cold_s: float
-
-    @property
-    def speedup(self) -> float:
-        """Baseline / Bidding mean-time ratio (>1 means Bidding wins)."""
-        return self.baseline_time_s / self.bidding_time_s
-
-    @property
-    def cold_speedup(self) -> float:
-        """Same ratio on the cold first iteration only."""
-        return self.baseline_cold_s / self.bidding_cold_s
-
-
-@dataclass(frozen=True)
-class Fig4Result:
-    """The full grid plus the centralized-comparator best case."""
-
-    cells: tuple[Fig4Cell, ...]
-    #: Best single-cell speedup of Bidding vs the centralized
-    #: locality-aware scheduler (the abstract's "up to 3.57x" claim).
-    best_vs_centralized: float
-    best_vs_centralized_cell: tuple[str, str]
-
-    def cell(self, workload: str, profile: str) -> Fig4Cell:
-        """Look up one grid cell."""
-        for cell in self.cells:
-            if cell.workload == workload and cell.profile == profile:
-                return cell
-        raise KeyError(f"no cell for ({workload!r}, {profile!r})")
-
-
-def run_fig4(
+def grid(
     seeds: Sequence[int] = EVALUATION_SEEDS,
     profiles: Sequence[str] = PROFILE_NAMES,
     workloads: Sequence[str] = JOB_CONFIG_NAMES,
     iterations: int = ITERATIONS,
-    parallel: Optional[int] = None,
-) -> Fig4Result:
-    """Run the Figure 4 grid plus the centralized comparator."""
-    cells_spec = expand_matrix(
-        schedulers=["baseline", "bidding", "spark"],
-        workloads=list(workloads),
-        profiles=list(profiles),
-        seeds=list(seeds),
-        iterations=iterations,
-        scheduler_kwargs={"spark": {"use_locality": True}},
-    )
-    results = ResultSet(run_matrix(cells_spec, parallel=parallel))
-    cells = []
-    best = 0.0
-    best_cell = ("", "")
-    for workload in workloads:
-        for profile in profiles:
-            cells.append(
-                Fig4Cell(
-                    workload=workload,
-                    profile=profile,
-                    baseline_time_s=results.mean_makespan(
-                        scheduler="baseline", workload=workload, profile=profile
-                    ),
-                    bidding_time_s=results.mean_makespan(
-                        scheduler="bidding", workload=workload, profile=profile
-                    ),
-                    baseline_cold_s=results.mean_makespan(
-                        scheduler="baseline", workload=workload, profile=profile, iteration=0
-                    ),
-                    bidding_cold_s=results.mean_makespan(
-                        scheduler="bidding", workload=workload, profile=profile, iteration=0
-                    ),
+) -> Grid:
+    """One row per (workload, profile): Baseline, Bidding and the
+    centralized locality-aware comparator."""
+    return [
+        (
+            (workload, profile),
+            {
+                scheduler: expand_matrix(
+                    [scheduler],
+                    [workload],
+                    [profile],
+                    list(seeds),
+                    iterations,
+                    scheduler_kwargs={"spark": {"use_locality": True}},
                 )
-            )
-            centralized = results.mean_makespan(
-                scheduler="spark", workload=workload, profile=profile
-            )
-            bidding = cells[-1].bidding_time_s
-            if centralized / bidding > best:
-                best = centralized / bidding
-                best_cell = (workload, profile)
-    return Fig4Result(
-        cells=tuple(cells), best_vs_centralized=best, best_vs_centralized_cell=best_cell
-    )
+                for scheduler in ("baseline", "bidding", "spark")
+            },
+        )
+        for workload in workloads
+        for profile in profiles
+    ]
 
 
-def render(result: Fig4Result) -> str:
-    """Figure 4 as a grid of ``baseline/bidding (ratio)`` cells."""
-    profiles = sorted({cell.profile for cell in result.cells})
-    workloads = []
-    for cell in result.cells:
-        if cell.workload not in workloads:
-            workloads.append(cell.workload)
-    rows = []
-    for workload in workloads:
-        row = [workload]
-        for profile in profiles:
-            cell = result.cell(workload, profile)
-            row.append(
-                f"{cell.baseline_time_s:.0f}/{cell.bidding_time_s:.0f} ({cell.speedup:.2f}x)"
-            )
-        rows.append(row)
-    grid = format_table(
-        ["workload"] + profiles,
-        rows,
-        title=(
+def cold_speedup(row: dict[str, ResultSet]) -> float:
+    """Baseline / Bidding on the cold first iteration only."""
+    return speedup(row, iteration=0)
+
+
+def best_vs_centralized(sweep: Sweep) -> tuple[float, tuple[str, str]]:
+    """Bidding's best cell against the centralized locality-aware
+    scheduler (the abstract's "up to 3.57x"), and that cell."""
+    cell = max(sweep, key=lambda label: speedup(sweep[label], over="spark"))
+    return speedup(sweep[cell], over="spark"), cell
+
+
+def tables(sweep: Sweep) -> list[Table]:
+    """Figure 4 as a grid of ``baseline/bidding (ratio)`` cells, the
+    cold-iteration ratios, and the abstract's claim."""
+    workloads = list(dict.fromkeys(workload for workload, _profile in sweep))
+    profiles = sorted({profile for _workload, profile in sweep})
+
+    def table(title: str, cell, **extra) -> Table:
+        return Table(
+            title,
+            ["workload"] + profiles,
+            [[workload] + [cell(sweep[workload, p]) for p in profiles] for workload in workloads],
+            **extra,
+        )
+
+    def times(row: dict[str, ResultSet]) -> str:
+        baseline = row["baseline"].mean("makespan_s")
+        bidding = row["bidding"].mean("makespan_s")
+        return f"{baseline:.0f}/{bidding:.0f} ({speedup(row):.2f}x)"
+
+    best, best_cell = best_vs_centralized(sweep)
+    return [
+        table(
             "Figure 4: average execution times per workload per worker profile\n"
-            "(cells: baseline[s]/bidding[s] (speedup); 3-iteration means)"
+            "(cells: baseline[s]/bidding[s] (speedup); 3-iteration means)",
+            times,
         ),
-    )
-    cold_rows = []
-    for workload in workloads:
-        row = [workload]
-        for profile in profiles:
-            cell = result.cell(workload, profile)
-            row.append(f"{cell.cold_speedup:.2f}x")
-        cold_rows.append(row)
-    cold = format_table(
-        ["workload"] + profiles,
-        cold_rows,
-        title="Cold first-iteration speedups (bidding overhead shows where <= 1.0x)",
-    )
-    summary = (
-        "Abstract claim (paper: up to 3.57x vs the centralized locality "
-        "approach):\n"
-        f"  best cell {result.best_vs_centralized_cell}: "
-        f"{result.best_vs_centralized:.2f}x"
-    )
-    return "\n\n".join([grid, cold, summary])
+        table(
+            "Cold first-iteration speedups (bidding overhead shows where <= 1.0x)",
+            lambda row: f"{cold_speedup(row):.2f}x",
+            note=(
+                "Abstract claim (paper: up to 3.57x vs the centralized locality "
+                f"approach):\n  best cell {best_cell}: {best:.2f}x"
+            ),
+        ),
+    ]
 
 
-def main(parallel: Optional[int] = None) -> Fig4Result:
+def main(parallel: Optional[int] = None) -> None:
     """Run and print Figure 4 (the CLI entry point)."""
-    result = run_fig4(parallel=parallel)
-    print(render(result))
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    print(render(tables(run_grids([grid()], parallel)[0])))

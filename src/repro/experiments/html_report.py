@@ -4,37 +4,32 @@
 Tables 1-3 and renders them as a single dependency-free HTML file with
 inline SVG bar charts -- the shareable artifact of the reproduction.
 
-Everything is generated from the same result objects the text harness
-prints, so the report can never drift from the numbers.
+Every section is one of the :class:`~repro.experiments.grid.Table` s the
+text harness prints, so the report can never drift from the numbers.
 """
 
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.experiments.fig2_spark import Fig2Result, run_fig2
-from repro.experiments.fig3_aggregates import Fig3Result, run_fig3
-from repro.experiments.fig4_breakdown import Fig4Result, run_fig4
-from repro.experiments.tables_msr import MSRTables, run_tables
-from repro.metrics.report import percent_change
+from repro.experiments import fig2_spark, fig3_aggregates, fig4_breakdown, tables_msr
+from repro.experiments.grid import Table, run_grids
 
-#: Series colours (paper-style two-series charts).
-COLOR_A = "#4878a8"  # baseline / crossflow
-COLOR_B = "#e08830"  # bidding / spark
+#: Series colours, in series order (paper-style two-series charts).
+COLORS = ("#4878a8", "#e08830")
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Helvetica, Arial, sans-serif;
        max-width: 920px; margin: 2rem auto; padding: 0 1rem; color: #1a1a1a; }
 h1 { border-bottom: 2px solid #ddd; padding-bottom: .4rem; }
-h2 { margin-top: 2.2rem; }
+h2 { margin-top: 2.2rem; white-space: pre-line; }
 table { border-collapse: collapse; margin: 1rem 0; font-size: .92rem; }
 th, td { border: 1px solid #ccc; padding: .35rem .7rem; text-align: right; }
 th:first-child, td:first-child { text-align: left; }
 thead { background: #f2f2f2; }
-.note { color: #555; font-size: .9rem; }
+.note { color: #555; font-size: .9rem; white-space: pre-line; }
 .legend span { display: inline-block; margin-right: 1.2rem; font-size: .9rem; }
 .swatch { display: inline-block; width: .9em; height: .9em; margin-right: .35em;
           vertical-align: -0.1em; border-radius: 2px; }
@@ -42,15 +37,12 @@ thead { background: #f2f2f2; }
 
 
 def _svg_grouped_bars(
-    groups: Sequence[tuple[str, float, float]],
-    series_names: tuple[str, str],
+    groups: Sequence[tuple[str, Sequence[tuple[str, float]]]],
     unit: str,
     width: int = 860,
 ) -> str:
-    """Two-series grouped horizontal bar chart as inline SVG.
-
-    ``groups`` is ``(label, value_a, value_b)`` per group.
-    """
+    """Grouped horizontal bar chart as inline SVG: per group, one bar per
+    ``(series, value)``, coloured by series position."""
     if not groups:
         raise ValueError("empty groups")
     bar_height = 16
@@ -59,9 +51,9 @@ def _svg_grouped_bars(
     label_width = 200
     value_width = 90
     chart_width = width - label_width - value_width
-    max_value = max(max(a, b) for _label, a, b in groups) or 1.0
-    group_height = 2 * bar_height + gap + group_gap
-    height = len(groups) * group_height + 10
+    max_value = max(value for _label, bars in groups for _name, value in bars) or 1.0
+    bars_height = len(groups[0][1]) * (bar_height + gap) - gap
+    height = len(groups) * (bars_height + group_gap) + 10
 
     parts = [
         f'<svg width="{width}" height="{height}" role="img" '
@@ -69,36 +61,36 @@ def _svg_grouped_bars(
         f'font-family="inherit">'
     ]
     y = 5
-    for label, value_a, value_b in groups:
-        for offset, (value, color) in enumerate(
-            [(value_a, COLOR_A), (value_b, COLOR_B)]
-        ):
+    for label, bars in groups:
+        parts.append(
+            f'<text x="{label_width - 8}" y="{y + bars_height / 2 + 4}" '
+            f'text-anchor="end">{html.escape(label)}</text>'
+        )
+        for offset, (_name, value) in enumerate(bars):
             bar_y = y + offset * (bar_height + gap)
             bar_w = max(value / max_value * chart_width, 1.0)
             parts.append(
-                f'<text x="{label_width - 8}" y="{y + bar_height + gap / 2 + 4}" '
-                f'text-anchor="end">{html.escape(label)}</text>'
-            )
-            parts.append(
                 f'<rect x="{label_width}" y="{bar_y}" width="{bar_w:.1f}" '
-                f'height="{bar_height}" fill="{color}" rx="2"/>'
+                f'height="{bar_height}" fill="{COLORS[offset % len(COLORS)]}" rx="2"/>'
             )
             parts.append(
                 f'<text x="{label_width + bar_w + 6:.1f}" y="{bar_y + bar_height - 4}" '
                 f'fill="#333">{value:,.0f}{html.escape(unit)}</text>'
             )
-        y += group_height
+        y += bars_height + group_gap
     parts.append("</svg>")
     return "".join(parts)
 
 
-def _legend(series_names: tuple[str, str]) -> str:
-    name_a, name_b = series_names
+def _legend(series_names: Sequence[str]) -> str:
     return (
         '<p class="legend">'
-        f'<span><i class="swatch" style="background:{COLOR_A}"></i>{html.escape(name_a)}</span>'
-        f'<span><i class="swatch" style="background:{COLOR_B}"></i>{html.escape(name_b)}</span>'
-        "</p>"
+        + "".join(
+            f'<span><i class="swatch" style="background:{COLORS[index % len(COLORS)]}">'
+            f"</i>{html.escape(name)}</span>"
+            for index, name in enumerate(series_names)
+        )
+        + "</p>"
     )
 
 
@@ -111,176 +103,29 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-# -- sections ------------------------------------------------------------------
-
-
-def fig2_section(result: Fig2Result) -> str:
-    chart = _svg_grouped_bars(
-        [
-            (group.label, group.crossflow_time_s, group.spark_time_s)
-            for group in result.groups
-        ],
-        ("crossflow", "spark"),
-        unit="s",
-    )
-    rows = [
-        [
-            group.label,
-            f"{group.crossflow_time_s:.1f}",
-            f"{group.spark_time_s:.1f}",
-            f"{group.spark_slowdown:.2f}x",
+def render_html(table: Table) -> str:
+    """The HTML form of one :class:`Table`: title, table, bars, note."""
+    parts = [f"<h2>{html.escape(table.title)}</h2>", _table(table.headers, table.rows)]
+    if table.bars is not None:
+        parts += [
+            f"<h3>{html.escape(table.bars.title)}</h3>",
+            _legend([name for name, _value in table.bars.groups[0][1]]),
+            _svg_grouped_bars(table.bars.groups, table.bars.unit),
         ]
-        for group in result.groups
-    ]
-    return (
-        "<h2>Figure 2 — Spark vs Crossflow Baseline</h2>"
-        + _legend(("crossflow baseline", "spark-style centralized"))
-        + chart
-        + _table(["column group", "crossflow [s]", "spark [s]", "spark slower by"], rows)
-        + '<p class="note">Paper reference: 7.94x in G1, 2.3x in G2; '
-        "Spark slower in every group.</p>"
-    )
+    if table.note:
+        parts.append(f'<p class="note">{html.escape(table.note)}</p>')
+    return "".join(parts)
 
 
-def fig3_section(result: Fig3Result) -> str:
-    chart = _svg_grouped_bars(
-        [
-            (row.workload, row.baseline_time_s, row.bidding_time_s)
-            for row in result.rows
-        ],
-        ("baseline", "bidding"),
-        unit="s",
-    )
-    rows = [
-        [
-            row.workload,
-            f"{row.baseline_time_s:.1f}",
-            f"{row.bidding_time_s:.1f}",
-            f"{row.speedup_pct:+.1f}%",
-            f"{row.baseline_misses:.1f} / {row.bidding_misses:.1f}",
-            f"{row.baseline_data_mb:.0f} / {row.bidding_data_mb:.0f}",
-        ]
-        for row in result.rows
-    ]
-    return (
-        "<h2>Figure 3 — per-workload aggregates</h2>"
-        + _legend(("baseline", "bidding"))
-        + chart
-        + _table(
-            [
-                "workload",
-                "baseline [s]",
-                "bidding [s]",
-                "speedup",
-                "misses (base/bid)",
-                "data MB (base/bid)",
-            ],
-            rows,
-        )
-        + (
-            f'<p class="note">Aggregates: speedup {result.overall_speedup_pct:+.1f}% '
-            f"(paper ~24.5%), misses −{result.overall_miss_reduction_pct:.1f}% "
-            f"(paper ~49%), data −{result.overall_data_reduction_pct:.1f}% "
-            f"(paper ~45.3%).</p>"
-        )
-    )
-
-
-def fig4_section(result: Fig4Result) -> str:
-    profiles = sorted({cell.profile for cell in result.cells})
-    workloads = []
-    for cell in result.cells:
-        if cell.workload not in workloads:
-            workloads.append(cell.workload)
-    rows = []
-    for workload in workloads:
-        row = [workload]
-        for profile in profiles:
-            cell = result.cell(workload, profile)
-            row.append(f"{cell.speedup:.2f}x (cold {cell.cold_speedup:.2f}x)")
-        rows.append(row)
-    return (
-        "<h2>Figure 4 — breakdown per worker profile</h2>"
-        + _table(["workload"] + profiles, rows)
-        + (
-            f'<p class="note">Best case vs the centralized locality approach: '
-            f"{result.best_vs_centralized:.2f}x in "
-            f"{result.best_vs_centralized_cell} (paper abstract: up to 3.57x).</p>"
-        )
-    )
-
-
-def tables_section(tables: MSRTables) -> str:
-    chart = _svg_grouped_bars(
-        [
-            (
-                f"run {run + 1}",
-                tables.baseline[run].makespan_s,
-                tables.bidding[run].makespan_s,
-            )
-            for run in range(tables.runs)
-        ],
-        ("baseline", "bidding"),
-        unit="s",
-    )
-    rows = []
-    for run in range(tables.runs):
-        bidding_s, baseline_s = tables.time_row(run)
-        bidding_mb, baseline_mb = tables.data_row(run)
-        bidding_miss, baseline_miss = tables.miss_row(run)
-        rows.append(
-            [
-                f"run {run + 1}",
-                f"{bidding_s:.1f}",
-                f"{baseline_s:.1f}",
-                f"{percent_change(baseline_s, bidding_s):+.1f}%",
-                f"{bidding_mb:,.0f} / {baseline_mb:,.0f}",
-                f"{bidding_miss} / {baseline_miss}",
-            ]
-        )
-    return (
-        "<h2>Tables 1–3 — full MSR pipeline (cold caches)</h2>"
-        + _legend(("baseline", "bidding"))
-        + chart
-        + _table(
-            ["MSR", "bidding [s]", "baseline [s]", "time reduction", "data MB (bid/base)", "misses (bid/base)"],
-            rows,
-        )
-        + '<p class="note">Paper: bidding 10.3–25.5% faster, ~62% less data, '
-        "~half the misses.</p>"
-    )
-
-
-@dataclass
-class ObsInputs:
-    """One traced cell feeding the observability section."""
-
-    scheduler: str
-    workload: str
-    profile: str
-    seed: int
-    jobs: int
-    makespan_s: float
-    span_count: int
-    coverage_connected: int
-    coverage_completed: int
-    attribution: object  # repro.obs.Attribution
-    timeline: str
-    #: repro.obs.CriticalPath (None when the run produced no completion).
-    critical: object = None
-    #: repro explain-style ASCII rendering of ``critical``.
-    critical_text: str = ""
-    #: Number of DecisionRecords the ledger captured for the cell.
-    decisions: int = 0
-
-
-def run_obs(seed: int = 11) -> ObsInputs:
-    """Run one small fixed-seed cell with tracing on and summarise it."""
+def observability_html(seed: int = 11) -> str:
+    """One small fixed-seed cell with tracing on, shown as ``repro trace``
+    and ``repro explain`` print it: attribution, timeline, critical path."""
     from repro.experiments.runner import CellSpec, run_cell_observed
     from repro.obs import (
         attribute,
         build_spans,
         critical_path,
+        render_attribution,
         render_critical_path,
         render_timeline,
         span_coverage,
@@ -299,118 +144,39 @@ def run_obs(seed: int = 11) -> ObsInputs:
     trace = runtime.metrics.trace
     spans = build_spans(trace)
     coverage = span_coverage(trace, spans)
-    critical = critical_path(trace)
-    ledger = getattr(runtime.obs, "ledger", None)
-    return ObsInputs(
-        scheduler=spec.scheduler,
-        workload=spec.workload,
-        profile=spec.profile,
-        seed=seed,
-        jobs=result.jobs_completed,
-        makespan_s=result.makespan_s,
-        span_count=len(spans),
-        coverage_connected=coverage.connected_jobs,
-        coverage_completed=coverage.completed_jobs,
-        attribution=attribute(trace, spans, result.makespan_s),
-        timeline=render_timeline(
-            trace,
-            result.makespan_s,
-            probes=runtime.obs.probes,
-            title=f"{spec.scheduler} / {spec.workload} / {spec.profile}",
+    label = f"{spec.scheduler} / {spec.workload} / {spec.profile}"
+    views = [
+        ("Sim-time attribution", render_attribution(attribute(trace, spans, result.makespan_s))),
+        (
+            "Timeline",
+            render_timeline(trace, result.makespan_s, probes=runtime.obs.probes, title=label),
         ),
-        critical=critical,
-        critical_text=render_critical_path(critical) if critical else "",
-        decisions=len(ledger.records) if ledger is not None else 0,
-    )
-
-
-def obs_section(obs: ObsInputs) -> str:
-    """Span coverage + sim-time attribution + timeline (repro.obs)."""
-    max_total = max((row.total_s for row in obs.attribution.rows), default=0.0) or 1.0
-    att_rows = "".join(
-        "<tr>"
-        f'<td style="padding-left:{0.7 + row.depth * 1.4:.1f}em">'
-        f"{html.escape(row.component)}</td>"
-        f"<td>{row.total_s:,.1f}</td>"
-        f"<td>{row.count}</td>"
-        f"<td>{row.mean_s:.2f}</td>"
-        '<td style="text-align:left;min-width:220px">'
-        f'<div style="background:{COLOR_A};height:.8em;border-radius:2px;'
-        f'width:{row.total_s / max_total * 100:.1f}%"></div></td>'
-        "</tr>"
-        for row in obs.attribution.rows
-    )
+    ]
+    critical = critical_path(trace)
+    if critical is not None:
+        views.append(("Critical path", render_critical_path(critical)))
     return (
         "<h2>Observability — span trace of one cell</h2>"
-        f'<p class="note">{html.escape(obs.scheduler)} on '
-        f"{html.escape(obs.workload)} / {html.escape(obs.profile)} "
-        f"(seed {obs.seed}): {obs.jobs} jobs, makespan {obs.makespan_s:.1f}s, "
-        f"{obs.span_count} spans, {obs.coverage_connected}/{obs.coverage_completed} "
-        "jobs traced end-to-end. Regenerate with "
-        "<code>repro trace run.json</code> and load the JSON in "
-        "chrome://tracing or ui.perfetto.dev.</p>"
-        "<h3>Sim-time attribution</h3>"
-        "<table><thead><tr><th>component</th><th>total [s]</th><th>count</th>"
-        "<th>mean [s]</th><th>share</th></tr></thead>"
-        f"<tbody>{att_rows}</tbody></table>"
-        "<h3>Timeline</h3>"
-        f'<pre style="font-size:.78rem;line-height:1.25">'
-        f"{html.escape(obs.timeline)}</pre>"
-        + _critical_subsection(obs)
-    )
-
-
-def _critical_subsection(obs: ObsInputs) -> str:
-    """Critical-path attribution + decision ledger summary (if traced)."""
-    from repro.obs import CATEGORIES
-
-    if obs.critical is None:
-        return ""
-    critical = obs.critical
-    rows = [
-        [
-            name,
-            f"{critical.categories.get(name, 0.0):.2f}",
-            f"{critical.categories.get(name, 0.0) / critical.makespan:.1%}"
-            if critical.makespan > 0
-            else "0.0%",
-        ]
-        for name in CATEGORIES
-    ]
-    return (
-        "<h3>Critical path</h3>"
-        f'<p class="note">{len(critical.chain)} chained jobs set the '
-        f"{critical.makespan:.1f}s makespan; {obs.decisions} allocation "
-        "decisions recorded in the ledger. Regenerate with "
+        f'<p class="note">{html.escape(label)} (seed {seed}): '
+        f"{result.jobs_completed} jobs, makespan {result.makespan_s:.1f}s, "
+        f"{len(spans)} spans, {coverage.connected_jobs}/{coverage.completed_jobs} "
+        f"jobs traced end-to-end, {len(runtime.obs.ledger.records)} allocation "
+        "decisions in the ledger. Regenerate with <code>repro trace run.json</code> "
+        "(load the JSON in chrome://tracing or ui.perfetto.dev) and "
         "<code>repro explain</code>; compare runs with "
         "<code>repro explain --diff A.json B.json</code>.</p>"
-        + _table(["category", "seconds", "share of makespan"], rows)
-        + '<pre style="font-size:.78rem;line-height:1.25">'
-        f"{html.escape(obs.critical_text)}</pre>"
+        + "".join(
+            f'<h3>{title}</h3><pre style="font-size:.78rem;line-height:1.25">'
+            f"{html.escape(text)}</pre>"
+            for title, text in views
+        )
     )
 
 
-@dataclass
-class ReportInputs:
-    """Pre-computed experiment results feeding the report."""
-
-    fig2: Fig2Result
-    fig3: Fig3Result
-    fig4: Fig4Result
-    tables: MSRTables
-    obs: Optional[ObsInputs] = None
-
-
-def build_report(inputs: ReportInputs) -> str:
-    """Render the full HTML document from computed results."""
-    sections = [
-        fig2_section(inputs.fig2),
-        fig3_section(inputs.fig3),
-        fig4_section(inputs.fig4),
-        tables_section(inputs.tables),
-    ]
-    if inputs.obs is not None:
-        sections.append(obs_section(inputs.obs))
+def build_report(tables: Sequence[Table], obs: str = "") -> str:
+    """Render the full HTML document: the printed tables, then ``obs``
+    (:func:`observability_html`'s section) if given."""
+    sections = [render_html(table) for table in tables] + [obs]
     return (
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
         "<title>Reproduction report: Distributed Data Locality-Aware Job Allocation</title>"
@@ -425,21 +191,26 @@ def build_report(inputs: ReportInputs) -> str:
     )
 
 
-def generate(
-    out: Union[str, Path],
-    seeds: tuple[int, ...] = (11,),
-    parallel: Optional[int] = None,
-    observability: bool = True,
-) -> Path:
-    """Run all experiments and write the report; returns the path."""
-    inputs = ReportInputs(
-        fig2=run_fig2(seeds=seeds, parallel=parallel),
-        fig3=run_fig3(seeds=seeds, parallel=parallel),
-        fig4=run_fig4(seeds=seeds, parallel=parallel),
-        tables=run_tables(),
-        obs=run_obs(seed=seeds[0]) if observability else None,
+def generate(out: Union[str, Path], parallel: Optional[int] = None) -> Path:
+    """Run all experiments, one seed per figure cell, and write the
+    report; returns the path."""
+    seeds = (11,)
+    fig2, fig3, fig4 = run_grids(
+        [
+            fig2_spark.grid(seeds=seeds),
+            fig3_aggregates.grid(seeds=seeds),
+            fig4_breakdown.grid(seeds=seeds),
+        ],
+        parallel,
     )
+    tables = (
+        fig2_spark.tables(fig2)
+        + fig3_aggregates.tables(fig3)
+        + fig4_breakdown.tables(fig4)
+        + tables_msr.tables(tables_msr.run_tables())
+    )
+    report = build_report(tables, obs=observability_html(seed=seeds[0]))
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(build_report(inputs), encoding="utf-8")
+    path.write_text(report, encoding="utf-8")
     return path

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from repro.cluster.profiles import profile_by_name
+from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.config import apply_overrides
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.experiments.configs import ITERATIONS, default_engine_config
@@ -35,7 +35,9 @@ class CellSpec:
 
     scheduler: str
     workload: str
-    profile: str
+    #: A profile name, or a :class:`WorkerProfile` the caller built
+    #: (a fleet size or a speed spread the named profiles do not have).
+    profile: str | WorkerProfile
     seed: int
     iterations: int = ITERATIONS
     keep_cache: bool = True
@@ -101,7 +103,11 @@ def run_cell_observed(spec: CellSpec) -> tuple[list[RunResult], WorkflowRuntime]
     for iteration in range(spec.iterations):
         scheduler = make_scheduler(spec.scheduler, **dict(spec.scheduler_kwargs))
         runtime = WorkflowRuntime(
-            profile=profile_by_name(spec.profile),
+            profile=(
+                profile_by_name(spec.profile)
+                if isinstance(spec.profile, str)
+                else spec.profile
+            ),
             stream=stream,
             scheduler=scheduler,
             config=spec.engine_config(),
@@ -124,7 +130,6 @@ def expand_matrix(
     profiles: Sequence[str],
     seeds: Sequence[int],
     iterations: int = ITERATIONS,
-    keep_cache: bool = True,
     scheduler_kwargs: Optional[dict[str, dict[str, object]]] = None,
     workload_overrides: Optional[dict[str, object]] = None,
 ) -> list[CellSpec]:
@@ -149,7 +154,6 @@ def expand_matrix(
                             profile=profile,
                             seed=seed,
                             iterations=iterations,
-                            keep_cache=keep_cache,
                             scheduler_kwargs=extra,
                             workload_overrides=overrides,
                         )
@@ -266,15 +270,3 @@ class ResultSet:
         if not all(isinstance(v, (int, float)) for v in values):
             raise ValueError(f"metric {metric!r} is not numeric")
         return sum(values) / len(values)
-
-    def mean_makespan(self, **labels: object) -> float:
-        """Mean end-to-end time over the matching runs."""
-        return self.mean("makespan_s", **labels)
-
-    def mean_misses(self, **labels: object) -> float:
-        """Mean cache misses over the matching runs."""
-        return self.mean("cache_misses", **labels)
-
-    def mean_data_mb(self, **labels: object) -> float:
-        """Mean data load over the matching runs."""
-        return self.mean("data_load_mb", **labels)

@@ -15,74 +15,19 @@ environment changes:
 * :func:`sweep_arrival_rate`  -- burst -> sparse arrivals (saturation
   controls how much committed workload dominates bids).
 
-Each sweep returns rows of (setting, bidding, baseline) mean metrics
-over the standard 3 cache-persisting iterations.
+Each sweep is a grid of (setting, bidding, baseline) rows over the
+standard 3 cache-persisting iterations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.profiles import BASE_NETWORK_MBPS, BASE_RW_MBPS, WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
-from repro.engine.runtime import WorkflowRuntime
-from repro.experiments.configs import default_engine_config
-from repro.metrics.report import RunResult, format_table
-from repro.schedulers.registry import make_scheduler
-from repro.workload.generators import job_config_by_name
-
-DEFAULT_SEED = 11
-ITERATIONS = 3
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep setting's mean makespans and data loads."""
-
-    setting: str
-    bidding_time_s: float
-    baseline_time_s: float
-    bidding_data_mb: float
-    baseline_data_mb: float
-
-    @property
-    def speedup(self) -> float:
-        """Baseline/bidding mean-time ratio at this setting."""
-        return self.baseline_time_s / self.bidding_time_s
-
-
-def _mean(results: Sequence[RunResult], field: str) -> float:
-    return sum(getattr(result, field) for result in results) / len(results)
-
-
-def _run(profile: WorkerProfile, stream, scheduler_name: str, seed: int) -> list[RunResult]:
-    caches = None
-    results = []
-    for iteration in range(ITERATIONS):
-        runtime = WorkflowRuntime(
-            profile=profile,
-            stream=stream,
-            scheduler=make_scheduler(scheduler_name),
-            config=default_engine_config(seed),
-            initial_caches=caches,
-            iteration=iteration,
-        )
-        results.append(runtime.run())
-        caches = runtime.cache_snapshot()
-    return results
-
-
-def _point(setting: str, profile: WorkerProfile, stream, seed: int) -> SweepPoint:
-    bidding = _run(profile, stream, "bidding", seed)
-    baseline = _run(profile, stream, "baseline", seed)
-    return SweepPoint(
-        setting=setting,
-        bidding_time_s=_mean(bidding, "makespan_s"),
-        baseline_time_s=_mean(baseline, "makespan_s"),
-        bidding_data_mb=_mean(bidding, "data_load_mb"),
-        baseline_data_mb=_mean(baseline, "data_load_mb"),
-    )
+from repro.experiments.configs import DEFAULT_SEED
+from repro.experiments.grid import Grid, Sweep, Table, pair, render, run_grids, speedup
+from repro.experiments.runner import CellSpec
 
 
 def _uniform_profile(n: int) -> WorkerProfile:
@@ -93,101 +38,109 @@ def _uniform_profile(n: int) -> WorkerProfile:
     return WorkerProfile(f"equal-{n}", specs)
 
 
+def _spread_profile(factor: float) -> WorkerProfile:
+    base = WorkerSpec(name="w0", network_mbps=BASE_NETWORK_MBPS, rw_mbps=BASE_RW_MBPS)
+    specs = (
+        base.scaled(factor, name="w1"),
+        base.scaled(1.0 / factor, name="w2"),
+        base.renamed("w3"),
+        base.renamed("w4"),
+        base.renamed("w5"),
+    )
+    return WorkerProfile(f"spread-{factor:g}x", specs)
+
+
 def sweep_worker_count(
-    counts: Sequence[int] = (5, 10, 15, 25),
-    workload: str = "all_diff_large",
-    seed: int = DEFAULT_SEED,
-) -> list[SweepPoint]:
-    """Grow the fleet at fixed workload size."""
-    config = job_config_by_name(workload)
-    _corpus, stream = config.build(seed=seed)
+    counts: Sequence[int] = (5, 10, 15, 25), seed: int = DEFAULT_SEED
+) -> Grid:
+    """S1: grow the fleet at fixed workload size."""
     return [
-        _point(f"workers={count}", _uniform_profile(count), stream, seed)
-        for count in counts
+        pair(f"workers={n}", CellSpec("bidding", "all_diff_large", _uniform_profile(n), seed))
+        for n in counts
     ]
 
 
 def sweep_job_count(
-    counts: Sequence[int] = (60, 120, 360, 1200),
-    workload: str = "80%_large",
-    seed: int = DEFAULT_SEED,
-) -> list[SweepPoint]:
-    """Grow the workflow at fixed fleet size (5 workers)."""
-    points = []
-    for count in counts:
-        config = replace(job_config_by_name(workload), n_jobs=count)
-        _corpus, stream = config.build(seed=seed)
-        points.append(_point(f"jobs={count}", _uniform_profile(5), stream, seed))
-    return points
+    counts: Sequence[int] = (60, 120, 360, 1200), seed: int = DEFAULT_SEED
+) -> Grid:
+    """S2: grow the workflow at fixed fleet size (5 workers)."""
+    return [
+        pair(
+            f"jobs={n}",
+            CellSpec(
+                "bidding",
+                "80%_large",
+                _uniform_profile(5),
+                seed,
+                workload_overrides=(("n_jobs", n),),
+            ),
+        )
+        for n in counts
+    ]
 
 
 def sweep_heterogeneity(
-    factors: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-    workload: str = "all_diff_large",
-    seed: int = DEFAULT_SEED,
-) -> list[SweepPoint]:
-    """One worker ``factor``-times faster, one ``factor``-times slower."""
-    config = job_config_by_name(workload)
-    _corpus, stream = config.build(seed=seed)
-    points = []
-    for factor in factors:
-        base = WorkerSpec(name="w0", network_mbps=BASE_NETWORK_MBPS, rw_mbps=BASE_RW_MBPS)
-        specs = (
-            base.scaled(factor, name="w1"),
-            base.scaled(1.0 / factor, name="w2"),
-            base.renamed("w3"),
-            base.renamed("w4"),
-            base.renamed("w5"),
+    factors: Sequence[float] = (1.0, 2.0, 4.0, 8.0), seed: int = DEFAULT_SEED
+) -> Grid:
+    """S3: one worker ``factor``-times faster, one ``factor``-times slower."""
+    return [
+        pair(
+            f"spread={factor:g}x",
+            CellSpec("bidding", "all_diff_large", _spread_profile(factor), seed),
         )
-        profile = WorkerProfile(f"spread-{factor:g}x", specs)
-        points.append(_point(f"spread={factor:g}x", profile, stream, seed))
-    return points
+        for factor in factors
+    ]
 
 
 def sweep_arrival_rate(
     interarrivals: Sequence[float] = (0.0, 0.5, 1.0, 4.0, 10.0),
-    workload: str = "80%_large",
     seed: int = DEFAULT_SEED,
-) -> list[SweepPoint]:
-    """From burst submission to a sparse stream."""
-    points = []
-    for gap in interarrivals:
-        config = replace(job_config_by_name(workload), mean_interarrival_s=gap)
-        _corpus, stream = config.build(seed=seed)
-        label = "burst" if gap == 0.0 else f"gap={gap:g}s"
-        points.append(_point(label, _uniform_profile(5), stream, seed))
-    return points
+) -> Grid:
+    """S4: from burst submission to a sparse stream."""
+    return [
+        pair(
+            "burst" if gap == 0.0 else f"gap={gap:g}s",
+            CellSpec(
+                "bidding",
+                "80%_large",
+                _uniform_profile(5),
+                seed,
+                workload_overrides=(("mean_interarrival_s", gap),),
+            ),
+        )
+        for gap in interarrivals
+    ]
 
 
-def render(title: str, points: Sequence[SweepPoint]) -> str:
-    """One sweep as a table with the speedup trend."""
-    return format_table(
+#: The four sweeps, with the titles they print under.
+SWEEPS = (
+    ("S1: worker-count sweep (all_diff_large)", sweep_worker_count),
+    ("S2: job-count sweep (80%_large)", sweep_job_count),
+    ("S3: heterogeneity sweep (all_diff_large)", sweep_heterogeneity),
+    ("S4: arrival-rate sweep (80%_large)", sweep_arrival_rate),
+)
+
+
+def table(title: str, sweep: Sweep) -> Table:
+    """One sweep with the speedup trend."""
+    return Table(
+        title,
         ["setting", "bidding [s]", "baseline [s]", "speedup", "bidding [MB]", "baseline [MB]"],
         [
             [
-                point.setting,
-                f"{point.bidding_time_s:.1f}",
-                f"{point.baseline_time_s:.1f}",
-                f"{point.speedup:.2f}x",
-                f"{point.bidding_data_mb:.0f}",
-                f"{point.baseline_data_mb:.0f}",
+                setting,
+                f"{row['bidding'].mean('makespan_s'):.1f}",
+                f"{row['baseline'].mean('makespan_s'):.1f}",
+                f"{speedup(row):.2f}x",
+                f"{row['bidding'].mean('data_load_mb'):.0f}",
+                f"{row['baseline'].mean('data_load_mb'):.0f}",
             ]
-            for point in points
+            for setting, row in sweep.items()
         ],
-        title=title,
     )
 
 
-def main() -> None:
+def main(parallel: Optional[int] = None) -> None:
     """Run and print every sweep (the CLI entry point)."""
-    print(render("S1: worker-count sweep (all_diff_large)", sweep_worker_count()))
-    print()
-    print(render("S2: job-count sweep (80%_large)", sweep_job_count()))
-    print()
-    print(render("S3: heterogeneity sweep (all_diff_large)", sweep_heterogeneity()))
-    print()
-    print(render("S4: arrival-rate sweep (80%_large)", sweep_arrival_rate()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    sweeps = run_grids([build() for _title, build in SWEEPS], parallel)
+    print(render([table(title, sweep) for (title, _), sweep in zip(SWEEPS, sweeps)]))

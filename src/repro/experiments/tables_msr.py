@@ -23,19 +23,18 @@ the measured-speed anchor of a warmed-up t3.micro.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
 from repro.core.learning import HistoricAverageSpeedModel
 from repro.data.github import GitHubService
 from repro.data.repository import Repository, RepositoryCorpus
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
-from repro.experiments.configs import NOISE_KIND, NOISE_SIGMA, TOPOLOGY
-from repro.metrics.report import RunResult, format_table, percent_change
+from repro.engine.runtime import WorkflowRuntime
+from repro.experiments.configs import default_engine_config
+from repro.experiments.grid import Sweep, Table, compared, render
+from repro.experiments.runner import ResultSet
+from repro.metrics.report import RunResult
 from repro.schedulers.registry import make_scheduler
 from repro.sim.rng import substream
 from repro.workload.msr import (
@@ -64,7 +63,6 @@ MSR_NETWORK_MBPS = 25.0
 MSR_RW_MBPS = 80.0
 
 #: Three runs per scheduler, as in the paper.
-RUNS = 3
 RUN_SEEDS: tuple[int, ...] = (101, 202, 303)
 
 
@@ -95,30 +93,6 @@ def msr_corpus(seed: int) -> RepositoryCorpus:
             )
         )
     return corpus
-
-
-@dataclass(frozen=True)
-class MSRTables:
-    """The three tables: one row per run, both schedulers."""
-
-    bidding: tuple[RunResult, ...]
-    baseline: tuple[RunResult, ...]
-
-    def time_row(self, run: int) -> tuple[float, float]:
-        """Table 1 row: (bidding seconds, baseline seconds)."""
-        return (self.bidding[run].makespan_s, self.baseline[run].makespan_s)
-
-    def data_row(self, run: int) -> tuple[float, float]:
-        """Table 2 row: (bidding MB, baseline MB)."""
-        return (self.bidding[run].data_load_mb, self.baseline[run].data_load_mb)
-
-    def miss_row(self, run: int) -> tuple[int, int]:
-        """Table 3 row: (bidding misses, baseline misses)."""
-        return (self.bidding[run].cache_misses, self.baseline[run].cache_misses)
-
-    @property
-    def runs(self) -> int:
-        return len(self.bidding)
 
 
 def run_one(scheduler_name: str, seed: int) -> RunResult:
@@ -156,81 +130,42 @@ def run_one(scheduler_name: str, seed: int) -> RunResult:
         stream=stream,
         scheduler=scheduler,
         pipeline_factory=pipeline_factory,
-        config=EngineConfig(
-            seed=seed,
-            noise_kind=NOISE_KIND,
-            noise_params={"sigma": NOISE_SIGMA},
-            topology=TOPOLOGY,
-            trace=False,
-        ),
+        config=default_engine_config(seed),
     )
     return runtime.run()
 
 
-def run_tables(seeds: Sequence[int] = RUN_SEEDS) -> MSRTables:
-    """All three runs for both schedulers (cold caches each run)."""
-    bidding = tuple(run_one("bidding", seed) for seed in seeds)
-    baseline = tuple(run_one("baseline", seed) for seed in seeds)
-    return MSRTables(bidding=bidding, baseline=baseline)
+def run_tables(seeds: Sequence[int] = RUN_SEEDS) -> Sweep:
+    """Every run under both schedulers, cold caches each run: one row per
+    run, one column per scheduler."""
+    bidding = [run_one("bidding", seed) for seed in seeds]
+    baseline = [run_one("baseline", seed) for seed in seeds]
+    return {
+        f"run {index + 1}": {"bidding": ResultSet([bid]), "baseline": ResultSet([base])}
+        for index, (bid, base) in enumerate(zip(bidding, baseline))
+    }
 
 
-def render(tables: MSRTables) -> str:
+def tables(sweep: Sweep) -> list[Table]:
     """Tables 1-3 in the paper's layout, with reduction columns."""
-    sections = []
-    sections.append(
-        format_table(
-            ["MSR", "Bidding", "Baseline", "reduction [%]"],
-            [
-                [
-                    f"run {i + 1}",
-                    f"{tables.bidding[i].makespan_s:.2f}s",
-                    f"{tables.baseline[i].makespan_s:.2f}s",
-                    f"{percent_change(tables.baseline[i].makespan_s, tables.bidding[i].makespan_s):+.1f}",
-                ]
-                for i in range(tables.runs)
-            ],
-            title="Table 1: MSR execution times (paper: bidding 10.3%-25.5% faster)",
-        )
-    )
-    sections.append(
-        format_table(
-            ["MSR", "Bidding", "Baseline", "reduction [%]"],
-            [
-                [
-                    f"run {i + 1}",
-                    f"{tables.bidding[i].data_load_mb:.2f} MB",
-                    f"{tables.baseline[i].data_load_mb:.2f} MB",
-                    f"{percent_change(tables.baseline[i].data_load_mb, tables.bidding[i].data_load_mb):+.1f}",
-                ]
-                for i in range(tables.runs)
-            ],
-            title="Table 2: data load in MB (paper: ~62-63% less for bidding)",
-        )
-    )
-    sections.append(
-        format_table(
-            ["MSR", "Bidding", "Baseline", "reduction [%]"],
-            [
-                [
-                    f"run {i + 1}",
-                    str(tables.bidding[i].cache_misses),
-                    str(tables.baseline[i].cache_misses),
-                    f"{percent_change(tables.baseline[i].cache_misses, tables.bidding[i].cache_misses):+.1f}",
-                ]
-                for i in range(tables.runs)
-            ],
-            title="Table 3: cache miss count (paper: ~49-52% fewer for bidding)",
-        )
-    )
-    return "\n\n".join(sections)
+    headers = ["MSR", "Bidding", "Baseline", "reduction [%]"]
+    order = ("bidding", "baseline")
+    return [
+        compared(
+            "Table 1: MSR execution times (paper: bidding 10.3%-25.5% faster)",
+            headers, sweep, "makespan_s", "{:.2f}s", order,
+        ),
+        compared(
+            "Table 2: data load in MB (paper: ~62-63% less for bidding)",
+            headers, sweep, "data_load_mb", "{:.2f} MB", order,
+        ),
+        compared(
+            "Table 3: cache miss count (paper: ~49-52% fewer for bidding)",
+            headers, sweep, "cache_misses", "{:.0f}", order,
+        ),
+    ]
 
 
-def main() -> MSRTables:
+def main() -> None:
     """Run and print Tables 1-3 (the CLI entry point)."""
-    tables = run_tables()
-    print(render(tables))
-    return tables
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    print(render(tables(run_tables())))

@@ -96,6 +96,83 @@ class TestCLIPaths:
         assert "report written to" in capsys.readouterr().out
         assert written["out"] == str(tmp_path / "r.html")
 
+    @pytest.mark.parametrize(
+        "command,module",
+        [
+            ("fig2", "fig2_spark"),
+            ("fig3", "fig3_aggregates"),
+            ("fig4", "fig4_breakdown"),
+            ("ablations", "ablations"),
+            ("sensitivity", "sensitivity"),
+        ],
+    )
+    def test_parallel_reaches_the_grid(self, monkeypatch, command, module):
+        import importlib
+
+        from repro.cli import main
+
+        calls = []
+        driver = importlib.import_module(f"repro.experiments.{module}")
+        monkeypatch.setattr(driver, "main", lambda **options: calls.append(options))
+        assert main([command, "--parallel", "3"]) == 0
+        assert calls == [{"parallel": 3}]
+
+    def test_all_forwards_parallel_to_every_grid_command(self, monkeypatch, capsys):
+        import importlib
+
+        from repro.cli import EXPERIMENTS, main
+
+        calls = {}
+        for name, (module, _help) in EXPERIMENTS.items():
+            driver = importlib.import_module(f"repro.experiments.{module}")
+            monkeypatch.setattr(
+                driver, "main", lambda name=name, **options: calls.setdefault(name, options)
+            )
+        assert main(["all", "--parallel", "3"]) == 0
+        assert calls == {
+            "fig2": {"parallel": 3},
+            "fig3": {"parallel": 3},
+            "fig4": {"parallel": 3},
+            "tables": {},
+            "ablations": {"parallel": 3},
+            "sensitivity": {"parallel": 3},
+        }
+        assert "TABLES 1-3" in capsys.readouterr().out
+
+    def test_report_forwards_parallel(self, monkeypatch, tmp_path):
+        import repro.experiments.html_report as html_report
+        from repro.cli import main
+
+        calls = []
+        monkeypatch.setattr(
+            html_report, "generate", lambda out, parallel=None: calls.append(parallel) or out
+        )
+        assert main(["report", "--out", str(tmp_path / "r.html"), "--parallel", "3"]) == 0
+        assert calls == [3]
+
+    @pytest.mark.parametrize("command", ["tables", "faults"])
+    def test_gridless_commands_take_no_parallel(self, command):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main([command, "--parallel", "3"])
+
+    def test_cli_imports_no_experiment_driver(self):
+        import subprocess
+        import sys
+
+        from repro.cli import EXPERIMENTS
+
+        modules = [f"repro.experiments.{module}" for module, _help in EXPERIMENTS.values()]
+        code = (
+            "import sys, repro.cli\n"
+            f"print([m for m in {modules!r} if m in sys.modules])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_run_save_csv(self, tmp_path, capsys):
         from repro.cli import main
         from repro.experiments.report_io import load_csv

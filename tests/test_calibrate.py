@@ -9,46 +9,51 @@ from repro.experiments.calibrate import (
     PAPER_MISS_REDUCTION_PCT,
     PAPER_SPEEDUP_PCT,
     evaluate,
-    render,
     run_grid,
     score_result,
+    table,
 )
-from repro.experiments.fig3_aggregates import Fig3Result, WorkloadRow
+from repro.experiments.grid import render
+from repro.experiments.runner import ResultSet
+from repro.metrics.report import RunResult
+
+
+def workload_row(baseline, bidding):
+    """A Figure-3 sweep row from (time, misses, data MB) per algorithm."""
+
+    def runs(scheduler, values):
+        makespan_s, misses, data_mb = values
+        return ResultSet([RunResult(
+            scheduler=scheduler, workload="w", profile="p", seed=1, iteration=0,
+            makespan_s=makespan_s, cache_misses=misses, cache_hits=0,
+            data_load_mb=data_mb, jobs_completed=1,
+        )])
+
+    return {"baseline": runs("baseline", baseline), "bidding": runs("bidding", bidding)}
 
 
 def synthetic_result(speedup_factor):
-    """A Fig3Result with uniform rows at a chosen baseline/bidding ratio."""
-    rows = []
-    for name in ("a", "b"):
-        rows.append(
-            WorkloadRow(
-                workload=name,
-                baseline_time_s=100.0,
-                bidding_time_s=100.0 / speedup_factor,
-                baseline_misses=40.0,
-                bidding_misses=20.0,
-                baseline_data_mb=1000.0,
-                bidding_data_mb=550.0,
-            )
-        )
-    return Fig3Result(rows=tuple(rows))
+    """A Figure-3 sweep with uniform rows at a chosen baseline/bidding ratio."""
+    return {
+        name: workload_row((100.0, 40, 1000.0), (100.0 / speedup_factor, 20, 550.0))
+        for name in ("a", "b")
+    }
 
 
 class TestScoring:
     def test_perfect_match_scores_zero(self):
         # Construct a result hitting the paper numbers exactly.
-        rows = (
-            WorkloadRow(
-                workload="w",
-                baseline_time_s=100.0,
-                bidding_time_s=100.0 - PAPER_SPEEDUP_PCT,
-                baseline_misses=100.0,
-                bidding_misses=100.0 - PAPER_MISS_REDUCTION_PCT,
-                baseline_data_mb=100.0,
-                bidding_data_mb=100.0 - PAPER_DATA_REDUCTION_PCT,
-            ),
-        )
-        score = score_result(Calibration(), Fig3Result(rows=rows))
+        sweep = {
+            "w": workload_row(
+                (100.0, 100, 100.0),
+                (
+                    100.0 - PAPER_SPEEDUP_PCT,
+                    100 - PAPER_MISS_REDUCTION_PCT,
+                    100.0 - PAPER_DATA_REDUCTION_PCT,
+                ),
+            )
+        }
+        score = score_result(Calibration(), sweep)
         assert score.score == pytest.approx(0.0, abs=1e-9)
 
     def test_gap_is_mean_absolute(self):
@@ -91,5 +96,5 @@ class TestGrid:
                 data_reduction_pct=50.0,
             )
         ]
-        text = render(scores)
+        text = render([table(scores)])
         assert "demo" in text and "mean |gap|" in text

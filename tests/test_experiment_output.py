@@ -26,51 +26,68 @@ SHORT_COMMANDS = ("fig2", "tables", "faults")
 LONG_COMMANDS = ("fig3", "fig4", "ablations", "sensitivity")
 
 
+def _print(tables) -> None:
+    from repro.experiments.grid import render
+
+    print(render(tables))
+
+
 def _fig3_reduced() -> None:
     from repro.experiments import fig3_aggregates
+    from repro.experiments.grid import run_grids
 
-    print(fig3_aggregates.render(
-        fig3_aggregates.run_fig3(seeds=(11,), profiles=("all-equal",))
-    ))
+    [sweep] = run_grids([fig3_aggregates.grid(seeds=(11,), profiles=("all-equal",))])
+    _print(fig3_aggregates.tables(sweep))
 
 
 def _fig4_reduced() -> None:
     from repro.experiments import fig4_breakdown
+    from repro.experiments.grid import run_grids
 
-    print(fig4_breakdown.render(fig4_breakdown.run_fig4(
+    [sweep] = run_grids([fig4_breakdown.grid(
         seeds=(11,),
         profiles=("all-equal", "one-slow"),
         workloads=("80%_small", "all_diff_large"),
-    )))
+    )])
+    _print(fig4_breakdown.tables(sweep))
+
+
+def _sections(module, sections, settings) -> None:
+    """Each titled section of ``module``, at the two settings given for it
+    in ``settings`` (by grid function name) or at its fixed ones."""
+    from repro.experiments.grid import run_grids
+
+    grids = [
+        build(settings[build.__name__]) if build.__name__ in settings else build()
+        for _title, build in sections
+    ]
+    sweeps = run_grids(grids)
+    _print([module.table(title, sweep) for (title, _), sweep in zip(sections, sweeps)])
 
 
 def _ablations_reduced() -> None:
-    from repro.experiments import ablations as ab
+    from repro.experiments import ablations
 
-    print("\n\n".join([
-        ab._render_rows("A1a: bidding window sweep (one-slow, all_diff_small)", ab.ablate_bid_window(windows=(0.1, 1.0))),
-        ab._render_rows("A1b: bid computation cost sweep (all-equal, all_diff_small)", ab.ablate_bid_compute(costs=(0.0, 1.0))),
-        ab._render_pairs("A2: noise sweep (fast-slow, all_diff_equal)", ab.ablate_noise(sigmas=(0.0, 0.25))),
-        ab._render_rows("A3: scheduler shoot-out (fast-slow, 80%_large)", ab.ablate_schedulers()),
-        ab._render_pairs("A4: cache capacity sweep (all-equal, 80%_large)", ab.ablate_cache_capacity(capacities_mb=(float("inf"), 1024.0))),
-        ab._render_rows("A5: contest concurrency (all-equal, all_diff_large)", ab.ablate_contest_concurrency(levels=(1, 4))),
-        ab._render_rows("A6: fast local close (one-slow, 80%_large)", ab.ablate_fast_local_close()),
-        ab._render_rows("A7: adaptive bids under speed drift (all-equal, all_diff_equal)", ab.ablate_adaptive_bids()),
-        ab._render_pairs("A8: popularity-skew sweep (all-equal, zipf)", ab.ablate_popularity_skew(alphas=(0.0, 2.0))),
-        ab._render_pairs("A9: download prefetching (all-equal, all_diff_large)", ab.ablate_prefetch()),
-        ab._render_pairs("A10: shared-origin contention (all-equal, 80%_large)", ab.ablate_shared_origin(capacities=(None, 10.0))),
-    ]))
+    _sections(ablations, ablations.ABLATIONS, {
+        "ablate_bid_window": (0.1, 1.0),
+        "ablate_bid_compute": (0.0, 1.0),
+        "ablate_noise": (0.0, 0.25),
+        "ablate_cache_capacity": (float("inf"), 1024.0),
+        "ablate_contest_concurrency": (1, 4),
+        "ablate_popularity_skew": (0.0, 2.0),
+        "ablate_shared_origin": (None, 10.0),
+    })
 
 
 def _sensitivity_reduced() -> None:
-    from repro.experiments import sensitivity as se
+    from repro.experiments import sensitivity
 
-    print("\n\n".join([
-        se.render("S1: worker-count sweep (all_diff_large)", se.sweep_worker_count(counts=(5, 15))),
-        se.render("S2: job-count sweep (80%_large)", se.sweep_job_count(counts=(60, 120))),
-        se.render("S3: heterogeneity sweep (all_diff_large)", se.sweep_heterogeneity(factors=(1.0, 8.0))),
-        se.render("S4: arrival-rate sweep (80%_large)", se.sweep_arrival_rate(interarrivals=(0.0, 10.0))),
-    ]))
+    _sections(sensitivity, sensitivity.SWEEPS, {
+        "sweep_worker_count": (5, 15),
+        "sweep_job_count": (60, 120),
+        "sweep_heterogeneity": (1.0, 8.0),
+        "sweep_arrival_rate": (0.0, 10.0),
+    })
 
 
 REDUCED = {

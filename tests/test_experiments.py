@@ -10,6 +10,7 @@ from repro.experiments.configs import (
     PROFILE_NAMES,
     default_engine_config,
 )
+from repro.experiments.grid import Bars, Table, render, run_grids, speedup
 from repro.experiments.runner import (
     CellSpec,
     ResultSet,
@@ -96,6 +97,34 @@ class TestMatrix:
         assert [r.makespan_s for r in serial] == [r.makespan_s for r in parallel]
 
 
+class TestGrids:
+    def test_each_column_reads_its_own_cells(self):
+        def cell(scheduler, seed, iterations):
+            return CellSpec(
+                scheduler=scheduler,
+                workload="80%_small",
+                profile="all-equal",
+                seed=seed,
+                iterations=iterations,
+            )
+
+        first = [("r", {"a": [cell("random", 1, 1), cell("random", 2, 2)]})]
+        second = [("s", {"b": [cell("round-robin", 3, 1)]})]
+        sweep_a, sweep_b = run_grids([first, second])
+        assert [(r.seed, r.iteration) for r in sweep_a["r"]["a"].results] == [
+            (1, 0), (2, 0), (2, 1)
+        ]
+        assert [r.scheduler for r in sweep_b["s"]["b"].results] == ["round-robin"]
+
+    def test_render_prints_table_bars_then_note(self):
+        table = Table(
+            "T", ["k", "v"], [["a", "1"]], bars=Bars("B", "s", [("a", [("x", 1.0)])]), note="N"
+        )
+        text = render([table, Table("U", ["k"], [["b"]])])
+        assert text.index("T") < text.index("B") < text.index("N") < text.index("U")
+        assert text.endswith("k\n-\nb")
+
+
 class TestResultSet:
     def test_filters_and_means(self):
         cells = expand_matrix(
@@ -108,66 +137,66 @@ class TestResultSet:
         results = ResultSet(run_matrix(cells))
         assert len(results.where(scheduler="bidding")) == 2
         assert len(results.where(scheduler="bidding", iteration=0)) == 1
-        assert results.mean_makespan(scheduler="bidding") > 0
+        assert results.mean("makespan_s", scheduler="bidding") > 0
 
     def test_empty_filter_raises(self):
         results = ResultSet([])
         with pytest.raises(ValueError):
-            results.mean_makespan(scheduler="nobody")
+            results.mean("makespan_s", scheduler="nobody")
 
 
 class TestFigureModules:
     """Scaled-down versions of each figure run end-to-end."""
 
     def test_fig3_small(self):
-        result = fig3_aggregates.run_fig3(
+        [sweep] = run_grids([fig3_aggregates.grid(
             seeds=(11,), profiles=("all-equal",), workloads=("80%_small",), iterations=2
-        )
-        row = result.row("80%_small")
-        assert row.baseline_time_s > 0
-        assert row.bidding_time_s > 0
-        rendered = fig3_aggregates.render(result)
+        )])
+        row = sweep["80%_small"]
+        assert row["baseline"].mean("makespan_s") > 0
+        assert row["bidding"].mean("makespan_s") > 0
+        rendered = render(fig3_aggregates.tables(sweep))
         assert "Figure 3a" in rendered and "80%_small" in rendered
 
     def test_fig3_unknown_row_raises(self):
-        result = fig3_aggregates.run_fig3(
+        [sweep] = run_grids([fig3_aggregates.grid(
             seeds=(11,), profiles=("all-equal",), workloads=("80%_small",), iterations=1
-        )
+        )])
         with pytest.raises(KeyError):
-            result.row("nonexistent")
+            sweep["nonexistent"]
 
     def test_fig2_small(self):
-        result = fig2_spark.run_fig2(seeds=(11,), iterations=1)
-        assert len(result.groups) == 4
-        g1 = result.group("G1")
-        assert g1.spark_time_s > g1.crossflow_time_s  # straggler effect
-        rendered = fig2_spark.render(result)
+        [sweep] = run_grids([fig2_spark.grid(seeds=(11,), iterations=1)])
+        assert len(sweep) == 4
+        g1 = sweep[fig2_spark.COLUMN_GROUPS[0][0]]
+        # The straggler effect.
+        assert g1["spark"].mean("makespan_s") > g1["crossflow"].mean("makespan_s")
+        rendered = render(fig2_spark.tables(sweep))
         assert "spark slower by" in rendered
 
     def test_fig4_small(self):
-        result = fig4_breakdown.run_fig4(
+        [sweep] = run_grids([fig4_breakdown.grid(
             seeds=(11,),
             profiles=("all-equal", "one-slow"),
             workloads=("80%_small",),
             iterations=2,
-        )
-        assert len(result.cells) == 2
-        cell = result.cell("80%_small", "one-slow")
-        assert cell.speedup > 0
-        assert result.best_vs_centralized > 0
-        rendered = fig4_breakdown.render(result)
+        )])
+        assert len(sweep) == 2
+        assert speedup(sweep["80%_small", "one-slow"]) > 0
+        best, _cell = fig4_breakdown.best_vs_centralized(sweep)
+        assert best > 0
+        rendered = render(fig4_breakdown.tables(sweep))
         assert "Figure 4" in rendered
 
     def test_tables_msr_structure(self):
-        tables = tables_msr.run_tables(seeds=(101,))
-        assert tables.runs == 1
-        bidding_time, baseline_time = tables.time_row(0)
-        assert bidding_time > 0 and baseline_time > 0
-        bidding_mb, baseline_mb = tables.data_row(0)
-        assert bidding_mb < baseline_mb  # the headline Table 2 direction
-        bidding_miss, baseline_miss = tables.miss_row(0)
-        assert bidding_miss < baseline_miss
-        rendered = tables_msr.render(tables)
+        sweep = tables_msr.run_tables(seeds=(101,))
+        assert list(sweep) == ["run 1"]
+        row = sweep["run 1"]
+        assert row["bidding"].mean("makespan_s") > 0 and row["baseline"].mean("makespan_s") > 0
+        # The headline Table 2 and Table 3 directions.
+        assert row["bidding"].mean("data_load_mb") < row["baseline"].mean("data_load_mb")
+        assert row["bidding"].mean("cache_misses") < row["baseline"].mean("cache_misses")
+        rendered = render(tables_msr.tables(sweep))
         assert "Table 1" in rendered and "Table 3" in rendered
 
 

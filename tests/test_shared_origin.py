@@ -67,9 +67,9 @@ class TestSharedOrigin:
         """Bidding-vs-baseline gap widens when the origin is the
         bottleneck: redundant clones now tax every other download."""
         from repro.experiments.ablations import ablate_shared_origin
+        from repro.experiments.grid import run_grids, speedup
 
-        pairs = ablate_shared_origin(capacities=(None, 10.0), seed=11)
-        (_free_label, bid_free, base_free), (_tight_label, bid_tight, base_tight) = pairs
-        gap_free = base_free.mean_makespan_s / bid_free.mean_makespan_s
-        gap_tight = base_tight.mean_makespan_s / bid_tight.mean_makespan_s
-        assert gap_tight > gap_free
+        [sweep] = run_grids([ablate_shared_origin(capacities=(None, 10.0), seed=11)])
+        free, tight = sweep.values()
+        # Baseline / bidding mean makespan: the bidding-vs-baseline gap.
+        assert speedup(tight) > speedup(free)
