@@ -750,7 +750,7 @@ def _run_trace(args: argparse.Namespace) -> None:
         )
     if args.attribution or console_default:
         print()
-        print(render_attribution(attribute(trace, spans, result.makespan_s)))
+        print(render_attribution(attribute(trace, result.makespan_s)))
 
 
 def _run_explain(args: argparse.Namespace) -> int:

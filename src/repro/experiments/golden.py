@@ -101,25 +101,14 @@ def record_determinism() -> dict:
     return golden
 
 
-def explain_determinism_drift(committed: dict, current: dict) -> list[str]:
-    lines = []
-    for scheduler in sorted(set(committed) | set(current)):
-        was, now = committed.get(scheduler), current.get(scheduler)
-        if was != now:
-            lines.append(f"  {scheduler}:")
-            lines.append(f"    committed: {json.dumps(was, sort_keys=True)}")
-            lines.append(f"    current:   {json.dumps(now, sort_keys=True)}")
-    return lines
-
-
 # -- perfetto fixture -------------------------------------------------------
 
 PERFETTO_SEED = 3
 PERFETTO_SCHEDULER = "bidding"
 
 
-def golden_runtime() -> WorkflowRuntime:
-    """The pinned scenario: 2 unequal workers, 8 burst jobs, seed 3."""
+def _golden_cell() -> tuple[WorkerProfile, JobStream]:
+    """2 unequal workers and 8 burst jobs."""
     profile = WorkerProfile(
         "golden-2w",
         (
@@ -136,9 +125,15 @@ def golden_runtime() -> WorkflowRuntime:
         )
         for index in range(8)
     ]
+    return profile, JobStream.burst(jobs)
+
+
+def golden_runtime() -> WorkflowRuntime:
+    """The pinned scenario: :func:`_golden_cell` under bidding, seed 3."""
+    profile, stream = _golden_cell()
     return WorkflowRuntime(
         profile=profile,
-        stream=JobStream.burst(jobs),
+        stream=stream,
         scheduler=make_scheduler(PERFETTO_SCHEDULER),
         config=EngineConfig(
             seed=PERFETTO_SEED, trace=True, obs=ObsConfig(probe_interval_s=5.0)
@@ -158,18 +153,6 @@ def record_perfetto() -> dict:
         flows=runtime.obs.flows,
         label="golden",
     )
-
-
-def explain_perfetto_drift(committed: dict, current: dict) -> list[str]:
-    was, now = committed["traceEvents"], current["traceEvents"]
-    lines = [f"  {len(was)} committed events vs {len(now)} current"]
-    for index, (a, b) in enumerate(zip(was, now)):
-        if a != b:
-            lines.append(f"  first differing event [{index}]:")
-            lines.append(f"    committed: {json.dumps(a, sort_keys=True)}")
-            lines.append(f"    current:   {json.dumps(b, sort_keys=True)}")
-            break
-    return lines
 
 
 # -- critical-path fixture --------------------------------------------------
@@ -199,29 +182,6 @@ def record_critical_path() -> dict:
     }
 
 
-def explain_critical_path_drift(committed: dict, current: dict) -> list[str]:
-    lines = []
-    for key in ("makespan_s", "chain", "categories", "slack"):
-        was, now = committed.get(key), current.get(key)
-        if was != now:
-            lines.append(f"  {key}:")
-            lines.append(f"    committed: {json.dumps(was, sort_keys=True)}")
-            lines.append(f"    current:   {json.dumps(now, sort_keys=True)}")
-    was_decisions = committed.get("decisions", [])
-    now_decisions = current.get("decisions", [])
-    if was_decisions != now_decisions:
-        lines.append(
-            f"  {len(was_decisions)} committed decisions vs {len(now_decisions)} current"
-        )
-        for index, (a, b) in enumerate(zip(was_decisions, now_decisions)):
-            if a != b:
-                lines.append(f"  first differing decision [{index}]:")
-                lines.append(f"    committed: {json.dumps(a, sort_keys=True)}")
-                lines.append(f"    current:   {json.dumps(b, sort_keys=True)}")
-                break
-    return lines
-
-
 # -- reconfig fixture -------------------------------------------------------
 
 RECONFIG_SEED = 3
@@ -238,29 +198,14 @@ def reconfig_runtime() -> WorkflowRuntime:
     sequence to prove it."""
     from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 
-    profile = WorkerProfile(
-        "golden-2w",
-        (
-            WorkerSpec(name="w1", network_mbps=50.0, rw_mbps=100.0, link_latency=0.0),
-            WorkerSpec(name="w2", network_mbps=40.0, rw_mbps=80.0, link_latency=0.0),
-        ),
-    )
-    jobs = [
-        Job(
-            job_id=f"j{index}",
-            task=TASK_ANALYZER,
-            repo_id=f"r{index % 3}",
-            size_mb=20.0 + 5.0 * (index % 3),
-        )
-        for index in range(8)
-    ]
     plan = ReconfigPlan(
         migrations=(JobMigration(at_s=2.0, max_jobs=2, include_running=False),),
         swaps=(SchedulerSwap(at_s=4.0, scheduler=RECONFIG_SWAP_TO),),
     )
+    profile, stream = _golden_cell()
     return WorkflowRuntime(
         profile=profile,
-        stream=JobStream.burst(jobs),
+        stream=stream,
         scheduler=make_scheduler(RECONFIG_SCHEDULER),
         config=EngineConfig(seed=RECONFIG_SEED, trace=True, check=True),
         reconfig=plan,
@@ -292,29 +237,6 @@ def record_reconfig() -> dict:
         "scheduler_swaps": runtime.metrics.scheduler_swaps,
         "events": reconfig_events,
     }
-
-
-def explain_reconfig_drift(committed: dict, current: dict) -> list[str]:
-    lines = []
-    for key in sorted(set(committed) | set(current)):
-        if key == "events":
-            continue
-        was, now = committed.get(key), current.get(key)
-        if was != now:
-            lines.append(f"  {key}: committed {was!r} vs current {now!r}")
-    was_events = committed.get("events", [])
-    now_events = current.get("events", [])
-    if was_events != now_events:
-        lines.append(
-            f"  {len(was_events)} committed reconfig events vs {len(now_events)} current"
-        )
-        for index, (a, b) in enumerate(zip(was_events, now_events)):
-            if a != b:
-                lines.append(f"  first differing event [{index}]:")
-                lines.append(f"    committed: {json.dumps(a, sort_keys=True)}")
-                lines.append(f"    current:   {json.dumps(b, sort_keys=True)}")
-                break
-    return lines
 
 
 # -- scale fixture ----------------------------------------------------------
@@ -493,30 +415,56 @@ def record_scale() -> dict:
     return golden
 
 
-def explain_scale_drift(committed: dict, current: dict) -> list[str]:
-    lines = []
-    for cell in sorted(set(committed) | set(current)):
-        was, now = committed.get(cell, {}), current.get(cell, {})
-        for key in sorted(set(was) | set(now)):
-            if was.get(key) != now.get(key):
-                lines.append(
-                    f"  {cell}.{key}: committed {was.get(key)!r} vs current {now.get(key)!r}"
-                )
-    return lines
-
-
 # -- the registry and the shared record/check machinery ---------------------
+
+
+#: Stands for a key one side of a drift does not have.
+_ABSENT = "<absent>"
+
+
+def _first_difference(committed, current, path: str = ""):
+    """``(key path, committed, current)`` where two JSON values first
+    differ (keys in sorted order), or ``None`` when they are equal."""
+    if isinstance(committed, dict) and isinstance(current, dict):
+        for key in sorted(set(committed) | set(current)):
+            if key not in committed or key not in current:
+                return f"{path}.{key}", committed.get(key, _ABSENT), current.get(key, _ABSENT)
+            found = _first_difference(committed[key], current[key], f"{path}.{key}")
+            if found is not None:
+                return found
+        return None
+    if isinstance(committed, list) and isinstance(current, list):
+        for index, (was, now) in enumerate(zip(committed, current)):
+            found = _first_difference(was, now, f"{path}[{index}]")
+            if found is not None:
+                return found
+        if len(committed) != len(current):
+            return f"{path} length", len(committed), len(current)
+        return None
+    return None if committed == current else (path, committed, current)
+
+
+def explain_drift(committed: dict, current: dict) -> list[str]:
+    """Name the first key path at which a fixture drifted, with both values."""
+    found = _first_difference(committed, current)
+    if found is None:
+        return []
+    path, was, now = found
+    return [
+        f"  first difference at {path.lstrip('.') or '(root)'}:",
+        f"    committed: {json.dumps(was, sort_keys=True)}",
+        f"    current:   {json.dumps(now, sort_keys=True)}",
+    ]
 
 
 @dataclass(frozen=True)
 class GoldenFixture:
-    """One pinned recording: how to produce it and how to explain drift."""
+    """One pinned recording: how to produce it and where it lives."""
 
     name: str
     filename: str
     indent: int
     record: Callable[[], dict]
-    explain_drift: Callable[[dict, dict], list[str]]
 
 
 FIXTURES: dict[str, GoldenFixture] = {
@@ -525,35 +473,30 @@ FIXTURES: dict[str, GoldenFixture] = {
         filename="golden_determinism.json",
         indent=2,
         record=record_determinism,
-        explain_drift=explain_determinism_drift,
     ),
     "perfetto": GoldenFixture(
         name="perfetto",
         filename="golden_perfetto.json",
         indent=1,
         record=record_perfetto,
-        explain_drift=explain_perfetto_drift,
     ),
     "critical_path": GoldenFixture(
         name="critical_path",
         filename="golden_critical_path.json",
         indent=2,
         record=record_critical_path,
-        explain_drift=explain_critical_path_drift,
     ),
     "reconfig": GoldenFixture(
         name="reconfig",
         filename="golden_reconfig.json",
         indent=2,
         record=record_reconfig,
-        explain_drift=explain_reconfig_drift,
     ),
     "scale": GoldenFixture(
         name="scale",
         filename="golden_scale.json",
         indent=2,
         record=record_scale,
-        explain_drift=explain_scale_drift,
     ),
 }
 
@@ -582,7 +525,7 @@ def check(fixture: GoldenFixture, directory: Path | None = None) -> int:
         print(f"golden fixture '{fixture.name}' at {path} matches the current code")
         return 0
     print(f"golden fixture '{fixture.name}' at {path} DRIFTED from the current code:")
-    for line in fixture.explain_drift(committed, current):
+    for line in explain_drift(committed, current):
         print(line)
     print(
         "If the behavioural change is deliberate, re-record with\n"

@@ -146,7 +146,7 @@ def observability_html(seed: int = 11) -> str:
     coverage = span_coverage(trace, spans)
     label = f"{spec.scheduler} / {spec.workload} / {spec.profile}"
     views = [
-        ("Sim-time attribution", render_attribution(attribute(trace, spans, result.makespan_s))),
+        ("Sim-time attribution", render_attribution(attribute(trace, result.makespan_s))),
         (
             "Timeline",
             render_timeline(trace, result.makespan_s, probes=runtime.obs.probes, title=label),

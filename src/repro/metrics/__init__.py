@@ -9,20 +9,15 @@ Section 6.1 defines the comparison metrics:
 :mod:`repro.metrics.collector` accumulates these per run (plus
 per-worker breakdowns, contest/rejection overhead and job latencies),
 :mod:`repro.metrics.trace` keeps a structured job-lifecycle event log,
-and :mod:`repro.metrics.report` turns collected runs into the aggregate
-rows the experiment harness prints.
+:mod:`repro.metrics.analysis` reads each job's lifecycle off that log,
+and :mod:`repro.metrics.report` holds the per-run result row and the
+comparative statistics the experiment harness prints.
 """
 
 from repro.metrics.analysis import RunAnalysis, summarize
 from repro.metrics.ascii_chart import bar_chart, grouped_bar_chart, sparkline
 from repro.metrics.collector import MetricsCollector, WorkerMetrics
-from repro.metrics.report import (
-    RunResult,
-    aggregate,
-    mean,
-    percent_change,
-    speedup,
-)
+from repro.metrics.report import RunResult, mean, percent_change, speedup
 from repro.metrics.stats import Comparison, bootstrap_ci, compare, mean_std
 from repro.metrics.trace import Trace, TraceEvent
 
@@ -34,7 +29,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "WorkerMetrics",
-    "aggregate",
     "bar_chart",
     "bootstrap_ci",
     "compare",

@@ -1,10 +1,14 @@
-"""Trace analytics: utilization, queueing and scheduling-delay statistics.
+"""Trace analytics: job lifecycles, utilization, queueing and scheduling delay.
 
 The paper's three metrics say *what* happened; these tools say *why*:
 
+* :func:`lifecycles` -- the one reader of a job's path through the run:
+  its segments, contest / offer / download windows and terminal event,
+  from one pass over the trace.  The span tree, the critical-path tiling
+  and the attribution table in :mod:`repro.obs` are projections of it,
 * :func:`worker_utilization` -- busy fraction per worker (exposes the
   straggler effect behind Figure 2's Spark columns),
-* :func:`allocation_delays` -- submission-to-assignment delay per job
+* :func:`allocation_delays` -- submission-to-binding delay per job
   (the Bidding Scheduler's contest overhead, the Baseline's rejection
   round-trips),
 * :func:`queue_timeline` -- per-worker backlog over time,
@@ -18,12 +22,144 @@ All functions are pure readers over a completed run's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.metrics.trace import Trace
+from repro.metrics.trace import FLEET, Trace, TraceEvent
+
+
+class Segment(NamedTuple):
+    """One tile of a job's interval -- ``schedule``, ``queue``, ``run`` or
+    ``recovery`` -- with its attempt's worker (for recovery, the lost one)."""
+
+    category: str
+    start: float
+    end: float
+    worker: Optional[str]
+
+
+@dataclass
+class Window:
+    """A contest, an offer or a download.  ``end`` is ``None`` while
+    unpaired; ``worker`` is the winner, the offeree or the downloader;
+    ``detail`` how the contest closed, the offer's answer or the megabytes
+    moved; ``attempt`` the index in :attr:`Lifecycle.segments` of the
+    schedule segment a contest or an offer belongs to."""
+
+    start: float
+    end: Optional[float] = None
+    worker: Optional[str] = None
+    detail: object = None
+    attempt: Optional[int] = None
+    bids: int = 0
+
+
+@dataclass
+class Lifecycle:
+    """One job's path through the run, read off the trace by :func:`lifecycles`.
+
+    ``segments`` tile ``[submitted, end]``: each attempt is a
+    ``schedule`` (submission or re-dispatch to binding), a ``queue``
+    (binding to start) and a ``run`` (start to the end of the attempt),
+    and an orphaned attempt is followed by ``recovery`` until the job is
+    re-dispatched.  Two ordering rules decide the cuts:
+
+    * a run starts at ``started``, even when the master's ``assigned``
+      lands later (a pull worker starts a job before its acceptance
+      reaches the master): the queue segment is then empty;
+    * an orphaned attempt ends its segment, and a re-dispatched job gets
+      a fresh schedule, queue and run.
+    """
+
+    job_id: str
+    submitted: Optional[float] = None
+    #: The first ``completed`` or ``failed`` event; ``None`` while open.
+    terminal: Optional[TraceEvent] = None
+    segments: list[Segment] = field(default_factory=list)
+    contests: list[Window] = field(default_factory=list)
+    offers: list[Window] = field(default_factory=list)
+    #: Paired downloads, in finishing order.
+    downloads: list[Window] = field(default_factory=list)
+    _state: Optional[str] = None
+    _mark: float = 0.0
+    _worker: Optional[str] = None
+    _attempt: Optional[int] = None
+    _downloading: dict = field(default_factory=dict)
+
+    @property
+    def completed(self) -> bool:
+        return self.terminal is not None and self.terminal.kind == "completed"
+
+    @property
+    def end(self) -> float:
+        """The terminal instant, or the trace horizon for an open job."""
+        return self.segments[-1].end
+
+    def _cut(self, time: float, state: Optional[str]) -> None:
+        if self._state is not None:
+            self.segments.append(Segment(self._state, self._mark, time, self._worker))
+        self._state, self._mark = state, time
+
+    def _begin_attempt(self, time: float) -> None:
+        self._cut(time, "schedule")
+        self._worker, self._attempt = None, len(self.segments)
+
+    def _read(self, event: TraceEvent) -> None:
+        time, kind, worker = event.time, event.kind, event.worker
+        if kind == "submitted" and self.submitted is None:
+            self.submitted = time
+            self._begin_attempt(time)
+        elif kind == "announced":
+            self.contests.append(Window(time, attempt=self._attempt))
+        elif kind == "bid" and self.contests:
+            self.contests[-1].bids += 1
+        elif kind == "contest_closed" and self.contests and self.contests[-1].end is None:
+            contest = self.contests[-1]
+            contest.end, contest.worker, contest.detail = time, worker, event.detail
+        elif kind == "offered":
+            self.offers.append(Window(time, worker=worker, attempt=self._attempt))
+        elif kind in ("accepted", "rejected"):
+            for offer in self.offers:
+                if offer.end is None and offer.worker == worker:
+                    offer.end, offer.detail = time, kind
+        elif kind in ("assigned", "started"):
+            self._worker = worker
+            if self._state == "schedule":
+                self._cut(time, "queue")
+            if kind == "started":
+                self._cut(time, "run")
+        elif kind == "download_started":
+            self._downloading[worker] = time
+        elif kind == "download_finished" and worker in self._downloading:
+            self.downloads.append(
+                Window(self._downloading.pop(worker), time, worker, event.detail)
+            )
+        elif kind == "orphaned":
+            self._cut(time, "recovery")
+            self._worker = worker
+        elif kind == "redispatched":
+            self._begin_attempt(time)
+        elif kind in ("completed", "failed"):
+            self.terminal = event
+            self._cut(time, None)
+
+
+def lifecycles(trace: Trace) -> dict[str, Lifecycle]:
+    """Every job's :class:`Lifecycle`, in first-appearance order, from one
+    pass over the trace.  Events after a job's terminal event are ignored;
+    an open job's last segment ends at the trace horizon."""
+    lives: dict[str, Lifecycle] = {}
+    for event in trace.events:
+        life = lives.get(event.job_id)
+        if life is None and event.job_id != FLEET:
+            life = lives[event.job_id] = Lifecycle(event.job_id)
+        if life is not None and life.terminal is None:
+            life._read(event)
+    for life in lives.values():
+        life._cut(trace.events[-1].time, None)
+    return lives
 
 
 @dataclass(frozen=True)
@@ -75,21 +211,17 @@ def _require_trace(trace: Trace) -> None:
 
 
 def gantt(trace: Trace) -> list[GanttSpan]:
-    """Per-job execution spans, ordered by start time.
+    """Per-job execution spans (each completed job's last run), ordered by
+    start time.
 
     Jobs killed mid-execution (no completion event) are omitted.
     """
     _require_trace(trace)
-    started: dict[str, tuple[float, str]] = {}
     spans: list[GanttSpan] = []
-    for event in trace:
-        if event.kind == "started" and event.worker is not None:
-            started[event.job_id] = (event.time, event.worker)
-        elif event.kind == "completed" and event.job_id in started:
-            begin, worker = started.pop(event.job_id)
-            spans.append(
-                GanttSpan(job_id=event.job_id, worker=worker, started=begin, finished=event.time)
-            )
+    for life in lifecycles(trace).values():
+        last = life.segments[-1] if life.segments else None
+        if life.completed and last and last.category == "run" and last.worker is not None:
+            spans.append(GanttSpan(life.job_id, last.worker, last.start, last.end))
     spans.sort(key=lambda span: (span.started, span.job_id))
     return spans
 
@@ -109,29 +241,25 @@ def worker_utilization(trace: Trace, makespan: float) -> dict[str, float]:
 
 
 def allocation_delays(trace: Trace) -> dict[str, float]:
-    """Submission-to-assignment delay per job (scheduling overhead)."""
+    """Submission-to-binding delay per job (scheduling overhead): its
+    first schedule segment, for every job that segment bound to a worker
+    (only a binding opens a queue segment)."""
     _require_trace(trace)
-    delays: dict[str, float] = {}
-    submitted: dict[str, float] = {}
-    for event in trace:
-        if event.kind == "submitted":
-            submitted[event.job_id] = event.time
-        elif event.kind == "assigned" and event.job_id in submitted:
-            delays.setdefault(event.job_id, event.time - submitted[event.job_id])
-    return delays
+    return {
+        life.job_id: life.segments[0].end - life.segments[0].start
+        for life in lifecycles(trace).values()
+        if len(life.segments) > 1 and life.segments[1].category == "queue"
+    }
 
 
 def job_latencies(trace: Trace) -> dict[str, float]:
     """Submission-to-completion latency per job."""
     _require_trace(trace)
-    latencies: dict[str, float] = {}
-    submitted: dict[str, float] = {}
-    for event in trace:
-        if event.kind == "submitted":
-            submitted[event.job_id] = event.time
-        elif event.kind == "completed" and event.job_id in submitted:
-            latencies.setdefault(event.job_id, event.time - submitted[event.job_id])
-    return latencies
+    return {
+        life.job_id: life.end - life.submitted
+        for life in lifecycles(trace).values()
+        if life.completed and life.submitted is not None
+    }
 
 
 def queue_timeline(trace: Trace, worker: str) -> list[tuple[float, int]]:

@@ -1,9 +1,8 @@
-"""Run summaries and cross-run aggregation.
+"""Run summaries and comparative statistics.
 
 A :class:`RunResult` is the frozen outcome of one workflow run --
 the three paper metrics plus diagnostics -- labelled with the
 (scheduler, workload, profile, seed, iteration) cell it belongs to.
-:func:`aggregate` averages a group of results into one row;
 :func:`speedup` and :func:`percent_change` compute the comparative
 statistics quoted throughout Section 6.
 """
@@ -11,7 +10,7 @@ statistics quoted throughout Section 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -55,52 +54,11 @@ class RunResult:
         return (self.scheduler, self.workload, self.profile)
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    """Mean metrics over a group of runs (one chart bar / table cell)."""
-
-    scheduler: str
-    workload: str
-    profile: str
-    runs: int
-    mean_makespan_s: float
-    mean_cache_misses: float
-    mean_data_load_mb: float
-    mean_contest_seconds: float
-    mean_rejections: float
-
-
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; raises on empty input (never silently 0)."""
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def aggregate(results: Iterable[RunResult]) -> AggregateResult:
-    """Average a homogeneous group of runs into one row.
-
-    All results must share scheduler+workload+profile; mixing cells is a
-    usage error and raises.
-    """
-    rows = list(results)
-    if not rows:
-        raise ValueError("aggregate of no results")
-    cells = {row.cell for row in rows}
-    if len(cells) != 1:
-        raise ValueError(f"aggregate across mixed cells: {sorted(cells)}")
-    scheduler, workload, profile = rows[0].cell
-    return AggregateResult(
-        scheduler=scheduler,
-        workload=workload,
-        profile=profile,
-        runs=len(rows),
-        mean_makespan_s=mean([row.makespan_s for row in rows]),
-        mean_cache_misses=mean([float(row.cache_misses) for row in rows]),
-        mean_data_load_mb=mean([row.data_load_mb for row in rows]),
-        mean_contest_seconds=mean([row.contest_seconds for row in rows]),
-        mean_rejections=mean([float(row.rejections) for row in rows]),
-    )
 
 
 def speedup(baseline_s: float, candidate_s: float) -> float:

@@ -31,7 +31,7 @@ Event kinds
                 see :mod:`repro.reconfig`
 
 Fleet-level events (worker joins, crashes, fault-injector actions) carry
-the placeholder job id ``"-"``.
+the placeholder job id :data:`FLEET`.
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ EVENT_KINDS = frozenset(
 )
 
 
+#: Placeholder job id used by fleet-level events (joins, faults).
+FLEET = "-"
+
+
 class _EventFields(NamedTuple):
     time: float
     kind: str
@@ -120,16 +124,6 @@ class Trace:
 
     enabled: bool = True
     events: list[TraceEvent] = field(default_factory=list)
-    # Lazily built per-job index.  ``for_job``/``first`` used to scan the
-    # whole event list per call, making trace post-processing
-    # O(jobs * events) -- the analysis narration and the replay oracle
-    # call them once per job.  The index is extended incrementally from a
-    # watermark, so interleaved record/query patterns stay cheap, and is
-    # rebuilt from scratch only if the event list was truncated externally.
-    _by_job: Optional[dict[str, list[TraceEvent]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _indexed_upto: int = field(default=0, init=False, repr=False, compare=False)
 
     def record(
         self,
@@ -146,22 +140,6 @@ class Trace:
             raise ValueError(f"unknown trace event kind {kind!r}")
         self.events.append(_new_event(TraceEvent, (time, kind, job_id, worker, detail)))
 
-    def _index(self) -> dict[str, list[TraceEvent]]:
-        """Return the per-job index, catching up on newly recorded events."""
-        if self._by_job is None or self._indexed_upto > len(self.events):
-            self._by_job = {}
-            self._indexed_upto = 0
-        if self._indexed_upto < len(self.events):
-            by_job = self._by_job
-            for event in self.events[self._indexed_upto :]:
-                bucket = by_job.get(event.job_id)
-                if bucket is None:
-                    by_job[event.job_id] = [event]
-                else:
-                    bucket.append(event)
-            self._indexed_upto = len(self.events)
-        return self._by_job
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -175,43 +153,16 @@ class Trace:
         return [event for event in self.events if event.kind == kind]
 
     def for_job(self, job_id: str) -> list[TraceEvent]:
-        """The full lifecycle of one job.
+        """The events of one job, in time order.
 
-        Served from a lazily built per-job index with an incremental
-        watermark.  The invalidation contract:
-
-        * events appended through :meth:`record` (or directly to
-          ``events``) after a query are picked up on the next call --
-          only the suffix past the watermark is scanned;
-        * *truncating* ``events`` (e.g. replacing it with a prefix) is
-          detected -- the watermark overshoots and the index rebuilds;
-        * replacing or reordering events **in place at the same or
-          greater length** is NOT detected: the index still holds the
-          old objects.  Post-hoc trace surgery of that shape must reset
-          ``_by_job = None`` (or truncate first, then re-append) to
-          force a rebuild.
+        A scan: every per-job reading of a whole run goes through
+        :func:`repro.metrics.analysis.lifecycles`, one pass for all jobs.
         """
-        return list(self._index().get(job_id, ()))
+        return [event for event in self.events if event.job_id == job_id]
 
     def first(self, kind: str, job_id: str) -> Optional[TraceEvent]:
         """Earliest event of ``kind`` for ``job_id`` (None if absent)."""
-        for event in self._index().get(job_id, ()):
-            if event.kind == kind:
+        for event in self.events:
+            if event.kind == kind and event.job_id == job_id:
                 return event
         return None
-
-    def job_latency(self, job_id: str) -> Optional[float]:
-        """Submission-to-completion latency for one job, if both ends exist."""
-        submitted = self.first("submitted", job_id)
-        completed = self.first("completed", job_id)
-        if submitted is None or completed is None:
-            return None
-        return completed.time - submitted.time
-
-    def allocation_delay(self, job_id: str) -> Optional[float]:
-        """Submission-to-assignment delay (scheduling overhead) for a job."""
-        submitted = self.first("submitted", job_id)
-        assigned = self.first("assigned", job_id)
-        if submitted is None or assigned is None:
-            return None
-        return assigned.time - submitted.time

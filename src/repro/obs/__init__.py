@@ -1,9 +1,12 @@
 """Observability: causal spans, time-series probes, exporters.
 
 ``repro.obs`` is the one pipe every layer reports into when the
-``EngineConfig.obs`` switch is on:
+``EngineConfig.obs`` switch is on.  Each job's path through a run is
+read off the trace once, by :func:`repro.metrics.analysis.lifecycles`;
+the span tree, the critical-path tiling, the attribution table and the
+explain document are projections of that one reader:
 
-* :mod:`repro.obs.spans` -- promotes the flat trace into a causal span
+* :mod:`repro.obs.spans` -- projects the lifecycles onto a causal span
   tree (``submit -> contest -> transfer -> execute``) with trace/span/
   parent ids, plus the :class:`SpanContext` the master threads through
   ``Assignment``/``JobCompleted`` messages at run time,
@@ -16,13 +19,15 @@
 * :mod:`repro.obs.export` -- Chrome/Perfetto ``trace_event`` JSON and
   CSV/JSON time-series dumps,
 * :mod:`repro.obs.timeline` / :mod:`repro.obs.attribution` -- terminal
-  timeline view and the flamegraph-style time-attribution table,
+  timeline view and the flamegraph-style time-attribution table (every
+  job's tiling, summed),
 * :mod:`repro.obs.ledger` -- one :class:`DecisionRecord` per allocation
   (per-candidate scores, locality, runner-up, human-readable reason),
   emitted at the master's single assignment seam for all schedulers,
-* :mod:`repro.obs.critical_path` -- post-hoc makespan attribution: the
-  chain of jobs that set the makespan, tiled into categories
-  (schedule/contest/queue/transfer/execute/recovery) with per-job slack,
+* :mod:`repro.obs.critical_path` -- post-hoc makespan attribution: each
+  job's lifecycle tiled into categories
+  (schedule/contest/queue/transfer/execute/recovery), and the chain of
+  jobs that set the makespan with per-job slack,
 * :mod:`repro.obs.explain` -- the ``repro explain`` document: JSON
   dump/load, per-job narration and the run-diff explainer that reports
   where time moved between two runs and which decisions diverged.

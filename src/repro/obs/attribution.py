@@ -1,26 +1,29 @@
 """Where did the sim time go: per-component attribution.
 
-Aggregates the span tree into a flamegraph-style table answering the
-question the paper's Section 6.3/6.4 analysis keeps asking by hand:
-for the jobs in this run, how much time was spent scheduling
-(submission -> binding, split out into contest time), waiting in worker
-queues, transferring data, and actually computing -- and how busy was
-the fleet overall.
+Sums every job's critical-path tiling (:func:`repro.obs.critical_path.tile`)
+into a flamegraph-style table answering the question the paper's
+Section 6.3/6.4 analysis keeps asking by hand: for the jobs in this run,
+how much time was spent scheduling (submission -> binding, split out
+into contest time), waiting in worker queues, transferring data, and
+actually computing -- and how busy was the fleet overall.
 
-All figures are *job-seconds* (summed across jobs), so parents bound
-their children like a flamegraph: ``job >= schedule + queued + execute``
-and ``execute >= transfer`` (transfers overlapping execution).  Compute
-is derived as ``execute - transfer`` per job, clamped at zero, because
-downloads may fully hide under compute or vice versa.
+All figures are *job-seconds* (summed across jobs), and each parent is
+the sum of its children like a flamegraph: ``job = schedule + queued +
+execute + recovery``, ``schedule`` contains ``contest``, and ``execute
+= transfer + compute``, where transfer is download time inside a run
+(a prefetch that finished before the run counts for nothing) and
+compute is the rest of the run.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.metrics.analysis import lifecycles
 from repro.metrics.trace import Trace
-from repro.obs.spans import Span, build_spans
+from repro.obs.critical_path import tile
 
 
 @dataclass(frozen=True)
@@ -53,70 +56,49 @@ class Attribution:
         return None
 
 
-#: (component, depth, parent span names) rendering order.
+#: (component, depth, tiling categories it sums, what it counts), in
+#: rendering order.  ``job`` sums the latencies and counts the jobs.
 _LAYOUT = (
-    ("job", 0),
-    ("schedule", 1),
-    ("contest", 2),
-    ("queued", 1),
-    ("execute", 1),
-    ("transfer", 2),
-    ("compute", 2),
-    ("recovery", 1),
+    ("job", 0, (), "job"),
+    ("schedule", 1, ("schedule", "contest"), "schedule"),
+    ("contest", 2, ("contest",), "contest"),
+    ("queued", 1, ("queue",), "queue"),
+    ("execute", 1, ("transfer", "execute"), "run"),
+    ("transfer", 2, ("transfer",), "transfer"),
+    ("compute", 2, ("execute",), "run"),
+    ("recovery", 1, ("recovery",), "recovery"),
 )
 
 
 def attribute(
     trace: Trace,
-    spans: Optional[list[Span]] = None,
     makespan: Optional[float] = None,
     worker_count: Optional[int] = None,
 ) -> Attribution:
-    """Aggregate span durations into the component table."""
-    if spans is None:
-        spans = build_spans(trace)
-
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    execute_by_job: dict[str, float] = {}
-    transfer_by_job: dict[str, float] = {}
-    jobs: set[str] = set()
-    for span in spans:
-        totals[span.name] = totals.get(span.name, 0.0) + span.duration
-        counts[span.name] = counts.get(span.name, 0) + 1
-        jobs.add(span.trace_id)
-        if span.name == "execute":
-            execute_by_job[span.trace_id] = (
-                execute_by_job.get(span.trace_id, 0.0) + span.duration
-            )
-        elif span.name == "transfer":
-            transfer_by_job[span.trace_id] = (
-                transfer_by_job.get(span.trace_id, 0.0) + span.duration
-            )
-
-    # Compute = execute minus overlapping transfer time, per job.
-    compute_total = 0.0
-    compute_count = 0
-    for job_id, execute_s in execute_by_job.items():
-        compute_total += max(0.0, execute_s - transfer_by_job.get(job_id, 0.0))
-        compute_count += 1
-    if compute_count:
-        totals["compute"] = compute_total
-        counts["compute"] = compute_count
+    """Sum every job's critical-path tiling into the component table."""
+    lives = [life for life in lifecycles(trace).values() if life.submitted is not None]
+    tiles = [tile(life) for life in lives]
+    counts = Counter(segment.category for life in lives for segment in life.segments)
+    counts["job"] = len(lives)
+    counts["contest"] = sum(w.end is not None for life in lives for w in life.contests)
+    counts["transfer"] = sum(len(life.downloads) for life in lives)
+    totals = {"job": sum(life.end - life.submitted for life in lives)}
+    for component, _depth, parts, _counted in _LAYOUT[1:]:
+        totals[component] = sum(categories[part] for categories in tiles for part in parts)
 
     rows = tuple(
-        AttributionRow(component, depth, totals[component], counts[component])
-        for component, depth in _LAYOUT
-        if component in totals
+        AttributionRow(component, depth, totals[component], counts[counted])
+        for component, depth, _parts, counted in _LAYOUT
+        if counts[counted]
     )
 
     if makespan is None:
         makespan = trace.events[-1].time - trace.events[0].time if trace.events else 0.0
     busy: Optional[float] = None
     if worker_count and makespan > 0:
-        busy = totals.get("execute", 0.0) / (worker_count * makespan)
+        busy = totals["execute"] / (worker_count * makespan)
 
-    return Attribution(rows, len(jobs), makespan, busy)
+    return Attribution(rows, len(lives), makespan, busy)
 
 
 def render_attribution(attribution: Attribution, width: int = 34) -> str:

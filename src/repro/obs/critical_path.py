@@ -5,19 +5,19 @@ module answers the run-level question: which *chain* of jobs set the
 makespan, and how does that chain's time split between scheduling,
 contests, queueing, data transfer, compute and recovery.
 
-Per-job segmentation
---------------------
-A job's interval ``[submitted, finished]`` is tiled exactly by walking
-its trace events as a state machine:
+Per-job tiling
+--------------
+A job's interval ``[submitted, finished]`` is tiled exactly by the
+segments of its :class:`~repro.metrics.analysis.Lifecycle` (the one
+reader of a job's trace events, which also feeds the span tree and the
+attribution table):
 
-* ``submitted -> assigned``   **schedule** (minus any overlap with the
-  job's ``announced -> contest_closed`` window, which is **contest**)
-* ``assigned -> started``     **queue** (offer/assignment in flight,
-  waiting in the worker FIFO)
-* ``started -> completed``    the run window, split into **transfer**
-  (the merged ``download_started -> download_finished`` sub-windows)
-  and **execute** (the remainder)
-* ``orphaned -> redispatched``  **recovery** (then back to schedule)
+* **schedule** segments, minus their overlap with the job's contest
+  windows, which is **contest**;
+* **queue** segments (assignment in flight, waiting in the worker FIFO);
+* **run** segments, split into **transfer** (the merged download
+  windows) and **execute** (the remainder);
+* **recovery** segments (an orphaned attempt until its re-dispatch).
 
 Because the segments are carved from one contiguous interval, the
 category totals of a job sum to its latency *exactly* -- no clamping,
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.metrics.analysis import Lifecycle, lifecycles
 from repro.metrics.trace import Trace
 
 #: Attribution categories, in reporting order.
@@ -93,20 +94,19 @@ class CriticalPath:
     #: job_id -> seconds between the job's completion and the end of
     #: the run, for every completed job (0.0 for the chain's last job).
     slack: dict
+    #: job_id -> :class:`JobBreakdown` of every completed job.
+    jobs: dict
 
 
 def _merge_windows(windows: list) -> list:
     """Merge possibly-overlapping (start, end) windows."""
-    if not windows:
-        return []
-    windows = sorted(windows)
-    merged = [list(windows[0])]
-    for lo, hi in windows[1:]:
-        if lo <= merged[-1][1]:
+    merged: list = []
+    for lo, hi in sorted(windows):
+        if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+    return merged
 
 
 def _overlap(lo: float, hi: float, windows: list) -> float:
@@ -117,85 +117,47 @@ def _overlap(lo: float, hi: float, windows: list) -> float:
     return total
 
 
+def tile(life: Lifecycle) -> dict:
+    """Tile one lifecycle's segments into categories (all but arrival).
+
+    The values sum to ``life.end - life.submitted``: schedule segments
+    split into **contest** (the merged contest windows) and **schedule**
+    (the rest), run segments into **transfer** (the merged download
+    windows) and **execute** (the rest).
+    """
+    contests = _merge_windows([(w.start, w.end) for w in life.contests if w.end is not None])
+    downloads = _merge_windows([(w.start, w.end) for w in life.downloads])
+    categories = {name: 0.0 for name in CATEGORIES if name != "arrival"}
+    for segment in life.segments:
+        span = segment.end - segment.start
+        if segment.category == "schedule":
+            contest_s = _overlap(segment.start, segment.end, contests)
+            categories["contest"] += contest_s
+            categories["schedule"] += span - contest_s
+        elif segment.category == "run":
+            transfer_s = _overlap(segment.start, segment.end, downloads)
+            categories["transfer"] += transfer_s
+            categories["execute"] += span - transfer_s
+        else:
+            categories[segment.category] += span
+    return categories
+
+
+def _breakdown(life: Lifecycle) -> JobBreakdown:
+    worker = life.segments[-1].worker  # the last attempt's
+    return JobBreakdown(life.job_id, life.submitted, life.end, worker, tile(life))
+
+
 def job_breakdown(trace: Trace, job_id: str) -> Optional[JobBreakdown]:
     """Tile one job's ``[submitted, finished]`` into categories.
 
     Returns ``None`` when the job never reached a terminal event
     (``completed`` or ``failed``) or was never submitted.
     """
-    events = trace.for_job(job_id)
-    submitted = finished = None
-    worker = None
-    # Sub-windows carved out of the segments they overlap.
-    contests: list = []
-    downloads: list = []
-    open_contest = open_download = None
-    # State-machine segments: (category, start, end).
-    segments: list = []
-    state: Optional[str] = None
-    mark = 0.0
-    for event in events:
-        kind = event.kind
-        if kind == "submitted":
-            if submitted is None:
-                submitted = event.time
-                state, mark = "schedule", event.time
-        elif kind == "announced":
-            open_contest = event.time
-        elif kind == "contest_closed":
-            if open_contest is not None:
-                contests.append((open_contest, event.time))
-                open_contest = None
-        elif kind == "assigned":
-            if state == "schedule":
-                segments.append(("schedule", mark, event.time))
-                state, mark = "queue", event.time
-            worker = event.worker
-        elif kind == "started":
-            if state == "queue":
-                segments.append(("queue", mark, event.time))
-                state, mark = "run", event.time
-        elif kind == "download_started":
-            open_download = event.time
-        elif kind == "download_finished":
-            if open_download is not None:
-                downloads.append((open_download, event.time))
-                open_download = None
-        elif kind == "orphaned":
-            if state is not None:
-                segments.append((state, mark, event.time))
-            state, mark = "recovery", event.time
-        elif kind == "redispatched":
-            if state == "recovery":
-                segments.append(("recovery", mark, event.time))
-            state, mark = "schedule", event.time
-        elif kind in ("completed", "failed"):
-            if finished is None:
-                finished = event.time
-                if state is not None:
-                    segments.append((state, mark, event.time))
-                state = None
-                if kind == "completed" and event.worker is not None:
-                    worker = event.worker
-    if submitted is None or finished is None:
+    life = lifecycles(trace).get(job_id)
+    if life is None or life.submitted is None or life.terminal is None:
         return None
-
-    contests = _merge_windows(contests)
-    downloads = _merge_windows(downloads)
-    categories = {name: 0.0 for name in CATEGORIES if name != "arrival"}
-    for category, lo, hi in segments:
-        span = hi - lo
-        if category == "schedule":
-            contest_s = _overlap(lo, hi, contests)
-            categories["contest"] += contest_s
-            categories["schedule"] += span - contest_s
-        elif category == "run":
-            transfer_s = _overlap(lo, hi, downloads)
-            categories["transfer"] += transfer_s
-            categories["execute"] += span - transfer_s
-        else:
-            categories[category] += span
-    return JobBreakdown(job_id, submitted, finished, worker, categories)
+    return _breakdown(life)
 
 
 def critical_path(trace: Trace) -> Optional[CriticalPath]:
@@ -206,62 +168,43 @@ def critical_path(trace: Trace) -> Optional[CriticalPath]:
     if not trace.events:
         return None
     start = trace.events[0].time
-    completions: dict[str, float] = {}
-    for event in trace.events:
-        if event.kind == "completed" and event.job_id not in completions:
-            completions[event.job_id] = event.time
-    if not completions:
+    jobs = {
+        life.job_id: _breakdown(life)
+        for life in lifecycles(trace).values()
+        if life.completed and life.submitted is not None
+    }
+    if not jobs:
         return None
 
     # The chain's tail: the last completion (ties broken by job id so
-    # the fixture is stable across dict-order accidents).
-    tail = max(completions, key=lambda job_id: (completions[job_id], job_id))
-    end = completions[tail]
-
-    # completion time -> job ids, for the backward predecessor walk.
-    by_finish: dict[float, list] = {}
-    for job_id, at in completions.items():
-        by_finish.setdefault(at, []).append(job_id)
-    for bucket in by_finish.values():
-        bucket.sort()
-
-    chain_ids: list = []
-    breakdowns: list = []
-    current: Optional[str] = tail
-    seen: set = set()
-    while current is not None and current not in seen:
-        seen.add(current)
-        breakdown = job_breakdown(trace, current)
-        if breakdown is None:
+    # the fixture is stable across dict-order accidents); each link's
+    # predecessor is the first job, in the same order, that completed
+    # at its submission instant.
+    by_finish = sorted(jobs.values(), key=lambda job: (job.finished, job.job_id))
+    end = by_finish[-1].finished
+    chain = [by_finish[-1]]
+    while True:
+        submitted = chain[-1].submitted
+        earlier = [j for j in by_finish if abs(j.finished - submitted) <= _TIE and j not in chain]
+        if not earlier:
             break
-        chain_ids.append(current)
-        breakdowns.append(breakdown)
-        predecessor = None
-        for at, bucket in by_finish.items():
-            if abs(at - breakdown.submitted) <= _TIE:
-                for job_id in bucket:
-                    if job_id not in seen:
-                        predecessor = job_id
-                        break
-                break
-        current = predecessor
-    chain_ids.reverse()
-    breakdowns.reverse()
+        chain.append(earlier[0])
+    chain.reverse()
 
     categories = {name: 0.0 for name in CATEGORIES}
-    categories["arrival"] = breakdowns[0].submitted - start if breakdowns else end - start
-    for breakdown in breakdowns:
+    categories["arrival"] = chain[0].submitted - start
+    for breakdown in chain:
         for name, value in breakdown.categories.items():
             categories[name] += value
 
-    slack = {job_id: end - at for job_id, at in completions.items()}
     return CriticalPath(
         start=start,
         makespan=end - start,
-        chain=tuple(chain_ids),
+        chain=tuple(job.job_id for job in chain),
         categories=categories,
-        breakdowns=tuple(breakdowns),
-        slack=slack,
+        breakdowns=tuple(chain),
+        slack={job_id: end - job.finished for job_id, job in jobs.items()},
+        jobs=jobs,
     )
 
 
@@ -300,4 +243,5 @@ __all__ = [
     "critical_path",
     "job_breakdown",
     "render_critical_path",
+    "tile",
 ]

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.metrics.trace import Trace
-from repro.obs.critical_path import (
-    CATEGORIES,
-    critical_path,
-    job_breakdown,
-)
+from repro.obs.critical_path import CATEGORIES, critical_path
 from repro.obs.ledger import DecisionLedger, DecisionRecord
 
 #: Explain-document schema version (bump on shape changes).
@@ -47,19 +43,15 @@ def explain_document(
     path = critical_path(trace)
     if path is None:
         raise ValueError("cannot explain a run with no completed job")
-    jobs: dict = {}
-    for event in trace.events:
-        if event.kind != "completed" or event.job_id in jobs:
-            continue
-        breakdown = job_breakdown(trace, event.job_id)
-        if breakdown is None:
-            continue
-        jobs[event.job_id] = {
+    jobs = {
+        job_id: {
             "submitted": breakdown.submitted,
             "finished": breakdown.finished,
             "worker": breakdown.worker,
             "categories": dict(breakdown.categories),
         }
+        for job_id, breakdown in path.jobs.items()
+    }
     return {
         "schema": EXPLAIN_SCHEMA,
         "meta": dict(meta or {}),

@@ -19,28 +19,26 @@ path the job took across master, broker and workers --
 Spans carry ``trace_id`` (the job id), a globally unique ``span_id`` and
 a ``parent_id``, so exporters can emit them as a connected tree and the
 coverage check can verify the submit -> complete path is linked end to
-end.  Construction is a pure post-hoc pass over the trace: it allocates
-no per-event state during the run and is deterministic for a fixed
-trace.
+end.  Construction is a post-hoc projection of each job's
+:class:`~repro.metrics.analysis.Lifecycle`: it allocates no per-event
+state during the run and is deterministic for a fixed trace.
 
 Live causal context is threaded separately: when observability is on,
 the master stamps a :class:`SpanContext` onto each
 :class:`~repro.engine.messages.Assignment` and the worker echoes it on
 the matching ``JobCompleted``, so cross-process correlation survives
 message reordering (see :mod:`repro.obs.recorder`).  This module only
-depends on the trace, keeping ``repro.obs`` importable from
+depends on :mod:`repro.metrics`, keeping ``repro.obs`` importable from
 ``engine.messages`` without cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.metrics.trace import Trace, TraceEvent
-
-#: Placeholder job id used by fleet-level events (joins, faults).
-FLEET = "-"
+from repro.metrics.analysis import lifecycles
+from repro.metrics.trace import FLEET, Trace
 
 
 @dataclass(frozen=True)
@@ -80,183 +78,80 @@ class Span:
         return default
 
 
-def _first(events: list[TraceEvent], kind: str) -> Optional[TraceEvent]:
-    for event in events:
-        if event.kind == kind:
-            return event
-    return None
-
-
 def build_spans(trace: Trace) -> list[Span]:
-    """Reconstruct the span forest for every job in ``trace``.
+    """Project every job's :class:`~repro.metrics.analysis.Lifecycle`
+    onto the span forest.
 
-    Jobs appear in first-submission order; span ids are allocated
-    sequentially so output is deterministic for a fixed trace.  Jobs
-    with no terminal event (still running when the trace was cut) get an
-    open root clamped to the trace horizon.
+    Jobs appear in first-appearance order; span ids are allocated
+    sequentially so output is deterministic for a fixed trace.  Each
+    lifecycle segment becomes one span -- ``schedule`` and ``recovery``
+    on the master track, ``queued`` and ``execute`` on the attempt's
+    worker -- with the attempt's contests and offers under its
+    ``schedule`` span, clipped to it.  A download inside a run on its
+    worker hangs off that ``execute`` span, any other (a prefetch) off
+    the root.  Jobs with no terminal event (still running when the trace
+    was cut) get an open root clamped to the trace horizon.
     """
     spans: list[Span] = []
-    horizon = trace.events[-1].time if trace.events else 0.0
-    next_id = 1
 
-    def make(
-        name: str,
-        trace_id: str,
-        parent: Optional[int],
-        start: float,
-        end: float,
-        track: str,
-        attrs: tuple[tuple[str, object], ...] = (),
-    ) -> Span:
-        nonlocal next_id
-        span = Span(name, trace_id, next_id, parent, start, max(start, end), track, attrs)
-        next_id += 1
+    def make(name, parent, start, end, track, attrs=()) -> Span:
+        # A span of the job being projected (``job_id`` of the loop below).
+        span = Span(name, job_id, len(spans) + 1, parent, start, max(start, end), track, attrs)
         spans.append(span)
         return span
 
-    seen: set[str] = set()
-    job_order: list[str] = []
-    for event in trace.events:
-        if event.job_id != FLEET and event.job_id not in seen:
-            seen.add(event.job_id)
-            job_order.append(event.job_id)
-
-    for job_id in job_order:
-        events = trace.for_job(job_id)
-        submitted = _first(events, "submitted")
-        if submitted is None:
-            # Shed-only or synthetic entries have no lifecycle to span.
-            continue
-        completed = _first(events, "completed")
-        failed = _first(events, "failed")
-        terminal = completed if completed is not None else failed
-        status = (
-            "completed"
-            if completed is not None
-            else ("failed" if failed is not None else "open")
-        )
-        root_end = terminal.time if terminal is not None else horizon
+    for job_id, life in lifecycles(trace).items():
+        if life.submitted is None:
+            continue  # shed-only or synthetic entries have no lifecycle to span
+        terminal = life.terminal
         root = make(
             "job",
-            job_id,
             None,
-            submitted.time,
-            root_end,
+            life.submitted,
+            life.end,
             "master",
-            (("status", status), ("worker", terminal.worker if terminal else None)),
-        )
-
-        assigned = _first(events, "assigned")
-        if assigned is not None:
-            schedule = make(
-                "schedule",
-                job_id,
-                root.span_id,
-                submitted.time,
-                assigned.time,
-                "master",
-                (("worker", assigned.worker),),
+            (
+                ("status", terminal.kind if terminal else "open"),
+                ("worker", terminal.worker if terminal else None),
+            ),
+        ).span_id
+        runs: list[Span] = []
+        for index, (category, start, end, worker) in enumerate(life.segments):
+            if category == "schedule":
+                schedule = make("schedule", root, start, end, "master", (("worker", worker),))
+                for contest in life.contests:
+                    if contest.attempt == index:
+                        closed = end if contest.end is None else min(contest.end, end)
+                        attrs = (
+                            ("bids", contest.bids),
+                            ("outcome", contest.detail),
+                            ("winner", contest.worker),
+                        )
+                        make("contest", schedule.span_id, contest.start, closed, "master", attrs)
+                for offer in life.offers:
+                    if offer.attempt == index:
+                        answered = offer.start if offer.end is None else min(offer.end, end)
+                        attrs = (("worker", offer.worker), ("outcome", offer.detail or "open"))
+                        make("offer", schedule.span_id, offer.start, answered, "master", attrs)
+            elif category == "recovery":
+                make("recovery", root, start, end, "master", (("lost_worker", worker),))
+            elif category == "queue":
+                make("queued", root, start, end, worker or "?")
+            else:
+                runs.append(make("execute", root, start, end, worker or "?"))
+        for download in life.downloads:
+            parent = next(
+                (
+                    run.span_id
+                    for run in runs
+                    if run.track == download.worker
+                    and run.start <= download.start
+                    and download.end <= run.end
+                ),
+                root,
             )
-            announced = _first(events, "announced")
-            closed = _first(events, "contest_closed")
-            if announced is not None:
-                bids = sum(1 for e in events if e.kind == "bid")
-                close_time = closed.time if closed is not None else assigned.time
-                make(
-                    "contest",
-                    job_id,
-                    schedule.span_id,
-                    announced.time,
-                    close_time,
-                    "master",
-                    (
-                        ("bids", bids),
-                        ("outcome", closed.detail if closed else None),
-                        ("winner", closed.worker if closed else None),
-                    ),
-                )
-            for index, event in enumerate(events):
-                if event.kind != "offered":
-                    continue
-                outcome: Optional[TraceEvent] = None
-                for later in events[index + 1 :]:
-                    if later.kind in ("accepted", "rejected") and later.worker == event.worker:
-                        outcome = later
-                        break
-                make(
-                    "offer",
-                    job_id,
-                    schedule.span_id,
-                    event.time,
-                    outcome.time if outcome is not None else event.time,
-                    "master",
-                    (
-                        ("worker", event.worker),
-                        ("outcome", outcome.kind if outcome is not None else "open"),
-                    ),
-                )
-
-        started = _first(events, "started")
-        execute: Optional[Span] = None
-        if started is not None:
-            worker = started.worker or "?"
-            make("queued", job_id, root.span_id, assigned.time if assigned else submitted.time, started.time, worker)
-            execute_end = completed.time if completed is not None else root_end
-            execute = make(
-                "execute",
-                job_id,
-                root.span_id,
-                started.time,
-                execute_end,
-                worker,
-            )
-
-        # Pair clone windows per worker; prefetch downloads may finish
-        # before the job even starts, so they hang off the root instead
-        # of the execute span.
-        open_downloads: dict[Optional[str], TraceEvent] = {}
-        for event in events:
-            if event.kind == "download_started":
-                open_downloads[event.worker] = event
-            elif event.kind == "download_finished":
-                begin = open_downloads.pop(event.worker, None)
-                if begin is None:
-                    continue
-                inside_execute = (
-                    execute is not None
-                    and begin.time >= execute.start
-                    and event.time <= execute.end
-                    and begin.worker == execute.track
-                )
-                parent = execute.span_id if inside_execute else root.span_id
-                make(
-                    "transfer",
-                    job_id,
-                    parent,
-                    begin.time,
-                    event.time,
-                    event.worker or "?",
-                    (("mb", event.detail),),
-                )
-
-        for index, event in enumerate(events):
-            if event.kind != "orphaned":
-                continue
-            redispatch: Optional[TraceEvent] = None
-            for later in events[index + 1 :]:
-                if later.kind == "redispatched":
-                    redispatch = later
-                    break
-            make(
-                "recovery",
-                job_id,
-                root.span_id,
-                event.time,
-                redispatch.time if redispatch is not None else root_end,
-                "master",
-                (("lost_worker", event.worker),),
-            )
-
+            attrs = (("mb", download.detail),)
+            make("transfer", parent, download.start, download.end, download.worker or "?", attrs)
     return spans
 
 
@@ -281,45 +176,29 @@ def span_coverage(trace: Trace, spans: Optional[list[Span]] = None) -> SpanCover
     A job counts as connected when its root ``job`` span is closed with
     status ``completed`` and -- if the job actually ran on a worker --
     an ``execute`` span parented (directly) under that root reaches the
-    completion time.  Jobs resolved inline by the master (no ``started``
-    event) are connected through the root alone.
+    completion time.  Jobs resolved inline by the master (no run) are
+    connected through the root alone.
     """
     if spans is None:
         spans = build_spans(trace)
-    by_job: dict[str, list[Span]] = {}
-    for span in spans:
-        by_job.setdefault(span.trace_id, []).append(span)
-
-    completed_ids: list[str] = []
-    seen: set[str] = set()
-    for event in trace.of_kind("completed"):
-        if event.job_id not in seen:
-            seen.add(event.job_id)
-            completed_ids.append(event.job_id)
-
-    connected = 0
-    disconnected: list[str] = []
-    for job_id in completed_ids:
-        job_spans = by_job.get(job_id, [])
-        root = next((s for s in job_spans if s.name == "job"), None)
-        if root is None or root.attr("status") != "completed":
-            disconnected.append(job_id)
-            continue
-        ran_on_worker = trace.first("started", job_id) is not None
-        if ran_on_worker:
-            execute = next(
-                (
-                    s
-                    for s in job_spans
-                    if s.name == "execute" and s.parent_id == root.span_id
-                ),
-                None,
-            )
-            if execute is None or execute.end < root.end - 1e-9:
-                disconnected.append(job_id)
-                continue
-        connected += 1
-    return SpanCoverage(len(completed_ids), connected, tuple(disconnected))
+    roots = {span.trace_id: span for span in spans if span.name == "job"}
+    reached = {
+        span.trace_id
+        for span in spans
+        if span.name == "execute"
+        and (root := roots.get(span.trace_id)) is not None
+        and span.parent_id == root.span_id
+        and span.end >= root.end - 1e-9
+    }
+    completed = [life for life in lifecycles(trace).values() if life.completed]
+    disconnected = tuple(
+        life.job_id
+        for life in completed
+        if life.job_id not in roots
+        or roots[life.job_id].attr("status") != "completed"
+        or (any(seg.category == "run" for seg in life.segments) and life.job_id not in reached)
+    )
+    return SpanCoverage(len(completed), len(completed) - len(disconnected), disconnected)
 
 
 __all__ = ["FLEET", "Span", "SpanContext", "SpanCoverage", "build_spans", "span_coverage"]

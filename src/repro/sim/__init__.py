@@ -9,15 +9,13 @@ kernel.  It provides:
   (:class:`~repro.sim.kernel.TimerHandle`) for hot internal timers that
   need no Event/Process machinery,
 * :class:`~repro.sim.events.Event` and friends -- one-shot triggerable
-  events with callbacks, plus :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AnyOf` and :class:`~repro.sim.events.AllOf`
-  condition events,
+  events with callbacks, plus :class:`~repro.sim.events.Timeout` and the
+  :class:`~repro.sim.events.AnyOf` condition event,
 * :class:`~repro.sim.process.Process` -- generator-based cooperative
   processes that ``yield`` events to wait on them, with interrupt support,
 * queueing primitives in :mod:`repro.sim.resources` --
-  :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.PriorityStore` and
-  :class:`~repro.sim.resources.Resource`,
+  :class:`~repro.sim.resources.Store` and
+  :class:`~repro.sim.resources.PriorityResource`,
 * deterministic stream-split random number utilities in
   :mod:`repro.sim.rng`.
 
@@ -39,28 +37,19 @@ Example
 [2.0]
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, EventFailed, Timeout
+from repro.sim.events import AnyOf, Event, EventFailed, Timeout
 from repro.sim.kernel import Simulator, StopSimulation, TimerHandle
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import (
-    Container,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams, split_seed, substream
 
 __all__ = [
-    "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "EventFailed",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "RandomStreams",
-    "Resource",
     "Simulator",
     "StopSimulation",
     "Store",

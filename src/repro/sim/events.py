@@ -208,14 +208,14 @@ class _PooledTimeout(Timeout):
     contract: the sole consumer yields it immediately and drops every
     reference once resumed, so the kernel run loop can return the
     instance to the simulator's free pool the moment its callbacks have
-    run.  Never hand one to :class:`AnyOf`/:class:`AllOf` or store it.
+    run.  Never hand one to :class:`AnyOf` or store it.
     """
 
     __slots__ = ()
 
 
 class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite events.
+    """Base for the :class:`AnyOf` composite event.
 
     The condition value is a dict mapping each *triggered* constituent
     event to its value, in trigger order.
@@ -255,15 +255,6 @@ class _Condition(Event):
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers once *all* constituent events have succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._pending_count == 0
 
 
 class AnyOf(_Condition):

@@ -160,7 +160,7 @@ class Simulator:
         simulator's free pool as soon as it has been processed.  Use it
         only for the ubiquitous ``yield sim.sleep(d)`` pattern where the
         event is yielded immediately and never referenced afterwards; in
-        particular, never store it or pass it to ``AnyOf``/``AllOf``.
+        particular, never store it or pass it to ``AnyOf``.
         """
         pool = self._timeout_pool
         if not pool:

@@ -1,13 +1,10 @@
 """Queueing primitives built on the event kernel.
 
 * :class:`Store` -- an unbounded-or-bounded FIFO buffer of Python objects
-  (the workhorse: message queues, job queues, mailboxes).
-* :class:`PriorityStore` -- like :class:`Store` but items are retrieved
-  smallest-first (items must be orderable, e.g. ``(priority, seq, item)``).
-* :class:`Resource` -- a counted resource with ``request``/``release``
-  semantics (e.g. CPU slots).
-* :class:`Container` -- a continuous-quantity tank with ``put``/``get``
-  of float amounts (e.g. byte budgets).
+  (the bidding contest runner's pending jobs, a broker subscription's
+  queue).
+* :class:`PriorityResource` -- a counted resource with ``request`` /
+  ``release`` whose waiters are granted lowest-priority-value first.
 
 All operations return events; processes ``yield`` them.  Get-events
 succeed with the retrieved item; put-events succeed with ``None``.
@@ -143,64 +140,6 @@ class Store:
                     break
 
 
-class PriorityStore(Store):
-    """A :class:`Store` whose items are retrieved smallest-first.
-
-    Items must be mutually orderable; the conventional shape is a tuple
-    ``(priority, tie_breaker, payload)``.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        super().__init__(sim, capacity)
-        self.items: list[Any] = []  # heap
-
-    def _store_item(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _take_item(self, event: StoreGet) -> Any:
-        return heapq.heappop(self.items)
-
-
-class Resource:
-    """A counted resource: at most ``capacity`` holders at a time."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.users: list[Event] = []
-        self._queue: deque[Event] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self.users)
-
-    def request(self) -> Event:
-        """Request one unit; the returned event succeeds on acquisition."""
-        event = Event(self.sim)
-        self._queue.append(event)
-        self._trigger()
-        return event
-
-    def release(self, request: Event) -> None:
-        """Release a previously granted ``request``."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise RuntimeError("release of a request that does not hold the resource")
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            event = self._queue.popleft()
-            if event.triggered:
-                continue
-            self.users.append(event)
-            event.succeed()
-
-
 class PriorityResource:
     """A counted resource whose waiters are granted lowest-priority-value
     first (FIFO within a priority level).
@@ -252,68 +191,3 @@ class PriorityResource:
                 continue
             self.users.append(event)
             event.succeed()
-
-
-class Container:
-    """A continuous-quantity tank (floats) with blocking put/get.
-
-    Useful for modelling byte budgets, token buckets, and storage space.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = float(init)
-        self._puts: deque[tuple[Event, float]] = deque()
-        self._gets: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current contents."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks while it would overflow ``capacity``."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim)
-        self._puts.append((event, amount))
-        self._trigger()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks until that much is available."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim)
-        self._gets.append((event, amount))
-        self._trigger()
-        return event
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._puts:
-                event, amount = self._puts[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._puts.popleft()
-                    event.succeed()
-                    progress = True
-            if self._gets:
-                event, amount = self._gets[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._gets.popleft()
-                    event.succeed(amount)
-                    progress = True

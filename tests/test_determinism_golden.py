@@ -84,8 +84,8 @@ def test_scale_cells_are_bit_identical():
     ``baseline`` cell with ``obs`` + ``check`` + ``trace`` on): full
     result rows, per-worker bid counts, and the observed cells' trace /
     flow / decision digests."""
-    from repro.experiments.golden import explain_scale_drift, record_scale
+    from repro.experiments.golden import explain_drift, record_scale
 
     committed = json.loads(SCALE_PATH.read_text(encoding="utf-8"))
     current = record_scale()
-    assert current == committed, "\n".join(explain_scale_drift(committed, current))
+    assert current == committed, "\n".join(explain_drift(committed, current))

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.metrics.analysis import allocation_delays, job_latencies
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import (
     RunResult,
-    aggregate,
     format_table,
     mean,
     percent_change,
@@ -51,14 +51,14 @@ class TestTrace:
         trace = Trace()
         trace.record(1.0, "submitted", "j1")
         trace.record(9.0, "completed", "j1")
-        assert trace.job_latency("j1") == pytest.approx(8.0)
-        assert trace.job_latency("missing") is None
+        assert job_latencies(trace)["j1"] == pytest.approx(8.0)
+        assert "missing" not in job_latencies(trace)
 
     def test_allocation_delay(self):
         trace = Trace()
         trace.record(1.0, "submitted", "j1")
         trace.record(2.5, "assigned", "j1", worker="w")
-        assert trace.allocation_delay("j1") == pytest.approx(1.5)
+        assert allocation_delays(trace)["j1"] == pytest.approx(1.5)
 
     def test_first_returns_earliest(self):
         trace = Trace()
@@ -82,22 +82,6 @@ class TestTrace:
         # Truncation overshoots the watermark -> full rebuild.
         trace.events[:] = trace.events[:1]
         assert [e.kind for e in trace.for_job("j1")] == ["submitted"]
-
-    def test_index_blind_to_same_length_mutation_until_reset(self):
-        # The documented contract in Trace.for_job: in-place replacement
-        # at the same length is NOT detected; post-hoc surgery must
-        # reset _by_job to force a rebuild.
-        trace = Trace()
-        trace.record(1.0, "submitted", "j1")
-        trace.record(2.0, "completed", "j1", worker="w1")
-        assert len(trace.for_job("j1")) == 2
-        trace.events[1] = TraceEvent(2.0, "completed", "j2", "w1")
-        # Stale: the index still serves the old event under j1.
-        assert len(trace.for_job("j1")) == 2
-        assert trace.for_job("j2") == []
-        trace._by_job = None
-        assert [e.kind for e in trace.for_job("j1")] == ["submitted"]
-        assert [e.job_id for e in trace.for_job("j2")] == ["j2"]
 
 
 class TestCollector:
@@ -170,24 +154,6 @@ class TestReport:
         )
         base.update(overrides)
         return RunResult(**base)
-
-    def test_aggregate_means(self):
-        rows = [
-            self.make_result(iteration=0, makespan_s=100.0, cache_misses=10),
-            self.make_result(iteration=1, makespan_s=200.0, cache_misses=20),
-        ]
-        agg = aggregate(rows)
-        assert agg.mean_makespan_s == pytest.approx(150.0)
-        assert agg.mean_cache_misses == pytest.approx(15.0)
-        assert agg.runs == 2
-
-    def test_aggregate_rejects_mixed_cells(self):
-        with pytest.raises(ValueError):
-            aggregate([self.make_result(), self.make_result(scheduler="baseline")])
-
-    def test_aggregate_rejects_empty(self):
-        with pytest.raises(ValueError):
-            aggregate([])
 
     def test_speedup_and_percent_change(self):
         assert speedup(200.0, 100.0) == pytest.approx(2.0)

@@ -1,7 +1,7 @@
 """Sim-time attribution: totals, compute derivation, rendering."""
 
 from repro.metrics.trace import Trace
-from repro.obs import attribute, build_spans, render_attribution
+from repro.obs import attribute, render_attribution
 
 
 def two_job_trace() -> Trace:
@@ -81,8 +81,3 @@ class TestRender:
         assert "transfer" in text and "compute" in text
         assert "#" in text  # proportional bars
         assert "fleet busy fraction: 50.0%" in text
-
-    def test_spans_reused_when_supplied(self):
-        trace = two_job_trace()
-        spans = build_spans(trace)
-        assert attribute(trace, spans) == attribute(trace)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, EventFailed, Simulator, Timeout
+from repro.sim import AnyOf, Event, EventFailed, Simulator, Timeout
 
 
 @pytest.fixture
@@ -150,18 +150,6 @@ class TestTimeout:
 
 
 class TestConditions:
-    def test_allof_waits_for_all(self, sim):
-        t1, t2 = sim.timeout(1.0, "a"), sim.timeout(2.0, "b")
-        condition = AllOf(sim, [t1, t2])
-        sim.run()
-        assert condition.processed
-        assert condition.value == {t1: "a", t2: "b"}
-
-    def test_allof_empty_is_immediate(self, sim):
-        condition = AllOf(sim, [])
-        assert condition.triggered
-        assert condition.value == {}
-
     def test_anyof_fires_on_first(self, sim):
         t1, t2 = sim.timeout(1.0, "fast"), sim.timeout(5.0, "slow")
 
@@ -178,20 +166,7 @@ class TestConditions:
         condition = AnyOf(sim, [done, sim.timeout(10.0)])
         assert condition.triggered
 
-    def test_allof_fails_if_member_fails(self, sim):
-        bad = sim.event()
-        condition = AllOf(sim, [sim.timeout(1.0), bad]).defuse()
-        bad.fail(ValueError("member"))
-        sim.run()
-        assert isinstance(condition.exception, ValueError)
-
     def test_condition_rejects_foreign_events(self, sim):
         other = Simulator()
         with pytest.raises(ValueError):
-            AllOf(sim, [sim.timeout(1.0), other.timeout(1.0)])
-
-    def test_allof_value_preserves_event_mapping(self, sim):
-        events = [sim.timeout(i + 1.0, chr(97 + i)) for i in range(4)]
-        condition = AllOf(sim, events)
-        sim.run()
-        assert [condition.value[e] for e in events] == ["a", "b", "c", "d"]
+            AnyOf(sim, [sim.timeout(1.0), other.timeout(1.0)])

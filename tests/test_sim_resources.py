@@ -1,8 +1,8 @@
-"""Unit tests for Store, PriorityStore, Resource and Container."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.sim import Container, PriorityStore, Resource, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 @pytest.fixture
@@ -88,126 +88,3 @@ class TestStore:
     def test_invalid_capacity_rejected(self, sim):
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
-
-
-class TestPriorityStore:
-    def test_items_retrieved_smallest_first(self, sim):
-        store = PriorityStore(sim)
-        for priority in (3, 1, 2):
-            store.put((priority, f"job-{priority}"))
-        received = []
-
-        def consumer(sim, store):
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        sim.process(consumer(sim, store))
-        sim.run()
-        assert received == [(1, "job-1"), (2, "job-2"), (3, "job-3")]
-
-    def test_later_lower_priority_jumps_queue(self, sim):
-        store = PriorityStore(sim)
-        received = []
-
-        def consumer(sim, store):
-            yield sim.timeout(1.0)
-            for _ in range(2):
-                item = yield store.get()
-                received.append(item)
-
-        store.put((5, "low"))
-        store.put((1, "high"))
-        sim.process(consumer(sim, store))
-        sim.run()
-        assert received == [(1, "high"), (5, "low")]
-
-
-class TestResource:
-    def test_capacity_respected(self, sim):
-        resource = Resource(sim, capacity=2)
-        concurrency = []
-
-        def user(sim, resource):
-            request = resource.request()
-            yield request
-            concurrency.append(resource.count)
-            yield sim.timeout(1.0)
-            resource.release(request)
-
-        for _ in range(5):
-            sim.process(user(sim, resource))
-        sim.run()
-        assert max(concurrency) <= 2
-
-    def test_fifo_grant_order(self, sim):
-        resource = Resource(sim, capacity=1)
-        grants = []
-
-        def user(sim, resource, name):
-            request = resource.request()
-            yield request
-            grants.append(name)
-            yield sim.timeout(1.0)
-            resource.release(request)
-
-        for name in ("a", "b", "c"):
-            sim.process(user(sim, resource, name))
-        sim.run()
-        assert grants == ["a", "b", "c"]
-
-    def test_release_without_hold_raises(self, sim):
-        resource = Resource(sim, capacity=1)
-        stray = sim.event()
-        with pytest.raises(RuntimeError):
-            resource.release(stray)
-
-    def test_invalid_capacity_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self, sim):
-        container = Container(sim, capacity=100.0)
-
-        def getter(sim, container):
-            yield container.get(30.0)
-            return sim.now
-
-        def putter(sim, container):
-            yield sim.timeout(2.0)
-            yield container.put(50.0)
-
-        getter_proc = sim.process(getter(sim, container))
-        sim.process(putter(sim, container))
-        assert sim.run(getter_proc) == 2.0
-        assert container.level == 20.0
-
-    def test_put_blocks_at_capacity(self, sim):
-        container = Container(sim, capacity=10.0, init=10.0)
-
-        def putter(sim, container):
-            yield container.put(5.0)
-            return sim.now
-
-        def drainer(sim, container):
-            yield sim.timeout(3.0)
-            yield container.get(8.0)
-
-        putter_proc = sim.process(putter(sim, container))
-        sim.process(drainer(sim, container))
-        assert sim.run(putter_proc) == 3.0
-
-    def test_init_bounds_validated(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=5.0, init=6.0)
-        with pytest.raises(ValueError):
-            Container(sim, capacity=0.0)
-
-    def test_negative_amounts_rejected(self, sim):
-        container = Container(sim, capacity=10.0)
-        with pytest.raises(ValueError):
-            container.put(-1.0)
-        with pytest.raises(ValueError):
-            container.get(-1.0)
