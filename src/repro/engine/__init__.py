@@ -14,7 +14,8 @@ messaging instance.
 * :mod:`repro.engine.messages` -- the wire protocol,
 * :mod:`repro.engine.worker`   -- the worker runtime,
 * :mod:`repro.engine.master`   -- the master runtime,
-* :mod:`repro.engine.runtime`  -- assembly + single-run driver.
+* :mod:`repro.engine.runtime`  -- the one host (``Deployment``) and
+  the workflow driver on it.
 
 Real (wall-clock, multi-process) execution of the same decisions lives
 in :mod:`repro.exec`.

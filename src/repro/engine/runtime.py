@@ -1,21 +1,21 @@
-"""Workflow assembly and single-run driver.
+"""Deployment assembly and the workflow driver.
 
-:class:`WorkflowRuntime` wires a complete simulated deployment -- the
+:class:`Deployment` wires a complete simulated deployment once -- the
 simulator, topology/broker, a master, one worker node per spec, caches,
-machines with noise -- around a chosen scheduler policy, runs the
-workflow to completion, and produces the frozen
-:class:`~repro.metrics.report.RunResult`.
+machines with noise, the fault injector and the reconfiguration
+controller -- around a chosen scheduler policy.  A fixed workflow and an
+open-loop service are two ways of feeding it jobs (ARCHITECTURE section
+6): :class:`WorkflowRuntime` hands the master a job stream, runs it to
+completion and produces the frozen
+:class:`~repro.metrics.report.RunResult`;
+:class:`repro.serve.ServiceRuntime` feeds it an arrival process through
+admission control and resizes the fleet.
 
-It also supports the cross-iteration cache persistence the paper's
-methodology depends on ("we cannot see job allocation occurring with
-respect to data storage unless workers have files saved from previous
-executions", Section 6.3.1): pass ``initial_caches`` from a previous
-run's :meth:`WorkflowRuntime.cache_snapshot`.
-
-The *open-loop* sibling -- a long-running service fed by an arrival
-process instead of a fixed stream, with admission control and an
-elastic worker pool -- lives in :class:`repro.serve.ServiceRuntime`;
-both share :func:`build_worker_node` for node wiring.
+The workflow also supports the cross-iteration cache persistence the
+paper's methodology depends on ("we cannot see job allocation occurring
+with respect to data storage unless workers have files saved from
+previous executions", Section 6.3.1): pass ``initial_caches`` from a
+previous run's :meth:`WorkflowRuntime.cache_snapshot`.
 """
 
 from __future__ import annotations
@@ -132,58 +132,6 @@ class EngineConfig:
         return as_obs_config(self.obs)
 
 
-def build_worker_node(
-    sim: Simulator,
-    topology,
-    spec,
-    scheduler: SchedulerPolicy,
-    metrics: MetricsCollector,
-    pipeline: Pipeline,
-    config: EngineConfig,
-    fleet: FleetState,
-    noise_rng,
-    origin=None,
-    initial_cache: Optional[dict[str, float]] = None,
-    monitor: Optional[InvariantMonitor] = None,
-    obs: Optional[ObsRecorder] = None,
-) -> WorkerNode:
-    """Wire one worker node (machine + cache + policy) for a run.
-
-    Shared by :class:`WorkflowRuntime` and the service layer's
-    ``ServiceRuntime`` (which also calls it mid-run for elastic
-    scale-up, with a cold ``initial_cache``).
-    """
-    cache = WorkerCache(capacity_mb=spec.cache_capacity_mb)
-    if initial_cache:
-        cache.preload(initial_cache)
-        if monitor is not None:
-            # Warm clones count as prior fetches for the
-            # cache-hit-requires-fetch law.
-            monitor.on_cache_preload(spec.name, initial_cache)
-    machine = Machine(
-        sim,
-        spec,
-        network_noise=make_noise(config.noise_kind, **config.noise_params),
-        rw_noise=make_noise(config.noise_kind, **config.noise_params),
-        rng=noise_rng,
-        upstream=origin,
-    )
-    node = WorkerNode(
-        sim=sim,
-        topology=topology,
-        machine=machine,
-        cache=cache,
-        policy=scheduler.make_worker(),
-        metrics=metrics,
-        fleet=fleet,
-        pipeline=pipeline,
-        prefetch=config.prefetch,
-    )
-    node.monitor = monitor
-    node.obs = obs
-    return node
-
-
 class WorkflowStalled(RuntimeError):
     """The run terminated with permanently failed jobs.
 
@@ -205,48 +153,6 @@ class WorkflowStalled(RuntimeError):
         self.failed_jobs = dict(failed_jobs)
 
 
-def restart_worker(host, name: str) -> WorkerNode:
-    """Rebuild a dead worker in-place on a running host.
-
-    Shared restart path for :class:`WorkflowRuntime` and
-    :class:`repro.serve.ServiceRuntime` (the ``host``): unsubscribes the
-    dead node's mailbox (so its dead-letter bounce stops shadowing the
-    replacement), wires a fresh node -- warm cache if the fault plan
-    keeps it -- re-admits the name via :meth:`Master.revive_worker`, and
-    starts the node.  The fresh node takes the dead one's fleet slot,
-    resetting its count/liveness planes and re-syncing the cache row
-    (warm or cold per the fault plan).  The noise RNG substream is
-    memoized per worker name, so the replacement continues the same
-    stream and the run stays seed-deterministic.
-    """
-    old = host.workers[name]
-    host.topology.broker.unsubscribe(old.inbox)
-    plan = getattr(host, "faults", None)
-    keep_cache = plan.restart_keeps_cache if plan is not None else True
-    node = build_worker_node(
-        host.sim,
-        host.topology,
-        old.spec,
-        host.scheduler,
-        host.metrics,
-        host.pipeline,
-        host.config,
-        host.fleet,
-        noise_rng=host._streams.get("noise", name),
-        origin=host._origin,
-        initial_cache=old.cache.contents() if keep_cache else None,
-        monitor=getattr(host, "monitor", None),
-        obs=getattr(host, "obs", None),
-    )
-    host.workers[name] = node
-    host.master.revive_worker(name)
-    node.start()
-    policy = host._master_policy
-    if hasattr(policy, "cache_view"):
-        policy.cache_view[name] = set(node.cache.contents())
-    return node
-
-
 def single_task_pipeline() -> Pipeline:
     """The trivial pipeline used by the Section 6.3 controlled runs:
     a lone ``RepositoryAnalyzer`` consuming analysis jobs, no children."""
@@ -257,8 +163,280 @@ def single_task_pipeline() -> Pipeline:
     return pipeline
 
 
-class WorkflowRuntime:
-    """One fully wired workflow run."""
+class Deployment:
+    """The host both runtimes share: one wired deployment.
+
+    ``salt`` is mixed into the master seed to derive the run's random
+    streams, which keeps runs on one seed decorrelated (the workflow
+    salts with its iteration, the service with ``("service",)``).
+    ``stream`` is the master's job source, ``None`` for external intake.
+    Each runtime adds its own gauges (:meth:`_runtime_probes`), its
+    intake and its deadline message (:meth:`_stall_message`).
+    """
+
+    def __init__(
+        self,
+        profile: WorkerProfile,
+        scheduler: SchedulerPolicy,
+        config: Optional[EngineConfig],
+        salt: tuple,
+        stream: Optional[JobStream] = None,
+        pipeline: Optional[Pipeline] = None,
+        pipeline_factory: Optional[object] = None,
+        initial_caches: Optional[dict[str, dict[str, float]]] = None,
+        faults: Optional[FaultPlan] = None,
+        reconfig: Optional[object] = None,
+    ) -> None:
+        self.profile = profile
+        self.scheduler = scheduler
+        self.config = config = config or EngineConfig()
+        self.faults = faults
+        self.injector: Optional[FaultInjector] = None
+        #: Live-reconfiguration plan (see :mod:`repro.reconfig`), or
+        #: ``None``; typed loosely to keep the import graph acyclic and
+        #: the plan-free path import-free.
+        self.reconfig = reconfig
+        self.reconfig_controller = None
+        #: Override for the controller class (the planted buggy migrator
+        #: swaps itself in here); ``None`` uses the real controller.
+        self.reconfig_controller_factory = None
+
+        self._streams = streams = RandomStreams(split_seed(config.seed, *salt))
+        self.sim = Simulator()
+        self.metrics = MetricsCollector()
+        self.metrics.trace.enabled = config.trace
+        check_cfg = config.check_config()
+        #: Live invariant checker (see :mod:`repro.check`), or ``None``.
+        self.monitor: Optional[InvariantMonitor] = (
+            InvariantMonitor(check_cfg) if check_cfg is not None else None
+        )
+        self.metrics.monitor = self.monitor
+        if self.monitor is not None:
+            # Violations enrich themselves with the offending job's
+            # lifecycle, read off the trace.
+            self.monitor.trace = self.metrics.trace
+        obs_cfg = config.obs_config()
+        #: Live observability recorder (see :mod:`repro.obs`), or ``None``.
+        self.obs: Optional[ObsRecorder] = (
+            ObsRecorder(self.sim, obs_cfg) if obs_cfg is not None else None
+        )
+        # The pipeline may need simulation-bound services (e.g. the
+        # GitHub model), hence the factory variant taking the fresh sim.
+        if pipeline is None:
+            pipeline = (
+                pipeline_factory(self.sim) if pipeline_factory is not None else single_task_pipeline()
+            )
+        self.pipeline = pipeline
+
+        names = [spec.name for spec in profile.specs]
+        self.topology = Topology.build(
+            self.sim, names + ["master"], config.topology, rng=streams.get("topology")
+        )
+        broker = self.topology.broker
+        if config.message_loss > 0:
+            broker.drop_probability = config.message_loss
+            broker.rng = streams.get("message-loss")
+        broker.monitor = self.monitor
+        broker.obs = self.obs
+        self._origin: Optional[FairSharePipe] = None
+        if config.shared_origin_mbps is not None:
+            self._origin = FairSharePipe(self.sim, capacity_mbps=config.shared_origin_mbps)
+            self._origin.monitor = self.monitor
+            self._origin.obs = self.obs
+            self._origin.obs_label = "origin"
+
+        #: The fleet planes every decision reads (see :mod:`repro.fleet`).
+        self.fleet = FleetState()
+        self.workers: dict[str, WorkerNode] = {
+            spec.name: self._build_node(spec, (initial_caches or {}).get(spec.name))
+            for spec in profile.specs
+        }
+
+        self._master_policy = scheduler.make_master()
+        self.master = Master(
+            sim=self.sim,
+            topology=self.topology,
+            pipeline=self.pipeline,
+            policy=self._master_policy,
+            worker_names=names,
+            stream=stream,
+            metrics=self.metrics,
+            fleet=self.fleet,
+            rng=streams.get("master"),
+            fault_tolerance=config.fault_tolerance,
+            recovery=faults.recovery if faults is not None else None,
+        )
+        if self.monitor is not None:
+            self.master.monitor = self.monitor
+            self.monitor.recovery_enabled = self.master.recovery is not None
+            # The bidding policy exposes its window; the monitor uses it
+            # to bound contest durations (None disables that law).
+            self.monitor.contest_window_s = getattr(self._master_policy, "window_s", None)
+        self._seed_views(self.workers.values())
+        if self.obs is not None:
+            self.master.obs = self.obs
+            self._register_probes()
+
+    # -- nodes ---------------------------------------------------------------
+
+    def _build_node(self, spec, initial_cache: Optional[dict[str, float]] = None) -> WorkerNode:
+        """Wire one worker node (machine + cache + policy) on this host.
+
+        Its noise draws from the stream memoized under its name, so a
+        restarted node continues its predecessor's stream and the run
+        stays seed-deterministic.
+        """
+        cache = WorkerCache(capacity_mb=spec.cache_capacity_mb)
+        if initial_cache:
+            cache.preload(initial_cache)
+            if self.monitor is not None:
+                # Warm clones count as prior fetches for the
+                # cache-hit-requires-fetch law.
+                self.monitor.on_cache_preload(spec.name, initial_cache)
+        config = self.config
+        machine = Machine(
+            self.sim,
+            spec,
+            network_noise=make_noise(config.noise_kind, **config.noise_params),
+            rw_noise=make_noise(config.noise_kind, **config.noise_params),
+            rng=self._streams.get("noise", spec.name),
+            upstream=self._origin,
+        )
+        node = WorkerNode(
+            sim=self.sim,
+            topology=self.topology,
+            machine=machine,
+            cache=cache,
+            policy=self.scheduler.make_worker(),
+            metrics=self.metrics,
+            fleet=self.fleet,
+            pipeline=self.pipeline,
+            prefetch=config.prefetch,
+        )
+        node.monitor = self.monitor
+        node.obs = self.obs
+        return node
+
+    def _seed_views(self, nodes, policy=None) -> None:
+        """Give a centralized master policy (default: the running one)
+        the driver's view of ``nodes``: what each caches *now* -- the
+        policy never sees later changes -- and, for completion-time
+        planners (BAR), its nominal speeds, the centralized scheduler's
+        one advantage."""
+        if policy is None:
+            policy = self._master_policy
+        if hasattr(policy, "cache_view"):
+            for node in nodes:
+                policy.cache_view[node.name] = set(node.cache.contents())
+        if hasattr(policy, "speed_view"):
+            for node in nodes:
+                spec = node.spec
+                speeds = (spec.network_mbps, spec.rw_mbps, spec.cpu_factor, spec.link_latency)
+                policy.speed_view[node.name] = speeds
+
+    def restart_worker(self, name: str) -> WorkerNode:
+        """Rebuild a dead worker in place (the fault injector's restart).
+
+        Unsubscribes the dead node's mailbox (so its dead-letter bounce
+        stops shadowing the replacement), builds a fresh node -- warm
+        cache if the fault plan keeps it -- that takes the dead one's
+        fleet slot, re-admits the name via :meth:`Master.revive_worker`
+        and starts it.
+        """
+        old = self.workers[name]
+        self.topology.broker.unsubscribe(old.inbox)
+        keep_cache = self.faults is None or self.faults.restart_keeps_cache
+        node = self._build_node(old.spec, old.cache.contents() if keep_cache else None)
+        self.workers[name] = node
+        self.master.revive_worker(name)
+        node.start()
+        self._seed_views([node])
+        return node
+
+    # -- observability -------------------------------------------------------
+
+    def _register_probes(self) -> None:
+        """Register the standard gauges on the obs recorder, the
+        runtime's own after the fleet's two counts."""
+        probes = self.obs.probes
+        master = self.master
+        probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
+        probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
+        self._runtime_probes(probes)
+        policy = self._master_policy
+        if hasattr(policy, "in_flight"):
+            probes.register("offers.in_flight", lambda: len(policy.in_flight), unit="offers")
+        if hasattr(policy, "open_contests"):
+            probes.register("contests.open", lambda: policy.open_contests, unit="contests")
+        if self._origin is not None:
+            origin = self._origin
+            probes.register("origin.active", lambda: origin.active_count, unit="transfers")
+
+    def _runtime_probes(self, probes) -> None:
+        """Register the runtime's own gauges on ``probes``."""
+        raise NotImplementedError
+
+    # -- execution -----------------------------------------------------------
+
+    def _start(self, rebalance: bool = False) -> None:
+        """Start the master, the nodes, the observers, the fault injector
+        and -- for a non-trivial plan, or for ``rebalance``, which
+        migrates through it -- the reconfiguration controller."""
+        self.master.start()
+        for worker in self.workers.values():
+            worker.start()
+        if self.obs is not None:
+            self.obs.start()
+        if self.faults is not None and not self.faults.is_trivial:
+            self.injector = FaultInjector(
+                sim=self.sim,
+                plan=self.faults,
+                rng=self._streams.get("faults"),
+                workers=self.workers,
+                master=self.master,
+                broker=self.topology.broker,
+                metrics=self.metrics,
+                restart=self.restart_worker,
+                loss_rng=self._streams.get("faults", "loss"),
+                monitor=self.monitor,
+            )
+            self.injector.start()
+        plan = self.reconfig
+        if rebalance or (plan is not None and not plan.is_trivial):
+            factory = self.reconfig_controller_factory
+            if factory is None:
+                from repro.reconfig.controller import ReconfigController as factory
+            if plan is None:
+                from repro.reconfig.plan import ReconfigPlan
+
+                plan = ReconfigPlan()
+            self.reconfig_controller = factory(self, plan)
+            self.reconfig_controller.start()
+
+    def _run(self) -> None:
+        """Run until the master is done, then close the observers and
+        check the end-of-run laws.  A run still going at
+        ``config.max_sim_time`` raises ``RuntimeError`` with the
+        runtime's :meth:`_stall_message`."""
+        self.sim.call_later(self.config.max_sim_time, self._deadline)
+        self.sim.run(until=self.master.done)
+        if self.obs is not None:
+            self.obs.finish()
+        if self.monitor is not None:
+            # End-of-run conservation laws come before a runtime's own
+            # escalation: a broken law is the more fundamental error.
+            self.monitor.final_check()
+
+    def _deadline(self) -> None:
+        if not self.master.done.triggered:
+            raise RuntimeError(self._stall_message())
+
+    def _stall_message(self) -> str:
+        raise NotImplementedError
+
+
+class WorkflowRuntime(Deployment):
+    """One fully wired workflow run: the deployment fed a fixed job stream."""
 
     def __init__(
         self,
@@ -274,174 +452,33 @@ class WorkflowRuntime:
         allow_partial: bool = False,
         reconfig: Optional[object] = None,
     ) -> None:
-        self.profile = profile
         self.stream = stream
-        self.scheduler = scheduler
-        self.config = config or EngineConfig()
         self.iteration = iteration
-        self.faults = faults
         self.allow_partial = allow_partial
-        self.injector: Optional[FaultInjector] = None
-        #: Live-reconfiguration plan (see :mod:`repro.reconfig`), or
-        #: ``None``; typed loosely to keep the import graph acyclic and
-        #: the plan-free path import-free.
-        self.reconfig = reconfig
-        self.reconfig_controller = None
-        #: Override for the controller class (the planted buggy migrator
-        #: swaps itself in here); ``None`` uses the real controller.
-        self.reconfig_controller_factory = None
-
         # Each iteration of a repeated configuration is an independent
         # execution: noise draws, topology placement and policy tie-breaks
         # re-randomise (the workload itself is rebuilt identically by the
         # caller).  Mixing the iteration index into the stream seed keeps
         # iterations decorrelated without touching the cell seed.
-        streams = RandomStreams(split_seed(self.config.seed, "iteration", iteration))
-        self._streams = streams
-        self.sim = Simulator()
-        self.metrics = MetricsCollector()
-        self.metrics.trace.enabled = self.config.trace
-
-        check_cfg = self.config.check_config()
-        #: Live invariant checker (see :mod:`repro.check`), or ``None``.
-        self.monitor: Optional[InvariantMonitor] = (
-            InvariantMonitor(check_cfg) if check_cfg is not None else None
-        )
-        self.metrics.monitor = self.monitor
-        if self.monitor is not None:
-            # Violations enrich themselves with the offending job's
-            # lifecycle straight from the trace (indexed, so O(1)-ish).
-            self.monitor.trace = self.metrics.trace
-
-        obs_cfg = self.config.obs_config()
-        #: Live observability recorder (see :mod:`repro.obs`), or ``None``.
-        self.obs: Optional[ObsRecorder] = (
-            ObsRecorder(self.sim, obs_cfg) if obs_cfg is not None else None
-        )
-
-        # The pipeline may need simulation-bound services (e.g. the
-        # GitHub model), hence the factory variant taking the fresh sim.
-        if pipeline is not None:
-            self.pipeline = pipeline
-        elif pipeline_factory is not None:
-            self.pipeline = pipeline_factory(self.sim)
-        else:
-            self.pipeline = single_task_pipeline()
-
-        node_names = [spec.name for spec in profile.specs] + ["master"]
-        self.topology = Topology.build(
-            self.sim, node_names, self.config.topology, rng=streams.get("topology")
-        )
-        if self.config.message_loss > 0:
-            self.topology.broker.drop_probability = self.config.message_loss
-            self.topology.broker.rng = streams.get("message-loss")
-        self.topology.broker.monitor = self.monitor
-        self.topology.broker.obs = self.obs
-
-        origin = (
-            FairSharePipe(self.sim, capacity_mbps=self.config.shared_origin_mbps)
-            if self.config.shared_origin_mbps is not None
-            else None
-        )
-        if origin is not None:
-            origin.monitor = self.monitor
-            origin.obs = self.obs
-            origin.obs_label = "origin"
-        self._origin = origin
-
-        #: The fleet planes every decision reads (see :mod:`repro.fleet`).
-        self.fleet = FleetState()
-        self.workers: dict[str, WorkerNode] = {}
-        for spec in profile.specs:
-            self.workers[spec.name] = build_worker_node(
-                self.sim,
-                self.topology,
-                spec,
-                scheduler,
-                self.metrics,
-                self.pipeline,
-                self.config,
-                self.fleet,
-                noise_rng=streams.get("noise", spec.name),
-                origin=origin,
-                initial_cache=(initial_caches or {}).get(spec.name),
-                monitor=self.monitor,
-                obs=self.obs,
-            )
-
-        master_policy = scheduler.make_master()
-        self._master_policy = master_policy
-        self.master = Master(
-            sim=self.sim,
-            topology=self.topology,
-            pipeline=self.pipeline,
-            policy=master_policy,
-            worker_names=[spec.name for spec in profile.specs],
+        super().__init__(
+            profile,
+            scheduler,
+            config,
+            ("iteration", iteration),
             stream=stream,
-            metrics=self.metrics,
-            fleet=self.fleet,
-            rng=streams.get("master"),
-            fault_tolerance=self.config.fault_tolerance,
-            recovery=faults.recovery if faults is not None else None,
+            pipeline=pipeline,
+            pipeline_factory=pipeline_factory,
+            initial_caches=initial_caches,
+            faults=faults,
+            reconfig=reconfig,
         )
-        if self.monitor is not None:
-            self.master.monitor = self.monitor
-            self.monitor.recovery_enabled = self.master.recovery is not None
-            # The bidding policy exposes its window; the monitor uses it
-            # to bound contest durations (None disables that law).
-            self.monitor.contest_window_s = getattr(master_policy, "window_s", None)
-        if self.obs is not None:
-            self.master.obs = self.obs
-            self._register_probes()
-        # Centralized policies get the driver's block-location view
-        # (what is cached where *now*; they never see later changes).
-        if hasattr(master_policy, "cache_view"):
-            master_policy.cache_view = {
-                name: set(worker.cache.contents())
-                for name, worker in self.workers.items()
-            }
-        # Completion-time planners (BAR) additionally know the fleet's
-        # nominal speeds -- the centralized scheduler's one advantage.
-        if hasattr(master_policy, "speed_view"):
-            master_policy.speed_view = {
-                spec.name: (
-                    spec.network_mbps,
-                    spec.rw_mbps,
-                    spec.cpu_factor,
-                    spec.link_latency,
-                )
-                for spec in profile.specs
-            }
 
-    def _register_probes(self) -> None:
-        """Register the standard workflow gauges on the obs recorder.
-
-        Worker gauges read the fleet planes by slot; a restarted node
-        reports into its predecessor's slot, so they stay current.
-        """
-        probes = self.obs.probes
-        master = self.master
+    def _runtime_probes(self, probes) -> None:
+        """One vector group for every gauge read off the fleet planes:
+        the two counts and the whole fleet's queue depths and busy flags
+        in one gather per sample.  A restarted node reports into its
+        predecessor's slot, so the gather stays current."""
         fleet = self.fleet
-        probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
-        probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        policy = self._master_policy
-        if hasattr(policy, "in_flight"):
-            probes.register(
-                "offers.in_flight", lambda: len(policy.in_flight), unit="offers"
-            )
-        if hasattr(policy, "open_contests"):
-            probes.register(
-                "contests.open", lambda: policy.open_contests, unit="contests"
-            )
-        if self._origin is not None:
-            origin = self._origin
-            probes.register(
-                "origin.active", lambda: origin.active_count, unit="transfers"
-            )
-        # One vector group for every gauge read off the fleet planes: the
-        # two counts and the whole fleet's queue depths and busy flags in
-        # one gather per sample (restart-swapped nodes report into the
-        # same slot, so the gather stays current).
         names = list(self.workers)
         slots = np.array([fleet.slot_of(name) for name in names], dtype=np.intp)
         probes.register_vector(
@@ -461,51 +498,17 @@ class WorkflowRuntime:
         ``allow_partial`` is off, or ``RuntimeError`` if the workflow
         does not finish within ``config.max_sim_time`` simulated seconds.
         """
-        self.master.start()
-        for worker in self.workers.values():
-            worker.start()
-        if self.obs is not None:
-            self.obs.start()
-        if self.faults is not None and not self.faults.is_trivial:
-            self.injector = FaultInjector(
-                sim=self.sim,
-                plan=self.faults,
-                rng=self._streams.get("faults"),
-                workers=self.workers,
-                master=self.master,
-                broker=self.topology.broker,
-                metrics=self.metrics,
-                restart=lambda name: restart_worker(self, name),
-                loss_rng=self._streams.get("faults", "loss"),
-                monitor=self.monitor,
-            )
-            self.injector.start()
-        if self.reconfig is not None and not self.reconfig.is_trivial:
-            factory = self.reconfig_controller_factory
-            if factory is None:
-                from repro.reconfig.controller import ReconfigController as factory
-
-            self.reconfig_controller = factory(self, self.reconfig)
-            self.reconfig_controller.start()
-        self.sim.process(self._deadline_guard(), name="deadline-guard")
-        self.sim.run(until=self.master.done)
-        if self.obs is not None:
-            self.obs.finish()
-        if self.monitor is not None:
-            # End-of-run conservation laws come before the partial-failure
-            # escalation: a broken law is the more fundamental error.
-            self.monitor.final_check()
+        self._start()
+        self._run()
         if self.master.failed_jobs and not self.allow_partial:
             raise WorkflowStalled(self.master.failed_jobs)
         return self.result()
 
-    def _deadline_guard(self):
-        yield self.sim.timeout(self.config.max_sim_time)
-        if not self.master.done.triggered:
-            raise RuntimeError(
-                f"workflow did not complete within {self.config.max_sim_time} "
-                f"simulated seconds ({self.master.outstanding} jobs outstanding)"
-            )
+    def _stall_message(self) -> str:
+        return (
+            f"workflow did not complete within {self.config.max_sim_time} "
+            f"simulated seconds ({self.master.outstanding} jobs outstanding)"
+        )
 
     def result(self) -> RunResult:
         """Freeze the collected metrics into a RunResult."""

@@ -66,20 +66,21 @@ class _Waiter:
 class ReconfigController:
     """Drives migrations and hot-swaps for one runtime.
 
-    ``host`` duck-types the runtime surface both runtimes share:
-    ``.sim``, ``.master``, ``.workers`` (name -> node), ``.metrics``,
-    ``.scheduler`` and ``._master_policy`` (rebound on hot-swap so
-    worker restarts construct successor-policy workers), and optionally
-    ``.monitor``.  Unlike the fault injector -- which takes the pieces
-    it needs -- the controller takes the host itself, because a swap
-    must *mutate* the runtime's policy references.
+    ``host`` is the run's :class:`~repro.engine.runtime.Deployment`;
+    the controller reads its ``sim``, ``master``, ``workers``,
+    ``metrics`` and ``monitor``, seeds a successor policy through its
+    ``_seed_views``, and rebinds its ``scheduler`` and
+    ``_master_policy`` on hot-swap so worker restarts construct
+    successor-policy workers.  Unlike the fault injector -- which takes
+    the pieces it needs -- the controller takes the host itself,
+    because a swap must *mutate* the runtime's policy references.
     """
 
     def __init__(self, host, plan: ReconfigPlan) -> None:
         self.host = host
         self.plan = plan
         self.sim = host.sim
-        self.monitor = getattr(host, "monitor", None)
+        self.monitor = host.monitor
         #: (time, kind, detail) log of controller actions, for tests.
         self.events: list[tuple[float, str, str]] = []
         #: Per-source FIFO of outstanding checkpoint requests.  Acks
@@ -359,21 +360,7 @@ class ReconfigController:
         # Seed the successor's views from *live* state before it starts:
         # cache contents reflect every download and eviction so far,
         # not the cold-start snapshot the run began with.
-        if hasattr(new_master, "cache_view"):
-            new_master.cache_view = {
-                name: set(node.cache.contents())
-                for name, node in host.workers.items()
-            }
-        if hasattr(new_master, "speed_view"):
-            new_master.speed_view = {
-                name: (
-                    node.spec.network_mbps,
-                    node.spec.rw_mbps,
-                    node.spec.cpu_factor,
-                    node.spec.link_latency,
-                )
-                for name, node in host.workers.items()
-            }
+        host._seed_views(host.workers.values(), new_master)
         master.swap_policy(new_master, stale_ok=type(old).stale_inbound)
         worker_stale: tuple = ()
         for node in host.workers.values():

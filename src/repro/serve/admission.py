@@ -22,11 +22,11 @@ minimum, the classic SFQ rule.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim.events import Event
 from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,19 +127,25 @@ class TokenBucket:
         return False
 
     def time_until_token(self, now: float) -> float:
-        """Seconds until one token will be available (0 if already is)."""
+        """Seconds until one token will be available (0 if already is).
+
+        Never shorter than the step from ``now`` to the next float: a
+        deficit of a few ulps would otherwise round ``now + wait`` back
+        to ``now``, and a retry at that instant finds the bucket as it
+        left it, forever.
+        """
         self._refill(now)
         if self._tokens >= 1.0:
             return 0.0
-        return (1.0 - self._tokens) / self.rate
+        return max((1.0 - self._tokens) / self.rate, math.nextafter(now, math.inf) - now)
 
 
 class AdmissionController:
     """The service front door: bounded, rate-limited, tenant-fair.
 
     The controller is passive -- the service's injector *offers* jobs
-    and its dispatcher *takes* them; all waiting happens in those
-    processes, driven by the events this class hands out.
+    and its dispatcher *takes* them; a held arrival waits in the
+    injector, which hands in the callback that resumes it.
     """
 
     def __init__(self, sim: "Simulator", config: AdmissionConfig) -> None:
@@ -152,7 +158,7 @@ class AdmissionController:
         )
         self._queues: dict[str, deque[Job]] = {}
         self._service: dict[str, float] = {}
-        self._space_waiters: list[Event] = []
+        self._space_waiters: list[tuple[Callable[..., None], tuple]] = []
 
         # Counters for the SLO report.
         self.admitted = 0
@@ -233,19 +239,18 @@ class AdmissionController:
 
     # -- backpressure plumbing ---------------------------------------------
 
-    def wait_for_space(self) -> Event:
-        """An event firing when queue space next frees up (immediately if
-        the queue is already below its cap)."""
-        event = Event(self.sim)
+    def wait_for_space(self, callback: Callable[..., None], *args: object) -> None:
+        """Call ``callback(*args)`` once queue space frees up: in a turn
+        of this instant if the queue is already below its cap, else in
+        one of the instant a dequeue makes room."""
         if self.depth < self.config.queue_cap:
-            return event.succeed()
-        self._space_waiters.append(event)
-        return event
+            self.sim.call_soon(callback, *args, urgent=False)
+        else:
+            self._space_waiters.append((callback, args))
 
     def _wake_space_waiters(self) -> None:
         if self.depth >= self.config.queue_cap:
             return
         waiters, self._space_waiters = self._space_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
+        for callback, args in waiters:
+            self.sim.call_soon(callback, *args, urgent=False)

@@ -1,25 +1,26 @@
 """The open-loop service runtime.
 
-:class:`ServiceRuntime` is the long-running sibling of
-:class:`~repro.engine.runtime.WorkflowRuntime`: instead of executing a
-fixed job list to completion, it faces an *arrival process* for a
-configured duration, guards the scheduler behind an
+:class:`ServiceRuntime` is the second intake on the engine's
+:class:`~repro.engine.runtime.Deployment`, the host
+:class:`~repro.engine.runtime.WorkflowRuntime` also runs on: instead of
+executing a fixed job list to completion, it faces an *arrival process*
+for a configured duration, guards the scheduler behind an
 :class:`~repro.serve.admission.AdmissionController`, and (optionally)
 resizes the worker fleet through an
 :class:`~repro.serve.autoscaler.Autoscaler`.
 
-Three cooperating simulation processes drive a run:
+Two callback state machines feed the unchanged master/worker engine --
+every scheduler in the registry works behind the service front door:
 
 * the **injector** walks the arrival process, mints jobs from the
   :class:`~repro.workload.source.SyntheticJobSource` and offers them to
-  admission -- under the ``delay`` policy it blocks here, which is
-  exactly what backpressure on a submitting client looks like;
+  admission -- under the ``delay`` policy it holds the arrival, and
+  every later one, until the retry hint elapses or queue space frees,
+  which is exactly what backpressure on a submitting client looks like;
 * the **dispatcher** drains the admission queue into the master,
   holding in-scheduler occupancy at ``max_inflight_per_worker`` jobs
   per active worker so the admission queue (not the scheduler's
-  internals) absorbs overload;
-* the master/worker engine runs unchanged -- every scheduler in the
-  registry works behind the service front door.
+  internals) absorbs overload.
 
 Conservation invariant: every job the controller admits is submitted to
 the master exactly once and completes exactly once, including jobs held
@@ -32,31 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.check.invariants import InvariantMonitor
 from repro.cluster.profiles import WorkerProfile
-from repro.engine.master import Master
-from repro.engine.runtime import (
-    EngineConfig,
-    build_worker_node,
-    restart_worker,
-    single_task_pipeline,
-)
-from repro.engine.worker import WorkerNode
-from repro.faults.injector import FaultInjector
-from repro.fleet import FleetState
+from repro.engine.runtime import Deployment, EngineConfig
 from repro.faults.plan import FaultPlan
-from repro.metrics.collector import MetricsCollector
-from repro.net.bandwidth import FairSharePipe
-from repro.net.topology import Topology
-from repro.obs.recorder import ObsRecorder
 from repro.schedulers.base import SchedulerPolicy
-from repro.serve.admission import ADMIT, DELAY, SHED, AdmissionConfig, AdmissionController
+from repro.serve.admission import ADMIT, DELAY, AdmissionConfig, AdmissionController
 from repro.serve.arrivals import ArrivalProcess
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.slo import ServiceReport, SLOTracker
-from repro.sim.events import Event
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams, split_seed
+from repro.workload.job import Job
 from repro.workload.source import SyntheticJobSource
 
 
@@ -91,7 +76,7 @@ class ServiceConfig:
             raise ValueError("max_inflight_per_worker must be at least 1")
 
 
-class ServiceRuntime:
+class ServiceRuntime(Deployment):
     """One fully wired open-loop service run."""
 
     def __init__(
@@ -107,121 +92,17 @@ class ServiceRuntime:
         faults: Optional[FaultPlan] = None,
         reconfig: Optional[object] = None,
     ) -> None:
-        self.profile = profile
-        self.scheduler = scheduler
         self.arrivals = arrivals
         self.source = source if source is not None else SyntheticJobSource()
-        self.config = config or EngineConfig()
         self.service_config = service_config or ServiceConfig()
-        self.faults = faults
-        self.injector_faults: Optional[FaultInjector] = None
-        #: Live-reconfiguration plan (see :mod:`repro.reconfig`), or
-        #: ``None``; typed loosely to keep the import graph acyclic and
-        #: the plan-free path import-free.
-        self.reconfig = reconfig
-        self.reconfig_controller = None
-
         # The "service" salt keeps service streams decorrelated from a
-        # workflow run sharing the same master seed.
-        self._streams = RandomStreams(split_seed(self.config.seed, "service"))
-        streams = self._streams
-        self.sim = Simulator()
-        self.metrics = MetricsCollector()
-        self.metrics.trace.enabled = self.config.trace
-        check_cfg = self.config.check_config()
-        #: Live invariant checker (see :mod:`repro.check`), or ``None``.
-        self.monitor = InvariantMonitor(check_cfg) if check_cfg is not None else None
-        self.metrics.monitor = self.monitor
-        if self.monitor is not None:
-            self.monitor.trace = self.metrics.trace
-        obs_cfg = self.config.obs_config()
-        #: Live observability recorder (see :mod:`repro.obs`), or ``None``.
-        self.obs = ObsRecorder(self.sim, obs_cfg) if obs_cfg is not None else None
-        self.pipeline = single_task_pipeline()
-        self.admission = AdmissionController(
-            self.sim, admission_config or AdmissionConfig()
-        )
+        # workflow run sharing the same master seed; ``stream=None`` is
+        # external intake: the dispatcher submits.
+        super().__init__(profile, scheduler, config, ("service",), faults=faults, reconfig=reconfig)
+        self.admission = AdmissionController(self.sim, admission_config or AdmissionConfig())
         self.slo = SLOTracker(self.metrics, deadline_s=self.service_config.deadline_s)
-
-        node_names = [spec.name for spec in profile.specs] + ["master"]
-        self.topology = Topology.build(
-            self.sim, node_names, self.config.topology, rng=streams.get("topology")
-        )
-        if self.config.message_loss > 0:
-            self.topology.broker.drop_probability = self.config.message_loss
-            self.topology.broker.rng = streams.get("message-loss")
-        self.topology.broker.monitor = self.monitor
-        self.topology.broker.obs = self.obs
-        self._origin = (
-            FairSharePipe(self.sim, capacity_mbps=self.config.shared_origin_mbps)
-            if self.config.shared_origin_mbps is not None
-            else None
-        )
-        if self._origin is not None:
-            self._origin.monitor = self.monitor
-            self._origin.obs = self.obs
-            self._origin.obs_label = "origin"
-
-        #: The fleet planes every decision reads (see :mod:`repro.fleet`).
-        self.fleet = FleetState()
-        self.workers: dict[str, WorkerNode] = {}
-        for spec in profile.specs:
-            self.workers[spec.name] = build_worker_node(
-                self.sim,
-                self.topology,
-                spec,
-                scheduler,
-                self.metrics,
-                self.pipeline,
-                self.config,
-                self.fleet,
-                noise_rng=streams.get("noise", spec.name),
-                origin=self._origin,
-                monitor=self.monitor,
-                obs=self.obs,
-            )
-
-        self._master_policy = scheduler.make_master()
-        self.master = Master(
-            sim=self.sim,
-            topology=self.topology,
-            pipeline=self.pipeline,
-            policy=self._master_policy,
-            worker_names=[spec.name for spec in profile.specs],
-            stream=None,  # external intake: the dispatcher submits
-            metrics=self.metrics,
-            fleet=self.fleet,
-            rng=streams.get("master"),
-            fault_tolerance=self.config.fault_tolerance,
-            recovery=faults.recovery if faults is not None else None,
-        )
-        if self.monitor is not None:
-            self.master.monitor = self.monitor
-            self.monitor.recovery_enabled = self.master.recovery is not None
-            self.monitor.contest_window_s = getattr(
-                self._master_policy, "window_s", None
-            )
-        if hasattr(self._master_policy, "cache_view"):
-            self._master_policy.cache_view = {
-                name: set(worker.cache.contents())
-                for name, worker in self.workers.items()
-            }
-        if hasattr(self._master_policy, "speed_view"):
-            self._master_policy.speed_view = {
-                spec.name: (
-                    spec.network_mbps,
-                    spec.rw_mbps,
-                    spec.cpu_factor,
-                    spec.link_latency,
-                )
-                for spec in profile.specs
-            }
-        if self.obs is not None:
-            self.master.obs = self.obs
-            self._register_probes()
         self.master.completion_listeners.append(self._on_completion)
         self.master.failure_listeners.append(self._on_failure)
-
         self.autoscaler = (
             Autoscaler(self, autoscaler_config) if autoscaler_config is not None else None
         )
@@ -234,8 +115,12 @@ class ServiceRuntime:
         self.closed = False
         self.workers_peak = len(profile.specs)
         self._elastic_count = 0
-        self._draining: list[str] = []
-        self._kick: Event = Event(self.sim)
+        self._arrival_times = iter(arrivals.times(self._streams.get("arrivals")))
+        self._source_rng = self._streams.get("source")
+        #: The dispatcher's armed flag: set while a kick would find it
+        #: already due to run (a turn armed, or its first not yet taken)
+        #: and once it has closed the intake.
+        self._kicked = True
 
     # -- execution ---------------------------------------------------------
 
@@ -245,123 +130,76 @@ class ServiceRuntime:
         Raises ``RuntimeError`` if the run does not quiesce within
         ``config.max_sim_time`` simulated seconds.
         """
-        self.master.start()
-        for worker in self.workers.values():
-            worker.start()
-        if self.faults is not None and not self.faults.is_trivial:
-            self.injector_faults = FaultInjector(
-                sim=self.sim,
-                plan=self.faults,
-                rng=self._streams.get("faults"),
-                workers=self.workers,
-                master=self.master,
-                broker=self.topology.broker,
-                metrics=self.metrics,
-                restart=lambda name: restart_worker(self, name),
-                loss_rng=self._streams.get("faults", "loss"),
-                monitor=self.monitor,
-            )
-            self.injector_faults.start()
-        wants_rebalance = (
-            self.autoscaler is not None and self.autoscaler.config.rebalance
-        )
-        if (self.reconfig is not None and not self.reconfig.is_trivial) or wants_rebalance:
-            from repro.reconfig.controller import ReconfigController
-            from repro.reconfig.plan import ReconfigPlan
-
-            plan = self.reconfig if self.reconfig is not None else ReconfigPlan()
-            self.reconfig_controller = ReconfigController(self, plan)
-            self.reconfig_controller.start()
-        if self.obs is not None:
-            self.obs.start()
-        self.sim.process(self._injector(), name="service-injector")
-        self.sim.process(self._dispatcher(), name="service-dispatcher")
+        self._start(rebalance=self.autoscaler is not None and self.autoscaler.config.rebalance)
+        # The injector's and the dispatcher's first turns, URGENT: where
+        # a freshly started process takes its first step.
+        self.sim.call_soon(self._inject)
+        self.sim.call_soon(self._dispatch)
         if self.autoscaler is not None:
             self.autoscaler.start()
-        self.sim.process(self._deadline_guard(), name="deadline-guard")
-        self.sim.run(until=self.master.done)
-        if self.obs is not None:
-            self.obs.finish()
-        if self.monitor is not None:
-            self.monitor.final_check()
+        self._run()
         return self.report()
 
-    def _register_probes(self) -> None:
-        """Register the service-level gauges on top of the engine ones."""
-        probes = self.obs.probes
-        master = self.master
-        probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
-        probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
+    def _runtime_probes(self, probes) -> None:
+        """The service gauges.  Registered while the host is being
+        wired, before the admission controller and the SLO tracker
+        exist; the gauges read them from the first sample on."""
         # One vectorised count over the alive/outstanding planes.
         probes.register("fleet.busy", self.fleet.busy_count, unit="workers")
         probes.register("service.inflight", lambda: self.inflight, unit="jobs")
-        probes.register(
-            "admission.depth", lambda: self.admission.depth, unit="jobs"
-        )
+        probes.register("admission.depth", lambda: self.admission.depth, unit="jobs")
         probes.register("admission.shed", lambda: self.admission.shed, unit="jobs")
         probes.register(
             "slo.attainment",
-            lambda: 1.0
-            - self.slo.deadline_misses / max(1, self.slo.completed),
+            lambda: 1.0 - self.slo.deadline_misses / max(1, self.slo.completed),
         )
-        policy = self._master_policy
-        if hasattr(policy, "in_flight"):
-            probes.register(
-                "offers.in_flight", lambda: len(policy.in_flight), unit="offers"
-            )
-        if hasattr(policy, "open_contests"):
-            probes.register(
-                "contests.open", lambda: policy.open_contests, unit="contests"
-            )
-        if self._origin is not None:
-            origin = self._origin
-            probes.register(
-                "origin.active", lambda: origin.active_count, unit="transfers"
-            )
 
-    def _deadline_guard(self):
-        yield self.sim.timeout(self.config.max_sim_time)
-        if not self.master.done.triggered:
-            raise RuntimeError(
-                f"service did not quiesce within {self.config.max_sim_time} simulated "
-                f"seconds ({self.master.outstanding} jobs outstanding, "
-                f"{self.admission.depth} pending at admission)"
-            )
+    def _stall_message(self) -> str:
+        return (
+            f"service did not quiesce within {self.config.max_sim_time} simulated "
+            f"seconds ({self.master.outstanding} jobs outstanding, "
+            f"{self.admission.depth} pending at admission)"
+        )
 
     # -- the injector ------------------------------------------------------
 
-    def _injector(self):
-        """Walk the arrival process, minting and offering jobs.
+    def _inject(self, job: Optional[Job] = None, tenant: str = "", due: bool = False) -> None:
+        """One injector turn: mint the arrival that is ``due`` -- or take
+        ``job``, an arrival backpressure held -- and offer it, then walk
+        the arrival process on, offering each arrival as it falls due,
+        until the next one lies ahead (sleep until it) or the window
+        has closed.
 
-        Under the ``delay`` admission policy this process *blocks* on a
-        full queue or an empty token bucket -- backpressure propagates
-        to later arrivals, exactly as a blocking client API would
-        experience it.
+        Under the ``delay`` admission policy an offer can be held: the
+        turn ends and resumes the same offer after the token bucket's
+        hint or once queue space frees.  Later arrivals wait behind it,
+        exactly as they would behind a blocking client API.
         """
-        arrival_rng = self._streams.get("arrivals")
-        source_rng = self._streams.get("source")
-        duration = self.service_config.duration_s
-        for at in self.arrivals.times(arrival_rng):
-            if at > duration:
-                break
-            delay = at - self.sim.now
-            if delay > 0:
-                yield self.sim.sleep(delay)
-            job, tenant = self.source.next_job(source_rng)
-            self.slo.job_arrived(self.sim.now, job)
-            while True:
+        sim = self.sim
+        while True:
+            if due:
+                job, tenant = self.source.next_job(self._source_rng)
+                self.slo.job_arrived(sim.now, job)
+            if job is not None:
                 decision = self.admission.offer(job, tenant)
+                if decision.action == DELAY:
+                    if decision.retry_after_s > 0:
+                        sim.call_later(decision.retry_after_s, self._inject, job, tenant)
+                    else:
+                        self.admission.wait_for_space(self._inject, job, tenant)
+                    return
                 if decision.action == ADMIT:
                     self._kick_dispatcher()
-                    break
-                if decision.action == SHED:
-                    self.slo.job_shed(self.sim.now, job, decision.reason)
-                    break
-                assert decision.action == DELAY
-                if decision.retry_after_s > 0:
-                    yield self.sim.sleep(decision.retry_after_s)
                 else:
-                    yield self.admission.wait_for_space()
+                    self.slo.job_shed(sim.now, job, decision.reason)
+            at = next(self._arrival_times, None)
+            if at is None or at > self.service_config.duration_s:
+                break
+            delay = at - sim.now
+            if delay > 0:
+                sim.call_later(delay, self._inject, None, "", True)
+                return
+            due = True
         self.arrivals_closed = True
         self._kick_dispatcher()
 
@@ -371,38 +209,39 @@ class ServiceRuntime:
         per_worker = self.service_config.max_inflight_per_worker
         return per_worker * max(1, len(self.master.active_workers))
 
-    def _dispatcher(self):
-        """Forward admitted jobs into the master, occupancy-capped."""
-        while True:
-            while self.inflight < self._capacity():
-                entry = self.admission.next_job()
-                if entry is None:
-                    break
-                job, _tenant = entry
-                self.inflight += 1
-                self.master.submit(job)
-            if self.arrivals_closed and self.admission.depth == 0 and self.inflight == 0:
-                self.closed = True
-                if self.monitor is not None:
-                    self.monitor.on_service_close(
-                        self.admission.admitted,
-                        self.slo.completed,
-                        self.slo.failed,
-                        self.sim.now,
-                    )
-                self.master.finish_intake()
-                return
-            self._kick = Event(self.sim)
-            yield self._kick
+    def _dispatch(self) -> None:
+        """One dispatcher turn: forward admitted jobs into the master,
+        occupancy-capped, and close the intake once the window has
+        closed and every admitted job is done."""
+        while self.inflight < self._capacity():
+            entry = self.admission.next_job()
+            if entry is None:
+                break
+            job, _tenant = entry
+            self.inflight += 1
+            self.master.submit(job)
+        if self.arrivals_closed and self.admission.depth == 0 and self.inflight == 0:
+            self.closed = True
+            if self.monitor is not None:
+                self.monitor.on_service_close(
+                    self.admission.admitted,
+                    self.slo.completed,
+                    self.slo.failed,
+                    self.sim.now,
+                )
+            self.master.finish_intake()
+            return
+        self._kicked = False
 
     def _kick_dispatcher(self) -> None:
-        if not self._kick.triggered:
-            self._kick.succeed()
+        """Arm the dispatcher's next turn, behind what is due now."""
+        if not self._kicked:
+            self._kicked = True
+            self.sim.call_soon(self._dispatch, urgent=False)
 
     def _on_completion(self, job, worker, now) -> None:
         self.inflight -= 1
         self.slo.job_completed(now, job)
-        self._finalize_drains()
         self._kick_dispatcher()
 
     def _on_failure(self, job, worker, now, reason) -> None:
@@ -411,7 +250,6 @@ class ServiceRuntime:
         # admitted).
         self.inflight -= 1
         self.slo.job_failed(now, job)
-        self._finalize_drains()
         self._kick_dispatcher()
 
     # -- elasticity --------------------------------------------------------
@@ -427,43 +265,16 @@ class ServiceRuntime:
         self._elastic_count += 1
         name = f"e{self._elastic_count}"
         spec = self.profile.specs[0].renamed(name)
-        rng = self._streams.get("elastic-topology")
-        self.topology.add_node(
-            name,
-            float(
-                rng.uniform(
-                    self.config.topology.min_latency, self.config.topology.max_latency
-                )
-            ),
+        latency = self._streams.get("elastic-topology").uniform(
+            self.config.topology.min_latency, self.config.topology.max_latency
         )
+        self.topology.add_node(name, float(latency))
         # Register with the master *before* the node starts, so its
         # Hello finds the name known and policies see it as active.
         self.master.add_worker(name)
-        node = build_worker_node(
-            self.sim,
-            self.topology,
-            spec,
-            self.scheduler,
-            self.metrics,
-            self.pipeline,
-            self.config,
-            self.fleet,
-            noise_rng=self._streams.get("noise", name),
-            origin=self._origin,
-            monitor=self.monitor,
-            obs=self.obs,
-        )
-        self.workers[name] = node
+        node = self.workers[name] = self._build_node(spec)
         node.start()
-        if hasattr(self._master_policy, "cache_view"):
-            self._master_policy.cache_view[name] = set()
-        if hasattr(self._master_policy, "speed_view"):
-            self._master_policy.speed_view[name] = (
-                spec.network_mbps,
-                spec.rw_mbps,
-                spec.cpu_factor,
-                spec.link_latency,
-            )
+        self._seed_views([node])
         self.workers_peak = max(self.workers_peak, len(self.master.active_workers))
         self._kick_dispatcher()  # capacity just grew
         return name
@@ -480,13 +291,7 @@ class ServiceRuntime:
         victim = self.master.active_workers[-1]
         self.master.retire_worker(victim)
         self.workers[victim].begin_drain()
-        self._draining.append(victim)
         return victim
-
-    def _finalize_drains(self) -> None:
-        for name in list(self._draining):
-            if self.workers[name].is_idle:
-                self._draining.remove(name)
 
     # -- reporting ---------------------------------------------------------
 

@@ -236,20 +236,26 @@ class Simulator:
         )
         return handle
 
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> TimerHandle:
-        """Arm a timer for this instant at URGENT priority: it fires
-        before every NORMAL entry of the instant, in arming order among
-        URGENT ones -- where the first turn of a freshly started
-        :class:`~repro.sim.process.Process` stands, for consumers that
-        are callbacks rather than processes."""
+    def call_soon(
+        self, callback: Callable[..., None], *args: Any, urgent: bool = True
+    ) -> TimerHandle:
+        """Arm a turn for this instant, for consumers that are callbacks
+        rather than processes.  URGENT (the default), it fires before
+        every NORMAL entry of the instant, in arming order among URGENT
+        ones -- where the first turn of a freshly started
+        :class:`~repro.sim.process.Process` stands.  With
+        ``urgent=False`` it fires behind every entry already due -- where
+        a just-triggered :class:`~repro.sim.events.Event` stands: a
+        wake-up, not a delay."""
         handle = TimerHandle()
         handle.when = self._now
         handle._callback = callback
         handle._args = args
         handle._armed = True
+        priority = URGENT if urgent else NORMAL
         heappush(
             self._heap,
-            (self._now, (URGENT << _KEY_SHIFT) | next(self._seq), handle._gen, handle),
+            (self._now, (priority << _KEY_SHIFT) | next(self._seq), handle._gen, handle),
         )
         return handle
 

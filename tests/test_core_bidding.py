@@ -463,8 +463,6 @@ class TestBidsSeeStateAtEvaluationTime:
 class TestFleetChangesMidContest:
     @BOTH_PATHS
     def test_restarted_worker_does_not_inherit_the_dead_bid(self, trace):
-        from repro.engine.runtime import restart_worker
-
         profile = make_profile(make_spec("w1"), make_spec("w2"))
         runtime = WorkflowRuntime(
             profile=profile,
@@ -476,7 +474,7 @@ class TestFleetChangesMidContest:
         runtime.sim.call_at(0.1, lambda: runtime.workers["w2"].kill())
         # Back up (and subscribed again) before the dead incarnation's
         # bid would have been evaluated.
-        runtime.sim.call_at(0.15, restart_worker, runtime, "w2")
+        runtime.sim.call_at(0.15, runtime.restart_worker, "w2")
         runtime.run()
         first, second = contests
         assert not first.counted[first.row_of("w2")]
@@ -486,8 +484,6 @@ class TestFleetChangesMidContest:
 
     @BOTH_PATHS
     def test_worker_joining_mid_contest_is_not_invited(self, trace):
-        from repro.engine.runtime import build_worker_node
-
         profile = make_profile(make_spec("w1"), make_spec("w2"))
         runtime = WorkflowRuntime(
             profile=profile,
@@ -498,21 +494,8 @@ class TestFleetChangesMidContest:
         contests = spy_on_contests(runtime)
 
         def join():
-            spec = make_spec("w3")
             runtime.topology.add_node("w3", 0.001)
-            node = build_worker_node(
-                runtime.sim,
-                runtime.topology,
-                spec,
-                runtime.scheduler,
-                runtime.metrics,
-                runtime.pipeline,
-                runtime.config,
-                runtime.fleet,
-                noise_rng=runtime._streams.get("noise", "w3"),
-                monitor=runtime.monitor,
-            )
-            runtime.workers["w3"] = node
+            node = runtime.workers["w3"] = runtime._build_node(make_spec("w3"))
             runtime.master.add_worker("w3")
             node.start()
 

@@ -144,3 +144,40 @@ class TestMetricConsistency:
     def test_makespan_at_least_last_arrival(self):
         result = make_runtime(seed=11).run()
         assert result.makespan_s >= 5.0
+
+
+class TestOneHost:
+    """Both runtimes are intakes on one host that starts no kernel
+    process of its own: the deadline guard is a timer, the service's
+    injector and dispatcher are callback state machines.  (Bidding's
+    contest runner, faults and reconfig still start processes.)"""
+
+    @staticmethod
+    def processes_started(runtime, monkeypatch):
+        from repro.sim.kernel import Simulator
+
+        started = []
+        process = Simulator.process
+
+        def counting(sim, generator, name=None):
+            started.append(name or getattr(generator, "__name__", "?"))
+            return process(sim, generator, name)
+
+        monkeypatch.setattr(Simulator, "process", counting)
+        runtime.run()
+        return started
+
+    @pytest.mark.parametrize("scheduler", ["baseline", "spark"])
+    def test_a_workflow_run_starts_no_process(self, scheduler, monkeypatch):
+        assert self.processes_started(make_runtime(scheduler=scheduler), monkeypatch) == []
+
+    def test_a_service_run_starts_no_process(self, monkeypatch):
+        from repro.serve import PoissonArrivals, ServiceConfig, ServiceRuntime
+
+        runtime = ServiceRuntime(
+            profile=make_profile(make_spec("w1"), make_spec("w2")),
+            scheduler=make_scheduler("baseline"),
+            arrivals=PoissonArrivals(rate=1.0),
+            service_config=ServiceConfig(duration_s=30.0),
+        )
+        assert self.processes_started(runtime, monkeypatch) == []

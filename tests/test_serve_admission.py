@@ -37,6 +37,16 @@ class TestTokenBucket:
         assert bucket.try_take(0.0)
         assert bucket.time_until_token(0.0) == pytest.approx(0.5)
 
+    def test_a_retry_after_the_hint_is_a_later_instant(self):
+        # 1.4 - 0.4 refills 0.9999999999999999 tokens: a deficit far
+        # below the clock's step at 1.4.  A retry landing back on 1.4
+        # would find the same deficit, forever.
+        bucket = TokenBucket(rate=1.0, burst=1.0)
+        assert bucket.try_take(0.4) and not bucket.try_take(1.4)
+        later = 1.4 + bucket.time_until_token(1.4)
+        assert later > 1.4
+        assert bucket.try_take(later)
+
     def test_refill_caps_at_burst(self):
         bucket = TokenBucket(rate=10.0, burst=2.0)
         assert bucket.try_take(0.0) and bucket.try_take(0.0)
@@ -165,16 +175,22 @@ class TestBackpressurePlumbing:
         sim = Simulator()
         controller = make_controller(sim, queue_cap=1)
         controller.offer(make_job(0), "default")
-        event = controller.wait_for_space()
-        assert not event.triggered
+        woken = []
+        controller.wait_for_space(woken.append, "space")
+        sim.run()
+        assert woken == []
         controller.next_job()
-        assert event.triggered
+        sim.run()
+        assert woken == ["space"]
 
     def test_wait_for_space_immediate_below_cap(self):
         sim = Simulator()
         controller = make_controller(sim, queue_cap=2)
         controller.offer(make_job(0), "default")
-        assert controller.wait_for_space().triggered
+        woken = []
+        controller.wait_for_space(woken.append, "space")
+        sim.run()
+        assert woken == ["space"]
 
 
 class TestConfigValidation:
