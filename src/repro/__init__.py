@@ -23,9 +23,8 @@ A from-scratch Python implementation of the paper's system stack
   monitors, a trace-replay oracle, and a shrinking scenario fuzzer,
 * :mod:`repro.obs`       -- observability: causal span tracing,
   time-series probes, Perfetto/CSV exporters, ASCII timelines,
-* :mod:`repro.exec`      -- a *real* asyncio multi-process execution
-  backend (plan-then-execute), differentially validated against the
-  simulator,
+* :mod:`repro.exec`      -- a *real* multi-process execution backend
+  (plan-then-execute), differentially validated against the simulator,
 * :mod:`repro.experiments` -- one module per table/figure.
 
 Quickstart
@@ -50,50 +49,61 @@ crashes, link degradation, partitions and message loss -- with the
 master recovering orphaned jobs -- deterministically per seed.
 """
 
-from repro.check import CheckConfig, InvariantViolation, OracleMismatch, verify_run
-from repro.engine.runtime import EngineConfig, WorkflowRuntime, WorkflowStalled
-from repro.faults import (
-    CrashRenewal,
-    FaultPlan,
-    LinkDegradation,
-    MessageLoss,
-    NetworkPartition,
-    RecoveryConfig,
-    WorkerCrash,
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
+    from repro.metrics.report import RunResult
+    from repro.serve import ServiceReport
+
+
+def _lazy_exports(namespace: dict, sources: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__``, ``__dir__`` and the sorted export list of a
+    package whose exports live in submodules (``sources``: module ->
+    names).  A name's module is imported on its first access and the value
+    cached in ``namespace``, so importing one submodule -- a spawned real
+    worker imports only ``repro.exec.worker`` -- does not load the
+    simulator and numpy."""
+    origin = {name: module for module, names in sources.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in origin:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(origin[name]), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__, sorted(origin)
+
+
+__getattr__, __dir__, _exports = _lazy_exports(
+    globals(),
+    {
+        "repro.check": ("CheckConfig", "InvariantViolation", "OracleMismatch", "verify_run"),
+        "repro.engine.runtime": ("EngineConfig", "WorkflowRuntime", "WorkflowStalled"),
+        "repro.faults": (
+            "CrashRenewal",
+            "FaultPlan",
+            "LinkDegradation",
+            "MessageLoss",
+            "NetworkPartition",
+            "RecoveryConfig",
+            "WorkerCrash",
+        ),
+        "repro.metrics.report": ("RunResult",),
+        "repro.obs": ("ObsConfig", "build_spans", "perfetto_trace", "span_coverage"),
+        "repro.serve": ("ServiceConfig", "ServiceReport", "ServiceRuntime"),
+    },
 )
-from repro.metrics.report import RunResult
-from repro.obs import ObsConfig, build_spans, perfetto_trace, span_coverage
-from repro.serve import ServiceConfig, ServiceReport, ServiceRuntime
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "CheckConfig",
-    "CrashRenewal",
-    "EngineConfig",
-    "FaultPlan",
-    "InvariantViolation",
-    "LinkDegradation",
-    "MessageLoss",
-    "NetworkPartition",
-    "ObsConfig",
-    "OracleMismatch",
-    "RecoveryConfig",
-    "RunResult",
-    "ServiceConfig",
-    "ServiceReport",
-    "ServiceRuntime",
-    "WorkerCrash",
-    "WorkflowRuntime",
-    "WorkflowStalled",
-    "build_spans",
-    "compare_schedulers",
-    "perfetto_trace",
-    "run_service",
-    "run_workflow",
-    "span_coverage",
-    "verify_run",
-]
+__all__ = sorted([*_exports, "compare_schedulers", "run_service", "run_workflow"])
 
 
 def run_workflow(
@@ -173,10 +183,13 @@ def run_service(
     """
     from repro.cluster.profiles import profile_by_name
     from repro.config import resolve_overrides
+    from repro.engine.runtime import EngineConfig
     from repro.schedulers.registry import make_scheduler
     from repro.serve import (
         AdmissionConfig,
         AutoscalerConfig,
+        ServiceConfig,
+        ServiceRuntime,
         make_arrivals,
     )
 

@@ -15,33 +15,23 @@ real data world:
   modelled latency, standing in for the live API used in Section 6.4.
 """
 
-from repro.data.cache import CacheStats, WorkerCache
-from repro.data.github import GitHubService, SearchQuery
-from repro.data.repository import Repository, RepositoryCorpus
-from repro.data.sizes import (
-    LARGE,
-    MEDIUM,
-    SMALL,
-    SizeBand,
-    SizeMixture,
-    equal_mixture,
-    mostly_large,
-    mostly_small,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "GitHubService",
-    "LARGE",
-    "MEDIUM",
-    "Repository",
-    "RepositoryCorpus",
-    "SMALL",
-    "SearchQuery",
-    "SizeBand",
-    "SizeMixture",
-    "WorkerCache",
-    "equal_mixture",
-    "mostly_large",
-    "mostly_small",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        "repro.data.cache": ("CacheStats", "WorkerCache"),
+        "repro.data.github": ("GitHubService", "SearchQuery"),
+        "repro.data.repository": ("Repository", "RepositoryCorpus"),
+        "repro.data.sizes": (
+            "LARGE",
+            "MEDIUM",
+            "SMALL",
+            "SizeBand",
+            "SizeMixture",
+            "equal_mixture",
+            "mostly_large",
+            "mostly_small",
+        ),
+    },
+)

@@ -1,4 +1,4 @@
-"""repro.exec -- a real asyncio multi-process execution backend.
+"""repro.exec -- a real multi-process execution backend.
 
 Everything elsewhere in this repository *simulates* the paper's
 distributed fleet; this package *runs* one.  Worker processes execute
@@ -11,57 +11,39 @@ backends and asserts they agree.
 
 Layout::
 
-    protocol.py   JSON-lines wire format + blocking ControlClient
+    protocol.py   JSON-lines wire format, the one line parser, ControlClient
     handlers.py   the closed, sandboxed task-handler registry
     plan.py       ExecPlan capture off the sim's assignment seam
-    worker.py     the per-process worker runtime
-    pool.py       the coordinator: queues, heartbeats, recovery
+    worker.py     the worker process: one select loop over one socket
+    pool.py       the coordinator: one asyncio.Protocol per peer, queues,
+                  heartbeats, recovery
     control.py    dispatch / drain / rebind / stats / kill verbs
     diff.py       sim-vs-real differential harness
 """
 
-from repro.exec.control import ControlClient, handle_control
-from repro.exec.diff import (
-    DiffCell,
-    DiffReport,
-    diff_matrix,
-    run_diff,
-    smoke_runtime,
-    smoke_stream,
-)
-from repro.exec.handlers import HANDLERS, HandlerError, payload_for, run_handler
-from repro.exec.plan import (
-    Decision,
-    ExecPlan,
-    PlanJob,
-    PlanWorker,
-    capture_service_plan,
-    capture_workflow_plan,
-)
-from repro.exec.pool import ExecBackend, ExecConfig, ExecError, ExecReport, KillSpec
+from repro import _lazy_exports
 
-__all__ = [
-    "ControlClient",
-    "Decision",
-    "DiffCell",
-    "DiffReport",
-    "ExecBackend",
-    "ExecConfig",
-    "ExecError",
-    "ExecPlan",
-    "ExecReport",
-    "HANDLERS",
-    "HandlerError",
-    "KillSpec",
-    "PlanJob",
-    "PlanWorker",
-    "capture_service_plan",
-    "capture_workflow_plan",
-    "diff_matrix",
-    "handle_control",
-    "payload_for",
-    "run_diff",
-    "run_handler",
-    "smoke_runtime",
-    "smoke_stream",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        "repro.exec.control": ("ControlClient", "handle_control"),
+        "repro.exec.diff": (
+            "DiffCell",
+            "DiffReport",
+            "diff_matrix",
+            "run_diff",
+            "smoke_runtime",
+            "smoke_stream",
+        ),
+        "repro.exec.handlers": ("HANDLERS", "HandlerError", "payload_for", "run_handler"),
+        "repro.exec.plan": (
+            "Decision",
+            "ExecPlan",
+            "PlanJob",
+            "PlanWorker",
+            "capture_service_plan",
+            "capture_workflow_plan",
+        ),
+        "repro.exec.pool": ("ExecBackend", "ExecConfig", "ExecError", "ExecReport", "KillSpec"),
+    },
+)

@@ -100,7 +100,6 @@ def _drain(backend: "ExecBackend", message: dict[str, Any]) -> dict[str, Any]:
     moved = []
     backlog = list(state.ready)
     state.ready.clear()
-    now = backend._now()
     for job in backlog:
         target = backend.rebind_target(job, exclude=(state.name,))
         if target is None:
@@ -108,11 +107,7 @@ def _drain(backend: "ExecBackend", message: dict[str, Any]) -> dict[str, Any]:
             # the drain is the fleet's last worker (it is not dead).
             state.ready.append(job)
             continue
-        if backend.monitor is not None:
-            backend.monitor.on_redispatched(job.job_id, now)
-        backend.metrics.job_redispatched(now, backend._real_jobs[job.job_id])
-        backend.redispatches += 1
-        backend._bind(job, target, redispatch=True)
+        backend.rehome(job, target)
         moved.append([job.job_id, target])
     return {"type": protocol.OK, "draining": state.name, "moved": moved}
 
@@ -127,12 +122,7 @@ def _rebind(backend: "ExecBackend", message: dict[str, Any]) -> dict[str, Any]:
         for job in state.ready:
             if job.job_id == job_id:
                 state.ready.remove(job)
-                now = backend._now()
-                if backend.monitor is not None:
-                    backend.monitor.on_redispatched(job_id, now)
-                backend.metrics.job_redispatched(now, backend._real_jobs[job_id])
-                backend.redispatches += 1
-                backend._bind(job, target_state.name, redispatch=True)
+                backend.rehome(job, target_state.name)
                 return {
                     "type": protocol.OK,
                     "job_id": job_id,

@@ -16,7 +16,7 @@ against genuinely separate OS processes:
   ``hello`` and beat every ``heartbeat_s``; a worker silent for
   ``miss_limit`` periods is evicted exactly like a crashed one (this
   catches wedged processes that keep their socket open), and an EOF on
-  the connection evicts immediately (SIGKILL detection).
+  the connection (SIGKILL detection) or a malformed line evicts at once.
 
 * **Locality-aware re-dispatch.**  The coordinator mirrors each
   worker's :class:`~repro.data.cache.WorkerCache`, so orphans prefer a
@@ -49,6 +49,7 @@ from typing import Any, Optional
 from repro.check.invariants import InvariantMonitor
 from repro.data.cache import WorkerCache
 from repro.exec import protocol
+from repro.exec.control import handle_control
 from repro.exec.plan import ExecPlan, PlanJob, PlanWorker
 from repro.exec.worker import worker_main
 from repro.metrics.collector import MetricsCollector
@@ -174,8 +175,9 @@ class _WorkerState:
         self.plan = plan_worker
         self.name = plan_worker.name
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self.registered = asyncio.Event()
+        self.transport: Optional[asyncio.Transport] = None  # set by its hello
+        #: Encoded dispatches of the current turn, written as one batch.
+        self.outbox: list[bytes] = []
         self.alive = True
         self.draining = False
         self.last_beat = 0.0
@@ -253,6 +255,9 @@ class ExecBackend:
         self._handoff: list[float] = []
         self._pending_kills = list(self.kills)
         self._pending_script = list(self.script)
+        self._dirty: list[_WorkerState] = []  # workers with a non-empty outbox
+        self._error: Optional[BaseException] = None
+        self._registered: Optional[asyncio.Event] = None  # every worker said hello
         self._done: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
@@ -272,20 +277,17 @@ class ExecBackend:
         cfg = self.config
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
-        self._done = asyncio.Event()
+        self._registered, self._done = asyncio.Event(), asyncio.Event()
         for plan_worker in self.plan.workers:
             self.workers[plan_worker.name] = _WorkerState(plan_worker)
 
-        server = await asyncio.start_server(self._on_connection, cfg.host, 0)
+        server = await self._loop.create_server(lambda: _Peer(self), cfg.host, 0)
         self.port = server.sockets[0].getsockname()[1]
         ctx = multiprocessing.get_context("spawn")
         stall = dict(cfg.stall_after)
         try:
             for state in self.workers.values():
-                worker_cfg = {
-                    "time_scale": cfg.time_scale,
-                    "heartbeat_s": cfg.heartbeat_s,
-                }
+                worker_cfg = {"time_scale": cfg.time_scale, "heartbeat_s": cfg.heartbeat_s}
                 if state.name in stall:
                     worker_cfg["stall_after"] = stall[state.name]
                 state.proc = ctx.Process(
@@ -296,18 +298,9 @@ class ExecBackend:
                 )
                 state.proc.start()
             try:
-                await asyncio.wait_for(
-                    asyncio.gather(
-                        *(state.registered.wait() for state in self.workers.values())
-                    ),
-                    timeout=cfg.spawn_timeout_s,
-                )
+                await asyncio.wait_for(self._registered.wait(), timeout=cfg.spawn_timeout_s)
             except asyncio.TimeoutError:
-                missing = sorted(
-                    state.name
-                    for state in self.workers.values()
-                    if not state.registered.is_set()
-                )
+                missing = sorted(s.name for s in self.workers.values() if s.transport is None)
                 raise ExecError(f"workers never registered: {missing}") from None
 
             watchdog = asyncio.ensure_future(self._watchdog())
@@ -323,6 +316,8 @@ class ExecBackend:
                     ) from None
             finally:
                 watchdog.cancel()
+            if self._error is not None:
+                raise self._error
 
             now = self._now()
             if self.monitor is not None:
@@ -337,12 +332,10 @@ class ExecBackend:
             await self._teardown(server)
 
     async def _teardown(self, server: "asyncio.AbstractServer") -> None:
+        shutdown = protocol.encode({"type": protocol.SHUTDOWN})
         for state in self.workers.values():
-            if state.writer is not None and state.alive:
-                try:
-                    protocol.send(state.writer, {"type": protocol.SHUTDOWN})
-                except Exception:
-                    pass
+            if state.transport is not None and state.alive:
+                state.transport.write(shutdown)
         # Give workers one heartbeat to exit cleanly, then force.
         await asyncio.sleep(min(0.2, self.config.heartbeat_s))
         for state in self.workers.values():
@@ -360,70 +353,24 @@ class ExecBackend:
 
     # -- connections -------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        hello = await protocol.recv(reader)
-        if hello is None or hello.get("type") != protocol.HELLO:
-            writer.close()
-            return
-        role = hello.get("role")
-        if role == protocol.ROLE_WORKER:
-            await self._serve_worker(hello, reader, writer)
-        elif role == protocol.ROLE_CONTROL:
-            await self._serve_control(reader, writer)
-        else:
-            writer.close()
-
-    async def _serve_worker(
-        self,
-        hello: dict[str, Any],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        state = self.workers.get(hello.get("name"))
-        if state is None or state.writer is not None:
-            writer.close()
-            return
-        state.writer = writer
+    def _on_worker_message(self, state: _WorkerState, message: dict[str, Any]) -> None:
         state.last_beat = self._now()
-        state.registered.set()
-        while True:
-            message = await protocol.recv(reader)
-            if message is None:
-                self._lose_worker(state, "connection lost")
-                return
-            state.last_beat = self._now()
-            kind = message["type"]
-            if kind == protocol.HEARTBEAT:
-                continue
-            if kind == protocol.DONE:
-                if state.alive:
-                    self._on_done(state, message)
-            else:  # pragma: no cover - defensive
-                raise protocol.ProtocolError(
-                    f"unexpected worker message {kind!r} from {state.name}"
-                )
+        kind = message["type"]
+        if kind == protocol.DONE:
+            if state.alive:
+                self._on_done(state, message)
+        elif kind != protocol.HEARTBEAT:
+            raise protocol.ProtocolError(
+                f"unexpected worker message {kind!r} from {state.name}"
+            )
 
-    async def _serve_control(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        from repro.exec.control import handle_control
-
-        while True:
-            message = await protocol.recv(reader)
-            if message is None:
-                return
-            try:
-                reply = handle_control(self, message)
-                reply.setdefault("type", protocol.OK)
-            except Exception as err:
-                reply = {"type": protocol.ERROR, "detail": str(err)}
-            try:
-                protocol.send(writer, reply)
-                await writer.drain()
-            except ConnectionError:
-                return
+    def _flush(self) -> None:
+        """Write each worker's batch of dispatches: one write per worker."""
+        for state in self._dirty:
+            if state.outbox:
+                state.transport.write(b"".join(state.outbox))
+                state.outbox.clear()
+        self._dirty.clear()
 
     # -- the watchdog ------------------------------------------------------
 
@@ -434,13 +381,14 @@ class ExecBackend:
             await asyncio.sleep(cfg.heartbeat_s)
             now = self._now()
             for state in list(self.workers.values()):
-                if state.alive and state.writer is not None:
+                if state.alive and state.transport is not None:
                     if now - state.last_beat > budget:
                         self._lose_worker(
                             state,
                             f"missed {cfg.miss_limit} heartbeats "
                             f"({now - state.last_beat:.2f}s silent)",
                         )
+            self._flush()
 
     # -- intake and binding ------------------------------------------------
 
@@ -467,6 +415,7 @@ class ExecBackend:
                 continue
             bound.add(decision.job_id)
             self._bind(self._jobs[decision.job_id], decision.worker, redispatch=False)
+        self._flush()
         self._maybe_finish()
 
     def _admit(self, job: PlanJob, now: float) -> None:
@@ -515,27 +464,24 @@ class ExecBackend:
         return ("replay", candidates, None, "replayed the captured plan decision")
 
     def _pump(self, state: _WorkerState) -> None:
-        """Move ready -> processing -> wire, respecting the in-flight cap.
+        """Move ready -> processing -> outbox, respecting the in-flight cap.
 
-        The ``processing`` insert happens *before* the socket write: if
-        the write (or the worker) fails at any later point, the job is
+        The ``processing`` insert happens *before* the dispatch is queued
+        for the socket (:meth:`_flush` writes it at the end of the turn):
+        if the write (or the worker) fails at any later point, the job is
         still owned somewhere and the orphan scan will find it.
         """
-        cfg = self.config
-        while (
-            state.alive
-            and not state.draining
-            and state.ready
-            and len(state.processing) < cfg.inflight_per_worker
-        ):
+        cap = self.config.inflight_per_worker
+        while state.alive and not state.draining and state.ready and len(state.processing) < cap:
             job = state.ready.popleft()
             now = self._now()
             state.processing[job.job_id] = (job, now)
             if self.monitor is not None:
                 self.monitor.on_enqueued(job.job_id, state.name, now)
-            try:
-                protocol.send(
-                    state.writer,
+            if not state.outbox:
+                self._dirty.append(state)
+            state.outbox.append(
+                protocol.encode(
                     {
                         "type": protocol.DISPATCH,
                         "job_id": job.job_id,
@@ -543,11 +489,9 @@ class ExecBackend:
                         "size_mb": job.size_mb,
                         "base_compute_s": job.base_compute_s,
                         "handler": job.handler,
-                    },
+                    }
                 )
-            except Exception:
-                self._lose_worker(state, "dispatch write failed")
-                return
+            )
 
     # -- completions -------------------------------------------------------
 
@@ -611,12 +555,9 @@ class ExecBackend:
             state = self.workers.get(spec.worker)
             if state is not None and state.proc is not None and state.proc.is_alive():
                 state.proc.kill()  # SIGKILL; eviction follows via EOF
-        if self._pending_script:
-            from repro.exec.control import handle_control
-
-            while self._pending_script and self.completed >= self._pending_script[0][0]:
-                _at, message = self._pending_script.pop(0)
-                handle_control(self, dict(message))
+        while self._pending_script and self.completed >= self._pending_script[0][0]:
+            _at, message = self._pending_script.pop(0)
+            handle_control(self, dict(message))
 
     # -- failure handling --------------------------------------------------
 
@@ -631,11 +572,9 @@ class ExecBackend:
             # Heartbeat eviction of a wedged-but-running process: the
             # fleet has moved on, so the zombie must not keep executing.
             state.proc.kill()
-        if state.writer is not None:
-            try:
-                state.writer.close()
-            except Exception:
-                pass
+        state.outbox.clear()
+        if state.transport is not None:
+            state.transport.close()
         orphans = [job for job, _at in state.processing.values()]
         orphans.extend(state.ready)
         state.processing.clear()
@@ -650,7 +589,6 @@ class ExecBackend:
         self._maybe_finish()
 
     def _redispatch(self, job: PlanJob, lost_from: str) -> None:
-        now = self._now()
         attempts = self._redispatch_counts.get(job.job_id, 0)
         target = self.rebind_target(job)
         if attempts >= self.config.max_redispatches or target is None:
@@ -662,6 +600,11 @@ class ExecBackend:
             self._fail(job, reason)
             return
         self._redispatch_counts[job.job_id] = attempts + 1
+        self.rehome(job, target)
+
+    def rehome(self, job: PlanJob, target: str) -> None:
+        """Bind an already-admitted job to ``target`` as a re-dispatch."""
+        now = self._now()
         self.redispatches += 1
         if self.monitor is not None:
             self.monitor.on_redispatched(job.job_id, now)
@@ -762,3 +705,72 @@ class ExecBackend:
             },
             per_worker_cache=per_worker_cache,
         )
+
+
+class _Peer(asyncio.Protocol):
+    """One connection to the coordinator: a worker's or a control client's.
+
+    ``data_received`` parses every complete line of a read, handles each
+    synchronously -- a worker's ``done``, a control client's verb -- and
+    ends the turn by writing each worker's dispatches in one batch.  A
+    peer that breaks the framing or the schema is dropped at once; a
+    worker so dropped, or whose connection ends, is lost at once.
+    """
+
+    def __init__(self, backend: ExecBackend) -> None:
+        self.backend = backend
+        self.parser = protocol.LineParser()
+        self.transport: Optional[asyncio.Transport] = None
+        self.worker: Optional[_WorkerState] = None
+        self.control = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        backend, replies = self.backend, []
+        try:
+            for message in self.parser.feed(data):
+                if self.transport.is_closing():
+                    break
+                if self.worker is not None:
+                    backend._on_worker_message(self.worker, message)
+                elif self.control:
+                    try:
+                        reply = handle_control(backend, message)
+                    except Exception as err:
+                        reply = {"type": protocol.ERROR, "detail": str(err)}
+                    replies.append(protocol.encode(reply))
+                else:
+                    self._hello(message)
+        except protocol.ProtocolError as err:
+            if self.worker is not None:
+                backend._lose_worker(self.worker, f"protocol error: {err}")
+            self.transport.close()
+        except Exception as err:  # a broken invariant: end the run with it
+            if backend._error is None:
+                backend._error = err
+                backend._done.set()
+        if replies and not self.transport.is_closing():
+            self.transport.write(b"".join(replies))
+        backend._flush()
+
+    def _hello(self, message: dict[str, Any]) -> None:
+        role = message.get("role") if message["type"] == protocol.HELLO else None
+        if role == protocol.ROLE_CONTROL:
+            self.control = True
+            return
+        state = self.backend.workers.get(message.get("name"))
+        if role != protocol.ROLE_WORKER or state is None or state.transport is not None:
+            self.transport.close()
+            return
+        self.worker = state
+        state.transport = self.transport
+        state.last_beat = self.backend._now()
+        if all(s.transport is not None for s in self.backend.workers.values()):
+            self.backend._registered.set()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.worker is not None:
+            self.backend._lose_worker(self.worker, "connection lost")
+            self.backend._flush()

@@ -15,16 +15,15 @@ The framing is deliberately boring: length is bounded by
 :data:`MAX_LINE` (a malformed or hostile peer cannot balloon memory),
 payloads are plain JSON scalars/objects (no pickling across the process
 boundary), and the encoder sorts keys so byte streams are reproducible
-in tests.
+in tests.  Every reader -- coordinator, worker and control client --
+splits what it reads with one :class:`LineParser`.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Optional
-
-import asyncio
+from typing import Any
 
 #: Upper bound on one encoded message (framing sanity, not a protocol
 #: limit anyone should approach -- jobs carry ids, not data).
@@ -49,6 +48,12 @@ ERROR = "error"
 ROLE_WORKER = "worker"
 ROLE_CONTROL = "control"
 
+#: One encoder and one decoder for every message of the process: what
+#: ``json.dumps(..., separators=(",", ":"), sort_keys=True)`` writes,
+#: without building an encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_DECODER = json.JSONDecoder()
+
 
 class ProtocolError(RuntimeError):
     """A peer violated the framing or message schema."""
@@ -58,7 +63,7 @@ def encode(message: dict[str, Any]) -> bytes:
     """One message -> one newline-terminated JSON line."""
     if "type" not in message:
         raise ProtocolError(f"message without a type: {message!r}")
-    line = json.dumps(message, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    line = _ENCODER.encode(message).encode("utf-8")
     if len(line) >= MAX_LINE:
         raise ProtocolError(f"message of {len(line)} bytes exceeds MAX_LINE")
     return line + b"\n"
@@ -69,7 +74,7 @@ def decode(line: bytes) -> dict[str, Any]:
     if len(line) > MAX_LINE:
         raise ProtocolError(f"line of {len(line)} bytes exceeds MAX_LINE")
     try:
-        message = json.loads(line)
+        message = _DECODER.decode(line.decode("utf-8"))
     except ValueError as err:
         raise ProtocolError(f"undecodable line {line[:80]!r}: {err}") from err
     if not isinstance(message, dict) or "type" not in message:
@@ -77,21 +82,28 @@ def decode(line: bytes) -> dict[str, Any]:
     return message
 
 
-def send(writer: "asyncio.StreamWriter", message: dict[str, Any]) -> None:
-    """Queue one message on an asyncio stream (no flush await here;
-    callers drain at their own cadence)."""
-    writer.write(encode(message))
+class LineParser:
+    """Split a peer's byte stream into messages, whatever the reads' sizes.
 
+    Each :meth:`feed` takes one read and returns every message it
+    completed, in order; an unterminated tail waits for the next read.
+    Any line up to :data:`MAX_LINE` is served, and a line -- or a tail
+    still without its newline -- longer than that raises
+    :class:`ProtocolError`, so a peer cannot balloon the buffer.
+    """
 
-async def recv(reader: "asyncio.StreamReader") -> Optional[dict[str, Any]]:
-    """Read one message, or ``None`` on a clean/abrupt connection end."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        return None
-    if not line:
-        return None
-    return decode(line)
+    __slots__ = ("_tail",)
+
+    def __init__(self) -> None:
+        self._tail = b""
+
+    def feed(self, data: bytes) -> list[dict[str, Any]]:
+        if self._tail:
+            data = self._tail + data
+        *lines, self._tail = data.split(b"\n")
+        if len(self._tail) > MAX_LINE:
+            raise ProtocolError(f"unterminated line of {len(self._tail)} bytes exceeds MAX_LINE")
+        return [decode(line) for line in lines]
 
 
 class ControlClient:
@@ -104,12 +116,9 @@ class ControlClient:
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        self._file = self._sock.makefile("rwb")
-        self._send({"type": HELLO, "role": ROLE_CONTROL})
-
-    def _send(self, message: dict[str, Any]) -> None:
-        self._file.write(encode(message))
-        self._file.flush()
+        self._parser = LineParser()
+        self._replies: list[dict[str, Any]] = []
+        self._sock.sendall(encode({"type": HELLO, "role": ROLE_CONTROL}))
 
     def request(self, verb: str, **fields: Any) -> dict[str, Any]:
         """Send one control verb; return the coordinator's reply payload.
@@ -117,11 +126,13 @@ class ControlClient:
         Raises :class:`ProtocolError` when the coordinator answers
         ``error`` (the reply's ``detail`` becomes the message).
         """
-        self._send({"type": verb, **fields})
-        line = self._file.readline()
-        if not line:
-            raise ProtocolError("coordinator closed the control connection")
-        reply = decode(line)
+        self._sock.sendall(encode({"type": verb, **fields}))
+        while not self._replies:
+            data = self._sock.recv(1 << 16)
+            if not data:
+                raise ProtocolError("coordinator closed the control connection")
+            self._replies.extend(self._parser.feed(data))
+        reply = self._replies.pop(0)
         if reply["type"] == ERROR:
             raise ProtocolError(reply.get("detail", "control request failed"))
         if reply["type"] != OK:
@@ -133,10 +144,7 @@ class ControlClient:
         return self.request(STATS)["stats"]
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._sock.close()
 
     def __enter__(self) -> "ControlClient":
         return self

@@ -1,33 +1,35 @@
 """The real worker: one OS process per fleet member.
 
 Each worker connects back to the coordinator's loopback socket, says
-``hello``, and then runs three concurrent loops on its own asyncio event
-loop:
+``hello``, and then runs one loop over that one socket.  Each turn it
+does whatever is due, in this order, then waits:
 
 * **heartbeat** -- a periodic liveness beacon; the coordinator evicts a
   worker after ``miss_limit`` missed beats (see
   :class:`~repro.exec.pool.ExecBackend`);
-* **reader** -- consumes ``dispatch`` messages into a local FIFO and
-  obeys ``shutdown``;
-* **executor** -- drains the FIFO one job at a time, mirroring the sim
-  worker's exact cache semantics (:class:`~repro.data.cache.WorkerCache`
-  is reused *verbatim*): lookup -> hit, or miss -> fetch -> insert.
-  Timing follows the sim's cost model scaled by ``time_scale`` --
+* **execute** -- the FIFO of dispatched jobs, one job at a time,
+  mirroring the sim worker's exact cache semantics
+  (:class:`~repro.data.cache.WorkerCache` is reused *verbatim*):
+  lookup -> hit, or miss -> fetch -> insert.  Timing follows the sim's
+  cost model scaled by ``time_scale`` --
   ``(link_latency + size/network) * scale`` to fetch,
   ``(size/rw + compute/cpu_factor) * scale`` to process -- plus genuine
   CPU work through the sandboxed handler registry
-  (:mod:`repro.exec.handlers`).
+  (:mod:`repro.exec.handlers`);
+* **send** -- every ``done`` and heartbeat of the turn in one
+  ``sendall``;
+* **wait** -- until the socket is readable, the running job's fetch or
+  process phase is due, or the next heartbeat is, whichever is first;
+  then read every ``dispatch`` (into the FIFO) and obey ``shutdown``.
 
 Because the coordinator dispatches each worker's jobs in plan order and
 the executor is FIFO, the per-worker cache hit/miss *sequence* here must
 equal the sim's -- one of the differential harness's strongest checks.
 
-A process that sleeps modelled durations needs a selector finer than the
-shortest scaled one: ``epoll``, asyncio's default on Linux, rounds every
-timeout up to a whole millisecond, so the worker runs on
-:func:`run_worker_loop`, whose ``select`` keeps microseconds (a worker
-holds one socket).  The coordinator keeps the default loop: it wakes on
-socket reads, never on a modelled duration, and may hold many sockets.
+A process that sleeps modelled durations needs a wait finer than the
+shortest scaled one: ``epoll`` rounds every timeout up to a whole
+millisecond, so the loop waits on a :class:`selectors.SelectSelector`,
+whose ``select`` keeps microseconds (a worker holds one socket).
 
 ``stall_after`` (a test/chaos hook) makes the process fall silent --
 no heartbeats, no progress -- after N completions, exercising the
@@ -37,9 +39,11 @@ wedged worker would.
 
 from __future__ import annotations
 
-import asyncio
 import selectors
-from typing import Any, Coroutine
+import socket
+import time
+from collections import deque
+from typing import Any
 
 from repro.data.cache import WorkerCache
 from repro.exec import protocol
@@ -56,112 +60,115 @@ def process_seconds(spec: dict[str, Any], size_mb: float, base_compute_s: float)
     return size_mb / spec["rw_mbps"] + base_compute_s / spec["cpu_factor"]
 
 
-async def _run_worker(host: str, port: int, spec: dict[str, Any], cfg: dict[str, Any]) -> None:
-    name = spec["name"]
-    reader, writer = await asyncio.open_connection(host, port)
-    protocol.send(writer, {"type": protocol.HELLO, "role": protocol.ROLE_WORKER, "name": name})
-    await writer.drain()
+class Worker:
+    """One worker's state and its loop over one connected socket."""
 
-    capacity = spec.get("cache_capacity_mb")
-    cache = WorkerCache(capacity_mb=float("inf") if capacity is None else capacity)
-    cache.preload({repo: size for repo, size in spec.get("preload", ())})
+    def __init__(self, sock: socket.socket, spec: dict[str, Any], cfg: dict[str, Any]) -> None:
+        self.sock = sock
+        self.spec = spec
+        self.name = spec["name"]
+        capacity = spec.get("cache_capacity_mb")
+        self.cache = WorkerCache(capacity_mb=float("inf") if capacity is None else capacity)
+        self.cache.preload({repo: size for repo, size in spec.get("preload", ())})
+        self.time_scale = cfg["time_scale"]
+        self.heartbeat_s = cfg["heartbeat_s"]
+        self.stall_after = cfg.get("stall_after")  # completions before going silent
+        self.selector = selectors.SelectSelector()
+        self.selector.register(sock, selectors.EVENT_READ)
 
-    queue: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
-    time_scale = cfg["time_scale"]
-    heartbeat_s = cfg["heartbeat_s"]
-    stall_after = cfg.get("stall_after")  # completions before going silent
-    stopping = asyncio.Event()
-    stalled = asyncio.Event()
-    completed = 0
+    def wait(self, timeout: float | None) -> bool:
+        """Block until the socket is readable or ``timeout`` passes."""
+        return bool(self.selector.select(timeout))
 
-    async def heartbeats() -> None:
-        while not stopping.is_set() and not stalled.is_set():
-            protocol.send(writer, {"type": protocol.HEARTBEAT, "name": name})
-            await writer.drain()
-            await asyncio.sleep(heartbeat_s)
-
-    async def read_loop() -> None:
-        while not stopping.is_set():
-            message = await protocol.recv(reader)
-            if message is None or message["type"] == protocol.SHUTDOWN:
-                stopping.set()
-                return
-            if message["type"] == protocol.DISPATCH:
-                queue.put_nowait(message)
-
-    async def execute_one(message: dict[str, Any]) -> None:
-        nonlocal completed
-        job_id = message["job_id"]
-        repo_id = message.get("repo_id")
-        size_mb = message.get("size_mb", 0.0)
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        cache_hit = None
-        fetched_mb = 0.0
-        if repo_id is not None:
-            if cache.lookup(repo_id):
-                cache_hit = True
+    def run(self) -> None:
+        """Serve until ``shutdown`` or the coordinator's EOF."""
+        clock, spec, scale = time.monotonic, self.spec, self.time_scale
+        name = self.name
+        out = [protocol.encode({"type": protocol.HELLO, "role": protocol.ROLE_WORKER, "name": name})]
+        beat = protocol.encode({"type": protocol.HEARTBEAT, "name": name})
+        parser = protocol.LineParser()
+        fifo: deque[dict[str, Any]] = deque()
+        job: dict[str, Any] | None = None  # the running job's dispatch message
+        job_id = repo_id = cache_hit = None
+        size_mb = started = due = 0.0
+        fetching = stalled = False
+        completed = 0
+        next_beat = clock()
+        while True:
+            now = clock()
+            if not stalled and now >= next_beat:
+                out.append(beat)
+                next_beat = now + self.heartbeat_s
+            while not stalled and (job is not None or fifo):
+                if job is None:  # start the next job: a hit processes, a miss fetches first
+                    job = fifo.popleft()
+                    job_id, repo_id = job["job_id"], job.get("repo_id")
+                    size_mb = job.get("size_mb", 0.0)
+                    started = now
+                    cache_hit = None if repo_id is None else self.cache.lookup(repo_id)
+                    fetching = cache_hit is False
+                    seconds = fetch_seconds(spec, size_mb) if fetching else None
+                elif now < due:
+                    break
+                elif fetching:  # the clone landed: cache it, then process
+                    self.cache.insert(repo_id, size_mb)
+                    fetching = False
+                    seconds = None
+                else:  # processed: the handler's real work, then report
+                    digest = run_handler(
+                        job.get("handler", "checksum"), payload_for(job_id, repo_id, size_mb)
+                    )
+                    job = None
+                    now = clock()
+                    completed += 1
+                    if self.stall_after is not None and completed >= self.stall_after:
+                        stalled = True  # wedge: no done message, no beats, no progress
+                        break
+                    out.append(
+                        protocol.encode(
+                            {
+                                "type": protocol.DONE,
+                                "name": name,
+                                "job_id": job_id,
+                                "cache_hit": cache_hit,
+                                "fetched_mb": size_mb if cache_hit is False else 0.0,
+                                "exec_s": now - started,
+                                "result": digest,
+                            }
+                        )
+                    )
+                    continue
+                if seconds is None:
+                    seconds = process_seconds(spec, size_mb, job.get("base_compute_s", 0.0))
+                due = now + seconds * scale
+            if out:
+                self.sock.sendall(b"".join(out))
+                out.clear()
+            if stalled:
+                timeout = None
+            elif job is not None and due < next_beat:
+                timeout = max(0.0, due - clock())
             else:
-                cache_hit = False
-                await asyncio.sleep(fetch_seconds(spec, size_mb) * time_scale)
-                cache.insert(repo_id, size_mb)
-                fetched_mb = size_mb
-        await asyncio.sleep(
-            process_seconds(spec, size_mb, message.get("base_compute_s", 0.0)) * time_scale
-        )
-        digest = run_handler(
-            message.get("handler", "checksum"), payload_for(job_id, repo_id, size_mb)
-        )
-        completed += 1
-        if stall_after is not None and completed >= stall_after:
-            # Wedge: no done message, no further beats, no progress.
-            stalled.set()
-            return
-        protocol.send(
-            writer,
-            {
-                "type": protocol.DONE,
-                "name": name,
-                "job_id": job_id,
-                "cache_hit": cache_hit,
-                "fetched_mb": fetched_mb,
-                "exec_s": loop.time() - started,
-                "result": digest,
-            },
-        )
-        await writer.drain()
-
-    async def executor() -> None:
-        while not stopping.is_set() and not stalled.is_set():
-            message = await queue.get()
-            await execute_one(message)
-
-    tasks = [
-        asyncio.ensure_future(heartbeats()),
-        asyncio.ensure_future(read_loop()),
-        asyncio.ensure_future(executor()),
-    ]
-    try:
-        await stopping.wait()
-    finally:  # also when this worker is itself cancelled
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        writer.close()
-
-
-def run_worker_loop(main: Coroutine[Any, Any, Any]) -> Any:
-    """Run ``main`` on a new loop with microsecond timeouts (module docstring)."""
-    loop = asyncio.SelectorEventLoop(selectors.SelectSelector())
-    try:
-        return loop.run_until_complete(main)
-    finally:
-        loop.close()
+                timeout = max(0.0, next_beat - clock())
+            if not self.wait(timeout):
+                continue
+            data = self.sock.recv(1 << 16)
+            if not data:
+                return
+            for message in parser.feed(data):
+                if message["type"] == protocol.SHUTDOWN:
+                    return
+                if message["type"] == protocol.DISPATCH:
+                    fifo.append(message)
 
 
 def worker_main(host: str, port: int, spec: dict[str, Any], cfg: dict[str, Any]) -> None:
     """Process entry point (must stay importable for ``spawn``)."""
+    sock = socket.create_connection((host, port))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
-        run_worker_loop(_run_worker(host, port, spec, cfg))
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
+        Worker(sock, spec, cfg).run()
+    except (KeyboardInterrupt, ConnectionError):  # pragma: no cover - teardown
         pass
+    finally:
+        sock.close()

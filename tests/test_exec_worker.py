@@ -1,23 +1,27 @@
 """In-process drive of the real worker loop.
 
-``_run_worker`` normally runs in a spawned child, invisible to
-coverage; here we run it as a task against a local asyncio server
-acting as the coordinator, on the loop the worker process runs on
-(``run_worker_loop``), so every branch of the worker -- cache
+``worker_main`` normally runs in a spawned child, invisible to
+coverage; here it runs in a thread against a plain listening socket
+acting as the coordinator, so every branch of the worker -- cache
 hit/miss, data-free jobs, preload, shutdown, the stall hook -- is
 exercised in this process.
 """
 
-import asyncio
 import hashlib
+import os
+import socket
 import statistics
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
+import repro
 from repro.exec import protocol
 from repro.exec.handlers import payload_for
-from repro.exec.worker import _run_worker, fetch_seconds, process_seconds, run_worker_loop
+from repro.exec.worker import Worker, fetch_seconds, process_seconds, worker_main
 
 
 def spec(**overrides):
@@ -52,61 +56,55 @@ class TestCostModel:
 
 class TestEventLoop:
     def test_sub_millisecond_sleeps_keep_their_length(self):
-        # A scaled job is tens of microseconds of sleep; epoll rounds every
-        # wait up to a whole millisecond, the worker's loop must not.
-        async def sleeps():
+        # A scaled job is tens of microseconds of waiting; epoll rounds every
+        # wait up to a whole millisecond, the worker's own wait must not.
+        ours, theirs = socket.socketpair()
+        try:
+            worker = Worker(ours, spec(), cfg())
             took = []
             for _ in range(50):
                 started = time.perf_counter()
-                await asyncio.sleep(2e-4)
+                assert not worker.wait(2e-4)
                 took.append(time.perf_counter() - started)
-            return statistics.median(took)
-
-        assert run_worker_loop(sleeps()) < 7e-4
+            assert statistics.median(took) < 7e-4
+        finally:
+            ours.close()
+            theirs.close()
 
 
 class Coordinator:
     """The coordinator's half of the socket, driven by the test."""
 
-    def __init__(self):
-        self.server = None
-        self.port = None
-        self.reader = None
-        self.writer = None
-        self._connected = None
+    def __init__(self, sock):
+        self.sock = sock
+        self.parser = protocol.LineParser()
+        self.pending = []
 
-    async def __aenter__(self):
-        self._connected = asyncio.get_running_loop().create_future()
+    def recv(self, timeout=5.0):
+        """The next message, or ``None`` on EOF; ``TimeoutError`` on silence."""
+        deadline = time.monotonic() + timeout
+        while not self.pending:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("no message")
+            self.sock.settimeout(left)
+            try:
+                data = self.sock.recv(1 << 16)
+            except socket.timeout:
+                raise TimeoutError("no message") from None
+            if not data:
+                return None
+            self.pending.extend(self.parser.feed(data))
+        return self.pending.pop(0)
 
-        async def on_connect(reader, writer):
-            self._connected.set_result((reader, writer))
-
-        self.server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-        self.port = self.server.sockets[0].getsockname()[1]
-        return self
-
-    async def __aexit__(self, *exc):
-        if self.writer is not None:
-            self.writer.close()
-        self.server.close()
-        await self.server.wait_closed()
-
-    async def accept(self):
-        self.reader, self.writer = await asyncio.wait_for(self._connected, 5.0)
-        hello = await asyncio.wait_for(protocol.recv(self.reader), 5.0)
-        return hello
-
-    async def recv_type(self, wanted, timeout=5.0):
+    def recv_type(self, wanted, timeout=5.0):
         """Next message of ``wanted`` type, skipping heartbeats etc."""
-
-        async def scan():
-            while True:
-                message = await protocol.recv(self.reader)
-                assert message is not None, f"EOF while waiting for {wanted}"
-                if message["type"] == wanted:
-                    return message
-
-        return await asyncio.wait_for(scan(), timeout)
+        deadline = time.monotonic() + timeout
+        while True:
+            message = self.recv(max(0.0, deadline - time.monotonic()))
+            assert message is not None, f"EOF while waiting for {wanted}"
+            if message["type"] == wanted:
+                return message
 
     def dispatch(self, job_id, repo_id=None, size_mb=0.0, **fields):
         message = {
@@ -116,34 +114,39 @@ class Coordinator:
             "size_mb": size_mb,
         }
         message.update(fields)
-        protocol.send(self.writer, message)
+        self.sock.sendall(protocol.encode(message))
 
     def shutdown(self):
-        protocol.send(self.writer, {"type": protocol.SHUTDOWN})
+        self.sock.sendall(protocol.encode({"type": protocol.SHUTDOWN}))
 
 
 def drive(scenario):
-    """Run ``scenario(coordinator, spec, cfg) -> None`` against a live
-    worker task, tearing everything down on the way out."""
-
-    async def main():
-        async with Coordinator() as coordinator:
-            worker = asyncio.ensure_future(
-                _run_worker("127.0.0.1", coordinator.port, scenario.spec, scenario.cfg)
-            )
-            try:
-                hello = await coordinator.accept()
-                assert hello == {
-                    "type": protocol.HELLO,
-                    "role": protocol.ROLE_WORKER,
-                    "name": scenario.spec["name"],
-                }
-                await scenario(coordinator, worker)
-            finally:
-                worker.cancel()
-                await asyncio.gather(worker, return_exceptions=True)
-
-    run_worker_loop(main())
+    """Run ``scenario(coordinator, worker_thread) -> None`` against a live
+    worker thread, tearing everything down on the way out."""
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+    worker = threading.Thread(
+        target=worker_main, args=("127.0.0.1", port, scenario.spec, scenario.cfg), daemon=True
+    )
+    worker.start()
+    server.settimeout(5.0)
+    try:
+        conn, _addr = server.accept()
+    finally:
+        server.close()
+    try:
+        coordinator = Coordinator(conn)
+        hello = coordinator.recv()
+        assert hello == {
+            "type": protocol.HELLO,
+            "role": protocol.ROLE_WORKER,
+            "name": scenario.spec["name"],
+        }
+        scenario(coordinator, worker)
+    finally:
+        conn.close()  # EOF: the worker loop returns
+        worker.join(5.0)
+    assert not worker.is_alive()
 
 
 def scenario(spec_dict=None, cfg_dict=None):
@@ -159,9 +162,9 @@ def scenario(spec_dict=None, cfg_dict=None):
 class TestWorkerLoop:
     def test_miss_then_hit_on_the_same_repo(self):
         @scenario()
-        async def play(co, worker):
+        def play(co, worker):
             co.dispatch("j0", repo_id="r1", size_mb=8.0, handler="checksum")
-            done = await co.recv_type(protocol.DONE)
+            done = co.recv_type(protocol.DONE)
             assert done["name"] == "w1"
             assert done["job_id"] == "j0"
             assert done["cache_hit"] is False
@@ -171,7 +174,7 @@ class TestWorkerLoop:
             assert done["result"] == expected
 
             co.dispatch("j1", repo_id="r1", size_mb=8.0)
-            done = await co.recv_type(protocol.DONE)
+            done = co.recv_type(protocol.DONE)
             assert done["cache_hit"] is True
             assert done["fetched_mb"] == 0.0
 
@@ -179,9 +182,9 @@ class TestWorkerLoop:
 
     def test_preloaded_repo_hits_cold(self):
         @scenario(spec_dict=spec(preload=(("r9", 4.0),)))
-        async def play(co, worker):
+        def play(co, worker):
             co.dispatch("j0", repo_id="r9", size_mb=4.0)
-            done = await co.recv_type(protocol.DONE)
+            done = co.recv_type(protocol.DONE)
             assert done["cache_hit"] is True
             assert done["fetched_mb"] == 0.0
 
@@ -189,9 +192,9 @@ class TestWorkerLoop:
 
     def test_data_free_job_has_no_cache_verdict(self):
         @scenario()
-        async def play(co, worker):
+        def play(co, worker):
             co.dispatch("j0", handler="noop")
-            done = await co.recv_type(protocol.DONE)
+            done = co.recv_type(protocol.DONE)
             assert done["cache_hit"] is None
             assert done["fetched_mb"] == 0.0
 
@@ -199,42 +202,85 @@ class TestWorkerLoop:
 
     def test_fifo_execution_order(self):
         @scenario()
-        async def play(co, worker):
+        def play(co, worker):
             for i in range(4):
                 co.dispatch(f"j{i}", repo_id="r0", size_mb=1.0)
-            order = [(await co.recv_type(protocol.DONE))["job_id"] for _ in range(4)]
+            order = [co.recv_type(protocol.DONE)["job_id"] for _ in range(4)]
             assert order == ["j0", "j1", "j2", "j3"]
+
+        play.run()
+
+    def test_a_job_waits_out_its_modelled_time(self):
+        # 20 MB over 100 MB/s to fetch, 20 MB over 500 MB/s to process:
+        # 0.24 modelled seconds, 24 ms at this scale.
+        @scenario(cfg_dict=cfg(time_scale=0.1))
+        def play(co, worker):
+            co.dispatch("j0", repo_id="r0", size_mb=20.0, handler="noop")
+            done = co.recv_type(protocol.DONE)
+            assert done["exec_s"] >= 0.024
 
         play.run()
 
     def test_heartbeats_flow_until_shutdown(self):
         @scenario()
-        async def play(co, worker):
-            await co.recv_type(protocol.HEARTBEAT)
-            await co.recv_type(protocol.HEARTBEAT)
+        def play(co, worker):
+            co.recv_type(protocol.HEARTBEAT)
+            co.recv_type(protocol.HEARTBEAT)
             co.shutdown()
-            await asyncio.wait_for(worker, 5.0)
+            worker.join(5.0)
+            assert not worker.is_alive()
 
         play.run()
 
     def test_stall_hook_goes_silent_without_a_done(self):
         @scenario(cfg_dict=cfg(stall_after=1, heartbeat_s=0.05))
-        async def play(co, worker):
+        def play(co, worker):
             co.dispatch("j0", repo_id="r0", size_mb=1.0)
             # The job executes, then the worker wedges: no DONE for it,
-            # and the heartbeat loop stops on its next wakeup.
-            await asyncio.sleep(0.3)
+            # and no heartbeat after it.
+            time.sleep(0.3)
             drained = []
             while True:
                 try:
-                    message = await asyncio.wait_for(protocol.recv(co.reader), 0.2)
-                except asyncio.TimeoutError:
+                    message = co.recv(0.2)
+                except TimeoutError:
                     break
                 assert message is not None
                 drained.append(message["type"])
             assert protocol.DONE not in drained
             # Silence: several heartbeat periods pass with no beacon.
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(protocol.recv(co.reader), 0.25)
+            with pytest.raises(TimeoutError):
+                co.recv(0.25)
+            # Wedged, not deaf: it still obeys shutdown.
+            co.shutdown()
+            worker.join(5.0)
+            assert not worker.is_alive()
 
         play.run()
+
+
+class TestSpawnImport:
+    def test_a_fresh_worker_import_loads_no_simulator(self):
+        # A spawned worker imports only its entry point: the package
+        # exports are lazy, so neither the engine nor numpy comes along.
+        code = (
+            "import sys, repro.exec.worker; "
+            "print(sorted(m for m in ('numpy', 'repro.engine') if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_lazy_exports_resolve_and_list(self):
+        import repro.data
+        import repro.exec
+
+        for package in (repro, repro.exec, repro.data):
+            for name in package.__all__:
+                assert getattr(package, name) is not None
+                assert name in dir(package)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.exec.nope
