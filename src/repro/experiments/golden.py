@@ -268,8 +268,20 @@ SCALE_CELLS["bidding-origin-100"] = (
     "bidding", 100, False, {"engine": {"shared_origin_mbps": 120.0}}
 )
 SCALE_CELLS["spark-churn-100-observed"] = ("spark", 100, True, {"churn": "mid-download"})
+# The contest loop: a bidding -> bidding hot-swap with jobs pending, the
+# whole fleet down at once (jobs park and retry until a worker is back)
+# and four contests at a time that close on the first idle holder (a
+# quarter of the fleet starts warm, so there are some).
+SCALE_CELLS["bidding-swap-100"] = ("bidding", 100, False, {"churn": "swap"})
+SCALE_CELLS["bidding-down-25"] = ("bidding", 25, False, {"fleet_down": (20.0, 25.0, 0.25)})
+SCALE_CELLS["bidding-fast4-100"] = (
+    "bidding",
+    100,
+    False,
+    {"warm": 25, "fast_local_close": True, "max_concurrent_contests": 4},
+)
 
-#: churn name -> (crashes, migrations) as keyword dicts.
+#: churn name -> (crashes, migrations, swaps) as keyword dicts.
 #: ``cascade``: a worker dies at 6 s, mid-cascade, and is back 10 s
 #: later; at 16 s three jobs migrate onto pre-warmed caches.
 #: ``mid-download`` (timed against the ``spark`` cell at 100 workers):
@@ -280,10 +292,13 @@ SCALE_CELLS["spark-churn-100-observed"] = ("spark", 100, True, {"churn": "mid-do
 #: into a latency.  Both dead workers come back on their old noise
 #: stream and are then handed a job, so a noise factor the abandoned
 #: transfer did not draw would show.
+#: ``swap``: bidding hands over to a fresh bidding policy at 20 s, with
+#: about 35 jobs waiting for a contest.
 SCALE_CHURN: dict[str, tuple] = {
     "cascade": (
         ({"at_s": 6.0, "restart_after_s": 10.0},),
         ({"at_s": 16.0, "max_jobs": 3, "include_running": True},),
+        (),
     ),
     "mid-download": (
         (
@@ -296,7 +311,9 @@ SCALE_CHURN: dict[str, tuple] = {
             {"at_s": 30.0, "target": "w0051"},
             {"at_s": 70.0, "target": "w0063"},
         ),
+        (),
     ),
+    "swap": ((), (), ({"at_s": 20.0, "scheduler": "bidding"},)),
 }
 
 
@@ -312,19 +329,25 @@ def scale_runtime(
     scheduler: str = "bidding",
     churn: str | None = None,
     engine: dict | None = None,
+    fleet_down: tuple | None = None,
+    warm: int = 0,
     **kwargs,
 ) -> WorkflowRuntime:
     """The benchmark's ``bid-fleet`` shape: near-equal workers (eleven
     network classes), ``80%_large`` at 0.2 s inter-arrival with the
     shared repository's size pinned; ``kwargs`` go to the scheduler,
-    ``engine`` overrides :class:`EngineConfig` fields and ``churn``
-    names a :data:`SCALE_CHURN` plan of crashes and migrations."""
+    ``engine`` overrides :class:`EngineConfig` fields, ``churn``
+    names a :data:`SCALE_CHURN` plan of crashes, migrations and swaps,
+    and ``fleet_down = (at_s, back_s, every_s)`` kills every worker at
+    ``at_s`` -- which the fault injector never does: it spares the last
+    one -- and restarts them one every ``every_s`` from ``back_s`` on;
+    the first ``warm`` workers start with the shared repository cached."""
     from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
-    from repro.reconfig import JobMigration, ReconfigPlan
+    from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
     from repro.workload.generators import job_config_by_name
     from repro.workload.job import JobArrival
 
-    crashes, migrations = SCALE_CHURN[churn] if churn else ((), ())
+    crashes, migrations, swaps = SCALE_CHURN[churn] if churn else ((), (), ())
 
     profile = WorkerProfile(
         f"fleet-{n_workers}",
@@ -354,10 +377,13 @@ def scale_runtime(
         ],
         name=stream.name,
     )
-    return WorkflowRuntime(
+    runtime = WorkflowRuntime(
         profile=profile,
         stream=stream,
         scheduler=make_scheduler(scheduler, **kwargs),
+        initial_caches={
+            spec.name: {shared: SCALE_HOT_REPO_MB} for spec in profile.specs[:warm]
+        },
         config=EngineConfig(
             seed=SCALE_SEED, trace=observed, check=observed, obs=observed, **(engine or {})
         ),
@@ -365,14 +391,22 @@ def scale_runtime(
             crashes=tuple(WorkerCrash(**crash) for crash in crashes),
             recovery=RecoveryConfig(),
         )
-        if crashes
+        if crashes or fleet_down
         else None,
         reconfig=ReconfigPlan(
-            migrations=tuple(JobMigration(**migration) for migration in migrations)
+            migrations=tuple(JobMigration(**migration) for migration in migrations),
+            swaps=tuple(SchedulerSwap(**swap) for swap in swaps),
         )
-        if migrations
+        if migrations or swaps
         else None,
     )
+    if fleet_down:
+        at_s, back_s, every_s = fleet_down
+        sim, workers = runtime.sim, runtime.workers
+        sim.call_at(at_s, lambda: [node.kill() for node in list(workers.values())])
+        for i, name in enumerate(list(workers)):
+            sim.call_at(back_s + every_s * i, runtime.restart_worker, name)
+    return runtime
 
 
 def record_scale() -> dict:
