@@ -50,6 +50,7 @@ close.  ARCHITECTURE.md section 12 has the full account.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,8 +68,6 @@ from repro.engine.messages import (
 from repro.fleet import BidPlanes
 from repro.net.broker import Mailbox
 from repro.schedulers.base import MasterPolicy, SchedulerPolicy, WorkerPolicy
-from repro.sim.events import AnyOf
-from repro.sim.resources import Store
 from repro.workload.job import Job
 
 #: The paper's bidding window: "The master waits for workers to make
@@ -116,7 +115,11 @@ class BiddingMasterPolicy(MasterPolicy):
         self.fast_local_close = fast_local_close
         #: Count of contests resolved through the fast-close path.
         self.fast_closes = 0
-        self._pending: Optional[Store] = None
+        #: Jobs waiting for a contest, how many no take is on its way for,
+        #: and the contest slots in use (a job taken, or about to be).
+        self._pending: deque[Job] = deque()
+        self._waiting = 0
+        self._busy = 0
         #: job_id -> its latest Contest (Listing 1's ``Bids``/``bidsMap``),
         #: kept while the job can still be (re)assigned or a bid for it
         #: can still land.
@@ -128,14 +131,9 @@ class BiddingMasterPolicy(MasterPolicy):
         self.open_contests = 0
         #: job_ids already granted one fallback re-contest (recovery mode).
         self._rebids: set[str] = set()
-        #: Hot-swap quiesce: runners stop opening contests and park
-        #: pending jobs here for :meth:`export_state` instead.
+        #: Hot-swap quiesce: no job is taken, the pending ones wait for
+        #: :meth:`export_state`.
         self._quiescing = False
-        self._parked_for_export: list[Job] = []
-        #: Runners currently holding a job (between take and settle);
-        #: the quiescent test must see through the window where a job is
-        #: in a runner's hand but no contest is open yet.
-        self._busy_runners = 0
         #: What every bidder would bid with (see the module docstring),
         #: and the announce subscriptions the row cache was built for.
         self.planes = BidPlanes()
@@ -144,7 +142,13 @@ class BiddingMasterPolicy(MasterPolicy):
         self._lookup: Optional[np.ndarray] = None
         self._names: list[str] = []
         self._name_set: frozenset = frozenset()
+        self._rank = np.zeros(0, dtype=np.int64)
         self._everyone = np.ones(0, dtype=bool)
+        #: The invited workers as of the last contest (until
+        #: ``master.active_workers`` changes) and their row mask, if built.
+        self._active: Optional[list[str]] = None
+        self._expected: frozenset = frozenset()
+        self._invited: Optional[np.ndarray] = None
         #: Computed contests with a bid or an ``Assignment`` on its way.
         self._live: list[Contest] = []
         #: Plane rows of bidders that have no metrics block yet.
@@ -155,17 +159,15 @@ class BiddingMasterPolicy(MasterPolicy):
 
     def start(self) -> None:
         master = self.master
-        self._pending = Store(master.sim)
-        for index in range(self.max_concurrent_contests):
-            master.sim.process(self._contest_runner(), name=f"contest-runner-{index}")
         self._reply_delay = master.topology.broker.base_latency + master.inbox.latency
 
     # -- MasterPolicy hooks -----------------------------------------------
 
     def on_job(self, job: Job) -> None:
         """``sendJob`` entry: queue the job for a bidding contest."""
-        assert self._pending is not None, "policy not started"
-        self._pending.put(job)
+        self._pending.append(job)
+        self._waiting += 1
+        self._kick()
 
     def on_message(self, message: object) -> bool:
         """``receiveBid``: record the bid against its contest."""
@@ -188,12 +190,11 @@ class BiddingMasterPolicy(MasterPolicy):
         if (
             counted
             and self.fast_local_close
-            and not contest.fast_close.triggered
+            and not contest.fast_close
             and message.breakdown[0] == 0.0  # no committed workload
             and message.breakdown[1] == 0.0  # data already local
         ):
-            self.fast_closes += 1
-            contest.fast_close.succeed(message.worker)
+            self._fast_close(contest)
         return True
 
     def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
@@ -282,100 +283,125 @@ class BiddingMasterPolicy(MasterPolicy):
     # -- hot-swap seam ------------------------------------------------------
 
     def begin_quiesce(self) -> None:
-        """Runners stop opening contests (pending jobs are parked for
-        export); already-open contests run to their normal close, whose
+        """Take no more jobs (the pending ones wait for export);
+        already-open contests run to their normal close, whose
         assignment survives the swap at the engine level."""
         self._quiescing = True
 
     def quiescent(self) -> bool:
-        return self._busy_runners == 0 and not self._pending.items
+        return self._busy == 0
 
     def end_quiesce(self) -> None:
-        """Quiesce timed out: re-enter the parked jobs for contests."""
+        """Quiesce timed out: take pending jobs again."""
         self._quiescing = False
-        parked = list(self._parked_for_export)
-        self._parked_for_export.clear()
-        for job in parked:
-            self._pending.put(job)
+        self._kick()
 
     def export_state(self) -> list[Job]:
         # The successor drops whatever bids are still in flight, so the
         # counters close on what has landed by now.
         self.flush()
         self._retired = True
-        jobs = list(self._parked_for_export)
-        self._parked_for_export.clear()
-        jobs.extend(item for item in self._pending.items if isinstance(item, Job))
-        self._pending.items.clear()
+        jobs = list(self._pending)
+        self._pending.clear()
         return jobs
 
-    # -- the contest loop ------------------------------------------------------
+    # -- the contest loop: transitions, each at the heap position of the ------
+    # -- generator resume it replaces (ARCHITECTURE.md section 12) -------------
 
-    def _contest_runner(self):
-        """Take pending jobs one at a time and run their contests."""
+    def _kick(self) -> None:
+        """Give each free contest slot the next pending job, one NORMAL
+        turn later (where a store get matched to an idle runner resumed)."""
+        while self._waiting and self._busy < self.max_concurrent_contests and not self._quiescing:
+            self._busy += 1
+            self._waiting -= 1
+            self.master.sim.call_soon(self._take, urgent=False)
+
+    def _take(self) -> None:
+        """A slot takes the oldest pending job and opens its contest."""
+        if self._quiescing:
+            self._busy -= 1  # hot-swap quiesce: the job waits for export
+            self._waiting += 1
+            return
+        job = self._pending.popleft()
         master = self.master
-        while True:
-            job = yield self._pending.get()
-            if self._quiescing:
-                # Hot-swap quiesce: park for export instead of contesting.
-                self._parked_for_export.append(job)
-                continue
-            self._busy_runners += 1
-            if not master.active_workers:
-                # Robustness: the whole fleet is momentarily down (crash
-                # storm before restarts land).  Park the job and retry.
-                yield master.sim.sleep(self.window_s)
-                self._pending.put(job)
-                self._busy_runners -= 1
-                continue
-            contest = self._open(job)
-            window = master.sim.timeout(self.window_s)
-            yield AnyOf(master.sim, [window, contest.all_bids, contest.fast_close])
-            if contest.computed:
-                # A bid landing at the very instant the window expires is
-                # late: the window's timer was armed before it was sent.
-                expired = not (contest.all_bids.triggered or contest.fast_close.triggered)
+        if not master.active_workers:
+            # Robustness: the whole fleet is momentarily down (crash
+            # storm before restarts land).  Retry after a window.
+            master.sim.call_later(self.window_s, self._requeue, job)
+            return
+        contest = self._open(job)
+        contest.window = master.sim.call_later(self.window_s, self.wake, contest)
+
+    def _requeue(self, job: Job) -> None:
+        """Free ``job``'s slot and put it back at the end of the queue."""
+        self._busy -= 1
+        self.on_job(job)
+
+    def _fast_close(self, contest: Contest) -> None:
+        self.fast_closes += 1
+        contest.fast_close = True
+        self.master.sim.call_soon(self.wake, contest, urgent=False)
+
+    def wake(self, contest: Contest) -> None:
+        """A trigger of ``contest`` came up (the window's timer, or a turn
+        after all bids or a fast close): the first closes it next turn,
+        as event -> any-of condition -> resume did."""
+        if not contest.closing:
+            contest.closing = True
+            self.master.sim.call_soon(self._close, contest, urgent=False)
+
+    def _close(self, contest: Contest) -> None:
+        """Close ``contest`` and assign its job (or run it again)."""
+        master, job = self.master, contest.job
+        contest.window.cancel()
+        contest.window = None  # its callback holds the contest
+        if contest.computed:
+            # A bid landing at the very instant the window expires is
+            # late: the window's timer was armed before it was sent.
+            expired = not (contest.all_bids or contest.fast_close)
+            if expired or contest.counted_at != master.sim.now:
                 self._collect(contest, before_now=expired)
-                if contest.timer is not None:
-                    contest.timer.cancel()
-            outcome = contest.close()
-            self.open_contests -= 1
-            winner = contest.winner()
-            if (
-                winner is None
-                and master.recovery is not None
-                and job.job_id not in self._rebids
-            ):
-                # Recovery extension: a zero-bid window usually means the
-                # invitees died or were partitioned mid-contest.  Re-run
-                # the contest once against the *current* fleet instead of
-                # assigning blindly.  (The old contest stays in the map
-                # until the rerun opens, absorbing stray late bids.)
-                self._rebids.add(job.job_id)
-                master.metrics.contest_closed(
-                    master.sim.now, job, None, contest.duration, outcome
-                )
-                self._pending.put(job)
-                self._busy_runners -= 1
-                continue
-            if winner is None:
-                # "assigns the job to an arbitrary node in case none of
-                # the workers submitted their estimates".
-                winner = master.arbitrary_worker()
+            if contest.timer is not None:
+                contest.timer.cancel()
+                contest.timer = None  # its callback holds the contest
+        outcome = contest.close()
+        self.open_contests -= 1
+        winner = contest.winner()
+        if (
+            winner is None
+            and master.recovery is not None
+            and job.job_id not in self._rebids
+        ):
+            # Recovery extension: a zero-bid window usually means the
+            # invitees died or were partitioned mid-contest.  Re-run
+            # the contest once against the *current* fleet instead of
+            # assigning blindly.  (The old contest stays in the map
+            # until the rerun opens, absorbing stray late bids.)
+            self._rebids.add(job.job_id)
             master.metrics.contest_closed(
-                master.sim.now, job, winner, contest.duration, outcome
+                master.sim.now, job, None, contest.duration, outcome
             )
-            master.assign(job, winner)
-            if contest.computed:
-                # The record must outlive the Assignment's flight: the
-                # winner looks up what it promised when the message lands.
-                topology = master.topology
-                contest.quiet_after = max(
-                    contest.quiet_after,
-                    master.sim.now + topology.broker.base_latency + topology.latency_of(winner),
-                )
-            self._busy_runners -= 1
-            self._settle()
+            self._requeue(job)
+            return
+        if winner is None:
+            # "assigns the job to an arbitrary node in case none of
+            # the workers submitted their estimates".
+            winner = master.arbitrary_worker()
+        master.metrics.contest_closed(
+            master.sim.now, job, winner, contest.duration, outcome
+        )
+        master.assign(job, winner)
+        if contest.computed:
+            # The record must outlive the Assignment's flight: the
+            # winner looks up what it promised when the message lands.
+            topology = master.topology
+            contest.quiet_after = max(
+                contest.quiet_after,
+                master.sim.now + topology.broker.base_latency + topology.latency_of(winner),
+            )
+        self._busy -= 1
+        self._settle()
+        self._kick()
 
     def _open(self, job: Job) -> Contest:
         """Open ``job``'s contest: announce it over the broker if the
@@ -388,8 +414,12 @@ class BiddingMasterPolicy(MasterPolicy):
             subs = broker.subscribers(TOPIC_ANNOUNCE)
             if subs != self._subs:
                 computed = self._enlist(subs)
-        invited = list(master.active_workers)
-        contest = Contest(master.sim, job, invited, names=self._names if computed else None)
+        if master.active_workers != self._active:
+            self._active = list(master.active_workers)
+            self._expected = frozenset(self._active)
+            self._invited = None
+        invited = self._expected if computed else self._active
+        contest = Contest(master.sim, job, invited, self._names if computed else None, self)
         # The job's previous contest (a re-contest after a zero-bid
         # window or a re-dispatch): promises made there still stand for
         # bidders this one does not reach.
@@ -426,7 +456,9 @@ class BiddingMasterPolicy(MasterPolicy):
         self._subs = subs
         self._names = [sub.name for sub in subs]
         self._name_set = frozenset(self._names)
+        self._rank = np.argsort(np.argsort(np.array(self._names, dtype=object)))
         self._everyone = np.ones(len(subs), dtype=bool)
+        self._invited = None
         if rows == list(range(len(rows))):
             self._rows, self._lookup = slice(0, len(rows)), None
         else:
@@ -447,13 +479,13 @@ class BiddingMasterPolicy(MasterPolicy):
         taken up, priced and delivered, from the planes as they stand."""
         sim = self.master.sim
         planes, rows = self.planes, self._rows
-        contest.invited = self._everyone
-        if contest.expected != self._name_set:
-            contest.invited = np.fromiter(
-                (name in contest.expected for name in self._names),
-                dtype=bool,
-                count=len(self._names),
-            )
+        if self._invited is None:
+            self._invited = self._everyone
+            if self._expected != self._name_set:
+                self._invited = np.fromiter(
+                    (name in self._expected for name in self._names), bool, len(self._names)
+                )
+        contest.invited, contest.rank = self._invited, self._rank
         contest.rows, contest.lookup = rows, self._lookup
         (
             contest.workload,
@@ -467,7 +499,8 @@ class BiddingMasterPolicy(MasterPolicy):
         )
         # (An upper bound: it only says when the contest can be forgotten.)
         contest.quiet_after = float(contest.arrive.max(initial=-np.inf))
-        contest.timer = None
+        contest.full = contest.invited is self._everyone and bool(contest.valid.all())
+        contest.timer = contest.counted_at = None
         for bidder_row in sorted(self._fresh):
             # Per-worker sums run in metrics-block creation order, and a
             # bidder's block is created by its first bid: that one bid
@@ -486,14 +519,17 @@ class BiddingMasterPolicy(MasterPolicy):
     def _arm(self, contest: Contest) -> None:
         """(Re)arm the contest's timer for the instant it can close early:
         when the last invited bid lands, or the first unbeatable one."""
-        if contest.status is ContestStatus.CLOSED or contest.all_bids.triggered:
+        if contest.status is ContestStatus.CLOSED or contest.all_bids:
             return
         sim = self.master.sim
-        pool = contest.valid & contest.invited
-        bidders = int(np.count_nonzero(pool))
-        when = np.inf
-        if bidders and bidders == len(contest.expected):
-            when = contest.arrive[pool].max()
+        if contest.full:
+            pool, when = contest.invited, contest.quiet_after  # every row
+        else:
+            pool = contest.valid & contest.invited
+            bidders = int(np.count_nonzero(pool))
+            when = np.inf
+            if bidders and bidders == len(contest.expected):
+                when = contest.arrive[pool].max()
         if self.fast_local_close:
             idle = pool & (contest.workload == 0.0) & (contest.transfer == 0.0)
             if idle.any():
@@ -512,20 +548,21 @@ class BiddingMasterPolicy(MasterPolicy):
         this instant: timer callback, and the last thing before the
         contest closes."""
         now = self.master.sim.now
-        landed = contest.arrive < now if before_now else contest.arrive <= now
-        contest.collect(contest.valid & landed)
+        quiet = contest.quiet_after
+        if contest.full and (quiet < now or quiet == now and not before_now):
+            contest.collect()  # every bid has landed
+        else:
+            landed = contest.arrive < now if before_now else contest.arrive <= now
+            contest.collect(contest.valid & landed)
+        contest.counted_at = now
         if (
             self.fast_local_close
             and contest.status is ContestStatus.OPEN
-            and not contest.fast_close.triggered
+            and not contest.fast_close
         ):
-            idle = np.flatnonzero(
-                contest.counted & (contest.workload == 0.0) & (contest.transfer == 0.0)
-            )
-            if idle.size:
-                self.fast_closes += 1
-                first = idle[np.argmin(contest.arrive[idle])]
-                contest.fast_close.succeed(contest.names[first])
+            idle = contest.counted & (contest.workload == 0.0) & (contest.transfer == 0.0)
+            if idle.any():
+                self._fast_close(contest)
 
     def _settle(self, everything: bool = False) -> None:
         """Forget the computed contests that are over (``everything``:
@@ -538,10 +575,12 @@ class BiddingMasterPolicy(MasterPolicy):
             if not everything and (not closed or contest.quiet_after > now):
                 keep.append(contest)
                 continue
-            landed = contest.valid & (contest.arrive <= now)
+            landed = contest.valid  # all landed once the last one has
+            if contest.quiet_after > now:
+                landed = landed & (contest.arrive <= now)
             self.planes.bids[contest.rows] += landed
             if closed:
-                contest.collect(landed)  # the stragglers, as late bids
+                contest.arrived = landed  # the stragglers: late bids, read on demand
             contest.live = False
             if contest.job_done and self.contests.get(contest.job.job_id) is contest:
                 del self.contests[contest.job.job_id]
@@ -597,6 +636,7 @@ class BiddingMasterPolicy(MasterPolicy):
             row = self._row(contest, bidder.row)
             if row >= 0 and contest.valid[row] and getattr(contest, plane)[row] > now:
                 contest.valid[row] = False
+                contest.full, contest.counted_at = False, None
                 self._arm(contest)
 
     def promise(self, bidder: "BiddingWorkerPolicy", job_id: str, since: float):

@@ -9,8 +9,8 @@ its closing rule (line 30)::
     biddingFinished(job_id) =
         len(bids[job_id]) == len(activeWorkers)  OR  bidding_lasted_for > 1s
 
-The early-close condition is exposed as an event (:attr:`all_bids`) so
-the policy can race it against the window timeout.
+The early-close condition is a flag (:attr:`all_bids`) that wakes the
+owning policy, which closes the contest on it or the window's timer.
 
 The record is *columnar*: one row per worker that hears the
 announcement, the bids as float planes (``cost`` and its Listing-2
@@ -26,14 +26,14 @@ plane either way.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 import numpy as np
 
 from repro.engine.messages import Bid
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.bidding import BiddingMasterPolicy
     from repro.sim.kernel import Simulator
     from repro.workload.job import Job
 
@@ -60,20 +60,27 @@ class Contest:
     commits), ``dequeue`` / ``evaluate`` / ``arrive`` (when the bid
     thread takes the announcement up, when the bid is priced, when it
     reaches the master), ``valid`` (the bidder still bids), ``rows`` /
-    ``lookup`` (cost-plane rows <-> contest rows).
+    ``lookup`` (cost-plane rows <-> contest rows), ``rank`` (name ranks,
+    for ties), ``quiet_after`` (when the last bid lands) and ``full``
+    (every row is invited and valid: counted without masks).
+
+    ``owner.wake(contest)``, if given, runs one NORMAL turn after the
+    last invited bid is counted, where a triggered event's callbacks ran.
     """
 
     def __init__(
         self,
         sim: "Simulator",
         job: "Job",
-        expected_workers: list[str],
+        expected_workers: Collection[str],
         names: Optional[list[str]] = None,
+        owner: Optional["BiddingMasterPolicy"] = None,
     ) -> None:
         if not expected_workers:
             raise ValueError("a contest needs at least one invited worker")
         self.sim = sim
         self.job = job
+        self.owner = owner
         self.expected: frozenset[str] = frozenset(expected_workers)
         self.status = ContestStatus.OPEN
         self.opened_at = sim.now
@@ -102,18 +109,21 @@ class Contest:
         #: Rows whose bid counted.
         self.counted = np.zeros(rows, dtype=bool)
         self.n_bids = 0
-        #: Fires once every invited worker has bid (the early-close trigger).
-        self.all_bids: Event = Event(sim)
-        #: Fires when the policy decides to short-circuit the contest
-        #: (the fast-local-close future-work extension); never triggered
-        #: under the paper's default rules.
-        self.fast_close: Event = Event(sim)
+        #: Every invited worker has bid (the early-close trigger).
+        self.all_bids = False
+        #: The policy short-circuited the contest (the fast-local-close
+        #: future-work extension); never set under the paper's rules.
+        self.fast_close = False
+        #: The owner has begun closing the contest (a trigger came up).
+        self.closing = self.full = False
+        self.rank: Optional[np.ndarray] = None
         #: Workers dropped from the contest after dying mid-window.
         self.excluded: set[str] = set()
         #: Bids that arrived too late to count (the paper drops them):
-        #: :meth:`add_bid` remembers them here, :meth:`collect` as a mask.
+        #: :meth:`add_bid` remembers them here; the rows of
+        #: :meth:`collect`'s last ``arrived`` that did not count are too.
         self._late: list[Bid] = []
-        self.late: Optional[np.ndarray] = None
+        self.arrived: Optional[np.ndarray] = None
         self._index: Optional[dict[str, int]] = None
 
     @property
@@ -124,9 +134,10 @@ class Contest:
     @property
     def late_bids(self) -> list[Bid]:
         """Bids that arrived after closing or from an excluded worker."""
-        if self.late is None:
+        if self.arrived is None:
             return list(self._late)
-        return self._late + [self.bid_of(row) for row in np.flatnonzero(self.late)]
+        late = np.flatnonzero(self.arrived & ~self.counted)
+        return self._late + [self.bid_of(row) for row in late]
 
     def row_of(self, worker: str) -> int:
         """The row of ``worker`` (-1 if it never heard the announcement)."""
@@ -177,29 +188,33 @@ class Contest:
         self._check_all_bids()
         return True
 
-    def collect(self, arrived: np.ndarray) -> None:
+    def collect(self, arrived: Optional[np.ndarray] = None) -> None:
         """Count every bid whose row is in ``arrived`` at once: the
         columnar equivalent of one :meth:`add_bid` per arrival, for bids
-        whose values already sit in the planes."""
+        whose values already sit in the planes.  ``None``: every row, of
+        a :attr:`full` contest."""
+        every = arrived is None
+        if every:
+            arrived = self.invited  # all ones, and never written in place
+        self.arrived = arrived
         if self.status is ContestStatus.CLOSED:
-            self.late = arrived & ~self.counted
             return
-        if (arrived & ~self.invited).any():
-            for row in np.flatnonzero(arrived & ~self.invited):
-                if self.names[row] not in self.excluded:
-                    raise ValueError(f"bid from uninvited worker {self.names[row]!r}")
-        self.counted = arrived & self.invited
-        self.late = arrived & ~self.invited
-        self.n_bids = int(np.count_nonzero(self.counted))
+        if every:
+            self.counted, self.n_bids = arrived.copy(), arrived.size
+        else:
+            if (arrived & ~self.invited).any():
+                for row in np.flatnonzero(arrived & ~self.invited):
+                    if self.names[row] not in self.excluded:
+                        raise ValueError(f"bid from uninvited worker {self.names[row]!r}")
+            self.counted = arrived & self.invited
+            self.n_bids = int(np.count_nonzero(self.counted))
         self._check_all_bids()
 
     def _check_all_bids(self) -> None:
-        if (
-            self.expected
-            and self.n_bids == len(self.expected)
-            and not self.all_bids.triggered
-        ):
-            self.all_bids.succeed()
+        if self.expected and self.n_bids == len(self.expected) and not self.all_bids:
+            self.all_bids = True
+            if self.owner is not None:
+                self.sim.call_soon(self.owner.wake, self, urgent=False)
 
     def exclude(self, worker: str) -> None:
         """Remove an invited worker that died mid-contest.
@@ -213,6 +228,7 @@ class Contest:
             return
         self.expected = self.expected - {worker}
         self.excluded.add(worker)
+        self.full, self.counted_at = False, None  # the owner counts again
         row = self.row_of(worker)
         if row >= 0:
             self.invited = self.invited.copy()  # may be shared between contests
@@ -234,10 +250,12 @@ class Contest:
         if self.n_bids < len(self.names):
             costs = np.where(self.counted, costs, np.inf)
         best = int(costs.argmin())
-        ties = costs == costs[best]
-        if np.count_nonzero(ties) == 1:
+        ties = (costs == costs[best]).nonzero()[0]
+        if ties.size == 1:
             return self.names[best]
-        return min([self.names[row] for row in np.flatnonzero(ties)])
+        if self.rank is not None:
+            return self.names[ties[self.rank[ties].argmin()]]
+        return min([self.names[row] for row in ties])
 
     def ranked(self) -> list[int]:
         """Rows of the counted bids, best ``(cost, name)`` first."""
@@ -265,4 +283,4 @@ class Contest:
             return "fallback"
         if self.n_bids == len(self.expected):
             return "full"
-        return "fast" if self.fast_close.triggered else "timeout"
+        return "fast" if self.fast_close else "timeout"

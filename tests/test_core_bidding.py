@@ -529,3 +529,66 @@ class TestBidsInFlightAtTheEnd:
         assert (ours, makespan) == bids(make_reference_bidding_policy)
         # Data-free jobs finish at once, well before w2's 1.0 s bids land.
         assert ours["w2"] < ours["w1"] == 4
+
+
+class TestHotSwapQuiesce:
+    @pytest.mark.parametrize("successor", ["baseline", "bidding"])
+    def test_a_job_arriving_on_a_poll_instant_is_handed_over(self, successor):
+        """j1 is submitted at 1.5 s, the instant the quiesce polls at:
+        the poll must see it waiting and export it with the rest, not
+        lose it between the queue and the contest loop."""
+        from repro.cluster.profiles import profile_by_name
+        from repro.reconfig import ReconfigPlan, SchedulerSwap
+
+        runtime = WorkflowRuntime(
+            profile=profile_by_name("fast-slow"),
+            stream=arrivals(
+                ("j0", "r0", 20.0, 0.0), ("j1", "r1", 20.0, 1.5), ("j2", "r2", 20.0, 6.0)
+            ),
+            scheduler=make_bidding_policy(),
+            config=quiet_config(trace=True, max_sim_time=500.0),
+            reconfig=ReconfigPlan(
+                swaps=(SchedulerSwap(at_s=0.5, scheduler=successor, poll_s=0.5),)
+            ),
+        )
+        assert runtime.run().jobs_completed == 3
+        swaps = [(e.time, e.kind) for e in runtime.metrics.trace if e.kind.startswith("swap")]
+        assert swaps == [(0.5, "swap_quiesce"), (1.5, "swap_done")]
+
+
+class TestClosedContestsAreFreed:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"warm": 25, "fast_local_close": True, "max_concurrent_contests": 4}],
+        ids=["paper", "fast-close"],
+    )
+    def test_no_reference_cycle_keeps_a_contest(self, kwargs):
+        """With the cycle collector off, a finished job's contests are
+        freed by reference counting alone: nothing a closed contest
+        holds (a timer, a wake-up) points back at it."""
+        import gc
+        import weakref
+
+        from repro.experiments.golden import scale_runtime
+
+        runtime = scale_runtime(100, False, "bidding", **kwargs)
+        policy = runtime.master.policy
+        real_open, opened = policy._open, []
+
+        def _open(job):
+            contest = real_open(job)
+            opened.append(weakref.ref(contest))
+            return contest
+
+        policy._open = _open
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = runtime.run()
+            alive = [ref() for ref in opened if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert result.jobs_completed == len(opened) == 300
+        assert all(contest.computed for contest in alive)
+        assert [contest.job.job_id for contest in alive] == []

@@ -34,9 +34,9 @@ class TestContestLifecycle:
     def test_all_bids_event_fires_when_complete(self, sim):
         contest = Contest(sim, make_job(), ["w1", "w2"])
         contest.add_bid(make_bid("w1", 5.0))
-        assert not contest.all_bids.triggered
+        assert not contest.all_bids
         contest.add_bid(make_bid("w2", 3.0))
-        assert contest.all_bids.triggered
+        assert contest.all_bids
 
     def test_close_classifies_full(self, sim):
         contest = Contest(sim, make_job(), ["w1"])
