@@ -281,7 +281,34 @@ SCALE_CELLS["bidding-fast4-100"] = (
     {"warm": 25, "fast_local_close": True, "max_concurrent_contests": 4},
 )
 
-#: churn name -> (crashes, migrations, swaps) as keyword dicts.
+# The fault injector and the reconfiguration controller: one cell per
+# path (see SCALE_CHURN), and the MSR pipeline's searches on an API
+# limited to 4 requests a minute, w4 killed inside one of them.
+SCALE_CELLS["bidding-degrade-25"] = ("bidding", 25, False, {"churn": "degrade"})
+SCALE_CELLS["bidding-partition-25"] = ("bidding", 25, False, {"churn": "partition"})
+SCALE_CELLS["baseline-loss-25"] = (
+    "baseline", 25, False, {"churn": "loss", "response_timeout_s": 2.0}
+)
+SCALE_CELLS["baseline-renewal-25"] = ("baseline", 25, False, {"churn": "renewal"})
+SCALE_CELLS["bidding-ack-timeout-25"] = ("bidding", 25, False, {"churn": "ack-timeout"})
+SCALE_CELLS["bidding-empty-target-25-observed"] = (
+    "bidding", 25, True, {"churn": "empty-target"}
+)
+SCALE_CELLS["bidding-quiesce-timeout-25"] = ("bidding", 25, False, {"churn": "quiesce-timeout"})
+SCALE_CELLS["bidding-msr-5"] = (
+    "bidding",
+    5,
+    False,
+    {
+        "msr": {
+            "rate_limit_per_minute": 4,
+            "faults": {"crashes": [{"at_s": 790.0, "worker": "w4", "restart_after_s": 10.0}]},
+        }
+    },
+)
+
+#: churn name -> the cell's :class:`~repro.faults.FaultPlan` and
+#: :class:`~repro.reconfig.ReconfigPlan`, as their ``from_dict`` input.
 #: ``cascade``: a worker dies at 6 s, mid-cascade, and is back 10 s
 #: later; at 16 s three jobs migrate onto pre-warmed caches.
 #: ``mid-download`` (timed against the ``spark`` cell at 100 workers):
@@ -294,26 +321,87 @@ SCALE_CELLS["bidding-fast4-100"] = (
 #: transfer did not draw would show.
 #: ``swap``: bidding hands over to a fresh bidding policy at 20 s, with
 #: about 35 jobs waiting for a contest.
-SCALE_CHURN: dict[str, tuple] = {
-    "cascade": (
-        ({"at_s": 6.0, "restart_after_s": 10.0},),
-        ({"at_s": 16.0, "max_jobs": 3, "include_running": True},),
-        (),
-    ),
-    "mid-download": (
-        (
-            {"at_s": 1.25, "worker": "w0051", "restart_after_s": 10.0},
-            {"at_s": 50.0, "worker": "w0063", "restart_after_s": 10.0},
-        ),
-        (
-            {"at_s": 10.0, "source": "w0093", "include_running": True},
-            {"at_s": 21.15, "source": "w0032", "include_running": True},
-            {"at_s": 30.0, "target": "w0051"},
-            {"at_s": 70.0, "target": "w0063"},
-        ),
-        (),
-    ),
-    "swap": ((), (), ({"at_s": 20.0, "scheduler": "bidding"},)),
+#: The rest drive one path of the fault injector or the reconfiguration
+#: controller each: a degraded-link window, a partition that holds
+#: reliable messages and drops the rest, a loss window that pull loss
+#: timeouts recover from, crash renewals whose repairs restart nodes, a
+#: migration request held by a partition past its ack deadline (the
+#: late ack is rebound), a migration onto a dead target that retries
+#: until it is back, and a swap whose quiesce times out.
+SCALE_CHURN: dict[str, dict] = {
+    "cascade": {
+        "faults": {"crashes": [{"at_s": 6.0, "restart_after_s": 10.0}]},
+        "reconfig": {"migrations": [{"at_s": 16.0, "max_jobs": 3, "include_running": True}]},
+    },
+    "mid-download": {
+        "faults": {
+            "crashes": [
+                {"at_s": 1.25, "worker": "w0051", "restart_after_s": 10.0},
+                {"at_s": 50.0, "worker": "w0063", "restart_after_s": 10.0},
+            ]
+        },
+        "reconfig": {
+            "migrations": [
+                {"at_s": 10.0, "source": "w0093", "include_running": True},
+                {"at_s": 21.15, "source": "w0032", "include_running": True},
+                {"at_s": 30.0, "target": "w0051"},
+                {"at_s": 70.0, "target": "w0063"},
+            ]
+        },
+    },
+    "swap": {"reconfig": {"swaps": [{"at_s": 20.0, "scheduler": "bidding"}]}},
+    "degrade": {
+        "faults": {
+            "degradations": [
+                {
+                    "start_s": 10.0,
+                    "end_s": 40.0,
+                    "targets": ["w0001", "w0002", "w0003", "w0004"],
+                    "bandwidth_factor": 0.25,
+                    "extra_latency_s": 0.5,
+                }
+            ]
+        }
+    },
+    "partition": {
+        "faults": {
+            "partitions": [
+                {"start_s": 10.0, "end_s": 40.0, "group": [f"w{i:04d}" for i in range(8)]}
+            ]
+        }
+    },
+    "loss": {"faults": {"message_loss": [{"start_s": 5.0, "end_s": 40.0, "probability": 0.2}]}},
+    "renewal": {
+        "faults": {
+            "renewals": [
+                {"mtbf_s": 8.0, "mttr_s": 5.0, "start_s": 5.0, "end_s": 50.0, "max_crashes": 4}
+            ]
+        }
+    },
+    "ack-timeout": {
+        "faults": {"partitions": [{"start_s": 10.02, "end_s": 14.0, "group": ["w0002"]}]},
+        "reconfig": {
+            "migrations": [
+                {
+                    "at_s": 10.0,
+                    "source": "w0002",
+                    "include_running": True,
+                    "ack_timeout_s": 1.0,
+                }
+            ]
+        },
+    },
+    "empty-target": {
+        "faults": {"crashes": [{"at_s": 10.0, "worker": "w0005", "restart_after_s": 5.5}]},
+        "reconfig": {"migrations": [{"at_s": 12.0, "target": "w0005", "max_jobs": 2}]},
+    },
+    "quiesce-timeout": {
+        "reconfig": {
+            "swaps": [
+                {"at_s": 20.0, "scheduler": "baseline", "quiesce_timeout_s": 0.1, "poll_s": 0.03}
+            ]
+        }
+    },
 }
 
 
@@ -342,12 +430,12 @@ def scale_runtime(
     ``at_s`` -- which the fault injector never does: it spares the last
     one -- and restarts them one every ``every_s`` from ``back_s`` on;
     the first ``warm`` workers start with the shared repository cached."""
-    from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
-    from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
+    from repro.faults import FaultPlan
+    from repro.reconfig import ReconfigPlan
     from repro.workload.generators import job_config_by_name
     from repro.workload.job import JobArrival
 
-    crashes, migrations, swaps = SCALE_CHURN[churn] if churn else ((), (), ())
+    plans = SCALE_CHURN[churn] if churn else {}
 
     profile = WorkerProfile(
         f"fleet-{n_workers}",
@@ -387,18 +475,10 @@ def scale_runtime(
         config=EngineConfig(
             seed=SCALE_SEED, trace=observed, check=observed, obs=observed, **(engine or {})
         ),
-        faults=FaultPlan(
-            crashes=tuple(WorkerCrash(**crash) for crash in crashes),
-            recovery=RecoveryConfig(),
-        )
-        if crashes or fleet_down
+        faults=FaultPlan.from_dict(plans.get("faults", {}))
+        if "faults" in plans or fleet_down
         else None,
-        reconfig=ReconfigPlan(
-            migrations=tuple(JobMigration(**migration) for migration in migrations),
-            swaps=tuple(SchedulerSwap(**swap) for swap in swaps),
-        )
-        if migrations or swaps
-        else None,
+        reconfig=ReconfigPlan.from_dict(plans["reconfig"]) if "reconfig" in plans else None,
     )
     if fleet_down:
         at_s, back_s, every_s = fleet_down
@@ -411,9 +491,22 @@ def scale_runtime(
 
 def record_scale() -> dict:
     """Result rows and bid (pull cells: offer) counts of the fleet-sized cells."""
+    from repro.experiments.tables_msr import msr_runtime
+    from repro.faults import FaultPlan
+
     golden = {}
     for name, (scheduler, n_workers, observed, *extra) in SCALE_CELLS.items():
-        runtime = scale_runtime(n_workers, observed, scheduler, **(extra[0] if extra else {}))
+        options = extra[0] if extra else {}
+        if "msr" in options:
+            msr = options["msr"]
+            runtime = msr_runtime(
+                scheduler,
+                SCALE_SEED,
+                msr["rate_limit_per_minute"],
+                FaultPlan.from_dict(msr["faults"]),
+            )
+        else:
+            runtime = scale_runtime(n_workers, observed, scheduler, **options)
         row = dataclasses.asdict(runtime.run())
         workers = runtime.metrics.workers
         bids = {worker: block.bids_submitted for worker, block in workers.items()}
@@ -431,6 +524,12 @@ def record_scale() -> dict:
             )
         cell["per_worker_sha256"] = _digest(per_worker)
         cell["assignments_sha256"] = _digest(runtime.master.assignments)
+        if runtime.injector is not None:
+            broker = runtime.topology.broker
+            cell["faults_sha256"] = _digest(runtime.injector.events)
+            cell["messages_dropped"] = [broker.dropped, broker.partition_dropped]
+        if runtime.reconfig_controller is not None:
+            cell["reconfig_sha256"] = _digest(runtime.reconfig_controller.events)
         if observed:
             trace = runtime.metrics.trace
             cell["trace_events"] = len(trace)

@@ -97,6 +97,14 @@ def msr_corpus(seed: int) -> RepositoryCorpus:
 
 def run_one(scheduler_name: str, seed: int) -> RunResult:
     """One cold MSR pipeline run under one scheduler."""
+    return msr_runtime(scheduler_name, seed).run()
+
+
+def msr_runtime(
+    scheduler_name: str, seed: int, rate_limit_per_minute: int = 600, faults=None
+) -> WorkflowRuntime:
+    """The runtime of :func:`run_one`; a lower API rate limit or a
+    :class:`~repro.faults.FaultPlan` make the searches wait or die."""
     spec = MSRPipelineSpec(
         libraries=POPULAR_NPM_LIBRARIES,
         query_min_size_mb=MIN_CLONE_MB,
@@ -111,6 +119,7 @@ def run_one(scheduler_name: str, seed: int) -> RunResult:
             sim,
             corpus,
             request_latency=0.25,
+            rate_limit_per_minute=rate_limit_per_minute,
             match_fraction=MATCH_FRACTION,
             seed=seed,
         )
@@ -125,14 +134,14 @@ def run_one(scheduler_name: str, seed: int) -> RunResult:
     else:
         scheduler = make_scheduler(scheduler_name)
 
-    runtime = WorkflowRuntime(
+    return WorkflowRuntime(
         profile=msr_profile(),
         stream=stream,
         scheduler=scheduler,
         pipeline_factory=pipeline_factory,
         config=default_engine_config(seed),
+        faults=faults,
     )
-    return runtime.run()
 
 
 def run_tables(seeds: Sequence[int] = RUN_SEEDS) -> Sweep:

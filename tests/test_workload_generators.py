@@ -1,11 +1,14 @@
 """Unit tests for the Section 6.3.1 job configurations."""
 
+import hashlib
+
 import pytest
 
 from repro.data.sizes import band_of
 from repro.workload.generators import (
     JOB_CONFIG_BUILDERS,
     JOBS_PER_CONFIG,
+    ZipfJobConfig,
     all_diff_equal,
     eighty_pct_large,
     eighty_pct_small,
@@ -109,3 +112,54 @@ class TestArrivals:
     def test_all_jobs_target_analyzer(self):
         _corpus, stream = all_diff_equal().build(seed=12)
         assert all(a.job.task == "RepositoryAnalyzer" for a in stream)
+
+
+def _digest(config, seed: int) -> str:
+    corpus, stream = config.build(seed=seed)
+    drawn = (
+        [(repo.repo_id, repo.size_mb) for repo in corpus],
+        [(a.at, a.job.job_id, a.job.repo_id, a.job.size_mb) for a in stream],
+    )
+    return hashlib.sha256(repr(drawn).encode()).hexdigest()[:16]
+
+
+#: (config, seed) -> digest of its corpus and arrivals, recorded before
+#: the category draws moved off ``Generator.choice``: a cached CDF and
+#: one ``rng.random()`` must give the very same workloads.
+PINNED_DRAWS = {
+    ("80%_large", 1): "61e8ba6871ab28e8",
+    ("80%_large", 11): "146bdf92edce03ed",
+    ("80%_large", 97): "629ac9aa6c6b2be4",
+    ("80%_small", 1): "592f188a3177caca",
+    ("80%_small", 11): "82acf35a25824c83",
+    ("80%_small", 97): "2576feb081015c3b",
+    ("all_diff_equal", 1): "3157d3532302a4f1",
+    ("all_diff_equal", 11): "6f2c18571eac5e0d",
+    ("all_diff_equal", 97): "430828f01b56a94f",
+    ("all_diff_large", 1): "0d14ae1f93b4b03f",
+    ("all_diff_large", 11): "4d70db969a927bf8",
+    ("all_diff_large", 97): "af1d6317ada623f4",
+    ("all_diff_small", 1): "8a271232bdf96b6d",
+    ("all_diff_small", 11): "e2b633187bff7d02",
+    ("all_diff_small", 97): "28879599e674e6ad",
+    ("all_small_strict", 1): "54b86d9e2a28ed39",
+    ("all_small_strict", 11): "64263f2394056911",
+    ("all_small_strict", 97): "b92b4fc45c636ae9",
+    ("zipf", 1): "fea1412a982ac46d",
+    ("zipf", 11): "d9f17e993d7e2259",
+    ("zipf", 97): "a1c8b6d29510f146",
+    ("zipf-1.5", 1): "f1c028dce5f2c806",
+    ("zipf-1.5", 11): "29f1c5922510cc9f",
+    ("zipf-1.5", 97): "b4456be049df3b2f",
+}
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("name, seed", sorted(PINNED_DRAWS))
+    def test_workload_is_unchanged(self, name, seed):
+        config = (
+            ZipfJobConfig(alpha=1.5, n_repos=25, name="zipf-pinned")
+            if name == "zipf-1.5"
+            else job_config_by_name(name)
+        )
+        assert _digest(config, seed) == PINNED_DRAWS[name, seed]
