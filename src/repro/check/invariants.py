@@ -334,6 +334,7 @@ class InvariantMonitor:
         # Contest state machine.
         self._announce_counts: dict[str, int] = {}
         self._announce_times: dict[str, float] = {}
+        #: job -> who bid in its open contest (dropped when it closes).
         self._open_bidders: dict[str, set[str]] = {}
         self._pending_winner: dict[str, str] = {}
 
@@ -576,7 +577,9 @@ class InvariantMonitor:
                 f"bid from {worker!r} for job {job_id!r} that was never announced",
             )
             return
-        self._open_bidders.setdefault(job_id, set()).add(worker)
+        bidders = self._open_bidders.get(job_id)
+        if bidders is not None:  # else a late bid: its contest is closed
+            bidders.add(worker)
 
     def on_contest_closed(
         self, job_id: str, winner: Optional[str], duration: float, outcome: str, now: float
@@ -597,8 +600,8 @@ class InvariantMonitor:
                     f"contest for job {job_id!r} ran {duration:g}s, over the "
                     f"{self.contest_window_s:g}s window (+{self.config.contest_slack_s:g}s slack)",
                 )
+        bidders = self._open_bidders.pop(job_id, ())
         if outcome in ("full", "fast", "timeout"):
-            bidders = self._open_bidders.get(job_id, set())
             if winner not in bidders:
                 self._violate(
                     "winner-among-bidders",

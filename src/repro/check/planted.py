@@ -136,7 +136,7 @@ def plant_buggy_migrator(runtime) -> None:
         """BUGGY ON PURPOSE: drops the first checkpointed job."""
 
         def _rebind_all(self, jobs, source, entry):
-            yield from super()._rebind_all(jobs[1:], source, entry)
+            super()._rebind_all(jobs[1:], source, entry)
 
     runtime.reconfig_controller_factory = BuggyMigratorController
 

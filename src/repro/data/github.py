@@ -19,7 +19,7 @@ shared origin :class:`~repro.net.bandwidth.FairSharePipe`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -117,33 +117,37 @@ class GitHubService:
 
     # -- simulated API calls ----------------------------------------------
 
-    def search(self, query: SearchQuery) -> Generator:
-        """Process: run a paginated search; returns the result list.
-
-        Usage::
-
-            repos = yield sim.process(github.search(query))
+    def search(self, query: SearchQuery, done: Callable[[list], None]) -> None:
+        """Run a paginated search; ``done(results)`` is called in the
+        turn its last page's latency ends.
 
         Each page costs one rate-limited request with exponential
         latency; large result sets therefore take visibly longer, as the
-        real API does.
+        real API does.  The first request goes out in the caller's turn.
         """
         results = self.evaluate(query)
         pages = max(1, -(-len(results) // query.per_page))
-        for _page in range(pages):
-            yield from self._one_request()
-        return results
+        self._request(pages, results, done)
 
-    def _one_request(self) -> Generator:
+    def _request(self, pages: int, results: list, done: Callable[[list], None]) -> None:
         """One rate-limited API request with exponential latency."""
-        now = self.sim.now
-        window_start = now - 60.0
+        window_start = self.sim.now - 60.0
         self._request_times = [t for t in self._request_times if t > window_start]
         if len(self._request_times) >= self.rate_limit_per_minute:
             # Wait until the oldest request in the window ages out.
             wait = self._request_times[0] - window_start
-            yield self.sim.timeout(wait)
+            self.sim.call_later(wait, self._send, pages, results, done)
+        else:
+            self._send(pages, results, done)
+
+    def _send(self, pages: int, results: list, done: Callable[[list], None]) -> None:
         self._request_times.append(self.sim.now)
         self.request_count += 1
         latency = float(self._rng.exponential(self.request_latency))
-        yield self.sim.timeout(latency)
+        self.sim.call_later(latency, self._answered, pages - 1, results, done)
+
+    def _answered(self, pages: int, results: list, done: Callable[[list], None]) -> None:
+        if pages:
+            self._request(pages, results, done)
+        else:
+            done(results)

@@ -19,8 +19,11 @@ mixtures used by the workload generators are :func:`equal_mixture`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from repro.sim.rng import choice_cdf
 
 
 @dataclass(frozen=True)
@@ -82,12 +85,17 @@ class SizeMixture:
         """Build from keyword weights: ``SizeMixture.of(small=0.8, large=0.2)``."""
         return cls(tuple(sorted(weights.items())))
 
+    @cached_property
+    def _bands(self) -> tuple[np.ndarray, list[SizeBand]]:
+        return (
+            choice_cdf([weight for _, weight in self.weights]),
+            [band_by_name(name) for name, _ in self.weights],
+        )
+
     def sample_band(self, rng: np.random.Generator) -> SizeBand:
         """Draw a band according to the mixture weights."""
-        names = [name for name, _ in self.weights]
-        probs = [weight for _, weight in self.weights]
-        chosen = rng.choice(len(names), p=probs)
-        return band_by_name(names[int(chosen)])
+        cdf, bands = self._bands
+        return bands[int(cdf.searchsorted(rng.random(), side="right"))]
 
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one size: first a band, then uniform within it."""

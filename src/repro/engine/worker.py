@@ -21,7 +21,7 @@ as ``totalCostOfUnfinishedJobs()`` (Listing 2 line 2).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.machine import Machine
 from repro.data.cache import WorkerCache
@@ -116,14 +116,14 @@ class WorkerNode:
         #: enqueue, the job whose turn is armed but has not come, when
         #: the running job started, and what the running job waits for
         #: that is not on ``_turn`` -- its download, the prefetch of its
-        #: clone, its task's ``sim_work`` process.
+        #: clone, its task's ``sim_work``.
         self._turn = TimerHandle()
         self._parked = False
         self._handoff: Optional[Job] = None
         self._started_at = 0.0
         self._download: Optional[Transfer] = None
         self._awaits_prefetch = False
-        self._sim_work: Optional[Event] = None
+        self._sim_work: Optional[Callable] = None
         #: Prefetch extension: download queued jobs' repositories while
         #: the CPU processes earlier jobs (off = the paper's strictly
         #: serial download-then-process execution).  A second machine of
@@ -361,23 +361,30 @@ class WorkerNode:
             self.monitor.on_cache_fetch(self.name, job.repo_id, self.sim.now)
 
     def _compute(self) -> None:
-        """Process the job: its task's simulated-work hook first (the
-        one thing the executor still starts as a process), then the scan."""
+        """Process the job: its task's simulated work first, then the
+        scan.  The work starts in an URGENT turn of its own and the scan
+        comes one NORMAL turn after its ``done``, the heap positions of
+        a process started for the work and of its end."""
         job = self.current_job
         task = self.pipeline.task_of(job) if self.pipeline is not None else None
         if task is not None and task.sim_work is not None:
-            self._sim_work = self.sim.process(task.sim_work(job, self.machine, self.sim))
-            self._sim_work.callbacks.append(self._scan)
+
+            def done(_result=None) -> None:
+                self.sim.call_soon(self._worked, done, urgent=False)
+
+            self._sim_work = done
+            self.sim.call_soon(task.sim_work, job, self.machine, self.sim, done)
         else:
             self._scan()
 
-    def _scan(self, sim_work: Optional[Event] = None) -> None:
-        if sim_work is not None:
-            if sim_work is not self._sim_work or not sim_work.ok:
-                # The job it worked for is gone (killed or checkpointed),
-                # or the hook raised: the simulator surfaces that.
-                return
+    def _worked(self, done: Callable) -> None:
+        # A stale ``done``: the job it worked for is gone (killed or
+        # checkpointed).
+        if done is self._sim_work:
             self._sim_work = None
+            self._scan()
+
+    def _scan(self) -> None:
         job = self.current_job
         self.machine.process(job.size_mb, job.base_compute_s, self._finish, self._turn)
 
@@ -402,7 +409,7 @@ class WorkerNode:
     def _abandon_job(self) -> None:
         """Stop working on whatever the executor holds (the node died,
         or the running job was checkpointed away).  A download is left
-        to the link, a ``sim_work`` process to itself: both run on with
+        to the link, a ``sim_work`` to itself: both run on with
         nobody waiting for them."""
         self._turn.cancel()
         self._awaits_prefetch = False

@@ -257,6 +257,7 @@ class ExecBackend:
         self._pending_script = list(self.script)
         self._dirty: list[_WorkerState] = []  # workers with a non-empty outbox
         self._error: Optional[BaseException] = None
+        self._submitted = False  # the plan is admitted: the run may finish
         self._registered: Optional[asyncio.Event] = None  # every worker said hello
         self._done: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -401,6 +402,7 @@ class ExecBackend:
         self.metrics.run_started(now)
         for plan_job in self.plan.jobs:
             self._admit(plan_job, now)
+        self._submitted = True
         if self.monitor is not None:
             for state in self.workers.values():
                 repos = [repo for repo, _size in state.plan.preload]
@@ -414,7 +416,13 @@ class ExecBackend:
             if decision.job_id in bound:
                 continue
             bound.add(decision.job_id)
-            self._bind(self._jobs[decision.job_id], decision.worker, redispatch=False)
+            job = self._jobs[decision.job_id]
+            if self.workers[decision.worker].alive:
+                self._bind(job, decision.worker, redispatch=False)
+            else:
+                # Lost between its hello and this bind: its ``ready``
+                # would never pump, so re-home the job as an orphan.
+                self._redispatch(job, lost_from=decision.worker)
         self._flush()
         self._maybe_finish()
 
@@ -639,7 +647,7 @@ class ExecBackend:
 
     def _maybe_finish(self) -> None:
         if (
-            self._done is not None
+            self._submitted
             and not self._done.is_set()
             and self.completed + self.failed >= self.admitted
         ):

@@ -24,7 +24,9 @@ The repository pins these behavioural recordings:
     and decision digests of ``bidding``, the three pull schedulers and
     ``spark`` at 100 and 400 workers, plus ``baseline`` with
     ``requeue="back"`` and ``baseline`` at 25 workers through a crash
-    with restart and a pre-warm migration
+    with restart and a pre-warm migration, one 25-worker cell per path
+    of the fault injector and the reconfiguration controller, and the
+    MSR pipeline on a rate-limited search API
     (``tests/golden_scale.json``): the determinism contract at the
     fleet sizes the benchmark measures, not only the 5-worker cell.
 
@@ -291,21 +293,12 @@ SCALE_CELLS["baseline-loss-25"] = (
 )
 SCALE_CELLS["baseline-renewal-25"] = ("baseline", 25, False, {"churn": "renewal"})
 SCALE_CELLS["bidding-ack-timeout-25"] = ("bidding", 25, False, {"churn": "ack-timeout"})
-SCALE_CELLS["bidding-empty-target-25-observed"] = (
-    "bidding", 25, True, {"churn": "empty-target"}
-)
+SCALE_CELLS["bidding-empty-target-25-observed"] = ("bidding", 25, True, {"churn": "empty-target"})
 SCALE_CELLS["bidding-quiesce-timeout-25"] = ("bidding", 25, False, {"churn": "quiesce-timeout"})
-SCALE_CELLS["bidding-msr-5"] = (
-    "bidding",
-    5,
-    False,
-    {
-        "msr": {
-            "rate_limit_per_minute": 4,
-            "faults": {"crashes": [{"at_s": 790.0, "worker": "w4", "restart_after_s": 10.0}]},
-        }
-    },
-)
+SCALE_CELLS["bidding-msr-5"] = ("bidding", 5, False, {"msr": {
+    "rate_limit_per_minute": 4,
+    "faults": {"crashes": [dict(at_s=790.0, worker="w4", restart_after_s=10.0)]},
+}})
 
 #: churn name -> the cell's :class:`~repro.faults.FaultPlan` and
 #: :class:`~repro.reconfig.ReconfigPlan`, as their ``from_dict`` input.
@@ -350,58 +343,30 @@ SCALE_CHURN: dict[str, dict] = {
         },
     },
     "swap": {"reconfig": {"swaps": [{"at_s": 20.0, "scheduler": "bidding"}]}},
-    "degrade": {
-        "faults": {
-            "degradations": [
-                {
-                    "start_s": 10.0,
-                    "end_s": 40.0,
-                    "targets": ["w0001", "w0002", "w0003", "w0004"],
-                    "bandwidth_factor": 0.25,
-                    "extra_latency_s": 0.5,
-                }
-            ]
-        }
-    },
-    "partition": {
-        "faults": {
-            "partitions": [
-                {"start_s": 10.0, "end_s": 40.0, "group": [f"w{i:04d}" for i in range(8)]}
-            ]
-        }
-    },
-    "loss": {"faults": {"message_loss": [{"start_s": 5.0, "end_s": 40.0, "probability": 0.2}]}},
-    "renewal": {
-        "faults": {
-            "renewals": [
-                {"mtbf_s": 8.0, "mttr_s": 5.0, "start_s": 5.0, "end_s": 50.0, "max_crashes": 4}
-            ]
-        }
-    },
+    "degrade": {"faults": {"degradations": [
+        dict(start_s=10.0, end_s=40.0, bandwidth_factor=0.25, extra_latency_s=0.5,
+             targets=["w0001", "w0002", "w0003", "w0004"])
+    ]}},
+    "partition": {"faults": {"partitions": [
+        dict(start_s=10.0, end_s=40.0, group=[f"w{i:04d}" for i in range(8)])
+    ]}},
+    "loss": {"faults": {"message_loss": [dict(start_s=5.0, end_s=40.0, probability=0.2)]}},
+    "renewal": {"faults": {"renewals": [
+        dict(mtbf_s=8.0, mttr_s=5.0, start_s=5.0, end_s=50.0, max_crashes=4)
+    ]}},
     "ack-timeout": {
-        "faults": {"partitions": [{"start_s": 10.02, "end_s": 14.0, "group": ["w0002"]}]},
-        "reconfig": {
-            "migrations": [
-                {
-                    "at_s": 10.0,
-                    "source": "w0002",
-                    "include_running": True,
-                    "ack_timeout_s": 1.0,
-                }
-            ]
-        },
+        "faults": {"partitions": [dict(start_s=10.02, end_s=14.0, group=["w0002"])]},
+        "reconfig": {"migrations": [
+            dict(at_s=10.0, source="w0002", include_running=True, ack_timeout_s=1.0)
+        ]},
     },
     "empty-target": {
-        "faults": {"crashes": [{"at_s": 10.0, "worker": "w0005", "restart_after_s": 5.5}]},
-        "reconfig": {"migrations": [{"at_s": 12.0, "target": "w0005", "max_jobs": 2}]},
+        "faults": {"crashes": [dict(at_s=10.0, worker="w0005", restart_after_s=5.5)]},
+        "reconfig": {"migrations": [dict(at_s=12.0, target="w0005", max_jobs=2)]},
     },
-    "quiesce-timeout": {
-        "reconfig": {
-            "swaps": [
-                {"at_s": 20.0, "scheduler": "baseline", "quiesce_timeout_s": 0.1, "poll_s": 0.03}
-            ]
-        }
-    },
+    "quiesce-timeout": {"reconfig": {"swaps": [
+        dict(at_s=20.0, scheduler="baseline", quiesce_timeout_s=0.1, poll_s=0.03)
+    ]}},
 }
 
 

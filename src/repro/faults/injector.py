@@ -1,9 +1,9 @@
-"""Deterministic fault-injection process.
+"""Deterministic fault injection.
 
 The :class:`FaultInjector` executes a :class:`~repro.faults.plan.FaultPlan`
-against a running simulation: it spawns one kernel process per schedule
-entry, kills and restarts workers, degrades links, partitions the broker
-and opens message-loss windows.  All randomness comes from the injector's
+against a running simulation: it arms timers for every schedule entry,
+kills and restarts workers, degrades links, partitions the broker and
+opens message-loss windows.  All randomness comes from the injector's
 own RNG substream (split from the run seed), so the same plan + seed
 produces bit-identical fault timelines regardless of scheduler noise.
 
@@ -111,17 +111,24 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn one kernel process per schedule entry."""
+        """Arm every schedule entry: a callback machine whose first turn
+        is an URGENT ``call_soon`` and each wait a ``call_later``, the
+        heap positions a generator process per entry would take, which
+        the scale fixture's fault cells pin."""
+        sim = self.sim
         for crash in self.plan.crashes:
-            self.sim.process(self._one_shot(crash))
+            sim.call_soon(sim.call_later, crash.at_s, self._crash, crash)
         for renewal in self.plan.renewals:
-            self.sim.process(self._renewal(renewal))
-        for degradation in self.plan.degradations:
-            self.sim.process(self._degradation(degradation))
-        for partition in self.plan.partitions:
-            self.sim.process(self._partition(partition))
-        for window in self.plan.message_loss:
-            self.sim.process(self._loss_window(window))
+            if renewal.start_s > 0:
+                sim.call_soon(sim.call_later, renewal.start_s, self._renew, renewal, 0)
+            else:
+                sim.call_soon(self._renew, renewal, 0)
+        for entry in self.plan.degradations:
+            sim.call_soon(sim.call_later, entry.start_s, self._degrade, entry)
+        for entry in self.plan.partitions:
+            sim.call_soon(sim.call_later, entry.start_s, self._partition, entry)
+        for entry in self.plan.message_loss:
+            sim.call_soon(sim.call_later, entry.start_s, self._lose, entry)
 
     # -- helpers -------------------------------------------------------
     def _record(self, kind: str, detail: str) -> None:
@@ -187,37 +194,34 @@ class FaultInjector:
         self._record("restart", name)
         self.restart(name)
 
-    # -- schedule processes --------------------------------------------
-    def _one_shot(self, crash: WorkerCrash):
-        yield self.sim.timeout(crash.at_s)
+    # -- schedule entries ----------------------------------------------
+    def _crash(self, crash: WorkerCrash) -> None:
         victim = self._kill(crash.worker)
         if victim is not None and crash.restart_after_s is not None:
-            yield self.sim.timeout(crash.restart_after_s)
-            self._restart(victim)
+            self.sim.call_later(crash.restart_after_s, self._restart, victim)
 
-    def _renewal(self, renewal: CrashRenewal):
-        if renewal.start_s > 0:
-            yield self.sim.timeout(renewal.start_s)
-        crashes = 0
-        while renewal.max_crashes is None or crashes < renewal.max_crashes:
-            gap = float(self.rng.exponential(renewal.mtbf_s))
-            if renewal.end_s is not None and self.sim.now + gap >= renewal.end_s:
-                return
-            yield self.sim.timeout(gap)
-            victim = self._kill(None, renewal.targets)
-            if victim is None:
-                continue
+    def _renew(self, renewal: CrashRenewal, crashes: int) -> None:
+        """Draw the next crash's gap and arm it, unless the renewal is over."""
+        if renewal.max_crashes is not None and crashes >= renewal.max_crashes:
+            return
+        gap = float(self.rng.exponential(renewal.mtbf_s))
+        if renewal.end_s is not None and self.sim.now + gap >= renewal.end_s:
+            return
+        self.sim.call_later(gap, self._renewal_crash, renewal, crashes)
+
+    def _renewal_crash(self, renewal: CrashRenewal, crashes: int) -> None:
+        victim = self._kill(None, renewal.targets)
+        if victim is not None:
             crashes += 1
             if renewal.mttr_s is not None:
                 repair = float(self.rng.exponential(renewal.mttr_s))
-                self.sim.process(self._delayed_restart(victim, repair))
+                # A repair is an entry of its own: one URGENT turn arms
+                # its wait.
+                sim = self.sim
+                sim.call_soon(sim.call_later, repair, self._restart, victim)
+        self._renew(renewal, crashes)
 
-    def _delayed_restart(self, name: str, delay: float):
-        yield self.sim.timeout(delay)
-        self._restart(name)
-
-    def _degradation(self, entry: LinkDegradation):
-        yield self.sim.timeout(entry.start_s)
+    def _degrade(self, entry: LinkDegradation) -> None:
         names = entry.targets or sorted(self.workers)
         saved = []
         for name in names:
@@ -232,34 +236,38 @@ class FaultInjector:
             "degrade",
             f"{','.join(names)} x{entry.bandwidth_factor:g} +{entry.extra_latency_s:g}s",
         )
-        yield self.sim.timeout(entry.end_s - entry.start_s)
-        # Restore saved values.  A worker restarted mid-window owns a
-        # fresh Machine/Link, so writing to its old link is a no-op.
+        self.sim.call_later(entry.end_s - entry.start_s, self._restore, names, saved)
+
+    def _restore(self, names, saved: list) -> None:
+        # A worker restarted mid-window owns a fresh Machine/Link, so
+        # writing to its old link is a no-op.
         for link, bandwidth, latency in saved:
             link.bandwidth_mbps = bandwidth
             link.latency = latency
         self._record("restore", ",".join(names))
 
-    def _partition(self, entry: NetworkPartition):
-        yield self.sim.timeout(entry.start_s)
+    def _partition(self, entry: NetworkPartition) -> None:
         pid = self.broker.add_partition(frozenset(entry.group))
         self._record("partition", ",".join(sorted(entry.group)))
-        yield self.sim.timeout(entry.end_s - entry.start_s)
+        self.sim.call_later(entry.end_s - entry.start_s, self._heal, entry, pid)
+
+    def _heal(self, entry: NetworkPartition, pid: int) -> None:
         self.broker.remove_partition(pid)
         self._record("heal", ",".join(sorted(entry.group)))
 
-    def _loss_window(self, entry: MessageLoss):
-        yield self.sim.timeout(entry.start_s)
-        saved_p = self.broker.drop_probability
-        saved_rng = self.broker.rng
-        self.broker.drop_probability = entry.probability
-        if self.broker.rng is None:
-            self.broker.rng = self.loss_rng
+    def _lose(self, entry: MessageLoss) -> None:
+        broker = self.broker
+        saved = (broker.drop_probability, broker.rng)
+        broker.drop_probability = entry.probability
+        if broker.rng is None:
+            broker.rng = self.loss_rng
         self._record("loss-start", f"p={entry.probability:g}")
-        yield self.sim.timeout(entry.end_s - entry.start_s)
-        self.broker.drop_probability = saved_p
-        self.broker.rng = saved_rng
-        self._record("loss-end", f"p={saved_p:g}")
+        self.sim.call_later(entry.end_s - entry.start_s, self._unlose, saved)
+
+    def _unlose(self, saved: tuple) -> None:
+        broker = self.broker
+        broker.drop_probability, broker.rng = saved
+        self._record("loss-end", f"p={saved[0]:g}")
 
 
 __all__ = ["FaultInjector"]

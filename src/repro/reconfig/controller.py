@@ -2,7 +2,8 @@
 
 The controller is wired by the runtime (workflow or service) after the
 master and workers exist and is started alongside the fault injector.
-It spawns one simulation process per plan entry:
+Each plan entry is a callback machine whose turns take the heap
+positions a generator process per entry would (ARCHITECTURE section 12):
 
 **Migration** -- send the source a
 :class:`~repro.engine.messages.MigrateRequest`; the worker checkpoints
@@ -29,7 +30,7 @@ abandon at the timeout, then synchronously: export the incumbent's
 owned jobs, build the successor from the registry, swap it onto the
 master (tolerating the predecessor's declared control-plane residue),
 swap every live worker's policy, and import the exported jobs.  The
-export -> import step runs without yielding, so no job can arrive at a
+export -> import step runs in one turn, so no job can arrive at a
 policy mid-handoff.  The runtime's ``scheduler``/``_master_policy``
 references are updated so later worker restarts build successor-policy
 workers.
@@ -43,7 +44,6 @@ from typing import Optional
 from repro.engine.messages import MigrateAck, MigrateRequest
 from repro.reconfig.plan import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import make_scheduler
-from repro.sim.events import AnyOf, Event
 from repro.workload.job import Job
 
 #: Sim-time backoff between target-selection retries when the whole
@@ -55,11 +55,14 @@ _EMPTY_FLEET_RETRY_S = 1.0
 class _Waiter:
     """One outstanding checkpoint request awaiting its ack."""
 
-    __slots__ = ("entry", "event", "abandoned")
+    __slots__ = ("entry", "source", "decided", "abandoned")
 
-    def __init__(self, entry: JobMigration, event: Event) -> None:
+    def __init__(self, entry: JobMigration, source: str) -> None:
         self.entry = entry
-        self.event = event
+        self.source = source
+        #: The ack or its deadline has ended the wait.
+        self.decided = False
+        #: The deadline ended it: a later ack is rebound on its own.
         self.abandoned = False
 
 
@@ -94,13 +97,13 @@ class ReconfigController:
         host.master.migration_router = self._on_ack
 
     def start(self) -> None:
-        """Spawn one process per plan entry."""
-        for index, entry in enumerate(self.plan.migrations):
-            self.sim.process(
-                self._migration(entry), name=f"reconfig-migrate-{index}"
-            )
-        for index, entry in enumerate(self.plan.swaps):
-            self.sim.process(self._swap(entry), name=f"reconfig-swap-{index}")
+        """Arm every plan entry: its first turn, URGENT, arms the wait
+        for its instant."""
+        sim = self.sim
+        for entry in self.plan.migrations:
+            sim.call_soon(sim.call_later, entry.at_s, self._execute_migration, entry)
+        for entry in self.plan.swaps:
+            sim.call_soon(sim.call_later, entry.at_s, self._swap, entry)
 
     # -- migration ---------------------------------------------------------
 
@@ -123,68 +126,81 @@ class ReconfigController:
             prewarm=prewarm,
             ack_timeout_s=ack_timeout_s,
         )
-        self.sim.process(self._execute_migration(entry), name="reconfig-rebalance")
+        self.sim.call_soon(self._execute_migration, entry)
 
-    def _migration(self, entry: JobMigration):
-        yield self.sim.timeout(entry.at_s)
-        yield from self._execute_migration(entry)
-
-    def _execute_migration(self, entry: JobMigration):
+    def _execute_migration(self, entry: JobMigration) -> None:
         master = self.host.master
-        metrics = self.host.metrics
         source = self._pick_source(entry)
         if source is None:
             self._skip_migration(entry.source, "no-eligible-source")
             return
         self._inflight += 1
-        try:
-            metrics.trace.record(
-                self.sim.now, "migrate_request", "-", source, entry.max_jobs
-            )
-            self._log("migrate_request", source)
-            waiter = _Waiter(entry, Event(self.sim))
-            self._awaiting.setdefault(source, deque()).append(waiter)
-            master.send_to_worker(
-                source,
-                MigrateRequest(
-                    worker=source,
-                    max_jobs=entry.max_jobs,
-                    include_running=entry.include_running,
-                ),
-            )
-            deadline = self.sim.timeout(entry.ack_timeout_s)
-            outcome = yield AnyOf(self.sim, [waiter.event, deadline])
-            if waiter.event not in outcome:
-                # The source never answered (it died before the request
-                # landed, or is wedged).  Nothing was checkpointed from
-                # our perspective; a late ack carrying jobs is still
-                # honoured through the abandoned-waiter path.
-                waiter.abandoned = True
-                self._skip_migration(source, "ack-timeout")
-                return
-            ack = outcome[waiter.event]
-            jobs = [job for job in ack.jobs if isinstance(job, Job)]
-            if not jobs:
-                self._skip_migration(source, "nothing-to-migrate")
-                return
-            yield from self._rebind_all(jobs, source, entry)
-        finally:
+        self.host.metrics.trace.record(
+            self.sim.now, "migrate_request", "-", source, entry.max_jobs
+        )
+        self._log("migrate_request", source)
+        waiter = _Waiter(entry, source)
+        self._awaiting.setdefault(source, deque()).append(waiter)
+        master.send_to_worker(
+            source,
+            MigrateRequest(
+                worker=source,
+                max_jobs=entry.max_jobs,
+                include_running=entry.include_running,
+            ),
+        )
+        self.sim.call_later(entry.ack_timeout_s, self._decide, waiter, None)
+
+    def _decide(self, waiter: _Waiter, ack: Optional[MigrateAck]) -> None:
+        """The wait ends at the ack or its deadline (``ack`` None),
+        whichever comes first; one more NORMAL turn resumes the
+        migration (the hop a wait on the first of two events takes)."""
+        if waiter.decided:
+            if ack is not None:
+                # Landed on its deadline's instant, just behind it.
+                self._rebind_late(waiter, ack)
+            return
+        waiter.decided = True
+        waiter.abandoned = ack is None
+        self.sim.call_soon(self._acked, waiter, ack, urgent=False)
+
+    def _acked(self, waiter: _Waiter, ack: Optional[MigrateAck]) -> None:
+        if ack is None:
+            # The source never answered (it died before the request
+            # landed, or is wedged).  Nothing was checkpointed from our
+            # perspective; a late ack carrying jobs is still honoured.
+            self._skip_migration(waiter.source, "ack-timeout")
             self._settle_one()
+            return
+        jobs = [job for job in ack.jobs if isinstance(job, Job)]
+        if not jobs:
+            self._skip_migration(waiter.source, "nothing-to-migrate")
+            self._settle_one()
+            return
+        self._rebind_all(jobs, waiter.source, waiter.entry)
 
-    def _rebind_all(self, jobs: list, source: str, entry: JobMigration):
-        for job in jobs:
-            yield from self._rebind(job, source, entry)
+    def _rebind_all(self, jobs: list, source: str, entry: JobMigration) -> None:
+        """Rebind ``jobs`` in order; the migration settles after the last."""
+        self._rebind_from(jobs, 0, source, entry)
 
-    def _rebind(self, job: Job, source: str, entry: JobMigration):
+    def _rebind_from(self, jobs: list, index: int, source: str, entry: JobMigration) -> None:
+        while index < len(jobs):
+            job = jobs[index]
+            target = self._pick_target(job, source, entry)
+            if target is None:
+                # Whole fleet momentarily down: retry on a fixed sim-time
+                # backoff; the run's deadline guard bounds the wait.
+                self.sim.call_later(
+                    _EMPTY_FLEET_RETRY_S, self._rebind_from, jobs, index, source, entry
+                )
+                return
+            self._rebind(job, source, target, entry)
+            index += 1
+        self._settle_one()
+
+    def _rebind(self, job: Job, source: str, target: str, entry: JobMigration) -> None:
         master = self.host.master
         metrics = self.host.metrics
-        while True:
-            target = self._pick_target(job, source, entry)
-            if target is not None:
-                break
-            # Whole fleet momentarily down: retry on a fixed sim-time
-            # backoff; the run's deadline guard bounds the wait.
-            yield self.sim.timeout(_EMPTY_FLEET_RETRY_S)
         node = self.host.workers.get(target)
         now = self.sim.now
         if (
@@ -296,21 +312,16 @@ class ReconfigController:
             # all (slow link, not a dead worker).  The jobs are off the
             # source's books, so rebind them anyway -- dropping the ack
             # here would lose them.
-            jobs = [job for job in message.jobs if isinstance(job, Job)]
-            if jobs:
-                self._inflight += 1
-                self.sim.process(
-                    self._rebind_late(jobs, message.worker, waiter.entry),
-                    name="reconfig-late-ack",
-                )
+            self._rebind_late(waiter, message)
             return
-        waiter.event.succeed(message)
+        # The ack's event, then the wait on it: two NORMAL turns.
+        self.sim.call_soon(self._decide, waiter, message, urgent=False)
 
-    def _rebind_late(self, jobs: list, source: str, entry: JobMigration):
-        try:
-            yield from self._rebind_all(jobs, source, entry)
-        finally:
-            self._settle_one()
+    def _rebind_late(self, waiter: _Waiter, ack: MigrateAck) -> None:
+        jobs = [job for job in ack.jobs if isinstance(job, Job)]
+        if jobs:
+            self._inflight += 1
+            self.sim.call_soon(self._rebind_all, jobs, ack.worker, waiter.entry)
 
     def _settle_one(self) -> None:
         self._inflight -= 1
@@ -325,20 +336,22 @@ class ReconfigController:
 
     # -- hot-swap ----------------------------------------------------------
 
-    def _swap(self, entry: SchedulerSwap):
-        yield self.sim.timeout(entry.at_s)
-        host = self.host
-        master = host.master
-        metrics = host.metrics
-        old = master.policy
-        metrics.trace.record(
+    def _swap(self, entry: SchedulerSwap) -> None:
+        old = self.host.master.policy
+        self.host.metrics.trace.record(
             self.sim.now, "swap_quiesce", "-", None, f"{old.name}->{entry.scheduler}"
         )
         self._log("swap_quiesce", f"{old.name}->{entry.scheduler}")
         old.begin_quiesce()
-        deadline = self.sim.now + entry.quiesce_timeout_s
-        while not old.quiescent() and self.sim.now < deadline:
-            yield self.sim.timeout(entry.poll_s)
+        self._poll_quiescent(entry, old, self.sim.now + entry.quiesce_timeout_s)
+
+    def _poll_quiescent(self, entry: SchedulerSwap, old, deadline: float) -> None:
+        if not old.quiescent() and self.sim.now < deadline:
+            self.sim.call_later(entry.poll_s, self._poll_quiescent, entry, old, deadline)
+            return
+        host = self.host
+        master = host.master
+        metrics = host.metrics
         if not old.quiescent():
             old.end_quiesce()
             metrics.trace.record(
@@ -346,9 +359,8 @@ class ReconfigController:
             )
             self._log("swap_skipped", "quiesce-timeout")
             return
-        # From here to the end of the swap: no yields.  The handoff is
-        # atomic in simulation time, so no message or arrival can land
-        # between export and import.
+        # The handoff is one turn, atomic in simulation time, so no
+        # message or arrival can land between export and import.
         now = self.sim.now
         exported = old.export_state()
         if self.monitor is not None:

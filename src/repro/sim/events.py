@@ -16,7 +16,7 @@ for :class:`Timeout`).
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.kernel import Simulator
@@ -208,59 +208,7 @@ class _PooledTimeout(Timeout):
     contract: the sole consumer yields it immediately and drops every
     reference once resumed, so the kernel run loop can return the
     instance to the simulator's free pool the moment its callbacks have
-    run.  Never hand one to :class:`AnyOf` or store it.
+    run.  Never store one.
     """
 
     __slots__ = ()
-
-
-class _Condition(Event):
-    """Base for the :class:`AnyOf` composite event.
-
-    The condition value is a dict mapping each *triggered* constituent
-    event to its value, in trigger order.
-    """
-
-    __slots__ = ("events", "_pending_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events: tuple[Event, ...] = tuple(events)
-        for event in self.events:
-            if event.sim is not sim:
-                raise ValueError("all events must belong to the same simulator")
-        self._pending_count = len(self.events)
-        if not self.events:
-            # An empty condition is immediately satisfied.
-            self.succeed({})
-            return
-        for event in self.events:
-            event.add_callback(self._check)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {
-            event: event._value for event in self.events if event.processed and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-            return
-        self._pending_count -= 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers once *any* constituent event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._pending_count < len(self.events)

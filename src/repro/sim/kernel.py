@@ -158,9 +158,8 @@ class Simulator:
         Semantically identical to :meth:`timeout`, but the returned
         event may be a recycled instance and will be returned to the
         simulator's free pool as soon as it has been processed.  Use it
-        only for the ubiquitous ``yield sim.sleep(d)`` pattern where the
-        event is yielded immediately and never referenced afterwards; in
-        particular, never store it or pass it to ``AnyOf``.
+        only for the ``yield sim.sleep(d)`` pattern where the event is
+        yielded immediately and never referenced afterwards.
         """
         pool = self._timeout_pool
         if not pool:

@@ -9,40 +9,22 @@ A :class:`Process` is itself an :class:`~repro.sim.events.Event` that
 succeeds with the generator's return value, so processes can wait on each
 other simply by yielding them.
 
-Interrupts
-----------
-:meth:`Process.interrupt` throws an :class:`Interrupt` into the target
-process the next time the kernel runs, aborting whatever event it was
-waiting on.  The interrupted process may catch the exception and continue
-(e.g. a worker abandoning a download when its job is cancelled).
+The model itself starts no process: every path of it is a callback
+state machine on :meth:`~repro.sim.kernel.Simulator.call_soon` /
+:meth:`~repro.sim.kernel.Simulator.call_later` timers.  Processes serve
+the kernel micro-benchmarks and the generator reference
+implementations the tests compare the state machines against.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.events import _NORMAL_KEY, NORMAL, PENDING, URGENT, Event
+from repro.sim.events import _NORMAL_KEY, PENDING, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    Attributes
-    ----------
-    cause:
-        Arbitrary object passed by the interrupter describing the reason.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 class _Initialize(Event):
@@ -84,44 +66,18 @@ class Process(Event):
         """``True`` while the generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into this process as soon as possible."""
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has already terminated")
-        if self is self.sim.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-        failure = Event(self.sim)
-        failure._ok = False
-        failure._value = Interrupt(cause)
-        failure._defused = True
-        failure.callbacks.append(self._resume)
-        self.sim._schedule(failure, URGENT, 0.0)
-
     # -- kernel interface ------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Resume the generator with ``event``'s outcome (kernel callback)."""
-        if not self.is_alive:
-            # The process finished (or was resumed by an interrupt) before
-            # this event fired; ignore the stale wakeup.
-            return
         self.sim._active_process = self
-        # Detach from the event we were waiting on: if this resume comes
-        # from an interrupt, the original target may still fire later and
-        # must not resume us again (handled by the is_alive/_target check).
-        if self._target is not None and self._target is not event:
-            # Interrupted: the original target's callback must become inert.
-            try:
-                self._target.callbacks.remove(self._resume)
-            except (ValueError, AttributeError):
-                pass
         self._target = None
         sim = self.sim
         try:
             if event._ok:
                 next_event = self.generator.send(event._value)
             else:
-                # Event failed (or interrupt): throw into the generator.
+                # Event failed: throw into the generator.
                 event._defused = True
                 next_event = self.generator.throw(event._value)
         except StopIteration as stop:

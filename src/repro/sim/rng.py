@@ -71,3 +71,13 @@ class RandomStreams:
         """Yield ``n`` independent integer seeds under ``prefix``."""
         for index in range(n):
             yield split_seed(self.seed, prefix, index)
+
+
+def choice_cdf(p) -> np.ndarray:
+    """The CDF ``rng.choice(len(p), p=p)`` searches.  Built once,
+    ``int(cdf.searchsorted(rng.random(), side="right"))`` then draws the
+    index ``choice`` would, from the same one ``rng.random()``, without
+    re-checking ``p`` and rebuilding the CDF on every draw."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf

@@ -35,6 +35,7 @@ from repro.data.sizes import (
     mostly_large,
     mostly_small,
 )
+from repro.sim.rng import choice_cdf
 from repro.workload.job import Job, JobStream
 from repro.workload.msr import TASK_ANALYZER
 
@@ -165,10 +166,10 @@ class ZipfJobConfig:
         weights = np.array(
             [1.0 / (rank + 1) ** self.alpha for rank in range(self.n_repos)]
         )
-        weights /= weights.sum()
+        cdf = choice_cdf(weights / weights.sum())
         jobs = []
         for index in range(self.n_jobs):
-            repo = repos[int(rng.choice(self.n_repos, p=weights))]
+            repo = repos[int(cdf.searchsorted(rng.random(), side="right"))]
             jobs.append(
                 Job(
                     job_id=f"job-{index:03d}",

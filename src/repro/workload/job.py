@@ -140,12 +140,15 @@ class JobStream:
         """Arrivals with exponential gaps (a memoryless job source)."""
         if mean_interarrival_s < 0:
             raise ValueError("mean_interarrival_s must be non-negative")
+        if mean_interarrival_s > 0:
+            gaps = rng.exponential(mean_interarrival_s, size=len(jobs)).tolist()
+        else:
+            gaps = [0.0] * len(jobs)
         at = 0.0
         arrivals = []
-        for job in jobs:
+        for job, gap in zip(jobs, gaps):
             arrivals.append(JobArrival(at=at, job=job))
-            if mean_interarrival_s > 0:
-                at += float(rng.exponential(mean_interarrival_s))
+            at += gap
         return cls(arrivals=arrivals, name=name)
 
     @classmethod

@@ -143,7 +143,7 @@ def build_msr_pipeline(
             )
         return children
 
-    def searcher_work(job: Job, machine, sim):
+    def searcher_work(job: Job, machine, sim, done):
         """Worker-side cost of a search job: the paginated API calls."""
         (library,) = job.payload
         query = SearchQuery(
@@ -152,7 +152,7 @@ def build_msr_pipeline(
             min_stars=spec.query_min_stars,
             min_forks=spec.query_min_forks,
         )
-        return github.search(query)
+        github.search(query, done)
 
     def analyzer_handle(job: Job) -> list[Job]:
         """Turn an analysis completion into a dependency record."""

@@ -58,10 +58,11 @@ class Task:
         calculator.
     sim_work:
         Optional extra simulated work performed on the worker while
-        executing a job of this task: a factory ``(job, machine, sim) ->
-        generator`` run as a process by the executor.  Used e.g. for the
-        GitHub search stage, whose cost is the API service's latency
-        rather than data movement.
+        executing a job of this task: ``(job, machine, sim, done)``
+        starts it and calls ``done(result)`` when it is over.  The
+        executor calls it in a turn of its own and scans one turn after
+        ``done``.  Used e.g. for the GitHub search stage, whose cost is
+        the API service's latency rather than data movement.
     """
 
     name: str

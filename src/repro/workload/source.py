@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.data.sizes import SizeMixture, mostly_small
+from repro.sim.rng import choice_cdf
 from repro.workload.job import Job
 from repro.workload.msr import TASK_ANALYZER
 
@@ -31,13 +32,6 @@ def tenant_of(job: Job) -> str:
     if job.payload and isinstance(job.payload[0], str):
         return job.payload[0]
     return "default"
-
-
-def _cdf(weights: np.ndarray) -> np.ndarray:
-    """What ``Generator.choice(p=weights / weights.sum())`` searches."""
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 @dataclass
@@ -98,7 +92,7 @@ class SyntheticJobSource:
         weights = np.array(
             [1.0 / (rank + 1) ** self.alpha for rank in range(self.n_repos)]
         )
-        self._repo_cdf = _cdf(weights)
+        self._repo_cdf = choice_cdf(weights / weights.sum())
 
     @property
     def minted(self) -> int:
@@ -114,7 +108,8 @@ class SyntheticJobSource:
         if self.tenants != self._tenants_seen:
             self._tenants_seen = dict(self.tenants)
             self._tenant_names = sorted(self.tenants)
-            self._tenant_cdf = _cdf(np.array([self.tenants[t] for t in self._tenant_names]))
+            shares = np.array([self.tenants[t] for t in self._tenant_names])
+            self._tenant_cdf = choice_cdf(shares / shares.sum())
         # One uniform per draw, looked up in the CDF: the same stream
         # and the same index as ``rng.choice(n, p=weights)``.
         repo_rank = int(self._repo_cdf.searchsorted(rng.random(), side="right"))

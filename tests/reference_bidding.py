@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+from reference_sim import AnyOf
 from repro.core.adaptive import BidCorrector
 from repro.core.bidding import DEFAULT_BID_COMPUTE_S, DEFAULT_WINDOW_S
 from repro.core.estimator import CostEstimator
 from repro.core.learning import NominalSpeedModel
 from repro.engine.messages import TOPIC_ANNOUNCE, Assignment, Bid, JobAnnouncement
 from repro.schedulers.base import MasterPolicy, SchedulerPolicy, WorkerPolicy
-from repro.sim.events import AnyOf, Event
+from repro.sim.events import Event
 from repro.sim.resources import Store
 from repro.workload.job import Job
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from reference_sim import Interrupt, PriorityResource, Process
 from repro.cluster.machine import Machine
 from repro.engine.messages import Hello, JobCompleted, WorkerFailure
 from repro.engine.worker import WorkerNode
 from repro.net.link import Link
 from repro.sim.events import Event
-from repro.sim.process import Interrupt
-from repro.sim.resources import PriorityResource, Store
+from repro.sim.resources import Store
 from repro.workload.job import Job
 
 
@@ -178,10 +178,10 @@ class ReferenceWorkerNode(WorkerNode):
         self.policy.bind(self)
         self.send_to_master(Hello(worker=self.name))
         self.inbox.owner.start()
-        self._exec_proc = self.sim.process(self._executor(), name=f"{self.name}-exec")
+        self._exec_proc = Process(self.sim, self._executor(), name=f"{self.name}-exec")
         if self.prefetch:
-            self._prefetch_proc = self.sim.process(
-                self._prefetcher(), name=f"{self.name}-prefetch"
+            self._prefetch_proc = Process(
+                self.sim, self._prefetcher(), name=f"{self.name}-prefetch"
             )
         self.policy.start()
 
@@ -284,7 +284,9 @@ class ReferenceWorkerNode(WorkerNode):
                     self.monitor.on_cache_fetch(self.name, job.repo_id, self.sim.now)
         task = self.pipeline.task_of(job) if self.pipeline is not None else None
         if task is not None and task.sim_work is not None:
-            yield self.sim.process(task.sim_work(job, self.machine, self.sim))
+            finished = self.sim.event()
+            self.sim.call_soon(task.sim_work, job, self.machine, self.sim, finished.succeed)
+            yield finished
         yield from self.machine.process(job.size_mb, job.base_compute_s)
 
     def _prefetcher(self):

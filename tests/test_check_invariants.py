@@ -146,6 +146,16 @@ class TestCleanRuns:
         assert result.jobs_completed == 10
         assert result.failed_jobs == ()
 
+    def test_a_finished_bidding_run_holds_no_bidder_set(self):
+        # A contest's bidders go when it closes, and a late bid adds
+        # none (contests close on the first idle holder of the shared
+        # repository, so about sixty bids land after their close).
+        from repro.experiments.golden import scale_runtime
+
+        runtime = scale_runtime(25, observed=True, warm=6, fast_local_close=True)
+        assert runtime.run().jobs_completed == 300
+        assert runtime.monitor._open_bidders == {}
+
     def test_monitors_off_is_the_default_and_absent(self):
         runtime = build_runtime(check=False)
         assert runtime.monitor is None

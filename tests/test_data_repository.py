@@ -105,11 +105,13 @@ class TestGitHubService:
     def test_search_process_costs_latency(self, service):
         sim, github = service
 
-        def proc(sim, github):
-            results = yield sim.process(github.search(SearchQuery(library="lodash")))
-            return (sim.now, len(results))
-
-        elapsed, count = sim.run(sim.process(proc(sim, github)))
+        found = []
+        github.search(
+            SearchQuery(library="lodash"),
+            lambda results: found.append((sim.now, len(results))),
+        )
+        sim.run()
+        [(elapsed, count)] = found
         assert count > 0
         assert elapsed > 0.0
 
@@ -120,10 +122,8 @@ class TestGitHubService:
         )
         github = GitHubService(sim, corpus, match_fraction=1.0, seed=1)
 
-        def proc(sim, github):
-            yield sim.process(github.search(SearchQuery(library="x", per_page=30)))
-
-        sim.run(sim.process(proc(sim, github)))
+        github.search(SearchQuery(library="x", per_page=30), lambda results: None)
+        sim.run()
         assert github.request_count == -(-200 // 30)
 
     def test_rate_limit_delays(self):
@@ -133,14 +133,17 @@ class TestGitHubService:
             sim, corpus, request_latency=0.0, rate_limit_per_minute=2, match_fraction=1.0
         )
 
-        def proc(sim, github):
-            for _ in range(3):
-                yield sim.process(github.search(SearchQuery(library="x")))
-            return sim.now
+        ends = []
 
-        finished = sim.run(sim.process(proc(sim, github)))
+        def search_again(_results=None):
+            ends.append(sim.now)
+            if len(ends) <= 3:
+                github.search(SearchQuery(library="x"), search_again)
+
+        search_again()
+        sim.run()
         # Third request must wait for the 60 s window.
-        assert finished >= 60.0
+        assert len(ends) == 4 and ends[-1] >= 60.0
 
     def test_match_fraction_validated(self):
         sim = Simulator()

@@ -124,6 +124,35 @@ def completes_a_job_it_was_never_sent(host, port, spec, cfg):
         sock.recv(1 << 16)  # until the coordinator hangs up
 
 
+def hello_and_leave(host, port, spec, cfg):
+    """A worker that registers and drops its connection at once."""
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(protocol.encode({"type": "hello", "role": "worker", "name": spec["name"]}))
+
+
+def registers_late(host, port, spec, cfg):
+    """The real worker loop, connecting once the other worker is gone."""
+    time.sleep(0.3)
+    worker_main(host, port, spec, cfg)
+
+
+class TestWorkerLostBeforeTheBind:
+    def test_its_plan_decisions_are_rehomed(self, threaded_workers):
+        # a is lost between its hello and the bind: its three decisions
+        # go where a re-dispatch would, instead of into a dead ``ready``.
+        threaded_workers["a"] = hello_and_leave
+        threaded_workers["b"] = registers_late
+        cfg = ExecConfig(time_scale=0.001, run_timeout_s=5.0, trace=False)
+        backend = ExecBackend(plan(jobs_on_a=3, jobs_on_b=3), cfg)
+        report = backend.run()
+
+        assert report.crashes == 1 and not backend.workers["a"].alive
+        assert report.conserved and report.completed == 6 and report.failed == 0
+        assert sorted(j for j, w, r in report.assigned if r) == ["a0", "a1", "a2"]
+        assert report.per_worker_completed["a"] == ()
+        assert len(report.per_worker_completed["b"]) == 6
+
+
 class TestWorkerProtocolError:
     def test_a_malformed_line_loses_the_worker_at_once(self, threaded_workers):
         # The heartbeat budget is 10 s; the run must not wait for it.

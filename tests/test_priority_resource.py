@@ -1,9 +1,10 @@
-"""Unit tests for PriorityResource (foreground/background link sharing)."""
+"""Unit tests for PriorityResource (foreground/background link sharing),
+which the generator reference executor's link still runs on."""
 
 import pytest
 
+from reference_sim import PriorityResource
 from repro.sim import Simulator
-from repro.sim.resources import PriorityResource
 
 
 @pytest.fixture

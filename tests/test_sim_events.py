@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import AnyOf, Event, EventFailed, Simulator, Timeout
+from reference_sim import AnyOf
+from repro.sim import Event, EventFailed, Simulator, Timeout
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
-"""Unit tests for generator-based processes and interrupts."""
+"""Unit tests for generator-based processes, and for the interrupts of
+the processes the generator reference implementations run as."""
 
 import pytest
 
-from repro.sim import Event, Interrupt, Simulator
+from reference_sim import Interrupt, Process
+from repro.sim import Event, Simulator
 
 
 @pytest.fixture
@@ -118,7 +120,7 @@ class TestInterrupt:
             yield sim.timeout(5.0)
             target.interrupt("cause-object")
 
-        sleeper_proc = sim.process(sleeper(sim))
+        sleeper_proc = Process(sim, sleeper(sim))
         sim.process(waker(sim, sleeper_proc))
         assert sim.run(sleeper_proc) == ("interrupted", "cause-object", 5.0)
 
@@ -135,7 +137,7 @@ class TestInterrupt:
             yield sim.timeout(1.0)
             target.interrupt()
 
-        sleeper_proc = sim.process(sleeper(sim))
+        sleeper_proc = Process(sim, sleeper(sim))
         sim.process(waker(sim, sleeper_proc))
         assert sim.run(sleeper_proc) == 3.0
 
@@ -155,7 +157,7 @@ class TestInterrupt:
             yield sim.timeout(1.0)
             target.interrupt()
 
-        proc = sim.process(sleeper(sim))
+        proc = Process(sim, sleeper(sim))
         sim.process(waker(sim, proc))
         sim.run()
         # The original 10s timeout must NOT wake the process a second time.
@@ -169,7 +171,7 @@ class TestInterrupt:
             yield sim.timeout(1.0)
             target.interrupt()
 
-        sleeper_proc = sim.process(sleeper(sim))
+        sleeper_proc = Process(sim, sleeper(sim))
         sim.process(waker(sim, sleeper_proc))
         with pytest.raises(Interrupt):
             sim.run()
@@ -178,7 +180,7 @@ class TestInterrupt:
         def quick(sim):
             yield sim.timeout(1.0)
 
-        process = sim.process(quick(sim))
+        process = Process(sim, quick(sim))
         sim.run()
         with pytest.raises(RuntimeError):
             process.interrupt()
@@ -190,7 +192,7 @@ class TestInterrupt:
                 this.interrupt()
             yield sim.timeout(1.0)
 
-        sim.run(sim.process(proc(sim)))
+        sim.run(Process(sim, proc(sim)))
 
     def test_interrupt_cause_accessible(self):
         interrupt = Interrupt({"reason": "test"})
@@ -211,7 +213,7 @@ class TestInterrupt:
             yield sim.timeout(5.0)
             target.interrupt()
 
-        sleeper_proc = sim.process(sleeper(sim))
+        sleeper_proc = Process(sim, sleeper(sim))
 
         def late_waker(sim, target):
             # Fires at t=5 before the timeout is processed in step order?

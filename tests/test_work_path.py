@@ -178,8 +178,8 @@ class Rig:
         self.sim.call_at(now, self.log.append, (now, "timer armed in", *what))
 
     @staticmethod
-    def sim_work(job, machine, sim):
-        yield sim.timeout(0.75)
+    def sim_work(job, machine, sim, done):
+        sim.call_later(0.75, done)
 
     def at(self, when: float, action, *args) -> None:
         def act():
@@ -294,8 +294,8 @@ def checkpoint_in_compute(rig: Rig) -> None:
     rig.at(1.0, rig.enqueue, "scanning", "warm")
     rig.at(3.0, rig.checkpoint, 1)  # mid-scan
     rig.at(4.0, rig.enqueue, "hooked", "warm", "Hooked")
-    rig.at(4.5, rig.checkpoint, 1)  # inside its sim_work process, which ends at 4.75
-    rig.at(4.6, rig.enqueue, "after", "warm")  # scanning when that process ends
+    rig.at(4.5, rig.checkpoint, 1)  # inside its sim_work, which ends at 4.75
+    rig.at(4.6, rig.enqueue, "after", "warm")  # scanning when that work ends
     rig.at(5.0, rig.enqueue, "hooked-2", "warm", "Hooked")
 
 
