@@ -257,7 +257,6 @@ class ExecBackend:
         self._pending_script = list(self.script)
         self._dirty: list[_WorkerState] = []  # workers with a non-empty outbox
         self._error: Optional[BaseException] = None
-        self._submitted = False  # the plan is admitted: the run may finish
         self._registered: Optional[asyncio.Event] = None  # every worker said hello
         self._done: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -402,7 +401,6 @@ class ExecBackend:
         self.metrics.run_started(now)
         for plan_job in self.plan.jobs:
             self._admit(plan_job, now)
-        self._submitted = True
         if self.monitor is not None:
             for state in self.workers.values():
                 repos = [repo for repo, _size in state.plan.preload]
@@ -594,7 +592,6 @@ class ExecBackend:
                 self.monitor.on_orphaned(job.job_id, now)
             self.metrics.job_orphaned(now, self._real_jobs[job.job_id], state.name)
             self._redispatch(job, lost_from=state.name)
-        self._maybe_finish()
 
     def _redispatch(self, job: PlanJob, lost_from: str) -> None:
         attempts = self._redispatch_counts.get(job.job_id, 0)
@@ -647,7 +644,7 @@ class ExecBackend:
 
     def _maybe_finish(self) -> None:
         if (
-            self._submitted
+            self._done is not None
             and not self._done.is_set()
             and self.completed + self.failed >= self.admitted
         ):

@@ -295,10 +295,7 @@ SCALE_CELLS["baseline-renewal-25"] = ("baseline", 25, False, {"churn": "renewal"
 SCALE_CELLS["bidding-ack-timeout-25"] = ("bidding", 25, False, {"churn": "ack-timeout"})
 SCALE_CELLS["bidding-empty-target-25-observed"] = ("bidding", 25, True, {"churn": "empty-target"})
 SCALE_CELLS["bidding-quiesce-timeout-25"] = ("bidding", 25, False, {"churn": "quiesce-timeout"})
-SCALE_CELLS["bidding-msr-5"] = ("bidding", 5, False, {"msr": {
-    "rate_limit_per_minute": 4,
-    "faults": {"crashes": [dict(at_s=790.0, worker="w4", restart_after_s=10.0)]},
-}})
+SCALE_CELLS["bidding-msr-5"] = ("bidding", 5, False, {"churn": "msr-kill", "msr_rate_limit": 4})
 
 #: churn name -> the cell's :class:`~repro.faults.FaultPlan` and
 #: :class:`~repro.reconfig.ReconfigPlan`, as their ``from_dict`` input.
@@ -320,7 +317,8 @@ SCALE_CELLS["bidding-msr-5"] = ("bidding", 5, False, {"msr": {
 #: timeouts recover from, crash renewals whose repairs restart nodes, a
 #: migration request held by a partition past its ack deadline (the
 #: late ack is rebound), a migration onto a dead target that retries
-#: until it is back, and a swap whose quiesce times out.
+#: until it is back, and a swap whose quiesce times out.  ``msr-kill``
+#: kills an MSR worker inside a rate-limited search.
 SCALE_CHURN: dict[str, dict] = {
     "cascade": {
         "faults": {"crashes": [{"at_s": 6.0, "restart_after_s": 10.0}]},
@@ -367,6 +365,7 @@ SCALE_CHURN: dict[str, dict] = {
     "quiesce-timeout": {"reconfig": {"swaps": [
         dict(at_s=20.0, scheduler="baseline", quiesce_timeout_s=0.1, poll_s=0.03)
     ]}},
+    "msr-kill": {"faults": {"crashes": [dict(at_s=790.0, worker="w4", restart_after_s=10.0)]}},
 }
 
 
@@ -384,6 +383,7 @@ def scale_runtime(
     engine: dict | None = None,
     fleet_down: tuple | None = None,
     warm: int = 0,
+    msr_rate_limit: int | None = None,
     **kwargs,
 ) -> WorkflowRuntime:
     """The benchmark's ``bid-fleet`` shape: near-equal workers (eleven
@@ -394,13 +394,23 @@ def scale_runtime(
     and ``fleet_down = (at_s, back_s, every_s)`` kills every worker at
     ``at_s`` -- which the fault injector never does: it spares the last
     one -- and restarts them one every ``every_s`` from ``back_s`` on;
-    the first ``warm`` workers start with the shared repository cached."""
+    the first ``warm`` workers start with the shared repository cached.
+    ``msr_rate_limit`` runs the MSR pipeline of
+    :func:`~repro.experiments.tables_msr.run_one` instead, its searches
+    limited to that many requests a minute, under ``churn``'s faults."""
     from repro.faults import FaultPlan
     from repro.reconfig import ReconfigPlan
     from repro.workload.generators import job_config_by_name
     from repro.workload.job import JobArrival
 
     plans = SCALE_CHURN[churn] if churn else {}
+    faults = (
+        FaultPlan.from_dict(plans.get("faults", {})) if "faults" in plans or fleet_down else None
+    )
+    if msr_rate_limit is not None:
+        from repro.experiments.tables_msr import msr_runtime
+
+        return msr_runtime(scheduler, SCALE_SEED, msr_rate_limit, faults)
 
     profile = WorkerProfile(
         f"fleet-{n_workers}",
@@ -440,9 +450,7 @@ def scale_runtime(
         config=EngineConfig(
             seed=SCALE_SEED, trace=observed, check=observed, obs=observed, **(engine or {})
         ),
-        faults=FaultPlan.from_dict(plans.get("faults", {}))
-        if "faults" in plans or fleet_down
-        else None,
+        faults=faults,
         reconfig=ReconfigPlan.from_dict(plans["reconfig"]) if "reconfig" in plans else None,
     )
     if fleet_down:
@@ -456,22 +464,9 @@ def scale_runtime(
 
 def record_scale() -> dict:
     """Result rows and bid (pull cells: offer) counts of the fleet-sized cells."""
-    from repro.experiments.tables_msr import msr_runtime
-    from repro.faults import FaultPlan
-
     golden = {}
     for name, (scheduler, n_workers, observed, *extra) in SCALE_CELLS.items():
-        options = extra[0] if extra else {}
-        if "msr" in options:
-            msr = options["msr"]
-            runtime = msr_runtime(
-                scheduler,
-                SCALE_SEED,
-                msr["rate_limit_per_minute"],
-                FaultPlan.from_dict(msr["faults"]),
-            )
-        else:
-            runtime = scale_runtime(n_workers, observed, scheduler, **options)
+        runtime = scale_runtime(n_workers, observed, scheduler, **(extra[0] if extra else {}))
         row = dataclasses.asdict(runtime.run())
         workers = runtime.metrics.workers
         bids = {worker: block.bids_submitted for worker, block in workers.items()}

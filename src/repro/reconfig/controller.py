@@ -55,15 +55,13 @@ _EMPTY_FLEET_RETRY_S = 1.0
 class _Waiter:
     """One outstanding checkpoint request awaiting its ack."""
 
-    __slots__ = ("entry", "source", "decided", "abandoned")
+    __slots__ = ("entry", "source", "decided")
 
     def __init__(self, entry: JobMigration, source: str) -> None:
         self.entry = entry
         self.source = source
         #: The ack or its deadline has ended the wait.
         self.decided = False
-        #: The deadline ended it: a later ack is rebound on its own.
-        self.abandoned = False
 
 
 class ReconfigController:
@@ -161,7 +159,6 @@ class ReconfigController:
                 self._rebind_late(waiter, ack)
             return
         waiter.decided = True
-        waiter.abandoned = ack is None
         self.sim.call_soon(self._acked, waiter, ack, urgent=False)
 
     def _acked(self, waiter: _Waiter, ack: Optional[MigrateAck]) -> None:
@@ -307,11 +304,11 @@ class ReconfigController:
                 )
             return
         waiter = queue.popleft()
-        if waiter.abandoned:
-            # The request timed out but the checkpoint happened after
-            # all (slow link, not a dead worker).  The jobs are off the
-            # source's books, so rebind them anyway -- dropping the ack
-            # here would lose them.
+        if waiter.decided:
+            # Only its deadline can have decided it: the request timed
+            # out but the checkpoint happened after all (slow link, not
+            # a dead worker).  The jobs are off the source's books, so
+            # rebind them anyway -- dropping the ack here would lose them.
             self._rebind_late(waiter, message)
             return
         # The ack's event, then the wait on it: two NORMAL turns.

@@ -16,6 +16,7 @@ from conftest import make_profile, make_spec
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
+from repro.reconfig.controller import ReconfigController
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER
@@ -38,7 +39,7 @@ def stream_of(n=10, size=50.0):
     )
 
 
-def run_with_plan(scheduler, plan, seed=3, check=True, n_jobs=10):
+def run_with_plan(scheduler, plan, seed=3, check=True, n_jobs=10, controller=None):
     runtime = WorkflowRuntime(
         profile=make_profile(make_spec("w1"), make_spec("w2"), make_spec("w3")),
         stream=stream_of(n_jobs),
@@ -54,6 +55,7 @@ def run_with_plan(scheduler, plan, seed=3, check=True, n_jobs=10):
         ),
         reconfig=plan,
     )
+    runtime.reconfig_controller_factory = controller
     return runtime, runtime.run()
 
 
@@ -154,6 +156,45 @@ class TestMigration:
         )
         _, result = run_with_plan("round-robin", plan)
         assert result.jobs_completed == 10
+
+    @pytest.mark.parametrize("ack_turn_first", [True, False], ids=["ack-turn-first", "deadline-first"])
+    def test_an_ack_on_its_deadline_instant_behind_it_is_rebound(self, ack_turn_first):
+        # The source acks in time, but the ack reaches the controller at
+        # its deadline's instant, and the wait resumes on the deadline
+        # first: either the ack's turn runs ahead of the deadline's and
+        # its wake-up behind it, or the ack's turn itself runs behind.
+        # The migration times out; the checkpointed jobs the ack carries
+        # are off the source's books, so they are rebound as a late ack.
+        deadline = 3.0
+        settled = []
+
+        def held_ack_controller(host, plan):
+            controller = ReconfigController(host, plan)
+            route, held = host.master.migration_router, []
+            if ack_turn_first:  # armed before the request arms its deadline
+                host.sim.call_at(deadline, lambda: route(held.pop()))
+                host.master.migration_router = held.append
+            else:
+                host.master.migration_router = lambda ack: host.sim.call_at(deadline, route, ack)
+            note = host.monitor.on_migration_settled
+            host.monitor.on_migration_settled = lambda now: (settled.append(now), note(now))
+            return controller
+
+        plan = ReconfigPlan(
+            migrations=(
+                JobMigration(
+                    at_s=2.5, source="w1", max_jobs=2, include_running=True, ack_timeout_s=0.5
+                ),
+            )
+        )
+        runtime, result = run_with_plan("round-robin", plan, controller=held_ack_controller)
+        assert result.jobs_completed == 10
+        trace = runtime.metrics.trace
+        assert [e.detail for e in trace.of_kind("migrate_skipped")] == ["ack-timeout"]
+        rebinds = trace.of_kind("migrate_rebind")
+        assert rebinds and all(e.time == deadline for e in rebinds)
+        assert runtime.reconfig_controller._inflight == 0
+        assert settled == [deadline]
 
 
 class TestSwap:
