@@ -310,6 +310,9 @@ class InvariantMonitor:
 
         # Live-reconfiguration state (repro.reconfig).
         self._migrating: dict[str, str] = {}  # job_id -> source worker
+        #: Checkpointed jobs riding in an ack that outlived its deadline:
+        #: a settle does not wait for them, the end of the run does.
+        self._in_flight: dict[str, str] = {}  # job_id -> source worker
         self._migrations: dict[str, int] = {}  # job_id -> rebind permits
         self._swap_exported: frozenset = frozenset()
 
@@ -631,7 +634,11 @@ class InvariantMonitor:
         """A checkpointed job is about to be bound to its target."""
         self.checks += 1
         self._note(now, "migrate_rebind", "{} {} -> {}", job_id, source, target)
-        if job_id not in self._migrating:
+        if job_id in self._in_flight:
+            del self._in_flight[job_id]
+        elif job_id in self._migrating:
+            del self._migrating[job_id]
+        else:
             self._violate(
                 "migration-conservation",
                 f"job {job_id!r} rebound to {target!r} without a prior "
@@ -640,8 +647,16 @@ class InvariantMonitor:
                 job_id=job_id,
             )
             return
-        del self._migrating[job_id]
         self._migrations[job_id] = self._migrations.get(job_id, 0) + 1
+
+    def on_migration_ack_timeout(self, source: str, now: float) -> None:
+        """``source``'s ack missed its deadline: the jobs checkpointed
+        off it ride in the late ack, in flight until it is rebound."""
+        self.checks += 1
+        self._note(now, "migrate_ack_timeout", "{}", source)
+        for job_id, off in list(self._migrating.items()):
+            if off == source:
+                self._in_flight[job_id] = self._migrating.pop(job_id)
 
     def on_migration_settled(self, now: float) -> None:
         """A migration action finished issuing rebinds; nothing may dangle."""
@@ -667,9 +682,8 @@ class InvariantMonitor:
         """The successor policy acknowledged the jobs it now owns."""
         self.checks += 1
         imported = frozenset(job_ids)
-        exported = getattr(self, "_swap_exported", frozenset())
         self._note(now, "swap_import", "{} jobs into {}", len(imported), new_policy)
-        missing = exported - imported
+        missing = self._swap_exported - imported
         if missing:
             self._violate(
                 "swap-completeness",
@@ -708,11 +722,12 @@ class InvariantMonitor:
         more fundamental error).
         """
         self.checks += 1
-        if self._migrating:
-            job_id, source = next(iter(sorted(self._migrating.items())))
+        dangling = {**self._migrating, **self._in_flight}
+        if dangling:
+            job_id, source = next(iter(sorted(dangling.items())))
             self._violate(
                 "migration-conservation",
-                f"run ended with {len(self._migrating)} checkpointed job(s) "
+                f"run ended with {len(dangling)} checkpointed job(s) "
                 f"never rebound (first: {job_id!r} off {source!r})",
                 job_id=job_id,
             )

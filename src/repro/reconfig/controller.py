@@ -167,6 +167,8 @@ class ReconfigController:
             # landed, or is wedged).  Nothing was checkpointed from our
             # perspective; a late ack carrying jobs is still honoured.
             self._skip_migration(waiter.source, "ack-timeout")
+            if self.monitor is not None:
+                self.monitor.on_migration_ack_timeout(waiter.source, self.sim.now)
             self._settle_one()
             return
         jobs = [job for job in ack.jobs if isinstance(job, Job)]

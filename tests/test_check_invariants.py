@@ -156,6 +156,18 @@ class TestCleanRuns:
         assert runtime.run().jobs_completed == 300
         assert runtime.monitor._open_bidders == {}
 
+    def test_a_held_ack_past_its_deadline_is_in_flight_not_lost(self):
+        # A partition holds w0002's migration ack past its 1 s deadline:
+        # the deadline settles the migration while the checkpointed job
+        # rides in the held ack, which is rebound at the heal.
+        from repro.experiments.golden import scale_runtime
+
+        runtime = scale_runtime(25, True, "bidding", churn="ack-timeout")
+        assert runtime.run().jobs_completed == 300
+        trace = runtime.metrics.trace
+        assert [e.detail for e in trace.of_kind("migrate_skipped")] == ["ack-timeout"]
+        assert trace.of_kind("migrate_rebind")
+
     def test_monitors_off_is_the_default_and_absent(self):
         runtime = build_runtime(check=False)
         assert runtime.monitor is None
@@ -379,6 +391,30 @@ class TestUnitViolations:
         with pytest.raises(InvariantViolation) as caught:
             monitor.final_check()
         assert caught.value.invariant.name == "migration-conservation"
+
+    def test_jobs_in_a_timed_out_ack_are_in_flight(self):
+        monitor = InvariantMonitor()
+        monitor.on_migration_checkpoint("j1", "w1", now=1.0)
+        monitor.on_migration_ack_timeout("w1", now=2.0)
+        monitor.on_migration_settled(now=2.0)  # no raise: j1 rides in the ack
+        monitor.on_migration_rebind("j1", "w1", "w2", now=5.0)
+        monitor.final_check()  # no raise
+
+    def test_jobs_in_a_timed_out_ack_never_rebound_are_lost_at_the_end(self):
+        monitor = InvariantMonitor()
+        monitor.on_migration_checkpoint("j1", "w1", now=1.0)
+        monitor.on_migration_checkpoint("j2", "w2", now=1.0)
+        monitor.on_migration_ack_timeout("w1", now=2.0)
+        with pytest.raises(InvariantViolation, match="'j2' off 'w2'"):
+            monitor.on_migration_settled(now=2.0)  # j2's ack was not held
+        monitor = InvariantMonitor()
+        monitor.on_migration_checkpoint("j1", "w1", now=1.0)
+        monitor.on_migration_ack_timeout("w1", now=2.0)
+        monitor.on_migration_settled(now=2.0)
+        with pytest.raises(InvariantViolation) as caught:
+            monitor.final_check()
+        assert caught.value.invariant.name == "migration-conservation"
+        assert "'j1' off 'w1'" in str(caught.value)
 
     def test_clean_migration_satisfies_conservation(self):
         monitor = InvariantMonitor()
