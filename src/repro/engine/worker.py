@@ -181,11 +181,6 @@ class WorkerNode:
         """No accepted job is unfinished (running, queued, or in hand-off)."""
         return self._outstanding_jobs == 0
 
-    @property
-    def queued_count(self) -> int:
-        """Jobs waiting in the FIFO queue (excluding the running one)."""
-        return len(self.queue)
-
     def wait_idle(self) -> Event:
         """An event that fires when the worker next becomes idle.
 

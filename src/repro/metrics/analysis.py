@@ -299,44 +299,6 @@ def download_concurrency(trace: Trace) -> int:
     return peak
 
 
-def narrate(trace: Trace, job_id: Optional[str] = None, limit: int = 50) -> str:
-    """Human-readable lifecycle log lines from a trace.
-
-    ``job_id`` filters to one job's story; ``limit`` caps the output.
-    Useful in demos and when debugging a scheduling decision by hand.
-    """
-    _require_trace(trace)
-    templates = {
-        "submitted": "job {job} submitted to the master",
-        "announced": "bidding contest opened for {job}",
-        "bid": "{worker} bid {detail:.2f}s on {job}",
-        "contest_closed": "contest for {job} closed ({detail}) -> {worker}",
-        "offered": "{job} offered to {worker}",
-        "rejected": "{worker} declined {job}",
-        "accepted": "{worker} accepted {job}",
-        "assigned": "{job} assigned to {worker}",
-        "started": "{worker} started {job}",
-        "download_started": "{worker} downloading {detail} MB for {job}",
-        "download_finished": "{worker} finished downloading for {job}",
-        "cache_hit": "{worker} had {job}'s data locally",
-        "completed": "{worker} completed {job}",
-    }
-    lines = []
-    events = trace.for_job(job_id) if job_id is not None else list(trace)
-    for event in events[:limit]:
-        template = templates.get(event.kind, "{job}: " + event.kind)
-        try:
-            body = template.format(job=event.job_id, worker=event.worker, detail=event.detail)
-        except (ValueError, TypeError):
-            body = template.replace("{detail:.2f}", "{detail}").format(
-                job=event.job_id, worker=event.worker, detail=event.detail
-            )
-        lines.append(f"[{event.time:10.3f}s] {body}")
-    if job_id is None and len(list(trace)) > limit:
-        lines.append(f"... ({len(list(trace)) - limit} more events)")
-    return "\n".join(lines)
-
-
 def ascii_gantt(
     trace: Trace,
     makespan: float,

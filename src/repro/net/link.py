@@ -130,10 +130,6 @@ class Link:
         """Whether a transfer currently holds (or waits on) the link."""
         return self._holder is not None
 
-    def nominal_transfer_time(self, size_mb: float) -> float:
-        """The *estimate* a worker would bid: latency + size / nominal speed."""
-        return self.latency + size_mb / self.bandwidth_mbps
-
     def start(self, size_mb: float, priority: int, done: Optional[Callable]) -> Transfer:
         """Move ``size_mb`` through the link, then call ``done(elapsed_s)``
         (on its own turn; see :class:`Transfer`).

@@ -90,10 +90,6 @@ class Topology:
         except KeyError:
             raise KeyError(f"unknown node {name!r}; call add_node first") from None
 
-    def pair_latency(self, a: str, b: str) -> float:
-        """End-to-end latency between two nodes (two broker legs)."""
-        return self.latency_of(a) + self.latency_of(b) + self.broker.base_latency
-
     def subscribe(self, topic: str, node: str) -> Subscription:
         """Subscribe ``node``'s mailbox to ``topic`` at its placed latency."""
         return self.broker.subscribe(topic, name=node, latency=self.latency_of(node))

@@ -113,22 +113,6 @@ class JobStream:
         """All jobs in arrival order."""
         return [arrival.job for arrival in self.arrivals]
 
-    @property
-    def total_data_mb(self) -> float:
-        """Sum of data sizes over all jobs (an upper bound on data load
-        only when every job is a distinct repository)."""
-        return sum(arrival.job.size_mb for arrival in self.arrivals)
-
-    def distinct_repo_mb(self) -> float:
-        """Total size of *distinct* repositories referenced -- the
-        minimum possible data load for a cold single cache."""
-        seen: dict[str, float] = {}
-        for arrival in self.arrivals:
-            job = arrival.job
-            if job.repo_id is not None:
-                seen[job.repo_id] = job.size_mb
-        return sum(seen.values())
-
     @classmethod
     def poisson(
         cls,

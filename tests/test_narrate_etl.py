@@ -1,68 +1,9 @@
-"""Tests for trace narration and the ETL example's pipeline shape."""
+"""The ETL example's pipeline shape."""
 
 import pytest
 
-from conftest import make_profile, make_spec
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
-from repro.metrics.analysis import narrate
-from repro.metrics.trace import Trace
 from repro.schedulers.registry import make_scheduler
-from repro.workload.job import Job, JobArrival, JobStream
-from repro.workload.msr import TASK_ANALYZER
-
-
-class TestNarrate:
-    def build_trace(self):
-        trace = Trace()
-        trace.record(0.0, "submitted", "j1")
-        trace.record(0.1, "announced", "j1")
-        trace.record(0.2, "bid", "j1", "w1", 5.25)
-        trace.record(1.0, "contest_closed", "j1", "w1", "full")
-        trace.record(1.0, "assigned", "j1", "w1")
-        trace.record(1.1, "started", "j1", "w1")
-        trace.record(5.0, "completed", "j1", "w1")
-        return trace
-
-    def test_full_story(self):
-        text = narrate(self.build_trace())
-        assert "bidding contest opened for j1" in text
-        assert "w1 bid 5.25s on j1" in text
-        assert "w1 completed j1" in text
-
-    def test_job_filter(self):
-        trace = self.build_trace()
-        trace.record(6.0, "submitted", "j2")
-        text = narrate(trace, job_id="j1")
-        assert "j2" not in text
-
-    def test_limit_notice(self):
-        trace = self.build_trace()
-        text = narrate(trace, limit=2)
-        assert "more events" in text
-
-    def test_timestamps_formatted(self):
-        text = narrate(self.build_trace())
-        assert text.startswith("[     0.000s]")
-
-    def test_narrate_real_run(self):
-        stream = JobStream(
-            arrivals=[
-                JobArrival(
-                    at=0.0,
-                    job=Job(job_id="only", task=TASK_ANALYZER, repo_id="r", size_mb=10.0),
-                )
-            ]
-        )
-        runtime = WorkflowRuntime(
-            profile=make_profile(make_spec("w1"), make_spec("w2")),
-            stream=stream,
-            scheduler=make_scheduler("bidding"),
-            config=EngineConfig(seed=0, trace=True),
-        )
-        runtime.run()
-        story = narrate(runtime.metrics.trace, job_id="only")
-        assert "submitted" in story
-        assert "completed only" in story
 
 
 class TestETLExampleShape:

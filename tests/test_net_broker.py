@@ -271,12 +271,6 @@ class TestTopology:
         with pytest.raises(KeyError):
             topology.latency_of("ghost")
 
-    def test_pair_latency_is_two_legs(self, sim):
-        topology = Topology.build(sim, [], TopologyConfig(broker_processing=0.002))
-        topology.add_node("x", 0.01)
-        topology.add_node("y", 0.03)
-        assert topology.pair_latency("x", "y") == pytest.approx(0.042)
-
     def test_subscribe_uses_placed_latency(self, sim):
         topology = Topology.build(sim, [], TopologyConfig(broker_processing=0.0))
         topology.add_node("w", 0.25)

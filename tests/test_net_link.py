@@ -32,10 +32,6 @@ class TestBasics:
         link = Link(sim, bandwidth_mbps=10.0, latency=0.5)
         assert run_transfer(sim, link, 0.0) == pytest.approx(0.5)
 
-    def test_nominal_transfer_time(self, sim):
-        link = Link(sim, bandwidth_mbps=20.0, latency=1.0)
-        assert link.nominal_transfer_time(100.0) == pytest.approx(6.0)
-
     def test_counters_accumulate(self, sim):
         link = Link(sim, bandwidth_mbps=10.0)
         link.start(30.0, 0, lambda _elapsed: link.start(20.0, 0, None))

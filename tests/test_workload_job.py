@@ -95,16 +95,6 @@ class TestJobStream:
         stream = JobStream.poisson(jobs, 1.0, np.random.default_rng(2))
         assert stream.jobs == jobs
 
-    def test_total_and_distinct_data(self):
-        jobs = [
-            make_job(0, repo="a", size=10.0),
-            make_job(1, repo="a", size=10.0),
-            make_job(2, repo="b", size=5.0),
-        ]
-        stream = JobStream.burst(jobs)
-        assert stream.total_data_mb == pytest.approx(25.0)
-        assert stream.distinct_repo_mb() == pytest.approx(15.0)
-
     def test_negative_interarrival_rejected(self):
         with pytest.raises(ValueError):
             JobStream.poisson([make_job()], -1.0, np.random.default_rng(0))
