@@ -16,8 +16,8 @@ Subcommands map one-to-one onto the experiment modules::
     repro serve --backend real # same, executed on real worker processes
     repro exec                 # one real-backend replay, report printed
     repro exec --diff          # sim-vs-real differential smoke matrix
-    repro golden --check       # drift-gate every golden fixture
-    repro golden perfetto      # deliberately re-record one fixture
+    repro golden --check       # drift-gate every pin
+    repro golden perfetto      # deliberately re-record one pin
     repro faults               # degradation sweep: makespan vs crash rate
     repro bench                # kernel/network hot-path benchmarks -> BENCH.json
     repro fuzz --budget 60     # randomised scenario fuzzing with shrinking
@@ -539,13 +539,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     golden = sub.add_parser(
-        "golden", help="golden fixtures: re-record, or --check for drift"
+        "golden", help="pinned fixed-seed outputs: re-record, or --check for drift"
     )
     golden.add_argument(
         "fixtures",
         nargs="*",
         metavar="NAME",
-        help="fixture names (default: all); see repro.experiments.golden",
+        help="pin names (default: all); see repro.experiments.golden",
     )
     golden.add_argument(
         "--check",
@@ -557,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="directory",
         metavar="DIR",
         default=None,
-        help="fixture directory (default: the repo's tests/)",
+        help="directory of the pinned files (default: the repo's tests/)",
     )
     return parser
 

@@ -1,112 +1,102 @@
-"""One home for every golden fixture: record, re-record, drift-gate.
+"""The pins: everything a fixed seed must repeat, recorded and checked here.
 
-The repository pins these behavioural recordings:
+A pin is a name, its committed file under ``tests/`` and a ``record()``
+that returns a JSON value or a text.  One writer records a pin, one
+checker compares it with its file, and one explainer names where a
+drifted pin first differs: the key path of a JSON value, the numbered
+line of a text.
 
 ``determinism``
-    per-scheduler metrics of a fixed cell (``tests/golden_determinism
-    .json``) -- any change to scheduling, caching or the cost model
-    shows up here;
+    per-scheduler metrics of a fixed cell (``golden_determinism.json``);
 ``perfetto``
-    the exact Perfetto ``trace_event`` JSON of a fixed-seed two-worker
-    run (``tests/golden_perfetto.json``) -- any change to span
-    construction, track layout or exporter formatting shows up here;
+    the exact Perfetto export of a two-worker run (``golden_perfetto.json``);
 ``critical_path``
-    the critical-path attribution and full decision ledger of the same
-    cell (``tests/golden_critical_path.json``) -- any change to the
-    chain recovery, category tiling or per-scheduler decision context
-    shows up here;
+    the critical-path attribution and decision ledger of the same run
+    (``golden_critical_path.json``);
 ``reconfig``
-    metrics plus the migrate/swap event sequence of a pinned
-    live-reconfiguration run (``tests/golden_reconfig.json``);
+    metrics and the migrate/swap events of a live reconfiguration of
+    that run (``golden_reconfig.json``);
 ``scale``
-    full result rows, per-worker bid and offer counts and -- on one
-    observed cell each for ``bidding`` and ``baseline`` -- trace, flow
-    and decision digests of ``bidding``, the three pull schedulers and
-    ``spark`` at 100 and 400 workers, plus ``baseline`` with
-    ``requeue="back"`` and ``baseline`` at 25 workers through a crash
-    with restart and a pre-warm migration, one 25-worker cell per path
-    of the fault injector and the reconfiguration controller, and the
-    MSR pipeline on a rate-limited search API
-    (``tests/golden_scale.json``): the determinism contract at the
-    fleet sizes the benchmark measures, not only the 5-worker cell.
+    result rows and digests of fleet-sized cells: every scheduler at 100
+    workers, five of them at 400, and one 25-worker cell per path of the
+    fault injector and the reconfiguration controller
+    (``golden_scale.json``);
+``service``
+    the report and digests of seven open-loop service cells and the
+    message of one that misses its deadline (``golden_service.json``);
+``fig2`` ... ``sensitivity``, ``fig3_reduced`` ... ``sensitivity_reduced``
+    the stdout of the seven experiment commands at default arguments,
+    and of the four long drivers at a reduced size
+    (``cli_stdout/<name>.txt``).
 
-Both used to carry their own regen script with its own ``--check``
-mode; this module is the single implementation behind them and behind
-the one CLI entry point CI now gates on::
+::
 
     PYTHONPATH=src python -m repro golden --check   # drift gate (CI)
-    PYTHONPATH=src python -m repro golden           # re-record all
+    PYTHONPATH=src python -m repro golden           # re-record every pin
     PYTHONPATH=src python -m repro golden perfetto  # re-record one
 
-A drift failure means the committed fixture no longer matches what the
-code produces; if the behavioural change is deliberate, re-record and
-review the fixture diff like any other code change.
+A drift means the committed file no longer matches what the code
+produces; if the behavioural change is deliberate, re-record and review
+the diff like any other code change.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import io
+import itertools
 import json
+from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.cluster.profiles import WorkerProfile
+from repro.cluster.profiles import WorkerProfile, all_equal
 from repro.cluster.worker_spec import WorkerSpec
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.faults import CrashRenewal, FaultPlan
 from repro.obs import ObsConfig, build_spans, perfetto_trace
+from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
+from repro.serve import (
+    AdmissionConfig,
+    AutoscalerConfig,
+    ServiceConfig,
+    ServiceRuntime,
+    make_arrivals,
+)
 from repro.workload.job import Job, JobStream
 from repro.workload.msr import TASK_ANALYZER
 
-#: Default fixture directory: ``tests/`` at the repository root (this
-#: file lives at ``src/repro/experiments/golden.py``).
+#: Where the committed files live: ``tests/`` at the repository root
+#: (this file is ``src/repro/experiments/golden.py``).
 FIXTURE_DIR = Path(__file__).resolve().parents[3] / "tests"
 
 REGEN_HINT = "PYTHONPATH=src python -m repro golden"
 
-# -- determinism fixture ----------------------------------------------------
+# -- the two-worker cell: determinism, perfetto, critical path, reconfig ----
 
-DET_WORKLOAD = "80%_small"
-DET_PROFILE = "fast-slow"
-DET_SEED = 7
-DET_ITERATIONS = 2
+#: What the determinism pin keeps of each iteration's result.
+DET_FIELDS = (
+    "iteration", "makespan_s", "cache_misses", "cache_hits", "data_load_mb", "jobs_completed"
+)
 
 
 def record_determinism() -> dict:
-    """Per-scheduler, per-iteration metrics of the pinned cell."""
+    """Per-scheduler, per-iteration metrics of one cell: ``80%_small`` on
+    ``fast-slow``, seed 7, two iterations with persisting caches."""
     from repro.experiments.runner import CellSpec, run_cell
 
-    golden = {}
-    for scheduler in sorted(SCHEDULERS):
-        results = run_cell(
-            CellSpec(
-                scheduler=scheduler,
-                workload=DET_WORKLOAD,
-                profile=DET_PROFILE,
-                seed=DET_SEED,
-                iterations=DET_ITERATIONS,
-            )
-        )
-        golden[scheduler] = [
-            {
-                "iteration": result.iteration,
-                "makespan_s": result.makespan_s,
-                "cache_misses": result.cache_misses,
-                "cache_hits": result.cache_hits,
-                "data_load_mb": result.data_load_mb,
-                "jobs_completed": result.jobs_completed,
-            }
-            for result in results
+    return {
+        scheduler: [
+            {field: getattr(result, field) for field in DET_FIELDS}
+            for result in run_cell(CellSpec(scheduler, "80%_small", "fast-slow", 7, iterations=2))
         ]
-    return golden
-
-
-# -- perfetto fixture -------------------------------------------------------
-
-PERFETTO_SEED = 3
-PERFETTO_SCHEDULER = "bidding"
+        for scheduler in sorted(SCHEDULERS)
+    }
 
 
 def _golden_cell() -> tuple[WorkerProfile, JobStream]:
@@ -136,10 +126,8 @@ def golden_runtime() -> WorkflowRuntime:
     return WorkflowRuntime(
         profile=profile,
         stream=stream,
-        scheduler=make_scheduler(PERFETTO_SCHEDULER),
-        config=EngineConfig(
-            seed=PERFETTO_SEED, trace=True, obs=ObsConfig(probe_interval_s=5.0)
-        ),
+        scheduler=make_scheduler("bidding"),
+        config=EngineConfig(seed=3, trace=True, obs=ObsConfig(probe_interval_s=5.0)),
     )
 
 
@@ -157,87 +145,57 @@ def record_perfetto() -> dict:
     )
 
 
-# -- critical-path fixture --------------------------------------------------
-
-
 def record_critical_path() -> dict:
-    """Critical-path attribution + decision summary of the perfetto cell.
-
-    Rides on :func:`golden_runtime` (same fleet, jobs and seed as the
-    perfetto fixture), so the two recordings drift together: a change
-    that moves spans but not the chain -- or vice versa -- is visible as
-    exactly one fixture failing.
-    """
+    """Critical-path attribution and decision ledger of the perfetto
+    scenario, so a change that moves spans but not the chain -- or vice
+    versa -- fails exactly one of the two pins."""
     from repro.obs import critical_path
 
     runtime = golden_runtime()
     runtime.run()
     path = critical_path(runtime.metrics.trace)
     assert path is not None, "golden cell must complete at least one job"
-    ledger = runtime.obs.ledger
     return {
         "makespan_s": path.makespan,
         "chain": list(path.chain),
-        "categories": {name: value for name, value in sorted(path.categories.items())},
-        "slack": {job_id: value for job_id, value in sorted(path.slack.items())},
-        "decisions": ledger.to_dicts() if ledger is not None else [],
+        "categories": dict(path.categories),
+        "slack": dict(path.slack),
+        "decisions": runtime.obs.ledger.to_dicts(),
     }
 
 
-# -- reconfig fixture -------------------------------------------------------
-
-RECONFIG_SEED = 3
-RECONFIG_SCHEDULER = "bidding"
-RECONFIG_SWAP_TO = "baseline"
-
-
 def reconfig_runtime() -> WorkflowRuntime:
-    """The pinned live-reconfiguration scenario: the perfetto cell's
-    fleet and workload, plus a 2-job migration at t=2 and a
-    bidding->baseline hot-swap at t=4.  Every re-run of the same seed
-    must checkpoint the same jobs, pick the same targets, and swap at
-    the same instant -- the fixture freezes the full migrate/swap event
-    sequence to prove it."""
-    from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
-
-    plan = ReconfigPlan(
-        migrations=(JobMigration(at_s=2.0, max_jobs=2, include_running=False),),
-        swaps=(SchedulerSwap(at_s=4.0, scheduler=RECONFIG_SWAP_TO),),
-    )
+    """The perfetto scenario's fleet and jobs under bidding, seed 3, with
+    invariant checks, a 2-job migration at t=2 and a bidding -> baseline
+    hot-swap at t=4."""
     profile, stream = _golden_cell()
     return WorkflowRuntime(
         profile=profile,
         stream=stream,
-        scheduler=make_scheduler(RECONFIG_SCHEDULER),
-        config=EngineConfig(seed=RECONFIG_SEED, trace=True, check=True),
-        reconfig=plan,
+        scheduler=make_scheduler("bidding"),
+        config=EngineConfig(seed=3, trace=True, check=True),
+        reconfig=ReconfigPlan(
+            migrations=(JobMigration(at_s=2.0, max_jobs=2, include_running=False),),
+            swaps=(SchedulerSwap(at_s=4.0, scheduler="baseline"),),
+        ),
     )
 
 
 def record_reconfig() -> dict:
-    """Run metrics plus the exact migrate/swap trace of the pinned cell."""
+    """Run metrics plus every migrate/swap event of the pinned cell."""
     runtime = reconfig_runtime()
     result = runtime.run()
-    reconfig_events = [
-        {
-            "time": event.time,
-            "kind": event.kind,
-            "job_id": event.job_id,
-            "worker": event.worker,
-            "detail": str(event.detail),
-        }
-        for event in runtime.metrics.trace
-        if event.kind.startswith(("migrate_", "swap_"))
-    ]
+    metrics = runtime.metrics
     return {
-        "makespan_s": result.makespan_s,
-        "jobs_completed": result.jobs_completed,
-        "cache_misses": result.cache_misses,
-        "cache_hits": result.cache_hits,
-        "data_load_mb": result.data_load_mb,
-        "jobs_migrated": runtime.metrics.jobs_migrated,
-        "scheduler_swaps": runtime.metrics.scheduler_swaps,
-        "events": reconfig_events,
+        **{field: getattr(result, field) for field in DET_FIELDS[1:]},
+        "jobs_migrated": metrics.jobs_migrated,
+        "scheduler_swaps": metrics.scheduler_swaps,
+        "events": [
+            {"time": e.time, "kind": e.kind, "job_id": e.job_id, "worker": e.worker,
+             "detail": str(e.detail)}
+            for e in metrics.trace
+            if e.kind.startswith(("migrate_", "swap_"))
+        ],
     }
 
 
@@ -375,6 +333,23 @@ def _digest(payload) -> str:
     ).hexdigest()
 
 
+def run_digests(runtime) -> dict:
+    """The digests a scale cell and a service cell share: the assignment
+    map always, the trace when one is recorded, flows and decisions when
+    ``obs`` is on, and the monitor's check count when it runs."""
+    digests = {"assignments_sha256": _digest(runtime.master.assignments)}
+    trace = runtime.metrics.trace
+    if trace.enabled:
+        digests["trace_events"] = len(trace)
+        digests["trace_sha256"] = _digest(list(trace))
+    if runtime.obs is not None:
+        digests["flows_sha256"] = _digest([dataclasses.astuple(flow) for flow in runtime.obs.flows])
+        digests["decisions_sha256"] = _digest(runtime.obs.ledger.to_dicts())
+    if runtime.monitor is not None:
+        digests["monitor_checks"] = runtime.monitor.checks
+    return digests
+
+
 def scale_runtime(
     n_workers: int,
     observed: bool,
@@ -398,8 +373,6 @@ def scale_runtime(
     ``msr_rate_limit`` runs the MSR pipeline of
     :func:`~repro.experiments.tables_msr.run_one` instead, its searches
     limited to that many requests a minute, under ``churn``'s faults."""
-    from repro.faults import FaultPlan
-    from repro.reconfig import ReconfigPlan
     from repro.workload.generators import job_config_by_name
     from repro.workload.job import JobArrival
 
@@ -483,35 +456,246 @@ def record_scale() -> dict:
                 {w: (b.offers_rejected, b.offers_accepted) for w, b in workers.items()}
             )
         cell["per_worker_sha256"] = _digest(per_worker)
-        cell["assignments_sha256"] = _digest(runtime.master.assignments)
         if runtime.injector is not None:
             broker = runtime.topology.broker
             cell["faults_sha256"] = _digest(runtime.injector.events)
             cell["messages_dropped"] = [broker.dropped, broker.partition_dropped]
         if runtime.reconfig_controller is not None:
             cell["reconfig_sha256"] = _digest(runtime.reconfig_controller.events)
-        if observed:
-            trace = runtime.metrics.trace
-            cell["trace_events"] = len(trace)
-            cell["trace_sha256"] = _digest(
-                [
-                    (event.time, event.kind, event.job_id, event.worker, event.detail)
-                    for event in trace
-                ]
-            )
-            cell["flows_sha256"] = _digest(
-                [dataclasses.astuple(flow) for flow in runtime.obs.flows]
-            )
-            cell["decisions_sha256"] = _digest(runtime.obs.ledger.to_dicts())
-            cell["monitor_checks"] = runtime.monitor.checks
+        cell.update(run_digests(runtime))
         golden[name] = cell
     return golden
 
 
-# -- the registry and the shared record/check machinery ---------------------
+# -- service fixture --------------------------------------------------------
+
+#: cell name -> :func:`service_runtime` knobs.  Burst arrivals against
+#: both scheduler families; ``delay`` admission with a two-job queue and
+#: a rate limit (arrivals wait for queue space *and* retry after a
+#: token-bucket hint); the autoscaler with ``rebalance``; a crash/repair
+#: renewal under the autoscaler, so elastic ``e*`` workers die and
+#: restart; obs and invariant checks with a shared origin; a live
+#: migration and a bidding -> baseline hot-swap.
+SERVICE_CELLS: dict[str, dict] = {
+    "bidding-burst": dict(scheduler="bidding"),
+    "baseline-burst": dict(scheduler="baseline"),
+    "baseline-delay": dict(
+        scheduler="baseline",
+        duration=200.0,
+        admission=AdmissionConfig(queue_cap=2, policy="delay", rate_limit=2.0, rate_burst=1),
+    ),
+    "bidding-rebalance": dict(
+        scheduler="bidding",
+        rate=1.5,
+        autoscaler=AutoscalerConfig(min_workers=2, max_workers=10, rebalance=True, cooldown_s=20),
+    ),
+    "bar-crashes": dict(
+        scheduler="bar",
+        rate=1.5,
+        duration=400.0,
+        autoscaler=AutoscalerConfig(min_workers=2, max_workers=8, cooldown_s=20),
+        faults=FaultPlan(renewals=(CrashRenewal(mtbf_s=60, mttr_s=20),)),
+    ),
+    "baseline-observed": dict(
+        scheduler="baseline",
+        rate=1.5,
+        autoscaler=AutoscalerConfig(min_workers=2, max_workers=8, cooldown_s=20),
+        engine=dict(obs=ObsConfig(probe_interval_s=5.0), check=True, shared_origin_mbps=40.0),
+    ),
+    "bidding-swap": dict(
+        scheduler="bidding",
+        reconfig=ReconfigPlan(
+            migrations=(JobMigration(at_s=50.0, max_jobs=2),),
+            swaps=(SchedulerSwap(at_s=100.0, scheduler="baseline"),),
+        ),
+    ),
+}
 
 
-#: Stands for a key one side of a drift does not have.
+def service_runtime(
+    scheduler, rate=1.0, duration=300.0, admission=None, autoscaler=None, engine=None, **plans
+) -> ServiceRuntime:
+    """A service of ``all-equal`` workers under burst arrivals, seed 5;
+    ``plans`` are its ``faults`` and ``reconfig``."""
+    return ServiceRuntime(
+        profile=all_equal(),
+        scheduler=make_scheduler(scheduler),
+        arrivals=make_arrivals("burst", rate=rate),
+        admission_config=admission,
+        autoscaler_config=autoscaler,
+        service_config=ServiceConfig(duration_s=duration),
+        config=EngineConfig(seed=5, **(engine or {})),
+        **plans,
+    )
+
+
+def _record_service_cell(knobs: dict) -> dict:
+    """The report, digests, admission decisions and restarts of one cell
+    (and, when ``obs`` is on, its probe names and series)."""
+    runtime = service_runtime(**knobs)
+    offer = runtime.admission.offer
+    decisions = Counter()
+
+    def counting_offer(job, tenant):
+        decision = offer(job, tenant)
+        decisions[f"{decision.action}:{decision.reason}"] += 1
+        return decision
+
+    runtime.admission.offer = counting_offer
+    cell = {"report": runtime.run().to_dict(), "decisions": decisions}
+    trace = runtime.metrics.trace
+    cell["restarts"] = [[e.time, e.worker] for e in trace if e.kind == "fault_restart"]
+    if runtime.obs is not None:
+        probes = runtime.obs.probes
+        cell["probes"] = list(probes.probes)
+        cell["probes_sha256"] = _digest({name: probes.series(name) for name in probes.probes})
+    cell.update(run_digests(runtime))
+    return cell
+
+
+def record_service() -> dict:
+    """Every service cell, and what a service past its deadline says."""
+    cells = {name: _record_service_cell(SERVICE_CELLS[name]) for name in sorted(SERVICE_CELLS)}
+    try:
+        service_runtime("baseline", engine=dict(max_sim_time=30.0)).run()
+    except RuntimeError as error:
+        return {"cells": cells, "deadline_message": str(error)}
+    raise RuntimeError("the deadline cell finished; pick a shorter max_sim_time")
+
+
+# -- stdout pins ------------------------------------------------------------
+
+#: The experiment commands whose default-argument stdout is pinned.
+COMMANDS = ("fig2", "fig3", "fig4", "tables", "ablations", "sensitivity", "faults")
+
+
+def _command_stdout(name: str) -> str:
+    from repro.cli import main
+
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        main([name])
+    return buffer.getvalue()
+
+
+def _rendered(tables) -> str:
+    from repro.experiments.grid import render
+
+    return render(tables) + "\n"
+
+
+def _fig3_reduced() -> str:
+    from repro.experiments import fig3_aggregates
+    from repro.experiments.grid import run_grids
+
+    [sweep] = run_grids([fig3_aggregates.grid(seeds=(11,), profiles=("all-equal",))])
+    return _rendered(fig3_aggregates.tables(sweep))
+
+
+def _fig4_reduced() -> str:
+    from repro.experiments import fig4_breakdown
+    from repro.experiments.grid import run_grids
+
+    [sweep] = run_grids([fig4_breakdown.grid(
+        seeds=(11,),
+        profiles=("all-equal", "one-slow"),
+        workloads=("80%_small", "all_diff_large"),
+    )])
+    return _rendered(fig4_breakdown.tables(sweep))
+
+
+def _sections(module, sections, settings) -> str:
+    """Each titled section of ``module``, at the two settings given for it
+    in ``settings`` (by grid function name) or at its fixed ones."""
+    from repro.experiments.grid import run_grids
+
+    grids = [
+        build(settings[build.__name__]) if build.__name__ in settings else build()
+        for _title, build in sections
+    ]
+    sweeps = run_grids(grids)
+    return _rendered([module.table(title, sweep) for (title, _), sweep in zip(sections, sweeps)])
+
+
+def _ablations_reduced() -> str:
+    from repro.experiments import ablations
+
+    return _sections(ablations, ablations.ABLATIONS, {
+        "ablate_bid_window": (0.1, 1.0),
+        "ablate_bid_compute": (0.0, 1.0),
+        "ablate_noise": (0.0, 0.25),
+        "ablate_cache_capacity": (float("inf"), 1024.0),
+        "ablate_contest_concurrency": (1, 4),
+        "ablate_popularity_skew": (0.0, 2.0),
+        "ablate_shared_origin": (None, 10.0),
+    })
+
+
+def _sensitivity_reduced() -> str:
+    from repro.experiments import sensitivity
+
+    return _sections(sensitivity, sensitivity.SWEEPS, {
+        "sweep_worker_count": (5, 15),
+        "sweep_job_count": (60, 120),
+        "sweep_heterogeneity": (1.0, 8.0),
+        "sweep_arrival_rate": (0.0, 10.0),
+    })
+
+
+#: pin name -> its stdout: each command at default arguments, and each
+#: long driver at one seed, fewer profiles and workloads and two
+#: settings per sweep.
+STDOUT: dict[str, Callable[[], str]] = {
+    **{name: functools.partial(_command_stdout, name) for name in COMMANDS},
+    "fig3_reduced": _fig3_reduced,
+    "fig4_reduced": _fig4_reduced,
+    "ablations_reduced": _ablations_reduced,
+    "sensitivity_reduced": _sensitivity_reduced,
+}
+
+
+# -- the pins: one writer, one checker, one explainer -----------------------
+
+
+@dataclass(frozen=True)
+class Pin:
+    """One pinned recording: its name, its file under the fixture
+    directory (``.json`` for a JSON value, ``.txt`` for a text) and how
+    to record it."""
+
+    name: str
+    filename: str
+    record: Callable[[], object]
+    indent: int = 2
+
+    @property
+    def is_text(self) -> bool:
+        return self.filename.endswith(".txt")
+
+    def render(self, value) -> str:
+        """What the committed file holds for ``value``."""
+        if self.is_text:
+            return value
+        return json.dumps(value, indent=self.indent, sort_keys=True) + "\n"
+
+    def load(self, text: str):
+        return text if self.is_text else json.loads(text)
+
+
+PINS: dict[str, Pin] = {
+    pin.name: pin
+    for pin in (
+        Pin("determinism", "golden_determinism.json", record_determinism),
+        Pin("perfetto", "golden_perfetto.json", record_perfetto, indent=1),
+        Pin("critical_path", "golden_critical_path.json", record_critical_path),
+        Pin("reconfig", "golden_reconfig.json", record_reconfig),
+        Pin("scale", "golden_scale.json", record_scale),
+        Pin("service", "golden_service.json", record_service),
+        *(Pin(name, f"cli_stdout/{name}.txt", render) for name, render in STDOUT.items()),
+    )
+}
+
+#: Stands for a key, an element or a line one side of a drift does not have.
 _ABSENT = "<absent>"
 
 
@@ -537,9 +721,26 @@ def _first_difference(committed, current, path: str = ""):
     return None if committed == current else (path, committed, current)
 
 
-def explain_drift(committed: dict, current: dict) -> list[str]:
-    """Name the first key path at which a fixture drifted, with both values."""
-    found = _first_difference(committed, current)
+def _first_line_difference(committed: str, current: str):
+    """``("line N", committed, current)`` at the first differing line."""
+    lines = itertools.zip_longest(
+        committed.splitlines(keepends=True),
+        current.splitlines(keepends=True),
+        fillvalue=_ABSENT,
+    )
+    for number, (was, now) in enumerate(lines, 1):
+        if was != now:
+            return f"line {number}", was, now
+    return None
+
+
+def explain_drift(committed, current) -> list[str]:
+    """Name where a pin first drifted, with both values: the key path of
+    a JSON value, the numbered line of a text."""
+    if isinstance(committed, str) and isinstance(current, str):
+        found = _first_line_difference(committed, current)
+    else:
+        found = _first_difference(committed, current)
     if found is None:
         return []
     path, was, now = found
@@ -550,80 +751,32 @@ def explain_drift(committed: dict, current: dict) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class GoldenFixture:
-    """One pinned recording: how to produce it and where it lives."""
-
-    name: str
-    filename: str
-    indent: int
-    record: Callable[[], dict]
+def pin_path(pin: Pin, directory: Path | None = None) -> Path:
+    return (directory or FIXTURE_DIR) / pin.filename
 
 
-FIXTURES: dict[str, GoldenFixture] = {
-    "determinism": GoldenFixture(
-        name="determinism",
-        filename="golden_determinism.json",
-        indent=2,
-        record=record_determinism,
-    ),
-    "perfetto": GoldenFixture(
-        name="perfetto",
-        filename="golden_perfetto.json",
-        indent=1,
-        record=record_perfetto,
-    ),
-    "critical_path": GoldenFixture(
-        name="critical_path",
-        filename="golden_critical_path.json",
-        indent=2,
-        record=record_critical_path,
-    ),
-    "reconfig": GoldenFixture(
-        name="reconfig",
-        filename="golden_reconfig.json",
-        indent=2,
-        record=record_reconfig,
-    ),
-    "scale": GoldenFixture(
-        name="scale",
-        filename="golden_scale.json",
-        indent=2,
-        record=record_scale,
-    ),
-}
-
-
-def fixture_path(fixture: GoldenFixture, directory: Path | None = None) -> Path:
-    return (directory or FIXTURE_DIR) / fixture.filename
-
-
-def regenerate(fixture: GoldenFixture, directory: Path | None = None) -> Path:
-    """Re-record one fixture to disk; returns the path written."""
-    path = fixture_path(fixture, directory)
-    path.write_text(
-        json.dumps(fixture.record(), indent=fixture.indent, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"golden fixture '{fixture.name}' re-recorded at {path}")
+def write(pin: Pin, directory: Path | None = None) -> Path:
+    """Re-record one pin to disk; returns the path written."""
+    path = pin_path(pin, directory)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(pin.render(pin.record()), encoding="utf-8")
+    print(f"pin '{pin.name}' re-recorded at {path}")
     return path
 
 
-def check(fixture: GoldenFixture, directory: Path | None = None) -> int:
-    """Drift gate: regenerate into memory, compare, exit-code semantics."""
-    path = fixture_path(fixture, directory)
-    committed = json.loads(path.read_text(encoding="utf-8"))
-    current = fixture.record()
+def check(pin: Pin, directory: Path | None = None) -> int:
+    """Drift gate: record into memory, compare with the committed file,
+    explain any difference; returns an exit code."""
+    path = pin_path(pin, directory)
+    committed = pin.load(path.read_text(encoding="utf-8"))
+    current = pin.load(pin.render(pin.record()))
     if committed == current:
-        print(f"golden fixture '{fixture.name}' at {path} matches the current code")
+        print(f"pin '{pin.name}' at {path} matches the current code")
         return 0
-    print(f"golden fixture '{fixture.name}' at {path} DRIFTED from the current code:")
+    print(f"pin '{pin.name}' at {path} DRIFTED from the current code:")
     for line in explain_drift(committed, current):
         print(line)
-    print(
-        "If the behavioural change is deliberate, re-record with\n"
-        f"  {REGEN_HINT} {fixture.name}"
-    )
+    print(f"If the behavioural change is deliberate, re-record with\n  {REGEN_HINT} {pin.name}")
     return 1
 
 
@@ -632,21 +785,18 @@ def run(
     do_check: bool = False,
     directory: Path | None = None,
 ) -> int:
-    """Record (or gate) the named fixtures -- all of them by default.
+    """Record (or gate) the named pins -- all of them by default.
 
-    Returns a process exit code: non-zero if any gated fixture drifted.
+    Returns a process exit code: non-zero if any gated pin drifted.
     """
-    selected = list(names) or sorted(FIXTURES)
-    unknown = [name for name in selected if name not in FIXTURES]
+    selected = list(names) or list(PINS)
+    unknown = [name for name in selected if name not in PINS]
     if unknown:
-        raise SystemExit(
-            f"unknown golden fixture(s) {unknown}; available: {sorted(FIXTURES)}"
-        )
+        raise SystemExit(f"unknown golden fixture(s) {unknown}; available: {list(PINS)}")
     status = 0
     for name in selected:
-        fixture = FIXTURES[name]
         if do_check:
-            status |= check(fixture, directory)
+            status |= check(PINS[name], directory)
         else:
-            regenerate(fixture, directory)
+            write(PINS[name], directory)
     return status

@@ -273,9 +273,8 @@ class TestGoldenCLI:
     def test_check_passes_on_committed_fixtures(self, capsys):
         from repro.cli import main
 
-        assert main(["golden", "--check"]) == 0
-        printed = capsys.readouterr().out
-        assert "determinism" in printed and "perfetto" in printed
+        assert main(["golden", "--check", "reconfig"]) == 0
+        assert "pin 'reconfig'" in capsys.readouterr().out
 
     def test_unknown_fixture_rejected(self):
         from repro.cli import main
