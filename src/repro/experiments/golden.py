@@ -85,18 +85,20 @@ DET_FIELDS = (
 )
 
 
-def record_determinism() -> dict:
-    """Per-scheduler, per-iteration metrics of one cell: ``80%_small`` on
+def record_determinism_scheduler(scheduler: str) -> list[dict]:
+    """One scheduler's per-iteration metrics of one cell: ``80%_small`` on
     ``fast-slow``, seed 7, two iterations with persisting caches."""
     from repro.experiments.runner import CellSpec, run_cell
 
-    return {
-        scheduler: [
-            {field: getattr(result, field) for field in DET_FIELDS}
-            for result in run_cell(CellSpec(scheduler, "80%_small", "fast-slow", 7, iterations=2))
-        ]
-        for scheduler in sorted(SCHEDULERS)
-    }
+    return [
+        {field: getattr(result, field) for field in DET_FIELDS}
+        for result in run_cell(CellSpec(scheduler, "80%_small", "fast-slow", 7, iterations=2))
+    ]
+
+
+def record_determinism() -> dict:
+    """Every registered scheduler's metrics of that cell."""
+    return {scheduler: record_determinism_scheduler(scheduler) for scheduler in sorted(SCHEDULERS)}
 
 
 def _golden_cell() -> tuple[WorkerProfile, JobStream]:
@@ -529,10 +531,10 @@ def service_runtime(
     )
 
 
-def _record_service_cell(knobs: dict) -> dict:
+def record_service_cell(name: str) -> dict:
     """The report, digests, admission decisions and restarts of one cell
     (and, when ``obs`` is on, its probe names and series)."""
-    runtime = service_runtime(**knobs)
+    runtime = service_runtime(**SERVICE_CELLS[name])
     offer = runtime.admission.offer
     decisions = Counter()
 
@@ -553,14 +555,21 @@ def _record_service_cell(knobs: dict) -> dict:
     return cell
 
 
-def record_service() -> dict:
-    """Every service cell, and what a service past its deadline says."""
-    cells = {name: _record_service_cell(SERVICE_CELLS[name]) for name in sorted(SERVICE_CELLS)}
+def record_deadline_message() -> str:
+    """What a service past its deadline says."""
     try:
         service_runtime("baseline", engine=dict(max_sim_time=30.0)).run()
     except RuntimeError as error:
-        return {"cells": cells, "deadline_message": str(error)}
+        return str(error)
     raise RuntimeError("the deadline cell finished; pick a shorter max_sim_time")
+
+
+def record_service() -> dict:
+    """Every service cell, and what a service past its deadline says."""
+    return {
+        "cells": {name: record_service_cell(name) for name in sorted(SERVICE_CELLS)},
+        "deadline_message": record_deadline_message(),
+    }
 
 
 # -- stdout pins ------------------------------------------------------------

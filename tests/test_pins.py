@@ -1,6 +1,10 @@
 """Every pin of :mod:`repro.experiments.golden`, checked once against
 its committed file, and the one explainer naming a planted drift.
 
+``determinism`` and ``service`` are checked part by part, one test per
+scheduler or cell, in ``test_determinism_golden.py`` and
+``test_serve_fixture.py``.
+
 Re-record after a deliberate behaviour change, and review the diff::
 
     PYTHONPATH=src python -m repro golden [NAME ...]
@@ -14,16 +18,22 @@ import operator
 import pytest
 
 from repro.experiments import golden
-from repro.schedulers.registry import SCHEDULERS
 
 #: The four long experiment commands run nightly; tier-1 checks their
 #: reduced renderings.
 SLOW = {"fig3", "fig4", "ablations", "sensitivity"}
 
+#: Pins checked part by part in their own test files.
+BY_PART = {"determinism", "service"}
+
 
 @pytest.mark.parametrize(
     "name",
-    [pytest.param(name, marks=pytest.mark.slow) if name in SLOW else name for name in golden.PINS],
+    [
+        pytest.param(name, marks=pytest.mark.slow) if name in SLOW else name
+        for name in golden.PINS
+        if name not in BY_PART
+    ],
 )
 def test_pin_matches_its_recording(name, capsys):
     assert golden.check(golden.PINS[name]) == 0, capsys.readouterr().out
@@ -31,12 +41,6 @@ def test_pin_matches_its_recording(name, capsys):
 
 def _committed(pin):
     return pin.load(golden.pin_path(pin).read_text(encoding="utf-8"))
-
-
-def test_determinism_covers_every_registered_scheduler():
-    assert set(_committed(golden.PINS["determinism"])) == set(SCHEDULERS), (
-        "re-record the determinism pin for the new/removed schedulers"
-    )
 
 
 #: pin -> where a value is planted: a key path into its JSON, a text's line number.

@@ -1,13 +1,23 @@
-"""The service pin's cells take the paths they pin.
+"""The service pin, checked cell by cell, and the paths its cells pin.
 
-``golden_service.json`` is recorded and checked by ``repro golden
-service`` (:data:`repro.experiments.golden.SERVICE_CELLS`); these tests
-read the committed file only.
+``golden_service.json`` is recorded by ``repro golden service``
+(:data:`repro.experiments.golden.SERVICE_CELLS`).  Each cell compares
+with exact equality, floats included.  Re-record after a deliberate
+behaviour change, and review the diff::
+
+    PYTHONPATH=src python -m repro golden service
 """
 
 import json
 
-from repro.experiments.golden import FIXTURE_DIR, SERVICE_CELLS
+import pytest
+
+from repro.experiments.golden import (
+    FIXTURE_DIR,
+    SERVICE_CELLS,
+    record_deadline_message,
+    record_service_cell,
+)
 
 
 def _committed() -> dict:
@@ -16,6 +26,11 @@ def _committed() -> dict:
 
 def test_fixture_covers_every_cell():
     assert sorted(_committed()["cells"]) == sorted(SERVICE_CELLS)
+
+
+@pytest.mark.parametrize("name", sorted(SERVICE_CELLS))
+def test_cell_matches_its_recording(name):
+    assert json.loads(json.dumps(record_service_cell(name))) == _committed()["cells"][name]
 
 
 def test_the_pinned_cells_take_the_paths_they_pin():
@@ -29,7 +44,7 @@ def test_the_pinned_cells_take_the_paths_they_pin():
 
 
 def test_a_service_past_its_deadline_says_what_is_left():
-    assert _committed()["deadline_message"] == (
+    assert record_deadline_message() == _committed()["deadline_message"] == (
         "service did not quiesce within 30.0 simulated seconds "
         "(15 jobs outstanding, 2 pending at admission)"
     )
