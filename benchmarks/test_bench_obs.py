@@ -1,13 +1,14 @@
 """Benchmark: observability must be free when off, cheap when on.
 
-``repro.obs`` threads span contexts through engine messages and samples
-probe gauges on a sim-time cadence.  Every hot-path hook is guarded by
-``if self.obs is not None``, so a run with observability disabled must
+``repro.obs`` records broker flows and pipe occupancy on the run's
+observer seams and samples probe gauges on a sim-time cadence.  With
+observability off nothing is subscribed, so every seam is an empty
+tuple and a run with observability disabled must
 produce the *identical* simulation as before the subsystem existed and
 add under 2 % wall-clock overhead on a full-cell run.  With
 observability enabled the simulation must still be bit-identical (the
 recorder is read-only and draws no randomness) and the bounded-retention
-probes/ctx plumbing must stay within a generous envelope.
+probes and flows must stay within a generous envelope.
 """
 
 import gc
@@ -25,8 +26,8 @@ BENCH_ROUNDS = 25
 # Both "off" spellings run the identical code path, so any measured
 # delta is timer noise.  The limit matches the CI bench gate's
 # ``--tolerance 0.10``: loose enough to clear the noise floor of shared
-# runners, tight enough to catch a real per-message hook slipping past
-# the ``if self.obs is not None`` guards (the result-equality asserts
+# runners, tight enough to catch a real per-message hook slipping onto
+# an unobserved run's seams (the result-equality asserts
 # below are the exact gate; this one bounds wall-clock drift).
 BENCH_OFF_OVERHEAD_LIMIT = 0.10
 # The on-path envelope guards against accidental quadratic blow-ups,

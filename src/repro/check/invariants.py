@@ -270,13 +270,15 @@ _PIPE_TOLERANCE_MB = 1e-6
 
 
 class InvariantMonitor:
-    """Live checker attached to one run's engine objects.
+    """Live checker of one run: a subscriber on its observer seams.
 
-    One instance is shared by the master, every worker node, the broker,
-    any shared-origin pipe, the metrics collector (contest events), the
-    service runtime and the fault injector.  All hooks are synchronous
-    observations; a broken law raises :class:`InvariantViolation` at the
-    exact simulated moment it becomes observable.
+    Its ``on_<seam>`` methods handle the seams of :mod:`repro.hooks`
+    that the master, the worker nodes, the broker, any shared-origin
+    pipe, the metrics collector (contest events), the service runtime,
+    the fault injector and the reconfiguration controller emit.  All
+    hooks are synchronous observations; a broken law raises
+    :class:`InvariantViolation` at the exact simulated moment it
+    becomes observable.
     """
 
     def __init__(
@@ -287,7 +289,8 @@ class InvariantMonitor:
         self.config = config or CheckConfig()
         self.recovery_enabled = recovery_enabled
         #: Bidding window of the run's master policy (None = not bidding,
-        #: disables the window-bound law).  Set by the runtime wiring.
+        #: disables the window-bound law).  Set by the runtime wiring,
+        #: and by a hot-swap's import.
         self.contest_window_s: Optional[float] = None
         #: The run's main :class:`~repro.metrics.trace.Trace`, when one
         #: is recorded (set by the runtime wiring).  Job-centric
@@ -376,7 +379,8 @@ class InvariantMonitor:
         self._note(now, "submitted", job_id)
         self._submitted.add(job_id)
 
-    def on_assigned(self, job_id: str, worker: str, now: float) -> None:
+    def on_assigned(self, job, worker: str, policy, now: float) -> None:
+        job_id = job.job_id
         self.checks += 1
         self._note(now, "assigned", "{} -> {}", job_id, worker)
         count = self._assign_counts.get(job_id, 0) + 1
@@ -410,7 +414,8 @@ class InvariantMonitor:
         self._note(now, "orphaned", job_id)
         self._orphaned.add(job_id)
 
-    def on_completed(self, job_id: str, worker: Optional[str], now: float) -> None:
+    def on_completed(self, job, worker: Optional[str], now: float) -> None:
+        job_id = job.job_id
         self.checks += 1
         self._note(now, "completed", "{} @ {}", job_id, worker)
         if job_id not in self._submitted:
@@ -445,7 +450,8 @@ class InvariantMonitor:
                 job_id=job_id,
             )
 
-    def on_failed(self, job_id: str, now: float) -> None:
+    def on_failed(self, job, now: float) -> None:
+        job_id = job.job_id
         self.checks += 1
         self._note(now, "failed", job_id)
         if job_id not in self._submitted:
@@ -550,7 +556,7 @@ class InvariantMonitor:
                 f"{capacity_mbps:g} MB/s pipe (needs >= {size_mb / capacity_mbps:g}s)",
             )
 
-    # -- contest hooks (forwarded by the metrics collector) ------------
+    # -- contest hooks (emitted by the metrics collector) --------------
 
     def on_contest_opened(self, job_id: str, now: float) -> None:
         self.checks += 1
@@ -672,26 +678,28 @@ class InvariantMonitor:
                 job_id=job_id,
             )
 
-    def on_swap_export(self, job_ids, old_policy: str, now: float) -> None:
-        """The outgoing policy exported its owned-job set."""
+    def on_swap_export(self, job_ids, policy, now: float) -> None:
+        """The outgoing ``policy`` exported its owned-job set."""
         self.checks += 1
         self._swap_exported = frozenset(job_ids)
-        self._note(now, "swap_export", "{} jobs from {}", len(self._swap_exported), old_policy)
+        self._note(now, "swap_export", "{} jobs from {}", len(self._swap_exported), policy.name)
 
-    def on_swap_import(self, job_ids, new_policy: str, now: float) -> None:
-        """The successor policy acknowledged the jobs it now owns."""
+    def on_swap_import(self, job_ids, policy, now: float) -> None:
+        """The successor ``policy`` acknowledged the jobs it now owns;
+        its bidding window (if any) bounds contests from here on."""
         self.checks += 1
         imported = frozenset(job_ids)
-        self._note(now, "swap_import", "{} jobs into {}", len(imported), new_policy)
+        self._note(now, "swap_import", "{} jobs into {}", len(imported), policy.name)
         missing = self._swap_exported - imported
         if missing:
             self._violate(
                 "swap-completeness",
-                f"hot-swap into {new_policy!r} lost {len(missing)} job(s) the "
+                f"hot-swap into {policy.name!r} lost {len(missing)} job(s) the "
                 f"old policy owned: {sorted(missing)[:5]}",
                 job_id=sorted(missing)[0],
             )
         self._swap_exported = frozenset()
+        self.contest_window_s = getattr(policy, "window_s", None)
 
     # -- service hooks -------------------------------------------------
 

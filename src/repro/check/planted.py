@@ -72,8 +72,8 @@ class OverdeliveringPipe(FairSharePipe):
     ``pipe-no-overdelivery`` law must flag.
     """
 
-    def __init__(self, sim, capacity_mbps: float, boost: float = 4.0) -> None:
-        super().__init__(sim, capacity_mbps)
+    def __init__(self, sim, capacity_mbps: float, boost: float = 4.0, hooks=None) -> None:
+        super().__init__(sim, capacity_mbps, hooks=hooks)
         if boost <= 1.0:
             raise ValueError(f"boost must exceed 1 to be a bug, got {boost}")
         self.boost = float(boost)
@@ -89,12 +89,10 @@ class OverdeliveringPipe(FairSharePipe):
         return done
 
     def _complete(self, size_mb: float, elapsed: float, done: Event) -> None:
-        # Report honestly to the monitor, exactly as the real pipe does;
+        # Report honestly on the seam, exactly as the real pipe does;
         # the *numbers* are the bug, not the reporting.
-        if self.monitor is not None:
-            self.monitor.on_transfer_complete(
-                self.capacity_mbps, size_mb, elapsed, self.sim.now
-            )
+        for hook in self.hooks.transfer_complete:
+            hook(self.capacity_mbps, size_mb, elapsed, self.sim.now)
         done.succeed(elapsed)
 
 
@@ -110,8 +108,7 @@ def plant_overdelivering_origin(runtime, capacity_mbps: Optional[float] = None):
     previous = getattr(runtime, "_origin", None)
     if capacity_mbps is None:
         capacity_mbps = previous.capacity_mbps if previous is not None else 50.0
-    pipe = OverdeliveringPipe(runtime.sim, capacity_mbps=capacity_mbps)
-    pipe.monitor = runtime.monitor
+    pipe = OverdeliveringPipe(runtime.sim, capacity_mbps=capacity_mbps, hooks=runtime.hooks)
     runtime._origin = pipe
     for node in runtime.workers.values():
         node.machine.link.upstream = pipe

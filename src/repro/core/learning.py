@@ -95,19 +95,3 @@ class EWMASpeedModel:
         self._rw_value, self._rw_seen = self._fold(self._rw_value, samples, self._rw_seen)
         return self._rw_value
 
-
-#: Registry used by config strings.
-SPEED_MODELS = {
-    "nominal": NominalSpeedModel,
-    "historic": HistoricAverageSpeedModel,
-    "ewma": EWMASpeedModel,
-}
-
-
-def make_speed_model(kind: str) -> SpeedModel:
-    """Build a speed model by name (``nominal``/``historic``/``ewma``)."""
-    try:
-        return SPEED_MODELS[kind]()
-    except KeyError:
-        valid = ", ".join(sorted(SPEED_MODELS))
-        raise KeyError(f"unknown speed model {kind!r}; valid: {valid}") from None

@@ -32,18 +32,6 @@ class CacheStats:
     mb_downloaded: float = 0.0
     mb_evicted: float = 0.0
 
-    @property
-    def lookups(self) -> int:
-        """Total lookups recorded."""
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups that hit (0 when never used)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
 
 @dataclass
 class WorkerCache:
@@ -154,7 +142,8 @@ class WorkerCache:
         Does not touch the stats counters: preloaded clones were paid for
         in a previous run.
         """
-        for repo_id, size_mb in contents.items():
+        for repo_id in contents:
+            size_mb = contents[repo_id]
             if size_mb <= 0:
                 raise ValueError("preloaded sizes must be positive")
             if repo_id in self._items:

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.data.sizes import SizeMixture, band_of
+from repro.data.sizes import SizeMixture
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,6 @@ class Repository:
             raise ValueError(f"size must be positive, got {self.size_mb}")
         if self.stars < 0 or self.forks < 0:
             raise ValueError("stars/forks must be non-negative")
-
-    @property
-    def band_name(self) -> str:
-        """Canonical size-band name (``small``/``medium``/``large``)."""
-        return band_of(self.size_mb).name
 
 
 class RepositoryCorpus:

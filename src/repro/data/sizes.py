@@ -101,13 +101,6 @@ class SizeMixture:
         """Draw one size: first a band, then uniform within it."""
         return self.sample_band(rng).sample(rng)
 
-    def mean_mb(self) -> float:
-        """Expected size under the mixture (band-uniform means)."""
-        return sum(
-            weight * (band_by_name(name).lo_mb + band_by_name(name).hi_mb) / 2.0
-            for name, weight in self.weights
-        )
-
 
 def band_by_name(name: str) -> SizeBand:
     """Look up a canonical band by name."""

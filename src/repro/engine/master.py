@@ -40,6 +40,7 @@ from repro.engine.messages import (
 )
 from repro.faults.plan import RecoveryConfig
 from repro.fleet import FleetState, JobAgeTable
+from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
 from repro.net.topology import Topology
@@ -87,6 +88,9 @@ class Master:
     recovery:
         Full recovery policy (retry budget, backoff, straggler
         timeout); overrides ``fault_tolerance`` when given.
+    hooks:
+        The run's observer seams (see :mod:`repro.hooks`); the master
+        emits a job's lifecycle on them.
     """
 
     def __init__(
@@ -102,6 +106,7 @@ class Master:
         rng: Optional[np.random.Generator] = None,
         fault_tolerance: bool = False,
         recovery: Optional[RecoveryConfig] = None,
+        hooks: Optional[Hooks] = None,
     ) -> None:
         if not worker_names:
             raise ValueError("a run needs at least one worker")
@@ -117,6 +122,7 @@ class Master:
             recovery = RecoveryConfig()
         self.recovery = recovery
         self.fault_tolerance = recovery is not None
+        self.hooks = hooks if hooks is not None else Hooks()
 
         self.name = "master"
         self.inbox = topology.subscribe(TOPIC_MASTER, self.name)
@@ -133,20 +139,6 @@ class Master:
         self.assignments: dict[str, str] = {}
         #: Results of sink jobs (job_id -> JobCompleted) for inspection.
         self.completions: dict[str, JobCompleted] = {}
-        #: Callables ``(job, worker, now)`` invoked on every completion;
-        #: the service layer hooks latency tracking and backpressure
-        #: release here without subclassing the master.
-        self.completion_listeners: list = []
-        #: Callables ``(job, worker, now, reason)`` invoked when a job is
-        #: declared permanently failed.
-        self.failure_listeners: list = []
-        #: Callables ``(job, worker, now)`` invoked on every allocation
-        #: decision, push- and pull-style alike (both funnel through
-        #: :meth:`_note_assignment`).  This is the backend-agnostic seam:
-        #: the real execution backend (:mod:`repro.exec`) records the
-        #: policy's decision sequence here without knowing which policy
-        #: family produced it.
-        self.assignment_listeners: list = []
         #: job_id -> reason for jobs declared permanently failed.
         self.failed_jobs: dict[str, str] = {}
         self._completed_ids: set[str] = set()
@@ -161,12 +153,6 @@ class Master:
         #: Re-armed straggler-scan timer (set in :meth:`start` when the
         #: recovery policy enables a re-dispatch timeout).
         self._straggler_timer = None
-        #: Optional live invariant checker (see :mod:`repro.check`);
-        #: attached by the runtime when ``EngineConfig.check`` is set.
-        self.monitor = None
-        #: Optional observability recorder (see :mod:`repro.obs`);
-        #: attached by the runtime when ``EngineConfig.obs`` is set.
-        self.obs = None
         #: Callable ``(ack: MigrateAck) -> None`` routing checkpointed
         #: jobs to their rebind targets; installed by the
         #: :class:`~repro.reconfig.ReconfigController` when live
@@ -202,32 +188,23 @@ class Master:
     def assign(self, job: Job, worker: str) -> None:
         """Bind ``job`` to ``worker`` and ship it (push-style policies)."""
         self._note_assignment(job, worker)
-        ctx = None
-        if self.obs is not None:
-            ctx = self.obs.assignment_ctx(job.job_id)
-        self.send_to_worker(worker, Assignment(job=job, ctx=ctx))
+        self.send_to_worker(worker, Assignment(job=job))
 
     def note_external_assignment(self, job: Job, worker: str) -> None:
         """Record an allocation decided worker-side (pull-style accept)."""
         self._note_assignment(job, worker)
 
     def _note_assignment(self, job: Job, worker: str) -> None:
+        """The one assignment seam, push- and pull-style alike: the
+        real backend's plan capture and the decision ledger read the
+        policy's decisions here without knowing its family."""
         if worker not in self.fleet.slots:
             raise ValueError(f"assignment to unknown worker {worker!r}")
         self.assignments[job.job_id] = worker
         self._assigned_at.add(job.job_id, job, worker, self.sim.now)
         self.metrics.job_assigned(self.sim.now, job, worker)
-        if self.monitor is not None:
-            self.monitor.on_assigned(job.job_id, worker, self.sim.now)
-        if self.obs is not None and self.obs.ledger is not None:
-            # Observation-only: the snapshot reads policy/fleet state and
-            # draws no randomness, so it cannot perturb the run.
-            policy = self.policy
-            self.obs.ledger.note(
-                self.sim.now, job, worker, policy, policy.decision_snapshot(job, worker)
-            )
-        for listener in self.assignment_listeners:
-            listener(job, worker, self.sim.now)
+        for hook in self.hooks.assigned:
+            hook(job, worker, self.policy, self.sim.now)
 
     def send_to_worker(self, worker: str, message: object) -> None:
         """Point-to-point message to one worker (persistent delivery for
@@ -324,8 +301,8 @@ class Master:
         """Accept a job into the workflow (source arrival or child)."""
         self.outstanding += 1
         self.metrics.job_submitted(self.sim.now, job)
-        if self.monitor is not None:
-            self.monitor.on_submitted(job.job_id, self.sim.now)
+        for hook in self.hooks.submitted:
+            hook(job.job_id, self.sim.now)
         task = self.pipeline.task_of(job)
         if task.on_master:
             # Master-side tasks (cheap aggregation sinks) run inline.
@@ -412,10 +389,8 @@ class Master:
         # counts; duplicates must not expand children or decrement
         # ``outstanding`` a second time.
         if job.job_id in self._completed_ids or job.job_id in self.failed_jobs:
-            if self.monitor is not None:
-                self.monitor.on_duplicate_completion(
-                    job.job_id, message.worker, self.sim.now
-                )
+            for hook in self.hooks.duplicate_completion:
+                hook(job.job_id, message.worker, self.sim.now)
             if self.recovery is None and job.job_id in self._completed_ids:
                 # Without recovery nothing is ever re-dispatched, so a
                 # second completion is an engine bug, not a race.
@@ -426,8 +401,6 @@ class Master:
             return
         self._completed_ids.add(job.job_id)
         self._assigned_at.remove(job.job_id)
-        if self.obs is not None:
-            self.obs.completion_ctx(job.job_id, message.ctx)
         children = self.pipeline.on_completion(job)
         self.policy.on_job_completed(job, message.worker)
         # Submit children *before* completing the parent: outstanding must
@@ -443,13 +416,11 @@ class Master:
         self.outstanding -= 1
         if self.outstanding < 0:
             raise RuntimeError(f"job {job.job_id!r} completed more times than submitted")
-        if self.monitor is not None:
-            self.monitor.on_completed(job.job_id, worker, self.sim.now)
+        for hook in self.hooks.completed:
+            hook(job, worker, self.sim.now)
         self.metrics.job_completed(self.sim.now, job, worker)
         if message is not None:
             self.completions[job.job_id] = message
-        for listener in self.completion_listeners:
-            listener(job, worker, self.sim.now)
         self._check_done()
 
     def _on_worker_failure(self, message: WorkerFailure) -> None:
@@ -469,9 +440,7 @@ class Master:
             # a diagnosable terminal state instead of stalling until the
             # deadline guard fires.
             for job in orphans:
-                self._fail_job(
-                    job, message.worker, "worker failed; fault tolerance disabled"
-                )
+                self._fail_job(job, "worker failed; fault tolerance disabled")
             return
         # A job on nobody's books whose last holder was not this worker
         # was only *offered* to it: the dead node bounced the ``JobOffer``
@@ -485,33 +454,29 @@ class Master:
         ]
         for job in orphans:
             self.metrics.job_orphaned(self.sim.now, job, message.worker)
-            if self.monitor is not None:
-                self.monitor.on_orphaned(job.job_id, self.sim.now)
+            for hook in self.hooks.orphaned:
+                hook(job.job_id, self.sim.now)
         # Policies get the failure for *bookkeeping* (drop plans, close
         # contests); the master owns the actual re-dispatch below.
         self.policy.on_worker_failed(message.worker, orphans)
         for job in orphans:
-            self._recover_orphan(job, message.worker)
+            self._recover_orphan(job)
 
     # -- recovery ----------------------------------------------------------
 
-    def _recover_orphan(self, job: Job, worker: Optional[str]) -> None:
+    def _recover_orphan(self, job: Job) -> None:
         """Re-dispatch an orphan through the policy, within the budget."""
         self._assigned_at.remove(job.job_id)
         if job.job_id in self._completed_ids or job.job_id in self.failed_jobs:
             return
         attempts = self._redispatch_counts.get(job.job_id, 0)
         if attempts >= self.recovery.max_redispatches:
-            self._fail_job(
-                job,
-                worker,
-                f"retry budget exhausted ({attempts} re-dispatches)",
-            )
+            self._fail_job(job, f"retry budget exhausted ({attempts} re-dispatches)")
             return
         self._redispatch_counts[job.job_id] = attempts + 1
         self.metrics.job_redispatched(self.sim.now, job)
-        if self.monitor is not None:
-            self.monitor.on_redispatched(job.job_id, self.sim.now)
+        for hook in self.hooks.redispatched:
+            hook(job.job_id, self.sim.now)
         delay = self.recovery.backoff_base_s * self.recovery.backoff_factor**attempts
         if delay <= 0:
             self._redispatch_if_unresolved(job)
@@ -532,18 +497,16 @@ class Master:
             return
         self.policy.on_job(job)
 
-    def _fail_job(self, job: Job, worker: Optional[str], reason: str) -> None:
+    def _fail_job(self, job: Job, reason: str) -> None:
         """Declare ``job`` permanently failed and release its slot."""
         if job.job_id in self.failed_jobs or job.job_id in self._completed_ids:
             return
         self.failed_jobs[job.job_id] = reason
         self._assigned_at.remove(job.job_id)
         self.metrics.job_failed(self.sim.now, job, reason)
-        if self.monitor is not None:
-            self.monitor.on_failed(job.job_id, self.sim.now)
+        for hook in self.hooks.failed:
+            hook(job, self.sim.now)
         self.outstanding -= 1
-        for listener in self.failure_listeners:
-            listener(job, worker, self.sim.now, reason)
         self._check_done()
 
     def _straggler_tick(self) -> None:
@@ -558,9 +521,9 @@ class Master:
         now = self.sim.now
         for job, worker in self._assigned_at.overdue(now, timeout):
             self.metrics.job_orphaned(now, job, worker)
-            if self.monitor is not None:
-                self.monitor.on_orphaned(job.job_id, now)
-            self._recover_orphan(job, worker)
+            for hook in self.hooks.orphaned:
+                hook(job.job_id, now)
+            self._recover_orphan(job)
         self.sim.call_later(timeout / 2, self._straggler_tick, handle=self._straggler_timer)
 
     def _check_done(self) -> None:

@@ -10,12 +10,16 @@ All messages are immutable dataclasses delivered through
 The message set is the union of what the two Crossflow allocation modes
 need (pull/offer/reject for the Baseline; announce/bid/assign for the
 Bidding Scheduler) plus completion reporting shared by all policies.
+A message carries what the protocol needs and nothing for observers:
+they see each one on the broker's ``publish`` and ``deliver`` seams
+(:mod:`repro.hooks`), and a job's causal path is read off the trace
+(:mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.workload.job import Job
 
@@ -130,10 +134,6 @@ class Assignment:
     """Master -> worker: you must queue and execute this job."""
 
     job: Job
-    #: Observability span context (:class:`repro.obs.spans.SpanContext`),
-    #: stamped by the master when tracing is on, ``None`` otherwise.
-    #: ``compare=False`` keeps equality/hash independent of tracing.
-    ctx: Optional[Any] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,6 @@ class JobCompleted:
     result: Any = None
     #: Seconds the worker spent on the job (download + processing).
     elapsed_s: float = 0.0
-    #: The Assignment's span context echoed back (observability only).
-    ctx: Optional[Any] = field(default=None, compare=False)
 
 
 # -- live reconfiguration (repro.reconfig) ----------------------------------

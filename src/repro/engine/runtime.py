@@ -34,6 +34,7 @@ from repro.engine.worker import WorkerNode
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.fleet import FleetState
+from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import RunResult
 from repro.net.bandwidth import FairSharePipe
@@ -73,20 +74,20 @@ class EngineConfig:
         Record the full job-lifecycle trace (disable for benchmarks).
     check:
         Runtime invariant monitoring (see :mod:`repro.check`): ``True``
-        attaches an :class:`~repro.check.invariants.InvariantMonitor` to
-        every engine component and raises
+        subscribes an :class:`~repro.check.invariants.InvariantMonitor`
+        to the run's observer seams (:mod:`repro.hooks`), which raises
         :class:`~repro.check.invariants.InvariantViolation` the moment a
         conservation/ordering/contest law breaks.  Pass a
         :class:`~repro.check.invariants.CheckConfig` for fine-grained
-        control.  Off (the default) costs one attribute test per hook.
+        control.  Off (the default), the seams are empty and call
+        nothing.
     obs:
-        Observability (see :mod:`repro.obs`): ``True`` attaches an
-        :class:`~repro.obs.recorder.ObsRecorder` -- span-context
-        threading through engine messages, time-series probes, broker
-        flow records -- to every component.  Pass an
-        :class:`~repro.obs.recorder.ObsConfig` for cadence/retention
-        control.  Off (the default) costs one attribute test per hook
-        and keeps runs bit-identical to builds without the subsystem.
+        Observability (see :mod:`repro.obs`): ``True`` subscribes an
+        :class:`~repro.obs.recorder.ObsRecorder` -- time-series probes,
+        broker flow records, pipe occupancy -- and its decision ledger
+        to the seams.  Pass an :class:`~repro.obs.recorder.ObsConfig`
+        for cadence/retention control.  Off (the default) keeps runs
+        bit-identical to builds without the subsystem.
     max_sim_time:
         Safety deadline -- a run not finishing by this simulated time
         raises instead of spinning forever.
@@ -166,6 +167,11 @@ def single_task_pipeline() -> Pipeline:
 class Deployment:
     """The host both runtimes share: one wired deployment.
 
+    It builds the run's one :class:`~repro.hooks.Hooks` table, hands it
+    to every component it builds and subscribes its watchers: the
+    invariant monitor, the ``obs`` recorder and the decision ledger,
+    each when its knob is on.
+
     ``salt`` is mixed into the master seed to derive the run's random
     streams, which keeps runs on one seed decorrelated (the workflow
     salts with its iteration, the service with ``("service",)``).
@@ -203,23 +209,29 @@ class Deployment:
 
         self._streams = streams = RandomStreams(split_seed(config.seed, *salt))
         self.sim = Simulator()
-        self.metrics = MetricsCollector()
+        #: The run's observer seams (see :mod:`repro.hooks`).
+        self.hooks = hooks = Hooks()
+        self.metrics = MetricsCollector(hooks=hooks)
         self.metrics.trace.enabled = config.trace
         check_cfg = config.check_config()
         #: Live invariant checker (see :mod:`repro.check`), or ``None``.
         self.monitor: Optional[InvariantMonitor] = (
             InvariantMonitor(check_cfg) if check_cfg is not None else None
         )
-        self.metrics.monitor = self.monitor
         if self.monitor is not None:
             # Violations enrich themselves with the offending job's
             # lifecycle, read off the trace.
             self.monitor.trace = self.metrics.trace
+            hooks.subscribe(self.monitor)
         obs_cfg = config.obs_config()
         #: Live observability recorder (see :mod:`repro.obs`), or ``None``.
         self.obs: Optional[ObsRecorder] = (
             ObsRecorder(self.sim, obs_cfg) if obs_cfg is not None else None
         )
+        if self.obs is not None:
+            hooks.subscribe(self.obs)
+            if self.obs.ledger is not None:
+                hooks.subscribe(self.obs.ledger)
         # The pipeline may need simulation-bound services (e.g. the
         # GitHub model), hence the factory variant taking the fresh sim.
         if pipeline is None:
@@ -230,20 +242,21 @@ class Deployment:
 
         names = [spec.name for spec in profile.specs]
         self.topology = Topology.build(
-            self.sim, names + ["master"], config.topology, rng=streams.get("topology")
+            self.sim,
+            names + ["master"],
+            config.topology,
+            rng=streams.get("topology"),
+            hooks=hooks,
         )
         broker = self.topology.broker
         if config.message_loss > 0:
             broker.drop_probability = config.message_loss
             broker.rng = streams.get("message-loss")
-        broker.monitor = self.monitor
-        broker.obs = self.obs
         self._origin: Optional[FairSharePipe] = None
         if config.shared_origin_mbps is not None:
-            self._origin = FairSharePipe(self.sim, capacity_mbps=config.shared_origin_mbps)
-            self._origin.monitor = self.monitor
-            self._origin.obs = self.obs
-            self._origin.obs_label = "origin"
+            self._origin = FairSharePipe(
+                self.sim, capacity_mbps=config.shared_origin_mbps, label="origin", hooks=hooks
+            )
 
         #: The fleet planes every decision reads (see :mod:`repro.fleet`).
         self.fleet = FleetState()
@@ -265,16 +278,15 @@ class Deployment:
             rng=streams.get("master"),
             fault_tolerance=config.fault_tolerance,
             recovery=faults.recovery if faults is not None else None,
+            hooks=hooks,
         )
         if self.monitor is not None:
-            self.master.monitor = self.monitor
             self.monitor.recovery_enabled = self.master.recovery is not None
             # The bidding policy exposes its window; the monitor uses it
             # to bound contest durations (None disables that law).
             self.monitor.contest_window_s = getattr(self._master_policy, "window_s", None)
         self._seed_views(self.workers.values())
         if self.obs is not None:
-            self.master.obs = self.obs
             self._register_probes()
 
     # -- nodes ---------------------------------------------------------------
@@ -286,13 +298,6 @@ class Deployment:
         restarted node continues its predecessor's stream and the run
         stays seed-deterministic.
         """
-        cache = WorkerCache(capacity_mb=spec.cache_capacity_mb)
-        if initial_cache:
-            cache.preload(initial_cache)
-            if self.monitor is not None:
-                # Warm clones count as prior fetches for the
-                # cache-hit-requires-fetch law.
-                self.monitor.on_cache_preload(spec.name, initial_cache)
         config = self.config
         machine = Machine(
             self.sim,
@@ -302,20 +307,19 @@ class Deployment:
             rng=self._streams.get("noise", spec.name),
             upstream=self._origin,
         )
-        node = WorkerNode(
+        return WorkerNode(
             sim=self.sim,
             topology=self.topology,
             machine=machine,
-            cache=cache,
+            cache=WorkerCache(capacity_mb=spec.cache_capacity_mb),
             policy=self.scheduler.make_worker(),
             metrics=self.metrics,
             fleet=self.fleet,
             pipeline=self.pipeline,
             prefetch=config.prefetch,
+            hooks=self.hooks,
+            warm=initial_cache,
         )
-        node.monitor = self.monitor
-        node.obs = self.obs
-        return node
 
     def _seed_views(self, nodes, policy=None) -> None:
         """Give a centralized master policy (default: the running one)
@@ -398,7 +402,7 @@ class Deployment:
                 metrics=self.metrics,
                 restart=self.restart_worker,
                 loss_rng=self._streams.get("faults", "loss"),
-                monitor=self.monitor,
+                hooks=self.hooks,
             )
             self.injector.start()
         plan = self.reconfig

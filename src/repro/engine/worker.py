@@ -37,6 +37,7 @@ from repro.engine.messages import (
     worker_topic,
 )
 from repro.fleet import FleetState
+from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
 from repro.net.link import Transfer
@@ -68,6 +69,10 @@ class WorkerNode:
         The worker-side allocation strategy; bound to this node here.
     pipeline:
         The workflow definition (for per-task simulated work hooks).
+    hooks:
+        The run's observer seams (see :mod:`repro.hooks`).
+    warm:
+        Clones the node starts with (a warm start, see :meth:`preload`).
     """
 
     def __init__(
@@ -81,6 +86,8 @@ class WorkerNode:
         fleet: FleetState,
         pipeline: Optional[Pipeline] = None,
         prefetch: bool = False,
+        hooks: Optional[Hooks] = None,
+        warm: Optional[dict[str, float]] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -136,19 +143,16 @@ class WorkerNode:
         self._prefetch_download: Optional[Transfer] = None
         #: job_ids whose miss was already accounted by the prefetcher.
         self._prefetch_credit: set[str] = set()
-        #: Optional live invariant checker (see :mod:`repro.check`);
-        #: attached by the runtime when ``EngineConfig.check`` is set.
-        self.monitor = None
-        #: Optional observability recorder (see :mod:`repro.obs`);
-        #: attached by the runtime when ``EngineConfig.obs`` is set.
-        self.obs = None
-        #: job_id -> span context from the Assignment, echoed on completion.
-        self._assign_ctxs: dict[str, object] = {}
+        self.hooks = hooks if hooks is not None else Hooks()
         #: Message types tolerated (dropped with a trace record) when the
         #: active policy does not consume them -- the previous policy's
         #: in-flight control traffic after a hot-swap.  Empty outside
         #: swaps, so the unhandled-message error stays strict.
         self._stale_ok: tuple[type, ...] = ()
+        if warm:
+            # Before the attach, which reads the planes' cache row off
+            # the node's cache.
+            self.preload(warm)
         self.fleet = fleet
         self.fleet_slot = fleet.attach_node(self)
 
@@ -222,8 +226,8 @@ class WorkerNode:
         """Append a job to the FIFO queue with its committed-cost estimate."""
         if not self.alive:
             raise RuntimeError(f"worker {self.name} is dead")
-        if self.monitor is not None:
-            self.monitor.on_enqueued(job.job_id, self.name, self.sim.now)
+        for hook in self.hooks.enqueued:
+            hook(job.job_id, self.name, self.sim.now)
         self.unfinished[job.job_id] = estimated_cost
         self._outstanding_jobs += 1
         if self._parked:
@@ -251,12 +255,6 @@ class WorkerNode:
             if isinstance(job, Job):
                 self.send_to_master(WorkerFailure(worker=self.name, orphaned=(job,)))
             return
-        if self.obs is not None and isinstance(message, Assignment) and message.ctx is not None:
-            # Capture the span context before the policy sees the
-            # message: bidding-style policies consume Assignments
-            # themselves, and the echo on JobCompleted must survive
-            # either dispatch path.
-            self._assign_ctxs[message.job.job_id] = message.ctx
         if isinstance(message, MigrateRequest):
             # Engine-level: checkpoint jobs for the migration
             # controller before the policy sees anything.
@@ -314,8 +312,8 @@ class WorkerNode:
         self.policy.on_state_changed((job.repo_id,))
         self._started_at = started = self.sim.now
         self.metrics.job_started(started, job, self.name)
-        if self.monitor is not None:
-            self.monitor.on_job_started(job.job_id, self.name, started)
+        for hook in self.hooks.job_started:
+            hook(job.job_id, self.name, started)
         if job.repo_id is None:
             self._compute()
         elif self._prefetching is not None and self._prefetching.repo_id == job.repo_id:
@@ -335,8 +333,8 @@ class WorkerNode:
             self.cache.lookup(job.repo_id)
         elif self.cache.lookup(job.repo_id):
             self.metrics.record_cache_hit(self.sim.now, self.name, job)
-            if self.monitor is not None:
-                self.monitor.on_cache_hit(self.name, job.repo_id, self.sim.now)
+            for hook in self.hooks.cache_hit:
+                hook(self.name, job.repo_id, self.sim.now)
         else:
             self.metrics.record_cache_miss(self.sim.now, self.name, job)
             self._download = self.machine.download(job.size_mb, 0, self._downloaded)
@@ -352,8 +350,20 @@ class WorkerNode:
         self.cache.insert(job.repo_id, job.size_mb)
         self.policy.on_state_changed((job.repo_id,))
         self.metrics.record_download(self.sim.now, self.name, job, job.size_mb)
-        if self.monitor is not None:
-            self.monitor.on_cache_fetch(self.name, job.repo_id, self.sim.now)
+        for hook in self.hooks.cache_fetch:
+            hook(self.name, job.repo_id, self.sim.now)
+
+    def preload(self, clones: dict[str, float]) -> None:
+        """Clones that arrive without a download: a warm start's, as
+        the node is built, or a migration's pre-warm.  They were paid
+        for elsewhere -- no download, no data load -- so they go
+        straight into the cache; then the policy and the
+        ``cache_preload`` seam hear of them."""
+        self.cache.preload(clones)
+        if self.policy.worker is self:  # else it reads the cache as it starts
+            self.policy.on_state_changed(clones)
+        for hook in self.hooks.cache_preload:
+            hook(self.name, clones)
 
     def _compute(self) -> None:
         """Process the job: its task's simulated work first, then the
@@ -391,12 +401,7 @@ class WorkerNode:
         self.unfinished.pop(job.job_id, None)
         self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
         self.policy.on_job_finished(job, elapsed)
-        ctx = None
-        if self.obs is not None:
-            ctx = self._assign_ctxs.pop(job.job_id, None)
-        self.send_to_master(
-            JobCompleted(job=job, worker=self.name, elapsed_s=elapsed, ctx=ctx)
-        )
+        self.send_to_master(JobCompleted(job=job, worker=self.name, elapsed_s=elapsed))
         if self.is_idle:
             self._wake_idle_waiters()
         self._next()
@@ -485,8 +490,8 @@ class WorkerNode:
         is preempted too: its partial download/compute is abandoned and
         it reruns from scratch on the target -- execution is
         deterministic given the job, so no output is lost.  All local
-        bookkeeping (committed cost, outstanding count, prefetch credit,
-        span contexts) is settled synchronously here, and the executor
+        bookkeeping (committed cost, outstanding count, prefetch credit)
+        is settled synchronously here, and the executor
         turns to its next job before anything else of this instant runs.
         """
         taken: list[Job] = []
@@ -502,10 +507,9 @@ class WorkerNode:
             self.unfinished.pop(job.job_id, None)
             self._outstanding_jobs -= 1
             self._prefetch_credit.discard(job.job_id)
-            self._assign_ctxs.pop(job.job_id, None)
             self.metrics.trace.record(now, "migrate_checkpoint", job.job_id, self.name)
-            if self.monitor is not None:
-                self.monitor.on_migration_checkpoint(job.job_id, self.name, now)
+            for hook in self.hooks.migration_checkpoint:
+                hook(job.job_id, self.name, now)
         if taken:
             self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
             self.policy.on_state_changed([job.repo_id for job in taken])

@@ -12,8 +12,8 @@ bit-identical between backends: the differential harness
 -- nothing dropped, duplicated or reordered across the process boundary
 -- rather than asking a wall clock to reproduce simulated time.
 
-Capture rides the :attr:`~repro.engine.master.Master.assignment_listeners`
-seam, which both push- and pull-style policies funnel through, so this
+Capture subscribes to the run's ``assigned`` seam (:mod:`repro.hooks`),
+which both push- and pull-style policies funnel through, so this
 module never inspects policy internals.
 """
 
@@ -185,14 +185,14 @@ class ExecPlan:
 
 
 class PlanRecorder:
-    """Collects the decision stream off a master's assignment seam."""
+    """Collects the decision stream off a run's ``assigned`` seam."""
 
-    def __init__(self, master) -> None:
+    def __init__(self, hooks) -> None:
         self.decisions: list[Decision] = []
         self._jobs: dict[str, Job] = {}
-        master.assignment_listeners.append(self._note)
+        hooks.subscribe(self)
 
-    def _note(self, job: Job, worker: str, now: float) -> None:
+    def on_assigned(self, job: Job, worker: str, policy, now: float) -> None:
         self.decisions.append(
             Decision(seq=len(self.decisions), job_id=job.job_id, worker=worker, at_s=now)
         )
@@ -239,7 +239,7 @@ def capture_workflow_plan(
     pool starts from the same warmth the sim did.
     """
     workers = _plan_workers(runtime.workers)
-    recorder = PlanRecorder(runtime.master)
+    recorder = PlanRecorder(runtime.hooks)
     result = runtime.run()
     plan = ExecPlan(
         scheduler=runtime.scheduler.name,
@@ -265,7 +265,7 @@ def capture_service_plan(
         name: tuple(sorted(node.cache.contents().items()))
         for name, node in runtime.workers.items()
     }
-    recorder = PlanRecorder(runtime.master)
+    recorder = PlanRecorder(runtime.hooks)
     report = runtime.run()
     # The fleet may have grown during the run; snapshot post-run, but
     # keep the *pre-run* cache contents (scale-ups start cold anyway).

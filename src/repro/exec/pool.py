@@ -23,9 +23,10 @@ against genuinely separate OS processes:
   live worker that already holds their repository -- the same locality
   rule the paper's schedulers apply, driven off the same cache model.
 
-* **Reused verification.**  The sim's
+* **Reused verification.**  The coordinator emits on the sim's
+  observer seams (:mod:`repro.hooks`), and the
   :class:`~repro.check.invariants.InvariantMonitor` and
-  :class:`~repro.metrics.collector.MetricsCollector` hooks take plain
+  :class:`~repro.metrics.collector.MetricsCollector` take plain
   floats, so the real run drives them with wall-clock times: the full
   conservation family (exactly-once allocation, at-most-once completion,
   ``completed + failed == admitted``) is enforced *live* on real
@@ -52,6 +53,7 @@ from repro.exec import protocol
 from repro.exec.control import handle_control
 from repro.exec.plan import ExecPlan, PlanJob, PlanWorker
 from repro.exec.worker import worker_main
+from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.workload.job import Job
 
@@ -226,17 +228,21 @@ class ExecBackend:
         self.script = sorted(script, key=lambda entry: entry[0])
         self.metrics = MetricsCollector()
         self.metrics.trace.enabled = self.config.trace
-        self.monitor = InvariantMonitor() if self.config.check else None
-        if self.monitor is not None:
-            self.monitor.recovery_enabled = True
-            self.metrics.monitor = self.monitor
-
-        from repro.obs.ledger import DecisionLedger
-
+        #: The coordinator's observer seams (see :mod:`repro.hooks`).
+        self.hooks = Hooks()
+        self.monitor: Optional[InvariantMonitor] = None
+        if self.config.check:
+            self.monitor = InvariantMonitor(recovery_enabled=True)
+            self.hooks.subscribe(self.monitor)
         #: Wall-clock decision ledger (parity with the sim master's):
         #: one record per ``_bind``, timestamped with the backend clock.
         #: Gated with the trace knob -- both are the run's observability.
-        self.ledger = DecisionLedger() if self.config.trace else None
+        self.ledger = None
+        if self.config.trace:
+            from repro.obs.ledger import DecisionLedger
+
+            self.ledger = DecisionLedger()
+            self.hooks.subscribe(self.ledger)
 
         self.workers: dict[str, _WorkerState] = {}
         self.admitted = 0
@@ -320,12 +326,10 @@ class ExecBackend:
                 raise self._error
 
             now = self._now()
-            if self.monitor is not None:
-                self.monitor.on_service_close(
-                    self.admitted, self.completed, self.failed, now
-                )
+            for hook in self.hooks.service_close:
+                hook(self.admitted, self.completed, self.failed, now)
             self.metrics.run_finished(now)
-            if self.monitor is not None:
+            if self.config.check:
                 self.monitor.final_check()
             return self._report(now)
         finally:
@@ -401,11 +405,11 @@ class ExecBackend:
         self.metrics.run_started(now)
         for plan_job in self.plan.jobs:
             self._admit(plan_job, now)
-        if self.monitor is not None:
+        for hook in self.hooks.cache_preload:
             for state in self.workers.values():
                 repos = [repo for repo, _size in state.plan.preload]
                 if repos:
-                    self.monitor.on_cache_preload(state.name, repos)
+                    hook(state.name, repos)
         bound: set[str] = set()
         for decision in self.plan.decisions:
             # A plan captured from a faulty sim run can list a job more
@@ -429,33 +433,36 @@ class ExecBackend:
         self.admitted += 1
         self._real_jobs[job.job_id] = real_job = job.to_job()
         self.metrics.job_submitted(now, real_job)
-        if self.monitor is not None:
-            self.monitor.on_submitted(job.job_id, now)
+        for hook in self.hooks.submitted:
+            hook(job.job_id, now)
 
     def _bind(self, job: PlanJob, worker: str, redispatch: bool) -> None:
         state = self.workers[worker]
         now = self._now()
-        if self.monitor is not None:
-            self.monitor.on_assigned(job.job_id, worker, now)
-        self.metrics.job_assigned(now, self._real_jobs[job.job_id], worker)
+        real_job = self._real_jobs[job.job_id]
         self.assigned_log.append((job.job_id, worker, redispatch))
-        if self.ledger is not None:
-            # The sim master's hook, the backend standing in for the
-            # policy: a row of the live worker states (locality from the
-            # coordinator cache mirror, queue depth = outstanding).
-            repo = job.repo_id
-            states = [
-                (s.name, repo is None or bool(s.cache.peek(repo)), s.outstanding, s.alive)
-                for s in self.workers.values()
-            ]
-            self.ledger.note(now, job, worker, self, (states, redispatch))
+        # The sim master's seam, the backend standing in for the policy.
+        for hook in self.hooks.assigned:
+            hook(real_job, worker, self, now)
+        self.metrics.job_assigned(now, real_job, worker)
         state.ready.append(job)
         self._pump(state)
 
     #: The ``policy`` of this backend's ledger records.
     name = "exec"
 
-    def decision_context(self, job: PlanJob, worker: str, snapshot: tuple) -> tuple:
+    def decision_snapshot(self, job: Job, worker: str) -> tuple:
+        """Ledger: the live worker states at a bind (locality from the
+        coordinator cache mirror, queue depth = outstanding) and whether
+        it re-dispatches (the bind's ``assigned_log`` entry)."""
+        repo = job.repo_id
+        states = [
+            (s.name, repo is None or bool(s.cache.peek(repo)), s.outstanding, s.alive)
+            for s in self.workers.values()
+        ]
+        return states, self.assigned_log[-1][2]
+
+    def decision_context(self, job: Job, worker: str, snapshot: tuple) -> tuple:
         """Ledger: ``(kind, candidates, runner_up, reason)`` of one bind."""
         from repro.obs.ledger import CandidateScore
 
@@ -482,8 +489,8 @@ class ExecBackend:
             job = state.ready.popleft()
             now = self._now()
             state.processing[job.job_id] = (job, now)
-            if self.monitor is not None:
-                self.monitor.on_enqueued(job.job_id, state.name, now)
+            for hook in self.hooks.enqueued:
+                hook(job.job_id, state.name, now)
             if not state.outbox:
                 self._dirty.append(state)
             state.outbox.append(
@@ -508,8 +515,8 @@ class ExecBackend:
             # At-most-once: a re-dispatched job's original owner finished
             # anyway (e.g. eviction raced an in-flight completion).
             self.duplicates += 1
-            if self.monitor is not None:
-                self.monitor.on_duplicate_completion(job_id, state.name, now)
+            for hook in self.hooks.duplicate_completion:
+                hook(job_id, state.name, now)
             self.metrics.duplicate_suppressed(now, self._real_jobs[job_id], state.name)
             return
         entry = state.processing.pop(job_id, None)
@@ -523,13 +530,13 @@ class ExecBackend:
         real_job = self._real_jobs[job_id]
         cache_hit = message.get("cache_hit")
         if cache_hit is True:
-            if self.monitor is not None:
-                self.monitor.on_cache_hit(state.name, job.repo_id, now)
+            for hook in self.hooks.cache_hit:
+                hook(state.name, job.repo_id, now)
             self.metrics.record_cache_hit(started, state.name, real_job)
             state.cache.lookup(job.repo_id)
         elif cache_hit is False:
-            if self.monitor is not None:
-                self.monitor.on_cache_fetch(state.name, job.repo_id, now)
+            for hook in self.hooks.cache_fetch:
+                hook(state.name, job.repo_id, now)
             self.metrics.record_cache_miss(started, state.name, real_job)
             modelled_fetch = (
                 state.plan.link_latency + job.size_mb / state.plan.network_mbps
@@ -540,12 +547,12 @@ class ExecBackend:
             )
             state.cache.lookup(job.repo_id)
             state.cache.insert(job.repo_id, job.size_mb)
-        if self.monitor is not None:
-            self.monitor.on_job_started(job_id, state.name, started)
+        for hook in self.hooks.job_started:
+            hook(job_id, state.name, started)
         self.metrics.job_started(started, real_job, state.name)
         self._terminal.add(job_id)
-        if self.monitor is not None:
-            self.monitor.on_completed(job_id, state.name, now)
+        for hook in self.hooks.completed:
+            hook(real_job, state.name, now)
         self.metrics.job_completed(now, real_job, state.name)
         state.completed_order.append(job_id)
         self.completed += 1
@@ -588,8 +595,8 @@ class ExecBackend:
         for job in orphans:
             if job.job_id in self._terminal:
                 continue
-            if self.monitor is not None:
-                self.monitor.on_orphaned(job.job_id, now)
+            for hook in self.hooks.orphaned:
+                hook(job.job_id, now)
             self.metrics.job_orphaned(now, self._real_jobs[job.job_id], state.name)
             self._redispatch(job, lost_from=state.name)
 
@@ -611,8 +618,8 @@ class ExecBackend:
         """Bind an already-admitted job to ``target`` as a re-dispatch."""
         now = self._now()
         self.redispatches += 1
-        if self.monitor is not None:
-            self.monitor.on_redispatched(job.job_id, now)
+        for hook in self.hooks.redispatched:
+            hook(job.job_id, now)
         self.metrics.job_redispatched(now, self._real_jobs[job.job_id])
         self._bind(job, target, redispatch=True)
 
@@ -637,9 +644,10 @@ class ExecBackend:
         now = self._now()
         self._terminal.add(job.job_id)
         self.failed += 1
-        if self.monitor is not None:
-            self.monitor.on_failed(job.job_id, now)
-        self.metrics.job_failed(now, self._real_jobs[job.job_id], reason)
+        real_job = self._real_jobs[job.job_id]
+        for hook in self.hooks.failed:
+            hook(real_job, now)
+        self.metrics.job_failed(now, real_job, reason)
         self._maybe_finish()
 
     def _maybe_finish(self) -> None:

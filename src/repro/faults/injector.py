@@ -32,6 +32,7 @@ from repro.faults.plan import (
     NetworkPartition,
     WorkerCrash,
 )
+from repro.hooks import Hooks
 
 #: Injector action kind -> ``fault_*`` trace event kind.
 _FAULT_KIND = {
@@ -76,6 +77,8 @@ class FaultInjector:
     loss_rng:
         Generator installed on the broker during loss windows when the
         broker has none of its own.
+    hooks:
+        The run's observer seams (see :mod:`repro.hooks`).
     """
 
     def __init__(
@@ -89,7 +92,7 @@ class FaultInjector:
         metrics,
         restart: Optional[Callable[[str], None]] = None,
         loss_rng=None,
-        monitor=None,
+        hooks: Optional[Hooks] = None,
     ):
         self.sim = sim
         self.plan = plan
@@ -102,10 +105,10 @@ class FaultInjector:
         self.metrics = metrics
         self.restart = restart
         self.loss_rng = loss_rng
-        #: Optional live invariant checker (see :mod:`repro.check`).
-        #: Injected faults are reported to it as context, so a violation's
-        #: trace slice shows the crash/partition that provoked it.
-        self.monitor = monitor
+        #: The run's observer seams (see :mod:`repro.hooks`).  Injected
+        #: faults go out on ``fault`` as context, so a violation's trace
+        #: slice shows the crash/partition that provoked it.
+        self.hooks = hooks if hooks is not None else Hooks()
         #: Chronological ``(sim_time, kind, detail)`` action log.
         self.events: list[tuple[float, str, str]] = []
 
@@ -132,8 +135,8 @@ class FaultInjector:
 
     # -- helpers -------------------------------------------------------
     def _record(self, kind: str, detail: str) -> None:
-        if self.monitor is not None:
-            self.monitor.on_fault(kind, detail, self.sim.now)
+        for hook in self.hooks.fault:
+            hook(kind, detail, self.sim.now)
         self.events.append((self.sim.now, kind, detail))
         if kind in _WORKER_DETAIL:
             self.metrics.record_fault(self.sim.now, _FAULT_KIND[kind], worker=detail)

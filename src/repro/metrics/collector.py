@@ -4,6 +4,8 @@
 into during a run.  It accumulates the paper's three headline metrics
 (Section 6.1) plus the per-worker breakdowns and scheduling-overhead
 diagnostics that the analysis in Sections 6.3.2 and 6.4 relies on.
+Contest records are also emitted on the run's ``contest_opened``,
+``bid`` and ``contest_closed`` seams (:mod:`repro.hooks`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.hooks import Hooks
 from repro.metrics.trace import Trace
 from repro.workload.job import Job
 
@@ -72,9 +75,8 @@ class MetricsCollector:
     #: Orphan-to-completion delays, one entry per recovered job.
     recovery_times: list = field(default_factory=list)
     _orphaned_at: dict = field(default_factory=dict)
-    #: Optional live invariant checker (see :mod:`repro.check`): contest
-    #: events funnel through the collector, so it forwards them here.
-    monitor: Optional[object] = field(default=None, repr=False, compare=False)
+    #: The run's observer seams (see :mod:`repro.hooks`).
+    hooks: Hooks = field(default_factory=Hooks, repr=False, compare=False)
 
     def worker(self, name: str) -> WorkerMetrics:
         """Get-or-create the counter block for ``name``."""
@@ -234,14 +236,14 @@ class MetricsCollector:
 
     def contest_opened(self, now: float, job: Job) -> None:
         self.contests_opened += 1
-        if self.monitor is not None:
-            self.monitor.on_contest_opened(job.job_id, now)
+        for hook in self.hooks.contest_opened:
+            hook(job.job_id, now)
         self.trace.record(now, "announced", job.job_id)
 
     def bid_received(self, now: float, job_id: str, worker: str, cost: float) -> None:
         self.worker(worker).bids_submitted += 1
-        if self.monitor is not None:
-            self.monitor.on_bid(job_id, worker, now)
+        for hook in self.hooks.bid:
+            hook(job_id, worker, now)
         self.trace.record(now, "bid", job_id, worker, cost)
 
     def contest_closed(
@@ -260,8 +262,8 @@ class MetricsCollector:
         else:
             raise ValueError(f"unknown contest outcome {outcome!r}")
         self.contest_seconds += duration
-        if self.monitor is not None:
-            self.monitor.on_contest_closed(job.job_id, winner, duration, outcome, now)
+        for hook in self.hooks.contest_closed:
+            hook(job.job_id, winner, duration, outcome, now)
         self.trace.record(now, "contest_closed", job.job_id, winner, outcome)
 
     def offer_made(self, now: float, job: Job, worker: str) -> None:

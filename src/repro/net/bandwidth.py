@@ -11,14 +11,18 @@ This is used for contended pipes (e.g. the shared egress of the
 simulated GitHub origin in the ablation experiments).  Dedicated
 per-worker links use :class:`repro.net.link.Link`, which wraps a private
 pipe of capacity 1 transfer.
+
+Every completed transfer is emitted on the run's ``transfer_complete``
+seam and every occupancy change on ``pipe_sample`` (:mod:`repro.hooks`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.hooks import Hooks
 from repro.sim.events import Event
 from repro.sim.kernel import TimerHandle
 
@@ -52,9 +56,19 @@ class FairSharePipe:
     capacity_mbps:
         Total pipe capacity in megabytes per second, shared equally
         among in-flight transfers.
+    label:
+        The name this pipe's occupancy series is filed under.
+    hooks:
+        The run's observer seams (see :mod:`repro.hooks`).
     """
 
-    def __init__(self, sim: "Simulator", capacity_mbps: float) -> None:
+    def __init__(
+        self,
+        sim: "Simulator",
+        capacity_mbps: float,
+        label: str = "pipe",
+        hooks: Optional[Hooks] = None,
+    ) -> None:
         if capacity_mbps <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_mbps}")
         self.sim = sim
@@ -73,13 +87,8 @@ class FairSharePipe:
         #: transfer start/finish re-settles the fluid model and re-arms
         #: this handle in place -- no Process/Timeout churn per event.
         self._timer = TimerHandle()
-        #: Optional live invariant checker (see :mod:`repro.check`);
-        #: attached by the runtime when ``EngineConfig.check`` is set.
-        self.monitor = None
-        #: Optional observability recorder (see :mod:`repro.obs`) plus
-        #: the label it files this pipe's occupancy series under.
-        self.obs = None
-        self.obs_label = "pipe"
+        self.label = label
+        self.hooks = hooks if hooks is not None else Hooks()
 
     # -- public API ------------------------------------------------------
 
@@ -87,12 +96,6 @@ class FairSharePipe:
     def active_count(self) -> int:
         """Number of transfers currently in flight."""
         return len(self._active)
-
-    @property
-    def current_rate_mbps(self) -> float:
-        """Per-transfer rate right now (capacity if idle)."""
-        n = max(len(self._active), 1)
-        return self.capacity_mbps / n
 
     def transfer(self, size_mb: float) -> Event:
         """Start a transfer of ``size_mb``; the event fires on completion.
@@ -116,8 +119,8 @@ class FairSharePipe:
             fresh[: count - 1] = self._rem[: count - 1]
             self._rem = fresh
         self._rem[count - 1] = size_mb
-        if self.obs is not None:
-            self.obs.on_pipe_sample(self.obs_label, len(self._active), self.sim.now)
+        for hook in self.hooks.pipe_sample:
+            hook(self.label, len(self._active), self.sim.now)
         self._reschedule()
         return done
 
@@ -156,14 +159,11 @@ class FairSharePipe:
             rem = self._rem[: len(active)]
             finished_idx = np.nonzero(rem <= 1e-12)[0]
             if len(finished_idx):
-                monitor = self.monitor
                 for i in finished_idx:
                     transfer = active[i]
                     elapsed = now - transfer.started_at
-                    if monitor is not None:
-                        monitor.on_transfer_complete(
-                            self.capacity_mbps, transfer.size_mb, elapsed, now
-                        )
+                    for hook in self.hooks.transfer_complete:
+                        hook(self.capacity_mbps, transfer.size_mb, elapsed, now)
                     transfer.done.succeed(elapsed)
                 # Deleting list slots back-to-front keeps surviving
                 # indices aligned with the compacted residual array.
@@ -177,8 +177,8 @@ class FairSharePipe:
                 keep[finished_idx] = False
                 self._rem[: len(active)] = rem[keep]
                 rem = self._rem[: len(active)]
-                if self.obs is not None:
-                    self.obs.on_pipe_sample(self.obs_label, len(active), now)
+                for hook in self.hooks.pipe_sample:
+                    hook(self.label, len(active), now)
             if not active:
                 self._timer.cancel()
                 return

@@ -23,8 +23,11 @@ The robustness extension adds two degradation models on top:
   crossing the cut are dropped; reliable ones are *held* and delivered
   when :meth:`remove_partition` heals the cut, preserving message
   conservation.  Senders identify themselves via the ``sender=``
-  argument to :meth:`publish`/:meth:`send`; messages without a sender
-  are treated as partition-exempt (back-compat for tests and tools).
+  argument to :meth:`publish`; messages without a sender are treated
+  as partition-exempt (back-compat for tests and tools).
+
+Every publish and every delivery is emitted on the run's ``publish``
+and ``deliver`` seams (:mod:`repro.hooks`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.hooks import Hooks
 from repro.sim.kernel import TimerHandle
 from repro.sim.resources import Store
 
@@ -144,6 +148,8 @@ class Broker:
         (``drop_probability=0``).
     rng:
         Random stream deciding drops (required when dropping).
+    hooks:
+        The run's observer seams (see :mod:`repro.hooks`).
     """
 
     def __init__(
@@ -152,6 +158,7 @@ class Broker:
         base_latency: float = 0.0,
         drop_probability: float = 0.0,
         rng: Optional[object] = None,
+        hooks: Optional[Hooks] = None,
     ) -> None:
         if base_latency < 0:
             raise ValueError("base_latency must be non-negative")
@@ -178,13 +185,7 @@ class Broker:
         self._next_partition_id = 0
         #: Reliable deliveries held back by a partition, flushed on heal.
         self._held: list[tuple[Subscription, Any, Optional[str]]] = []
-        #: Optional live invariant checker (see :mod:`repro.check`);
-        #: attached by the runtime when ``EngineConfig.check`` is set.
-        self.monitor = None
-        #: Optional observability recorder (see :mod:`repro.obs`);
-        #: attached by the runtime when ``EngineConfig.obs`` is set.
-        #: Records publish->deliver flow pairs for messaging-latency tracks.
-        self.obs = None
+        self.hooks = hooks if hooks is not None else Hooks()
 
     @property
     def reliable(self) -> bool:
@@ -271,10 +272,8 @@ class Broker:
         deliveries skip the timer entirely.
         """
         self.published += 1
-        if self.monitor is not None:
-            self.monitor.on_publish(topic, message, sender, self.sim.now)
-        if self.obs is not None:
-            self.obs.on_publish(topic, message, self.sim.now)
+        for hook in self.hooks.publish:
+            hook(topic, message, sender, self.sim.now)
         subscriptions = self._topics.get(topic, ())
         if not subscriptions:
             return 0
@@ -316,20 +315,6 @@ class Broker:
                 self.sim.call_later(delay, self._deliver_batch, group, message)
         return delivered
 
-    def send(
-        self,
-        subscription: Subscription,
-        message: Any,
-        reliable: bool = False,
-        sender: Optional[str] = None,
-    ) -> None:
-        """Point-to-point delivery to one known mailbox."""
-        if self.monitor is not None:
-            self.monitor.on_publish(subscription.topic, message, sender, self.sim.now)
-        if self.obs is not None:
-            self.obs.on_publish(subscription.topic, message, self.sim.now)
-        self._deliver(subscription, message, reliable=reliable, sender=sender)
-
     def resume(self, subscription: Subscription, message: Any, when: float) -> None:
         """Let ``message`` land in ``subscription`` at ``when``: part of an
         exchange worked out ahead of time (see :attr:`reliable`) that
@@ -368,14 +353,8 @@ class Broker:
             self.sim.call_later(delay, self._deliver_now, subscription, message)
 
     def _deliver_now(self, subscription: Subscription, message: Any) -> None:
-        if self.monitor is not None:
-            self.monitor.on_deliver(
-                subscription.topic, subscription.name, message, self.sim.now
-            )
-        if self.obs is not None:
-            self.obs.on_deliver(
-                subscription.topic, subscription.name, message, self.sim.now
-            )
+        for hook in self.hooks.deliver:
+            hook(subscription.topic, subscription.name, message, self.sim.now)
         if subscription.owner is None:
             subscription.queue.put(message)
         else:
@@ -383,17 +362,9 @@ class Broker:
         subscription.delivered += 1
 
     def _deliver_batch(self, group: list[Subscription], message: Any) -> None:
-        monitor = self.monitor
-        obs = self.obs
         for subscription in group:
-            if monitor is not None:
-                monitor.on_deliver(
-                    subscription.topic, subscription.name, message, self.sim.now
-                )
-            if obs is not None:
-                obs.on_deliver(
-                    subscription.topic, subscription.name, message, self.sim.now
-                )
+            for hook in self.hooks.deliver:
+                hook(subscription.topic, subscription.name, message, self.sim.now)
             if subscription.owner is None:
                 subscription.queue.put(message)
             else:

@@ -18,6 +18,7 @@ import numpy as np
 from repro.net.broker import Broker, Subscription
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hooks import Hooks
     from repro.sim.kernel import Simulator
 
 
@@ -66,11 +67,13 @@ class Topology:
         node_names: list[str],
         config: Optional[TopologyConfig] = None,
         rng: Optional[np.random.Generator] = None,
+        hooks: Optional["Hooks"] = None,
     ) -> "Topology":
-        """Place ``node_names`` at random distances from a fresh broker."""
+        """Place ``node_names`` at random distances from a fresh broker
+        that emits on ``hooks`` (see :mod:`repro.hooks`)."""
         config = config or TopologyConfig()
         rng = rng if rng is not None else np.random.default_rng(0)
-        broker = Broker(sim, base_latency=config.broker_processing)
+        broker = Broker(sim, base_latency=config.broker_processing, hooks=hooks)
         latencies = {
             name: float(rng.uniform(config.min_latency, config.max_latency))
             for name in node_names

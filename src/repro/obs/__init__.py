@@ -8,14 +8,13 @@ explain document are projections of that one reader:
 
 * :mod:`repro.obs.spans` -- projects the lifecycles onto a causal span
   tree (``submit -> contest -> transfer -> execute``) with trace/span/
-  parent ids, plus the :class:`SpanContext` the master threads through
-  ``Assignment``/``JobCompleted`` messages at run time,
+  parent ids,
 * :mod:`repro.obs.probes` -- a :class:`ProbeRegistry` sampling queue
   depth, busy flags, link/pipe occupancy, fleet size and service-level
   gauges on a sim-time cadence with ring-buffer retention,
-* :mod:`repro.obs.recorder` -- the run-scoped :class:`ObsRecorder` glue
-  (broker flows, pipe steps, ctx round-trips) and the ``obs=True/False/
-  ObsConfig`` normalisation,
+* :mod:`repro.obs.recorder` -- the run-scoped :class:`ObsRecorder`, a
+  subscriber on the run's observer seams (:mod:`repro.hooks`; broker
+  flows, pipe steps), and the ``obs=True/False/ObsConfig`` normalisation,
 * :mod:`repro.obs.export` -- Chrome/Perfetto ``trace_event`` JSON and
   CSV/JSON time-series dumps,
 * :mod:`repro.obs.timeline` / :mod:`repro.obs.attribution` -- terminal
@@ -23,7 +22,7 @@ explain document are projections of that one reader:
   job's tiling, summed),
 * :mod:`repro.obs.ledger` -- one :class:`DecisionRecord` per allocation
   (per-candidate scores, locality, runner-up, human-readable reason),
-  emitted at the master's single assignment seam for all schedulers,
+  written on the ``assigned`` seam for all schedulers,
 * :mod:`repro.obs.critical_path` -- post-hoc makespan attribution: each
   job's lifecycle tiled into categories
   (schedule/contest/queue/transfer/execute/recovery), and the chain of
@@ -32,9 +31,10 @@ explain document are projections of that one reader:
   dump/load, per-job narration and the run-diff explainer that reports
   where time moved between two runs and which decisions diverged.
 
-Overhead contract: with ``obs`` off (the default for experiments) every
-hook site is a ``None`` check and runs are bit-identical to builds
-without the subsystem; with ``obs`` on, the recorder is read-only and
+Overhead contract: with ``obs`` off (the default for experiments)
+nothing is subscribed, every seam is an empty tuple that calls nothing,
+and runs are bit-identical to builds without the subsystem; with
+``obs`` on, the recorder is read-only and
 draws no randomness, so measured metrics still match the unobserved run
 exactly -- only extra timer events for probe sampling are added.
 """
@@ -74,7 +74,6 @@ from repro.obs.recorder import FlowRecord, ObsConfig, ObsRecorder, as_obs_config
 from repro.obs.spans import (
     FLEET,
     Span,
-    SpanContext,
     SpanCoverage,
     build_spans,
     span_coverage,
@@ -100,7 +99,6 @@ __all__ = [
     "ProbeRegistry",
     "RunDiff",
     "Span",
-    "SpanContext",
     "SpanCoverage",
     "as_obs_config",
     "attribute",

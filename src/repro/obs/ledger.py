@@ -1,16 +1,17 @@
 """The decision ledger: why each allocation went where it went.
 
 Every scheduler already funnels its allocation through the master's
-``_note_assignment`` seam (push policies via ``master.assign``, pull
-policies via ``note_external_assignment``).  When observability is on,
-that seam asks the active policy for a *decision snapshot* -- only what
-later state could change -- and :meth:`DecisionLedger.note` appends it
-as a row; the :class:`DecisionRecord` (candidates, scores, runner-up,
-one-line reason, from ``policy.decision_context``) is built when the
-ledger is read: hooks write rows, readers build records
+``assigned`` seam (:mod:`repro.hooks`; push policies via
+``master.assign``, pull policies via ``note_external_assignment``).
+When observability is on, the host subscribes the ledger there:
+:meth:`DecisionLedger.on_assigned` asks the deciding policy for a
+*decision snapshot* -- only what later state could change -- and
+appends it as a row; the :class:`DecisionRecord` (candidates, scores,
+runner-up, one-line reason, from ``policy.decision_context``) is built
+when the ledger is read: hooks write rows, readers build records
 (ARCHITECTURE.md section 12).  The real execution backend
-(:mod:`repro.exec`) notes wall-clock decisions through the same hook at
-its own bind seam, so sim and real runs share one schema.
+(:mod:`repro.exec`) emits wall-clock decisions on the same seam at its
+own bind, so sim and real runs share one schema.
 
 Discipline (same contract as the rest of :mod:`repro.obs`):
 
@@ -19,9 +20,8 @@ Discipline (same contract as the rest of :mod:`repro.obs`):
   metrics with the ledger on are bit-identical to the ledger off.
 * **Lazy == eager.**  A record built at the end of the run equals one
   built the instant after the decision (``tests/test_obs_ledger.py``).
-* **Zero-cost when off.**  The only hook site is one ``is not None``
-  guard inside ``_note_assignment``; with obs off (or
-  ``ObsConfig(ledger=False)``) the instruction stream is unchanged.
+* **Zero-cost when off.**  With obs off (or ``ObsConfig(ledger=False)``)
+  nothing subscribes the ledger and the seam makes no call for it.
 * **JSON round-trip.**  Records serialise losslessly so the
   ``repro explain`` diff can align the decisions of two saved runs.
 """
@@ -181,21 +181,18 @@ class DecisionLedger:
         """Add a finished record, behind any pending rows."""
         self.records.append(record)
 
-    def note(self, now: float, job, worker: str, policy, snapshot: object) -> None:
-        """Hook: ``policy`` (anything with a ``name`` and a
+    def on_assigned(self, job, worker: str, policy, now: float) -> None:
+        """Hook: ``policy`` (anything with a ``name``, a
+        ``decision_snapshot(job, worker)`` and a
         ``decision_context(job, worker, snapshot)``) just bound ``job``
-        to ``worker``; ``snapshot`` holds whatever explaining that will
+        to ``worker``; its snapshot holds whatever explaining that will
         need and later state could change."""
+        snapshot = policy.decision_snapshot(job, worker)
         self._pending.append((len(self), now, job, worker, policy, snapshot))
 
     def for_job(self, job_id: str) -> list[DecisionRecord]:
         """Every decision made about one job, in sequence order."""
         return [record for record in self.records if record.job_id == job_id]
-
-    def final_for_job(self, job_id: str) -> Optional[DecisionRecord]:
-        """The decision that stuck (last re-dispatch wins)."""
-        records = self.for_job(job_id)
-        return records[-1] if records else None
 
     def to_dicts(self) -> list[dict]:
         return [record.to_dict() for record in self.records]

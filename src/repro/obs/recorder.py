@@ -2,22 +2,22 @@
 
 :class:`ObsConfig` is the user-facing knob block, normalised by
 :func:`as_obs_config` exactly like ``repro.check``'s config: the engine
-accepts ``obs=True`` / ``False`` / ``ObsConfig(...)`` and hot paths see
-either ``None`` (off -- every hook site guards on ``is not None``, so a
-disabled run executes the identical instruction stream as before the
-subsystem existed) or a live :class:`ObsRecorder`.
+accepts ``obs=True`` / ``False`` / ``ObsConfig(...)``, and the host
+builds an :class:`ObsRecorder` only when it is on.
 
-:class:`ObsRecorder` is the one object runtimes wire into master,
-workers, broker, pipes and the service layer.  It owns
+:class:`ObsRecorder` is a subscriber on the run's observer seams
+(:mod:`repro.hooks`): the host subscribes it, and its decision ledger,
+to the one table the master, workers, broker and pipes emit on -- an
+unobserved run's seams are empty tuples and make no call.  It owns
 
 * the :class:`~repro.obs.probes.ProbeRegistry` (time-series gauges),
-* live :class:`~repro.obs.spans.SpanContext` threading -- the master
-  asks for an assignment context per job, the worker echoes it on
-  completion, and the round-trip is recorded so exporters can prove
-  cross-process causality rather than infer it from job ids,
 * broker *flow* records -- publish -> deliver pairs per message, giving
-  messaging latency tracks in the Perfetto export,
-* bandwidth-pipe occupancy step series (exact, not sampled).
+  messaging latency tracks in the Perfetto export (``publish`` and
+  ``deliver`` seams),
+* bandwidth-pipe occupancy step series, exact, not sampled
+  (``pipe_sample``),
+* the :class:`~repro.obs.ledger.DecisionLedger`, which the host
+  subscribes to the ``assigned`` seam itself.
 
 Everything here is read-only with respect to the simulation: the
 recorder never mutates engine state and draws no randomness, so metrics
@@ -33,7 +33,6 @@ from typing import Optional
 
 from repro.obs.ledger import DecisionLedger
 from repro.obs.probes import ProbeRegistry
-from repro.obs.spans import SpanContext
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,6 @@ class ObsRecorder:
         self.probes = ProbeRegistry(
             sim, interval_s=config.probe_interval_s, retention=config.retention
         )
-        self._next_span_id = 1
-        #: job_id -> context stamped on the Assignment message.
-        self.assignment_ctxs: dict[str, SpanContext] = {}
-        #: job_id -> context echoed back on JobCompleted (round-trip proof).
-        self.completed_ctxs: dict[str, SpanContext] = {}
         #: Completed publish->deliver pairs as tuples in
         #: :class:`FlowRecord` field order (bounded ring; see ``flows``).
         self._flow_rows: deque = deque(maxlen=config.retention)
@@ -105,30 +99,8 @@ class ObsRecorder:
         self._flow_types: dict[type, tuple] = {}
         #: Pipe occupancy step series: (time, active_count) per pipe label.
         self.pipe_steps: dict[str, deque] = {}
-        #: Per-allocation decision records (None when the knob is off --
-        #: the master's hook site guards on ``is not None``).
+        #: Per-allocation decision records (None when the knob is off).
         self.ledger = DecisionLedger() if config.ledger else None
-
-    # -- span-context threading ---------------------------------------
-    def assignment_ctx(self, job_id: str) -> SpanContext:
-        """Mint the context the master stamps onto an Assignment."""
-        ctx = SpanContext(trace_id=job_id, span_id=self._next_span_id)
-        self._next_span_id += 1
-        self.assignment_ctxs[job_id] = ctx
-        return ctx
-
-    def completion_ctx(self, job_id: str, ctx: Optional[SpanContext]) -> None:
-        """Record the context echoed back by the worker (if any)."""
-        if ctx is not None:
-            self.completed_ctxs[job_id] = ctx
-
-    def ctx_round_trips(self) -> int:
-        """Jobs whose assignment context came back intact on completion."""
-        return sum(
-            1
-            for job_id, ctx in self.completed_ctxs.items()
-            if self.assignment_ctxs.get(job_id) == ctx
-        )
 
     # -- broker flows --------------------------------------------------
     @property
@@ -162,7 +134,7 @@ class ObsRecorder:
             key = None
         return topic, known[0], key if type(key) is str else self._flow_key(message)
 
-    def on_publish(self, topic: str, message, now: float) -> None:
+    def on_publish(self, topic: str, message, sender: Optional[str], now: float) -> None:
         if not self.config.flows:
             return
         inflight = self._inflight

@@ -23,13 +23,10 @@ end.  Construction is a post-hoc projection of each job's
 :class:`~repro.metrics.analysis.Lifecycle`: it allocates no per-event
 state during the run and is deterministic for a fixed trace.
 
-Live causal context is threaded separately: when observability is on,
-the master stamps a :class:`SpanContext` onto each
-:class:`~repro.engine.messages.Assignment` and the worker echoes it on
-the matching ``JobCompleted``, so cross-process correlation survives
-message reordering (see :mod:`repro.obs.recorder`).  This module only
-depends on :mod:`repro.metrics`, keeping ``repro.obs`` importable from
-``engine.messages`` without cycles.
+The causal links come from that projection alone: every trace event
+names its job, so a job's events are its path through master, broker
+and workers whatever order the messages took, and the parent ids are
+assigned here.  No context travels on the engine's messages.
 """
 
 from __future__ import annotations
@@ -39,19 +36,6 @@ from typing import Optional
 
 from repro.metrics.analysis import lifecycles
 from repro.metrics.trace import FLEET, Trace
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """Causal identity threaded through engine messages.
-
-    ``compare=False`` fields on the carrying messages keep equality and
-    hashing identical whether or not a context is attached.
-    """
-
-    trace_id: str
-    span_id: int
-    parent_id: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -201,4 +185,4 @@ def span_coverage(trace: Trace, spans: Optional[list[Span]] = None) -> SpanCover
     return SpanCoverage(len(completed), len(completed) - len(disconnected), disconnected)
 
 
-__all__ = ["FLEET", "Span", "SpanContext", "SpanCoverage", "build_spans", "span_coverage"]
+__all__ = ["FLEET", "Span", "SpanCoverage", "build_spans", "span_coverage"]

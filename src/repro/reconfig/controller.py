@@ -68,11 +68,11 @@ class ReconfigController:
     """Drives migrations and hot-swaps for one runtime.
 
     ``host`` is the run's :class:`~repro.engine.runtime.Deployment`;
-    the controller reads its ``sim``, ``master``, ``workers``,
-    ``metrics`` and ``monitor``, seeds a successor policy through its
-    ``_seed_views``, and rebinds its ``scheduler`` and
-    ``_master_policy`` on hot-swap so worker restarts construct
-    successor-policy workers.  Unlike the fault injector -- which takes
+    the controller reads its ``sim``, ``master``, ``workers`` and
+    ``metrics``, emits on its ``hooks`` (:mod:`repro.hooks`), seeds a
+    successor policy through its ``_seed_views``, and rebinds its
+    ``scheduler`` and ``_master_policy`` on hot-swap so worker restarts
+    construct successor-policy workers.  Unlike the fault injector -- which takes
     the pieces it needs -- the controller takes the host itself,
     because a swap must *mutate* the runtime's policy references.
     """
@@ -81,7 +81,7 @@ class ReconfigController:
         self.host = host
         self.plan = plan
         self.sim = host.sim
-        self.monitor = host.monitor
+        self.hooks = host.hooks
         #: (time, kind, detail) log of controller actions, for tests.
         self.events: list[tuple[float, str, str]] = []
         #: Per-source FIFO of outstanding checkpoint requests.  Acks
@@ -89,7 +89,7 @@ class ReconfigController:
         #: the head waiter always matches the arriving ack.
         self._awaiting: dict[str, deque] = {}
         #: Migrations between request send and final rebind; the
-        #: monitor's settled probe only fires when this drains to zero,
+        #: ``migration_settled`` seam only fires when this drains to zero,
         #: so concurrent migrations cannot trip it on each other.
         self._inflight = 0
         host.master.migration_router = self._on_ack
@@ -167,8 +167,8 @@ class ReconfigController:
             # landed, or is wedged).  Nothing was checkpointed from our
             # perspective; a late ack carrying jobs is still honoured.
             self._skip_migration(waiter.source, "ack-timeout")
-            if self.monitor is not None:
-                self.monitor.on_migration_ack_timeout(waiter.source, self.sim.now)
+            for hook in self.hooks.migration_ack_timeout:
+                hook(waiter.source, self.sim.now)
             self._settle_one()
             return
         jobs = [job for job in ack.jobs if isinstance(job, Job)]
@@ -209,17 +209,13 @@ class ReconfigController:
             and node.alive
             and not node.cache.peek(job.repo_id)
         ):
-            # Out-of-band pre-warm: the repository appears in the
-            # target's cache without a download (the migration channel
-            # carries it), so no download trace events and no
-            # data-load accounting -- mirroring warm-start preloads.
-            node.cache.insert(job.repo_id, job.size_mb)
-            node.policy.on_state_changed((job.repo_id,))
-            if self.monitor is not None:
-                self.monitor.on_cache_preload(target, [job.repo_id])
+            # Out-of-band pre-warm: the migration channel carries the
+            # clone, so no download trace events and no data-load
+            # accounting -- a warm start's preload.
+            node.preload({job.repo_id: job.size_mb})
             metrics.trace.record(now, "migrate_prewarm", job.job_id, target, job.repo_id)
-        if self.monitor is not None:
-            self.monitor.on_migration_rebind(job.job_id, source, target, now)
+        for hook in self.hooks.migration_rebind:
+            hook(job.job_id, source, target, now)
         metrics.job_migrated(now, job, source, target)
         self._log("migrate_rebind", f"{job.job_id}:{source}->{target}")
         master.assign(job, target)
@@ -324,8 +320,9 @@ class ReconfigController:
 
     def _settle_one(self) -> None:
         self._inflight -= 1
-        if self._inflight == 0 and self.monitor is not None:
-            self.monitor.on_migration_settled(self.sim.now)
+        if self._inflight == 0:
+            for hook in self.hooks.migration_settled:
+                hook(self.sim.now)
 
     def _skip_migration(self, source: Optional[str], reason: str) -> None:
         self.host.metrics.trace.record(
@@ -362,10 +359,8 @@ class ReconfigController:
         # message or arrival can land between export and import.
         now = self.sim.now
         exported = old.export_state()
-        if self.monitor is not None:
-            self.monitor.on_swap_export(
-                [job.job_id for job in exported], old.name, now
-            )
+        for hook in self.hooks.swap_export:
+            hook([job.job_id for job in exported], old, now)
         scheduler = make_scheduler(entry.scheduler, **entry.kwargs)
         new_master = scheduler.make_master()
         # Seed the successor's views from *live* state before it starts:
@@ -381,11 +376,8 @@ class ReconfigController:
             worker_stale = type(old_worker_policy).stale_inbound
             node.swap_policy(scheduler.make_worker(), stale_ok=worker_stale)
         new_master.import_state(exported)
-        if self.monitor is not None:
-            self.monitor.on_swap_import(
-                [job.job_id for job in exported], new_master.name, now
-            )
-            self.monitor.contest_window_s = getattr(new_master, "window_s", None)
+        for hook in self.hooks.swap_import:
+            hook([job.job_id for job in exported], new_master, now)
         metrics.scheduler_swapped(now, old.name, new_master.name)
         self._log("swap_done", f"{old.name}->{new_master.name}")
         # Rebind the runtime's references so worker restarts (and any

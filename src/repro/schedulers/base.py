@@ -68,17 +68,22 @@ class MasterPolicy:
 
     def messages_witnessed(self) -> bool:
         """Whether anything can tell this policy's individual messages
-        apart: trace, an invariant monitor or ``obs`` recorder on the
-        collector or the broker, or a broker that may lose or hold one.
-        Only if not may an exchange be worked out instead of sent
-        (computed contests, settled declines; ARCHITECTURE.md section 12)."""
-        metrics, broker = self.master.metrics, self.master.topology.broker
+        apart: the trace, a subscriber on a message seam (``publish``,
+        ``deliver``) or a contest seam (``contest_opened``, ``bid``,
+        ``contest_closed``; :mod:`repro.hooks`), or a broker that may
+        lose or hold one.  Only if not may an exchange be worked out
+        instead of sent (computed contests, settled declines;
+        ARCHITECTURE.md section 12).  This is the one list of witnesses."""
+        master = self.master
+        hooks = master.hooks
         return (
-            metrics.trace.enabled
-            or metrics.monitor is not None
-            or broker.monitor is not None
-            or broker.obs is not None
-            or not broker.reliable
+            master.metrics.trace.enabled
+            or hooks.publish != ()
+            or hooks.deliver != ()
+            or hooks.contest_opened != ()
+            or hooks.bid != ()
+            or hooks.contest_closed != ()
+            or not master.topology.broker.reliable
         )
 
     def decision_snapshot(self, job: Job, worker: str) -> object:

@@ -101,8 +101,9 @@ class ServiceRuntime(Deployment):
         super().__init__(profile, scheduler, config, ("service",), faults=faults, reconfig=reconfig)
         self.admission = AdmissionController(self.sim, admission_config or AdmissionConfig())
         self.slo = SLOTracker(self.metrics, deadline_s=self.service_config.deadline_s)
-        self.master.completion_listeners.append(self._on_completion)
-        self.master.failure_listeners.append(self._on_failure)
+        # Completion tracking: behind the host's watchers on the
+        # ``completed`` and ``failed`` seams.
+        self.hooks.subscribe(self)
         self.autoscaler = (
             Autoscaler(self, autoscaler_config) if autoscaler_config is not None else None
         )
@@ -222,13 +223,8 @@ class ServiceRuntime(Deployment):
             self.master.submit(job)
         if self.arrivals_closed and self.admission.depth == 0 and self.inflight == 0:
             self.closed = True
-            if self.monitor is not None:
-                self.monitor.on_service_close(
-                    self.admission.admitted,
-                    self.slo.completed,
-                    self.slo.failed,
-                    self.sim.now,
-                )
+            for hook in self.hooks.service_close:
+                hook(self.admission.admitted, self.slo.completed, self.slo.failed, self.sim.now)
             self.master.finish_intake()
             return
         self._kicked = False
@@ -239,12 +235,12 @@ class ServiceRuntime(Deployment):
             self._kicked = True
             self.sim.call_soon(self._dispatch, urgent=False)
 
-    def _on_completion(self, job, worker, now) -> None:
+    def on_completed(self, job, worker, now) -> None:
         self.inflight -= 1
         self.slo.job_completed(now, job)
         self._kick_dispatcher()
 
-    def _on_failure(self, job, worker, now, reason) -> None:
+    def on_failed(self, job, now) -> None:
         # A permanently failed job must release its dispatcher slot, or
         # the intake never closes (conservation: completed + failed ==
         # admitted).

@@ -14,7 +14,7 @@ component's stream.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -66,11 +66,6 @@ class RandomStreams:
     def fork(self, *keys: Any) -> "RandomStreams":
         """A child factory whose streams are independent of the parent's."""
         return RandomStreams(split_seed(self.seed, "fork", *keys))
-
-    def iter_seeds(self, prefix: str, n: int) -> Iterator[int]:
-        """Yield ``n`` independent integer seeds under ``prefix``."""
-        for index in range(n):
-            yield split_seed(self.seed, prefix, index)
 
 
 def choice_cdf(p) -> np.ndarray:

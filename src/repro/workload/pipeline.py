@@ -154,7 +154,3 @@ class Pipeline:
                     f"task {job.task!r} spawned a job for unknown task {child.task!r}"
                 )
         return children
-
-    def source_tasks(self) -> list[str]:
-        """Tasks fed by source channels (``producer=None``)."""
-        return sorted({c.consumer for c in self.channels if c.producer is None})

@@ -211,8 +211,8 @@ class ReferenceWorkerNode(WorkerNode):
         """Append a job to the FIFO queue with its committed-cost estimate."""
         if not self.alive:
             raise RuntimeError(f"worker {self.name} is dead")
-        if self.monitor is not None:
-            self.monitor.on_enqueued(job.job_id, self.name, self.sim.now)
+        for hook in self.hooks.enqueued:
+            hook(job.job_id, self.name, self.sim.now)
         self.unfinished[job.job_id] = estimated_cost
         self._outstanding_jobs += 1
         self.queue.put(job)
@@ -229,8 +229,8 @@ class ReferenceWorkerNode(WorkerNode):
             self.policy.on_state_changed((job.repo_id,))
             started = self.sim.now
             self.metrics.job_started(started, job, self.name)
-            if self.monitor is not None:
-                self.monitor.on_job_started(job.job_id, self.name, started)
+            for hook in self.hooks.job_started:
+                hook(job.job_id, self.name, started)
             try:
                 yield from self._execute(job)
             except Interrupt as interrupt:
@@ -248,12 +248,7 @@ class ReferenceWorkerNode(WorkerNode):
             self.unfinished.pop(job.job_id, None)
             self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
             self.policy.on_job_finished(job, elapsed)
-            ctx = None
-            if self.obs is not None:
-                ctx = self._assign_ctxs.pop(job.job_id, None)
-            self.send_to_master(
-                JobCompleted(job=job, worker=self.name, elapsed_s=elapsed, ctx=ctx)
-            )
+            self.send_to_master(JobCompleted(job=job, worker=self.name, elapsed_s=elapsed))
             if self.is_idle:
                 self._wake_idle_waiters()
 
@@ -272,16 +267,16 @@ class ReferenceWorkerNode(WorkerNode):
                 self.cache.lookup(job.repo_id)
             elif self.cache.lookup(job.repo_id):
                 self.metrics.record_cache_hit(self.sim.now, self.name, job)
-                if self.monitor is not None:
-                    self.monitor.on_cache_hit(self.name, job.repo_id, self.sim.now)
+                for hook in self.hooks.cache_hit:
+                    hook(self.name, job.repo_id, self.sim.now)
             else:
                 self.metrics.record_cache_miss(self.sim.now, self.name, job)
                 yield from self.machine.download(job.size_mb)
                 self.cache.insert(job.repo_id, job.size_mb)
                 self.policy.on_state_changed((job.repo_id,))
                 self.metrics.record_download(self.sim.now, self.name, job, job.size_mb)
-                if self.monitor is not None:
-                    self.monitor.on_cache_fetch(self.name, job.repo_id, self.sim.now)
+                for hook in self.hooks.cache_fetch:
+                    hook(self.name, job.repo_id, self.sim.now)
         task = self.pipeline.task_of(job) if self.pipeline is not None else None
         if task is not None and task.sim_work is not None:
             finished = self.sim.event()
@@ -327,8 +322,8 @@ class ReferenceWorkerNode(WorkerNode):
             self.metrics.record_download(
                 self.sim.now, self.name, target, target.size_mb
             )
-            if self.monitor is not None:
-                self.monitor.on_cache_fetch(self.name, target.repo_id, self.sim.now)
+            for hook in self.hooks.cache_fetch:
+                hook(self.name, target.repo_id, self.sim.now)
             self._prefetch_credit.add(target.job_id)
             del self._prefetch_inflight[target.repo_id]
             done.succeed()
@@ -362,8 +357,8 @@ class ReferenceWorkerNode(WorkerNode):
         is preempted too: its partial download/compute is abandoned and
         it reruns from scratch on the target -- execution is
         deterministic given the job, so no output is lost.  All local
-        bookkeeping (committed cost, outstanding count, prefetch credit,
-        span contexts) is settled synchronously here, before the
+        bookkeeping (committed cost, outstanding count, prefetch credit)
+        is settled synchronously here, before the
         executor's interrupt fires, so the node never transits an
         inconsistent state.
         """
@@ -388,10 +383,9 @@ class ReferenceWorkerNode(WorkerNode):
             self.unfinished.pop(job.job_id, None)
             self._outstanding_jobs -= 1
             self._prefetch_credit.discard(job.job_id)
-            self._assign_ctxs.pop(job.job_id, None)
             self.metrics.trace.record(now, "migrate_checkpoint", job.job_id, self.name)
-            if self.monitor is not None:
-                self.monitor.on_migration_checkpoint(job.job_id, self.name, now)
+            for hook in self.hooks.migration_checkpoint:
+                hook(job.job_id, self.name, now)
         if taken:
             self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
             self.policy.on_state_changed([job.repo_id for job in taken])

@@ -12,6 +12,8 @@ Three layers of assurance:
   naming the broken law, with the trace slice attached.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import make_profile, make_spec
@@ -273,12 +275,14 @@ class TestRecentEvents:
         # Ids with braces in them must survive ``str.format``.
         m = InvariantMonitor(CheckConfig(recent_events=64), recovery_enabled=True)
         message = object()
+        job = Job(job_id="j{1}", task=TASK_ANALYZER, repo_id="r0", size_mb=1.0)
+        bidding, baseline = SimpleNamespace(name="bidding"), SimpleNamespace(name="baseline")
         m.on_submitted("j{1}", 0.0)
         m.on_contest_opened("j{1}", 0.25)
         m.on_bid("j{1}", "w1", 0.5)
         m.on_contest_closed("j{1}", "w1", 0.5, "full", 0.75)
         m.on_contest_closed("j{1}", None, 0.5, "fallback", 0.8)
-        m.on_assigned("j{1}", "w1", 1.0)
+        m.on_assigned(job, "w1", bidding, 1.0)
         m.on_publish("t", message, "m", 1.0)
         m.on_deliver("t", "w1", message, 1.125)
         m.on_enqueued("j{1}", "w1", 1.25)
@@ -292,11 +296,11 @@ class TestRecentEvents:
         m.on_migration_checkpoint("j2", "w1", 4.0)
         m.on_migration_rebind("j2", None, "w2", 4.5)
         m.on_migration_settled(4.75)
-        m.on_swap_export(["a", "b"], "bidding", 5.0)
-        m.on_swap_import(["a", "b"], "baseline", 5.0)
-        m.on_completed("j{1}", None, 6.0)
+        m.on_swap_export(["a", "b"], bidding, 5.0)
+        m.on_swap_import(["a", "b"], baseline, 5.0)
+        m.on_completed(job, None, 6.0)
         m.on_duplicate_completion("j{1}", "w2", 6.5)
-        m.on_failed("j{1}", 7.0)
+        m.on_failed(job, 7.0)
         m.on_service_close(3, 2, 1, 8.0)
         m.on_fault("crash", "w1 {down}", 9.0)
         assert list(m.events) == [
@@ -326,9 +330,9 @@ class TestRecentEvents:
             (8.0, "service_close", "admitted=3 completed=2 failed=1"),
             (9.0, "fault:crash", "w1 {down}"),
         ]
-        m.on_assigned("j{1}", "w2", 10.0)  # the re-dispatch permit
+        m.on_assigned(job, "w2", baseline, 10.0)  # the re-dispatch permit
         with pytest.raises(InvariantViolation) as caught:
-            m.on_assigned("j{1}", "w3", 10.0)
+            m.on_assigned(job, "w3", baseline, 10.0)
         assert caught.value.events[-2:] == (
             (10.0, "assigned", "j{1} -> w2"),
             (10.0, "assigned", "j{1} -> w3"),
@@ -425,16 +429,16 @@ class TestUnitViolations:
 
     def test_swap_import_missing_jobs_is_incomplete(self):
         monitor = InvariantMonitor()
-        monitor.on_swap_export(["j1", "j2", "j3"], "bidding", now=5.0)
+        monitor.on_swap_export(["j1", "j2", "j3"], SimpleNamespace(name="bidding"), now=5.0)
         with pytest.raises(InvariantViolation) as caught:
-            monitor.on_swap_import(["j1", "j3"], "baseline", now=5.0)
+            monitor.on_swap_import(["j1", "j3"], SimpleNamespace(name="baseline"), now=5.0)
         assert caught.value.invariant.name == "swap-completeness"
         assert "j2" in str(caught.value)
 
     def test_swap_import_covering_export_is_complete(self):
         monitor = InvariantMonitor()
-        monitor.on_swap_export(["j1", "j2"], "bidding", now=5.0)
-        monitor.on_swap_import(["j1", "j2"], "baseline", now=5.0)  # no raise
+        monitor.on_swap_export(["j1", "j2"], SimpleNamespace(name="bidding"), now=5.0)
+        monitor.on_swap_import(["j1", "j2"], SimpleNamespace(name="baseline"), now=5.0)  # no raise
 
     def test_disable_silences_exactly_the_named_law(self):
         monitor = InvariantMonitor(CheckConfig(disable=("delivery-requires-publish",)))

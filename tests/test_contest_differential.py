@@ -33,7 +33,7 @@ from repro.check.fuzzer import Scenario, generate_scenario
 from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.cluster.worker_spec import WorkerSpec
 from repro.core.bidding import make_bidding_policy
-from repro.core.learning import SPEED_MODELS
+from repro.core.learning import EWMASpeedModel, HistoricAverageSpeedModel, NominalSpeedModel
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import CrashRenewal, FaultPlan
 from repro.net.topology import TopologyConfig
@@ -55,6 +55,11 @@ KNOBS = {
     "bid_compute_s": (0.25, 0.0),
     "speed_model": ("nominal", "historic", "ewma"),
     "adaptive": (False, True),
+}
+SPEED_MODELS = {
+    "nominal": NominalSpeedModel,
+    "historic": HistoricAverageSpeedModel,
+    "ewma": EWMASpeedModel,
 }
 
 

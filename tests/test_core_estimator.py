@@ -8,7 +8,6 @@ from repro.core.learning import (
     EWMASpeedModel,
     HistoricAverageSpeedModel,
     NominalSpeedModel,
-    make_speed_model,
 )
 from repro.workload.job import Job
 
@@ -130,10 +129,3 @@ class TestSpeedModels:
             EWMASpeedModel(alpha=0.0)
         with pytest.raises(ValueError):
             EWMASpeedModel(alpha=1.5)
-
-    def test_factory(self):
-        assert isinstance(make_speed_model("nominal"), NominalSpeedModel)
-        assert isinstance(make_speed_model("historic"), HistoricAverageSpeedModel)
-        assert isinstance(make_speed_model("ewma"), EWMASpeedModel)
-        with pytest.raises(KeyError):
-            make_speed_model("psychic")

@@ -48,17 +48,6 @@ class TestUnboundedCache:
         assert "r1" in cache
         assert "r2" not in cache
 
-    def test_hit_ratio(self):
-        cache = WorkerCache()
-        cache.lookup("a")  # miss
-        cache.insert("a", 1.0)
-        cache.lookup("a")  # hit
-        cache.lookup("a")  # hit
-        assert cache.stats.hit_ratio == pytest.approx(2 / 3)
-
-    def test_hit_ratio_empty(self):
-        assert WorkerCache().stats.hit_ratio == 0.0
-
     def test_invalid_sizes_rejected(self):
         cache = WorkerCache()
         with pytest.raises(ValueError):

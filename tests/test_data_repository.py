@@ -10,11 +10,6 @@ from repro.sim import Simulator
 
 
 class TestRepository:
-    def test_band_name(self):
-        assert Repository("r", 10.0).band_name == "small"
-        assert Repository("r", 100.0).band_name == "medium"
-        assert Repository("r", 800.0).band_name == "large"
-
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             Repository("r", 0.0)

@@ -82,15 +82,6 @@ class TestMixture:
         for name in ("small", "medium", "large"):
             assert 0.28 <= bands.count(name) / len(bands) <= 0.38
 
-    def test_mostly_large_mean_exceeds_mostly_small(self):
-        # 0.8*762 + 0.1*275 + 0.1*25.5 vs 0.8*25.5 + 0.1*275 + 0.1*762:
-        # roughly a 5x gap between the two canonical mixtures.
-        assert mostly_large().mean_mb() > 4 * mostly_small().mean_mb()
-
-    def test_mean_formula(self):
-        pure_small = SizeMixture.of(small=1.0)
-        assert pure_small.mean_mb() == pytest.approx((1.0 + 50.0) / 2)
-
     def test_custom_share(self, rng):
         mixture = mostly_large(large_share=0.6)
         weights = dict(mixture.weights)

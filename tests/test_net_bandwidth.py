@@ -97,15 +97,6 @@ class TestSharing:
         sim.run()
         assert pipe.active_count == 0
 
-    def test_current_rate(self, sim):
-        pipe = FairSharePipe(sim, capacity_mbps=12.0)
-        assert pipe.current_rate_mbps == 12.0
-        pipe.transfer(10.0)
-        pipe.transfer(10.0)
-        pipe.transfer(10.0)
-        assert pipe.current_rate_mbps == pytest.approx(4.0)
-        sim.run()
-
     def test_many_overlapping_transfers_all_complete(self, sim):
         pipe = FairSharePipe(sim, capacity_mbps=10.0)
         events = []

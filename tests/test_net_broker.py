@@ -89,15 +89,6 @@ class TestBroker:
         sim.run()
         assert len(sub.queue) == 0
 
-    def test_send_point_to_point(self, sim):
-        broker = Broker(sim)
-        a = broker.subscribe("t", "a")
-        b = broker.subscribe("t", "b")
-        broker.send(a, "direct")
-        sim.run()
-        assert len(a.queue) == 1
-        assert len(b.queue) == 0
-
     def test_delivered_counter(self, sim):
         broker = Broker(sim)
         sub = broker.subscribe("t", "w")

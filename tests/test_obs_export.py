@@ -138,14 +138,13 @@ class TestFlowPairing:
             ),
         )
         peak = 0
-        publish = runtime.obs.on_publish
 
-        def on_publish(topic, message, now):
-            nonlocal peak
-            publish(topic, message, now)
-            peak = max(peak, len(runtime.obs._inflight))
+        class Peak:
+            def on_publish(self, topic, message, sender, now):
+                nonlocal peak
+                peak = max(peak, len(runtime.obs._inflight))
 
-        runtime.obs.on_publish = on_publish
+        runtime.hooks.subscribe(Peak())
         report = runtime.run()
         assert report.completed == report.admitted > 200
         assert peak == 16
@@ -167,7 +166,7 @@ class TestFlowPairing:
             ("plain string", ""),
         ]
         for now, (message, _) in enumerate(messages):
-            recorder.on_publish("t", message, float(now))
+            recorder.on_publish("t", message, None, float(now))
         for message, _ in messages:
             recorder.on_deliver("t", "rx", message, 10.0)
         # (The two namespaces keyed "j1"/"w3" share a type name; the

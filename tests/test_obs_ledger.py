@@ -51,8 +51,7 @@ class TestEmission:
         assert len(ledger.records) == len(assigned)
         assert result.jobs_completed == 8
         for i in range(8):
-            record = ledger.final_for_job(f"j{i}")
-            assert record is not None
+            record = ledger.for_job(f"j{i}")[-1]
             assert record.policy == scheduler
             assert record.worker in ("w1", "w2", "w3")
             assert record.reason  # every policy narrates its pick
@@ -112,7 +111,6 @@ class TestRoundTrip:
         ledger = runtime.obs.ledger
         clone = DecisionLedger.from_dicts(ledger.to_dicts())
         assert clone.records == ledger.records
-        assert clone.final_for_job("j0") == ledger.final_for_job("j0")
 
     def test_candidate_lookup_and_defaults(self):
         record = DecisionRecord(
@@ -130,11 +128,16 @@ class TestRoundTrip:
         assert DecisionRecord.from_dict(record.to_dict()) == record
 
     def test_append_and_from_dicts_behind_pending_rows(self):
-        # ``note`` leaves rows; a finished record (the ``repro explain``
-        # round trip) goes in behind them, and nothing is built twice.
+        # ``on_assigned`` leaves rows; a finished record (the ``repro
+        # explain`` round trip) goes in behind them, and nothing is built
+        # twice.
         class Policy:
             name = "stub"
             built = 0
+            snapshots = [3.0, 4.0, 5.0]
+
+            def decision_snapshot(self, job, worker):
+                return self.snapshots.pop(0)
 
             def decision_context(self, job, worker, snapshot):
                 self.built += 1
@@ -142,18 +145,18 @@ class TestRoundTrip:
 
         policy, ledger = Policy(), DecisionLedger()
         jobs = [Job(job_id=f"j{i}", task=TASK_ANALYZER, repo_id="r", size_mb=1.0) for i in range(2)]
-        ledger.note(1.0, jobs[0], "w1", policy, 3.0)
-        ledger.note(2.0, jobs[1], "w2", policy, 4.0)
+        ledger.on_assigned(jobs[0], "w1", policy, 1.0)
+        ledger.on_assigned(jobs[1], "w2", policy, 2.0)
         assert len(ledger) == 2 and policy.built == 0
         extra = DecisionRecord(
             seq=2, time=3.0, job_id="j0", repo_id="r", worker="w3", policy="p", kind="k"
         )
         ledger.append(extra)
-        ledger.note(4.0, jobs[1], "w1", policy, 5.0)
+        ledger.on_assigned(jobs[1], "w1", policy, 4.0)
         assert len(ledger) == 4
         assert [record.seq for record in ledger] == [0, 1, 2, 3]
         assert [record.worker for record in ledger.for_job("j0")] == ["w1", "w3"]
-        assert ledger.final_for_job("j1").candidates[0].score == 5.0
+        assert ledger.for_job("j1")[-1].candidates[0].score == 5.0
         assert ledger.records[2] is extra
         assert policy.built == 3
         clone = DecisionLedger.from_dicts(ledger.to_dicts())
@@ -227,14 +230,15 @@ def read_after_every_assignment(runtime):
     """Build every record, flow and monitor line the instant after each
     decision -- what the hooks did themselves before they wrote rows."""
 
-    def read(job, worker, now):
-        obs = runtime.obs
-        assert obs.ledger.records[-1].worker == worker
-        assert obs.ledger.for_job(job.job_id)[-1].time == now
-        assert all(isinstance(flow, FlowRecord) for flow in obs.flows)
-        assert runtime.monitor.events[-1][1] == "assigned"
+    class Reader:
+        def on_assigned(self, job, worker, policy, now):
+            obs = runtime.obs
+            assert obs.ledger.records[-1].worker == worker
+            assert obs.ledger.for_job(job.job_id)[-1].time == now
+            assert all(isinstance(flow, FlowRecord) for flow in obs.flows)
+            assert runtime.monitor.events[-1][1] == "assigned"
 
-    runtime.master.assignment_listeners.append(read)
+    runtime.hooks.subscribe(Reader())
 
 
 def readings(runtime):

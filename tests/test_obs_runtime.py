@@ -106,6 +106,9 @@ class TestTraceIndex:
         assert trace.first("completed", "nope") is None
 
 
+JOB = Job(job_id="j1", task=TASK_ANALYZER, repo_id="r", size_mb=1.0)
+
+
 class TestViolationLifecycle:
     def test_violation_carries_job_lifecycle_from_trace(self):
         monitor = InvariantMonitor()
@@ -115,7 +118,7 @@ class TestViolationLifecycle:
         monitor.trace = trace
         with pytest.raises(InvariantViolation) as err:
             # Completion without a submission seen by the monitor.
-            monitor.on_completed("j1", "w1", now=2.0)
+            monitor.on_completed(JOB, "w1", now=2.0)
         kinds = [kind for _, kind, _ in err.value.events]
         assert "trace:submitted" in kinds
         assert "trace:assigned" in kinds
@@ -124,7 +127,7 @@ class TestViolationLifecycle:
         monitor = InvariantMonitor()
         assert monitor.trace is None
         with pytest.raises(InvariantViolation):
-            monitor.on_completed("j1", "w1", now=2.0)
+            monitor.on_completed(JOB, "w1", now=2.0)
 
 
 class TestServiceObs:

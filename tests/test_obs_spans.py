@@ -1,4 +1,4 @@
-"""Span-tree construction, coverage, and the live SpanContext round-trip."""
+"""Span-tree construction and coverage."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.metrics.trace import Trace
 from repro.obs import (
     FLEET,
     Span,
-    SpanContext,
     build_spans,
     span_coverage,
 )
@@ -162,26 +161,16 @@ class TestSpanCoverage:
         assert span_coverage(Trace()).fraction == 1.0
 
 
-class TestSpanContext:
-    def test_frozen_and_comparable(self):
-        a = SpanContext(trace_id="j1", span_id=1)
-        b = SpanContext(trace_id="j1", span_id=1)
-        assert a == b
-        with pytest.raises(Exception):
-            a.span_id = 2  # type: ignore[misc]
-
-
 class TestAcceptance:
     """ISSUE acceptance: a fixed-seed full-cell traced run must produce a
     span tree covering every completed job end to end.
 
-    Push-style schedulers (the master calls ``assign`` directly) thread
-    the :class:`SpanContext` through the assignment itself, so their
-    coverage is pinned at exactly 100% -- any regression is a broken
-    context hand-off, not noise.  Pull-style schedulers reach the same
-    seam via ``note_external_assignment``; their floor is pinned
-    separately below so a push-path refactor cannot silently eat the
-    pull path's coverage (or vice versa).
+    Push-style schedulers (the master calls ``assign`` directly) are
+    pinned at exactly 100% -- any regression is a broken lifecycle
+    projection, not noise.  Pull-style schedulers reach the same seam
+    via ``note_external_assignment``; their floor is pinned separately
+    below so a push-path refactor cannot silently eat the pull path's
+    coverage (or vice versa).
     """
 
     @pytest.mark.parametrize("scheduler", ["bidding", "spark"])
@@ -218,17 +207,3 @@ class TestAcceptance:
         assert coverage.completed_jobs == results[-1].jobs_completed
         assert coverage.fraction >= 1.0, coverage.disconnected[:5]
 
-    def test_ctx_round_trip_on_push_scheduler(self):
-        spec = CellSpec(
-            scheduler="bidding",
-            workload="80%_small",
-            profile="fast-slow",
-            seed=7,
-            iterations=1,
-            engine_overrides=(("trace", True), ("obs", True)),
-        )
-        results, runtime = run_cell_observed(spec)
-        completed = results[-1].jobs_completed
-        # Every assignment context must come back intact on completion.
-        assert runtime.obs.ctx_round_trips() == completed
-        assert len(runtime.obs.assignment_ctxs) == completed

@@ -168,6 +168,10 @@ class TestMigration:
         deadline = 3.0
         settled = []
 
+        class Settled:
+            def on_migration_settled(self, now):
+                settled.append(now)
+
         def held_ack_controller(host, plan):
             controller = ReconfigController(host, plan)
             route, held = host.master.migration_router, []
@@ -176,8 +180,7 @@ class TestMigration:
                 host.master.migration_router = held.append
             else:
                 host.master.migration_router = lambda ack: host.sim.call_at(deadline, route, ack)
-            note = host.monitor.on_migration_settled
-            host.monitor.on_migration_settled = lambda now: (settled.append(now), note(now))
+            host.hooks.subscribe(Settled())
             return controller
 
         plan = ReconfigPlan(

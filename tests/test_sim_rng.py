@@ -63,13 +63,3 @@ class TestRandomStreams:
         parent = RandomStreams(5)
         child = parent.fork("sub")
         assert parent.get("x").random() != child.get("x").random()
-
-    def test_iter_seeds_distinct(self):
-        streams = RandomStreams(5)
-        seeds = list(streams.iter_seeds("reps", 10))
-        assert len(set(seeds)) == 10
-
-    def test_iter_seeds_reproducible(self):
-        a = list(RandomStreams(5).iter_seeds("reps", 4))
-        b = list(RandomStreams(5).iter_seeds("reps", 4))
-        assert a == b

@@ -116,9 +116,6 @@ class TestRouting:
         with pytest.raises(ValueError, match="unknown task"):
             pipeline.on_completion(Job(job_id="j", task="bad"))
 
-    def test_source_tasks(self):
-        assert two_stage_pipeline().source_tasks() == ["source-task"]
-
 
 class TestMSRPipeline:
     @pytest.fixture
@@ -136,7 +133,6 @@ class TestMSRPipeline:
         spec = MSRPipelineSpec(libraries=("lodash", "react"))
         pipeline, _matrix = build_msr_pipeline(github, spec)
         assert set(pipeline.tasks) == {TASK_SEARCHER, TASK_ANALYZER, TASK_CALCULATOR}
-        assert pipeline.source_tasks() == [TASK_SEARCHER]
         assert pipeline.tasks[TASK_CALCULATOR].on_master
 
     def test_search_expands_to_analysis_jobs(self, github):
