@@ -2,8 +2,9 @@
 
 ``repro.obs`` records broker flows and pipe occupancy on the run's
 observer seams and samples probe gauges on a sim-time cadence.  With
-observability off nothing is subscribed, so every seam is an empty
-tuple and a run with observability disabled must
+observability off only the metrics collector is subscribed, so the
+message and pipe seams are empty tuples and a run with observability
+disabled must
 produce the *identical* simulation as before the subsystem existed and
 add under 2 % wall-clock overhead on a full-cell run.  With
 observability enabled the simulation must still be bit-identical (the

@@ -409,7 +409,7 @@ class InvariantMonitor:
         self._note(now, "redispatched", job_id)
         self._redispatches[job_id] = self._redispatches.get(job_id, 0) + 1
 
-    def on_orphaned(self, job_id: str, now: float) -> None:
+    def on_orphaned(self, job_id: str, worker: Optional[str], now: float) -> None:
         self.checks += 1
         self._note(now, "orphaned", job_id)
         self._orphaned.add(job_id)
@@ -450,7 +450,7 @@ class InvariantMonitor:
                 job_id=job_id,
             )
 
-    def on_failed(self, job, now: float) -> None:
+    def on_failed(self, job, reason: str, now: float) -> None:
         job_id = job.job_id
         self.checks += 1
         self._note(now, "failed", job_id)
@@ -486,12 +486,14 @@ class InvariantMonitor:
     def on_cache_preload(self, worker: str, repo_ids) -> None:
         self._fetched.setdefault(worker, set()).update(repo_ids)
 
-    def on_cache_fetch(self, worker: str, repo_id: str, now: float) -> None:
+    def on_cache_fetch(self, job, worker: str, mb: float, now: float) -> None:
+        repo_id = job.repo_id
         self.checks += 1
         self._note(now, "fetch", "{} @ {}", repo_id, worker)
         self._fetched.setdefault(worker, set()).add(repo_id)
 
-    def on_cache_hit(self, worker: str, repo_id: str, now: float) -> None:
+    def on_cache_hit(self, job, worker: str, now: float) -> None:
+        repo_id = job.repo_id
         self.checks += 1
         self._note(now, "cache_hit", "{} @ {}", repo_id, worker)
         if repo_id not in self._fetched.get(worker, ()):
@@ -556,7 +558,7 @@ class InvariantMonitor:
                 f"{capacity_mbps:g} MB/s pipe (needs >= {size_mb / capacity_mbps:g}s)",
             )
 
-    # -- contest hooks (emitted by the metrics collector) --------------
+    # -- contest hooks (emitted by the bidding policy) -----------------
 
     def on_contest_opened(self, job_id: str, now: float) -> None:
         self.checks += 1
@@ -576,7 +578,7 @@ class InvariantMonitor:
         self._announce_times[job_id] = now
         self._open_bidders[job_id] = set()
 
-    def on_bid(self, job_id: str, worker: str, now: float) -> None:
+    def on_bid(self, job_id: str, worker: str, cost: float, now: float) -> None:
         self.checks += 1
         self._note(now, "bid", "{} by {}", job_id, worker)
         opened = self._announce_times.get(job_id)

@@ -179,9 +179,8 @@ class BiddingMasterPolicy(MasterPolicy):
             # this is the predecessor's residue, which the master drops;
             # anywhere else the master reports it as unhandled.
             return False
-        self.master.metrics.bid_received(
-            self.master.sim.now, message.job_id, message.worker, message.cost_s
-        )
+        for hook in self.master.hooks.bid:
+            hook(message.job_id, message.worker, message.cost_s, self.master.sim.now)
         if contest is None:
             return True
         while contest.attempt != message.attempt and contest.previous is not None:
@@ -378,18 +377,16 @@ class BiddingMasterPolicy(MasterPolicy):
             # assigning blindly.  (The old contest stays in the map
             # until the rerun opens, absorbing stray late bids.)
             self._rebids.add(job.job_id)
-            master.metrics.contest_closed(
-                master.sim.now, job, None, contest.duration, outcome
-            )
+            for hook in master.hooks.contest_closed:
+                hook(job.job_id, None, contest.duration, outcome, master.sim.now)
             self._requeue(job)
             return
         if winner is None:
             # "assigns the job to an arbitrary node in case none of
             # the workers submitted their estimates".
             winner = master.arbitrary_worker()
-        master.metrics.contest_closed(
-            master.sim.now, job, winner, contest.duration, outcome
-        )
+        for hook in master.hooks.contest_closed:
+            hook(job.job_id, winner, contest.duration, outcome, master.sim.now)
         master.assign(job, winner)
         if contest.computed:
             # The record must outlive the Assignment's flight: the
@@ -408,7 +405,7 @@ class BiddingMasterPolicy(MasterPolicy):
         individual messages matter (see the module docstring), else
         compute every bid and its timetable in one pass."""
         master = self.master
-        metrics, broker = master.metrics, master.topology.broker
+        broker = master.topology.broker
         computed = not (self._instant or self.messages_witnessed())
         if computed:
             subs = broker.subscribers(TOPIC_ANNOUNCE)
@@ -428,7 +425,8 @@ class BiddingMasterPolicy(MasterPolicy):
             contest.attempt = contest.previous.attempt + 1
         self.contests[job.job_id] = contest
         self.open_contests += 1
-        metrics.contest_opened(master.sim.now, job)
+        for hook in master.hooks.contest_opened:
+            hook(job.job_id, master.sim.now)
         if computed:
             self._compute(contest)
         else:

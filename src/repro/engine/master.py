@@ -61,7 +61,9 @@ class Master:
     ----------
     sim, topology, metrics, fleet:
         Shared run infrastructure; the membership methods below keep
-        the fleet's active plane equal to :attr:`active_workers`.
+        the fleet's active plane equal to :attr:`active_workers`.  The
+        collector is here for the policies to read; it hears of the
+        run only through ``hooks``.
     pipeline:
         The workflow graph used to expand completions into child jobs.
     policy:
@@ -158,7 +160,7 @@ class Master:
         #: :class:`~repro.reconfig.ReconfigController` when live
         #: reconfiguration is active.
         self.migration_router = None
-        #: Message types tolerated (dropped with a trace record) when the
+        #: Message types tolerated (dropped on ``swap_stale_drop``) when the
         #: active policy does not consume them -- the previous policy's
         #: in-flight control traffic after a hot-swap.  Empty outside
         #: swaps, so the unhandled-message error stays strict.
@@ -169,7 +171,8 @@ class Master:
     def start(self) -> None:
         """Bind the policy, start intake and open the inbox."""
         self.policy.bind(self)
-        self.metrics.run_started(self.sim.now)
+        for hook in self.hooks.run_started:
+            hook(self.sim.now)
         if self.policy.requires_upfront and self.stream is not None:
             self.policy.on_upfront_jobs(self.stream.jobs)
         self.policy.start()
@@ -202,7 +205,6 @@ class Master:
             raise ValueError(f"assignment to unknown worker {worker!r}")
         self.assignments[job.job_id] = worker
         self._assigned_at.add(job.job_id, job, worker, self.sim.now)
-        self.metrics.job_assigned(self.sim.now, job, worker)
         for hook in self.hooks.assigned:
             hook(job, worker, self.policy, self.sim.now)
 
@@ -239,7 +241,8 @@ class Master:
         self.worker_names.append(name)
         self.active_workers.append(name)
         self.fleet.on_join(name)
-        self.metrics.worker_joined(self.sim.now, name)
+        for hook in self.hooks.worker_joined:
+            hook(name, self.sim.now)
         self.policy.on_worker_joined(name)
 
     def retire_worker(self, name: str) -> None:
@@ -254,7 +257,8 @@ class Master:
             raise ValueError(f"worker {name!r} is not active")
         self.active_workers.remove(name)
         self.fleet.on_retire(name)
-        self.metrics.worker_retired(self.sim.now, name)
+        for hook in self.hooks.worker_retired:
+            hook(name, self.sim.now)
         self.policy.on_worker_retired(name)
 
     def revive_worker(self, name: str) -> None:
@@ -269,7 +273,8 @@ class Master:
             raise ValueError(f"worker {name!r} is already active")
         self.active_workers.append(name)
         self.fleet.on_join(name)
-        self.metrics.worker_restarted(self.sim.now, name)
+        for hook in self.hooks.worker_restarted:
+            hook(name, self.sim.now)
         self.policy.on_worker_joined(name)
 
     def swap_policy(self, policy: "MasterPolicy", stale_ok: tuple = ()) -> None:
@@ -300,7 +305,6 @@ class Master:
     def submit(self, job: Job) -> None:
         """Accept a job into the workflow (source arrival or child)."""
         self.outstanding += 1
-        self.metrics.job_submitted(self.sim.now, job)
         for hook in self.hooks.submitted:
             hook(job.job_id, self.sim.now)
         task = self.pipeline.task_of(job)
@@ -356,13 +360,8 @@ class Master:
             # Hot-swap residue: control traffic addressed to the
             # previous policy.  Dropping is safe -- quiesce drained
             # every job-carrying exchange before the swap.
-            self.metrics.trace.record(
-                self.sim.now,
-                "swap_stale_drop",
-                "-",
-                getattr(message, "worker", None),
-                type(message).__name__,
-            )
+            for hook in self.hooks.swap_stale_drop:
+                hook(getattr(message, "worker", None), message, self.sim.now)
         else:
             raise RuntimeError(
                 f"master: unhandled message {message!r} under policy "
@@ -397,7 +396,6 @@ class Master:
                 raise RuntimeError(
                     f"job {job.job_id!r} completed more times than submitted"
                 )
-            self.metrics.duplicate_suppressed(self.sim.now, job, message.worker)
             return
         self._completed_ids.add(job.job_id)
         self._assigned_at.remove(job.job_id)
@@ -418,7 +416,6 @@ class Master:
             raise RuntimeError(f"job {job.job_id!r} completed more times than submitted")
         for hook in self.hooks.completed:
             hook(job, worker, self.sim.now)
-        self.metrics.job_completed(self.sim.now, job, worker)
         if message is not None:
             self.completions[job.job_id] = message
         self._check_done()
@@ -453,9 +450,8 @@ class Master:
             or self.assignments.get(job.job_id) == message.worker
         ]
         for job in orphans:
-            self.metrics.job_orphaned(self.sim.now, job, message.worker)
             for hook in self.hooks.orphaned:
-                hook(job.job_id, self.sim.now)
+                hook(job.job_id, message.worker, self.sim.now)
         # Policies get the failure for *bookkeeping* (drop plans, close
         # contests); the master owns the actual re-dispatch below.
         self.policy.on_worker_failed(message.worker, orphans)
@@ -474,7 +470,6 @@ class Master:
             self._fail_job(job, f"retry budget exhausted ({attempts} re-dispatches)")
             return
         self._redispatch_counts[job.job_id] = attempts + 1
-        self.metrics.job_redispatched(self.sim.now, job)
         for hook in self.hooks.redispatched:
             hook(job.job_id, self.sim.now)
         delay = self.recovery.backoff_base_s * self.recovery.backoff_factor**attempts
@@ -503,9 +498,8 @@ class Master:
             return
         self.failed_jobs[job.job_id] = reason
         self._assigned_at.remove(job.job_id)
-        self.metrics.job_failed(self.sim.now, job, reason)
         for hook in self.hooks.failed:
-            hook(job, self.sim.now)
+            hook(job, reason, self.sim.now)
         self.outstanding -= 1
         self._check_done()
 
@@ -520,14 +514,14 @@ class Master:
         timeout = self.recovery.redispatch_timeout_s
         now = self.sim.now
         for job, worker in self._assigned_at.overdue(now, timeout):
-            self.metrics.job_orphaned(now, job, worker)
             for hook in self.hooks.orphaned:
-                hook(job.job_id, now)
+                hook(job.job_id, worker, now)
             self._recover_orphan(job)
         self.sim.call_later(timeout / 2, self._straggler_tick, handle=self._straggler_timer)
 
     def _check_done(self) -> None:
         if self.intake_done and self.outstanding == 0 and not self.done.triggered:
             self.policy.on_run_finished()
-            self.metrics.run_finished(self.sim.now)
+            for hook in self.hooks.run_finished:
+                hook(self.sim.now)
             self.done.succeed(self.sim.now)

@@ -169,8 +169,8 @@ class Deployment:
 
     It builds the run's one :class:`~repro.hooks.Hooks` table, hands it
     to every component it builds and subscribes its watchers: the
-    invariant monitor, the ``obs`` recorder and the decision ledger,
-    each when its knob is on.
+    metrics collector first, then the invariant monitor, the ``obs``
+    recorder and the decision ledger, each when its knob is on.
 
     ``salt`` is mixed into the master seed to derive the run's random
     streams, which keeps runs on one seed decorrelated (the workflow
@@ -211,8 +211,11 @@ class Deployment:
         self.sim = Simulator()
         #: The run's observer seams (see :mod:`repro.hooks`).
         self.hooks = hooks = Hooks()
-        self.metrics = MetricsCollector(hooks=hooks)
+        self.metrics = MetricsCollector()
         self.metrics.trace.enabled = config.trace
+        # First, so that an event's trace row is written before any other
+        # watcher hears of it: the monitor quotes the job's rows when it raises.
+        hooks.subscribe(self.metrics)
         check_cfg = config.check_config()
         #: Live invariant checker (see :mod:`repro.check`), or ``None``.
         self.monitor: Optional[InvariantMonitor] = (
@@ -313,7 +316,6 @@ class Deployment:
             machine=machine,
             cache=WorkerCache(capacity_mb=spec.cache_capacity_mb),
             policy=self.scheduler.make_worker(),
-            metrics=self.metrics,
             fleet=self.fleet,
             pipeline=self.pipeline,
             prefetch=config.prefetch,
@@ -399,7 +401,6 @@ class Deployment:
                 workers=self.workers,
                 master=self.master,
                 broker=self.topology.broker,
-                metrics=self.metrics,
                 restart=self.restart_worker,
                 loss_rng=self._streams.get("faults", "loss"),
                 hooks=self.hooks,

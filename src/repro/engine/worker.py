@@ -38,7 +38,6 @@ from repro.engine.messages import (
 )
 from repro.fleet import FleetState
 from repro.hooks import Hooks
-from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
 from repro.net.link import Transfer
 from repro.net.topology import Topology
@@ -57,7 +56,7 @@ class WorkerNode:
 
     Parameters
     ----------
-    sim, topology, metrics, fleet:
+    sim, topology, fleet:
         Shared run infrastructure.  The node reports its counts to the
         fleet planes *absolutely* at every seam, so they can never drift
         from its own counters.
@@ -82,7 +81,6 @@ class WorkerNode:
         machine: Machine,
         cache: WorkerCache,
         policy: "WorkerPolicy",
-        metrics: MetricsCollector,
         fleet: FleetState,
         pipeline: Optional[Pipeline] = None,
         prefetch: bool = False,
@@ -94,7 +92,6 @@ class WorkerNode:
         self.machine = machine
         self.cache = cache
         self.policy = policy
-        self.metrics = metrics
         self.pipeline = pipeline
         self.name = machine.spec.name
         self.spec = machine.spec
@@ -144,7 +141,7 @@ class WorkerNode:
         #: job_ids whose miss was already accounted by the prefetcher.
         self._prefetch_credit: set[str] = set()
         self.hooks = hooks if hooks is not None else Hooks()
-        #: Message types tolerated (dropped with a trace record) when the
+        #: Message types tolerated (dropped on ``swap_stale_drop``) when the
         #: active policy does not consume them -- the previous policy's
         #: in-flight control traffic after a hot-swap.  Empty outside
         #: swaps, so the unhandled-message error stays strict.
@@ -267,13 +264,8 @@ class WorkerNode:
             # Hot-swap residue: control traffic addressed to the
             # previous policy.  Dropping is safe -- quiesce drained
             # every job-carrying exchange before the swap.
-            self.metrics.trace.record(
-                self.sim.now,
-                "swap_stale_drop",
-                "-",
-                self.name,
-                type(message).__name__,
-            )
+            for hook in self.hooks.swap_stale_drop:
+                hook(self.name, message, self.sim.now)
         else:
             raise RuntimeError(
                 f"worker {self.name}: unhandled message {message!r} "
@@ -311,7 +303,6 @@ class WorkerNode:
         self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
         self.policy.on_state_changed((job.repo_id,))
         self._started_at = started = self.sim.now
-        self.metrics.job_started(started, job, self.name)
         for hook in self.hooks.job_started:
             hook(job.job_id, self.name, started)
         if job.repo_id is None:
@@ -332,11 +323,11 @@ class WorkerNode:
             self._prefetch_credit.discard(job.job_id)
             self.cache.lookup(job.repo_id)
         elif self.cache.lookup(job.repo_id):
-            self.metrics.record_cache_hit(self.sim.now, self.name, job)
             for hook in self.hooks.cache_hit:
-                hook(self.name, job.repo_id, self.sim.now)
+                hook(job, self.name, self.sim.now)
         else:
-            self.metrics.record_cache_miss(self.sim.now, self.name, job)
+            for hook in self.hooks.download_started:
+                hook(job, self.name, self.sim.now)
             self._download = self.machine.download(job.size_mb, 0, self._downloaded)
             return
         self._compute()
@@ -349,9 +340,8 @@ class WorkerNode:
     def _store_clone(self, job: Job) -> None:
         self.cache.insert(job.repo_id, job.size_mb)
         self.policy.on_state_changed((job.repo_id,))
-        self.metrics.record_download(self.sim.now, self.name, job, job.size_mb)
         for hook in self.hooks.cache_fetch:
-            hook(self.name, job.repo_id, self.sim.now)
+            hook(job, self.name, job.size_mb, self.sim.now)
 
     def preload(self, clones: dict[str, float]) -> None:
         """Clones that arrive without a download: a warm start's, as
@@ -438,7 +428,8 @@ class WorkerNode:
             self._prefetch_parked = True
             return
         self._prefetching = target
-        self.metrics.record_cache_miss(self.sim.now, self.name, target)
+        for hook in self.hooks.download_started:
+            hook(target, self.name, self.sim.now)
         self._prefetch_download = self.machine.download(target.size_mb, 1, self._prefetched)
 
     def _prefetched(self, _elapsed: float) -> None:
@@ -507,7 +498,6 @@ class WorkerNode:
             self.unfinished.pop(job.job_id, None)
             self._outstanding_jobs -= 1
             self._prefetch_credit.discard(job.job_id)
-            self.metrics.trace.record(now, "migrate_checkpoint", job.job_id, self.name)
             for hook in self.hooks.migration_checkpoint:
                 hook(job.job_id, self.name, now)
         if taken:

@@ -228,8 +228,10 @@ class ExecBackend:
         self.script = sorted(script, key=lambda entry: entry[0])
         self.metrics = MetricsCollector()
         self.metrics.trace.enabled = self.config.trace
-        #: The coordinator's observer seams (see :mod:`repro.hooks`).
+        #: The coordinator's observer seams (see :mod:`repro.hooks`),
+        #: the collector subscribed first as on the sim's host.
         self.hooks = Hooks()
+        self.hooks.subscribe(self.metrics)
         self.monitor: Optional[InvariantMonitor] = None
         if self.config.check:
             self.monitor = InvariantMonitor(recovery_enabled=True)
@@ -328,7 +330,8 @@ class ExecBackend:
             now = self._now()
             for hook in self.hooks.service_close:
                 hook(self.admitted, self.completed, self.failed, now)
-            self.metrics.run_finished(now)
+            for hook in self.hooks.run_finished:
+                hook(now)
             if self.config.check:
                 self.monitor.final_check()
             return self._report(now)
@@ -402,7 +405,8 @@ class ExecBackend:
         bound, their ``done`` waits for the step's end (``handoff_max``), and
         the digested ``assigned`` order keeps it whole (EXPERIMENTS.md)."""
         now = self._now()
-        self.metrics.run_started(now)
+        for hook in self.hooks.run_started:
+            hook(now)
         for plan_job in self.plan.jobs:
             self._admit(plan_job, now)
         for hook in self.hooks.cache_preload:
@@ -431,8 +435,7 @@ class ExecBackend:
     def _admit(self, job: PlanJob, now: float) -> None:
         """Count one job in; the ``Job`` the observers see is built here, once."""
         self.admitted += 1
-        self._real_jobs[job.job_id] = real_job = job.to_job()
-        self.metrics.job_submitted(now, real_job)
+        self._real_jobs[job.job_id] = job.to_job()
         for hook in self.hooks.submitted:
             hook(job.job_id, now)
 
@@ -444,7 +447,6 @@ class ExecBackend:
         # The sim master's seam, the backend standing in for the policy.
         for hook in self.hooks.assigned:
             hook(real_job, worker, self, now)
-        self.metrics.job_assigned(now, real_job, worker)
         state.ready.append(job)
         self._pump(state)
 
@@ -517,7 +519,6 @@ class ExecBackend:
             self.duplicates += 1
             for hook in self.hooks.duplicate_completion:
                 hook(job_id, state.name, now)
-            self.metrics.duplicate_suppressed(now, self._real_jobs[job_id], state.name)
             return
         entry = state.processing.pop(job_id, None)
         if entry is None:
@@ -531,29 +532,25 @@ class ExecBackend:
         cache_hit = message.get("cache_hit")
         if cache_hit is True:
             for hook in self.hooks.cache_hit:
-                hook(state.name, job.repo_id, now)
-            self.metrics.record_cache_hit(started, state.name, real_job)
+                hook(real_job, state.name, started)
             state.cache.lookup(job.repo_id)
         elif cache_hit is False:
-            for hook in self.hooks.cache_fetch:
-                hook(state.name, job.repo_id, now)
-            self.metrics.record_cache_miss(started, state.name, real_job)
+            for hook in self.hooks.download_started:
+                hook(real_job, state.name, started)
             modelled_fetch = (
                 state.plan.link_latency + job.size_mb / state.plan.network_mbps
             ) * self.config.time_scale
             fetch_end = min(now, started + modelled_fetch)
-            self.metrics.record_download(
-                fetch_end, state.name, real_job, float(message.get("fetched_mb", 0.0))
-            )
+            fetched_mb = float(message.get("fetched_mb", 0.0))
+            for hook in self.hooks.cache_fetch:
+                hook(real_job, state.name, fetched_mb, fetch_end)
             state.cache.lookup(job.repo_id)
             state.cache.insert(job.repo_id, job.size_mb)
         for hook in self.hooks.job_started:
             hook(job_id, state.name, started)
-        self.metrics.job_started(started, real_job, state.name)
         self._terminal.add(job_id)
         for hook in self.hooks.completed:
             hook(real_job, state.name, now)
-        self.metrics.job_completed(now, real_job, state.name)
         state.completed_order.append(job_id)
         self.completed += 1
         self._handoff.append(max(0.0, now - dispatched_at - exec_s))
@@ -580,7 +577,8 @@ class ExecBackend:
         state.alive = False
         now = self._now()
         self.crashes += 1
-        self.metrics.worker_crashed(now, state.name)
+        for hook in self.hooks.worker_crashed:
+            hook(state.name, now)
         if state.proc is not None and state.proc.is_alive():
             # Heartbeat eviction of a wedged-but-running process: the
             # fleet has moved on, so the zombie must not keep executing.
@@ -596,8 +594,7 @@ class ExecBackend:
             if job.job_id in self._terminal:
                 continue
             for hook in self.hooks.orphaned:
-                hook(job.job_id, now)
-            self.metrics.job_orphaned(now, self._real_jobs[job.job_id], state.name)
+                hook(job.job_id, state.name, now)
             self._redispatch(job, lost_from=state.name)
 
     def _redispatch(self, job: PlanJob, lost_from: str) -> None:
@@ -620,7 +617,6 @@ class ExecBackend:
         self.redispatches += 1
         for hook in self.hooks.redispatched:
             hook(job.job_id, now)
-        self.metrics.job_redispatched(now, self._real_jobs[job.job_id])
         self._bind(job, target, redispatch=True)
 
     def rebind_target(self, job: PlanJob, exclude: tuple[str, ...] = ()) -> Optional[str]:
@@ -646,8 +642,7 @@ class ExecBackend:
         self.failed += 1
         real_job = self._real_jobs[job.job_id]
         for hook in self.hooks.failed:
-            hook(real_job, now)
-        self.metrics.job_failed(now, real_job, reason)
+            hook(real_job, reason, now)
         self._maybe_finish()
 
     def _maybe_finish(self) -> None:

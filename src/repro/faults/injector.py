@@ -14,10 +14,11 @@ the import graph acyclic (engine imports faults, never the reverse).
 
 Every action is appended to :attr:`FaultInjector.events` as
 ``(time, kind, detail)`` tuples -- the reproducibility tests compare
-these logs across runs of the same seed.  Each action is also surfaced
-into the run's main :class:`~repro.metrics.trace.Trace` as a ``fault_*``
-event, so exported timelines show crashes, partitions and heals next to
-the job lifecycle.
+these logs across runs of the same seed.  Each action also goes out on
+the run's ``fault`` seam (:mod:`repro.hooks`), which the metrics
+collector writes into the main :class:`~repro.metrics.trace.Trace` as a
+``fault_*`` event, so exported timelines show crashes, partitions and
+heals next to the job lifecycle.
 """
 
 from __future__ import annotations
@@ -34,25 +35,6 @@ from repro.faults.plan import (
 )
 from repro.hooks import Hooks
 
-#: Injector action kind -> ``fault_*`` trace event kind.
-_FAULT_KIND = {
-    "crash": "fault_crash",
-    "crash-skipped": "fault_crash_skipped",
-    "restart": "fault_restart",
-    "restart-skipped": "fault_restart_skipped",
-    "degrade": "fault_degrade",
-    "restore": "fault_restore",
-    "partition": "fault_partition",
-    "heal": "fault_heal",
-    "loss-start": "fault_loss_start",
-    "loss-end": "fault_loss_end",
-}
-
-#: Kinds whose ``detail`` is a bare worker name (stored in the trace
-#: event's ``worker`` column instead of ``detail``).
-_WORKER_DETAIL = frozenset({"crash", "restart"})
-
-
 class FaultInjector:
     """Executes a :class:`FaultPlan` against live engine objects.
 
@@ -68,8 +50,8 @@ class FaultInjector:
         The host's live ``name -> WorkerNode`` mapping.  Read at action
         time (not captured per-entry), so restarts that swap nodes are
         picked up automatically.
-    master, broker, metrics:
-        Recovery bookkeeping, partition/loss control and counters.
+    master, broker:
+        Recovery bookkeeping and partition/loss control.
     restart:
         Callback ``restart(name) -> None`` rebuilding a dead worker.
         ``None`` disables restarts (crash entries with restart delays
@@ -89,7 +71,6 @@ class FaultInjector:
         workers: dict,
         master,
         broker,
-        metrics,
         restart: Optional[Callable[[str], None]] = None,
         loss_rng=None,
         hooks: Optional[Hooks] = None,
@@ -102,7 +83,6 @@ class FaultInjector:
         self.broker = broker
         if plan.partitions or plan.message_loss:
             broker.will_degrade = True
-        self.metrics = metrics
         self.restart = restart
         self.loss_rng = loss_rng
         #: The run's observer seams (see :mod:`repro.hooks`).  Injected
@@ -138,10 +118,6 @@ class FaultInjector:
         for hook in self.hooks.fault:
             hook(kind, detail, self.sim.now)
         self.events.append((self.sim.now, kind, detail))
-        if kind in _WORKER_DETAIL:
-            self.metrics.record_fault(self.sim.now, _FAULT_KIND[kind], worker=detail)
-        else:
-            self.metrics.record_fault(self.sim.now, _FAULT_KIND[kind], detail=detail)
 
     def _candidates(self, targets=()) -> list[str]:
         """Workers eligible to be killed right now (alive + active)."""
@@ -183,7 +159,8 @@ class FaultInjector:
             self._record("crash-skipped", f"{name} is the last live worker")
             return None
         self._record("crash", name)
-        self.metrics.worker_crashed(self.sim.now, name)
+        for hook in self.hooks.worker_crashed:
+            hook(name, self.sim.now)
         node.kill()
         return name
 

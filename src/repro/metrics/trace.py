@@ -8,27 +8,31 @@ assert protocol properties (e.g. "every job is assigned exactly once",
 
 Event kinds
 -----------
+The metrics collector writes each row from its handler of the
+:mod:`repro.hooks` seam of the same name, or of the seam named last.
+
 ``submitted``   job entered the master (from the source or a parent task)
-``announced``   bidding contest opened for the job
+``announced``   bidding contest opened for the job; ``contest_opened``
 ``bid``         a worker submitted a bid (detail = cost)
 ``contest_closed``  contest resolved (detail = winner / "fallback")
-``offered``     master offered the job to a pulling worker
-``rejected``    worker declined an offer
-``accepted``    worker accepted an offer
+``offered`` / ``rejected`` / ``accepted``  a pull offer and its answer
 ``assigned``    master bound the job to a worker (any policy)
-``started``     worker began executing the job
-``download_started`` / ``download_finished``  clone activity (detail = MB)
+``started``     worker began executing the job; ``job_started``
+``download_started`` / ``download_finished``  clone activity (detail =
+                MB); ``download_started`` / ``cache_fetch``
 ``cache_hit``   required data was already local
 ``completed``   worker finished the job
-``shed``        admission control turned the job away (detail = reason)
-``worker_joined`` / ``worker_retired``  fleet elasticity (worker = name)
+``orphaned`` / ``redispatched`` / ``failed`` / ``duplicate_suppressed``
+                recovery; ``duplicate_completion`` for the last
+``shed``        admission control turned the job away (worker = reason)
+``worker_*``    fleet membership: joined, retired, crashed, restarted
 ``fault_*``     fault-injector actions (crash, restart, degrade, restore,
                 partition, heal, loss window edges, skipped actions) --
-                surfaced into the main trace so exported timelines show
-                injected chaos alongside the job lifecycle
-``migrate_*`` / ``swap_*``  live-reconfiguration actions (checkpoint,
-                pre-warm, rebind, scheduler hot-swap quiesce/done) --
-                see :mod:`repro.reconfig`
+                surfaced so exported timelines show injected chaos
+                alongside the job lifecycle; ``fault``
+``migrate_*`` / ``swap_*``  live-reconfiguration actions -- see
+                :mod:`repro.reconfig`; ``migration_checkpoint`` /
+                ``migration_rebind`` for checkpoint and rebind
 
 Fleet-level events (worker joins, crashes, fault-injector actions) carry
 the placeholder job id :data:`FLEET`.

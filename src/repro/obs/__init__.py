@@ -32,7 +32,7 @@ explain document are projections of that one reader:
   where time moved between two runs and which decisions diverged.
 
 Overhead contract: with ``obs`` off (the default for experiments)
-nothing is subscribed, every seam is an empty tuple that calls nothing,
+nothing of it is subscribed, the seams only it watches are empty tuples,
 and runs are bit-identical to builds without the subsystem; with
 ``obs`` on, the recorder is read-only and
 draws no randomness, so measured metrics still match the unobserved run

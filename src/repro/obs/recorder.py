@@ -7,8 +7,8 @@ builds an :class:`ObsRecorder` only when it is on.
 
 :class:`ObsRecorder` is a subscriber on the run's observer seams
 (:mod:`repro.hooks`): the host subscribes it, and its decision ledger,
-to the one table the master, workers, broker and pipes emit on -- an
-unobserved run's seams are empty tuples and make no call.  It owns
+to the one table the master, workers, broker and pipes emit on -- in
+an unobserved run the seams only it watches are empty tuples.  It owns
 
 * the :class:`~repro.obs.probes.ProbeRegistry` (time-series gauges),
 * broker *flow* records -- publish -> deliver pairs per message, giving

@@ -68,8 +68,8 @@ class ReconfigController:
     """Drives migrations and hot-swaps for one runtime.
 
     ``host`` is the run's :class:`~repro.engine.runtime.Deployment`;
-    the controller reads its ``sim``, ``master``, ``workers`` and
-    ``metrics``, emits on its ``hooks`` (:mod:`repro.hooks`), seeds a
+    the controller reads its ``sim``, ``master`` and ``workers``,
+    emits on its ``hooks`` (:mod:`repro.hooks`), seeds a
     successor policy through its ``_seed_views``, and rebinds its
     ``scheduler`` and ``_master_policy`` on hot-swap so worker restarts
     construct successor-policy workers.  Unlike the fault injector -- which takes
@@ -133,9 +133,8 @@ class ReconfigController:
             self._skip_migration(entry.source, "no-eligible-source")
             return
         self._inflight += 1
-        self.host.metrics.trace.record(
-            self.sim.now, "migrate_request", "-", source, entry.max_jobs
-        )
+        for hook in self.hooks.migrate_request:
+            hook(source, entry.max_jobs, self.sim.now)
         self._log("migrate_request", source)
         waiter = _Waiter(entry, source)
         self._awaiting.setdefault(source, deque()).append(waiter)
@@ -199,7 +198,6 @@ class ReconfigController:
 
     def _rebind(self, job: Job, source: str, target: str, entry: JobMigration) -> None:
         master = self.host.master
-        metrics = self.host.metrics
         node = self.host.workers.get(target)
         now = self.sim.now
         if (
@@ -213,10 +211,10 @@ class ReconfigController:
             # clone, so no download trace events and no data-load
             # accounting -- a warm start's preload.
             node.preload({job.repo_id: job.size_mb})
-            metrics.trace.record(now, "migrate_prewarm", job.job_id, target, job.repo_id)
+            for hook in self.hooks.migrate_prewarm:
+                hook(job.job_id, target, job.repo_id, now)
         for hook in self.hooks.migration_rebind:
             hook(job.job_id, source, target, now)
-        metrics.job_migrated(now, job, source, target)
         self._log("migrate_rebind", f"{job.job_id}:{source}->{target}")
         master.assign(job, target)
 
@@ -325,18 +323,16 @@ class ReconfigController:
                 hook(self.sim.now)
 
     def _skip_migration(self, source: Optional[str], reason: str) -> None:
-        self.host.metrics.trace.record(
-            self.sim.now, "migrate_skipped", "-", source, reason
-        )
+        for hook in self.hooks.migrate_skipped:
+            hook(source, reason, self.sim.now)
         self._log("migrate_skipped", f"{source}:{reason}")
 
     # -- hot-swap ----------------------------------------------------------
 
     def _swap(self, entry: SchedulerSwap) -> None:
         old = self.host.master.policy
-        self.host.metrics.trace.record(
-            self.sim.now, "swap_quiesce", "-", None, f"{old.name}->{entry.scheduler}"
-        )
+        for hook in self.hooks.swap_quiesce:
+            hook(old.name, entry.scheduler, self.sim.now)
         self._log("swap_quiesce", f"{old.name}->{entry.scheduler}")
         old.begin_quiesce()
         self._poll_quiescent(entry, old, self.sim.now + entry.quiesce_timeout_s)
@@ -347,12 +343,10 @@ class ReconfigController:
             return
         host = self.host
         master = host.master
-        metrics = host.metrics
         if not old.quiescent():
             old.end_quiesce()
-            metrics.trace.record(
-                self.sim.now, "swap_skipped", "-", None, "quiesce-timeout"
-            )
+            for hook in self.hooks.swap_skipped:
+                hook("quiesce-timeout", self.sim.now)
             self._log("swap_skipped", "quiesce-timeout")
             return
         # The handoff is one turn, atomic in simulation time, so no
@@ -378,7 +372,8 @@ class ReconfigController:
         new_master.import_state(exported)
         for hook in self.hooks.swap_import:
             hook([job.job_id for job in exported], new_master, now)
-        metrics.scheduler_swapped(now, old.name, new_master.name)
+        for hook in self.hooks.swap_done:
+            hook(old.name, new_master.name, now)
         self._log("swap_done", f"{old.name}->{new_master.name}")
         # Rebind the runtime's references so worker restarts (and any
         # later swap) build successor-policy components.

@@ -69,20 +69,17 @@ class MasterPolicy:
     def messages_witnessed(self) -> bool:
         """Whether anything can tell this policy's individual messages
         apart: the trace, a subscriber on a message seam (``publish``,
-        ``deliver``) or a contest seam (``contest_opened``, ``bid``,
-        ``contest_closed``; :mod:`repro.hooks`), or a broker that may
-        lose or hold one.  Only if not may an exchange be worked out
-        instead of sent (computed contests, settled declines;
-        ARCHITECTURE.md section 12).  This is the one list of witnesses."""
+        ``deliver``; :mod:`repro.hooks`), or a broker that may lose or
+        hold one.  Only if not may an exchange be worked out instead of
+        sent (computed contests, settled declines; ARCHITECTURE.md
+        section 12 says why a contest seam's subscriber is no witness).
+        This is the one list of witnesses."""
         master = self.master
         hooks = master.hooks
         return (
             master.metrics.trace.enabled
             or hooks.publish != ()
             or hooks.deliver != ()
-            or hooks.contest_opened != ()
-            or hooks.bid != ()
-            or hooks.contest_closed != ()
             or not master.topology.broker.reliable
         )
 

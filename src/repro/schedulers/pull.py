@@ -108,7 +108,8 @@ class PullMasterPolicy(MasterPolicy):
 
     def _offer(self, worker: str, job: Job, prior_offers: int = 0) -> None:
         self.in_flight[job.job_id] = (worker, job)
-        self.master.metrics.offer_made(self.master.sim.now, job, worker)
+        for hook in self.master.hooks.offered:
+            hook(job.job_id, worker, self.master.sim.now)
         if not (self.workers_decline and self._settle(worker, job, prior_offers)):
             self.master.send_to_worker(worker, JobOffer(job=job, prior_offers=prior_offers))
 
@@ -151,9 +152,8 @@ class PullMasterPolicy(MasterPolicy):
             self._pulled(message.worker, message.attempt)
         elif isinstance(message, JobAccept):
             self.in_flight.pop(message.job.job_id, None)
-            self.master.metrics.offer_accepted(
-                self.master.sim.now, message.job, message.worker
-            )
+            for hook in self.master.hooks.accepted:
+                hook(message.job.job_id, message.worker, self.master.sim.now)
             self.master.note_external_assignment(message.job, message.worker)
         elif isinstance(message, JobReject):
             self._declined(message.job, message.worker)
@@ -165,7 +165,8 @@ class PullMasterPolicy(MasterPolicy):
         """``worker`` declined ``job``: "returned to the master so
         another worker can consider it"."""
         self.in_flight.pop(job.job_id, None)
-        self.master.metrics.offer_rejected(self.master.sim.now, job, worker)
+        for hook in self.master.hooks.rejected:
+            hook(job.job_id, worker, self.master.sim.now)
         self._rejected(job)
         self._serve()
 

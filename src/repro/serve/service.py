@@ -100,7 +100,7 @@ class ServiceRuntime(Deployment):
         # external intake: the dispatcher submits.
         super().__init__(profile, scheduler, config, ("service",), faults=faults, reconfig=reconfig)
         self.admission = AdmissionController(self.sim, admission_config or AdmissionConfig())
-        self.slo = SLOTracker(self.metrics, deadline_s=self.service_config.deadline_s)
+        self.slo = SLOTracker(deadline_s=self.service_config.deadline_s)
         # Completion tracking: behind the host's watchers on the
         # ``completed`` and ``failed`` seams.
         self.hooks.subscribe(self)
@@ -192,7 +192,9 @@ class ServiceRuntime(Deployment):
                 if decision.action == ADMIT:
                     self._kick_dispatcher()
                 else:
-                    self.slo.job_shed(sim.now, job, decision.reason)
+                    self.slo.job_shed(job)
+                    for hook in self.hooks.shed:
+                        hook(job.job_id, decision.reason, sim.now)
             at = next(self._arrival_times, None)
             if at is None or at > self.service_config.duration_s:
                 break
@@ -240,7 +242,7 @@ class ServiceRuntime(Deployment):
         self.slo.job_completed(now, job)
         self._kick_dispatcher()
 
-    def on_failed(self, job, now) -> None:
+    def on_failed(self, job, reason, now) -> None:
         # A permanently failed job must release its dispatcher slot, or
         # the intake never closes (conservation: completed + failed ==
         # admitted).

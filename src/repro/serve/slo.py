@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.metrics.collector import MetricsCollector
 from repro.workload.job import Job
 
 
@@ -129,12 +128,9 @@ class SLOTracker:
     scheduling + download + processing.
     """
 
-    def __init__(
-        self, metrics: MetricsCollector, deadline_s: Optional[float] = None
-    ) -> None:
+    def __init__(self, deadline_s: Optional[float] = None) -> None:
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        self.metrics = metrics
         self.deadline_s = deadline_s
         self.latency = LatencyStats()
         self.arrivals = 0
@@ -148,10 +144,9 @@ class SLOTracker:
         self.arrivals += 1
         self._arrived_at[job.job_id] = now
 
-    def job_shed(self, now: float, job: Job, reason: str) -> None:
-        """Admission turned the job away."""
+    def job_shed(self, job: Job) -> None:
+        """Admission turned the job away (the ``shed`` seam counts it)."""
         self._arrived_at.pop(job.job_id, None)
-        self.metrics.job_shed(now, job, reason)
 
     def job_completed(self, now: float, job: Job) -> None:
         """The job finished; record its sojourn latency."""

@@ -11,6 +11,7 @@ from repro.cluster.worker_spec import WorkerSpec
 from repro.data.cache import WorkerCache
 from repro.engine.worker import WorkerNode
 from repro.fleet import FleetState
+from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import Topology, TopologyConfig
 from repro.schedulers.base import WorkerPolicy
@@ -45,14 +46,16 @@ def make_worker(
     if spec.name not in topology.node_latency:
         topology.add_node(spec.name, 0.0)
     machine = Machine(sim, spec, rng=np.random.default_rng(0))
+    hooks = Hooks()
+    hooks.subscribe(metrics if metrics is not None else MetricsCollector())
     worker = WorkerNode(
         sim=sim,
         topology=topology,
         machine=machine,
         cache=WorkerCache(capacity_mb=cache_capacity),
         policy=policy or WorkerPolicy(),
-        metrics=metrics or MetricsCollector(),
         fleet=FleetState(),
+        hooks=hooks,
     )
     return worker
 

@@ -119,9 +119,8 @@ class ReferenceMasterPolicy(MasterPolicy):
             # (Unknown job: a predecessor's bid after a bidding -> bidding
             # hot-swap; the master drops it as stale residue.)
             return False
-        self.master.metrics.bid_received(
-            self.master.sim.now, message.job_id, message.worker, message.cost_s
-        )
+        for hook in self.master.hooks.bid:
+            hook(message.job_id, message.worker, message.cost_s, self.master.sim.now)
         while contest.attempt != message.attempt and contest.previous is not None:
             contest = contest.previous  # a straggler from the job's earlier contest
         counted = contest.add_bid(message)
@@ -176,7 +175,8 @@ class ReferenceMasterPolicy(MasterPolicy):
                 contest.attempt = contest.previous.attempt + 1
             self.contests[job.job_id] = contest
             self.open_contests += 1
-            master.metrics.contest_opened(master.sim.now, job)
+            for hook in master.hooks.contest_opened:
+                hook(job.job_id, master.sim.now)
             master.broadcast(JobAnnouncement(job=job, attempt=contest.attempt))
             window = master.sim.timeout(self.window_s)
             yield AnyOf(master.sim, [window, contest.all_bids, contest.fast_close])
@@ -190,13 +190,15 @@ class ReferenceMasterPolicy(MasterPolicy):
                 and job.job_id not in self._rebids
             ):
                 self._rebids.add(job.job_id)
-                master.metrics.contest_closed(master.sim.now, job, None, duration, outcome)
+                for hook in master.hooks.contest_closed:
+                    hook(job.job_id, None, duration, outcome, master.sim.now)
                 self._pending.put(job)
                 self._busy_runners -= 1
                 continue
             if winner is None:
                 winner = master.arbitrary_worker()
-            master.metrics.contest_closed(master.sim.now, job, winner, duration, outcome)
+            for hook in master.hooks.contest_closed:
+                hook(job.job_id, winner, duration, outcome, master.sim.now)
             master.assign(job, winner)
             self._busy_runners -= 1
 

@@ -228,7 +228,6 @@ class ReferenceWorkerNode(WorkerNode):
             self.fleet.report(self.fleet_slot, self._outstanding_jobs, len(self.queue))
             self.policy.on_state_changed((job.repo_id,))
             started = self.sim.now
-            self.metrics.job_started(started, job, self.name)
             for hook in self.hooks.job_started:
                 hook(job.job_id, self.name, started)
             try:
@@ -266,17 +265,16 @@ class ReferenceWorkerNode(WorkerNode):
                 self._prefetch_credit.discard(job.job_id)
                 self.cache.lookup(job.repo_id)
             elif self.cache.lookup(job.repo_id):
-                self.metrics.record_cache_hit(self.sim.now, self.name, job)
                 for hook in self.hooks.cache_hit:
-                    hook(self.name, job.repo_id, self.sim.now)
+                    hook(job, self.name, self.sim.now)
             else:
-                self.metrics.record_cache_miss(self.sim.now, self.name, job)
+                for hook in self.hooks.download_started:
+                    hook(job, self.name, self.sim.now)
                 yield from self.machine.download(job.size_mb)
                 self.cache.insert(job.repo_id, job.size_mb)
                 self.policy.on_state_changed((job.repo_id,))
-                self.metrics.record_download(self.sim.now, self.name, job, job.size_mb)
                 for hook in self.hooks.cache_fetch:
-                    hook(self.name, job.repo_id, self.sim.now)
+                    hook(job, self.name, job.size_mb, self.sim.now)
         task = self.pipeline.task_of(job) if self.pipeline is not None else None
         if task is not None and task.sim_work is not None:
             finished = self.sim.event()
@@ -311,7 +309,8 @@ class ReferenceWorkerNode(WorkerNode):
                 continue
             done = Event(self.sim)
             self._prefetch_inflight[target.repo_id] = done
-            self.metrics.record_cache_miss(self.sim.now, self.name, target)
+            for hook in self.hooks.download_started:
+                hook(target, self.name, self.sim.now)
             try:
                 yield from self.machine.download(target.size_mb, priority=1)
             except Interrupt:
@@ -319,11 +318,8 @@ class ReferenceWorkerNode(WorkerNode):
                 return
             self.cache.insert(target.repo_id, target.size_mb)
             self.policy.on_state_changed((target.repo_id,))
-            self.metrics.record_download(
-                self.sim.now, self.name, target, target.size_mb
-            )
             for hook in self.hooks.cache_fetch:
-                hook(self.name, target.repo_id, self.sim.now)
+                hook(target, self.name, target.size_mb, self.sim.now)
             self._prefetch_credit.add(target.job_id)
             del self._prefetch_inflight[target.repo_id]
             done.succeed()
@@ -383,7 +379,6 @@ class ReferenceWorkerNode(WorkerNode):
             self.unfinished.pop(job.job_id, None)
             self._outstanding_jobs -= 1
             self._prefetch_credit.discard(job.job_id)
-            self.metrics.trace.record(now, "migrate_checkpoint", job.job_id, self.name)
             for hook in self.hooks.migration_checkpoint:
                 hook(job.job_id, self.name, now)
         if taken:

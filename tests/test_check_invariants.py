@@ -279,7 +279,7 @@ class TestRecentEvents:
         bidding, baseline = SimpleNamespace(name="bidding"), SimpleNamespace(name="baseline")
         m.on_submitted("j{1}", 0.0)
         m.on_contest_opened("j{1}", 0.25)
-        m.on_bid("j{1}", "w1", 0.5)
+        m.on_bid("j{1}", "w1", 4.0, 0.5)
         m.on_contest_closed("j{1}", "w1", 0.5, "full", 0.75)
         m.on_contest_closed("j{1}", None, 0.5, "fallback", 0.8)
         m.on_assigned(job, "w1", bidding, 1.0)
@@ -287,11 +287,11 @@ class TestRecentEvents:
         m.on_deliver("t", "w1", message, 1.125)
         m.on_enqueued("j{1}", "w1", 1.25)
         m.on_job_started("j{1}", "w1", 1.5)
-        m.on_cache_fetch("w1", "r0", 2.0)
-        m.on_cache_hit("w1", "r0", 2.5)
+        m.on_cache_fetch(job, "w1", 1.0, 2.0)
+        m.on_cache_hit(job, "w1", 2.5)
         m.on_transfer_complete(10.0, 12.5, 1.25, 3.0)
         m.on_transfer_complete(1e9, 1e-7, 1e-16, 3.0)
-        m.on_orphaned("j{1}", 3.5)
+        m.on_orphaned("j{1}", "w1", 3.5)
         m.on_redispatched("j{1}", 3.5)
         m.on_migration_checkpoint("j2", "w1", 4.0)
         m.on_migration_rebind("j2", None, "w2", 4.5)
@@ -300,7 +300,7 @@ class TestRecentEvents:
         m.on_swap_import(["a", "b"], baseline, 5.0)
         m.on_completed(job, None, 6.0)
         m.on_duplicate_completion("j{1}", "w2", 6.5)
-        m.on_failed(job, 7.0)
+        m.on_failed(job, "lost", 7.0)
         m.on_service_close(3, 2, 1, 8.0)
         m.on_fault("crash", "w1 {down}", 9.0)
         assert list(m.events) == [

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_spec, make_worker
 from repro.engine.messages import Assignment, Hello, JobCompleted, worker_topic
+from repro.metrics.collector import MetricsCollector
 from repro.net.topology import Topology, TopologyConfig
 from repro.sim import Simulator
 from repro.workload.job import Job
@@ -30,25 +31,27 @@ def zero_topology(sim, names):
 
 class TestExecution:
     def test_cold_job_downloads_then_processes(self, sim):
-        worker = make_worker(sim, make_spec(network=10.0, rw=50.0))
+        metrics = MetricsCollector()
+        worker = make_worker(sim, make_spec(network=10.0, rw=50.0), metrics=metrics)
         worker.start()
         worker.enqueue(analysis_job(size=100.0))
         sim.run()
         # 10 s download + 2 s scan.
         assert sim.now == pytest.approx(12.0)
         assert worker.cache.peek("r1")
-        assert worker.metrics.total_cache_misses == 1
-        assert worker.metrics.total_mb_downloaded == pytest.approx(100.0)
+        assert metrics.total_cache_misses == 1
+        assert metrics.total_mb_downloaded == pytest.approx(100.0)
 
     def test_warm_job_skips_download(self, sim):
-        worker = make_worker(sim, make_spec(network=10.0, rw=50.0))
+        metrics = MetricsCollector()
+        worker = make_worker(sim, make_spec(network=10.0, rw=50.0), metrics=metrics)
         worker.cache.insert("r1", 100.0)
         worker.start()
         worker.enqueue(analysis_job(size=100.0))
         sim.run()
         assert sim.now == pytest.approx(2.0)
-        assert worker.metrics.total_cache_hits == 1
-        assert worker.metrics.total_mb_downloaded == 0.0
+        assert metrics.total_cache_hits == 1
+        assert metrics.total_mb_downloaded == 0.0
 
     def test_fifo_order(self, sim):
         worker = make_worker(sim)
@@ -68,12 +71,13 @@ class TestExecution:
         assert completed == ["j0", "j1", "j2"]
 
     def test_data_free_job_costs_compute_only(self, sim):
-        worker = make_worker(sim, make_spec(cpu_factor=2.0))
+        metrics = MetricsCollector()
+        worker = make_worker(sim, make_spec(cpu_factor=2.0), metrics=metrics)
         worker.start()
         worker.enqueue(Job(job_id="s", task="RepositoryAnalyzer", base_compute_s=4.0))
         sim.run()
         assert sim.now == pytest.approx(2.0)
-        assert worker.metrics.total_cache_misses == 0
+        assert metrics.total_cache_misses == 0
 
     def test_completion_message_published(self, sim):
         topology = zero_topology(sim, ["w1"])
@@ -153,11 +157,14 @@ class TestIdleTracking:
 class TestInbox:
     def test_assignment_enqueued_with_default_estimate(self, sim):
         topology = zero_topology(sim, ["w1"])
-        worker = make_worker(sim, make_spec(network=10.0, rw=50.0), topology=topology)
+        metrics = MetricsCollector()
+        worker = make_worker(
+            sim, make_spec(network=10.0, rw=50.0), topology=topology, metrics=metrics
+        )
         worker.start()
         topology.broker.publish(worker_topic("w1"), Assignment(job=analysis_job(size=100.0)))
         sim.run()
-        assert worker.metrics.total_cache_misses == 1
+        assert metrics.total_cache_misses == 1
         assert sim.now == pytest.approx(12.0)
 
     def test_unhandled_message_raises(self, sim):

@@ -1,9 +1,11 @@
 """The observer seams (:mod:`repro.hooks`): the list is closed, the
-witnesses of a message are one predicate, and no guard creeps back."""
+witnesses of a message are one predicate, every mutation is emitted
+once, and no guard creeps back."""
 
 import ast
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.check.invariants import InvariantMonitor
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.exec.plan import PlanRecorder
 from repro.hooks import SEAMS, Hooks
+from repro.metrics.collector import MetricsCollector
 from repro.obs import DecisionLedger, ObsConfig, ObsRecorder
 from repro.schedulers.registry import make_scheduler
 from repro.serve import ServiceRuntime
@@ -22,7 +25,14 @@ from repro.workload.msr import TASK_ANALYZER
 SRC = pathlib.Path(repro.__file__).parent
 
 #: Every class the hosts subscribe to a table.
-SUBSCRIBERS = (InvariantMonitor, ObsRecorder, DecisionLedger, ServiceRuntime, PlanRecorder)
+SUBSCRIBERS = (
+    MetricsCollector,
+    InvariantMonitor,
+    ObsRecorder,
+    DecisionLedger,
+    ServiceRuntime,
+    PlanRecorder,
+)
 
 #: The modules that emit on the seams instead of holding an observer.
 EMITTERS = (
@@ -30,12 +40,16 @@ EMITTERS = (
     "engine/worker.py",
     "net/broker.py",
     "net/bandwidth.py",
-    "metrics/collector.py",
+    "core/bidding.py",
+    "schedulers/pull.py",
     "reconfig/controller.py",
     "faults/injector.py",
     "serve/service.py",
     "exec/pool.py",
 )
+
+#: The seams a bidding contest is emitted on.
+CONTEST_SEAMS = ("contest_opened", "bid", "contest_closed")
 
 WATCHER_NAMES = frozenset({"monitor", "obs", "ledger"})
 
@@ -70,7 +84,9 @@ class TestTheListIsClosed:
         handled = {seam for cls in SUBSCRIBERS for seam in hooks_of(cls)}
         assert set(SEAMS) - handled == set()
 
-    @pytest.mark.parametrize("cls", [InvariantMonitor, ObsRecorder], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize(
+        "cls", [MetricsCollector, InvariantMonitor, ObsRecorder], ids=lambda cls: cls.__name__
+    )
     def test_every_public_hook_names_a_seam(self, cls):
         assert set(hooks_of(cls)) - set(SEAMS) == set()
 
@@ -160,6 +176,102 @@ def test_messages_witnessed_per_cell(cell, scheduler):
     )
     runtime.master.start()  # binds the policy
     assert runtime.master.policy.messages_witnessed() is witnessed
+
+
+def test_every_other_contest_watcher_also_watches_the_messages():
+    # Why a contest seam need not be a witness: of the hosts' watchers,
+    # only the collector handles a contest seam without seeing the
+    # messages themselves, and its counts survive a computed contest.
+    for cls in SUBSCRIBERS:
+        handled = hooks_of(cls)
+        if cls is not MetricsCollector and any(seam in handled for seam in CONTEST_SEAMS):
+            assert "publish" in handled or "deliver" in handled, cls.__name__
+
+
+def bidding_run(trace):
+    jobs = [
+        Job(job_id=f"j{i}", task=TASK_ANALYZER, repo_id=f"r{i % 3}", size_mb=10.0 + i)
+        for i in range(12)
+    ]
+    return WorkflowRuntime(
+        profile=make_profile(make_spec("w1"), make_spec("w2"), make_spec("w3", network=5.0)),
+        stream=JobStream.burst(jobs),
+        scheduler=make_scheduler("bidding"),
+        config=EngineConfig(seed=5, trace=trace),
+    )
+
+
+def totals(metrics):
+    """Every counter of ``metrics`` but the trace."""
+    fields = {
+        name: value
+        for name, value in vars(metrics).items()
+        if name not in ("trace", "workers") and not name.startswith("_")
+    }
+    return fields, {name: vars(block) for name, block in metrics.workers.items()}
+
+
+def test_a_subscribed_collector_leaves_contests_computed():
+    computed = bidding_run(trace=False)
+    assert computed.metrics.on_contest_opened in computed.hooks.contest_opened
+    computed.run()
+    assert computed.master.policy.messages_witnessed() is False
+    assert computed.metrics.contests_opened == 12
+    assert computed.master.policy.planes.bidders  # the contests ran off the planes
+    brokered = bidding_run(trace=True)
+    brokered.run()
+    assert brokered.master.policy.planes.bidders == []
+    assert totals(computed.metrics) == totals(brokered.metrics)
+
+
+#: A call that mutates the collector: one of its handlers, or a name the
+#: model called it by before it became a subscriber.
+MUTATION = re.compile(
+    r"on_\w+|job_\w+|worker_\w+|record_\w+|offer_\w+|contest_\w+"
+    r"|bid_received|run_\w+|scheduler_swapped|duplicate_suppressed"
+)
+
+
+def direct_reports(tree):
+    """Lines of ``<...>.metrics.<mutation>(...)`` and ``<...>.trace.record(...)``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        receiver, method = node.func.value, node.func.attr
+        name = getattr(receiver, "attr", None) or getattr(receiver, "id", None)
+        if (name == "metrics" and MUTATION.fullmatch(method)) or (
+            name == "trace" and method == "record"
+        ):
+            yield node.lineno
+
+
+def test_the_gate_knows_every_collector_mutation():
+    public = {
+        name
+        for name, member in vars(MetricsCollector).items()
+        if callable(member) and not name.startswith("_") and name != "worker"
+    }
+    assert {name for name in public if not MUTATION.fullmatch(name)} == set()
+
+
+def test_nothing_outside_metrics_reports_to_the_collector_directly():
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.parent.name != "metrics"
+        for line in direct_reports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_gate_catches_a_direct_report():
+    source = (
+        "self.metrics.job_assigned(now, job, worker)\n"
+        "master.metrics.on_shed(job_id, reason, now)\n"
+        "self.host.metrics.trace.record(now, 'swap_done', '-')\n"
+        "self.master.metrics.worker(name)\n"  # a get-or-create, not a report
+    )
+    assert list(direct_reports(ast.parse(source))) == [1, 2, 3]
 
 
 def test_the_master_keeps_no_listener_list():

@@ -87,24 +87,24 @@ class TestTrace:
 class TestCollector:
     def test_makespan(self):
         metrics = MetricsCollector()
-        metrics.run_started(10.0)
-        metrics.run_finished(250.0)
+        metrics.on_run_started(10.0)
+        metrics.on_run_finished(250.0)
         assert metrics.makespan == pytest.approx(240.0)
 
     def test_makespan_requires_completion(self):
         metrics = MetricsCollector()
-        metrics.run_started(0.0)
+        metrics.on_run_started(0.0)
         with pytest.raises(RuntimeError):
             _ = metrics.makespan
 
     def test_cache_counters_aggregate_over_workers(self):
         metrics = MetricsCollector()
         job = make_job()
-        metrics.record_cache_miss(1.0, "w1", job)
-        metrics.record_cache_miss(2.0, "w2", job)
-        metrics.record_cache_hit(3.0, "w1", job)
-        metrics.record_download(4.0, "w1", job, 10.0)
-        metrics.record_download(5.0, "w2", job, 10.0)
+        metrics.on_download_started(job, "w1", 1.0)
+        metrics.on_download_started(job, "w2", 2.0)
+        metrics.on_cache_hit(job, "w1", 3.0)
+        metrics.on_cache_fetch(job, "w1", 10.0, 4.0)
+        metrics.on_cache_fetch(job, "w2", 10.0, 5.0)
         assert metrics.total_cache_misses == 2
         assert metrics.total_cache_hits == 1
         assert metrics.total_mb_downloaded == pytest.approx(20.0)
@@ -113,9 +113,9 @@ class TestCollector:
     def test_contest_accounting(self):
         metrics = MetricsCollector()
         job = make_job()
-        metrics.contest_opened(0.0, job)
-        metrics.bid_received(0.1, job.job_id, "w1", 5.0)
-        metrics.contest_closed(1.0, job, "w1", 1.0, "timeout")
+        metrics.on_contest_opened(job.job_id, 0.0)
+        metrics.on_bid(job.job_id, "w1", 5.0, 0.1)
+        metrics.on_contest_closed(job.job_id, "w1", 1.0, "timeout", 1.0)
         assert metrics.contests_opened == 1
         assert metrics.contests_closed_timeout == 1
         assert metrics.contest_seconds == pytest.approx(1.0)
@@ -124,15 +124,15 @@ class TestCollector:
     def test_contest_outcome_validated(self):
         metrics = MetricsCollector()
         with pytest.raises(ValueError):
-            metrics.contest_closed(1.0, make_job(), "w", 1.0, "weird")
+            metrics.on_contest_closed(make_job().job_id, "w", 1.0, "weird", 1.0)
 
     def test_offer_accounting(self):
         metrics = MetricsCollector()
         job = make_job()
-        metrics.offer_made(0.0, job, "w1")
-        metrics.offer_rejected(0.1, job, "w1")
-        metrics.offer_made(0.2, job, "w2")
-        metrics.offer_accepted(0.3, job, "w2")
+        metrics.on_offered(job.job_id, "w1", 0.0)
+        metrics.on_rejected(job.job_id, "w1", 0.1)
+        metrics.on_offered(job.job_id, "w2", 0.2)
+        metrics.on_accepted(job.job_id, "w2", 0.3)
         assert metrics.offers_made == 2
         assert metrics.rejections_seen == 1
         assert metrics.workers["w2"].offers_accepted == 1

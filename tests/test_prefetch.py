@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_profile, make_spec, make_worker
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.metrics.collector import MetricsCollector
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler
 from repro.workload.job import Job, JobArrival, JobStream
@@ -47,25 +48,27 @@ class TestPrefetcherUnit:
         assert sim.now == pytest.approx(40.0)
 
     def test_accounting_identity_preserved(self, sim):
-        worker = make_worker(sim, make_spec(network=10.0, rw=10.0))
+        metrics = MetricsCollector()
+        worker = make_worker(sim, make_spec(network=10.0, rw=10.0), metrics=metrics)
         worker.prefetch = True
         worker.start()
         for index in range(4):
             worker.enqueue(analysis_job(f"j{index}", f"r{index}", size=50.0))
         sim.run()
-        metrics = worker.metrics
+
         assert metrics.total_cache_misses == 4
         assert metrics.total_cache_hits == 0
         assert metrics.total_mb_downloaded == pytest.approx(200.0)
 
     def test_shared_repo_downloaded_once(self, sim):
-        worker = make_worker(sim, make_spec(network=10.0, rw=10.0))
+        metrics = MetricsCollector()
+        worker = make_worker(sim, make_spec(network=10.0, rw=10.0), metrics=metrics)
         worker.prefetch = True
         worker.start()
         for index in range(3):
             worker.enqueue(analysis_job(f"j{index}", "hot", size=50.0))
         sim.run()
-        metrics = worker.metrics
+
         assert metrics.total_cache_misses == 1
         assert metrics.total_cache_hits == 2
         assert metrics.total_mb_downloaded == pytest.approx(50.0)

@@ -92,7 +92,7 @@ class TestLatencyStats:
 
 class TestSLOTracker:
     def test_measures_sojourn_latency(self):
-        tracker = SLOTracker(MetricsCollector())
+        tracker = SLOTracker()
         job = make_job(0)
         tracker.job_arrived(10.0, job)
         tracker.job_completed(17.5, job)
@@ -101,16 +101,17 @@ class TestSLOTracker:
 
     def test_shed_jobs_count_in_metrics_not_latency(self):
         metrics = MetricsCollector()
-        tracker = SLOTracker(metrics)
+        tracker = SLOTracker()
         job = make_job(0)
         tracker.job_arrived(1.0, job)
-        tracker.job_shed(1.0, job, "queue_full")
+        tracker.job_shed(job)
+        metrics.on_shed(job.job_id, "queue_full", 1.0)
         assert metrics.jobs_shed == 1
         assert tracker.completed == 0
         assert tracker.latency.count == 0
 
     def test_deadline_misses(self):
-        tracker = SLOTracker(MetricsCollector(), deadline_s=5.0)
+        tracker = SLOTracker(deadline_s=5.0)
         fast, slow = make_job(0), make_job(1)
         tracker.job_arrived(0.0, fast)
         tracker.job_completed(4.0, fast)
@@ -119,13 +120,13 @@ class TestSLOTracker:
         assert tracker.deadline_misses == 1
 
     def test_unknown_completion_is_ignored(self):
-        tracker = SLOTracker(MetricsCollector())
+        tracker = SLOTracker()
         tracker.job_completed(1.0, make_job(0))
         assert tracker.completed == 0
 
     def test_validates_deadline(self):
         with pytest.raises(ValueError):
-            SLOTracker(MetricsCollector(), deadline_s=0.0)
+            SLOTracker(deadline_s=0.0)
 
 
 def _minted_digest(source: SyntheticJobSource, seed: int, edits=()) -> tuple[str, float]:

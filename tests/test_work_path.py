@@ -18,6 +18,7 @@ from repro.data.cache import WorkerCache
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.engine.worker import WorkerNode
 from repro.fleet import FleetState
+from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.trace import Trace
 from repro.net.noise import UniformNoise
@@ -148,16 +149,18 @@ class Rig:
         for repo in warm:
             cache.insert(repo, 100.0)
         hooked = SimpleNamespace(sim_work=self.sim_work)
+        hooks = Hooks()
+        hooks.subscribe(MetricsCollector(trace=LoggingTrace(log)))
         self.worker = worker = node_cls(
             sim=sim,
             topology=topology,
             machine=machine,
             cache=cache,
             policy=SpyPolicy(),
-            metrics=MetricsCollector(trace=LoggingTrace(log)),
             fleet=FleetState(),
             pipeline=SimpleNamespace(task_of=lambda job: hooked if job.task == "Hooked" else None),
             prefetch=prefetch,
+            hooks=hooks,
         )
         inner = machine.link.observer
         machine.link.observer = lambda busy: (inner(busy), rig.note("link_busy", busy))
