@@ -39,7 +39,9 @@ Subcommands map one-to-one onto the experiment modules::
 ``--check-invariants`` to run under the live
 :class:`~repro.check.InvariantMonitor` (see :mod:`repro.check`).
 ``run`` and ``bench`` accept ``--profile-hot [N]`` to wrap the run in
-cProfile and print the top N functions by cumulative time.
+cProfile and print the top N functions by cumulative time, then the
+cycle collector's passes, finds and seconds per generation over the run
+and the process's peak RSS.
 
 ``--parallel N`` fans the independent simulation cells of a figure,
 ablation or sweep grid across N processes (every grid command, ``all``
@@ -51,6 +53,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro.experiments.configs import JOB_CONFIG_NAMES, PROFILE_NAMES
@@ -179,7 +182,8 @@ def _add_profile_flag(cmd: argparse.ArgumentParser) -> None:
         type=int,
         const=25,
         default=None,
-        help="run under cProfile and print the top N functions (default 25)",
+        help="run under cProfile and print the top N functions (default 25), "
+        "the cycle collector's work and the peak RSS",
     )
 
 
@@ -217,23 +221,54 @@ def _run_cell_flags(args: argparse.Namespace, **fields):
     return run_cell_observed(spec)
 
 
+class _CollectorWatch:
+    """A ``gc.callbacks`` entry: per generation, the cycle collector's
+    passes, the unreachable objects they found and their seconds."""
+
+    def __init__(self) -> None:
+        self.rows = [[0, 0, 0.0] for _generation in range(3)]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        row = self.rows[info["generation"]]
+        row[0] += 1
+        row[1] += info["collected"]
+        row[2] += time.perf_counter() - self._started
+
+
 def _maybe_profiled(args: argparse.Namespace, fn):
-    """Run ``fn`` -- under cProfile with a cumulative-time report when
-    ``--profile-hot`` was given -- and return its result."""
+    """Run ``fn`` -- under cProfile with a cumulative-time report, the
+    cycle collector's work and the peak RSS when ``--profile-hot`` was
+    given -- and return its result."""
     top = getattr(args, "profile_hot", None)
     if top is None:
         return fn()
     import cProfile
+    import gc
     import pstats
+    import resource
 
     profiler = cProfile.Profile()
+    watch = _CollectorWatch()
+    gc.callbacks.append(watch)
     profiler.enable()
     try:
         return fn()
     finally:
         profiler.disable()
+        gc.callbacks.remove(watch)
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.strip_dirs().sort_stats("cumulative").print_stats(top)
+        for generation, (passes, found, seconds) in enumerate(watch.rows):
+            print(
+                f"cycle collector, generation {generation}: {passes} passes, "
+                f"{found} objects found, {seconds:.3f} s"
+            )
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(f"peak RSS: {peak_kb / 1024:.1f} MB")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -227,6 +227,11 @@ class BiddingMasterPolicy(MasterPolicy):
     def on_run_finished(self) -> None:
         self.flush()
 
+    def release(self) -> None:
+        super().release()
+        for contest in self.contests.values():
+            contest.owner = None  # a contest still open when the run ended
+
     def decision_snapshot(self, job: Job, worker: str) -> object:
         """The job's contest, by reference: once closed nothing writes its
         planes again (late bids go to ``late_bids``; ARCHITECTURE.md
@@ -353,7 +358,6 @@ class BiddingMasterPolicy(MasterPolicy):
         """Close ``contest`` and assign its job (or run it again)."""
         master, job = self.master, contest.job
         contest.window.cancel()
-        contest.window = None  # its callback holds the contest
         if contest.computed:
             # A bid landing at the very instant the window expires is
             # late: the window's timer was armed before it was sent.
@@ -362,7 +366,6 @@ class BiddingMasterPolicy(MasterPolicy):
                 self._collect(contest, before_now=expired)
             if contest.timer is not None:
                 contest.timer.cancel()
-                contest.timer = None  # its callback holds the contest
         outcome = contest.close()
         self.open_contests -= 1
         winner = contest.winner()
@@ -841,6 +844,12 @@ class BiddingWorkerPolicy(WorkerPolicy):
             if self.contests is not None:
                 worker.cache.observer = worker.cache.observer.inner
                 self.contests.silence(self, "dequeue" if worker.alive else "evaluate")
+
+    def release(self) -> None:
+        super().release()
+        self.contests = self._mailbox = None
+        if self.estimator is not None:
+            self.estimator.worker = self.worker
 
     def on_drain(self) -> None:
         if self.contests is not None:

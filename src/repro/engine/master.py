@@ -139,8 +139,6 @@ class Master:
         self.done: Event = Event(sim)
         #: job_id -> worker, filled as assignments are decided.
         self.assignments: dict[str, str] = {}
-        #: Results of sink jobs (job_id -> JobCompleted) for inspection.
-        self.completions: dict[str, JobCompleted] = {}
         #: job_id -> reason for jobs declared permanently failed.
         self.failed_jobs: dict[str, str] = {}
         self._completed_ids: set[str] = set()
@@ -406,18 +404,14 @@ class Master:
         # workflow would be declared done with work left.
         for child in children:
             self.submit(child)
-        self._complete(job, message.worker, message)
+        self._complete(job, message.worker)
 
-    def _complete(
-        self, job: Job, worker: Optional[str], message: Optional[JobCompleted] = None
-    ) -> None:
+    def _complete(self, job: Job, worker: Optional[str]) -> None:
         self.outstanding -= 1
         if self.outstanding < 0:
             raise RuntimeError(f"job {job.job_id!r} completed more times than submitted")
         for hook in self.hooks.completed:
             hook(job, worker, self.sim.now)
-        if message is not None:
-            self.completions[job.job_id] = message
         self._check_done()
 
     def _on_worker_failure(self, message: WorkerFailure) -> None:

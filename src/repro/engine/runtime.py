@@ -263,6 +263,8 @@ class Deployment:
 
         #: The fleet planes every decision reads (see :mod:`repro.fleet`).
         self.fleet = FleetState()
+        #: Nodes a restart replaced, released with the live ones.
+        self._dead: list[WorkerNode] = []
         self.workers: dict[str, WorkerNode] = {
             spec.name: self._build_node(spec, (initial_caches or {}).get(spec.name))
             for spec in profile.specs
@@ -354,6 +356,7 @@ class Deployment:
         keep_cache = self.faults is None or self.faults.restart_keeps_cache
         node = self._build_node(old.spec, old.cache.contents() if keep_cache else None)
         self.workers[name] = node
+        self._dead.append(old)
         self.master.revive_worker(name)
         node.start()
         self._seed_views([node])
@@ -422,15 +425,37 @@ class Deployment:
         """Run until the master is done, then close the observers and
         check the end-of-run laws.  A run still going at
         ``config.max_sim_time`` raises ``RuntimeError`` with the
-        runtime's :meth:`_stall_message`."""
-        self.sim.call_later(self.config.max_sim_time, self._deadline)
-        self.sim.run(until=self.master.done)
-        if self.obs is not None:
-            self.obs.finish()
-        if self.monitor is not None:
-            # End-of-run conservation laws come before a runtime's own
-            # escalation: a broken law is the more fundamental error.
-            self.monitor.final_check()
+        runtime's :meth:`_stall_message`.  Either way the run is then
+        released (:meth:`_release`)."""
+        try:
+            self.sim.call_later(self.config.max_sim_time, self._deadline)
+            self.sim.run(until=self.master.done)
+            if self.obs is not None:
+                self.obs.finish()
+            if self.monitor is not None:
+                # End-of-run conservation laws come before a runtime's own
+                # escalation: a broken law is the more fundamental error.
+                self.monitor.final_check()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Cut every edge that points back up the run's object graph, so
+        that it is a tree and dropping the runtime frees it by reference
+        counting alone (ARCHITECTURE section 5, *A run's memory*).  What
+        a caller reads after the run hangs off parent-to-child edges,
+        which stay."""
+        self.sim.close()
+        self.hooks.clear()
+        self.topology.broker.close()
+        self.fleet.detach_nodes()
+        self.master.policy.release()
+        for node in (*self.workers.values(), *self._dead):
+            node.release()
+        if self.injector is not None:
+            self.injector.restart = None
+        if self.reconfig_controller is not None:
+            self.reconfig_controller.release()
 
     def _deadline(self) -> None:
         if not self.master.done.triggered:

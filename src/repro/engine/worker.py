@@ -21,7 +21,7 @@ as ``totalCostOfUnfinishedJobs()`` (Listing 2 line 2).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.machine import Machine
 from repro.data.cache import WorkerCache
@@ -127,7 +127,7 @@ class WorkerNode:
         self._started_at = 0.0
         self._download: Optional[Transfer] = None
         self._awaits_prefetch = False
-        self._sim_work: Optional[Callable] = None
+        self._sim_work: Optional[object] = None
         #: Prefetch extension: download queued jobs' repositories while
         #: the CPU processes earlier jobs (off = the paper's strictly
         #: serial download-then-process execution).  A second machine of
@@ -363,19 +363,21 @@ class WorkerNode:
         job = self.current_job
         task = self.pipeline.task_of(job) if self.pipeline is not None else None
         if task is not None and task.sim_work is not None:
+            # This attempt's token: ``done`` names it rather than itself,
+            # which would make it a reference cycle.
+            token = self._sim_work = object()
 
             def done(_result=None) -> None:
-                self.sim.call_soon(self._worked, done, urgent=False)
+                self.sim.call_soon(self._worked, token, urgent=False)
 
-            self._sim_work = done
             self.sim.call_soon(task.sim_work, job, self.machine, self.sim, done)
         else:
             self._scan()
 
-    def _worked(self, done: Callable) -> None:
+    def _worked(self, token: object) -> None:
         # A stale ``done``: the job it worked for is gone (killed or
         # checkpointed).
-        if done is self._sim_work:
+        if token is self._sim_work:
             self._sim_work = None
             self._scan()
 
@@ -536,6 +538,15 @@ class WorkerNode:
         policies.  Idempotent."""
         self.draining = True
         self.policy.on_drain()
+
+    def release(self) -> None:
+        """The run is over: let go of the work still in flight -- a
+        transfer's ``done`` and a ``sim_work``'s callback point back at
+        this node -- and release the policy."""
+        self._abandon_job()
+        if self._prefetch_download is not None:
+            self._prefetch_download.abandon()
+        self.policy.release()
 
     # -- failure injection (extension) ---------------------------------------
 

@@ -319,6 +319,12 @@ class FleetState:
         link.observer = self._link_observer(slot)
         return slot
 
+    def detach_nodes(self) -> None:
+        """End of the run: forget the attached nodes, whose cache and
+        link observers point back at these planes.  The planes stay
+        readable."""
+        self.nodes = [None] * len(self.nodes)
+
     def _link_observer(self, slot: int) -> Callable[[bool], None]:
         def observe(busy: bool, _slot: int = slot) -> None:
             self.link_busy[_slot] = busy

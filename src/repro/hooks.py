@@ -115,6 +115,10 @@ class Hooks:
             subscribed = table[seam] if seam in table else ()  # else the class default
             table[seam] = subscribed + (MethodType(handler, watcher),)
 
+    def clear(self) -> None:
+        """Unsubscribe every watcher: each seam is empty again."""
+        self.__dict__.clear()
+
 
 # Every seam starts unwatched: an empty tuple on the class, which a
 # table shadows once something subscribes to it.

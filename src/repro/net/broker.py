@@ -105,22 +105,29 @@ class Subscription:
     With an :attr:`owner` (every node of the engine: a
     :class:`Mailbox`), the broker hands it each message as it arrives.
     Without one (test tools, reference implementations), messages
-    collect in the :attr:`queue` store; consume them with
-    ``msg = yield subscription.get()``.
+    collect in the :attr:`queue` store, built on first use; consume
+    them with ``msg = yield subscription.get()``.
     """
 
-    def __init__(self, broker: "Broker", topic: str, name: str, latency: float) -> None:
-        self.broker = broker
+    def __init__(self, sim: "Simulator", topic: str, name: str, latency: float) -> None:
+        self.sim = sim
         self.topic = topic
         self.name = name
         self.latency = latency
-        self.queue: Store = Store(broker.sim)
+        self._queue: Optional[Store] = None
         #: Number of messages delivered into this mailbox.
         self.delivered = 0
         #: Whoever consumes this subscription: handed each message as it
         #: arrives (``owner.deliver(message)``), nothing goes through
         #: :attr:`queue`.
         self.owner: Any = None
+
+    @property
+    def queue(self) -> Store:
+        """Where an owner-less subscription's messages collect."""
+        if self._queue is None:
+            self._queue = Store(self.sim)
+        return self._queue
 
     def get(self):
         """Shorthand for ``self.queue.get()``."""
@@ -175,6 +182,9 @@ class Broker:
         self.will_degrade = False
         self.rng = rng
         self._topics: dict[str, list[Subscription]] = {}
+        #: Unsubscribed, but a delivery already on its way still reaches
+        #: the owner (a dead node's mailbox bounces it).
+        self._departed: list[Subscription] = []
         #: Total messages published (all topics).
         self.published = 0
         #: Deliveries lost to the drop model.
@@ -202,7 +212,7 @@ class Broker:
         """
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        subscription = Subscription(self, topic, name, latency)
+        subscription = Subscription(self.sim, topic, name, latency)
         self._topics.setdefault(topic, []).append(subscription)
         return subscription
 
@@ -212,7 +222,20 @@ class Broker:
         try:
             subscribers.remove(subscription)
         except ValueError:
-            pass
+            return
+        self._departed.append(subscription)
+
+    def close(self) -> None:
+        """End of the run: every subscription this broker handed out
+        loses its owner -- whose handler belongs to the node that holds
+        the subscription -- and the topic table and held messages are
+        dropped.  Counters stay readable."""
+        for subscriptions in (*self._topics.values(), self._departed):
+            for subscription in subscriptions:
+                subscription.owner = None
+        self._topics.clear()
+        self._departed.clear()
+        self._held.clear()
 
     def subscribers(self, topic: str) -> list[Subscription]:
         """Current subscriptions on ``topic`` (empty list if none)."""

@@ -11,7 +11,8 @@ registry only exists when observability is enabled
 Hooks write rows, readers build records (ARCHITECTURE.md section 12): a
 tick appends one ``(now, row, columns)`` -- ``row`` the numbers as the
 gauges returned them, scalar gauges first, then each vector group's
-list; ``columns`` each sampled :class:`Probe`'s position in it, one dict
+list; ``columns`` each sampled :class:`Probe`'s position in it (by the
+probe's ``key``), one dict
 shared by every tick until the set of probes changes.  The per-probe
 ``(time, float)`` series are views computed when an exporter asks.
 
@@ -38,15 +39,19 @@ class Probe:
     #: True when the probe is fed by a vector group's shared gather
     #: (see :meth:`ProbeRegistry.register_vector`) and ``fn`` is unused.
     grouped: bool = False
+    #: What a tick's ``columns`` are keyed by: a token of this probe
+    #: that points at nothing, so the ring never points back at it.
+    key: object = field(default_factory=object, repr=False)
 
     @property
     def samples(self) -> list[tuple[float, float]]:
         """``(time, value)`` of every retained tick that sampled this probe."""
         out = []
+        key = self.key
         layout = column = None
         for now, row, columns in self.ring:
             if columns is not layout:
-                layout, column = columns, columns.get(self)
+                layout, column = columns, columns.get(key)
             if column is not None:
                 out.append((now, float(row[column])))
         return out
@@ -77,7 +82,7 @@ class ProbeRegistry:
         #: of the next one (see :meth:`_relayout`).
         self._ring: deque = deque(maxlen=retention)
         self._scalars: list[Callable[[], float]] = []
-        self._columns: dict[Probe, int] = {}
+        self._columns: dict[object, int] = {}
         self._timer = None
         self._stopped = False
 
@@ -132,7 +137,7 @@ class ProbeRegistry:
         self._scalars = [probe.fn for probe in scalars]
         order = scalars + [probe for members, _ in self._groups for probe in members]
         # (A probe in two groups keeps the later position.)
-        self._columns = {probe: column for column, probe in enumerate(order)}
+        self._columns = {probe.key: column for column, probe in enumerate(order)}
 
     def start(self) -> None:
         """Arm the sampling timer (idempotent)."""

@@ -92,6 +92,8 @@ class ReconfigController:
         #: ``migration_settled`` seam only fires when this drains to zero,
         #: so concurrent migrations cannot trip it on each other.
         self._inflight = 0
+        #: Policies a swap replaced, released with the run.
+        self._retired: list = []
         host.master.migration_router = self._on_ack
 
     def start(self) -> None:
@@ -362,11 +364,13 @@ class ReconfigController:
         # not the cold-start snapshot the run began with.
         host._seed_views(host.workers.values(), new_master)
         master.swap_policy(new_master, stale_ok=type(old).stale_inbound)
+        self._retired.append(old)
         worker_stale: tuple = ()
         for node in host.workers.values():
             if not node.alive:
                 continue
             old_worker_policy = node.policy
+            self._retired.append(old_worker_policy)
             worker_stale = type(old_worker_policy).stale_inbound
             node.swap_policy(scheduler.make_worker(), stale_ok=worker_stale)
         new_master.import_state(exported)
@@ -379,6 +383,13 @@ class ReconfigController:
         # later swap) build successor-policy components.
         host.scheduler = scheduler
         host._master_policy = new_master
+
+    def release(self) -> None:
+        """The run is over: release the policies the swaps replaced, and
+        let go of the host."""
+        for policy in self._retired:
+            policy.release()
+        self.host = None
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -21,6 +21,7 @@ the full job list upfront like Spark).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -121,6 +122,14 @@ class MasterPolicy:
 
     def on_job_completed(self, job: Job, worker: str) -> None:
         """Observe a completion (e.g. to track worker cache contents)."""
+
+    def release(self) -> None:
+        """The run is over: hold the host master weakly from now on.  It
+        holds this policy, so the run's objects form a tree that
+        reference counting frees once the caller drops the runtime;
+        until then the policy still answers through the master."""
+        if self.master is not None:
+            self.master = weakref.proxy(self.master)
 
     def on_run_finished(self) -> None:
         """The last job just completed or failed: report whatever is
@@ -228,6 +237,12 @@ class WorkerPolicy:
     def on_drain(self) -> None:
         """The host started draining (scale-down): it finishes what it
         holds but must stop competing for new work."""
+
+    def release(self) -> None:
+        """The run is over: hold the host node weakly from now on (see
+        :meth:`MasterPolicy.release`)."""
+        if self.worker is not None:
+            self.worker = weakref.proxy(self.worker)
 
 
 @dataclass

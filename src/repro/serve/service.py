@@ -30,6 +30,7 @@ finishes what it holds; it is only excluded from *new* allocation).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,18 +142,25 @@ class ServiceRuntime(Deployment):
         self._run()
         return self.report()
 
+    def _release(self) -> None:
+        super()._release()
+        if self.autoscaler is not None:
+            self.autoscaler.service = None
+
     def _runtime_probes(self, probes) -> None:
         """The service gauges.  Registered while the host is being
         wired, before the admission controller and the SLO tracker
-        exist; the gauges read them from the first sample on."""
+        exist; the gauges read them from the first sample on, through
+        a weak proxy of the host, which owns the recorder."""
+        host = weakref.proxy(self)
         # One vectorised count over the alive/outstanding planes.
         probes.register("fleet.busy", self.fleet.busy_count, unit="workers")
-        probes.register("service.inflight", lambda: self.inflight, unit="jobs")
-        probes.register("admission.depth", lambda: self.admission.depth, unit="jobs")
-        probes.register("admission.shed", lambda: self.admission.shed, unit="jobs")
+        probes.register("service.inflight", lambda: host.inflight, unit="jobs")
+        probes.register("admission.depth", lambda: host.admission.depth, unit="jobs")
+        probes.register("admission.shed", lambda: host.admission.shed, unit="jobs")
         probes.register(
             "slo.attainment",
-            lambda: 1.0 - self.slo.deadline_misses / max(1, self.slo.completed),
+            lambda: 1.0 - host.slo.deadline_misses / max(1, host.slo.completed),
         )
 
     def _stall_message(self) -> str:

@@ -80,6 +80,11 @@ class TimerHandle:
     back to ``call_at``/``call_later`` -- implicitly cancels the pending
     occurrence, so one handle can drive an arbitrarily long sequence of
     schedule/reschedule cycles without allocating.
+
+    The handle holds its callback and arguments only while armed:
+    firing and :meth:`cancel` drop both (every arm passes them again),
+    so an idle handle keeps nothing alive -- a component's own timer
+    whose callback is one of its methods is no reference cycle.
     """
 
     __slots__ = ("when", "_callback", "_args", "_gen", "_armed")
@@ -87,7 +92,7 @@ class TimerHandle:
     def __init__(self) -> None:
         self.when = 0.0
         self._callback: Optional[Callable[..., None]] = None
-        self._args: tuple = ()
+        self._args: Optional[tuple] = None
         self._gen = 0
         self._armed = False
 
@@ -100,6 +105,7 @@ class TimerHandle:
         """Disarm the timer (no-op if it already fired or was cancelled)."""
         if self._armed:
             self._armed = False
+            self._callback = self._args = None
             # Invalidate the pending heap entry (lazy deletion): the run
             # loop compares the entry's recorded generation against this.
             self._gen += 1
@@ -302,8 +308,10 @@ class Simulator:
         else:
             handle = entry[3]
             if entry[2] == handle._gen:
+                callback, args = handle._callback, handle._args
                 handle._armed = False
-                handle._callback(*handle._args)
+                handle._callback = handle._args = None
+                callback(*args)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -366,8 +374,12 @@ class Simulator:
                 else:
                     handle = entry[3]
                     if entry[2] == handle._gen:
+                        # Unhooked before the call, which may re-arm it.
+                        callback = handle._callback
+                        args = handle._args
                         handle._armed = False
-                        handle._callback(*handle._args)
+                        handle._callback = handle._args = None
+                        callback(*args)
         except StopSimulation as stop:
             return stop.event.value
         if has_deadline:
@@ -377,6 +389,22 @@ class Simulator:
                 "simulation ran out of events before the target event triggered"
             )
         return None
+
+    def close(self) -> None:
+        """End the run: disarm every pending timer and drop every
+        scheduled entry and the recycled timeouts.
+
+        A pending entry holds what its owner armed it with -- a
+        callback bound to that owner -- so after :meth:`close` the
+        kernel points at nothing of the model, and a finished run's
+        objects are freed by reference counting alone.  The clock keeps
+        its value.
+        """
+        for entry in self._heap:
+            if len(entry) == 4 and entry[2] == entry[3]._gen:
+                entry[3].cancel()
+        self._heap.clear()
+        self._timeout_pool.clear()
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -145,26 +145,27 @@ class TestAtMostOnceGuard:
     def test_straggler_redispatch_suppresses_duplicate_completion(self):
         # w1 is so slow the straggler monitor re-dispatches its job to
         # w2; when w1 eventually finishes too, the late completion must
-        # be absorbed, not double-counted.
+        # be absorbed, not double-counted.  A finished run is released
+        # and cannot be resumed, so a small job arriving long after keeps
+        # the run going until the original assignment has run to its end.
         plan = FaultPlan(
             recovery=RecoveryConfig(
                 max_redispatches=3, backoff_base_s=0.0, redispatch_timeout_s=30.0
             ),
         )
+        late = Job(job_id="late", task=TASK_ANALYZER, repo_id="r-late", size_mb=1.0)
         runtime = build_runtime(
             scheduler="round-robin",
             faults=plan,
             specs=(make_spec("w1", network=0.05), make_spec("w2")),
-            stream=stream_of(n=1),
+            stream=JobStream(arrivals=[*stream_of(n=1), JobArrival(at=5000.0, job=late)]),
             max_sim_time=50_000.0,
         )
         result = runtime.run()
-        assert result.jobs_completed == 1
+        assert result.jobs_completed == 2
         assert result.redispatches >= 1
-        # Let the original, still-downloading assignment run to its end.
-        runtime.sim.run(until=runtime.sim.now + 20_000.0)
         assert runtime.metrics.duplicates_suppressed == 1
-        assert runtime.metrics.jobs_completed == 1
+        assert runtime.metrics.jobs_completed == 2
 
 
 

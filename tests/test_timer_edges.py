@@ -7,6 +7,8 @@ at zero size, simultaneous completion and sub-float-resolution
 residuals.
 """
 
+import weakref
+
 import pytest
 
 from repro.net.bandwidth import FairSharePipe
@@ -98,6 +100,71 @@ class TestTimerHandle:
         # Timer was armed before the process's timeout was scheduled, so
         # at the shared timestamp it keeps FIFO arming order.
         assert order == ["timer", "process"]
+
+
+class _Owner:
+    """What a timer's callback is usually bound to."""
+
+    def tick(self, _payload=None) -> None:
+        pass
+
+
+class TestAHandleHoldsNothingAtRest:
+    """A handle keeps its callback and arguments only while armed, so an
+    owner whose own timer calls back into it is no reference cycle."""
+
+    def test_a_fired_handle_lets_go(self, sim):
+        owner, payload = _Owner(), _Owner()
+        handle = sim.call_later(1.0, owner.tick, payload)
+        refs = weakref.ref(owner), weakref.ref(payload)
+        del owner, payload
+        assert all(ref() is not None for ref in refs)
+        sim.run()
+        assert [ref() for ref in refs] == [None, None]
+        assert not handle.active
+
+    def test_a_cancelled_handle_lets_go_before_its_entry_pops(self, sim):
+        owner = _Owner()
+        handle = sim.call_later(1.0, owner.tick, "x")
+        ref = weakref.ref(owner)
+        del owner
+        handle.cancel()
+        assert ref() is None and sim.peek() == 1.0
+
+    def test_a_fired_handle_can_be_armed_again(self, sim):
+        fired = []
+        handle = sim.call_later(1.0, fired.append, "first")
+        sim.run()
+        assert sim.call_later(1.0, fired.append, "second", handle=handle) is handle
+        assert handle.active
+        sim.run()
+        assert fired == ["first", "second"] and sim.now == 2.0
+
+
+class TestClose:
+    def test_close_leaves_the_heap_empty_and_every_timer_disarmed(self, sim):
+        fired = []
+        owner = _Owner()
+        timer = sim.call_later(5.0, owner.tick)
+        stale = sim.call_later(4.0, fired.append, "stale")
+        stale.cancel()
+        sim.timeout(3.0)
+
+        def sleeper():
+            yield sim.sleep(1.0)
+
+        sim.process(sleeper())
+        sim.run(until=2.0)
+        ref = weakref.ref(owner)
+        del owner
+        sim.close()
+        assert sim.peek() == float("inf") and not timer.active and ref() is None
+        sim.run()
+        assert fired == [] and sim.now == 2.0
+        # The kernel still works: a fresh arm fires.
+        sim.call_later(1.0, fired.append, "after")
+        sim.run()
+        assert fired == ["after"] and sim.now == 3.0
 
 
 class TestRunUntilDeadline:
