@@ -9,17 +9,28 @@ import numpy as np
 
 from repro.net.bandwidth import FairSharePipe
 from repro.net.broker import Broker
-from repro.sim import Simulator, Store, TimerHandle
+from repro.sim import Simulator, TimerHandle
 from repro.experiments.runner import CellSpec, run_cell
 
 
+def _noop(*_args) -> None:
+    pass
+
+
+class Sink:
+    """A subscription owner that drops what it is handed."""
+
+    def deliver(self, message) -> None:
+        pass
+
+
 def test_bench_kernel_timeout_throughput(benchmark):
-    """Schedule-and-run 50k timeouts."""
+    """Schedule-and-run 50k timers."""
 
     def run():
         sim = Simulator()
         for index in range(50_000):
-            sim.timeout(float(index % 997) / 10.0)
+            sim.call_later(float(index % 997) / 10.0, _noop)
         sim.run()
         return sim.now
 
@@ -51,31 +62,6 @@ def test_bench_timer_handle_churn(benchmark):
     assert benchmark.pedantic(run, rounds=3, iterations=1) == 20_000
 
 
-def test_bench_kernel_process_pingpong(benchmark):
-    """Two processes exchanging 10k items through a Store."""
-
-    def run():
-        sim = Simulator()
-        ping, pong = Store(sim), Store(sim)
-
-        def left(sim):
-            for index in range(10_000):
-                yield ping.put(index)
-                yield pong.get()
-
-        def right(sim):
-            for _ in range(10_000):
-                value = yield ping.get()
-                yield pong.put(value)
-
-        sim.process(left(sim))
-        sim.process(right(sim))
-        sim.run()
-        return True
-
-    assert benchmark.pedantic(run, rounds=3, iterations=1)
-
-
 def test_bench_fair_share_pipe_churn(benchmark):
     """2k overlapping transfers through one processor-sharing pipe."""
 
@@ -84,12 +70,8 @@ def test_bench_fair_share_pipe_churn(benchmark):
         pipe = FairSharePipe(sim, capacity_mbps=100.0)
         rng = np.random.default_rng(0)
 
-        def spawner(sim, pipe):
-            for _ in range(2_000):
-                pipe.transfer(float(rng.uniform(1.0, 50.0)))
-                yield sim.timeout(0.05)
-
-        sim.process(spawner(sim, pipe))
+        for index in range(2_000):
+            sim.call_later(index * 0.05, pipe.transfer, float(rng.uniform(1.0, 50.0)), _noop)
         sim.run()
         return sim.now
 
@@ -103,6 +85,8 @@ def test_bench_broker_fanout(benchmark):
         sim = Simulator()
         broker = Broker(sim, base_latency=0.001)
         subs = [broker.subscribe("t", f"s{i}", latency=0.01) for i in range(20)]
+        for sub in subs:
+            sub.owner = Sink()
         for index in range(10_000):
             broker.publish("t", index)
         sim.run()

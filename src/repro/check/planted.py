@@ -32,7 +32,6 @@ from repro.schedulers.base import (
     PassiveWorkerPolicy,
     SchedulerPolicy,
 )
-from repro.sim.events import Event
 from repro.workload.job import Job
 
 
@@ -78,22 +77,23 @@ class OverdeliveringPipe(FairSharePipe):
             raise ValueError(f"boost must exceed 1 to be a bug, got {boost}")
         self.boost = float(boost)
 
-    def transfer(self, size_mb: float) -> Event:
+    def transfer(self, size_mb: float, done: Callable[[float], None]) -> None:
         if size_mb < 0:
             raise ValueError(f"size must be non-negative, got {size_mb}")
-        done = Event(self.sim)
         if size_mb == 0:
-            return done.succeed(0.0)
+            self.sim.call_soon(done, 0.0, urgent=False)
+            return
         elapsed = size_mb / (self.capacity_mbps * self.boost)
         self.sim.call_later(elapsed, self._complete, size_mb, elapsed, done)
-        return done
 
-    def _complete(self, size_mb: float, elapsed: float, done: Event) -> None:
+    def _complete(
+        self, size_mb: float, elapsed: float, done: Callable[[float], None]
+    ) -> None:
         # Report honestly on the seam, exactly as the real pipe does;
         # the *numbers* are the bug, not the reporting.
         for hook in self.hooks.transfer_complete:
             hook(self.capacity_mbps, size_mb, elapsed, self.sim.now)
-        done.succeed(elapsed)
+        self.sim.call_soon(done, elapsed, urgent=False)
 
 
 def plant_overdelivering_origin(runtime, capacity_mbps: Optional[float] = None):

@@ -51,6 +51,7 @@ and ``report``; ``tables`` and ``faults`` run no grid worth splitting).
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import sys
 import time
@@ -271,7 +272,11 @@ def _maybe_profiled(args: argparse.Namespace, fn):
         print(f"peak RSS: {peak_kb / 1024:.1f} MB")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: an argparse
+    parser is a reference cycle, and one per call would leave it to the
+    cycle collector each time."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

@@ -8,8 +8,9 @@ pipeline, and termination detection -- while delegating every
 
 Termination: the workflow is complete when the source stream is
 exhausted and no submitted job remains unfinished; :attr:`Master.done`
-fires at that moment, and the end-to-end execution time metric is read
-off the simulation clock (Section 6.1 metric 1).
+is set at that moment and the run stops on the next NORMAL turn, and the
+end-to-end execution time metric is read off the simulation clock
+(Section 6.1 metric 1).
 
 Fault handling (robustness extension): when recovery is enabled the
 master re-dispatches orphaned jobs with a retry budget and exponential
@@ -44,7 +45,6 @@ from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.net.broker import Mailbox
 from repro.net.topology import Topology
-from repro.sim.events import Event
 from repro.sim.kernel import TimerHandle
 from repro.workload.job import Job, JobStream
 from repro.workload.pipeline import Pipeline
@@ -135,8 +135,9 @@ class Master:
             fleet.on_join(name)
         self.outstanding = 0
         self.intake_done = False
-        #: Fires when the workflow has fully completed.
-        self.done: Event = Event(sim)
+        #: Set when the workflow has fully completed (the run then stops
+        #: on a NORMAL turn of that instant).
+        self.done = False
         #: job_id -> worker, filled as assignments are decided.
         self.assignments: dict[str, str] = {}
         #: job_id -> reason for jobs declared permanently failed.
@@ -331,10 +332,10 @@ class Master:
     def finish_intake(self) -> None:
         """Declare that no further source submissions will arrive.
 
-        Stream-driven runs call this from the intake process; external
+        Stream-driven runs call this from the intake; external
         (service) intake calls it once its arrival window has closed and
         every admitted job has been submitted.  Completion of the last
-        outstanding job then fires :attr:`done`.
+        outstanding job then sets :attr:`done`.
         """
         self.intake_done = True
         self._check_done()
@@ -514,8 +515,10 @@ class Master:
         self.sim.call_later(timeout / 2, self._straggler_tick, handle=self._straggler_timer)
 
     def _check_done(self) -> None:
-        if self.intake_done and self.outstanding == 0 and not self.done.triggered:
+        if self.intake_done and self.outstanding == 0 and not self.done:
             self.policy.on_run_finished()
             for hook in self.hooks.run_finished:
                 hook(self.sim.now)
-            self.done.succeed(self.sim.now)
+            self.done = True
+            # Stop behind every entry already due this instant.
+            self.sim.call_soon(self.sim.stop, urgent=False)

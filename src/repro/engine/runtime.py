@@ -422,14 +422,15 @@ class Deployment:
             self.reconfig_controller.start()
 
     def _run(self) -> None:
-        """Run until the master is done, then close the observers and
+        """Run until the master stops the run (:attr:`Master.done`),
+        then close the observers and
         check the end-of-run laws.  A run still going at
         ``config.max_sim_time`` raises ``RuntimeError`` with the
         runtime's :meth:`_stall_message`.  Either way the run is then
         released (:meth:`_release`)."""
         try:
             self.sim.call_later(self.config.max_sim_time, self._deadline)
-            self.sim.run(until=self.master.done)
+            self.sim.run()
             if self.obs is not None:
                 self.obs.finish()
             if self.monitor is not None:
@@ -458,7 +459,7 @@ class Deployment:
             self.reconfig_controller.release()
 
     def _deadline(self) -> None:
-        if not self.master.done.triggered:
+        if not self.master.done:
             raise RuntimeError(self._stall_message())
 
     def _stall_message(self) -> str:

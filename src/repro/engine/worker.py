@@ -21,7 +21,7 @@ as ``totalCostOfUnfinishedJobs()`` (Listing 2 line 2).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.machine import Machine
 from repro.data.cache import WorkerCache
@@ -41,7 +41,6 @@ from repro.hooks import Hooks
 from repro.net.broker import Mailbox
 from repro.net.link import Transfer
 from repro.net.topology import Topology
-from repro.sim.events import Event
 from repro.sim.kernel import TimerHandle
 from repro.workload.job import Job
 from repro.workload.pipeline import Pipeline
@@ -114,7 +113,8 @@ class WorkerNode:
         #: the jobs it already holds but stops competing for new ones --
         #: policies consult this flag before bidding or pulling.
         self.draining = False
-        self._idle_waiters: list[Event] = []
+        #: Callbacks waiting for the worker to be idle (:meth:`when_idle`).
+        self._idle_waiters: list[Callable[[], None]] = []
         #: The executor (see *The work path* in ARCHITECTURE section 3):
         #: the one timer its turns are armed on, whether it waits for an
         #: enqueue, the job whose turn is armed but has not come, when
@@ -182,16 +182,14 @@ class WorkerNode:
         """No accepted job is unfinished (running, queued, or in hand-off)."""
         return self._outstanding_jobs == 0
 
-    def wait_idle(self) -> Event:
-        """An event that fires when the worker next becomes idle.
-
-        Fires immediately if already idle.
-        """
-        event = Event(self.sim)
+    def when_idle(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` on a NORMAL turn once the worker is idle:
+        this instant's if it already is, else the instant it next
+        becomes idle (waiters in the order they asked)."""
         if self.is_idle:
-            return event.succeed()
-        self._idle_waiters.append(event)
-        return event
+            self.sim.call_soon(callback, urgent=False)
+        else:
+            self._idle_waiters.append(callback)
 
     def committed_cost(self) -> float:
         """``totalCostOfUnfinishedJobs()`` -- Listing 2, line 2."""
@@ -238,7 +236,7 @@ class WorkerNode:
             sim = self.sim
             sim.call_at(sim.now, self._prefetch_defer, handle=self._prefetch_turn)
 
-    # -- inbox and processes --------------------------------------------------
+    # -- inbox and turns -------------------------------------------------------
 
     def _handle(self, message: object) -> None:
         """One inbox message (the mailbox calls this, one per turn):
@@ -527,9 +525,8 @@ class WorkerNode:
 
     def _wake_idle_waiters(self) -> None:
         waiters, self._idle_waiters = self._idle_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
+        for callback in waiters:
+            self.sim.call_soon(callback, urgent=False)
 
     def begin_drain(self) -> None:
         """Enter draining mode (scale-down).  Unlike :meth:`kill`, the

@@ -4,9 +4,9 @@ Measures the hot paths the kernel overhaul targets and writes a
 machine-readable ``BENCH.json`` so performance can be tracked across
 commits and gated in CI:
 
-* ``kernel_timeouts``   -- pooled-timeout event throughput (events/s),
+* ``kernel_timeouts``   -- one timer re-armed from its own callback:
+  the kernel's inner loop, one heap entry per event (events/s),
 * ``timer_churn``       -- direct-callback timer arm/re-arm/cancel churn,
-* ``process_pingpong``  -- generator trampoline context switches,
 * ``pipe_churn``        -- fair-share pipe transfer starts+finishes (ops/s),
 * ``broker_fanout``     -- pub/sub message deliveries (deliveries/s),
 * ``fleet_scan``        -- struct-of-arrays scheduler selection scans
@@ -101,17 +101,20 @@ def _time_best(fn: Callable[[], int], repeats: int) -> tuple[float, int]:
 
 
 def _bench_kernel_timeouts(n: int) -> int:
-    """One process yielding ``n`` pooled sleeps: the kernel's inner loop."""
-    from repro.sim.kernel import Simulator
+    """One handle re-armed ``n`` times from its own callback: the
+    kernel's inner loop."""
+    from repro.sim.kernel import Simulator, TimerHandle
 
     sim = Simulator()
+    handle = TimerHandle()
+    left = [n]
 
-    def proc():
-        sleep = sim.sleep
-        for _ in range(n):
-            yield sleep(0.001)
+    def tick():
+        left[0] -= 1
+        if left[0]:
+            sim.call_later(0.001, tick, handle=handle)
 
-    sim.process(proc())
+    sim.call_later(0.001, tick, handle=handle)
     sim.run()
     return n
 
@@ -140,29 +143,6 @@ def _bench_timer_churn(n: int) -> int:
     return n
 
 
-def _bench_process_pingpong(n: int) -> int:
-    """Two processes exchanging ``n`` items through a pair of stores."""
-    from repro.sim import Simulator, Store
-
-    sim = Simulator()
-    ping, pong = Store(sim), Store(sim)
-
-    def left():
-        for i in range(n):
-            yield ping.put(i)
-            yield pong.get()
-
-    def right():
-        for _ in range(n):
-            value = yield ping.get()
-            yield pong.put(value)
-
-    sim.process(left())
-    sim.process(right())
-    sim.run()
-    return 2 * n
-
-
 def _bench_pipe_churn(n: int) -> int:
     """Staggered fair-share transfers: start/finish churn on one pipe."""
     from repro.net.bandwidth import FairSharePipe
@@ -171,35 +151,40 @@ def _bench_pipe_churn(n: int) -> int:
     sim = Simulator()
     pipe = FairSharePipe(sim, capacity_mbps=100.0)
 
-    def spawn(i):
-        def proc():
-            yield sim.sleep(i * 0.01)
-            yield pipe.transfer(5.0 + (i % 7))
-
-        return proc
+    def done(_elapsed: float) -> None:
+        pass
 
     for i in range(n):
-        sim.process(spawn(i)())
+        sim.call_later(i * 0.01, pipe.transfer, 5.0 + (i % 7), done)
     sim.run()
     return 2 * n  # each transfer is one start and one finish event
+
+
+class _Sink:
+    """A subscription owner that drops what it is handed."""
+
+    def deliver(self, message: object) -> None:
+        pass
 
 
 def _bench_broker_fanout(publishes: int, subscribers: int) -> int:
     """Batched pub/sub delivery throughput."""
     from repro.net.broker import Broker
-    from repro.sim.kernel import Simulator
+    from repro.sim.kernel import Simulator, TimerHandle
 
     sim = Simulator()
     broker = Broker(sim, base_latency=0.001)
+    sink = _Sink()
     for i in range(subscribers):
-        broker.subscribe("bench", f"sub-{i}")
+        broker.subscribe("bench", f"sub-{i}").owner = sink
+    handle = TimerHandle()
 
-    def pub():
-        for i in range(publishes):
-            broker.publish("bench", {"seq": i})
-            yield sim.sleep(0.0001)
+    def pub(i: int) -> None:
+        broker.publish("bench", {"seq": i})
+        if i + 1 < publishes:
+            sim.call_later(0.0001, pub, i + 1, handle=handle)
 
-    sim.process(pub())
+    pub(0)
     sim.run()
     return publishes * subscribers
 
@@ -292,11 +277,6 @@ def run_benchmarks(quick: bool = False, repeats: int = 3) -> list[BenchResult]:
             lambda: _bench_kernel_timeouts(50_000 // scale),
         ),
         ("timer_churn", "timers/s", lambda: _bench_timer_churn(20_000 // scale)),
-        (
-            "process_pingpong",
-            "switches/s",
-            lambda: _bench_process_pingpong(20_000 // scale),
-        ),
         ("pipe_churn", "ops/s", lambda: _bench_pipe_churn(2_000 // scale)),
         (
             "broker_fanout",

@@ -18,12 +18,11 @@ seam and every occupancy change on ``pipe_sample`` (:mod:`repro.hooks`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.hooks import Hooks
-from repro.sim.events import Event
 from repro.sim.kernel import TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +39,7 @@ class _Transfer:
 
     __slots__ = ("size_mb", "done", "started_at")
 
-    def __init__(self, size_mb: float, done: Event, now: float) -> None:
+    def __init__(self, size_mb: float, done: Callable[[float], None], now: float) -> None:
         self.size_mb = size_mb
         self.done = done
         self.started_at = now
@@ -85,7 +84,8 @@ class FairSharePipe:
         self._last_settle = sim.now
         #: One re-armed completion timer for the whole pipe.  Every
         #: transfer start/finish re-settles the fluid model and re-arms
-        #: this handle in place -- no Process/Timeout churn per event.
+        #: this handle in place -- one timer for the pipe, not one per
+        #: transfer.
         self._timer = TimerHandle()
         self.label = label
         self.hooks = hooks if hooks is not None else Hooks()
@@ -97,18 +97,17 @@ class FairSharePipe:
         """Number of transfers currently in flight."""
         return len(self._active)
 
-    def transfer(self, size_mb: float) -> Event:
-        """Start a transfer of ``size_mb``; the event fires on completion.
+    def transfer(self, size_mb: float, done: Callable[[float], None]) -> None:
+        """Start a transfer of ``size_mb``; ``done(elapsed_s)`` is called
+        on a NORMAL turn of the instant the last byte has moved.
 
-        The event's value is the elapsed transfer time in seconds.
-        Zero-sized transfers complete immediately (after the current
-        event round).
+        Zero-sized transfers complete at once: their turn is pushed now.
         """
         if size_mb < 0:
             raise ValueError(f"size must be non-negative, got {size_mb}")
-        done = Event(self.sim)
         if size_mb == 0:
-            return done.succeed(0.0)
+            self.sim.call_soon(done, 0.0, urgent=False)
+            return
         # Drain in-flight progress *before* appending, so the new
         # transfer is excluded from the elapsed interval.
         self._settle()
@@ -122,7 +121,6 @@ class FairSharePipe:
         for hook in self.hooks.pipe_sample:
             hook(self.label, len(self._active), self.sim.now)
         self._reschedule()
-        return done
 
     # -- fluid-model internals -------------------------------------------
 
@@ -164,7 +162,7 @@ class FairSharePipe:
                     elapsed = now - transfer.started_at
                     for hook in self.hooks.transfer_complete:
                         hook(self.capacity_mbps, transfer.size_mb, elapsed, now)
-                    transfer.done.succeed(elapsed)
+                    self.sim.call_soon(transfer.done, elapsed, urgent=False)
                 # Deleting list slots back-to-front keeps surviving
                 # indices aligned with the compacted residual array.
                 for i in finished_idx[::-1]:

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.hooks import Hooks
 from repro.sim.kernel import TimerHandle
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -52,13 +51,13 @@ class Mailbox:
     unless it returns true, which means it is still busy with the
     message and calls :meth:`next` itself when done.
 
-    A turn is a heap entry, pushed exactly where a process parked on
-    ``Subscription.get()`` would have had its wake-up pushed: at
-    delivery when the consumer is parked on an empty mailbox, at the end
-    of the previous turn when a message is already waiting, and -- for a
-    consumer that :meth:`start` s rather than being born parked -- an
-    URGENT entry at start, where a fresh process takes its first turn.
-    Same-instant order is therefore the event queue's own.
+    A turn is a heap entry, pushed exactly where a generator process
+    parked on a FIFO store of the messages would have had its wake-up
+    pushed: at delivery when the consumer is parked on an empty mailbox,
+    at the end of the previous turn when a message is already waiting,
+    and -- for a consumer that :meth:`start` s rather than being born
+    parked -- an URGENT entry at start, where a fresh process takes its
+    first turn.
     """
 
     __slots__ = ("sim", "handler", "messages", "parked", "_turn")
@@ -102,36 +101,19 @@ class Mailbox:
 class Subscription:
     """A subscriber's place on one topic.
 
-    With an :attr:`owner` (every node of the engine: a
-    :class:`Mailbox`), the broker hands it each message as it arrives.
-    Without one (test tools, reference implementations), messages
-    collect in the :attr:`queue` store, built on first use; consume
-    them with ``msg = yield subscription.get()``.
+    Whoever subscribes sets :attr:`owner` (every node of the engine: a
+    :class:`Mailbox`); the broker hands it each message as it arrives.
     """
 
-    def __init__(self, sim: "Simulator", topic: str, name: str, latency: float) -> None:
-        self.sim = sim
+    def __init__(self, topic: str, name: str, latency: float) -> None:
         self.topic = topic
         self.name = name
         self.latency = latency
-        self._queue: Optional[Store] = None
         #: Number of messages delivered into this mailbox.
         self.delivered = 0
         #: Whoever consumes this subscription: handed each message as it
-        #: arrives (``owner.deliver(message)``), nothing goes through
-        #: :attr:`queue`.
+        #: arrives (``owner.deliver(message)``).
         self.owner: Any = None
-
-    @property
-    def queue(self) -> Store:
-        """Where an owner-less subscription's messages collect."""
-        if self._queue is None:
-            self._queue = Store(self.sim)
-        return self._queue
-
-    def get(self):
-        """Shorthand for ``self.queue.get()``."""
-        return self.queue.get()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Subscription {self.name!r} on {self.topic!r}>"
@@ -212,7 +194,7 @@ class Broker:
         """
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        subscription = Subscription(self.sim, topic, name, latency)
+        subscription = Subscription(topic, name, latency)
         self._topics.setdefault(topic, []).append(subscription)
         return subscription
 
@@ -378,18 +360,12 @@ class Broker:
     def _deliver_now(self, subscription: Subscription, message: Any) -> None:
         for hook in self.hooks.deliver:
             hook(subscription.topic, subscription.name, message, self.sim.now)
-        if subscription.owner is None:
-            subscription.queue.put(message)
-        else:
-            subscription.owner.deliver(message)
+        subscription.owner.deliver(message)
         subscription.delivered += 1
 
     def _deliver_batch(self, group: list[Subscription], message: Any) -> None:
         for subscription in group:
             for hook in self.hooks.deliver:
                 hook(subscription.topic, subscription.name, message, self.sim.now)
-            if subscription.owner is None:
-                subscription.queue.put(message)
-            else:
-                subscription.owner.deliver(message)
+            subscription.owner.deliver(message)
             subscription.delivered += 1

@@ -113,6 +113,10 @@ class Link:
         #: One re-armed timer walks the holder through grant -> latency
         #: -> flow -> release.
         self._timer = TimerHandle()
+        #: With an upstream, which half of the holder's flow is over:
+        #: the local timer, and the origin's completion turn.
+        self._local_done = False
+        self._origin_done = False
         #: Optional ``observer(busy: bool)`` called on 0<->1 occupancy
         #: transitions -- the seam the struct-of-arrays ``link_busy``
         #: plane (:mod:`repro.fleet`) hangs off.
@@ -165,14 +169,25 @@ class Link:
         else:
             # Consume shared origin capacity concurrently; the transfer
             # completes only when both the local pipe and the origin
-            # have moved the bytes: when the local timer fires, wait for
-            # the origin's event (which runs us at once if it is over).
-            upstream_done = self.upstream.transfer(size_mb)
-            sim.call_later(
-                size_mb / realised, upstream_done.add_callback, self._release, handle=self._timer
-            )
+            # have moved the bytes: on the later of the local timer and
+            # the origin's completion turn.
+            self._local_done = self._origin_done = False
+            self.upstream.transfer(size_mb, self._origin_finished)
+            sim.call_later(size_mb / realised, self._local_finished, handle=self._timer)
 
-    def _release(self, _upstream_done=None) -> None:
+    def _local_finished(self) -> None:
+        if self._origin_done:
+            self._release()
+        else:
+            self._local_done = True
+
+    def _origin_finished(self, _elapsed: float) -> None:
+        if self._local_done:
+            self._release()
+        else:
+            self._origin_done = True
+
+    def _release(self) -> None:
         sim = self.sim
         transfer = self._holder
         size_mb = transfer.size_mb

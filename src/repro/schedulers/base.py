@@ -9,7 +9,7 @@ A scheduler is split along the paper's architectural line:
   jobs (Bidding).
 
 Both sides are *bound* to their host node before the run starts and may
-spawn their own simulation processes in ``start``.  They interact with
+arm their own timers in ``start``.  They interact with
 the world only through their host's helpers (``master.assign(...)``,
 ``worker.send_to_master(...)``), never by touching other nodes directly
 -- the decentralisation the paper argues for is enforced structurally.
@@ -57,7 +57,7 @@ class MasterPolicy:
         self.master = master
 
     def start(self) -> None:
-        """Spawn any long-running policy processes; default none."""
+        """Arm the policy's first timers; default none."""
 
     def on_upfront_jobs(self, jobs: list[Job]) -> None:
         """Receive the full job list before the run (only if
@@ -208,7 +208,7 @@ class WorkerPolicy:
         self.worker = worker
 
     def start(self) -> None:
-        """Spawn any long-running policy processes; default none."""
+        """Arm the policy's first timers; default none."""
 
     def on_message(self, message: object) -> bool:
         """Intercept an inbox message.  Return ``True`` if consumed;

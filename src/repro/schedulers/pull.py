@@ -367,10 +367,10 @@ class PullWorkerPolicy(WorkerPolicy):
 
     # -- the state machine -----------------------------------------------------
 
-    def _cycle(self, _idle=None) -> None:
+    def _cycle(self) -> None:
         worker = self.worker
         if not worker.is_idle:
-            worker.wait_idle().callbacks.append(self._cycle)
+            worker.when_idle(self._cycle)
             return
         if not worker.alive or worker.draining or worker.policy is not self:
             # Dead, scaling down, or hot-swapped out (the successor runs
@@ -422,7 +422,7 @@ class PullWorkerPolicy(WorkerPolicy):
             worker.send_to_master(JobAccept(job=job, worker=worker.name))
             worker.enqueue(job, worker._default_estimate(job))
             self.attempt = 1
-            worker.wait_idle().callbacks.append(self._cycle)
+            worker.when_idle(self._cycle)
         else:
             worker.send_to_master(JobReject(job=job, worker=worker.name))
             self._cycle()

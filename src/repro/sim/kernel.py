@@ -1,26 +1,20 @@
 """The discrete-event simulation event loop.
 
 :class:`Simulator` owns the simulation clock and a binary heap of
-scheduled entries.  :meth:`Simulator.step` pops the earliest entry,
-advances the clock and runs it; :meth:`Simulator.run` steps until the
-heap is empty, a deadline is reached, or a given event has been
-processed.
+timers.  :meth:`Simulator.step` pops the earliest entry, advances the
+clock and runs it; :meth:`Simulator.run` steps until the heap is empty,
+a deadline is reached, or a callback calls :meth:`Simulator.stop`.
 
-Two kinds of entry share the heap:
-
-* ``(time, key, event)`` -- a triggered :class:`~repro.sim.events.Event`
-  whose callbacks run when the entry is popped.
-* ``(time, key, generation, handle)`` -- a direct-callback timer armed
-  through :meth:`Simulator.call_at` / :meth:`Simulator.call_later`.
-  Timers bypass the Event/Process machinery entirely: popping the entry
-  invokes a plain callable, so high-frequency internal timers (fluid
-  bandwidth models, broker deliveries, control-loop ticks) cost one
-  heap entry and one call instead of an Event, a generator resume and a
-  heap round-trip each.
+Every heap entry has one shape, ``(time, key, generation, handle)``: a
+direct-callback timer armed through :meth:`Simulator.call_soon` /
+:meth:`Simulator.call_at` / :meth:`Simulator.call_later`.  Popping a
+live entry invokes the plain callable its :class:`TimerHandle` holds, so
+a wake-up, a delay or a delivery costs one heap entry and one call.
+This module is the only one that pushes onto the heap.
 
 ``key`` packs the scheduling priority above a monotonically increasing
-sequence number (see :mod:`repro.sim.events`), which makes the ordering
-of simultaneous entries deterministic (FIFO in scheduling order) -- this
+sequence number, which makes the ordering of simultaneous entries
+deterministic (FIFO in scheduling order, URGENT before NORMAL) -- this
 is what makes every experiment in this repository reproducible
 bit-for-bit under a fixed seed.
 
@@ -39,31 +33,23 @@ from __future__ import annotations
 import heapq
 from heapq import heappush
 from itertools import count
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
-from repro.sim.events import (
-    _KEY_SHIFT,
-    _NORMAL_KEY,
-    NORMAL,
-    URGENT,
-    Event,
-    Timeout,
-    _PooledTimeout,
-)
-from repro.sim.process import Process
+#: Scheduling priorities -- lower sorts earlier at equal timestamps.
+URGENT = 0
+NORMAL = 1
 
-#: Upper bound on the recycled-Timeout free pool (see
-#: :meth:`Simulator.sleep`); beyond this, extra instances are simply
-#: left to the garbage collector.
-_TIMEOUT_POOL_MAX = 128
+#: Heap entries order by ``(time, key)`` where ``key`` packs the priority
+#: above the sequence counter: ``key = (priority << _KEY_SHIFT) | seq``.
+#: Because ``seq`` never reaches 2**62, this orders identically to the
+#: lexicographic ``(priority, seq)`` pair while saving one tuple slot on
+#: every heap entry -- the single hottest allocation in the kernel.
+_KEY_SHIFT = 62
+_NORMAL_KEY = NORMAL << _KEY_SHIFT
 
 
 class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Simulator.run` at a target event."""
-
-    def __init__(self, event: Event) -> None:
-        super().__init__(event)
-        self.event = event
+    """Raised by :meth:`Simulator.stop` to end :meth:`Simulator.run`."""
 
 
 class EmptySchedule(Exception):
@@ -133,8 +119,6 @@ class Simulator:
         self._now = float(start_time)
         self._heap: list[tuple] = []
         self._seq = count()
-        self._active_process: Optional[Process] = None
-        self._timeout_pool: list[_PooledTimeout] = []
 
     # -- clock -----------------------------------------------------------
 
@@ -142,48 +126,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    # -- event factories ---------------------------------------------------
-
-    def event(self) -> Event:
-        """Create a fresh, untriggered :class:`~repro.sim.events.Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
-
-    def sleep(self, delay: float, value: Any = None) -> Timeout:
-        """A pooled :meth:`timeout` for the sole-waiter fast path.
-
-        Semantically identical to :meth:`timeout`, but the returned
-        event may be a recycled instance and will be returned to the
-        simulator's free pool as soon as it has been processed.  Use it
-        only for the ``yield sim.sleep(d)`` pattern where the event is
-        yielded immediately and never referenced afterwards.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return _PooledTimeout(self, delay, value)
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        timeout = pool.pop()
-        timeout.callbacks = []
-        timeout._value = value
-        timeout._ok = True
-        timeout._defused = False
-        timeout.delay = delay
-        heappush(self._heap, (self._now + delay, _NORMAL_KEY | next(self._seq), timeout))
-        return timeout
-
-    def process(self, generator: Generator, name: Optional[str] = None) -> Process:
-        """Start a new cooperative process running ``generator``."""
-        return Process(self, generator, name=name)
 
     # -- direct-callback timers -------------------------------------------
 
@@ -200,7 +142,7 @@ class Simulator:
         any pending occurrence) instead of allocating a new one -- the
         allocation-free idiom for periodic or frequently re-settled
         timers.  Timers fire at NORMAL priority in arming order relative
-        to events scheduled at the same timestamp.
+        to the other entries scheduled at the same timestamp.
         """
         if when < self._now:
             raise ValueError(f"call_at({when}) is in the past (now={self._now})")
@@ -244,14 +186,10 @@ class Simulator:
     def call_soon(
         self, callback: Callable[..., None], *args: Any, urgent: bool = True
     ) -> TimerHandle:
-        """Arm a turn for this instant, for consumers that are callbacks
-        rather than processes.  URGENT (the default), it fires before
-        every NORMAL entry of the instant, in arming order among URGENT
-        ones -- where the first turn of a freshly started
-        :class:`~repro.sim.process.Process` stands.  With
-        ``urgent=False`` it fires behind every entry already due -- where
-        a just-triggered :class:`~repro.sim.events.Event` stands: a
-        wake-up, not a delay."""
+        """Arm a turn for this instant.  URGENT (the default), it fires
+        before every NORMAL entry of the instant, in arming order among
+        URGENT ones: a first turn.  With ``urgent=False`` it fires behind
+        every entry already due: a wake-up, not a delay."""
         handle = TimerHandle()
         handle.when = self._now
         handle._callback = callback
@@ -264,14 +202,12 @@ class Simulator:
         )
         return handle
 
-    # -- scheduling --------------------------------------------------------
+    def stop(self) -> None:
+        """End :meth:`run` now, from inside a callback it is running;
+        whatever else is scheduled stays scheduled."""
+        raise StopSimulation()
 
-    def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
-        """Push a triggered event onto the heap ``delay`` seconds from now."""
-        heappush(
-            self._heap,
-            (self._now + delay, (priority << _KEY_SHIFT) | next(self._seq), event),
-        )
+    # -- the run loop ------------------------------------------------------
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``float('inf')`` if none."""
@@ -282,117 +218,59 @@ class Simulator:
     def step(self) -> None:
         """Process the next scheduled heap entry.
 
-        Advances the clock to that entry's time and runs it (event
-        callbacks, or the timer callback for a live timer entry; stale
-        timer entries advance the clock but do nothing else).  Unhandled
-        event failures propagate out of this method.
+        Advances the clock to that entry's time and runs its timer's
+        callback; a stale entry advances the clock but does nothing else.
         """
         try:
-            entry = heapq.heappop(self._heap)
+            when, _key, gen, handle = heapq.heappop(self._heap)
         except IndexError:
             raise EmptySchedule() from None
-        self._now = entry[0]
-        if len(entry) == 3:
-            event = entry[2]
-            callbacks, event.callbacks = event.callbacks, None
-            assert callbacks is not None, "event processed twice"
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False and not event._defused:
-                # Nobody handled the failure: surface it to the caller.
-                raise event._value
-            if type(event) is _PooledTimeout:
-                pool = self._timeout_pool
-                if len(pool) < _TIMEOUT_POOL_MAX:
-                    pool.append(event)
-        else:
-            handle = entry[3]
-            if entry[2] == handle._gen:
-                callback, args = handle._callback, handle._args
-                handle._armed = False
-                handle._callback = handle._args = None
-                callback(*args)
+        self._now = when
+        if gen == handle._gen:
+            callback, args = handle._callback, handle._args
+            handle._armed = False
+            handle._callback = handle._args = None
+            callback(*args)
 
-    def run(self, until: Optional[Any] = None) -> Any:
-        """Run the simulation.
-
-        Parameters
-        ----------
-        until:
-            * ``None`` -- run until no events remain.
-            * a number -- run until the clock reaches that time (the clock
-              is set to exactly ``until`` on return).
-            * an :class:`~repro.sim.events.Event` -- run until that event
-              has been processed and return its value.
-
-        Returns
-        -------
-        The value of ``until`` when it is an event, otherwise ``None``.
-        """
-        target_event: Optional[Event] = None
+    def run(self, until: Optional[float] = None) -> None:
+        """Run the simulation until no entries remain, a callback calls
+        :meth:`stop`, or -- with ``until`` -- the clock would pass
+        ``until``; the clock is then set to exactly ``until``."""
         deadline = float("inf")
-        has_deadline = False
         if until is not None:
-            if isinstance(until, Event):
-                if until.processed:
-                    return until.value
-                target_event = until
-                until.add_callback(self._stop_callback)
-            else:
-                deadline = float(until)
-                has_deadline = True
-                if deadline < self._now:
-                    raise ValueError(
-                        f"until ({deadline}) must not be in the past (now={self._now})"
-                    )
+            deadline = float(until)
+            if deadline < self._now:
+                raise ValueError(
+                    f"until ({deadline}) must not be in the past (now={self._now})"
+                )
         # The loop body below duplicates step() with everything bound to
         # locals: this is the innermost loop of every experiment, and a
         # method call plus attribute traffic per event costs ~25% of the
         # whole simulation.
         heap = self._heap
         pop = heapq.heappop
-        pool = self._timeout_pool
-        pooled = _PooledTimeout
         try:
             while heap:
                 when = heap[0][0]
                 if when > deadline:
                     break
-                entry = pop(heap)
+                _when, _key, gen, handle = pop(heap)
                 self._now = when
-                if len(entry) == 3:
-                    event = entry[2]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event._defused:
-                        # Nobody handled the failure: surface it.
-                        raise event._value
-                    if type(event) is pooled and len(pool) < _TIMEOUT_POOL_MAX:
-                        pool.append(event)
-                else:
-                    handle = entry[3]
-                    if entry[2] == handle._gen:
-                        # Unhooked before the call, which may re-arm it.
-                        callback = handle._callback
-                        args = handle._args
-                        handle._armed = False
-                        handle._callback = handle._args = None
-                        callback(*args)
-        except StopSimulation as stop:
-            return stop.event.value
-        if has_deadline:
+                if gen == handle._gen:
+                    # Unhooked before the call, which may re-arm it.
+                    callback = handle._callback
+                    args = handle._args
+                    handle._armed = False
+                    handle._callback = handle._args = None
+                    callback(*args)
+        except StopSimulation:
+            return
+        if until is not None:
             self._now = deadline
-        if target_event is not None:
-            raise RuntimeError(
-                "simulation ran out of events before the target event triggered"
-            )
-        return None
 
     def close(self) -> None:
         """End the run: disarm every pending timer and drop every
-        scheduled entry and the recycled timeouts.
+        scheduled entry.
 
         A pending entry holds what its owner armed it with -- a
         callback bound to that owner -- so after :meth:`close` the
@@ -400,12 +278,7 @@ class Simulator:
         objects are freed by reference counting alone.  The clock keeps
         its value.
         """
-        for entry in self._heap:
-            if len(entry) == 4 and entry[2] == entry[3]._gen:
-                entry[3].cancel()
+        for _when, _key, gen, handle in self._heap:
+            if gen == handle._gen:
+                handle.cancel()
         self._heap.clear()
-        self._timeout_pool.clear()
-
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        raise StopSimulation(event)

@@ -14,12 +14,14 @@ from repro.fleet import FleetState
 from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import Topology, TopologyConfig
+from reference_sim import Simulator
 from repro.schedulers.base import WorkerPolicy
-from repro.sim import Simulator
 
 
 @pytest.fixture
 def sim():
+    """The kernel with the generator layer of ``reference_sim.py``, so a
+    test can script a model piece with processes."""
     return Simulator()
 
 

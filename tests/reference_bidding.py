@@ -19,15 +19,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from reference_sim import AnyOf
+from reference_sim import AnyOf, Event, Process, Store, Timeout, inbox
 from repro.core.adaptive import BidCorrector
 from repro.core.bidding import DEFAULT_BID_COMPUTE_S, DEFAULT_WINDOW_S
 from repro.core.estimator import CostEstimator
 from repro.core.learning import NominalSpeedModel
 from repro.engine.messages import TOPIC_ANNOUNCE, Assignment, Bid, JobAnnouncement
 from repro.schedulers.base import MasterPolicy, SchedulerPolicy, WorkerPolicy
-from repro.sim.events import Event
-from repro.sim.resources import Store
 from repro.workload.job import Job
 
 
@@ -108,7 +106,7 @@ class ReferenceMasterPolicy(MasterPolicy):
     def start(self) -> None:
         self._pending = Store(self.master.sim)
         for index in range(self.max_concurrent_contests):
-            self.master.sim.process(self._contest_runner(), name=f"contest-runner-{index}")
+            Process(self.master.sim, self._contest_runner(), name=f"contest-runner-{index}")
 
     def on_job(self, job: Job) -> None:
         self._pending.put(job)
@@ -165,7 +163,7 @@ class ReferenceMasterPolicy(MasterPolicy):
                 continue
             self._busy_runners += 1
             if not master.active_workers:
-                yield master.sim.sleep(self.window_s)
+                yield Timeout(master.sim, self.window_s)
                 self._pending.put(job)
                 self._busy_runners -= 1
                 continue
@@ -178,7 +176,7 @@ class ReferenceMasterPolicy(MasterPolicy):
             for hook in master.hooks.contest_opened:
                 hook(job.job_id, master.sim.now)
             master.broadcast(JobAnnouncement(job=job, attempt=contest.attempt))
-            window = master.sim.timeout(self.window_s)
+            window = Timeout(master.sim, self.window_s)
             yield AnyOf(master.sim, [window, contest.all_bids, contest.fast_close])
             outcome = contest.close()
             self.open_contests -= 1
@@ -223,24 +221,27 @@ class ReferenceWorkerPolicy(WorkerPolicy):
 
     def start(self) -> None:
         self._subscription = self.worker.topology.subscribe(TOPIC_ANNOUNCE, self.worker.name)
-        self.worker.sim.process(
-            self._bid_loop(self._subscription), name=f"{self.worker.name}-bidder"
+        messages = inbox(self.worker.sim, self._subscription)
+        Process(
+            self.worker.sim,
+            self._bid_loop(self._subscription, messages),
+            name=f"{self.worker.name}-bidder",
         )
 
     def on_killed(self) -> None:
         self.worker.topology.broker.unsubscribe(self._subscription)
 
-    def _bid_loop(self, subscription):
+    def _bid_loop(self, subscription, messages):
         worker = self.worker
         while True:
-            message = yield subscription.get()
+            message = yield messages.get()
             if worker.policy is not self or not worker.alive:
                 worker.topology.broker.unsubscribe(subscription)
                 return
             if worker.draining:
                 continue
             if self.bid_compute_s > 0:
-                yield worker.sim.sleep(self.bid_compute_s / worker.spec.cpu_factor)
+                yield Timeout(worker.sim, self.bid_compute_s / worker.spec.cpu_factor)
                 if not worker.alive:
                     worker.topology.broker.unsubscribe(subscription)
                     return

@@ -2,11 +2,14 @@
 
 This is the per-job path as it ran before it became callback state
 machines: ``Link.transfer`` / ``_transfer_locked`` (a process per
-transfer, a ``PriorityResource`` for the link, two pooled sleeps),
+transfer, a ``PriorityResource`` for the link, two sleeps),
 ``Machine.download`` / ``process`` as generators, and the worker's
 ``_executor`` / ``_execute`` / ``_prefetcher`` processes on a job
-``Store``, stopped with ``Interrupt``.  The method bodies are the old
-ones, moved verbatim; only the class scaffolding around them (each
+``Store``, stopped with ``Interrupt``, all from ``reference_sim.py``.
+The method bodies are the old ones, moved verbatim but for the
+spelling of the primitives (``Timeout(sim, d)`` for ``sim.sleep(d)``,
+``Process(sim, g)`` for ``sim.process(g)``, ``transfer(pipe, mb)`` for
+the pipe's old event); only the class scaffolding around them (each
 reference class extends the current one and swaps the moved methods
 back in) is new.  It is slow and obviously a FIFO loop -- take a job,
 clone on a miss, scan, report -- which is its whole job:
@@ -24,13 +27,11 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from reference_sim import Interrupt, PriorityResource, Process
+from reference_sim import Event, Interrupt, PriorityResource, Process, Store, Timeout, transfer
 from repro.cluster.machine import Machine
 from repro.engine.messages import Hello, JobCompleted, WorkerFailure
 from repro.engine.worker import WorkerNode
 from repro.net.link import Link
-from repro.sim.events import Event
-from repro.sim.resources import Store
 from repro.workload.job import Job
 
 
@@ -63,7 +64,7 @@ class ReferenceLink(Link):
 
         Usage::
 
-            elapsed = yield sim.process(link.transfer(size_mb))
+            elapsed = yield Process(sim, link.transfer(size_mb))
         """
         if size_mb < 0:
             raise ValueError(f"size must be non-negative, got {size_mb}")
@@ -83,7 +84,7 @@ class ReferenceLink(Link):
     def _transfer_locked(self, size_mb: float, start: float, grant) -> Generator:
         """The body of :meth:`transfer` once the mutex wait is over."""
         try:
-            yield self.sim.sleep(self.latency)
+            yield Timeout(self.sim, self.latency)
             factor = self.noise.factor(self.rng, self.sim.now)
             realised = self.bandwidth_mbps * max(factor, 1e-9)
             duration = size_mb / realised
@@ -91,12 +92,12 @@ class ReferenceLink(Link):
                 # Consume shared origin capacity concurrently; the transfer
                 # completes only when both the local pipe and the origin
                 # have moved the bytes.
-                upstream_done = self.upstream.transfer(size_mb)
-                local_done = self.sim.sleep(duration)
+                upstream_done = transfer(self.upstream, size_mb)
+                local_done = Timeout(self.sim, duration)
                 yield local_done
                 yield upstream_done
             else:
-                yield self.sim.sleep(duration)
+                yield Timeout(self.sim, duration)
             elapsed = self.sim.now - start
             if elapsed > 0 and size_mb > 0:
                 self.last_realised_mbps = size_mb / elapsed
@@ -131,7 +132,7 @@ class ReferenceMachine(Machine):
         network speed sample.
         """
         start = self.sim.now
-        elapsed = yield self.sim.process(self.link.transfer(size_mb, priority=priority))
+        elapsed = yield Process(self.sim, self.link.transfer(size_mb, priority=priority))
         self.busy_seconds += self.sim.now - start
         if elapsed > 0 and size_mb > 0:
             self.record_network_sample(size_mb / elapsed)
@@ -152,7 +153,7 @@ class ReferenceMachine(Machine):
         factor = self.rw_noise.factor(self.rng, self.sim.now)
         realised_rw = self.spec.rw_mbps * max(factor, 1e-9)
         duration = base_compute_s / self.spec.cpu_factor + size_mb / realised_rw
-        yield self.sim.sleep(duration)
+        yield Timeout(self.sim, duration)
         self.busy_seconds += self.sim.now - start
         if size_mb > 0 and duration > 0:
             self.record_rw_sample(size_mb / duration)
@@ -277,7 +278,7 @@ class ReferenceWorkerNode(WorkerNode):
                     hook(job, self.name, job.size_mb, self.sim.now)
         task = self.pipeline.task_of(job) if self.pipeline is not None else None
         if task is not None and task.sim_work is not None:
-            finished = self.sim.event()
+            finished = Event(self.sim)
             self.sim.call_soon(task.sim_work, job, self.machine, self.sim, finished.succeed)
             yield finished
         yield from self.machine.process(job.size_mb, job.base_compute_s)
@@ -296,7 +297,7 @@ class ReferenceWorkerNode(WorkerNode):
             # priority) register its link request first, so the priority
             # ordering on the link mutex can actually take effect.
             try:
-                yield self.sim.sleep(0.0)
+                yield Timeout(self.sim, 0.0)
             except Interrupt:
                 return
             target = self._next_prefetch_target()

@@ -79,6 +79,24 @@ class TestEngineConfigValidation:
 
 
 class TestCLIPaths:
+    def test_parsing_leaves_nothing_for_the_cycle_collector(self):
+        """``main`` parses with one parser per process: an argparse
+        parser is a reference cycle, so one built per call left ~900
+        objects a call for the cycle collector."""
+        import gc
+
+        from repro.cli import _build_parser
+
+        _build_parser()  # the process's parser, kept for good
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(2):
+                _build_parser().parse_args(["run"])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_report_subcommand_delegates(self, monkeypatch, capsys, tmp_path):
         import repro.experiments.html_report as html_report
         from repro.cli import main

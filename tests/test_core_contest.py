@@ -61,8 +61,7 @@ class TestContestLifecycle:
 
     def test_duration_tracks_clock(self, sim):
         contest = Contest(sim, make_job(), ["w1"])
-        sim.timeout(2.5)
-        sim.run()
+        sim.run(until=2.5)
         assert contest.duration == pytest.approx(2.5)
 
 

@@ -55,7 +55,7 @@ class TestTermination:
         result = runtime.run()
         assert result.jobs_completed == 6
         assert runtime.master.outstanding == 0
-        assert runtime.master.done.triggered
+        assert runtime.master.done
 
     def test_arrival_times_respected(self):
         stream = JobStream(arrivals=[analysis_job("late", at=50.0)])

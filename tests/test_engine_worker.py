@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import make_spec, make_worker
+from reference_sim import inbox
 from repro.engine.messages import Assignment, Hello, JobCompleted, worker_topic
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import Topology, TopologyConfig
@@ -81,12 +82,12 @@ class TestExecution:
 
     def test_completion_message_published(self, sim):
         topology = zero_topology(sim, ["w1"])
-        master_inbox = topology.broker.subscribe("to-master", "master")
+        master_inbox = inbox(sim, topology.broker.subscribe("to-master", "master"))
         worker = make_worker(sim, topology=topology)
         worker.start()
         worker.enqueue(analysis_job(size=10.0))
         sim.run()
-        messages = list(master_inbox.queue.items)
+        messages = list(master_inbox.items)
         kinds = [type(m).__name__ for m in messages]
         assert "Hello" in kinds
         assert "JobCompleted" in kinds
@@ -127,8 +128,11 @@ class TestIdleTracking:
     def test_wait_idle_immediate_when_idle(self, sim):
         worker = make_worker(sim)
         worker.start()
-        event = worker.wait_idle()
-        assert event.triggered
+        woken = []
+        worker.when_idle(lambda: woken.append(sim.now))
+        assert woken == []  # on a turn of its own, this instant
+        sim.run()
+        assert woken == [0.0]
 
     def test_wait_idle_fires_after_queue_drains(self, sim):
         worker = make_worker(sim, make_spec(network=10.0, rw=50.0))
@@ -136,11 +140,7 @@ class TestIdleTracking:
         worker.enqueue(analysis_job(size=100.0))
         times = []
 
-        def waiter(sim, worker):
-            yield worker.wait_idle()
-            times.append(sim.now)
-
-        sim.process(waiter(sim, worker))
+        worker.when_idle(lambda: times.append(sim.now))
         sim.run()
         assert times == [pytest.approx(12.0)]
 
@@ -179,7 +179,7 @@ class TestInbox:
 class TestFailureInjection:
     def test_kill_orphans_jobs_and_reports(self, sim):
         topology = zero_topology(sim, ["w1"])
-        master_inbox = topology.broker.subscribe("to-master", "master")
+        master_inbox = inbox(sim, topology.broker.subscribe("to-master", "master"))
         worker = make_worker(sim, make_spec(network=10.0, rw=50.0), topology=topology)
         worker.start()
         worker.enqueue(analysis_job(job_id="running", size=100.0))
@@ -188,7 +188,7 @@ class TestFailureInjection:
         sim.run()
         failures = [
             m
-            for m in master_inbox.queue.items
+            for m in master_inbox.items
             if type(m).__name__ == "WorkerFailure"
         ]
         assert len(failures) == 1

@@ -46,9 +46,7 @@ def build_runtime(scheduler="bidding", fault_tolerance=False, max_sim_time=500.0
 
 
 def kill_after(runtime, worker_name, delay):
-    runtime.sim.timeout(delay).add_callback(
-        lambda _e: runtime.workers[worker_name].kill()
-    )
+    runtime.sim.call_later(delay, lambda: runtime.workers[worker_name].kill())
 
 
 class TestPaperDefault:

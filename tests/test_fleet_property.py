@@ -375,7 +375,7 @@ def test_fleet_mirror_consistent_after_faulty_run():
             check=True,
         ),
     )
-    runtime.sim.timeout(5.0).add_callback(lambda _e: runtime.workers["w2"].kill())
+    runtime.sim.call_later(5.0, lambda: runtime.workers["w2"].kill())
     result = runtime.run()
     assert result.jobs_completed == 10
     fleet = runtime.fleet

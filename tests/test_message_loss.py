@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, make_spec
+from reference_sim import Simulator, inbox
 from repro.engine.messages import (
     Assignment,
     Bid,
@@ -19,7 +20,6 @@ from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.net.broker import Broker
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler
-from repro.sim import Simulator
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER
 
@@ -68,6 +68,7 @@ class TestBrokerDropModel:
         sim = Simulator()
         broker = Broker(sim, drop_probability=0.3, rng=np.random.default_rng(1))
         sub = broker.subscribe("t", "w")
+        inbox(sim, sub)
         for index in range(2000):
             broker.publish("t", index)
         sim.run()
@@ -79,6 +80,7 @@ class TestBrokerDropModel:
         sim = Simulator()
         broker = Broker(sim, drop_probability=0.9, rng=np.random.default_rng(1))
         sub = broker.subscribe("t", "w")
+        inbox(sim, sub)
         for index in range(200):
             broker.publish("t", index, reliable=True)
         sim.run()
@@ -192,7 +194,7 @@ class TestPullLossTimeout:
             request.param, response_timeout_s=self.TIMEOUT, heartbeat_s=self.HEARTBEAT
         ).make_worker()
         worker = make_worker(sim, policy=policy)
-        to_master = worker.topology.broker.subscribe(TOPIC_MASTER, "master")
+        to_master = inbox(sim, worker.topology.broker.subscribe(TOPIC_MASTER, "master"))
         heard = []
 
         def listen():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.net.broker import Broker, Mailbox
 from repro.net.topology import Topology, TopologyConfig
-from repro.sim import Simulator
+from reference_sim import Simulator, inbox
 
 
 @pytest.fixture
@@ -16,11 +16,11 @@ def sim():
 class TestBroker:
     def test_publish_reaches_all_subscribers(self, sim):
         broker = Broker(sim)
-        subs = [broker.subscribe("jobs", f"w{i}") for i in range(3)]
+        boxes = [inbox(sim, broker.subscribe("jobs", f"w{i}")) for i in range(3)]
         count = broker.publish("jobs", {"id": 1})
         sim.run()
         assert count == 3
-        assert all(len(sub.queue) == 1 for sub in subs)
+        assert all(len(box) == 1 for box in boxes)
 
     def test_publish_to_empty_topic(self, sim):
         broker = Broker(sim)
@@ -31,11 +31,11 @@ class TestBroker:
         sub = broker.subscribe("t", "w", latency=0.4)
         arrival = []
 
-        def consumer(sim, sub):
-            msg = yield sub.get()
+        def consumer(sim, box):
+            msg = yield box.get()
             arrival.append((sim.now, msg))
 
-        sim.process(consumer(sim, sub))
+        sim.process(consumer(sim, inbox(sim, sub)))
         broker.publish("t", "hello")
         sim.run()
         assert arrival == [(pytest.approx(0.5), "hello")]
@@ -46,12 +46,12 @@ class TestBroker:
         far = broker.subscribe("t", "far", latency=0.30)
         arrivals = {}
 
-        def consumer(sim, sub, name):
-            yield sub.get()
+        def consumer(sim, box, name):
+            yield box.get()
             arrivals[name] = sim.now
 
-        sim.process(consumer(sim, near, "near"))
-        sim.process(consumer(sim, far, "far"))
+        sim.process(consumer(sim, inbox(sim, near), "near"))
+        sim.process(consumer(sim, inbox(sim, far), "far"))
         broker.publish("t", "x")
         sim.run()
         assert arrivals["near"] < arrivals["far"]
@@ -61,12 +61,12 @@ class TestBroker:
         sub = broker.subscribe("t", "w", latency=0.05)
         received = []
 
-        def consumer(sim, sub):
+        def consumer(sim, box):
             for _ in range(5):
-                msg = yield sub.get()
+                msg = yield box.get()
                 received.append(msg)
 
-        sim.process(consumer(sim, sub))
+        sim.process(consumer(sim, inbox(sim, sub)))
         for index in range(5):
             broker.publish("t", index)
         sim.run()
@@ -76,22 +76,25 @@ class TestBroker:
         broker = Broker(sim)
         a = broker.subscribe("t", "a")
         b = broker.subscribe("t", "b")
+        box_a, box_b = inbox(sim, a), inbox(sim, b)
         broker.publish("t", "msg", exclude=a)
         sim.run()
-        assert len(a.queue) == 0
-        assert len(b.queue) == 1
+        assert len(box_a) == 0
+        assert len(box_b) == 1
 
     def test_unsubscribe_stops_delivery(self, sim):
         broker = Broker(sim)
         sub = broker.subscribe("t", "w")
+        box = inbox(sim, sub)
         broker.unsubscribe(sub)
         broker.publish("t", "msg")
         sim.run()
-        assert len(sub.queue) == 0
+        assert len(box) == 0
 
     def test_delivered_counter(self, sim):
         broker = Broker(sim)
         sub = broker.subscribe("t", "w")
+        inbox(sim, sub)
         broker.publish("t", 1)
         broker.publish("t", 2)
         sim.run()
@@ -108,7 +111,7 @@ class TestBroker:
 
         broker = Broker(sim, base_latency=0.1)
         owned = [broker.subscribe("t", f"w{i}", latency=0.2) for i in range(2)]
-        plain = broker.subscribe("t", "w2", latency=0.2)  # same delay: one batch
+        plain = inbox(sim, broker.subscribe("t", "w2", latency=0.2))  # same delay: one batch
         far = broker.subscribe("t", "w3", latency=0.5)
         for sub in (*owned, far):
             sub.owner = Owner()
@@ -116,8 +119,8 @@ class TestBroker:
         sim.run()
         assert [sub.owner.got for sub in owned] == [[(pytest.approx(0.3), "hello")]] * 2
         assert far.owner.got == [(pytest.approx(0.6), "hello")]
-        assert all(len(sub.queue) == 0 and sub.delivered == 1 for sub in (*owned, far))
-        assert len(plain.queue) == 1
+        assert all(sub.delivered == 1 for sub in (*owned, far))
+        assert len(plain) == 1
 
     def test_reliable_means_nothing_can_be_lost_now_or_later(self, sim):
         assert Broker(sim).reliable
@@ -140,15 +143,17 @@ class TestBroker:
 
 class TestMailboxOrdering:
     """An owner-delivered consumer (:class:`Mailbox`) takes its turns
-    exactly where a process parked on ``Subscription.get()`` is resumed:
+    exactly where a process parked on a store of the messages is resumed:
     the same script, driven through both, must log the same handling
     order and instants -- including against same-instant timers."""
 
     @staticmethod
     def as_process(sim, broker, sub, log):
+        box = inbox(sim, sub)
+
         def loop():
             while True:
-                message = yield sub.get()
+                message = yield box.get()
                 log.append((sim.now, "handle", message))
                 if message == "a":
                     # A message arriving mid-handler, and a timer armed
@@ -242,7 +247,7 @@ class TestMailboxOrdering:
         sub.owner = Mailbox(sim, lambda message: got.append((sim.now, message)))
         broker.publish("t", "x")
         sim.run(until=1.0)
-        assert got == [] and len(sub.queue) == 0 and sub.delivered == 1
+        assert got == [] and len(sub.owner.messages) == 1 and sub.delivered == 1
         sub.owner.start()
         sim.run()
         assert got == [(1.0, "x")]

@@ -80,7 +80,7 @@ class TestPrefetcherUnit:
         worker.start()
         worker.enqueue(analysis_job("j1", "r1"))
         worker.enqueue(analysis_job("j2", "r2"))
-        sim.timeout(1.0).add_callback(lambda _e: worker.kill())
+        sim.call_later(1.0, worker.kill)
         sim.run()
         assert not worker.alive
         assert not worker._prefetch_turn.active

@@ -3,8 +3,7 @@ which the generator reference executor's link still runs on."""
 
 import pytest
 
-from reference_sim import PriorityResource
-from repro.sim import Simulator
+from reference_sim import PriorityResource, Simulator
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.data.cache import WorkerCache
 from repro.data.sizes import band_of
 from repro.net.bandwidth import FairSharePipe
-from repro.sim import Simulator, Store
+from reference_sim import Simulator, Store
 from repro.sim.rng import split_seed
 from repro.core.contest import Contest
 from repro.engine.messages import Bid
@@ -74,9 +74,11 @@ def test_pipe_conserves_work_when_saturated(sizes, capacity):
     total_bytes / capacity, regardless of the sharing schedule."""
     sim = Simulator()
     pipe = FairSharePipe(sim, capacity_mbps=capacity)
-    events = [pipe.transfer(size) for size in sizes]
+    finished = []
+    for size in sizes:
+        pipe.transfer(size, finished.append)
     sim.run()
-    assert all(event.processed for event in events)
+    assert len(finished) == len(sizes)
     np.testing.assert_allclose(sim.now, sum(sizes) / capacity, rtol=1e-9)
 
 
@@ -90,13 +92,13 @@ def test_pipe_completion_order_matches_size_order(sizes):
     finish_times = {}
 
     def record(index):
-        def callback(event):
+        def callback(_elapsed):
             finish_times[index] = sim.now
 
         return callback
 
     for index, size in enumerate(sizes):
-        pipe.transfer(size).add_callback(record(index))
+        pipe.transfer(size, record(index))
     sim.run()
     by_size = sorted(range(len(sizes)), key=lambda i: sizes[i])
     times_in_size_order = [finish_times[i] for i in by_size]

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+from reference_sim import Process, Timeout
 from repro.cluster.profiles import all_equal
 from repro.engine.runtime import EngineConfig
 from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
@@ -81,14 +82,14 @@ def run_churn(
             now = 0.0
             for at, kind in fleet_events:
                 if at > now:
-                    yield runtime.sim.timeout(at - now)
+                    yield Timeout(runtime.sim, at - now)
                     now = at
                 if kind == "join":
                     runtime.scale_up()
                 elif len(runtime.master.active_workers) > 1:
                     runtime.scale_down()
 
-        runtime.sim.process(churn(), name="fleet-churn")
+        Process(runtime.sim, churn(), name="fleet-churn")
     return runtime, runtime.run()
 
 

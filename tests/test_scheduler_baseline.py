@@ -338,6 +338,6 @@ class TestHowDeclinesRun:
         drain(runtime, node, job)
         assert timer.active and runtime.topology.broker.published == sent
         # The worker has answered by now -- as far as anyone can tell.
-        runtime.sim.run(until=runtime.master.done)
+        runtime.sim.run()  # until the master, done, stops it
         assert all(instant > timer.when for instant, _worker, _job in offers)
         assert runtime.metrics.jobs_completed == 2

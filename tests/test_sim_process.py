@@ -3,8 +3,7 @@ the processes the generator reference implementations run as."""
 
 import pytest
 
-from reference_sim import Interrupt, Process
-from repro.sim import Event, Simulator
+from reference_sim import Interrupt, Process, Simulator
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
-"""Unit tests for Store."""
+"""Unit tests for the Store of ``tests/reference_sim.py``."""
 
 import pytest
 
-from repro.sim import Simulator, Store
+from reference_sim import Simulator, Store
 
 
 @pytest.fixture

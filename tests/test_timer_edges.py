@@ -1,10 +1,10 @@
 """Edge cases of the direct-callback timer API and the fluid pipe.
 
 These pin down the corner semantics the kernel hot-path overhaul must
-preserve: lazy cancellation via generation tokens, timeout pooling,
-deadline-exact ``run(until=...)``, and the fair-share pipe's behaviour
-at zero size, simultaneous completion and sub-float-resolution
-residuals.
+preserve: lazy cancellation via generation tokens, deadline-exact
+``run(until=...)``, one heap-entry shape, and the fair-share pipe's
+behaviour at zero size, simultaneous completion and
+sub-float-resolution residuals.
 """
 
 import weakref
@@ -101,6 +101,34 @@ class TestTimerHandle:
         # at the shared timestamp it keeps FIFO arming order.
         assert order == ["timer", "process"]
 
+    def test_call_soon_urgent_goes_first_normal_goes_last(self):
+        sim = Simulator()
+        order = []
+        sim.call_at(0.0, order.append, "armed")
+        sim.call_soon(order.append, "normal", urgent=False)
+        sim.call_soon(order.append, "urgent")
+        sim.run()
+        assert order == ["urgent", "armed", "normal"]
+
+    def test_every_heap_entry_has_one_shape(self):
+        sim = Simulator()
+        sim.call_soon(lambda: None)
+        sim.call_soon(lambda: None, urgent=False)
+        sim.call_at(1.0, lambda: None)
+        sim.call_later(2.0, lambda: None)
+        assert [(len(entry), type(entry[3])) for entry in sim._heap] == [(4, TimerHandle)] * 4
+
+    def test_stop_ends_run_and_keeps_the_rest_scheduled(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, fired.append, "before")
+        sim.call_at(1.0, sim.stop)
+        sim.call_at(1.0, fired.append, "after")
+        sim.run(until=5.0)
+        assert fired == ["before"] and sim.now == 1.0
+        sim.run()
+        assert fired == ["before", "after"]
+
 
 class _Owner:
     """What a timer's callback is usually bound to."""
@@ -151,7 +179,7 @@ class TestClose:
         sim.timeout(3.0)
 
         def sleeper():
-            yield sim.sleep(1.0)
+            yield sim.timeout(1.0)
 
         sim.process(sleeper())
         sim.run(until=2.0)
@@ -190,70 +218,27 @@ class TestRunUntilDeadline:
         assert fired == [10.0]
 
 
-class TestSleepPooling:
-    def test_sleep_instances_are_recycled(self, sim):
-        seen = []
-
-        def proc():
-            for _ in range(6):
-                event = sim.sleep(0.5)
-                seen.append(id(event))
-                yield event
-
-        sim.process(proc())
-        sim.run()
-        assert sim.now == 3.0
-        # The pool recycles processed instances, so fewer distinct
-        # objects than sleeps (exact count depends on recycle timing).
-        assert len(set(seen)) < len(seen)
-
-    def test_sleep_value_round_trips(self, sim):
-        got = []
-
-        def proc():
-            got.append((yield sim.sleep(1.0, value="payload")))
-
-        sim.process(proc())
-        sim.run()
-        assert got == ["payload"]
-
-    def test_negative_sleep_raises_with_and_without_pool(self, sim):
-        with pytest.raises(ValueError):
-            sim.sleep(-1.0)  # pool empty: plain construction path
-
-        def proc():
-            yield sim.sleep(0.1)
-
-        sim.process(proc())
-        sim.run()  # a processed sleep now sits in the pool
-        with pytest.raises(ValueError):
-            sim.sleep(-1.0)  # pooled path
-
-
 # -- FairSharePipe edges -----------------------------------------------------
 
 
 class TestPipeEdges:
     def test_zero_size_transfer_completes_immediately(self, sim):
         pipe = FairSharePipe(sim, capacity_mbps=10.0)
-        done = pipe.transfer(0.0)
-        assert done.triggered
+        done = []
+        pipe.transfer(0.0, done.append)
+        assert sim.peek() == 0.0 and done == []  # its turn is pushed
         sim.run()
-        assert done.processed
-        assert done.value == 0.0
+        assert done == [0.0]
         assert pipe.active_count == 0
 
     def test_simultaneous_completions_fire_in_start_order(self, sim):
         pipe = FairSharePipe(sim, capacity_mbps=100.0)
         order = []
-        first = pipe.transfer(10.0)
-        second = pipe.transfer(10.0)
-        first.add_callback(lambda e: order.append(("first", sim.now)))
-        second.add_callback(lambda e: order.append(("second", sim.now)))
+        pipe.transfer(10.0, lambda elapsed: order.append(("first", sim.now, elapsed)))
+        pipe.transfer(10.0, lambda elapsed: order.append(("second", sim.now, elapsed)))
         sim.run()
         # Equal sizes at equal share: both finish at 2*size/capacity.
-        assert order == [("first", 0.2), ("second", 0.2)]
-        assert first.value == second.value == 0.2
+        assert order == [("first", 0.2, 0.2), ("second", 0.2, 0.2)]
 
     def test_sub_resolution_residual_does_not_spin(self, sim):
         # At now=1e9 the clock's ulp (~1.2e-7 s) exceeds this transfer's
@@ -262,10 +247,10 @@ class TestPipeEdges:
         # never advance the clock.
         big = Simulator(start_time=1e9)
         pipe = FairSharePipe(big, capacity_mbps=100.0)
-        done = pipe.transfer(1e-6)
+        done = []
+        pipe.transfer(1e-6, done.append)
         big.run()
-        assert done.processed
-        assert done.value == 0.0
+        assert done == [0.0]
         assert pipe.active_count == 0
 
     def test_sub_resolution_residual_between_peers(self, sim):
@@ -274,25 +259,21 @@ class TestPipeEdges:
         # must be swept up in the same settle instead of re-arming a
         # zero-advance timer.
         pipe = FairSharePipe(sim, capacity_mbps=100.0)
-        first = pipe.transfer(10.0)
-        second = pipe.transfer(10.0 * (1.0 + 1e-12))
+        done = []
+        pipe.transfer(10.0, done.append)
+        pipe.transfer(10.0 * (1.0 + 1e-12), done.append)
         sim.run()
-        assert first.processed and second.processed
+        assert len(done) == 2
         assert pipe.active_count == 0
         assert not pipe._timer.active
 
     def test_staggered_transfers_share_capacity(self, sim):
         pipe = FairSharePipe(sim, capacity_mbps=100.0)
         times = {}
-        first = pipe.transfer(10.0)
-        first.add_callback(lambda e: times.__setitem__("first", sim.now))
-
-        def late():
-            yield sim.sleep(0.05)
-            done = pipe.transfer(10.0)
-            done.add_callback(lambda e: times.__setitem__("second", sim.now))
-
-        sim.process(late())
+        pipe.transfer(10.0, lambda _elapsed: times.__setitem__("first", sim.now))
+        sim.call_later(
+            0.05, pipe.transfer, 10.0, lambda _elapsed: times.__setitem__("second", sim.now)
+        )
         sim.run()
         # First: 5 MB alone (0.05s) + 5 MB at half rate (0.1s) = 0.15s.
         assert times["first"] == pytest.approx(0.15)

@@ -69,21 +69,13 @@ def fleet_cell(scheduler: str, n_workers: int, n_jobs: int) -> WorkflowRuntime:
     )
 
 
-def kernel_cost(monkeypatch, scheduler: str, n_workers: int, n_jobs: int) -> tuple[int, float]:
-    """(processes started, heap entries pushed per job) of one cell."""
-    started = []
-    original = Simulator.process
-
-    def counting(self, generator, name=None):
-        started.append(name)
-        return original(self, generator, name)
-
-    monkeypatch.setattr(Simulator, "process", counting)
+def kernel_cost(scheduler: str, n_workers: int, n_jobs: int) -> float:
+    """Heap entries pushed per job by one cell."""
     runtime = fleet_cell(scheduler, n_workers, n_jobs)
     result = runtime.run()
     assert result.jobs_completed == n_jobs
     # Every heap entry takes one number from the sequence counter.
-    return len(started), next(runtime.sim._seq) / n_jobs
+    return next(runtime.sim._seq) / n_jobs
 
 
 def test_the_gate_covers_every_scheduler():
@@ -91,12 +83,10 @@ def test_the_gate_covers_every_scheduler():
 
 
 @pytest.mark.parametrize("scheduler", sorted(HEAP_PUSHES_PER_JOB))
-def test_no_process_per_job_or_worker_and_no_more_heap_entries(monkeypatch, scheduler):
-    processes, pushes_per_job = kernel_cost(monkeypatch, scheduler, 25, 200)
-    small, _ = kernel_cost(monkeypatch, scheduler, 5, 40)
-    # For bidding, the contest runner: per run.
-    assert processes == small <= 1
-    assert pushes_per_job <= HEAP_PUSHES_PER_JOB[scheduler]
+def test_no_process_per_job_or_worker_and_no_more_heap_entries(scheduler):
+    # The kernel is timers only: nothing can start a process at all.
+    assert not hasattr(Simulator, "process")
+    assert kernel_cost(scheduler, 25, 200) <= HEAP_PUSHES_PER_JOB[scheduler]
 
 
 # -- (b) the script differential ------------------------------------------------
