@@ -230,6 +230,14 @@ SCALE_CELLS["bidding-origin-100"] = (
     "bidding", 100, False, {"engine": {"shared_origin_mbps": 120.0}}
 )
 SCALE_CELLS["spark-churn-100-observed"] = ("spark", 100, True, {"churn": "mid-download"})
+# Every other scheduler's decision ledger at fleet size, under a crash,
+# a restart and a migration.
+SCALE_CELLS.update(
+    {
+        f"{scheduler}-churn-25-observed": (scheduler, 25, True, {"churn": "cascade"})
+        for scheduler in ("bar", "random", "round-robin", "matchmaking", "delay")
+    }
+)
 # The contest loop: a bidding -> bidding hot-swap with jobs pending, the
 # whole fleet down at once (jobs park and retry until a worker is back)
 # and four contests at a time that close on the first idle holder (a
