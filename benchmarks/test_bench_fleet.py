@@ -187,7 +187,7 @@ def planning_speedup():
     spark_on, spark_on_s = _best_of(lambda: _plan_spark(SparkMasterPolicy), 2)
     # Identity first: same placements, same float bits, same counts.
     assert bar_on._plan == bar_off._plan
-    load, counts = bar_on._load, spark_on._counts
+    load, counts = bar_on._load, spark_on._load
     assert {n: float(load.get(n)) for n in load.names} == bar_off._load
     assert bar_on.adjustments == bar_off.adjustments
     assert spark_on._plan == spark_off._plan

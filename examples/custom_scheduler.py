@@ -38,28 +38,28 @@ class GreedyLocalityMaster(MasterPolicy):
         self.holdings: dict[str, set[str]] = {}
         self.assigned_counts: dict[str, int] = {}
 
-    def start(self) -> None:
-        self.assigned_counts = {name: 0 for name in self.master.worker_names}
-
     def on_job(self, job: Job) -> None:
+        # Only live, non-draining workers may receive work.
+        active = self.master.active_workers
         worker = None
         if job.repo_id is not None:
             holders = [
                 name
                 for name, repos in self.holdings.items()
-                if job.repo_id in repos
+                if job.repo_id in repos and name in active
             ]
             if holders:
                 worker = min(holders)  # deterministic: first holder wins
         if worker is None:
-            worker = min(
-                self.master.worker_names,
-                key=lambda name: (self.assigned_counts[name], name),
-            )
-        self.assigned_counts[worker] += 1
+            worker = min(active, key=lambda name: (self.assigned_counts.get(name, 0), name))
+        self.assigned_counts[worker] = self.assigned_counts.get(worker, 0) + 1
         if job.repo_id is not None:
             self.holdings.setdefault(worker, set()).add(job.repo_id)
         self.master.assign(job, worker)
+
+    def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
+        # The node's disk is gone; the master re-dispatches the orphans.
+        self.holdings.pop(worker, None)
 
 
 def make_greedy_policy() -> SchedulerPolicy:

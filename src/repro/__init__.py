@@ -10,10 +10,11 @@ A from-scratch Python implementation of the paper's system stack
 * :mod:`repro.workload`  -- jobs, the Crossflow pipeline DSL, the MSR
   workload and the paper's five job configurations,
 * :mod:`repro.engine`    -- the Crossflow-like master/worker engine,
-* :mod:`repro.schedulers`-- Baseline, Spark-style, Matchmaking, Delay,
-  Random and Round-robin allocation policies,
-* :mod:`repro.core`      -- the paper's contribution: the Bidding
-  Scheduler,
+* :mod:`repro.schedulers`-- the paper's contribution, the Bidding
+  Scheduler, and the Baseline, Spark-style, BAR, Matchmaking, Delay,
+  Random and Round-robin allocation policies it is compared against,
+* :mod:`repro.core`      -- the bidder's speed models, cost estimator
+  and bid corrector,
 * :mod:`repro.faults`    -- deterministic fault injection (crashes,
   partitions, degradation) and the master's recovery protocol,
 * :mod:`repro.serve`     -- the open-loop service layer: arrivals,

@@ -1,27 +1,19 @@
-"""The paper's contribution: the Bidding Scheduler (Section 5).
-
-"Worker nodes are not responsible for accepting/rejecting jobs, but
-they enhance the traditional master/worker architecture by participating
-in the job allocation process and making scheduling a distributed
-decision-making activity."
+"""The bidder's estimation models (Section 5, Listing 2).
 
 * :mod:`repro.core.learning`  -- worker speed models: nominal speeds
   (Section 6.3's preconfigured mode), historic averages (Section 6.4's
   measured mode) and an EWMA extension (future work),
 * :mod:`repro.core.estimator` -- Listing 2's cost estimation:
   ``committed workload + data transfer + processing``,
-* :mod:`repro.core.contest`   -- Listing 1's master-side bid
-  bookkeeping: open/closed contests, the 1-second window, early close
-  when all workers have bid,
-* :mod:`repro.core.bidding`   -- the full master/worker protocol.
+* :mod:`repro.core.adaptive`  -- the bid corrector that learns each
+  worker's estimate-vs-actual ratio.
+
+The protocol that uses them -- Listing 1's contests and the bidding
+master/worker pair -- is a scheduler like the others, in
+:mod:`repro.schedulers.bidding` and :mod:`repro.schedulers.contest`.
+Nothing here imports the schedulers or the engine.
 """
 
-from repro.core.bidding import (
-    BiddingMasterPolicy,
-    BiddingWorkerPolicy,
-    make_bidding_policy,
-)
-from repro.core.contest import Contest, ContestStatus
 from repro.core.estimator import CostEstimate, CostEstimator
 from repro.core.learning import (
     EWMASpeedModel,
@@ -31,15 +23,10 @@ from repro.core.learning import (
 )
 
 __all__ = [
-    "BiddingMasterPolicy",
-    "BiddingWorkerPolicy",
-    "Contest",
-    "ContestStatus",
     "CostEstimate",
     "CostEstimator",
     "EWMASpeedModel",
     "HistoricAverageSpeedModel",
     "NominalSpeedModel",
     "SpeedModel",
-    "make_bidding_policy",
 ]

@@ -41,7 +41,7 @@ from repro.net.bandwidth import FairSharePipe
 from repro.net.noise import make_noise
 from repro.net.topology import Topology, TopologyConfig
 from repro.obs.recorder import ObsRecorder, as_obs_config
-from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.base import SchedulerPolicy, UpfrontPlannerPolicy
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams, split_seed
 from repro.workload.job import JobStream
@@ -326,21 +326,20 @@ class Deployment:
         )
 
     def _seed_views(self, nodes, policy=None) -> None:
-        """Give a centralized master policy (default: the running one)
+        """Give an upfront planner (default: the running master policy)
         the driver's view of ``nodes``: what each caches *now* -- the
-        policy never sees later changes -- and, for completion-time
-        planners (BAR), its nominal speeds, the centralized scheduler's
-        one advantage."""
+        policy never sees later changes -- and its nominal speeds, the
+        centralized scheduler's one advantage."""
         if policy is None:
             policy = self._master_policy
-        if hasattr(policy, "cache_view"):
-            for node in nodes:
-                policy.cache_view[node.name] = set(node.cache.contents())
-        if hasattr(policy, "speed_view"):
-            for node in nodes:
-                spec = node.spec
-                speeds = (spec.network_mbps, spec.rw_mbps, spec.cpu_factor, spec.link_latency)
-                policy.speed_view[node.name] = speeds
+        if not isinstance(policy, UpfrontPlannerPolicy):
+            return
+        for node in nodes:
+            spec = node.spec
+            policy.cache_view[node.name] = set(node.cache.contents())
+            policy.speed_view[node.name] = (
+                spec.network_mbps, spec.rw_mbps, spec.cpu_factor, spec.link_latency
+            )
 
     def restart_worker(self, name: str) -> WorkerNode:
         """Rebuild a dead worker in place (the fault injector's restart).

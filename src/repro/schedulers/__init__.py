@@ -12,10 +12,13 @@ Implemented policies:
 ==================  =========================================================
 ``baseline``        Crossflow's opinionated pull/accept/reject scheduler
                     (Section 4) -- the paper's Baseline.
-``bidding``         The paper's contribution (Section 5); lives in
-                    :mod:`repro.core.bidding`.
+``bidding``         The paper's contribution (Section 5): contests in
+                    :mod:`~repro.schedulers.contest`, the protocol in
+                    :mod:`~repro.schedulers.bidding`.
 ``spark``           Spark-style centralized upfront allocation (the Figure 2
                     comparator).
+``bar``             Jin et al. 2011 two-phase locality-then-balance upfront
+                    allocation (related work).
 ``matchmaking``     He et al. 2011 (related work, future-work comparison).
 ``delay``           Zaharia et al. 2010 delay scheduling (related work).
 ``random``          Uniform random push assignment (control).

@@ -34,46 +34,27 @@ from typing import Optional
 
 import numpy as np
 
-from repro.fleet import (
-    HolderMatrix,
-    LoadTable,
-    argmax_value_rank,
-    argmin_value_rank,
-    name_ranks,
-)
-from repro.schedulers.base import (
-    MasterPolicy,
-    PassiveWorkerPolicy,
-    SchedulerPolicy,
-)
+from repro.fleet import HolderMatrix, LoadTable, argmax_value_rank, argmin_value_rank, name_ranks
+from repro.schedulers.base import PassiveWorkerPolicy, SchedulerPolicy, UpfrontPlannerPolicy
 from repro.workload.job import Job
 
 
-class BARMasterPolicy(MasterPolicy):
-    """Two-phase locality-then-balance upfront allocation."""
+class BARMasterPolicy(UpfrontPlannerPolicy):
+    """Two-phase locality-then-balance upfront allocation.
+
+    The load table holds each worker's estimated committed load in
+    seconds."""
 
     name = "bar"
-    requires_upfront = True
 
     def __init__(self, max_adjustments: Optional[int] = None) -> None:
         super().__init__()
         if max_adjustments is not None and max_adjustments < 0:
             raise ValueError("max_adjustments must be non-negative")
         self.max_adjustments = max_adjustments
-        #: worker -> cached repo ids (injected by the runtime).
-        self.cache_view: dict[str, set[str]] = {}
-        #: worker -> (network_mbps, rw_mbps, cpu_factor, link_latency)
-        #: (injected by the runtime).
-        self.speed_view: dict[str, tuple[float, float, float, float]] = {}
-        self._plan: dict[str, str] = {}
-        #: worker -> estimated committed load (seconds).
         self._load = LoadTable()
         #: Phase-2 moves actually performed (diagnostics/tests).
         self.adjustments = 0
-        #: Whether the assignment in flight came from the upfront plan
-        #: (vs arrival-time earliest-completion pricing) -- read by the
-        #: decision ledger, which fires inside ``master.assign``.
-        self._last_planned = False
 
     # -- cost model -----------------------------------------------------------
 
@@ -87,7 +68,7 @@ class BARMasterPolicy(MasterPolicy):
         return cost
 
     def _is_local(self, job: Job, worker: str) -> bool:
-        return job.repo_id is None or job.repo_id in self.cache_view.get(worker, ())
+        return job.repo_id is None or self._cached(job, worker)
 
     # -- planning ----------------------------------------------------------------
 
@@ -177,42 +158,17 @@ class BARMasterPolicy(MasterPolicy):
                 f"BAR needs the runtime-injected speed_view; missing {missing}"
             )
 
-    # -- fleet churn -------------------------------------------------------------
-
-    def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
-        """Remove the dead worker from the load table and strip its plan
-        entries; orphans re-dispatched by the master then fall through
-        to the earliest-completion rule over the survivors."""
-        self._load.pop(worker)
-        for job_id, name in list(self._plan.items()):
-            if name == worker:
-                del self._plan[job_id]
-
-    def on_worker_joined(self, worker: str) -> None:
-        """Admit a restarted worker at the current maximum load estimate
-        (BAR planned the run without it; only re-dispatched and late
-        jobs should flow its way)."""
-        if self._load:
-            self._load.ensure(worker, self._load.max_value())
-
-    def on_worker_retired(self, worker: str) -> None:
-        """Scale-down: a draining worker finishes what it was sent (and
-        what the plan still holds for it) but prices no new job."""
-        self._load.pop(worker)
-
-    # -- arrival-time dispatch -------------------------------------------------------
-
-    def on_job(self, job: Job) -> None:
-        worker = self._plan.pop(job.job_id, None)
-        self._last_planned = worker is not None
-        if worker is None:
-            if not self._load:
-                workers = list(self.master.active_workers)
-                self._ensure_views(workers)
-                self._load.reset(dict.fromkeys(workers, 0.0))
-            worker = self._load.argmin_name()
-            self._load.add(worker, self._cost(job, worker, self._is_local(job, worker)))
-        self.master.assign(job, worker)
+    def _pick(self, job: Job) -> str:
+        """Earliest estimated completion at arrival.  A table every
+        worker has left is re-seeded from the active fleet first (so a
+        worker joining it meanwhile was skipped, not admitted)."""
+        if not self._load:
+            workers = list(self.master.active_workers)
+            self._ensure_views(workers)
+            self._load.reset(dict.fromkeys(workers, 0.0))
+        worker = self._load.argmin_name()
+        self._load.add(worker, self._cost(job, worker, self._is_local(job, worker)))
+        return worker
 
     def decision_snapshot(self, job: Job, worker: str) -> tuple:
         """Re-price the job on every known worker (read-only -- the same
@@ -258,5 +214,4 @@ def make_bar_policy(max_adjustments: Optional[int] = None) -> SchedulerPolicy:
         name="bar",
         master_factory=lambda: BARMasterPolicy(max_adjustments=max_adjustments),
         worker_factory=PassiveWorkerPolicy,
-        requires_upfront=True,
     )

@@ -14,9 +14,8 @@ the world only through their host's helpers (``master.assign(...)``,
 ``worker.send_to_master(...)``), never by touching other nodes directly
 -- the decentralisation the paper argues for is enforced structurally.
 
-:class:`SchedulerPolicy` packages a matching master/worker pair plus the
-metadata the experiment harness needs (name, whether the policy wants
-the full job list upfront like Spark).
+:class:`SchedulerPolicy` packages a matching master/worker pair under
+the name the experiment harness knows it by.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from repro.workload.job import Job
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.master import Master
     from repro.engine.worker import WorkerNode
+    from repro.fleet import LoadTable
 
 
 class MasterPolicy:
@@ -192,6 +192,70 @@ class MasterPolicy:
             self.on_job(job)
 
 
+class UpfrontPlannerPolicy(MasterPolicy):
+    """A centralized planner (Spark, BAR): it plans the whole known job
+    set before the run from the driver's view of the fleet and pushes
+    each job as it arrives -- the plan's pick, else the subclass's
+    dynamic one.  A subclass supplies :meth:`on_upfront_jobs` (filling
+    ``_plan`` and the load table), :meth:`_pick` and its decision pair;
+    the plan, the table's churn and the dispatch live here."""
+
+    requires_upfront = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: The driver's view, injected by the runtime from the fleet as it
+        #: *starts* (a planner never learns of clones made during the
+        #: run): worker -> cached repo ids, and worker -> nominal
+        #: ``(network_mbps, rw_mbps, cpu_factor, link_latency)``.
+        self.cache_view: dict[str, set[str]] = {}
+        self.speed_view: dict[str, tuple[float, float, float, float]] = {}
+        #: job_id -> the worker the plan holds it for.
+        self._plan: dict[str, str] = {}
+        #: worker -> planned load, in the subclass's worker order (``None``
+        #: until the first plan or job fixes that order).
+        self._load: Optional["LoadTable"] = None
+        #: Whether the assignment in flight came from the plan -- read by
+        #: the decision ledger, which fires inside ``master.assign``.
+        self._last_planned = False
+
+    def _pick(self, job: Job) -> str:
+        """The worker for a job the plan does not hold (spawned during
+        the run, or re-dispatched), charged to the load table."""
+        raise NotImplementedError
+
+    def _cached(self, job: Job, worker: str) -> bool:
+        return job.repo_id in self.cache_view.get(worker, ())
+
+    def on_job(self, job: Job) -> None:
+        worker = self._plan.pop(job.job_id, None)
+        self._last_planned = worker is not None
+        self.master.assign(job, self._pick(job) if worker is None else worker)
+
+    def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
+        """Drop the dead worker from the load table and strip its plan
+        entries, so the orphans the master re-dispatches and every later
+        job go to the dynamic pick over the survivors."""
+        self.on_worker_retired(worker)
+        for job_id, name in list(self._plan.items()):
+            if name == worker:
+                del self._plan[job_id]
+
+    def on_worker_joined(self, worker: str) -> None:
+        """A restarted or scaled-up worker enters at the current maximum
+        planned load: the plan was made without it, and is not rebalanced,
+        so only re-dispatched and late jobs flow its way."""
+        if self._load:
+            self._load.ensure(worker, self._load.max_value())
+
+    def on_worker_retired(self, worker: str) -> None:
+        """Scale-down: the draining worker leaves the load table, so no
+        dynamic job goes to it; what the plan still holds for it is its
+        to finish."""
+        if self._load is not None:
+            self._load.pop(worker)
+
+
 class WorkerPolicy:
     """Worker-side strategy (one instance per worker per run)."""
 
@@ -257,14 +321,10 @@ class SchedulerPolicy:
     name: str
     master_factory: Callable[[], MasterPolicy]
     worker_factory: Callable[[], WorkerPolicy]
-    requires_upfront: bool = False
 
     def make_master(self) -> MasterPolicy:
         """Fresh master-side policy for one run."""
-        policy = self.master_factory()
-        if policy.requires_upfront != self.requires_upfront:
-            policy.requires_upfront = self.requires_upfront
-        return policy
+        return self.master_factory()
 
     def make_worker(self) -> WorkerPolicy:
         """Fresh worker-side policy for one worker."""

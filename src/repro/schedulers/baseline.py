@@ -63,10 +63,6 @@ class BaselineMasterPolicy(PullMasterPolicy):
         #: job_id -> number of times offered (diagnostics).
         self.offer_counts: dict[str, int] = {}
 
-    def on_job(self, job: Job) -> None:
-        self.job_queue.append(job)
-        self._serve()
-
     def _pulled(self, worker: str, attempt: int) -> None:
         self._park(worker)
         self._serve()

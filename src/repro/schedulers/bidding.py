@@ -56,7 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.adaptive import BidCorrector
-from repro.core.contest import Contest, ContestStatus
+from repro.schedulers.contest import Contest, ContestStatus
 from repro.core.estimator import CostEstimator
 from repro.core.learning import NominalSpeedModel, SpeedModel
 from repro.engine.messages import (

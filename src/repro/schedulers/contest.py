@@ -18,7 +18,7 @@ breakdown) under a ``counted`` mask.  A bid can be written one at a
 time (:meth:`add_bid`, for every :class:`~repro.engine.messages.Bid`
 that crosses the broker) or for all rows at once from their scheduled
 arrival times (:meth:`collect`, what
-:class:`~repro.core.bidding.BiddingMasterPolicy` does when it computes
+:class:`~repro.schedulers.bidding.BiddingMasterPolicy` does when it computes
 the bids itself); :meth:`winner` is one masked argmin over the cost
 plane either way.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from repro.engine.messages import Bid
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.bidding import BiddingMasterPolicy
+    from repro.schedulers.bidding import BiddingMasterPolicy
     from repro.sim.kernel import Simulator
     from repro.workload.job import Job
 
@@ -53,7 +53,7 @@ class Contest:
     differ when a draining worker is still subscribed or an invited one
     already died.
 
-    A contest whose bids :class:`~repro.core.bidding.BiddingMasterPolicy`
+    A contest whose bids :class:`~repro.schedulers.bidding.BiddingMasterPolicy`
     computes itself (``names`` given) also carries, filled in by the
     policy, the bid planes and the timetable, one entry per row:
     ``own`` (the bid minus the committed workload -- what a win

@@ -31,6 +31,7 @@ class DelayMasterPolicy(HoldingsPullMasterPolicy):
     """Skip-counted locality waiting."""
 
     name = "delay"
+    forced_kind = "skip-exhausted"
 
     def __init__(self, max_skips: int = DEFAULT_MAX_SKIPS) -> None:
         super().__init__()
@@ -38,47 +39,16 @@ class DelayMasterPolicy(HoldingsPullMasterPolicy):
             raise ValueError("max_skips must be non-negative")
         self.max_skips = max_skips
         self.skips: dict[str, int] = {}
+        # A non-local bind can only mean the skip budget ran out.
+        self.forced_reason = f"skipped past max_skips={max_skips}; launched non-locally"
 
     def on_job(self, job: Job) -> None:
-        self.job_queue.append(job)
         self.skips.setdefault(job.job_id, 0)
-        self._serve()
-
-    def _pulled(self, worker: str, attempt: int) -> None:
-        if self._quiescing:
-            # Swallow: the puller is about to be hot-swapped too and
-            # its successor will re-pull.
-            return
-        if self.job_queue:
-            self._answer(worker)
-        else:
-            self._park(worker)
+        super().on_job(job)
 
     def _return(self, job: Job) -> None:
         super()._return(job)
         self.skips.setdefault(job.job_id, 0)
-
-    def decision_snapshot(self, job: Job, worker: str) -> bool:
-        return self._local_for(worker, job)
-
-    def decision_context(self, job: Job, worker: str, local: bool) -> tuple:
-        """Ledger: a non-local bind can only mean the skip budget ran out."""
-        from repro.obs.ledger import CandidateScore
-
-        candidates = (CandidateScore(worker=worker, local=local),)
-        if local:
-            reason = (
-                f"repo {job.repo_id} in the puller's holdings"
-                if job.repo_id
-                else "no data needed; any puller matches"
-            )
-            return ("local", candidates, None, reason)
-        return (
-            "skip-exhausted",
-            candidates,
-            None,
-            f"skipped past max_skips={self.max_skips}; launched non-locally",
-        )
 
     def _answer(self, worker: str) -> None:
         """Walk the queue in order: offer the first job local to

@@ -26,7 +26,6 @@ from typing import Optional
 from repro.engine.messages import NoWork
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.pull import HoldingsPullMasterPolicy, PullWorkerPolicy
-from repro.workload.job import Job
 
 DEFAULT_HEARTBEAT_S = 1.0
 
@@ -35,52 +34,14 @@ class MatchmakingMasterPolicy(HoldingsPullMasterPolicy):
     """Locality-filtered offers on first attempt, forced on the second."""
 
     name = "matchmaking"
+    local_kind = "local-pull"
+    forced_reason = "second pull attempt: bound to accept without local data"
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: worker -> attempt counter of its latest pull.
-        self._attempts: dict[str, int] = {}
-
-    def on_job(self, job: Job) -> None:
-        self.job_queue.append(job)
-        self._serve()
-
-    def _pulled(self, worker: str, attempt: int) -> None:
-        if self._quiescing:
-            # Swallow: the puller is about to be hot-swapped too and
-            # its successor will re-pull.
-            return
-        self._attempts[worker] = attempt
-        if self.job_queue:
-            self._answer(worker)
-        else:
-            # A retried pull (the loss-timeout path) replaces the
-            # stale one instead of queueing a duplicate offer claim.
-            self._unpark(worker)
-            self._park(worker)
-
-    def decision_snapshot(self, job: Job, worker: str) -> bool:
-        return self._local_for(worker, job)
-
-    def decision_context(self, job: Job, worker: str, local: bool) -> tuple:
-        """Ledger: locality per the holdings view distinguishes a
-        first-attempt local match from a second-attempt forced bind."""
-        from repro.obs.ledger import CandidateScore
-
-        candidates = (CandidateScore(worker=worker, local=local),)
-        if local:
-            reason = (
-                f"repo {job.repo_id} in the puller's holdings"
-                if job.repo_id
-                else "no data needed; any puller matches"
-            )
-            return ("local-pull", candidates, None, reason)
-        return (
-            "forced",
-            candidates,
-            None,
-            "second pull attempt: bound to accept without local data",
-        )
+    def _park(self, worker: str) -> None:
+        # A retried pull (the loss-timeout path) replaces the stale one
+        # instead of queueing a duplicate offer claim.
+        self._unpark(worker)
+        super()._park(worker)
 
     def _answer(self, worker: str) -> None:
         """Offer a job per the attempt rule; with work but none local on

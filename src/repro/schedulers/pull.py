@@ -12,7 +12,8 @@ rule.  :class:`PullMasterPolicy` holds the master-side bookkeeping that
 does not depend on the match rule: the parked pulls, the offers in
 flight (accepted, bounced, or reclaimed when the offeree dies), the
 retire rule and the quiesce seam; :class:`HoldingsPullMasterPolicy`
-adds the holdings view ``matchmaking`` and ``delay`` match against.
+adds what ``matchmaking`` and ``delay`` share: the holdings view they
+match against, answer-or-park on a pull and a local-or-forced ledger.
 
 An offer that is certain to be declined is three messages with a known
 outcome (``JobOffer`` out; ``JobReject`` and the next ``PullRequest``
@@ -39,8 +40,8 @@ class PullMasterPolicy(MasterPolicy):
     """Parked pulls, offers in flight, retire and quiesce.
 
     A subclass owns the match rule: it says what a pull does
-    (:meth:`_pulled`, parking through :meth:`_park`), implements
-    :meth:`_answer` and calls :meth:`_serve` whenever jobs arrive.
+    (:meth:`_pulled`, parking through :meth:`_park`) and implements
+    :meth:`_answer`; an arriving job joins the queue and is served.
     """
 
     stale_inbound = (PullRequest,)
@@ -82,6 +83,10 @@ class PullMasterPolicy(MasterPolicy):
         it goes to the head of the queue (JMS redelivery of the unacked
         message)."""
         self.job_queue.appendleft(job)
+
+    def on_job(self, job: Job) -> None:
+        self.job_queue.append(job)
+        self._serve()
 
     # -- parked pulls ------------------------------------------------------------
 
@@ -227,7 +232,15 @@ class PullMasterPolicy(MasterPolicy):
 class HoldingsPullMasterPolicy(PullMasterPolicy):
     """A pull master that matches on locality: it learns which worker
     holds which repository from completions (standing in for the
-    JobTracker's block map) and keeps its queue scannable by it."""
+    JobTracker's block map) and keeps its queue scannable by it.
+
+    A subclass supplies :meth:`_answer`, its ledger kinds and the reason
+    for a non-local bind, and may change how a pull parks."""
+
+    #: The ledger's kinds for a local match and for a non-local bind.
+    local_kind = "local"
+    forced_kind = "forced"
+    forced_reason = ""
 
     def __init__(self) -> None:
         super().__init__()
@@ -235,6 +248,20 @@ class HoldingsPullMasterPolicy(PullMasterPolicy):
         #: completions), and the queue whose locality scans read it.
         self.holdings = HoldingsIndex()
         self.job_queue = LocalityQueue(self.holdings)
+        #: worker -> attempt counter of its latest pull (matchmaking's
+        #: first-attempt rule reads it).
+        self._attempts: dict[str, int] = {}
+
+    def _pulled(self, worker: str, attempt: int) -> None:
+        if self._quiescing:
+            # Swallow: the puller is about to be hot-swapped too and
+            # its successor will re-pull.
+            return
+        self._attempts[worker] = attempt
+        if self.job_queue:
+            self._answer(worker)
+        else:
+            self._park(worker)
 
     def on_job_completed(self, job: Job, worker: str) -> None:
         if job.repo_id is not None and worker is not None:
@@ -249,6 +276,24 @@ class HoldingsPullMasterPolicy(PullMasterPolicy):
 
     def _local_for(self, worker: str, job: Job) -> bool:
         return job.repo_id is None or self.holdings.holds(worker, job.repo_id)
+
+    def decision_snapshot(self, job: Job, worker: str) -> bool:
+        return self._local_for(worker, job)
+
+    def decision_context(self, job: Job, worker: str, local: bool) -> tuple:
+        """Ledger: locality per the holdings view tells a local match
+        from a non-local bind."""
+        from repro.obs.ledger import CandidateScore
+
+        candidates = (CandidateScore(worker=worker, local=local),)
+        if not local:
+            return (self.forced_kind, candidates, None, self.forced_reason)
+        reason = (
+            f"repo {job.repo_id} in the puller's holdings"
+            if job.repo_id
+            else "no data needed; any puller matches"
+        )
+        return (self.local_kind, candidates, None, reason)
 
 
 class PullWorkerPolicy(WorkerPolicy):

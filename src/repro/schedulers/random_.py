@@ -10,11 +10,7 @@ from __future__ import annotations
 from itertools import cycle
 from typing import Iterator, Optional
 
-from repro.schedulers.base import (
-    MasterPolicy,
-    PassiveWorkerPolicy,
-    SchedulerPolicy,
-)
+from repro.schedulers.base import MasterPolicy, PassiveWorkerPolicy, SchedulerPolicy
 from repro.workload.job import Job
 
 
@@ -22,6 +18,9 @@ class RandomMasterPolicy(MasterPolicy):
     """Assign each arriving job to a uniformly random worker."""
 
     name = "random"
+    #: The ledger's kind for a pick, and its reason over ``n`` workers.
+    decision_kind = "random"
+    decision_reason = "uniform pick over {n} active workers"
 
     def on_job(self, job: Job) -> None:
         self.master.assign(job, self.master.arbitrary_worker())
@@ -30,21 +29,19 @@ class RandomMasterPolicy(MasterPolicy):
         return len(self.master.active_workers)
 
     def decision_context(self, job: Job, worker: str, snapshot: int) -> tuple:
-        """Ledger: nothing was weighed; the pick was uniform."""
+        """Ledger: nothing was weighed; only the fleet's size is told."""
         from repro.obs.ledger import CandidateScore
 
-        return (
-            "random",
-            (CandidateScore(worker=worker),),
-            None,
-            f"uniform pick over {snapshot} active workers",
-        )
+        reason = self.decision_reason.format(n=snapshot)
+        return (self.decision_kind, (CandidateScore(worker=worker),), None, reason)
 
 
-class RoundRobinMasterPolicy(MasterPolicy):
+class RoundRobinMasterPolicy(RandomMasterPolicy):
     """Assign arriving jobs cyclically across the fleet."""
 
     name = "round-robin"
+    decision_kind = "round-robin"
+    decision_reason = "next in rotation over {n} active workers"
 
     def __init__(self) -> None:
         super().__init__()
@@ -70,20 +67,6 @@ class RoundRobinMasterPolicy(MasterPolicy):
     def on_job(self, job: Job) -> None:
         assert self._cycle is not None, "policy not started"
         self.master.assign(job, next(self._cycle))
-
-    def decision_snapshot(self, job: Job, worker: str) -> int:
-        return len(self.master.active_workers)
-
-    def decision_context(self, job: Job, worker: str, snapshot: int) -> tuple:
-        """Ledger: the cycle position decided, not a comparison."""
-        from repro.obs.ledger import CandidateScore
-
-        return (
-            "round-robin",
-            (CandidateScore(worker=worker),),
-            None,
-            f"next in rotation over {snapshot} active workers",
-        )
 
 
 def make_random_policy() -> SchedulerPolicy:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.bidding import make_bidding_policy
+from repro.schedulers.bidding import make_bidding_policy
 from repro.schedulers.bar import make_bar_policy
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.baseline import make_baseline_policy

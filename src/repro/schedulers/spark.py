@@ -28,47 +28,27 @@ Spark would launch them as a new stage with the same driver behaviour.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.fleet import HolderMatrix, LoadTable, argmin_value_rank, name_ranks
-from repro.schedulers.base import (
-    MasterPolicy,
-    PassiveWorkerPolicy,
-    SchedulerPolicy,
-)
+from repro.schedulers.base import PassiveWorkerPolicy, SchedulerPolicy, UpfrontPlannerPolicy
 from repro.workload.job import Job
 
 
-class SparkMasterPolicy(MasterPolicy):
-    """Centralized upfront allocation with plan-time locality preference."""
+class SparkMasterPolicy(UpfrontPlannerPolicy):
+    """Centralized upfront allocation with plan-time locality preference.
+
+    The load table counts the jobs planned onto each executor, in the
+    driver's registration order."""
 
     name = "spark"
-    requires_upfront = True
 
-    def __init__(
-        self,
-        locality_wait_slots: int = 2,
-        use_locality: bool = True,
-    ) -> None:
+    def __init__(self, locality_wait_slots: int = 2, use_locality: bool = True) -> None:
         super().__init__()
         if locality_wait_slots < 0:
             raise ValueError("locality_wait_slots must be non-negative")
         self.locality_wait_slots = locality_wait_slots
         self.use_locality = use_locality
-        #: The driver's block-location view: worker -> cached repo ids.
-        #: Injected by the runtime from the *initial* cache contents
-        #: (Spark never learns about clones made during the run).
-        self.cache_view: dict[str, set[str]] = {}
-        self._plan: dict[str, str] = {}
-        #: executor -> jobs planned onto it, in the driver's registration
-        #: order (``None`` until the first job or plan fixes that order).
-        self._counts: Optional[LoadTable] = None
-        #: Whether the assignment in flight came from the upfront plan
-        #: (vs the dynamic balanced fallback) -- read by the decision
-        #: ledger, which fires inside ``master.assign``.
-        self._last_planned = False
 
     def _executors(self) -> LoadTable:
         """The driver's executor table, in an order shuffled per run.
@@ -80,12 +60,12 @@ class SparkMasterPolicy(MasterPolicy):
         assignment -- something Spark (which cannot see the on-disk clone
         caches) never gets.
         """
-        if self._counts is None:
+        if self._load is None:
             order = list(self.master.active_workers)
             self.master.rng.shuffle(order)
-            self._counts = LoadTable(dtype=np.int64)
-            self._counts.reset(dict.fromkeys(order, 0))
-        return self._counts
+            self._load = LoadTable(dtype=np.int64)
+            self._load.reset(dict.fromkeys(order, 0))
+        return self._load
 
     # -- planning ------------------------------------------------------------
 
@@ -116,63 +96,33 @@ class SparkMasterPolicy(MasterPolicy):
             self._plan[job.job_id] = workers[slot]
             counts[slot] += 1
 
-    # -- fleet churn -----------------------------------------------------------
-
-    def on_worker_failed(self, worker: str, orphaned: list[Job]) -> None:
-        """Drop the dead executor from the registration order and strip
-        plan entries targeting it, so re-dispatched and future jobs land
-        on live executors."""
-        if self._counts is not None:
-            self._counts.pop(worker)
-        for job_id, name in list(self._plan.items()):
-            if name == worker:
-                del self._plan[job_id]
-
     def on_worker_joined(self, worker: str) -> None:
-        """A restarted (or scaled-up) executor registers with the driver.
-
-        It enters at the current maximum planned count -- Spark would
-        not rebalance the existing plan onto a late joiner, so only
-        re-dispatched/late jobs flow to it.
-        """
-        table = self._counts
+        """As every planner's, except that a table every executor has
+        left takes the joiner at 0: the driver builds its table once per
+        run and never re-seeds it."""
+        table = self._load
         if table is not None:
             table.ensure(worker, table.max_value() if table else 0)
 
-    def on_worker_retired(self, worker: str) -> None:
-        """Scale-down: the draining executor leaves the registration
-        order, so no dynamic job is balanced onto it; what the plan
-        still holds for it is its to finish."""
-        if self._counts is not None:
-            self._counts.pop(worker)
-
-    # -- arrival-time dispatch --------------------------------------------------
-
-    def on_job(self, job: Job) -> None:
-        worker = self._plan.pop(job.job_id, None)
-        self._last_planned = worker is not None
-        if worker is None:
-            # A dynamically spawned job: balanced, locality-blind.
-            table = self._executors()
-            worker = table.argmin_first()
-            table.add(worker, 1)
-        self.master.assign(job, worker)
-
-    def _holds(self, job: Job, worker: str) -> bool:
-        return job.repo_id is not None and job.repo_id in self.cache_view.get(worker, ())
+    def _pick(self, job: Job) -> str:
+        """A dynamically spawned job: balanced, locality-blind."""
+        table = self._executors()
+        worker = table.argmin_first()
+        table.add(worker, 1)
+        return worker
 
     def decision_snapshot(self, job: Job, worker: str) -> tuple:
         """The executor order with its planned counts, who holds the
         job's repo in the driver's block view (restarts rewrite it), and
         whether the upfront plan decided."""
-        table = self._counts
+        table = self._load
         if table:
             workers, counts = list(table.names), table.values[: len(table)].tolist()
         else:
             workers = list(self.master.worker_names)
             counts = [0] * len(workers)
-        holders = [self._holds(job, name) for name in workers]
-        return workers, counts, holders, self._holds(job, worker), self._last_planned
+        holders = [self._cached(job, name) for name in workers]
+        return workers, counts, holders, self._cached(job, worker), self._last_planned
 
     def decision_context(self, job: Job, worker: str, snapshot: tuple) -> tuple:
         """Ledger: planned (NODE_LOCAL or degraded-to-ANY) vs dynamic."""
@@ -189,27 +139,18 @@ class SparkMasterPolicy(MasterPolicy):
             if name != worker
         ]
         runner_up = min(others)[2] if others else None
-        if planned:
-            if chosen_local:
-                return (
-                    "planned-local",
-                    candidates,
-                    runner_up,
-                    f"plan-time NODE_LOCAL: repo {job.repo_id} in the driver's "
-                    f"block view of {worker}",
-                )
-            return (
-                "planned-any",
-                candidates,
-                runner_up,
-                "plan-time ANY: no holder with plan room; balanced by count",
+        if not planned:
+            kind = "dynamic"
+            reason = "dynamically spawned job: least-loaded executor, locality-blind"
+        elif chosen_local:
+            kind = "planned-local"
+            reason = (
+                f"plan-time NODE_LOCAL: repo {job.repo_id} in the driver's block view of {worker}"
             )
-        return (
-            "dynamic",
-            candidates,
-            runner_up,
-            "dynamically spawned job: least-loaded executor, locality-blind",
-        )
+        else:
+            kind = "planned-any"
+            reason = "plan-time ANY: no holder with plan room; balanced by count"
+        return (kind, candidates, runner_up, reason)
 
 
 def make_spark_policy(
@@ -222,5 +163,4 @@ def make_spark_policy(
             locality_wait_slots=locality_wait_slots, use_locality=use_locality
         ),
         worker_factory=PassiveWorkerPolicy,
-        requires_upfront=True,
     )

@@ -6,7 +6,7 @@ one ``_bid_loop`` process per worker parked on an announce mailbox, one
 the broker, bids collected in a per-contest dict.  It is slow and
 obviously faithful to Listings 1-2, which is its whole job:
 ``test_contest_differential.py`` registers it as a scheduler and demands
-the implementation in :mod:`repro.core` reproduce it exactly.
+the implementation in :mod:`repro.schedulers.bidding` reproduce it exactly.
 
 Two protocol fixes made since are mirrored here, because they change
 what a run does: a bid for a job this policy never announced is left to
@@ -21,7 +21,7 @@ from typing import Optional
 
 from reference_sim import AnyOf, Event, Process, Store, Timeout, inbox
 from repro.core.adaptive import BidCorrector
-from repro.core.bidding import DEFAULT_BID_COMPUTE_S, DEFAULT_WINDOW_S
+from repro.schedulers.bidding import DEFAULT_BID_COMPUTE_S, DEFAULT_WINDOW_S
 from repro.core.estimator import CostEstimator
 from repro.core.learning import NominalSpeedModel
 from repro.engine.messages import TOPIC_ANNOUNCE, Assignment, Bid, JobAnnouncement
@@ -287,7 +287,7 @@ def make_reference_bidding_policy(
     fast_local_close: bool = False,
     adaptive: bool = False,
 ) -> SchedulerPolicy:
-    """Same signature as :func:`repro.core.bidding.make_bidding_policy`."""
+    """Same signature as :func:`repro.schedulers.bidding.make_bidding_policy`."""
     factory = speed_model_factory or NominalSpeedModel
     return SchedulerPolicy(
         name="bidding",

@@ -1,0 +1,98 @@
+"""The layering of ``src/repro``, read off each module's syntax tree.
+
+``repro.core`` holds the bidder's estimation models -- the speed models,
+the cost estimator and the bid corrector.  The schedulers (bidding among
+them) and the engine are built on it, so nothing under ``repro/core``
+may import ``repro.schedulers`` or ``repro.engine``: that would make the
+layers a cycle again.  An import made for type annotations only, inside
+``if TYPE_CHECKING:``, never runs and is let off.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: The packages a module under ``repro/core`` must not import at run time.
+ABOVE_CORE = ("repro.schedulers", "repro.engine")
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``."""
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def runtime_imports(tree: ast.AST, package: str) -> list[tuple[int, str]]:
+    """``(line, dotted name)`` of everything ``tree`` imports when it runs;
+    ``package`` resolves relative imports."""
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(parent + ([base] if base else []))
+            found.extend((node.lineno, f"{base}.{alias.name}") for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def offences(tree: ast.AST, package: str = "repro.core") -> list[tuple[int, str]]:
+    return [
+        (line, name)
+        for line, name in runtime_imports(tree, package)
+        if any(name == banned or name.startswith(banned + ".") for banned in ABOVE_CORE)
+    ]
+
+
+def test_the_rule_sees_every_import_form():
+    source = """
+import repro.engine.worker
+import repro.schedulers as schedulers
+from repro.schedulers.base import MasterPolicy
+from repro import engine
+from ..schedulers import registry
+from .estimator import CostEstimator
+from repro.enginex import fine
+from typing import TYPE_CHECKING
+import typing
+if TYPE_CHECKING:
+    from repro.engine.master import Master
+else:
+    from repro.engine.messages import Bid
+if typing.TYPE_CHECKING:
+    import repro.schedulers.pull
+def f():
+    from repro.engine.runtime import WorkflowRuntime
+"""
+    assert [name for _line, name in offences(ast.parse(source))] == [
+        "repro.engine.worker",
+        "repro.schedulers",
+        "repro.schedulers.base.MasterPolicy",
+        "repro.engine",
+        "repro.schedulers.registry",
+        "repro.engine.messages.Bid",
+        "repro.engine.runtime.WorkflowRuntime",
+    ]
+
+
+def test_core_imports_no_scheduler_and_no_engine():
+    modules = sorted((SRC / "core").rglob("*.py"))
+    assert modules, "no modules under repro/core"
+    found = []
+    for path in modules:
+        package = "repro." + ".".join(path.relative_to(SRC).parent.parts)
+        for line, name in offences(ast.parse(path.read_text(encoding="utf-8")), package):
+            found.append(f"{path.relative_to(SRC)}:{line} imports {name}")
+    assert found == []

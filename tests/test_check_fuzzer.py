@@ -130,7 +130,7 @@ class TestRegressionSeeds:
     # Each seed reproduced a distinct engine bug when first drawn; the
     # fixes live in the modules named below.  All must now run clean.
     SEEDS = {
-        315: "bidding: stale announce subscription after a crash (core/bidding)",
+        315: "bidding: stale announce subscription after a crash (schedulers/bidding)",
         157: "matchmaking: pull loop stalled by message loss (schedulers/matchmaking)",
         1021: "delay: pull loop stalled by message loss (schedulers/delay)",
         21558: "injector fleet-wipe race + empty-fleet redispatch (faults/injector, engine/master)",

@@ -3,7 +3,7 @@
 ``tests/reference_bidding.py`` is the Bidding Scheduler as it ran before
 contests went columnar (one bid-loop process and one ``Bid`` message per
 worker per job).  Every scenario here runs twice -- once on
-``repro.core`` and once with the reference registered as ``"bidding"``
+``repro.schedulers.bidding`` and once with the reference registered as ``"bidding"``
 (so a hot-swap *to* bidding swaps in the same implementation) -- and the
 two runs must agree exactly: the full ``RunResult`` row, every worker's
 ``bids_submitted``, and with ``trace=True`` the whole trace record
@@ -32,7 +32,7 @@ from reference_bidding import make_reference_bidding_policy
 from repro.check.fuzzer import Scenario, generate_scenario
 from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.cluster.worker_spec import WorkerSpec
-from repro.core.bidding import make_bidding_policy
+from repro.schedulers.bidding import make_bidding_policy
 from repro.core.learning import EWMASpeedModel, HistoricAverageSpeedModel, NominalSpeedModel
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import CrashRenewal, FaultPlan

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.core.bidding import make_bidding_policy
+from repro.schedulers.bidding import make_bidding_policy
 from repro.core.learning import HistoricAverageSpeedModel
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.contest import Contest, ContestStatus
+from repro.schedulers.contest import Contest, ContestStatus
 from repro.engine.messages import Bid
 from repro.sim import Simulator
 from repro.workload.job import Job

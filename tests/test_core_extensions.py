@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_profile, make_spec
 from repro.core.adaptive import BidCorrector
-from repro.core.bidding import make_bidding_policy
+from repro.schedulers.bidding import make_bidding_policy
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.workload.job import Job, JobArrival, JobStream

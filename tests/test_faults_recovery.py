@@ -7,13 +7,18 @@ determinism, the explicit-failure paper default, and the at-most-once
 completion guard under straggler re-dispatch.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from conftest import make_profile, make_spec
+from repro.cluster.profiles import profile_by_name
 from repro.engine.runtime import EngineConfig, WorkflowRuntime, WorkflowStalled
 from repro.faults import CrashRenewal, FaultPlan, RecoveryConfig, WorkerCrash
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
+from repro.workload.generators import job_config_by_name
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER
 
@@ -88,6 +93,27 @@ class TestRecoveryAcrossSchedulers:
             result.failed_jobs
         )
         assert runtime.metrics.jobs_failed == 0
+
+    def test_the_custom_scheduler_example_survives_a_crash(self):
+        # The extension example picks among the live workers and forgets
+        # a dead one's holdings; otherwise its orphans go back to the dead
+        # worker until their re-dispatch budget runs out.
+        path = Path(__file__).parent.parent / "examples" / "custom_scheduler.py"
+        spec = importlib.util.spec_from_file_location("custom_scheduler", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        _corpus, stream = job_config_by_name("80%_large").build(seed=5)
+        runtime = WorkflowRuntime(
+            profile=profile_by_name("fast-slow"),
+            stream=stream,
+            scheduler=example.make_greedy_policy(),
+            config=EngineConfig(seed=5),
+            faults=FaultPlan(crashes=(WorkerCrash(at_s=5.0),)),
+        )
+        result = runtime.run()
+        assert result.crashes == 1
+        assert result.jobs_completed == len(stream.arrivals)
+        assert result.failed_jobs == ()
 
     def test_bidding_orphans_actually_redispatch(self):
         # Under bidding, w1 holds work at t=2 (same setup as the direct

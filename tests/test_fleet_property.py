@@ -338,7 +338,7 @@ def test_spark_planner_matches_scalar_reference(case, wait_slots, use_locality, 
     assert real_plan == ref_plan
     assert real_assigned == ref_assigned
     assert real._plan == ref._plan
-    table = real._counts
+    table = real._load
     assert table.names == ref._order  # the registration order, through churn
     assert {n: int(table.get(n)) for n in table.names} == ref._planned_counts
 

@@ -40,7 +40,7 @@ EMITTERS = (
     "engine/worker.py",
     "net/broker.py",
     "net/bandwidth.py",
-    "core/bidding.py",
+    "schedulers/bidding.py",
     "schedulers/pull.py",
     "reconfig/controller.py",
     "faults/injector.py",

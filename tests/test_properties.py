@@ -9,7 +9,7 @@ from repro.data.sizes import band_of
 from repro.net.bandwidth import FairSharePipe
 from reference_sim import Simulator, Store
 from repro.sim.rng import split_seed
-from repro.core.contest import Contest
+from repro.schedulers.contest import Contest
 from repro.engine.messages import Bid
 from repro.workload.job import Job, JobStream
 from repro.workload.msr import TASK_ANALYZER

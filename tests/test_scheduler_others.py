@@ -153,7 +153,7 @@ class TestSpark:
         for i in range(8):
             policy.on_job(Job(job_id=f"d{i}", task=TASK_ANALYZER))
         if soa:
-            table = policy._counts
+            table = policy._load
             return master.assignments, {n: int(table.get(n)) for n in table.names}
         return master.assignments, dict(policy._planned_counts)
 
