@@ -7,7 +7,7 @@ which backend it is talking to (the drain/rebind shape follows the
 worker-scheduler control surface of Madsen et al., arXiv:1602.03770):
 
 ``stats``
-    snapshot of fleet, queues and counters;
+    snapshot of fleet, queues, counters, handoff and writes per job;
 ``dispatch``
     inject a new job at runtime (optionally pinned to a worker --
     otherwise placed by the locality-aware rule);

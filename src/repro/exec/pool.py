@@ -58,6 +58,11 @@ from repro.metrics.collector import MetricsCollector
 from repro.workload.job import Job
 
 
+def _pct(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of an ascending list; 0.0 when it is empty."""
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))] if ordered else 0.0
+
+
 class ExecError(RuntimeError):
     """The real run could not complete (spawn failure, timeout, ...)."""
 
@@ -67,7 +72,8 @@ class ExecConfig:
     """Knobs of the real backend.
 
     ``time_scale`` maps simulated seconds to wall-clock sleeps inside
-    workers (0.02 -> a 50 s simulated download costs 1 s real).  The
+    workers (0.02 -> a 50 s simulated download costs 1 s real), kept as
+    deadlines a late wake-up never carries over (:mod:`repro.exec.worker`).  The
     heartbeat cadence and miss limit bound crash-detection latency at
     ``heartbeat_s * miss_limit`` real seconds.  ``stall_after`` is the
     chaos hook: ``(worker, n)`` wedges that worker (silence, no
@@ -261,6 +267,7 @@ class ExecBackend:
         self._terminal: set[str] = set()
         self._redispatch_counts: dict[str, int] = {}
         self._handoff: list[float] = []
+        self._writes = self._written_bytes = 0  # _flush's transport.write calls and bytes
         self._pending_kills = list(self.kills)
         self._pending_script = list(self.script)
         self._dirty: list[_WorkerState] = []  # workers with a non-empty outbox
@@ -375,7 +382,10 @@ class ExecBackend:
         """Write each worker's batch of dispatches: one write per worker."""
         for state in self._dirty:
             if state.outbox:
-                state.transport.write(b"".join(state.outbox))
+                data = b"".join(state.outbox)
+                state.transport.write(data)
+                self._writes += 1
+                self._written_bytes += len(data)
                 state.outbox.clear()
         self._dirty.clear()
 
@@ -656,7 +666,8 @@ class ExecBackend:
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Live snapshot (the control plane's ``stats`` verb)."""
+        """Live snapshot (the control plane's ``stats`` verb), computed on read."""
+        handoff, done = sorted(self._handoff), max(1, self.completed)
         return {
             "scheduler": self.plan.scheduler,
             "admitted": self.admitted,
@@ -664,6 +675,14 @@ class ExecBackend:
             "failed": self.failed,
             "crashes": self.crashes,
             "redispatches": self.redispatches,
+            "handoff_ms": {
+                "count": len(handoff),
+                "p50": _pct(handoff, 0.5) * 1e3,
+                "p90": _pct(handoff, 0.9) * 1e3,
+                "max": _pct(handoff, 1.0) * 1e3,
+            },
+            "writes_per_job": self._writes / done,
+            "write_bytes_per_job": self._written_bytes / done,
             "workers": {
                 state.name: {
                     "alive": state.alive,
@@ -679,12 +698,6 @@ class ExecBackend:
 
     def _report(self, wall_s: float) -> ExecReport:
         handoff = sorted(self._handoff)
-
-        def pct(q: float) -> float:
-            if not handoff:
-                return 0.0
-            return handoff[min(len(handoff) - 1, int(q * len(handoff)))]
-
         per_worker_cache = {
             name: (block.cache_hits, block.cache_misses)
             for name, block in self.metrics.workers.items()
@@ -704,8 +717,8 @@ class ExecBackend:
             data_load_mb=self.metrics.total_mb_downloaded,
             wall_s=wall_s,
             throughput_jobs_per_s=self.completed / wall_s if wall_s > 0 else 0.0,
-            handoff_p50_s=pct(0.50),
-            handoff_max_s=handoff[-1] if handoff else 0.0,
+            handoff_p50_s=_pct(handoff, 0.5),
+            handoff_max_s=_pct(handoff, 1.0),
             assigned=tuple(self.assigned_log),
             per_worker_completed={
                 state.name: tuple(state.completed_order)

@@ -15,7 +15,10 @@ does whatever is due, in this order, then waits:
   ``(link_latency + size/network) * scale`` to fetch,
   ``(size/rw + compute/cpu_factor) * scale`` to process -- plus genuine
   CPU work through the sandboxed handler registry
-  (:mod:`repro.exec.handlers`);
+  (:mod:`repro.exec.handlers`), on absolute deadlines: a job starts when
+  its ``dispatch`` was read or at the previous deadline plus handler
+  time, if later; each phase ends at its start + scaled time, and
+  ``exec_s`` counts from that start, so lateness never carries over;
 * **send** -- every ``done`` and heartbeat of the turn in one
   ``sendall``;
 * **wait** -- until the socket is readable, the running job's fetch or
@@ -27,9 +30,9 @@ the executor is FIFO, the per-worker cache hit/miss *sequence* here must
 equal the sim's -- one of the differential harness's strongest checks.
 
 A process that sleeps modelled durations needs a wait finer than the
-shortest scaled one: ``epoll`` rounds every timeout up to a whole
-millisecond, so the loop waits on a :class:`selectors.SelectSelector`,
-whose ``select`` keeps microseconds (a worker holds one socket).
+shortest: ``epoll`` rounds timeouts up to whole milliseconds, so the loop
+waits on a :class:`selectors.SelectSelector` (one socket, microseconds),
+and :func:`worker_main` sets its timer slack to 1 ns on Linux.
 
 ``stall_after`` (a test/chaos hook) makes the process fall silent --
 no heartbeats, no progress -- after N completions, exercising the
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import selectors
 import socket
+import sys
 import time
 from collections import deque
 from typing import Any
@@ -87,10 +91,10 @@ class Worker:
         out = [protocol.encode({"type": protocol.HELLO, "role": protocol.ROLE_WORKER, "name": name})]
         beat = protocol.encode({"type": protocol.HEARTBEAT, "name": name})
         parser = protocol.LineParser()
-        fifo: deque[dict[str, Any]] = deque()
+        fifo: deque[tuple[dict[str, Any], float]] = deque()  # (dispatch, read at)
         job: dict[str, Any] | None = None  # the running job's dispatch message
         job_id = repo_id = cache_hit = None
-        size_mb = started = due = 0.0
+        size_mb = started = due = free_at = 0.0
         fetching = stalled = False
         completed = 0
         next_beat = clock()
@@ -101,10 +105,10 @@ class Worker:
                 next_beat = now + self.heartbeat_s
             while not stalled and (job is not None or fifo):
                 if job is None:  # start the next job: a hit processes, a miss fetches first
-                    job = fifo.popleft()
+                    job, read_at = fifo.popleft()
                     job_id, repo_id = job["job_id"], job.get("repo_id")
                     size_mb = job.get("size_mb", 0.0)
-                    started = now
+                    started = due = max(free_at, read_at)
                     cache_hit = None if repo_id is None else self.cache.lookup(repo_id)
                     fetching = cache_hit is False
                     seconds = fetch_seconds(spec, size_mb) if fetching else None
@@ -115,11 +119,13 @@ class Worker:
                     fetching = False
                     seconds = None
                 else:  # processed: the handler's real work, then report
+                    free_at = due - now  # + the clock after the handler: deadline + its time
                     digest = run_handler(
                         job.get("handler", "checksum"), payload_for(job_id, repo_id, size_mb)
                     )
                     job = None
                     now = clock()
+                    free_at += now
                     completed += 1
                     if self.stall_after is not None and completed >= self.stall_after:
                         stalled = True  # wedge: no done message, no beats, no progress
@@ -140,7 +146,7 @@ class Worker:
                     continue
                 if seconds is None:
                     seconds = process_seconds(spec, size_mb, job.get("base_compute_s", 0.0))
-                due = now + seconds * scale
+                due += seconds * scale
             if out:
                 self.sock.sendall(b"".join(out))
                 out.clear()
@@ -155,15 +161,21 @@ class Worker:
             data = self.sock.recv(1 << 16)
             if not data:
                 return
+            read_at = clock()
             for message in parser.feed(data):
                 if message["type"] == protocol.SHUTDOWN:
                     return
                 if message["type"] == protocol.DISPATCH:
-                    fifo.append(message)
+                    fifo.append((message, read_at))
 
 
 def worker_main(host: str, port: int, spec: dict[str, Any], cfg: dict[str, Any]) -> None:
     """Process entry point (must stay importable for ``spawn``)."""
+    if sys.platform == "linux":  # this process's own timer slack: 50 us -> 1 ns
+        import ctypes
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int,) + (ctypes.c_ulong,) * 4, ctypes.c_int
+        prctl(29, 1, 0, 0, 0)  # PR_SET_TIMERSLACK
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:

@@ -22,7 +22,7 @@ line of a text.
     fault injector and the reconfiguration controller
     (``golden_scale.json``);
 ``service``
-    the report and digests of seven open-loop service cells and the
+    the report and digests of eight open-loop service cells and the
     message of one that misses its deadline (``golden_service.json``);
 ``fig2`` ... ``sensitivity``, ``fig3_reduced`` ... ``sensitivity_reduced``
     the stdout of the seven experiment commands at default arguments,
@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 from repro.cluster.profiles import WorkerProfile, all_equal
 from repro.cluster.worker_spec import WorkerSpec
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
-from repro.faults import CrashRenewal, FaultPlan
+from repro.faults import CrashRenewal, FaultPlan, WorkerCrash
 from repro.obs import ObsConfig, build_spans, perfetto_trace
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
@@ -485,7 +485,11 @@ def record_scale() -> dict:
 #: token-bucket hint); the autoscaler with ``rebalance``; a crash/repair
 #: renewal under the autoscaler, so elastic ``e*`` workers die and
 #: restart; obs and invariant checks with a shared origin; a live
-#: migration and a bidding -> baseline hot-swap.
+#: migration and a bidding -> baseline hot-swap; and a BAR whose load
+#: table no plan has seeded when a crashed worker restarts, before the
+#: first arrival: BAR skips the joiner and seeds the table from the
+#: whole fleet at its first pick, where Spark's rule (admit a joiner at
+#: 0) would leave the joiner the table's only worker.
 SERVICE_CELLS: dict[str, dict] = {
     "bidding-burst": dict(scheduler="bidding"),
     "baseline-burst": dict(scheduler="baseline"),
@@ -518,6 +522,10 @@ SERVICE_CELLS: dict[str, dict] = {
             migrations=(JobMigration(at_s=50.0, max_jobs=2),),
             swaps=(SchedulerSwap(at_s=100.0, scheduler="baseline"),),
         ),
+    ),
+    "bar-restart-unseeded": dict(
+        scheduler="bar",
+        faults=FaultPlan(crashes=(WorkerCrash(at_s=0.0, worker="w1", restart_after_s=0.5),)),
     ),
 }
 

@@ -6,6 +6,10 @@ them) and the engine are built on it, so nothing under ``repro/core``
 may import ``repro.schedulers`` or ``repro.engine``: that would make the
 layers a cycle again.  An import made for type annotations only, inside
 ``if TYPE_CHECKING:``, never runs and is let off.
+
+``repro/exec`` splits every line it reads with ``protocol.LineParser``:
+no module there names a stream line reader or an asyncio stream server,
+in a call, an attribute, an import or a ``getattr`` string.
 """
 
 from __future__ import annotations
@@ -17,6 +21,24 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: The packages a module under ``repro/core`` must not import at run time.
 ABOVE_CORE = ("repro.schedulers", "repro.engine")
+
+#: What reads lines off a stream, or serves one that would, outside
+#: ``protocol.LineParser``: no module under ``repro/exec`` may name these.
+LINE_READERS = frozenset(
+    {
+        "readline",
+        "readlines",
+        "readuntil",
+        "readexactly",
+        "makefile",
+        "StreamReader",
+        "StreamReaderProtocol",
+        "start_server",
+        "start_unix_server",
+        "open_connection",
+        "open_unix_connection",
+    }
+)
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -95,4 +117,59 @@ def test_core_imports_no_scheduler_and_no_engine():
         package = "repro." + ".".join(path.relative_to(SRC).parent.parts)
         for line, name in offences(ast.parse(path.read_text(encoding="utf-8")), package):
             found.append(f"{path.relative_to(SRC)}:{line} imports {name}")
+    assert found == []
+
+
+def line_readers(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of every :data:`LINE_READERS` name ``tree`` uses."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in LINE_READERS:
+            found.append((getattr(node, "lineno", 0), name))
+    return sorted(found)
+
+
+def test_the_line_rule_sees_every_form():
+    source = """
+import asyncio
+from asyncio import StreamReader, start_server as serve
+from asyncio.streams import open_connection
+line = sock.makefile("rb").readline()
+reader = asyncio.StreamReader()
+read = getattr(stream, "readuntil")
+server = await asyncio.start_unix_server(handle, path)
+\"""A docstring may say readline( in prose.\"""
+parser = LineParser()
+server = await loop.create_server(Peer, host, 0)
+"""
+    assert [name for _line, name in line_readers(ast.parse(source))] == [
+        "StreamReader",
+        "start_server",
+        "open_connection",
+        "makefile",
+        "readline",
+        "StreamReader",
+        "readuntil",
+        "start_unix_server",
+    ]
+
+
+def test_exec_reads_lines_only_through_the_line_parser():
+    modules = sorted((SRC / "exec").rglob("*.py"))
+    assert modules, "no modules under repro/exec"
+    found = [
+        f"{path.relative_to(SRC)}:{line} names {name}"
+        for path in modules
+        for line, name in line_readers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
     assert found == []

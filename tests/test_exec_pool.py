@@ -246,6 +246,33 @@ class TestControlSocket:
         assert report.admitted == 5 and report.completed == 5
         assert "extra" in report.per_worker_completed["b"]
 
+    def test_stats_report_the_coordinators_half_of_a_job(self):
+        # b's two instant jobs finish while a grinds its slow ones, so a
+        # client reads the handoff and write counters of a pool mid-run.
+        plan = hand_plan(slow_on_a=4, fast_on_b=2)
+        backend = ExecBackend(plan, config(inflight_per_worker=1))
+        runner = threading.Thread(target=lambda: setattr(backend, "_result", backend.run()))
+        runner.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while backend.completed < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert backend.completed >= 2, "the fast jobs never completed"
+            with ControlClient("127.0.0.1", backend.port, timeout_s=10.0) as client:
+                stats = client.stats()
+        finally:
+            runner.join(timeout=60.0)
+        assert not runner.is_alive()
+        handoff = stats["handoff_ms"]
+        assert set(handoff) == {"count", "p50", "p90", "max"}
+        assert handoff["count"] == stats["completed"] >= 2
+        assert 0.0 <= handoff["p50"] <= handoff["p90"] <= handoff["max"]
+        # Six dispatches have gone out in at least two writes (one per
+        # worker), and every dispatch line is tens of bytes.
+        assert 0.0 < stats["writes_per_job"] <= 6 / stats["completed"]
+        assert stats["write_bytes_per_job"] > 50 * stats["writes_per_job"]
+        assert backend._result.conserved
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(

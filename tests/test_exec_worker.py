@@ -8,6 +8,7 @@ exercised in this process.
 """
 
 import hashlib
+import multiprocessing
 import os
 import socket
 import statistics
@@ -126,7 +127,7 @@ def drive(scenario):
     server = socket.create_server(("127.0.0.1", 0))
     port = server.getsockname()[1]
     worker = threading.Thread(
-        target=worker_main, args=("127.0.0.1", port, scenario.spec, scenario.cfg), daemon=True
+        target=scenario.main, args=("127.0.0.1", port, scenario.spec, scenario.cfg), daemon=True
     )
     worker.start()
     server.settimeout(5.0)
@@ -149,10 +150,11 @@ def drive(scenario):
     assert not worker.is_alive()
 
 
-def scenario(spec_dict=None, cfg_dict=None):
+def scenario(spec_dict=None, cfg_dict=None, main=worker_main):
     def wrap(fn):
         fn.spec = spec_dict or spec()
         fn.cfg = cfg_dict or cfg()
+        fn.main = main
         fn.run = lambda: drive(fn)
         return fn
 
@@ -259,13 +261,142 @@ class TestWorkerLoop:
         play.run()
 
 
+#: How late :class:`OversleepingWorker` wakes from every timed-out wait.
+OVERSLEEP_S = 0.005
+#: A data-free job's modelled time: 10 compute-seconds at ``cfg()``'s 0.001.
+MODELLED_S = 0.010
+
+
+class OversleepingWorker(Worker):
+    """A worker on a coarse clock: a wait that times out returns a fixed
+    5 ms late (a wake-up on a readable socket is on time)."""
+
+    def wait(self, timeout):
+        if super().wait(timeout):
+            return True
+        time.sleep(OVERSLEEP_S)
+        return False
+
+
+def oversleeping_main(host, port, spec_dict, cfg_dict):
+    sock = socket.create_connection((host, port))
+    try:
+        OversleepingWorker(sock, spec_dict, cfg_dict).run()
+    except ConnectionError:  # pragma: no cover - teardown
+        pass
+    finally:
+        sock.close()
+
+
+def compute_job(co, job_id):
+    """Dispatch one data-free job of :data:`MODELLED_S`; return when it was sent."""
+    sent = time.monotonic()
+    co.dispatch(job_id, handler="noop", base_compute_s=10.0)
+    return sent
+
+
+class TestSchedule:
+    """The worker keeps absolute deadlines: a late wake-up is not charged
+    to the next job, and no job is cut short by an earlier one's."""
+
+    def test_oversleeps_do_not_add_up_over_queued_jobs(self):
+        n = 10
+
+        @scenario(cfg_dict=cfg(heartbeat_s=1.0), main=oversleeping_main)
+        def play(co, worker):
+            lines = [
+                protocol.encode(
+                    {"type": protocol.DISPATCH, "job_id": f"j{i}", "handler": "noop",
+                     "base_compute_s": 10.0}
+                )
+                for i in range(n)
+            ]
+            sent = time.monotonic()
+            co.sock.sendall(b"".join(lines))
+            for _ in range(n):
+                co.recv_type(protocol.DONE)
+            took = time.monotonic() - sent
+            # Every job overslept, but only the last one's lateness shows
+            # (plus one more oversleep of room for the handlers and the
+            # threads); a relative wait would pay n of them.
+            assert n * MODELLED_S <= took < n * MODELLED_S + 2 * OVERSLEEP_S
+
+        play.run()
+
+    def test_no_done_comes_before_its_modelled_time(self):
+        # Queued behind a running job, arriving mid-job, arriving idle:
+        # each done lands at least its modelled time after its dispatch.
+        gaps = (0.0, 0.0, 0.003, 0.004, 0.05, 0.001)
+
+        @scenario(main=oversleeping_main)
+        def play(co, worker):
+            sent = {}
+            for i, gap in enumerate(gaps):
+                time.sleep(gap)
+                sent[f"j{i}"] = compute_job(co, f"j{i}")
+            for _ in gaps:
+                done = co.recv_type(protocol.DONE)
+                assert time.monotonic() - sent[done["job_id"]] >= MODELLED_S
+                assert done["exec_s"] >= MODELLED_S * (1 - 1e-9)
+
+        play.run()
+
+    def test_a_job_sent_to_an_idle_worker_starts_at_its_arrival(self):
+        # The first job's deadline is 100 ms stale when the second
+        # arrives: the second still waits out its own modelled time.
+        @scenario()
+        def play(co, worker):
+            compute_job(co, "j0")
+            co.recv_type(protocol.DONE)
+            time.sleep(0.1)
+            sent = compute_job(co, "j1")
+            done = co.recv_type(protocol.DONE)
+            assert time.monotonic() - sent >= MODELLED_S
+            assert MODELLED_S * (1 - 1e-9) <= done["exec_s"] < MODELLED_S + 0.05
+
+        play.run()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/timerslack_ns"), reason="Linux timer slack only"
+    )
+    def test_a_spawned_worker_sets_only_its_own_timer_slack(self):
+        def slack(pid="self"):
+            with open(f"/proc/{pid}/timerslack_ns") as f:
+                return int(f.read())
+
+        ours = slack()
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(60.0)
+        child = multiprocessing.get_context("spawn").Process(
+            target=worker_main, args=("127.0.0.1", server.getsockname()[1], spec(), cfg())
+        )
+        child.start()
+        try:
+            conn, _addr = server.accept()
+            with conn:
+                assert Coordinator(conn).recv()["type"] == protocol.HELLO
+                try:
+                    theirs = slack(child.pid)
+                except PermissionError:
+                    pytest.skip("reading another process's timer slack needs CAP_SYS_NICE")
+                assert theirs == 1
+        finally:
+            server.close()
+            child.join(10.0)
+            if child.is_alive():  # pragma: no cover - teardown
+                child.kill()
+        assert slack() == ours
+
+
 class TestSpawnImport:
     def test_a_fresh_worker_import_loads_no_simulator(self):
         # A spawned worker imports only its entry point: the package
-        # exports are lazy, so neither the engine nor numpy comes along.
+        # exports are lazy, so neither the engine nor numpy comes along,
+        # and ctypes waits for ``worker_main`` (every workload imports
+        # this module at set-up).
         code = (
             "import sys, repro.exec.worker; "
-            "print(sorted(m for m in ('numpy', 'repro.engine') if m in sys.modules))"
+            "print(sorted(m for m in ('numpy', 'repro.engine', 'ctypes') if m in sys.modules))"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src)

@@ -39,6 +39,8 @@ def test_the_pinned_cells_take_the_paths_they_pin():
     assert cells["baseline-delay"]["decisions"]["delay:rate_limited"] > 0
     assert cells["baseline-delay"]["report"]["shed"] == 0
     assert any(worker.startswith("e") for _, worker in cells["bar-crashes"]["restarts"])
+    # The restart lands before the first burst (1.6 s in), on BAR's unseeded table.
+    assert cells["bar-restart-unseeded"]["restarts"] == [[0.5, "w1"]]
     assert cells["bidding-rebalance"]["report"]["scale_ups"] > 0
     assert cells["baseline-observed"]["probes"][:2] == ["master.outstanding", "fleet.active"]
 
