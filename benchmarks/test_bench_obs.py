@@ -25,8 +25,8 @@ from repro.workload.generators import job_config_by_name
 BENCH_SEED = 11
 BENCH_ROUNDS = 25
 # Both "off" spellings run the identical code path, so any measured
-# delta is timer noise.  The limit matches the CI bench gate's
-# ``--tolerance 0.10``: loose enough to clear the noise floor of shared
+# delta is timer noise.  The limit is the one the retired wall-clock
+# gate had (0.10): loose enough to clear the noise floor of shared
 # runners, tight enough to catch a real per-message hook slipping onto
 # an unobserved run's seams (the result-equality asserts
 # below are the exact gate; this one bounds wall-clock drift).

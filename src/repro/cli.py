@@ -19,7 +19,6 @@ Subcommands map one-to-one onto the experiment modules::
     repro golden --check       # drift-gate every pin
     repro golden perfetto      # deliberately re-record one pin
     repro faults               # degradation sweep: makespan vs crash rate
-    repro bench                # kernel/network hot-path benchmarks -> BENCH.json
     repro fuzz --budget 60     # randomised scenario fuzzing with shrinking
     repro run --scenario r.json
                                # replay a (shrunk) fuzzer reproducer
@@ -38,10 +37,11 @@ Subcommands map one-to-one onto the experiment modules::
 :class:`~repro.faults.FaultPlan` or ``@path/to/plan.json``, and
 ``--check-invariants`` to run under the live
 :class:`~repro.check.InvariantMonitor` (see :mod:`repro.check`).
-``run`` and ``bench`` accept ``--profile-hot [N]`` to wrap the run in
-cProfile and print the top N functions by cumulative time, then the
-cycle collector's passes, finds and seconds per generation over the run
-and the process's peak RSS.
+``run`` accepts ``--profile-hot [N]`` to wrap the run in cProfile and
+print the top N functions by cumulative time, then the cycle collector's
+passes, finds and seconds per generation over the run, the last
+iteration's exact counts (heap pushes, messages, transfers, contests
+and offers; ``Deployment.counts``) and the process's peak RSS.
 
 ``--parallel N`` fans the independent simulation cells of a figure,
 ablation or sweep grid across N processes (every grid command, ``all``
@@ -174,20 +174,6 @@ def _add_reconfig_flags(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_profile_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--profile-hot",
-        dest="profile_hot",
-        metavar="N",
-        nargs="?",
-        type=int,
-        const=25,
-        default=None,
-        help="run under cProfile and print the top N functions (default 25), "
-        "the cycle collector's work and the peak RSS",
-    )
-
-
 def _add_cell_flags(
     cmd: argparse.ArgumentParser,
     workload: str,
@@ -240,13 +226,14 @@ class _CollectorWatch:
         row[2] += time.perf_counter() - self._started
 
 
-def _maybe_profiled(args: argparse.Namespace, fn):
-    """Run ``fn`` -- under cProfile with a cumulative-time report, the
-    cycle collector's work and the peak RSS when ``--profile-hot`` was
-    given -- and return its result."""
-    top = getattr(args, "profile_hot", None)
+def _maybe_profiled(args: argparse.Namespace) -> None:
+    """Run the cell ``repro run`` names -- under cProfile with a
+    cumulative-time report, the cycle collector's work, the last
+    iteration's counts and the peak RSS when ``--profile-hot`` was given."""
+    top = args.profile_hot
     if top is None:
-        return fn()
+        _run_single(args)
+        return
     import cProfile
     import gc
     import pstats
@@ -255,9 +242,10 @@ def _maybe_profiled(args: argparse.Namespace, fn):
     profiler = cProfile.Profile()
     watch = _CollectorWatch()
     gc.callbacks.append(watch)
+    runtime = None
     profiler.enable()
     try:
-        return fn()
+        runtime = _run_single(args)
     finally:
         profiler.disable()
         gc.callbacks.remove(watch)
@@ -268,6 +256,9 @@ def _maybe_profiled(args: argparse.Namespace, fn):
                 f"cycle collector, generation {generation}: {passes} passes, "
                 f"{found} objects found, {seconds:.3f} s"
             )
+        if runtime is not None:
+            counts = ", ".join(f"{name} {value}" for name, value in runtime.counts().items())
+            print(f"counts, last iteration: {counts}")
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         print(f"peak RSS: {peak_kb / 1024:.1f} MB")
 
@@ -333,7 +324,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="record spans/probes and export a Perfetto trace_event JSON",
     )
-    _add_profile_flag(run)
+    run.add_argument(
+        "--profile-hot",
+        dest="profile_hot",
+        metavar="N",
+        nargs="?",
+        type=int,
+        const=25,
+        default=None,
+        help="run under cProfile and print the top N functions (default 25), "
+        "the cycle collector's work, the run's counts and the peak RSS",
+    )
 
     trace_cmd = sub.add_parser(
         "trace",
@@ -451,30 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write each shrunk reproducer as a JSON file in DIR",
     )
-
-    bench = sub.add_parser(
-        "bench", help="kernel/network hot-path benchmarks; writes BENCH.json"
-    )
-    bench.add_argument("--out", default="BENCH.json", help="benchmark report path")
-    bench.add_argument(
-        "--quick", action="store_true", help="~5x smaller workloads (CI mode)"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="runs per benchmark (best is kept)"
-    )
-    bench.add_argument(
-        "--check",
-        metavar="BASELINE.json",
-        default=None,
-        help="fail when kernel timeout throughput regresses vs this baseline",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional throughput regression for --check (default 0.10)",
-    )
-    _add_profile_flag(bench)
 
     serve = sub.add_parser(
         "serve", help="open-loop service run: arrivals, admission, SLO summary"
@@ -683,7 +660,8 @@ def _export_trace(path: str, runtime) -> None:
     )
 
 
-def _run_single(args: argparse.Namespace) -> None:
+def _run_single(args: argparse.Namespace):
+    """Run and print the cell ``repro run`` names; returns its last runtime."""
     overrides: tuple = ()
     if args.check_invariants:
         overrides += (("check", True),)
@@ -735,6 +713,7 @@ def _run_single(args: argparse.Namespace) -> None:
             ),
         )
     )
+    return runtime
 
 
 def _run_trace(args: argparse.Namespace) -> None:
@@ -1102,26 +1081,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "run":
         if args.scenario is not None:
             return _replay_scenario(args.scenario)
-        _maybe_profiled(args, lambda: _run_single(args))
+        _maybe_profiled(args)
     elif args.command == "trace":
         _run_trace(args)
     elif args.command == "explain":
         return _run_explain(args)
     elif args.command == "fuzz":
         return _run_fuzz(args)
-    elif args.command == "bench":
-        from repro.experiments import bench as bench_mod
-
-        return _maybe_profiled(
-            args,
-            lambda: bench_mod.main(
-                out=args.out,
-                quick=args.quick,
-                repeats=args.repeats,
-                check=args.check,
-                tolerance=args.tolerance,
-            ),
-        )
     elif args.command == "serve":
         _run_serve(args)
     elif args.command == "exec":

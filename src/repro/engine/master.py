@@ -164,6 +164,11 @@ class Master:
         #: in-flight control traffic after a hot-swap.  Empty outside
         #: swaps, so the unhandled-message error stays strict.
         self._stale_ok: tuple[type, ...] = ()
+        #: Exchanges a policy worked out ahead of time instead of sending
+        #: their messages, over every policy the run had: contests
+        #: computed off the cost planes and declines settled here.
+        self.contests_computed = 0
+        self.declines_settled = 0
 
     # -- lifecycle ---------------------------------------------------------
 

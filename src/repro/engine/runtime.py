@@ -384,6 +384,33 @@ class Deployment:
         """Register the runtime's own gauges on ``probes``."""
         raise NotImplementedError
 
+    def counts(self) -> dict[str, int]:
+        """What the run has done so far, counted exactly: heap pushes,
+        messages published, delivered and lost, link transfers (of live
+        and replaced nodes), contests opened, offers made, rejections
+        seen, and the exchanges worked out without their messages.
+        Read-only, during the run or after it: every figure is a counter
+        the kernel, the broker, a link, the collector or the master
+        keeps anyway."""
+        broker, metrics, master = self.topology.broker, self.metrics, self.master
+        subscriptions = (*broker._departed, *(s for subs in broker._topics.values() for s in subs))
+        return {
+            # ``count(N)``: the next heap entry's sequence number.
+            "heap_pushes": int(repr(self.sim._seq)[6:-1]),
+            "messages_published": broker.published,
+            "messages_delivered": sum(sub.delivered for sub in subscriptions),
+            "messages_dropped": broker.dropped + broker.partition_dropped,
+            "link_transfers": sum(
+                node.machine.link.transfer_count
+                for node in (*self.workers.values(), *self._dead)
+            ),
+            "contests_opened": metrics.contests_opened,
+            "offers_made": metrics.offers_made,
+            "rejections_seen": metrics.rejections_seen,
+            "contests_computed": master.contests_computed,
+            "declines_settled": master.declines_settled,
+        }
+
     # -- execution -----------------------------------------------------------
 
     def _start(self, rebalance: bool = False) -> None:

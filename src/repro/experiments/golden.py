@@ -17,10 +17,10 @@ line of a text.
     metrics and the migrate/swap events of a live reconfiguration of
     that run (``golden_reconfig.json``);
 ``scale``
-    result rows and digests of fleet-sized cells: every scheduler at 100
-    workers, five of them at 400, and one 25-worker cell per path of the
-    fault injector and the reconfiguration controller
-    (``golden_scale.json``);
+    result rows, digests and exact counts of fleet-sized cells: every
+    scheduler at 100 workers, five of them at 400, bidding and baseline
+    traced, and one 25-worker cell per path of the fault injector and
+    the reconfiguration controller (``golden_scale.json``);
 ``service``
     the report and digests of eight open-loop service cells and the
     message of one that misses its deadline (``golden_service.json``);
@@ -217,6 +217,14 @@ SCALE_CELLS: dict[str, tuple] = {
 }
 SCALE_CELLS["bidding-100-observed"] = ("bidding", 100, True)
 SCALE_CELLS["baseline-100-observed"] = ("baseline", 100, True)
+# The trace alone: what recording it costs in heap pushes and messages,
+# against the untraced cells above.
+SCALE_CELLS.update(
+    {
+        f"{scheduler}-100-traced": (scheduler, 100, False, {"engine": {"trace": True}})
+        for scheduler in ("bidding", "baseline")
+    }
+)
 SCALE_CELLS["baseline-back-100"] = ("baseline", 100, False, {"requeue": "back"})
 SCALE_CELLS["baseline-churn-25"] = ("baseline", 25, False, {"churn": "cascade"})
 # The work path (executor, link, prefetcher): the other push schedulers,
@@ -345,9 +353,11 @@ def _digest(payload) -> str:
 
 def run_digests(runtime) -> dict:
     """The digests a scale cell and a service cell share: the assignment
-    map always, the trace when one is recorded, flows and decisions when
+    map and the run's counts (:meth:`~repro.engine.runtime.Deployment.counts`)
+    always, the trace when one is recorded, flows and decisions when
     ``obs`` is on, and the monitor's check count when it runs."""
     digests = {"assignments_sha256": _digest(runtime.master.assignments)}
+    digests["counts"] = runtime.counts()
     trace = runtime.metrics.trace
     if trace.enabled:
         digests["trace_events"] = len(trace)
@@ -431,7 +441,8 @@ def scale_runtime(
             spec.name: {shared: SCALE_HOT_REPO_MB} for spec in profile.specs[:warm]
         },
         config=EngineConfig(
-            seed=SCALE_SEED, trace=observed, check=observed, obs=observed, **(engine or {})
+            seed=SCALE_SEED,
+            **{"trace": observed, "check": observed, "obs": observed, **(engine or {})},
         ),
         faults=faults,
         reconfig=ReconfigPlan.from_dict(plans["reconfig"]) if "reconfig" in plans else None,

@@ -210,13 +210,11 @@ class Broker:
     def close(self) -> None:
         """End of the run: every subscription this broker handed out
         loses its owner -- whose handler belongs to the node that holds
-        the subscription -- and the topic table and held messages are
-        dropped.  Counters stay readable."""
+        the subscription -- and held messages are dropped.  Counters,
+        the subscriptions' own included, stay readable."""
         for subscriptions in (*self._topics.values(), self._departed):
             for subscription in subscriptions:
                 subscription.owner = None
-        self._topics.clear()
-        self._departed.clear()
         self._held.clear()
 
     def subscribers(self, topic: str) -> list[Subscription]:

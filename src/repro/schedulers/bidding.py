@@ -431,6 +431,7 @@ class BiddingMasterPolicy(MasterPolicy):
         for hook in master.hooks.contest_opened:
             hook(job.job_id, master.sim.now)
         if computed:
+            master.contests_computed += 1
             self._compute(contest)
         else:
             master.broadcast(JobAnnouncement(job=job, attempt=contest.attempt))

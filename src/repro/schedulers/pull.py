@@ -143,6 +143,7 @@ class PullMasterPolicy(MasterPolicy):
             landing + back_leg, self._settled, worker, job, policy.attempt, policy
         )
         policy.settled = (landing, timer, job, prior_offers)
+        master.declines_settled += 1
         return True
 
     def _settled(self, worker: str, job: Job, attempt: int, policy) -> None:

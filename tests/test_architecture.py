@@ -10,6 +10,12 @@ layers a cycle again.  An import made for type annotations only, inside
 ``repro/exec`` splits every line it reads with ``protocol.LineParser``:
 no module there names a stream line reader or an asyncio stream server,
 in a call, an attribute, an import or a ``getattr`` string.
+
+The work path -- the worker's executor, the link and the machine -- is
+callback state machines: no generator and no coroutine there.  And every
+figure, table, ablation and sweep runs its cells through the cell
+runner: under ``repro/experiments`` only the runner, the MSR pipeline
+and the pins build a ``WorkflowRuntime``, under any name.
 """
 
 from __future__ import annotations
@@ -171,5 +177,103 @@ def test_exec_reads_lines_only_through_the_line_parser():
         f"{path.relative_to(SRC)}:{line} names {name}"
         for path in modules
         for line, name in line_readers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+#: The work path's modules, which hold no generator and no coroutine.
+WORK_PATH = ("engine/worker.py", "net/link.py", "cluster/machine.py")
+
+
+def suspensions(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` of every ``yield``, ``yield from``, ``await`` and
+    ``async def`` in ``tree``."""
+    kinds = {
+        ast.Yield: "yield",
+        ast.YieldFrom: "yield from",
+        ast.Await: "await",
+        ast.AsyncFunctionDef: "async def",
+    }
+    return sorted(
+        (node.lineno, kinds[type(node)]) for node in ast.walk(tree) if type(node) in kinds
+    )
+
+
+def test_the_suspension_rule_sees_every_form():
+    source = """
+def run(self):
+    yield self.sim.timeout(1.0)
+def relay(self):
+    yield from self.run()
+async def serve(self):
+    await self.done
+\"""A docstring may say yield in prose.\"""
+squares = (x * x for x in range(3))
+"""
+    assert [what for _line, what in suspensions(ast.parse(source))] == [
+        "yield",
+        "yield from",
+        "async def",
+        "await",
+    ]
+
+
+def test_no_generator_on_the_work_path():
+    found = [
+        f"{module}:{line} {what}"
+        for module in WORK_PATH
+        for line, what in suspensions(ast.parse((SRC / module).read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+#: The modules under ``repro/experiments`` that may build a ``WorkflowRuntime``.
+CELL_BUILDERS = frozenset({"runner.py", "tables_msr.py", "golden.py"})
+
+
+def runtime_constructions(tree: ast.AST) -> list[int]:
+    """Lines of every call of ``WorkflowRuntime`` in ``tree``: by its
+    name, as an attribute, or by any alias an import gave it."""
+    names = {"WorkflowRuntime"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                alias.asname
+                for alias in node.names
+                if alias.asname and alias.name.rpartition(".")[2] == "WorkflowRuntime"
+            )
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in names)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "WorkflowRuntime")
+        )
+    )
+
+
+def test_the_construction_rule_sees_every_form():
+    source = """
+from repro.engine.runtime import WorkflowRuntime
+from repro.engine.runtime import WorkflowRuntime as Runtime
+import repro.engine.runtime as rt
+a = WorkflowRuntime(profile, stream, scheduler)
+b = Runtime(profile, stream, scheduler)
+c = rt.WorkflowRuntime(profile, stream, scheduler)
+\"""WorkflowRuntime( in prose builds nothing.\"""
+d = run_cell(spec)
+"""
+    assert runtime_constructions(ast.parse(source)) == [5, 6, 7]
+
+
+def test_one_cell_runner_for_the_experiments():
+    modules = sorted((SRC / "experiments").rglob("*.py"))
+    assert {path.name for path in modules} >= CELL_BUILDERS
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in modules
+        if path.name not in CELL_BUILDERS
+        for line in runtime_constructions(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []

@@ -167,7 +167,7 @@ class ArrivalProcess:
 def test_model_code_starts_no_generator_process():
     modules = model_modules()
     assert SRC / "faults" / "injector.py" in modules, "the scan is not looking at src/repro"
-    assert SRC / HEAP_OWNER in modules and SRC / "experiments" / "bench.py" in modules
+    assert SRC / HEAP_OWNER in modules and SRC / "experiments" / "golden.py" in modules
     found = [
         f"{path.relative_to(SRC)}:{line}: {what}"
         for path in modules

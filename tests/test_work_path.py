@@ -74,8 +74,7 @@ def kernel_cost(scheduler: str, n_workers: int, n_jobs: int) -> float:
     runtime = fleet_cell(scheduler, n_workers, n_jobs)
     result = runtime.run()
     assert result.jobs_completed == n_jobs
-    # Every heap entry takes one number from the sequence counter.
-    return next(runtime.sim._seq) / n_jobs
+    return runtime.counts()["heap_pushes"] / n_jobs
 
 
 def test_the_gate_covers_every_scheduler():
