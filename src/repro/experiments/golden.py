@@ -27,7 +27,10 @@ line of a text.
 ``fig2`` ... ``sensitivity``, ``fig3_reduced`` ... ``sensitivity_reduced``
     the stdout of the seven experiment commands at default arguments,
     and of the four long drivers at a reduced size
-    (``cli_stdout/<name>.txt``).
+    (``cli_stdout/<name>.txt``);
+``cli_help``
+    ``repro --help`` and every command's ``--help`` at 80 columns
+    (``cli_stdout/cli_help.txt``).
 
 ::
 
@@ -678,15 +681,51 @@ def _sensitivity_reduced() -> str:
     })
 
 
+#: argparse wraps help to ``COLUMNS``; the help pin is recorded at this width.
+HELP_COLUMNS = "80"
+
+
+def _cli_help() -> str:
+    """``repro --help``, then each command's ``--help`` in the order
+    ``repro --help`` lists them, at :data:`HELP_COLUMNS` columns."""
+    import os
+
+    from repro.cli import _build_parser, main
+
+    [commands] = [
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action.choices, dict)
+    ]
+    buffer = io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    try:
+        for argv in ([], *([name] for name in commands)):
+            buffer.write(f"$ repro {' '.join([*argv, '--help'])}\n")
+            with redirect_stdout(buffer):
+                try:
+                    main([*argv, "--help"])
+                except SystemExit:
+                    pass
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return buffer.getvalue()
+
+
 #: pin name -> its stdout: each command at default arguments, and each
 #: long driver at one seed, fewer profiles and workloads and two
-#: settings per sweep.
+#: settings per sweep; and the help of every command.
 STDOUT: dict[str, Callable[[], str]] = {
     **{name: functools.partial(_command_stdout, name) for name in COMMANDS},
     "fig3_reduced": _fig3_reduced,
     "fig4_reduced": _fig4_reduced,
     "ablations_reduced": _ablations_reduced,
     "sensitivity_reduced": _sensitivity_reduced,
+    "cli_help": _cli_help,
 }
 
 
