@@ -159,20 +159,18 @@ def run_service(
 
     Wires a :class:`~repro.serve.ServiceRuntime` -- an arrival process
     feeding admission control in front of the chosen scheduler -- runs
-    it, and returns the :class:`~repro.serve.ServiceReport`.
-
-    Extra keyword overrides are routed to the right config dataclass by
-    field name through :func:`repro.config.resolve_overrides`:
+    it, and returns the :class:`~repro.serve.ServiceReport`.  The
+    runtime is built by :func:`repro.serve.build_service`, as for
+    ``repro serve``; it routes extra keyword overrides by field name:
     ``duration_s``/``deadline_s`` to :class:`ServiceConfig`,
     ``queue_cap``/``rate_limit`` to admission,
-    ``min_workers``/``max_workers`` to the autoscaler (passing any
-    autoscaler knob implies ``autoscale=True``), and e.g.
-    ``message_loss`` to :class:`EngineConfig`.  Only canonical field
-    names are accepted; unknown keys raise :class:`TypeError` listing
-    every accepted field.
+    ``min_workers``/``max_workers`` to the autoscaler (implying
+    ``autoscale=True``), ``message_loss`` to :class:`EngineConfig`, and
+    raises :class:`TypeError` on an unknown key.
 
     ``backend="real"`` additionally *executes* the run on the
-    :mod:`repro.exec` multi-process pool: the sim still makes every
+    :mod:`repro.exec` multi-process pool
+    (:func:`repro.exec.execute_service`): the sim still makes every
     allocation decision (plan-then-execute), then real worker processes
     replay the frozen plan with genuine sockets, heartbeats and caches,
     with each simulated second compressed to ``time_scale`` wall
@@ -182,55 +180,18 @@ def run_service(
     ``cache_hits``, ``cache_misses``, ``data_load_mb``, ``crashes``,
     ``redispatches`` and ``duplicates_suppressed``.
     """
-    from repro.cluster.profiles import profile_by_name
-    from repro.config import resolve_overrides
-    from repro.engine.runtime import EngineConfig
-    from repro.schedulers.registry import make_scheduler
-    from repro.serve import (
-        AdmissionConfig,
-        AutoscalerConfig,
-        ServiceConfig,
-        ServiceRuntime,
-        make_arrivals,
-    )
+    from repro.serve import build_service
 
     if backend not in ("sim", "real"):
         raise ValueError(f"backend must be 'sim' or 'real', got {backend!r}")
-    service_kw, admission_kw, scaler_kw, engine_kw = resolve_overrides(
-        overrides, ServiceConfig, AdmissionConfig, AutoscalerConfig, EngineConfig
-    )
-    runtime = ServiceRuntime(
-        profile=profile_by_name(profile),
-        scheduler=make_scheduler(scheduler),
-        arrivals=make_arrivals(arrival, rate=rate),
-        admission_config=AdmissionConfig(**admission_kw),
-        autoscaler_config=(
-            AutoscalerConfig(**scaler_kw) if (autoscale or scaler_kw) else None
-        ),
-        service_config=ServiceConfig(**service_kw),
-        config=EngineConfig(seed=seed, **engine_kw),
-        faults=faults,
-    )
+    runtime = build_service(scheduler, profile, arrival, rate, seed, faults, autoscale, **overrides)
     if backend == "sim":
         return runtime.run()
 
-    from dataclasses import replace
+    from repro.exec import execute_service
 
-    from repro.exec import ExecBackend, ExecConfig, capture_service_plan
-
-    plan, report = capture_service_plan(runtime)
-    real = ExecBackend(plan, ExecConfig(time_scale=time_scale)).run()
-    return replace(
-        report,
-        completed=real.completed,
-        failed=real.failed,
-        cache_hits=real.cache_hits,
-        cache_misses=real.cache_misses,
-        data_load_mb=real.data_load_mb,
-        crashes=real.crashes,
-        redispatches=real.redispatches,
-        duplicates_suppressed=real.duplicates_suppressed,
-    )
+    _plan, _real, report = execute_service(runtime, time_scale)
+    return report
 
 
 def compare_schedulers(

@@ -53,6 +53,7 @@ from repro.check.planted import (
 )
 from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
+from repro.config import read_json
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults.plan import (
     FaultPlan,
@@ -206,10 +207,7 @@ class Scenario:
     @classmethod
     def from_json(cls, source: str) -> "Scenario":
         """Parse a scenario from a JSON string or an ``@path`` reference."""
-        if source.startswith("@"):
-            with open(source[1:], "r", encoding="utf-8") as handle:
-                source = handle.read()
-        return cls.from_dict(json.loads(source))
+        return cls.from_dict(read_json(source))
 
 
 # ----------------------------------------------------------------------

@@ -218,6 +218,12 @@ class InvariantViolation(RuntimeError):
         )
 
 
+#: Delivery slack allowed on top of the bidding window for the
+#: ``contest-window-bounded`` law (bids and closes travel through the
+#: broker, so a close can trail the window by one latency).
+CONTEST_SLACK_S = 0.5
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Fine-grained monitor configuration.
@@ -230,15 +236,10 @@ class CheckConfig:
         Invariant names to skip (must exist in :data:`INVARIANTS`).
     recent_events:
         Size of the rolling event window attached to violations.
-    contest_slack_s:
-        Delivery slack allowed on top of the bidding window for the
-        ``contest-window-bounded`` law (bids and closes travel through
-        the broker, so a close can trail the window by one latency).
     """
 
     disable: tuple[str, ...] = ()
     recent_events: int = 40
-    contest_slack_s: float = 0.5
 
     def __post_init__(self) -> None:
         unknown = set(self.disable) - set(INVARIANTS)
@@ -246,8 +247,6 @@ class CheckConfig:
             raise ValueError(f"unknown invariant names in disable: {sorted(unknown)}")
         if self.recent_events < 1:
             raise ValueError("recent_events must be >= 1")
-        if self.contest_slack_s < 0:
-            raise ValueError("contest_slack_s must be >= 0")
 
 
 def as_check_config(value) -> Optional[CheckConfig]:
@@ -604,12 +603,12 @@ class InvariantMonitor:
             )
             return
         if self.contest_window_s is not None:
-            limit = self.contest_window_s + self.config.contest_slack_s
+            limit = self.contest_window_s + CONTEST_SLACK_S
             if duration > limit:
                 self._violate(
                     "contest-window-bounded",
                     f"contest for job {job_id!r} ran {duration:g}s, over the "
-                    f"{self.contest_window_s:g}s window (+{self.config.contest_slack_s:g}s slack)",
+                    f"{self.contest_window_s:g}s window (+{CONTEST_SLACK_S:g}s slack)",
                 )
         bidders = self._open_bidders.pop(job_id, ())
         if outcome in ("full", "fast", "timeout"):

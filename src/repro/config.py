@@ -11,6 +11,8 @@ pathway those overrides flow through:
   never has to know which knob lives on which class.
 * :func:`apply_overrides` is the single-target shorthand
   (``dataclasses.replace`` on one config class).
+* :func:`read_json` reads a plan given as inline JSON or ``@path``
+  (``--faults``, ``--reconfig``, a fuzzer scenario).
 
 Only canonical dataclass field names are accepted.  The deprecated
 aliases of the 1.x series (``duration``, ``deadline``, ``max_inflight``,
@@ -26,6 +28,7 @@ specs, CLI -- validates keywords identically.
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Any, Mapping
 
 
@@ -68,3 +71,12 @@ def apply_overrides(instance: Any, overrides: Mapping[str, Any]) -> Any:
     """A copy of ``instance`` with overrides applied."""
     (kwargs,) = resolve_overrides(overrides, type(instance))
     return dataclasses.replace(instance, **kwargs) if kwargs else instance
+
+
+def read_json(source: str) -> Any:
+    """The JSON value ``source`` spells inline, or, for ``@path``, the
+    one in that file."""
+    if source.startswith("@"):
+        with open(source[1:], "r", encoding="utf-8") as handle:
+            source = handle.read()
+    return json.loads(source)

@@ -82,14 +82,11 @@ class Master:
     rng:
         Randomness for policy fallbacks (e.g. the Bidding Scheduler's
         "assign to an arbitrary node" rule).
-    fault_tolerance:
-        Extension flag; the paper's default is ``False`` (orphaned jobs
-        of a dead worker are lost -- they are recorded in
-        :attr:`failed_jobs` so the run terminates diagnosably).
-        ``True`` is shorthand for ``recovery=RecoveryConfig()``.
     recovery:
-        Full recovery policy (retry budget, backoff, straggler
-        timeout); overrides ``fault_tolerance`` when given.
+        Extension: the recovery policy (retry budget, backoff, straggler
+        timeout).  The paper's default is ``None``: orphaned jobs of a
+        dead worker are lost -- they are recorded in
+        :attr:`failed_jobs` so the run terminates diagnosably.
     hooks:
         The run's observer seams (see :mod:`repro.hooks`); the master
         emits a job's lifecycle on them.
@@ -106,7 +103,6 @@ class Master:
         metrics: MetricsCollector,
         fleet: FleetState,
         rng: Optional[np.random.Generator] = None,
-        fault_tolerance: bool = False,
         recovery: Optional[RecoveryConfig] = None,
         hooks: Optional[Hooks] = None,
     ) -> None:
@@ -120,10 +116,7 @@ class Master:
         self.fleet = fleet
         self.stream = stream
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        if recovery is None and fault_tolerance:
-            recovery = RecoveryConfig()
         self.recovery = recovery
-        self.fault_tolerance = recovery is not None
         self.hooks = hooks if hooks is not None else Hooks()
 
         self.name = "master"

@@ -204,7 +204,8 @@ class WorkerFailure:
     """Infrastructure -> master: a worker died (fault-tolerance extension).
 
     The paper explicitly has "no specific policies in place" for this;
-    the engine supports it behind ``EngineConfig.fault_tolerance``.
+    the engine recovers when the run's fault plan carries a
+    ``recovery`` policy (``faults=FaultPlan()`` does).
     """
 
     worker: str

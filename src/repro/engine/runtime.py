@@ -63,8 +63,6 @@ class EngineConfig:
         read/write speeds (see :mod:`repro.net.noise`).
     topology:
         Geo-distribution latency ranges.
-    fault_tolerance:
-        Extension flag (the paper's default is off).
     message_loss:
         Robustness-extension knob: probability that a *control-plane*
         message (pull, offer-response signalling, bid, announcement) is
@@ -97,7 +95,6 @@ class EngineConfig:
     noise_kind: str = "lognormal"
     noise_params: dict = field(default_factory=lambda: {"sigma": 0.25})
     topology: TopologyConfig = field(default_factory=TopologyConfig)
-    fault_tolerance: bool = False
     message_loss: float = 0.0
     #: Extension: workers download queued jobs' clones while the CPU is
     #: busy (off = the paper's serial download-then-process execution).
@@ -281,7 +278,6 @@ class Deployment:
             metrics=self.metrics,
             fleet=self.fleet,
             rng=streams.get("master"),
-            fault_tolerance=config.fault_tolerance,
             recovery=faults.recovery if faults is not None else None,
             hooks=hooks,
         )

@@ -44,6 +44,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "capture_service_plan",
             "capture_workflow_plan",
         ),
-        "repro.exec.pool": ("ExecBackend", "ExecConfig", "ExecError", "ExecReport", "KillSpec"),
+        "repro.exec.pool": (
+            "ExecBackend", "ExecConfig", "ExecError", "ExecReport", "KillSpec", "execute_service"
+        ),
     },
 )

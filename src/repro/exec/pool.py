@@ -44,23 +44,32 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.check.invariants import InvariantMonitor
 from repro.data.cache import WorkerCache
 from repro.exec import protocol
 from repro.exec.control import handle_control
-from repro.exec.plan import ExecPlan, PlanJob, PlanWorker
+from repro.exec.plan import ExecPlan, PlanJob, PlanWorker, capture_service_plan
 from repro.exec.worker import worker_main
 from repro.hooks import Hooks
 from repro.metrics.collector import MetricsCollector
 from repro.workload.job import Job
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.serve import ServiceReport, ServiceRuntime
+
 
 def _pct(ordered: list[float], q: float) -> float:
     """The ``q`` quantile of an ascending list; 0.0 when it is empty."""
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))] if ordered else 0.0
+
+
+#: How long the spawned workers have to register.  Generous: each child
+#: re-imports its entry point, and CI runners under load have been seen
+#: to need tens of seconds.
+SPAWN_TIMEOUT_S = 60.0
 
 
 class ExecError(RuntimeError):
@@ -86,9 +95,6 @@ class ExecConfig:
     inflight_per_worker: int = 2
     max_redispatches: int = 3
     run_timeout_s: float = 120.0
-    #: Generous: each spawned child re-imports the scientific stack, and
-    #: CI runners under load have been seen to need tens of seconds.
-    spawn_timeout_s: float = 60.0
     check: bool = True
     trace: bool = True
     host: str = "127.0.0.1"
@@ -313,7 +319,7 @@ class ExecBackend:
                 )
                 state.proc.start()
             try:
-                await asyncio.wait_for(self._registered.wait(), timeout=cfg.spawn_timeout_s)
+                await asyncio.wait_for(self._registered.wait(), timeout=SPAWN_TIMEOUT_S)
             except asyncio.TimeoutError:
                 missing = sorted(s.name for s in self.workers.values() if s.transport is None)
                 raise ExecError(f"workers never registered: {missing}") from None
@@ -795,3 +801,25 @@ class _Peer(asyncio.Protocol):
         if self.worker is not None:
             self.backend._lose_worker(self.worker, "connection lost")
             self.backend._flush()
+
+
+def execute_service(
+    runtime: "ServiceRuntime", time_scale: float
+) -> tuple[ExecPlan, ExecReport, "ServiceReport"]:
+    """Run ``runtime`` in the simulator, then replay the plan it captured
+    on a real pool at ``time_scale`` wall seconds per simulated second.
+    Returns ``(plan, real, report)``: the sim's report (latency stays
+    simulated) with the real pool's execution counters spliced in."""
+    plan, report = capture_service_plan(runtime)
+    real = ExecBackend(plan, ExecConfig(time_scale=time_scale)).run()
+    return plan, real, replace(
+        report,
+        completed=real.completed,
+        failed=real.failed,
+        cache_hits=real.cache_hits,
+        cache_misses=real.cache_misses,
+        data_load_mb=real.data_load_mb,
+        crashes=real.crashes,
+        redispatches=real.redispatches,
+        duplicates_suppressed=real.duplicates_suppressed,
+    )

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.cli import COMMANDS, Experiment, main
 from repro.cluster.profiles import WorkerProfile, all_equal
 from repro.cluster.worker_spec import WorkerSpec
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
@@ -604,16 +605,15 @@ def record_service() -> dict:
 
 # -- stdout pins ------------------------------------------------------------
 
-#: The experiment commands whose default-argument stdout is pinned.
-COMMANDS = ("fig2", "fig3", "fig4", "tables", "ablations", "sensitivity", "faults")
-
-
-def _command_stdout(name: str) -> str:
-    from repro.cli import main
-
+def _command_stdout(*argv: str) -> str:
+    """What ``repro ARGV`` prints; ``--help`` ends it with ``SystemExit(0)``."""
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        main([name])
+        try:
+            main(list(argv))
+        except SystemExit as stop:
+            if stop.code:
+                raise
     return buffer.getvalue()
 
 
@@ -686,41 +686,27 @@ HELP_COLUMNS = "80"
 
 
 def _cli_help() -> str:
-    """``repro --help``, then each command's ``--help`` in the order
-    ``repro --help`` lists them, at :data:`HELP_COLUMNS` columns."""
+    """``repro --help``, then each command's ``--help`` in table order,
+    at :data:`HELP_COLUMNS` columns."""
     import os
+    from unittest import mock
 
-    from repro.cli import _build_parser, main
-
-    [commands] = [
-        action.choices
-        for action in _build_parser()._actions
-        if isinstance(action.choices, dict)
-    ]
-    buffer = io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = HELP_COLUMNS
-    try:
-        for argv in ([], *([name] for name in commands)):
-            buffer.write(f"$ repro {' '.join([*argv, '--help'])}\n")
-            with redirect_stdout(buffer):
-                try:
-                    main([*argv, "--help"])
-                except SystemExit:
-                    pass
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
-    return buffer.getvalue()
+    with mock.patch.dict(os.environ, COLUMNS=HELP_COLUMNS):
+        return "".join(
+            f"$ repro {' '.join(argv)}\n" + _command_stdout(*argv)
+            for argv in (["--help"], *([name, "--help"] for name in COMMANDS))
+        )
 
 
-#: pin name -> its stdout: each command at default arguments, and each
-#: long driver at one seed, fewer profiles and workloads and two
+#: pin name -> its stdout: each experiment command at default arguments,
+#: and each long driver at one seed, fewer profiles and workloads and two
 #: settings per sweep; and the help of every command.
 STDOUT: dict[str, Callable[[], str]] = {
-    **{name: functools.partial(_command_stdout, name) for name in COMMANDS},
+    **{
+        name: functools.partial(_command_stdout, name)
+        for name, command in COMMANDS.items()
+        if isinstance(command.handler, Experiment)
+    },
     "fig3_reduced": _fig3_reduced,
     "fig4_reduced": _fig4_reduced,
     "ablations_reduced": _ablations_reduced,

@@ -25,7 +25,7 @@ from repro.serve.arrivals import (
     make_arrivals,
 )
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
-from repro.serve.service import ServiceConfig, ServiceRuntime
+from repro.serve.service import ServiceConfig, ServiceRuntime, build_service
 from repro.serve.slo import LatencyStats, P2Quantile, ServiceReport, SLOTracker
 
 __all__ = [
@@ -47,5 +47,6 @@ __all__ = [
     "SLOTracker",
     "TokenBucket",
     "TraceArrivals",
+    "build_service",
     "make_arrivals",
 ]

@@ -34,12 +34,14 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cluster.profiles import WorkerProfile
+from repro.cluster.profiles import WorkerProfile, profile_by_name
+from repro.config import resolve_overrides
 from repro.engine.runtime import Deployment, EngineConfig
 from repro.faults.plan import FaultPlan
 from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.registry import make_scheduler
 from repro.serve.admission import ADMIT, DELAY, AdmissionConfig, AdmissionController
-from repro.serve.arrivals import ArrivalProcess
+from repro.serve.arrivals import ArrivalProcess, make_arrivals
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.slo import ServiceReport, SLOTracker
 from repro.workload.job import Job
@@ -347,3 +349,33 @@ class ServiceRuntime(Deployment):
             recovery_p95_s=percentile(0.95),
             recovery_max_s=recovery[-1] if recovery else 0.0,
         )
+
+
+def build_service(
+    scheduler: str,
+    profile: str,
+    arrival: str,
+    rate: float,
+    seed: int,
+    faults: Optional[FaultPlan] = None,
+    autoscale: bool = False,
+    **overrides: object,
+) -> ServiceRuntime:
+    """A :class:`ServiceRuntime` from names, the one front door of
+    :func:`repro.run_service` and ``repro serve``.  Keyword overrides go
+    to the service, admission, autoscaler and engine configs by field
+    name (:func:`repro.config.resolve_overrides`); any autoscaler field
+    implies ``autoscale``."""
+    service_kw, admission_kw, scaler_kw, engine_kw = resolve_overrides(
+        overrides, ServiceConfig, AdmissionConfig, AutoscalerConfig, EngineConfig
+    )
+    return ServiceRuntime(
+        profile=profile_by_name(profile),
+        scheduler=make_scheduler(scheduler),
+        arrivals=make_arrivals(arrival, rate=rate),
+        admission_config=AdmissionConfig(**admission_kw),
+        autoscaler_config=AutoscalerConfig(**scaler_kw) if autoscale or scaler_kw else None,
+        service_config=ServiceConfig(**service_kw),
+        config=EngineConfig(seed=seed, **engine_kw),
+        faults=faults,
+    )

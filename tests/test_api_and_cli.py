@@ -82,17 +82,20 @@ class TestCLIPaths:
     def test_parsing_leaves_nothing_for_the_cycle_collector(self):
         """``main`` parses with one parser per process: an argparse
         parser is a reference cycle, so one built per call left ~900
-        objects a call for the cycle collector."""
+        objects a call for the cycle collector.  Each command's flags
+        join that parser the first time the command is parsed, and stay."""
         import gc
 
-        from repro.cli import _build_parser
+        from repro.cli import COMMANDS, _build_parser
 
-        _build_parser()  # the process's parser, kept for good
+        for name in COMMANDS:  # the process's parser and every command's flags, kept for good
+            _build_parser().parse_args([name])
         gc.collect()
         gc.disable()
         try:
             for _ in range(2):
-                _build_parser().parse_args(["run"])
+                for name in COMMANDS:
+                    _build_parser().parse_args([name])
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -138,11 +141,13 @@ class TestCLIPaths:
     def test_all_forwards_parallel_to_every_grid_command(self, monkeypatch, capsys):
         import importlib
 
-        from repro.cli import EXPERIMENTS, main
+        from repro.cli import COMMANDS, Experiment, main
 
         calls = {}
-        for name, (module, _help) in EXPERIMENTS.items():
-            driver = importlib.import_module(f"repro.experiments.{module}")
+        for name, command in COMMANDS.items():
+            if not isinstance(command.handler, Experiment):
+                continue
+            driver = importlib.import_module(f"repro.experiments.{command.handler.module}")
             monkeypatch.setattr(
                 driver, "main", lambda name=name, **options: calls.setdefault(name, options)
             )
@@ -176,20 +181,30 @@ class TestCLIPaths:
             main([command, "--parallel", "3"])
 
     def test_cli_imports_no_experiment_driver(self):
+        """Neither ``import repro.cli`` nor ``repro --help`` loads an
+        experiment driver, numpy or the simulator: a command's flags and
+        handler import what they need when that command is parsed."""
         import subprocess
         import sys
 
-        from repro.cli import EXPERIMENTS
+        from repro.cli import COMMANDS, Experiment
 
-        modules = [f"repro.experiments.{module}" for module, _help in EXPERIMENTS.values()]
-        code = (
-            "import sys, repro.cli\n"
-            f"print([m for m in {modules!r} if m in sys.modules])\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[]"
+        heavy = ["numpy", "repro.sim", "repro.engine"] + [
+            f"repro.experiments.{command.handler.module}"
+            for command in COMMANDS.values()
+            if isinstance(command.handler, Experiment)
+        ]
+        for run in ("pass", "repro.cli.main(['--help'])"):
+            code = (
+                "import contextlib, io, sys, repro.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+                f"    {run}\n"
+                f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            ).stdout
+            assert out.strip() == "[]", run
 
     def test_run_save_csv(self, tmp_path, capsys):
         from repro.cli import main

@@ -50,10 +50,10 @@ class TestResolveOverrides:
         assert any(bucket == {canonical: 7} for bucket in buckets)
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_fault_tolerance_is_a_plain_engine_field(self, recwarn):
-        (engine_kw,) = resolve_overrides({"fault_tolerance": True}, EngineConfig)
-        assert engine_kw == {"fault_tolerance": True}
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+    def test_fault_tolerance_is_rejected(self):
+        # Recovery comes with a fault plan (``faults=FaultPlan()``).
+        with pytest.raises(TypeError, match="fault_tolerance"):
+            resolve_overrides({"fault_tolerance": True}, EngineConfig)
 
     def test_unknown_key_raises_listing_accepted(self):
         with pytest.raises(TypeError, match="duration_s"):

@@ -6,6 +6,7 @@ from conftest import make_profile, make_spec
 from repro.schedulers.bidding import make_bidding_policy
 from repro.core.learning import HistoricAverageSpeedModel
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.faults import FaultPlan
 from repro.net.topology import TopologyConfig
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER
@@ -362,7 +363,8 @@ class TestSerialBidder:
             profile=profile,
             stream=arrivals(("j0", "r0", 100.0, 0.0)),
             scheduler=make_bidding_policy(window_s=0.6),
-            config=quiet_config(trace=trace, fault_tolerance=True),
+            config=quiet_config(trace=trace),
+            faults=FaultPlan(),
         )
         contests = spy_on_contests(runtime)
         runtime.run()
@@ -386,7 +388,8 @@ class TestBidderLeavesMidContest:
             profile=profile,
             stream=arrivals(("j0", "r0", 10.0, 0.0), ("j1", "r1", 10.0, 5.0)),
             scheduler=make_bidding_policy(bid_compute_s=0.25),
-            config=quiet_config(trace=trace, fault_tolerance=True),
+            config=quiet_config(trace=trace),
+            faults=FaultPlan(),
         )
         contests = spy_on_contests(runtime)
         runtime.sim.call_at(at, action, runtime)
@@ -468,7 +471,8 @@ class TestFleetChangesMidContest:
             profile=profile,
             stream=arrivals(("j0", "r0", 10.0, 0.0), ("j1", "r1", 10.0, 5.0)),
             scheduler=make_bidding_policy(bid_compute_s=0.25),
-            config=quiet_config(trace=trace, fault_tolerance=True),
+            config=quiet_config(trace=trace),
+            faults=FaultPlan(),
         )
         contests = spy_on_contests(runtime)
         runtime.sim.call_at(0.1, lambda: runtime.workers["w2"].kill())

@@ -3,14 +3,16 @@
 The paper explicitly leaves fault handling out ("there are currently no
 specific policies in place to handle situations such as a worker dying
 after winning a bid").  The engine reproduces that default -- the
-workflow stalls -- and offers reallocation behind
-``EngineConfig.fault_tolerance`` as the extension DESIGN.md describes.
+workflow stalls -- and offers reallocation behind a fault plan's
+``recovery`` policy (``faults=FaultPlan()``) as the extension DESIGN.md
+describes.
 """
 
 import pytest
 
 from conftest import make_profile, make_spec
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.faults import FaultPlan
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler
 from repro.workload.job import Job, JobArrival, JobStream
@@ -39,9 +41,9 @@ def build_runtime(scheduler="bidding", fault_tolerance=False, max_sim_time=500.0
             noise_kind="none",
             noise_params={},
             topology=TopologyConfig(min_latency=0.001, max_latency=0.002),
-            fault_tolerance=fault_tolerance,
             max_sim_time=max_sim_time,
         ),
+        faults=FaultPlan() if fault_tolerance else None,
     )
 
 

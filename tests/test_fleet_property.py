@@ -28,6 +28,7 @@ from conftest import make_profile, make_spec
 from reference_planners import ReferenceBARMasterPolicy, ReferenceSparkMasterPolicy
 from repro.data.cache import WorkerCache
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.faults import FaultPlan
 from repro.fleet import FleetState, LoadTable
 from repro.fleet.soa import _CacheObserver
 from repro.net.topology import TopologyConfig
@@ -370,10 +371,10 @@ def test_fleet_mirror_consistent_after_faulty_run():
             noise_kind="none",
             noise_params={},
             topology=TopologyConfig(min_latency=0.001, max_latency=0.002),
-            fault_tolerance=True,
             max_sim_time=2000.0,
             check=True,
         ),
+        faults=FaultPlan(),
     )
     runtime.sim.call_later(5.0, lambda: runtime.workers["w2"].kill())
     result = runtime.run()

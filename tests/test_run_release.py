@@ -386,7 +386,7 @@ def test_full_size_with_faults_and_reconfiguration(scheduler, monkeypatch):
         migrations=(JobMigration(at_s=30.0, max_jobs=2, include_running=True),),
         swaps=(SchedulerSwap(at_s=60.0, scheduler="baseline" if scheduler != "baseline" else "bidding"),),
     )
-    config = EngineConfig(seed=11, trace=True, check=True, obs=True, fault_tolerance=True)
+    config = EngineConfig(seed=11, trace=True, check=True, obs=True)
     result = assert_released(
         workflow(fleet(400), scheduler, 600, faults=faults, reconfig=reconfig, config=config),
         monkeypatch,
