@@ -19,7 +19,7 @@ module never inspects policy internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.workload.job import Job
@@ -209,13 +209,27 @@ class PlanRecorder:
         return tuple(PlanJob.from_job(self._jobs[job_id], handler) for job_id in seen)
 
 
-def _plan_workers(workers: dict) -> tuple[PlanWorker, ...]:
-    """PlanWorkers from live nodes, preload = their *current* caches."""
-    out = []
-    for name in sorted(workers):
-        node = workers[name]
+def capture_workflow_plan(
+    runtime: "WorkflowRuntime | ServiceRuntime", handler: str = "checksum"
+) -> tuple[ExecPlan, Any]:
+    """Run a workflow or a service in the sim and freeze its decision stream.
+
+    Returns ``(plan, result)`` -- the sim's run result or service report,
+    the differential baseline.  Cache contents are snapshotted *before*
+    the run, so the real pool starts from the same warmth the sim did;
+    the fleet is read *after* it, so elastic workers that joined a
+    service mid-run are in the plan (they start cold).
+    """
+    preload = {
+        name: tuple(sorted(node.cache.contents().items()))
+        for name, node in runtime.workers.items()
+    }
+    recorder = PlanRecorder(runtime.hooks)
+    result = runtime.run()
+    workers = []
+    for name, node in sorted(runtime.workers.items()):
         spec = node.spec
-        out.append(
+        workers.append(
             PlanWorker(
                 name=spec.name,
                 network_mbps=spec.network_mbps,
@@ -223,61 +237,18 @@ def _plan_workers(workers: dict) -> tuple[PlanWorker, ...]:
                 cpu_factor=spec.cpu_factor,
                 link_latency=spec.link_latency,
                 cache_capacity_mb=spec.cache_capacity_mb,
-                preload=tuple(sorted(node.cache.contents().items())),
+                preload=preload.get(name, ()),
             )
         )
-    return tuple(out)
-
-
-def capture_workflow_plan(
-    runtime: "WorkflowRuntime", handler: str = "checksum"
-) -> tuple[ExecPlan, Any]:
-    """Run a workflow in the sim and freeze its decision stream.
-
-    Returns ``(plan, run_result)`` -- the sim result is the differential
-    baseline.  Cache preload is snapshotted *before* the run so the real
-    pool starts from the same warmth the sim did.
-    """
-    workers = _plan_workers(runtime.workers)
-    recorder = PlanRecorder(runtime.hooks)
-    result = runtime.run()
     plan = ExecPlan(
         scheduler=runtime.scheduler.name,
         seed=runtime.config.seed,
-        workers=workers,
+        workers=tuple(workers),
         jobs=recorder.plan_jobs(handler),
         decisions=tuple(recorder.decisions),
     )
     return plan, result
 
 
-def capture_service_plan(
-    runtime: "ServiceRuntime", handler: str = "checksum"
-) -> tuple[ExecPlan, Any]:
-    """Service-layer twin of :func:`capture_workflow_plan`.
-
-    Runs the full open-loop service (arrivals, admission, autoscaling,
-    sim-side faults) and freezes what the scheduler actually decided;
-    elastic workers that joined mid-run appear in the plan fleet.
-    Returns ``(plan, service_report)``.
-    """
-    preload = {
-        name: tuple(sorted(node.cache.contents().items()))
-        for name, node in runtime.workers.items()
-    }
-    recorder = PlanRecorder(runtime.hooks)
-    report = runtime.run()
-    # The fleet may have grown during the run; snapshot post-run, but
-    # keep the *pre-run* cache contents (scale-ups start cold anyway).
-    workers = tuple(
-        replace(worker, preload=preload.get(worker.name, ()))
-        for worker in _plan_workers(runtime.workers)
-    )
-    plan = ExecPlan(
-        scheduler=runtime.scheduler.name,
-        seed=runtime.config.seed,
-        workers=workers,
-        jobs=recorder.plan_jobs(handler),
-        decisions=tuple(recorder.decisions),
-    )
-    return plan, report
+#: The same capture; a service run's result is its ``ServiceReport``.
+capture_service_plan = capture_workflow_plan

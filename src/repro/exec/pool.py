@@ -12,6 +12,12 @@ against genuinely separate OS processes:
   undelivered ``ready`` backlog.  Nothing is ever lost; duplicates from
   a slow original are absorbed by the at-most-once guard.
 
+* **A measured dispatch window.**  A worker holds at most ``depth``
+  dispatched jobs, at first ``inflight_per_worker``.  A ``done`` saying
+  the worker sat idle (``wait_s``) before a job the full window held in
+  ``ready`` raises it by one while a backlog is left: the round trip,
+  not the work, was the gap.  The depth never falls.
+
 * **Heartbeats with miss-based eviction.**  Workers register with
   ``hello`` and beat every ``heartbeat_s``; a worker silent for
   ``miss_limit`` periods is evicted exactly like a crashed one (this
@@ -87,6 +93,8 @@ class ExecConfig:
     ``heartbeat_s * miss_limit`` real seconds.  ``stall_after`` is the
     chaos hook: ``(worker, n)`` wedges that worker (silence, no
     progress) after ``n`` completions, exercising miss-based eviction.
+    ``inflight_per_worker`` is the floor of each worker's dispatch
+    window; the coordinator deepens it from the idle time workers report.
     """
 
     time_scale: float = 0.02
@@ -185,7 +193,7 @@ class ExecReport:
 class _WorkerState:
     """Coordinator-side view of one worker process."""
 
-    def __init__(self, plan_worker: PlanWorker) -> None:
+    def __init__(self, plan_worker: PlanWorker, depth: int) -> None:
         self.plan = plan_worker
         self.name = plan_worker.name
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
@@ -197,12 +205,15 @@ class _WorkerState:
         self.last_beat = 0.0
         #: Bound, not yet dispatched (coordinator-side backlog).
         self.ready: deque[PlanJob] = deque()
-        #: Dispatched, awaiting ``done``: job_id -> (job, dispatched_at).
-        self.processing: dict[str, tuple[PlanJob, float]] = {}
+        #: Dispatched, awaiting ``done``: job_id -> (job, dispatched_at,
+        #: held), ``held`` when it waited in ``ready`` behind a full window.
+        self.processing: dict[str, tuple[PlanJob, float, bool]] = {}
+        #: The dispatch window: most jobs in ``processing`` at once.
+        self.depth = depth
+        #: Summed idle time the worker reported before its jobs.
+        self.wait_s = 0.0
         #: Mirror of the worker's data cache (locality for re-dispatch).
-        self.cache = WorkerCache(
-            capacity_mb=plan_worker.cache_capacity_mb
-        )
+        self.cache = WorkerCache(capacity_mb=plan_worker.cache_capacity_mb)
         self.cache.preload(dict(plan_worker.preload))
         self.completed_order: list[str] = []
 
@@ -300,7 +311,7 @@ class ExecBackend:
         self._t0 = self._loop.time()
         self._registered, self._done = asyncio.Event(), asyncio.Event()
         for plan_worker in self.plan.workers:
-            self.workers[plan_worker.name] = _WorkerState(plan_worker)
+            self.workers[plan_worker.name] = _WorkerState(plan_worker, cfg.inflight_per_worker)
 
         server = await self._loop.create_server(lambda: _Peer(self), cfg.host, 0)
         self.port = server.sockets[0].getsockname()[1]
@@ -417,9 +428,9 @@ class ExecBackend:
 
     def _submit_and_bind(self) -> None:
         """Admit the plan and bind every decision in one synchronous step:
-        each worker's first ``inflight_per_worker`` jobs go out as they are
-        bound, their ``done`` waits for the step's end (``handoff_max``), and
-        the digested ``assigned`` order keeps it whole (EXPERIMENTS.md)."""
+        each worker's first ``inflight_per_worker`` jobs (its window's floor)
+        go out as they are bound, their ``done`` waits for the step's end
+        (``handoff_max``), and the digested ``assigned`` order keeps it whole."""
         now = self._now()
         for hook in self.hooks.run_started:
             hook(now)
@@ -464,7 +475,7 @@ class ExecBackend:
         for hook in self.hooks.assigned:
             hook(real_job, worker, self, now)
         state.ready.append(job)
-        self._pump(state)
+        self._pump(state, held=False)
 
     #: The ``policy`` of this backend's ledger records.
     name = "exec"
@@ -494,19 +505,23 @@ class ExecBackend:
             return ("redispatch", candidates, None, reason)
         return ("replay", candidates, None, "replayed the captured plan decision")
 
-    def _pump(self, state: _WorkerState) -> None:
-        """Move ready -> processing -> outbox, respecting the in-flight cap.
+    def _pump(self, state: _WorkerState, held: bool) -> None:
+        """Move ready -> processing -> outbox, up to the worker's depth.
 
         The ``processing`` insert happens *before* the dispatch is queued
         for the socket (:meth:`_flush` writes it at the end of the turn):
         if the write (or the worker) fails at any later point, the job is
-        still owned somewhere and the orphan scan will find it.
+        still owned somewhere and the orphan scan will find it.  A pump
+        after a bind sends at most that job, and only into a free window;
+        a pump after a ``done`` sends what the full window ``held``.
         """
-        cap = self.config.inflight_per_worker
-        while state.alive and not state.draining and state.ready and len(state.processing) < cap:
+        while (
+            state.alive and not state.draining and state.ready
+            and len(state.processing) < state.depth
+        ):
             job = state.ready.popleft()
             now = self._now()
-            state.processing[job.job_id] = (job, now)
+            state.processing[job.job_id] = (job, now, held)
             for hook in self.hooks.enqueued:
                 hook(job.job_id, state.name, now)
             if not state.outbox:
@@ -541,8 +556,12 @@ class ExecBackend:
             raise ExecError(
                 f"worker {state.name} completed {job_id!r} it does not own"
             )
-        job, dispatched_at = entry
+        job, dispatched_at, held = entry
         exec_s = float(message.get("exec_s", 0.0))
+        wait_s = float(message.get("wait_s", 0.0))
+        state.wait_s += wait_s
+        if wait_s and held and state.ready:
+            state.depth += 1  # the window, not the backlog, idled the worker
         started = max(dispatched_at, now - exec_s)
         real_job = self._real_jobs[job_id]
         cache_hit = message.get("cache_hit")
@@ -571,7 +590,7 @@ class ExecBackend:
         self.completed += 1
         self._handoff.append(max(0.0, now - dispatched_at - exec_s))
         self._run_hooks()
-        self._pump(state)
+        self._pump(state, held=True)
         self._maybe_finish()
 
     def _run_hooks(self) -> None:
@@ -602,7 +621,7 @@ class ExecBackend:
         state.outbox.clear()
         if state.transport is not None:
             state.transport.close()
-        orphans = [job for job, _at in state.processing.values()]
+        orphans = [entry[0] for entry in state.processing.values()]
         orphans.extend(state.ready)
         state.processing.clear()
         state.ready.clear()
@@ -695,6 +714,8 @@ class ExecBackend:
                     "draining": state.draining,
                     "ready": len(state.ready),
                     "processing": len(state.processing),
+                    "depth": state.depth,
+                    "wait_ms": state.wait_s * 1e3,
                     "completed": len(state.completed_order),
                     "cached_repos": sorted(state.cache.contents()),
                 }

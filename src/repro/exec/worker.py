@@ -19,6 +19,9 @@ does whatever is due, in this order, then waits:
   its ``dispatch`` was read or at the previous deadline plus handler
   time, if later; each phase ends at its start + scaled time, and
   ``exec_s`` counts from that start, so lateness never carries over;
+  ``wait_s`` is how long the worker sat idle before it (dispatch read
+  minus the previous job's end; 0 for a queued or a first job), the
+  measure the coordinator sizes its dispatch window by;
 * **send** -- every ``done`` and heartbeat of the turn in one
   ``sendall``;
 * **wait** -- until the socket is readable, the running job's fetch or
@@ -94,7 +97,7 @@ class Worker:
         fifo: deque[tuple[dict[str, Any], float]] = deque()  # (dispatch, read at)
         job: dict[str, Any] | None = None  # the running job's dispatch message
         job_id = repo_id = cache_hit = None
-        size_mb = started = due = free_at = 0.0
+        size_mb = started = waited = due = free_at = 0.0
         fetching = stalled = False
         completed = 0
         next_beat = clock()
@@ -109,6 +112,7 @@ class Worker:
                     job_id, repo_id = job["job_id"], job.get("repo_id")
                     size_mb = job.get("size_mb", 0.0)
                     started = due = max(free_at, read_at)
+                    waited = started - free_at if free_at else 0.0  # idle before it
                     cache_hit = None if repo_id is None else self.cache.lookup(repo_id)
                     fetching = cache_hit is False
                     seconds = fetch_seconds(spec, size_mb) if fetching else None
@@ -139,6 +143,7 @@ class Worker:
                                 "cache_hit": cache_hit,
                                 "fetched_mb": size_mb if cache_hit is False else 0.0,
                                 "exec_s": now - started,
+                                "wait_s": waited,
                                 "result": digest,
                             }
                         )

@@ -58,20 +58,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.cli import COMMANDS, Experiment, main
-from repro.cluster.profiles import WorkerProfile, all_equal
+from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import CrashRenewal, FaultPlan, WorkerCrash
 from repro.obs import ObsConfig, build_spans, perfetto_trace
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
-from repro.serve import (
-    AdmissionConfig,
-    AutoscalerConfig,
-    ServiceConfig,
-    ServiceRuntime,
-    make_arrivals,
-)
+from repro.serve import ServiceRuntime, build_service
 from repro.workload.job import Job, JobStream
 from repro.workload.msr import TASK_ANALYZER
 
@@ -494,7 +488,7 @@ def record_scale() -> dict:
 
 # -- service fixture --------------------------------------------------------
 
-#: cell name -> :func:`service_runtime` knobs.  Burst arrivals against
+#: cell name -> :func:`service_runtime` arguments.  Burst arrivals against
 #: both scheduler families; ``delay`` admission with a two-job queue and
 #: a rate limit (arrivals wait for queue space *and* retry after a
 #: token-bucket hint); the autoscaler with ``rebalance``; a crash/repair
@@ -511,25 +505,25 @@ SERVICE_CELLS: dict[str, dict] = {
     "baseline-delay": dict(
         scheduler="baseline",
         duration=200.0,
-        admission=AdmissionConfig(queue_cap=2, policy="delay", rate_limit=2.0, rate_burst=1),
+        queue_cap=2, policy="delay", rate_limit=2.0, rate_burst=1,
     ),
     "bidding-rebalance": dict(
         scheduler="bidding",
         rate=1.5,
-        autoscaler=AutoscalerConfig(min_workers=2, max_workers=10, rebalance=True, cooldown_s=20),
+        min_workers=2, max_workers=10, rebalance=True, cooldown_s=20,
     ),
     "bar-crashes": dict(
         scheduler="bar",
         rate=1.5,
         duration=400.0,
-        autoscaler=AutoscalerConfig(min_workers=2, max_workers=8, cooldown_s=20),
+        min_workers=2, max_workers=8, cooldown_s=20,
         faults=FaultPlan(renewals=(CrashRenewal(mtbf_s=60, mttr_s=20),)),
     ),
     "baseline-observed": dict(
         scheduler="baseline",
         rate=1.5,
-        autoscaler=AutoscalerConfig(min_workers=2, max_workers=8, cooldown_s=20),
-        engine=dict(obs=ObsConfig(probe_interval_s=5.0), check=True, shared_origin_mbps=40.0),
+        min_workers=2, max_workers=8, cooldown_s=20,
+        obs=ObsConfig(probe_interval_s=5.0), check=True, shared_origin_mbps=40.0,
     ),
     "bidding-swap": dict(
         scheduler="bidding",
@@ -546,19 +540,14 @@ SERVICE_CELLS: dict[str, dict] = {
 
 
 def service_runtime(
-    scheduler, rate=1.0, duration=300.0, admission=None, autoscaler=None, engine=None, **plans
+    scheduler, rate=1.0, duration=300.0, faults=None, reconfig=None, **overrides
 ) -> ServiceRuntime:
-    """A service of ``all-equal`` workers under burst arrivals, seed 5;
-    ``plans`` are its ``faults`` and ``reconfig``."""
-    return ServiceRuntime(
-        profile=all_equal(),
-        scheduler=make_scheduler(scheduler),
-        arrivals=make_arrivals("burst", rate=rate),
-        admission_config=admission,
-        autoscaler_config=autoscaler,
-        service_config=ServiceConfig(duration_s=duration),
-        config=EngineConfig(seed=5, **(engine or {})),
-        **plans,
+    """A service of ``all-equal`` workers under burst arrivals, seed 5,
+    built by :func:`repro.serve.build_service` as ``repro serve`` builds
+    one; ``overrides`` go to its configs by field name."""
+    return build_service(
+        scheduler, "all-equal", "burst", rate, 5, faults, reconfig=reconfig,
+        duration_s=duration, **overrides,
     )
 
 
@@ -589,7 +578,7 @@ def record_service_cell(name: str) -> dict:
 def record_deadline_message() -> str:
     """What a service past its deadline says."""
     try:
-        service_runtime("baseline", engine=dict(max_sim_time=30.0)).run()
+        service_runtime("baseline", max_sim_time=30.0).run()
     except RuntimeError as error:
         return str(error)
     raise RuntimeError("the deadline cell finished; pick a shorter max_sim_time")

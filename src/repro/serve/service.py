@@ -359,13 +359,15 @@ def build_service(
     seed: int,
     faults: Optional[FaultPlan] = None,
     autoscale: bool = False,
+    reconfig: Optional[object] = None,
     **overrides: object,
 ) -> ServiceRuntime:
     """A :class:`ServiceRuntime` from names, the one front door of
     :func:`repro.run_service` and ``repro serve``.  Keyword overrides go
     to the service, admission, autoscaler and engine configs by field
     name (:func:`repro.config.resolve_overrides`); any autoscaler field
-    implies ``autoscale``."""
+    implies ``autoscale``.  ``faults`` and ``reconfig`` are the run's
+    plans, passed through."""
     service_kw, admission_kw, scaler_kw, engine_kw = resolve_overrides(
         overrides, ServiceConfig, AdmissionConfig, AutoscalerConfig, EngineConfig
     )
@@ -378,4 +380,5 @@ def build_service(
         service_config=ServiceConfig(**service_kw),
         config=EngineConfig(seed=seed, **engine_kw),
         faults=faults,
+        reconfig=reconfig,
     )

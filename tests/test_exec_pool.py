@@ -60,6 +60,19 @@ def hand_plan(slow_on_a=2, fast_on_b=2, preload_b=()):
     )
 
 
+def instant_plan(n):
+    """``n`` near-instant data-free jobs, bound to ``a`` and ``b`` in turn."""
+    return ExecPlan(
+        scheduler="hand",
+        seed=0,
+        workers=(PlanWorker(name="a", **FAST_SPEC), PlanWorker(name="b", **FAST_SPEC)),
+        jobs=tuple(PlanJob(job_id=f"j{i}", task="t", handler="noop") for i in range(n)),
+        decisions=tuple(
+            Decision(seq=i, job_id=f"j{i}", worker="ab"[i % 2], at_s=0.0) for i in range(n)
+        ),
+    )
+
+
 def config(**overrides):
     base = dict(time_scale=TIME_SCALE, run_timeout_s=60.0, trace=False)
     base.update(overrides)
@@ -168,6 +181,63 @@ class TestFaults:
     def test_kill_targeting_unknown_worker_is_rejected_up_front(self):
         with pytest.raises(ExecError, match="unknown worker 'ghost'"):
             ExecBackend(hand_plan(), config(), kills=(KillSpec("ghost", 1),))
+
+
+class TestDispatchDepth:
+    """Each worker's window starts at ``inflight_per_worker`` and deepens
+    when the worker reports idling before a job the window held back."""
+
+    def test_near_instant_jobs_deepen_the_window(self):
+        plan = instant_plan(400)
+        backend = ExecBackend(plan, config(time_scale=1e-4))
+        report = backend.run()
+
+        assert report.conserved and report.completed == 400
+        assert report.per_worker_completed == {
+            name: tuple(ids) for name, ids in plan.per_worker_order().items()
+        }
+        stats = backend.stats()["workers"]
+        for name in ("a", "b"):
+            assert backend.workers[name].depth > 2
+            assert stats[name]["depth"] == backend.workers[name].depth
+            assert stats[name]["wait_ms"] > 0.0
+
+    def test_a_slow_worker_stays_at_the_floor(self):
+        # a's next job always arrives while its current one still runs.
+        backend = ExecBackend(hand_plan(slow_on_a=3, fast_on_b=2), config())
+        report = backend.run()
+
+        assert report.conserved and report.completed == 5
+        assert backend.workers["a"].depth == 2
+        assert backend.stats()["workers"]["a"]["depth"] == 2
+
+    def test_a_wait_for_a_fresh_bind_keeps_the_window(self):
+        # b idles once its two jobs are done; three jobs bound to it then
+        # fill its window and its backlog.  b waited for x0 because x0 did
+        # not exist yet, not because the window held it: no deepening.
+        script = tuple(
+            (2, {"type": "dispatch", "job_id": f"x{i}", "worker": "b"}) for i in range(3)
+        )
+        backend = ExecBackend(hand_plan(slow_on_a=0, fast_on_b=2), config(), script=script)
+        report = backend.run()
+
+        assert report.conserved and report.completed == 5
+        assert report.per_worker_completed["b"] == ("b0", "b1", "x0", "x1", "x2")
+        assert backend.workers["b"].wait_s > 0.0
+        assert backend.workers["b"].depth == 2
+
+    def test_a_kill_above_the_floor_conserves_every_job(self):
+        backend = ExecBackend(
+            instant_plan(400), config(time_scale=1e-4), kills=(KillSpec("a", after_done=100),)
+        )
+        report = backend.run()
+
+        assert backend.workers["a"].depth > 2
+        assert report.crashes == 1
+        assert report.conserved
+        assert report.completed == 400 and report.failed == 0
+        assert report.redispatches > 0
+        assert all(w == "b" for _j, w, redispatch in report.assigned if redispatch)
 
 
 class TestScriptedControl:

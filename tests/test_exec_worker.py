@@ -356,6 +356,53 @@ class TestSchedule:
 
         play.run()
 
+    def test_a_queued_job_reports_no_wait(self):
+        # j1 is read with j0, before j0 ends: however late the worker wakes
+        # for j0's deadline, j1 starts at it and reports no idle time.
+        @scenario(main=oversleeping_main)
+        def play(co, worker):
+            co.sock.sendall(
+                b"".join(
+                    protocol.encode(
+                        {"type": protocol.DISPATCH, "job_id": f"j{i}", "handler": "noop",
+                         "base_compute_s": 10.0}
+                    )
+                    for i in range(2)
+                )
+            )
+            assert [co.recv_type(protocol.DONE)["wait_s"] for _ in range(2)] == [0.0, 0.0]
+
+        play.run()
+
+    def test_a_first_job_reports_no_wait(self):
+        # Idle since its hello, the worker has no previous job to wait after.
+        @scenario(main=oversleeping_main)
+        def play(co, worker):
+            time.sleep(0.05)
+            compute_job(co, "j0")
+            assert co.recv_type(protocol.DONE)["wait_s"] == 0.0
+
+        play.run()
+
+    def test_an_idle_gap_is_reported_as_the_wait(self):
+        # j1 is sent 50 ms after j0's done arrived.  The worker ended j0
+        # before it sent that done and read j1 after it was sent, so the
+        # wait is at least the gap; it is at most the gap plus what the two
+        # round trips took beyond their modelled time.
+        @scenario(main=oversleeping_main)
+        def play(co, worker):
+            sent0 = compute_job(co, "j0")
+            co.recv_type(protocol.DONE)
+            done0_at = time.monotonic()
+            time.sleep(0.05)
+            sent1 = compute_job(co, "j1")
+            wait_s = co.recv_type(protocol.DONE)["wait_s"]
+            done1_at = time.monotonic()
+            assert sent1 - done0_at <= wait_s
+            assert wait_s <= done1_at - sent0 - 2 * MODELLED_S * (1 - 1e-9)
+
+        play.run()
+
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/timerslack_ns"), reason="Linux timer slack only"
     )
