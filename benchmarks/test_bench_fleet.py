@@ -26,8 +26,8 @@ from conftest import once
 
 from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.fleet import LoadTable
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.schedulers.bar import BARMasterPolicy
 from repro.schedulers.registry import make_scheduler
 from repro.schedulers.spark import SparkMasterPolicy

@@ -18,7 +18,7 @@ import time
 
 from conftest import once
 from repro.cluster.profiles import all_equal
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.schedulers.registry import make_scheduler
 from repro.workload.generators import job_config_by_name
 

@@ -16,7 +16,7 @@ import json
 
 from conftest import once
 from repro.cluster.profiles import all_equal
-from repro.engine.runtime import EngineConfig
+from repro.host import EngineConfig
 from repro.schedulers.registry import make_scheduler
 from repro.serve import AdmissionConfig, PoissonArrivals, ServiceConfig, ServiceRuntime
 

@@ -13,7 +13,7 @@ Run with::
 """
 
 from repro.cluster.profiles import one_slow
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.analysis import ascii_gantt, summarize
 from repro.schedulers.registry import make_scheduler
 from repro.workload.generators import job_config_by_name

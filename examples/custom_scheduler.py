@@ -19,7 +19,7 @@ Run with::
 """
 
 from repro.cluster.profiles import profile_by_name
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.report import format_table
 from repro.schedulers.base import MasterPolicy, PassiveWorkerPolicy, SchedulerPolicy
 from repro.schedulers.registry import make_scheduler

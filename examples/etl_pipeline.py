@@ -19,7 +19,7 @@ Run with::
 """
 
 from repro.cluster.profiles import all_equal
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.report import format_table
 from repro.schedulers.registry import make_scheduler
 from repro.sim.rng import substream

@@ -14,8 +14,8 @@ Run with::
 """
 
 from repro.cluster.profiles import fast_slow
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.exec import ExecBackend, ExecConfig, capture_workflow_plan
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.report import format_table
 from repro.schedulers.registry import make_scheduler
 from repro.workload.generators import job_config_by_name

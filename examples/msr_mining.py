@@ -16,7 +16,7 @@ Run with::
 from repro.cluster.profiles import fast_slow
 from repro.data.github import GitHubService
 from repro.data.repository import Repository, RepositoryCorpus
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.report import format_table
 from repro.schedulers.registry import make_scheduler
 from repro.sim.rng import substream

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from repro.cluster.profiles import profile_by_name
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.ascii_chart import bar_chart
 from repro.metrics.report import format_table
 from repro.metrics.stats import compare

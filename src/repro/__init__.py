@@ -21,7 +21,11 @@ A from-scratch Python implementation of the paper's system stack
   admission control, elastic workers,
 * :mod:`repro.metrics`   -- the paper's three metrics + diagnostics,
 * :mod:`repro.check`     -- correctness tooling: runtime invariant
-  monitors, a trace-replay oracle, and a shrinking scenario fuzzer,
+  monitors and a trace-replay oracle,
+* :mod:`repro.host`      -- the one host that wires a deployment, and
+  the workflow runtime on it,
+* :mod:`repro.fuzz`      -- a shrinking scenario fuzzer and its planted
+  bugs,
 * :mod:`repro.obs`       -- observability: causal span tracing,
   time-series probes, Perfetto/CSV exporters, ASCII timelines,
 * :mod:`repro.exec`      -- a *real* multi-process execution backend
@@ -52,8 +56,9 @@ master recovering orphaned jobs -- deterministically per seed.
 
 from __future__ import annotations
 
-import importlib
 from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
@@ -61,32 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.serve import ServiceReport
 
 
-def _lazy_exports(namespace: dict, sources: dict[str, tuple[str, ...]]):
-    """PEP 562 ``__getattr__``, ``__dir__`` and the sorted export list of a
-    package whose exports live in submodules (``sources``: module ->
-    names).  A name's module is imported on its first access and the value
-    cached in ``namespace``, so importing one submodule -- a spawned real
-    worker imports only ``repro.exec.worker`` -- does not load the
-    simulator and numpy."""
-    origin = {name: module for module, names in sources.items() for name in names}
-
-    def __getattr__(name: str):
-        if name not in origin:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(importlib.import_module(origin[name]), name)
-        return value
-
-    def __dir__() -> list[str]:
-        return sorted(set(namespace) | set(origin))
-
-    return __getattr__, __dir__, sorted(origin)
-
-
-__getattr__, __dir__, _exports = _lazy_exports(
+__getattr__, __dir__, _exports = lazy_exports(
     globals(),
     {
         "repro.check": ("CheckConfig", "InvariantViolation", "OracleMismatch", "verify_run"),
-        "repro.engine.runtime": ("EngineConfig", "WorkflowRuntime", "WorkflowStalled"),
         "repro.faults": (
             "CrashRenewal",
             "FaultPlan",
@@ -96,6 +79,7 @@ __getattr__, __dir__, _exports = _lazy_exports(
             "RecoveryConfig",
             "WorkerCrash",
         ),
+        "repro.host": ("EngineConfig", "WorkflowRuntime", "WorkflowStalled"),
         "repro.metrics.report": ("RunResult",),
         "repro.obs": ("ObsConfig", "build_spans", "perfetto_trace", "span_coverage"),
         "repro.serve": ("ServiceConfig", "ServiceReport", "ServiceRuntime"),

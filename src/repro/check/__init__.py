@@ -1,6 +1,6 @@
-"""Correctness tooling: invariant monitors, reference oracle, fuzzer.
+"""Correctness tooling: invariant monitors and the reference oracle.
 
-Three layers, from always-on to on-demand:
+Two layers, from always-on to on-demand:
 
 * :mod:`repro.check.invariants` -- a declarative registry of the run's
   conservation / ordering / contest-state-machine laws, and the live
@@ -13,18 +13,9 @@ Three layers, from always-on to on-demand:
   of the headline accounting (makespan, MB downloaded, cache misses),
   replayed from a run's :class:`~repro.metrics.trace.Trace` and compared
   against the engine's own aggregation (differential testing).
-* :mod:`repro.check.fuzzer` -- seeded random scenario generation
-  (cluster x workload x fault plan x scheduler), run with monitors and
-  oracle enabled, with greedy shrinking of failures to a minimal JSON
-  reproducer that ``repro run --scenario`` replays (CLI: ``repro fuzz``).
 
-Self-validation lives in :mod:`repro.check.planted`: deliberately buggy
-components (a double-allocating scheduler, an over-delivering pipe) that
-the monitors must catch and the fuzzer must shrink.
-
-The fuzzer imports the engine runtime, which itself imports this
-package's ``invariants`` module -- so ``fuzzer``/``planted`` names are
-resolved lazily to keep the import graph acyclic.
+The scenario fuzzer and its planted bugs run whole deployments, so they
+sit above the host, in :mod:`repro.fuzz`.
 """
 
 from repro.check.invariants import (
@@ -37,52 +28,15 @@ from repro.check.invariants import (
 )
 from repro.check.oracle import OracleMismatch, OracleSummary, replay_trace, verify_run
 
-#: Lazily resolved names -> defining submodule (avoids the import cycle
-#: check -> fuzzer -> engine.runtime -> check.invariants).
-_LAZY = {
-    "Scenario": "repro.check.fuzzer",
-    "ScenarioOutcome": "repro.check.fuzzer",
-    "Failure": "repro.check.fuzzer",
-    "FuzzReport": "repro.check.fuzzer",
-    "PLANTS": "repro.check.fuzzer",
-    "generate_scenario": "repro.check.fuzzer",
-    "run_scenario": "repro.check.fuzzer",
-    "shrink": "repro.check.fuzzer",
-    "fuzz": "repro.check.fuzzer",
-    "PLANTED": "repro.check.planted",
-    "plant_overdelivering_origin": "repro.check.planted",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
     "CheckConfig",
-    "Failure",
-    "FuzzReport",
-    "PLANTS",
     "INVARIANTS",
     "Invariant",
     "InvariantMonitor",
     "InvariantViolation",
     "OracleMismatch",
     "OracleSummary",
-    "PLANTED",
-    "Scenario",
-    "ScenarioOutcome",
     "as_check_config",
-    "fuzz",
-    "generate_scenario",
-    "plant_overdelivering_origin",
     "replay_trace",
-    "run_scenario",
-    "shrink",
     "verify_run",
 ]

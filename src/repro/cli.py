@@ -544,7 +544,7 @@ def _run(args: argparse.Namespace) -> int:
 
 def _replay_scenario(path: str) -> int:
     """Replay a fuzzer scenario JSON; exit 0 iff the run is clean."""
-    from repro.check.fuzzer import Scenario, run_scenario
+    from repro.fuzz.fuzzer import Scenario, run_scenario
 
     scenario = Scenario.from_json(f"@{path}")
     print(
@@ -734,7 +734,7 @@ def _run_explain(args: argparse.Namespace) -> int:
 
 
 def _run_fuzz(args: argparse.Namespace) -> int:
-    from repro.check.fuzzer import fuzz
+    from repro.fuzz.fuzzer import fuzz
 
     budget_s = float(str(args.budget).rstrip("s"))
     report = fuzz(

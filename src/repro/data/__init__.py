@@ -15,9 +15,9 @@ real data world:
   modelled latency, standing in for the live API used in Section 6.4.
 """
 
-from repro import _lazy_exports
+from repro.lazy import lazy_exports
 
-__getattr__, __dir__, __all__ = _lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
         "repro.data.cache": ("CacheStats", "WorkerCache"),

@@ -13,21 +13,16 @@ messaging instance.
 
 * :mod:`repro.engine.messages` -- the wire protocol,
 * :mod:`repro.engine.worker`   -- the worker runtime,
-* :mod:`repro.engine.master`   -- the master runtime,
-* :mod:`repro.engine.runtime`  -- the one host (``Deployment``) and
-  the workflow driver on it.
+* :mod:`repro.engine.master`   -- the master runtime.
+
+The host that wires a deployment around them (``Deployment``) and the
+workflow runtime on it sit above this package, in :mod:`repro.host`.
 
 Real (wall-clock, multi-process) execution of the same decisions lives
 in :mod:`repro.exec`.
 """
 
 from repro.engine.master import Master
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.engine.worker import WorkerNode
 
-__all__ = [
-    "EngineConfig",
-    "Master",
-    "WorkerNode",
-    "WorkflowRuntime",
-]
+__all__ = ["Master", "WorkerNode"]

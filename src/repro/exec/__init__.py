@@ -21,9 +21,9 @@ Layout::
     diff.py       sim-vs-real differential harness
 """
 
-from repro import _lazy_exports
+from repro.lazy import lazy_exports
 
-__getattr__, __dir__, __all__ = _lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
         "repro.exec.control": ("ControlClient", "handle_control"),

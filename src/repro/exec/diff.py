@@ -36,9 +36,9 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.cluster.profiles import profile_by_name
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.exec.plan import ExecPlan, capture_workflow_plan
 from repro.exec.pool import ExecBackend, ExecConfig, ExecReport, KillSpec
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.obs import build_spans, span_coverage
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.workload.job import Job, JobStream

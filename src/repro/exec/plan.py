@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.runtime import WorkflowRuntime
+    from repro.host import WorkflowRuntime
     from repro.serve.service import ServiceRuntime
 
 

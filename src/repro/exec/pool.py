@@ -588,7 +588,8 @@ class ExecBackend:
             hook(real_job, state.name, now)
         state.completed_order.append(job_id)
         self.completed += 1
-        self._handoff.append(max(0.0, now - dispatched_at - exec_s))
+        queued_s = float(message.get("queued_s", 0.0))
+        self._handoff.append(max(0.0, now - dispatched_at - queued_s - exec_s))
         self._run_hooks()
         self._pump(state, held=True)
         self._maybe_finish()

@@ -21,7 +21,9 @@ does whatever is due, in this order, then waits:
   ``exec_s`` counts from that start, so lateness never carries over;
   ``wait_s`` is how long the worker sat idle before it (dispatch read
   minus the previous job's end; 0 for a queued or a first job), the
-  measure the coordinator sizes its dispatch window by;
+  measure the coordinator sizes its dispatch window by, and
+  ``queued_s`` how long it sat read but not started (start minus
+  dispatch read), which the coordinator takes off its handoff sample;
 * **send** -- every ``done`` and heartbeat of the turn in one
   ``sendall``;
 * **wait** -- until the socket is readable, the running job's fetch or
@@ -144,6 +146,7 @@ class Worker:
                                 "fetched_mb": size_mb if cache_hit is False else 0.0,
                                 "exec_s": now - started,
                                 "wait_s": waited,
+                                "queued_s": started - read_at,
                                 "result": digest,
                             }
                         )

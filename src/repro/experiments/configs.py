@@ -10,7 +10,7 @@ calibration note).
 
 from __future__ import annotations
 
-from repro.engine.runtime import EngineConfig
+from repro.host import EngineConfig
 from repro.net.topology import TopologyConfig
 
 #: The four worker configurations (Section 6.3.1).

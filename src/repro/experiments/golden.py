@@ -60,8 +60,8 @@ from typing import Callable, Sequence
 from repro.cli import COMMANDS, Experiment, main
 from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import CrashRenewal, FaultPlan, WorkerCrash
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.obs import ObsConfig, build_spans, perfetto_trace
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
@@ -351,7 +351,7 @@ def _digest(payload) -> str:
 
 def run_digests(runtime) -> dict:
     """The digests a scale cell and a service cell share: the assignment
-    map and the run's counts (:meth:`~repro.engine.runtime.Deployment.counts`)
+    map and the run's counts (:meth:`~repro.host.Deployment.counts`)
     always, the trace when one is recorded, flows and decisions when
     ``obs`` is on, and the monitor's check count when it runs."""
     digests = {"assignments_sha256": _digest(runtime.master.assignments)}

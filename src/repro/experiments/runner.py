@@ -17,9 +17,9 @@ from typing import Iterable, Optional, Sequence
 
 from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.config import apply_overrides
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.experiments.configs import ITERATIONS, default_engine_config
 from repro.faults.plan import FaultPlan
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.report import RunResult
 from repro.schedulers.registry import make_scheduler
 from repro.workload.generators import job_config_by_name
@@ -56,7 +56,7 @@ class CellSpec:
     #: a :class:`~repro.reconfig.plan.ReconfigPlan`.
     reconfig: Optional[object] = None
     #: Return results even when jobs failed permanently, instead of
-    #: raising :class:`~repro.engine.runtime.WorkflowStalled`.
+    #: raising :class:`~repro.host.WorkflowStalled`.
     allow_partial: bool = False
 
     def with_scheduler_kwargs(self, **kwargs: object) -> "CellSpec":
@@ -88,7 +88,7 @@ def run_cell_observed(spec: CellSpec) -> tuple[list[RunResult], WorkflowRuntime]
     """Like :func:`run_cell`, but also return the *last* runtime.
 
     The observability consumers (``repro trace``, the HTML report's obs
-    section) need the live :class:`~repro.engine.runtime.WorkflowRuntime`
+    section) need the live :class:`~repro.host.WorkflowRuntime`
     after it ran -- its trace, probe registry, recorded flows -- not just
     the scalar :class:`RunResult` rows.  The last iteration is the
     interesting one: caches are warm, matching the paper's steady state.

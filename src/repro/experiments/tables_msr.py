@@ -30,10 +30,10 @@ from repro.cluster.worker_spec import WorkerSpec
 from repro.core.learning import HistoricAverageSpeedModel
 from repro.data.github import GitHubService
 from repro.data.repository import Repository, RepositoryCorpus
-from repro.engine.runtime import WorkflowRuntime
 from repro.experiments.configs import default_engine_config
 from repro.experiments.grid import Sweep, Table, compared, render
 from repro.experiments.runner import ResultSet
+from repro.host import WorkflowRuntime
 from repro.metrics.report import RunResult
 from repro.schedulers.registry import make_scheduler
 from repro.sim.rng import substream

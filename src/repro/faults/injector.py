@@ -9,8 +9,8 @@ produces bit-identical fault timelines regardless of scheduler noise.
 
 The injector deliberately knows nothing about the runtime layer: worker
 restarts go through a ``restart`` callback supplied by the host
-(:meth:`repro.engine.runtime.Deployment.restart_worker`), which keeps
-the import graph acyclic (engine imports faults, never the reverse).
+(:meth:`repro.host.Deployment.restart_worker`): the host imports
+faults, never the reverse.
 
 Every action is appended to :attr:`FaultInjector.events` as
 ``(time, kind, detail)`` tuples -- the reproducibility tests compare

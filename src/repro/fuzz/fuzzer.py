@@ -23,7 +23,7 @@ error -- counts as a failure worth shrinking.
 
 Self-validation: ``fuzz(..., planted="double-allocate")``,
 ``planted="overdelivery"`` and ``planted="buggy-migrator"`` force one
-of the :mod:`repro.check.planted` bugs into every generated scenario;
+of the :mod:`repro.fuzz.planted` bugs into every generated scenario;
 the fuzzer must catch each and shrink it to a handful of jobs on a
 couple of workers.
 
@@ -46,15 +46,9 @@ import numpy as np
 
 from repro.check.invariants import InvariantViolation
 from repro.check.oracle import OracleMismatch, verify_run
-from repro.check.planted import (
-    PLANTED,
-    plant_buggy_migrator,
-    plant_overdelivering_origin,
-)
 from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
 from repro.config import read_json
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults.plan import (
     FaultPlan,
     MessageLoss,
@@ -62,6 +56,12 @@ from repro.faults.plan import (
     RecoveryConfig,
     WorkerCrash,
 )
+from repro.fuzz.planted import (
+    PLANTED,
+    plant_buggy_migrator,
+    plant_overdelivering_origin,
+)
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.reconfig.plan import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.workload.job import Job, JobArrival, JobStream
@@ -92,12 +92,12 @@ class Scenario:
     faults: Optional[FaultPlan] = None
     shared_origin_mbps: Optional[float] = None
     #: Self-validation plant: swap the origin for an
-    #: :class:`~repro.check.planted.OverdeliveringPipe` before running.
+    #: :class:`~repro.fuzz.planted.OverdeliveringPipe` before running.
     planted_pipe: bool = False
     #: Live-reconfiguration events (migrations/hot-swaps), or ``None``.
     reconfig: Optional[ReconfigPlan] = None
     #: Self-validation plant: build the run with the job-dropping
-    #: :func:`~repro.check.planted.plant_buggy_migrator` controller.
+    #: :func:`~repro.fuzz.planted.plant_buggy_migrator` controller.
     planted_migrator: bool = False
 
     def __post_init__(self) -> None:

@@ -16,6 +16,10 @@ paper's methodology depends on ("we cannot see job allocation occurring
 with respect to data storage unless workers have files saved from
 previous executions", Section 6.3.1): pass ``initial_caches`` from a
 previous run's :meth:`WorkflowRuntime.cache_snapshot`.
+
+The host sits above every package it wires -- ``engine``,
+``schedulers``, ``check``, ``faults``, ``reconfig`` -- and none of them
+imports it (ARCHITECTURE section 3, *Layers*).
 """
 
 from __future__ import annotations
@@ -196,8 +200,8 @@ class Deployment:
         self.faults = faults
         self.injector: Optional[FaultInjector] = None
         #: Live-reconfiguration plan (see :mod:`repro.reconfig`), or
-        #: ``None``; typed loosely to keep the import graph acyclic and
-        #: the plan-free path import-free.
+        #: ``None``; typed loosely so that a plan-free run never imports
+        #: :mod:`repro.reconfig` (see :meth:`_start`).
         self.reconfig = reconfig
         self.reconfig_controller = None
         #: Override for the controller class (the planted buggy migrator
@@ -434,6 +438,7 @@ class Deployment:
         plan = self.reconfig
         if rebalance or (plan is not None and not plan.is_trivial):
             factory = self.reconfig_controller_factory
+            # Imported here, not above: a plan-free run loads no reconfig.
             if factory is None:
                 from repro.reconfig.controller import ReconfigController as factory
             if plan is None:

@@ -37,89 +37,54 @@ and runs are bit-identical to builds without the subsystem; with
 ``obs`` on, the recorder is read-only and
 draws no randomness, so measured metrics still match the unobserved run
 exactly -- only extra timer events for probe sampling are added.
+Each name loads on first use (:mod:`repro.lazy`), so a host that only
+records loads the recorder, the ledger and the probes, not the readers.
 """
 
-from repro.obs.attribution import Attribution, AttributionRow, attribute, render_attribution
-from repro.obs.critical_path import (
-    CATEGORIES,
-    CriticalPath,
-    JobBreakdown,
-    critical_path,
-    job_breakdown,
-    render_critical_path,
-)
-from repro.obs.explain import (
-    EXPLAIN_SCHEMA,
-    DiffFinding,
-    RunDiff,
-    diff_runs,
-    explain_document,
-    explain_job,
-    load_explain,
-    render_diff,
-    write_explain,
-)
-from repro.obs.export import (
-    critical_path_rows,
-    perfetto_trace,
-    timeseries_rows,
-    write_critical_path_csv,
-    write_perfetto,
-    write_timeseries_csv,
-    write_timeseries_json,
-)
-from repro.obs.ledger import CandidateScore, DecisionLedger, DecisionRecord
-from repro.obs.probes import Probe, ProbeRegistry, busy_fraction
-from repro.obs.recorder import FlowRecord, ObsConfig, ObsRecorder, as_obs_config
-from repro.obs.spans import (
-    FLEET,
-    Span,
-    SpanCoverage,
-    build_spans,
-    span_coverage,
-)
-from repro.obs.timeline import render_timeline
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Attribution",
-    "AttributionRow",
-    "CATEGORIES",
-    "CandidateScore",
-    "CriticalPath",
-    "DecisionLedger",
-    "DecisionRecord",
-    "DiffFinding",
-    "EXPLAIN_SCHEMA",
-    "FLEET",
-    "FlowRecord",
-    "JobBreakdown",
-    "ObsConfig",
-    "ObsRecorder",
-    "Probe",
-    "ProbeRegistry",
-    "RunDiff",
-    "Span",
-    "SpanCoverage",
-    "as_obs_config",
-    "attribute",
-    "build_spans",
-    "busy_fraction",
-    "critical_path",
-    "critical_path_rows",
-    "diff_runs",
-    "explain_document",
-    "explain_job",
-    "job_breakdown",
-    "load_explain",
-    "perfetto_trace",
-    "render_attribution",
-    "render_critical_path",
-    "render_diff",
-    "render_timeline",
-    "span_coverage",
-    "timeseries_rows",
-    "write_critical_path_csv",
-    "write_perfetto",
-    "write_timeseries_csv",
-    "write_timeseries_json",
-]
+# ``critical_path`` names a submodule and its function: bind the function
+# now, or importing the submodule later would shadow it.
+from repro.obs.critical_path import critical_path
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.obs.attribution": (
+            "Attribution", "AttributionRow", "attribute", "render_attribution"
+        ),
+        "repro.obs.critical_path": (
+            "CATEGORIES",
+            "CriticalPath",
+            "JobBreakdown",
+            "critical_path",
+            "job_breakdown",
+            "render_critical_path",
+        ),
+        "repro.obs.explain": (
+            "EXPLAIN_SCHEMA",
+            "DiffFinding",
+            "RunDiff",
+            "diff_runs",
+            "explain_document",
+            "explain_job",
+            "load_explain",
+            "render_diff",
+            "write_explain",
+        ),
+        "repro.obs.export": (
+            "critical_path_rows",
+            "perfetto_trace",
+            "timeseries_rows",
+            "write_critical_path_csv",
+            "write_perfetto",
+            "write_timeseries_csv",
+            "write_timeseries_json",
+        ),
+        "repro.obs.ledger": ("CandidateScore", "DecisionLedger", "DecisionRecord"),
+        "repro.obs.probes": ("Probe", "ProbeRegistry", "busy_fraction"),
+        "repro.obs.recorder": ("FlowRecord", "ObsConfig", "ObsRecorder", "as_obs_config"),
+        "repro.obs.spans": ("FLEET", "Span", "SpanCoverage", "build_spans", "span_coverage"),
+        "repro.obs.timeline": ("render_timeline",),
+    },
+)

@@ -67,7 +67,7 @@ class _Waiter:
 class ReconfigController:
     """Drives migrations and hot-swaps for one runtime.
 
-    ``host`` is the run's :class:`~repro.engine.runtime.Deployment`;
+    ``host`` is the run's :class:`~repro.host.Deployment`;
     the controller reads its ``sim``, ``master`` and ``workers``,
     emits on its ``hooks`` (:mod:`repro.hooks`), seeds a
     successor policy through its ``_seed_views``, and rebinds its

@@ -1,6 +1,6 @@
 """Open-loop arrival processes for the service layer.
 
-A closed-loop experiment (:class:`~repro.engine.runtime.WorkflowRuntime`)
+A closed-loop experiment (:class:`~repro.host.WorkflowRuntime`)
 fixes the job list upfront; an open-loop *service* faces an unbounded
 stream whose intensity it does not control.  Each
 :class:`ArrivalProcess` here generates an increasing sequence of

@@ -1,8 +1,8 @@
 """The open-loop service runtime.
 
-:class:`ServiceRuntime` is the second intake on the engine's
-:class:`~repro.engine.runtime.Deployment`, the host
-:class:`~repro.engine.runtime.WorkflowRuntime` also runs on: instead of
+:class:`ServiceRuntime` is the second intake on
+:class:`~repro.host.Deployment`, the host
+:class:`~repro.host.WorkflowRuntime` also runs on: instead of
 executing a fixed job list to completion, it faces an *arrival process*
 for a configured duration, guards the scheduler behind an
 :class:`~repro.serve.admission.AdmissionController`, and (optionally)
@@ -36,8 +36,8 @@ from typing import Optional
 
 from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.config import resolve_overrides
-from repro.engine.runtime import Deployment, EngineConfig
 from repro.faults.plan import FaultPlan
+from repro.host import Deployment, EngineConfig
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.registry import make_scheduler
 from repro.serve.admission import ADMIT, DELAY, AdmissionConfig, AdmissionController

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import compare_schedulers, run_workflow
-from repro.engine.runtime import EngineConfig
+from repro.host import EngineConfig
 
 
 class TestRunWorkflow:
@@ -189,7 +189,7 @@ class TestCLIPaths:
 
         from repro.cli import COMMANDS, Experiment
 
-        heavy = ["numpy", "repro.sim", "repro.engine"] + [
+        heavy = ["numpy", "repro.sim", "repro.engine", "repro.host"] + [
             f"repro.experiments.{command.handler.module}"
             for command in COMMANDS.values()
             if isinstance(command.handler, Experiment)

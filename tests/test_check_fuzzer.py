@@ -1,4 +1,4 @@
-"""The scenario fuzzer (``repro.check.fuzzer``): generation, shrinking,
+"""The scenario fuzzer (``repro.fuzz.fuzzer``): generation, shrinking,
 self-validation against the planted bugs, and regression seeds.
 
 The regression seeds at the bottom each encode a real engine bug this
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.check.fuzzer import (
+from repro.fuzz.fuzzer import (
     PLANTS,
     Scenario,
     fuzz,

@@ -7,7 +7,7 @@ Three layers of assurance:
 * clean-run coverage -- monitors enabled across every scheduler, on
   healthy and faulted cells, must observe nothing (and must actually
   have performed checks);
-* detection -- the planted bugs of :mod:`repro.check.planted` and
+* detection -- the planted bugs of :mod:`repro.fuzz.planted` and
   hand-fed unit violations must raise :class:`InvariantViolation`
   naming the broken law, with the trace slice attached.
 """
@@ -23,13 +23,13 @@ from repro.check import (
     InvariantMonitor,
     InvariantViolation,
 )
-from repro.check.planted import (
+from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
+from repro.fuzz.planted import (
     make_double_allocate_policy,
     plant_buggy_migrator,
     plant_overdelivering_origin,
 )
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
-from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.workload.job import Job, JobArrival, JobStream

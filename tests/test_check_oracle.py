@@ -13,8 +13,8 @@ import pytest
 
 from conftest import make_profile, make_spec
 from repro.check import OracleMismatch, replay_trace, verify_run
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.workload.job import Job, JobArrival, JobStream

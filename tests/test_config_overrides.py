@@ -9,8 +9,8 @@ keywords.
 import pytest
 
 from repro.config import apply_overrides, resolve_overrides
-from repro.engine.runtime import EngineConfig
 from repro.experiments.runner import CellSpec
+from repro.host import EngineConfig
 from repro.serve import AdmissionConfig, ServiceConfig
 
 #: The removed 1.x spellings and the canonical field each must name now.

@@ -29,13 +29,13 @@ import numpy as np
 import pytest
 
 from reference_bidding import make_reference_bidding_policy
-from repro.check.fuzzer import Scenario, generate_scenario
 from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.cluster.worker_spec import WorkerSpec
 from repro.schedulers.bidding import make_bidding_policy
 from repro.core.learning import EWMASpeedModel, HistoricAverageSpeedModel, NominalSpeedModel
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import CrashRenewal, FaultPlan
+from repro.fuzz.fuzzer import Scenario, generate_scenario
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers import registry
 from repro.schedulers.registry import make_scheduler

@@ -5,8 +5,8 @@ import pytest
 from conftest import make_profile, make_spec
 from repro.schedulers.bidding import make_bidding_policy
 from repro.core.learning import HistoricAverageSpeedModel
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import FaultPlan
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime, single_task_pipeline
+from repro.host import EngineConfig, WorkflowRuntime, single_task_pipeline
 from repro.net.topology import TopologyConfig
 from repro.schedulers.base import MasterPolicy, PassiveWorkerPolicy, SchedulerPolicy
 from repro.schedulers.registry import make_scheduler

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.profiles import profile_by_name
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.exec.plan import (
     Decision,
     ExecPlan,
@@ -11,6 +10,7 @@ from repro.exec.plan import (
     PlanWorker,
     capture_workflow_plan,
 )
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.schedulers.registry import make_scheduler
 from repro.workload.job import Job, JobStream
 from repro.workload.msr import TASK_ANALYZER

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.exec.plan import Decision, ExecPlan, PlanJob, PlanWorker
-from repro.exec.pool import ExecBackend, ExecConfig, ExecError, KillSpec
+from repro.exec.pool import ExecBackend, ExecConfig, ExecError, KillSpec, _WorkerState
 from repro.exec.protocol import ControlClient, ProtocolError
 
 TIME_SCALE = 0.002
@@ -238,6 +238,44 @@ class TestDispatchDepth:
         assert report.completed == 400 and report.failed == 0
         assert report.redispatches > 0
         assert all(w == "b" for _j, w, redispatch in report.assigned if redispatch)
+
+
+class TestHandoff:
+    """A ``done``'s handoff sample is the round trip alone: its arrival
+    minus its dispatch, minus the time the job sat queued in the worker
+    (``queued_s``) and the time it ran (``exec_s``)."""
+
+    def fed(self, message):
+        """A coordinator with no processes: ``j0`` bound to ``a`` at 1.0 s,
+        its ``done`` fed at 1.010 s."""
+        backend = ExecBackend(instant_plan(2), config())
+        clock = [0.0]
+        backend._now = lambda: clock[0]
+        for plan_worker in backend.plan.workers:
+            backend.workers[plan_worker.name] = _WorkerState(plan_worker, 2)
+        for plan_job in backend.plan.jobs:
+            backend._admit(plan_job, 0.0)
+        clock[0] = 1.0
+        backend._bind(backend._jobs["j0"], "a", redispatch=False)
+        clock[0] = 1.010
+        backend._on_done(
+            backend.workers["a"], {"type": "done", "name": "a", "job_id": "j0", **message}
+        )
+        return backend
+
+    def test_the_time_queued_in_the_worker_is_not_handoff(self):
+        backend = self.fed({"exec_s": 0.002, "wait_s": 0.0, "queued_s": 0.005})
+
+        assert backend.completed == 1
+        handoff = backend.stats()["handoff_ms"]
+        assert handoff["count"] == 1
+        assert handoff["p50"] == pytest.approx(3.0)
+        assert backend._report(1.0).handoff_max_s == pytest.approx(0.003)
+
+    def test_a_done_without_queued_s_reads_as_zero(self):
+        backend = self.fed({"exec_s": 0.002})
+
+        assert backend.stats()["handoff_ms"]["p50"] == pytest.approx(8.0)
 
 
 class TestScriptedControl:

@@ -17,8 +17,8 @@ ordering laws vouch for the recovery, not just the headline counts:
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import FaultPlan, NetworkPartition, RecoveryConfig, WorkerCrash
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER

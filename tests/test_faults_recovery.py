@@ -14,8 +14,8 @@ import pytest
 
 from conftest import make_profile, make_spec
 from repro.cluster.profiles import profile_by_name
-from repro.engine.runtime import EngineConfig, WorkflowRuntime, WorkflowStalled
 from repro.faults import CrashRenewal, FaultPlan, RecoveryConfig, WorkerCrash
+from repro.host import EngineConfig, WorkflowRuntime, WorkflowStalled
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.workload.generators import job_config_by_name

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 from conftest import make_profile, make_spec
 from reference_planners import ReferenceBARMasterPolicy, ReferenceSparkMasterPolicy
 from repro.data.cache import WorkerCache
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import FaultPlan
 from repro.fleet import FleetState, LoadTable
 from repro.fleet.soa import _CacheObserver
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.bar import BARMasterPolicy
 from repro.schedulers.registry import make_scheduler

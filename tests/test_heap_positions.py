@@ -19,7 +19,7 @@ from reference_sim import inbox
 from repro.cluster.profiles import WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
 from repro.engine.messages import TOPIC_MASTER, JobOffer, worker_topic
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.bandwidth import FairSharePipe
 from repro.net.link import Link
 from repro.net.topology import TopologyConfig

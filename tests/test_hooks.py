@@ -12,9 +12,9 @@ import pytest
 import repro
 from conftest import make_profile, make_spec
 from repro.check.invariants import InvariantMonitor
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.exec.plan import PlanRecorder
 from repro.hooks import SEAMS, Hooks
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.collector import MetricsCollector
 from repro.obs import DecisionLedger, ObsConfig, ObsRecorder
 from repro.schedulers.registry import make_scheduler

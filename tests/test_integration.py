@@ -6,9 +6,9 @@ from repro import compare_schedulers, run_workflow
 from repro.cluster.profiles import profile_by_name
 from repro.data.github import GitHubService
 from repro.data.repository import Repository, RepositoryCorpus
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.experiments.configs import JOB_CONFIG_NAMES, PROFILE_NAMES
 from repro.experiments.runner import CellSpec, run_cell
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.schedulers.registry import make_scheduler
 from repro.sim.rng import substream
 from repro.workload.generators import job_config_by_name

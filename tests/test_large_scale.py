@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster.profiles import BASE_NETWORK_MBPS, BASE_RW_MBPS, WorkerProfile
 from repro.cluster.worker_spec import WorkerSpec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler
 from repro.workload.generators import job_config_by_name

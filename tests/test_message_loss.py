@@ -16,7 +16,7 @@ from repro.engine.messages import (
     PullRequest,
     is_reliable,
 )
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.broker import Broker
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler

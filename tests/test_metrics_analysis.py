@@ -121,7 +121,7 @@ class TestSummaries:
 
     def test_summarize_real_run(self):
         from conftest import make_profile, make_spec
-        from repro.engine.runtime import EngineConfig, WorkflowRuntime
+        from repro.host import EngineConfig, WorkflowRuntime
         from repro.schedulers.registry import make_scheduler
         from repro.workload.generators import job_config_by_name
 

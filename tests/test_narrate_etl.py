@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.schedulers.registry import make_scheduler
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.trace import Trace
 from repro.obs import (
     CATEGORIES,

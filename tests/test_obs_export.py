@@ -7,9 +7,9 @@ from types import SimpleNamespace
 
 from repro.cluster.profiles import profile_by_name
 from repro.engine.messages import Assignment, Bid, PullRequest
-from repro.engine.runtime import EngineConfig
 from repro.experiments.golden import golden_runtime
 from repro.faults import FaultPlan, MessageLoss
+from repro.host import EngineConfig
 from repro.obs import (
     FlowRecord,
     ObsConfig,

@@ -5,13 +5,13 @@ import pytest
 
 from conftest import make_profile, make_spec
 from repro.check import InvariantViolation
-from repro.check.planted import (
+from repro.faults import CrashRenewal, FaultPlan, RecoveryConfig, WorkerCrash
+from repro.fuzz.planted import (
     make_double_allocate_policy,
     plant_buggy_migrator,
     plant_overdelivering_origin,
 )
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
-from repro.faults import CrashRenewal, FaultPlan, RecoveryConfig, WorkerCrash
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.obs import CandidateScore, DecisionLedger, DecisionRecord, FlowRecord, ObsConfig
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_profile, make_spec
 from reference_probes import ProbeRegistry as ReferenceProbeRegistry
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.hooks import SEAMS
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.obs import ObsConfig, ProbeRegistry, as_obs_config, busy_fraction
 from repro.schedulers.registry import make_scheduler
 from repro.sim import Simulator

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import make_profile, make_spec
 from repro.check.invariants import InvariantMonitor, InvariantViolation
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.trace import Trace
 from repro.schedulers.registry import make_scheduler
 from repro.workload.job import Job, JobStream

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_profile, make_spec, make_worker
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler

@@ -9,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from conftest import make_profile, make_spec, make_worker
 from repro.core.estimator import CostEstimator
 from repro.data.cache import WorkerCache
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler
 from repro.sim import Simulator

@@ -7,7 +7,7 @@ descriptions, checked on real traced runs rather than in isolation.
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler
 from repro.workload.generators import job_config_by_name

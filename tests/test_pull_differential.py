@@ -27,11 +27,11 @@ import dataclasses
 
 import pytest
 
-from repro.check.fuzzer import Scenario, generate_scenario
 from repro.cluster.profiles import WorkerProfile, profile_by_name
 from repro.cluster.worker_spec import WorkerSpec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.faults import CrashRenewal, FaultPlan
+from repro.fuzz.fuzzer import Scenario, generate_scenario
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.registry import make_scheduler
 from repro.serve import (

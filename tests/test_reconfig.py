@@ -13,7 +13,7 @@ plan changes nothing), and rebalance-on-scale-up.
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.reconfig.controller import ReconfigController
@@ -252,7 +252,7 @@ class TestSwap:
 class TestAutoscalerRebalance:
     def test_scale_up_triggers_migration(self):
         from repro.cluster.profiles import all_equal
-        from repro.engine.runtime import EngineConfig
+        from repro.host import EngineConfig
         from repro.serve import (
             AdmissionConfig,
             AutoscalerConfig,

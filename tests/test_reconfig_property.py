@@ -25,8 +25,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from reference_sim import Process, Timeout
 from repro.cluster.profiles import all_equal
-from repro.engine.runtime import EngineConfig
 from repro.faults import FaultPlan, RecoveryConfig, WorkerCrash
+from repro.host import EngineConfig
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.serve import (

@@ -15,9 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.profiles import all_equal
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.experiments.golden import service_runtime
 from repro.faults import FaultPlan
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.obs import ObsConfig
 from repro.schedulers.registry import make_scheduler
 from repro.workload.generators import job_config_by_name

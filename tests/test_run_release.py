@@ -31,10 +31,10 @@ from repro import (
     WorkflowStalled,
     run_service,
 )
-from repro.check.planted import make_double_allocate_policy
 from repro.cluster import WorkerProfile, WorkerSpec
 from repro.experiments.runner import CellSpec, run_cell_observed
 from repro.faults.plan import WorkerCrash
+from repro.fuzz.planted import make_double_allocate_policy
 from repro.reconfig import JobMigration, ReconfigPlan, SchedulerSwap
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.kernel import Simulator
@@ -360,7 +360,7 @@ self.cache.collect()
 
 def test_no_source_module_drives_the_cycle_collector():
     paths = sorted(SRC.rglob("*.py"))
-    assert SRC / "engine" / "runtime.py" in paths, "the scan is not looking at src/repro"
+    assert SRC / "host.py" in paths, "the scan is not looking at src/repro"
     found = [
         f"{path.relative_to(SRC)}:{line}: {what}"
         for path in paths

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.bar import BARMasterPolicy, make_bar_policy
 from repro.workload.job import Job, JobArrival, JobStream

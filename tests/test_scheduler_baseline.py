@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_profile, make_spec
 from repro.engine.messages import Assignment, JobOffer, NoWork
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.baseline import BaselineMasterPolicy, make_baseline_policy
 from repro.workload.job import Job, JobArrival, JobStream

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import make_profile, make_spec
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.net.topology import TopologyConfig
 from repro.schedulers.delay import DelayMasterPolicy, make_delay_policy
 from repro.schedulers.matchmaking import make_matchmaking_policy

@@ -5,8 +5,8 @@ import pytest
 
 from reference_sim import Process, Timeout
 from repro.cluster.profiles import all_equal
-from repro.engine.runtime import EngineConfig
 from repro.fleet import FleetState
+from repro.host import EngineConfig
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.serve import (
     AdmissionConfig,

@@ -169,7 +169,7 @@ class TestReplay:
 
     def test_loaded_trace_runs_end_to_end(self, tmp_path):
         from conftest import make_profile, make_spec
-        from repro.engine.runtime import EngineConfig, WorkflowRuntime, single_task_pipeline
+        from repro.host import EngineConfig, WorkflowRuntime, single_task_pipeline
         from repro.schedulers.registry import make_scheduler
         from repro.workload.msr import KIND_ANALYSIS, TASK_ANALYZER
         from repro.workload.pipeline import Pipeline, Task

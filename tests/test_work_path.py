@@ -15,10 +15,10 @@ from reference_executor import ReferenceMachine, ReferenceWorkerNode
 from repro.cluster import WorkerProfile, WorkerSpec
 from repro.cluster.machine import Machine
 from repro.data.cache import WorkerCache
-from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.engine.worker import WorkerNode
 from repro.fleet import FleetState
 from repro.hooks import Hooks
+from repro.host import EngineConfig, WorkflowRuntime
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.trace import Trace
 from repro.net.noise import UniformNoise
